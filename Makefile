@@ -107,7 +107,7 @@ bench-trace:
 	$(GO) run ./cmd/benchdiff -current bench-trace.txt \
 		-ratio-base BenchmarkTraceReadV1 -ratio-new BenchmarkTraceReadV2Pipeline -min-ratio 2.0
 
-# The sustained raw-speed gate: the MPSC-ring pipeline's tx/s metric and
+# The sustained raw-speed gate: the board's batched-ingest tx/s and
 # the host's emulated-cycles/sec (emc/s) are compared against the
 # committed baseline HIGHER-is-better (-gate-up), so every rate that
 # lands in ci/bench-throughput-baseline.txt becomes a ratcheted floor —

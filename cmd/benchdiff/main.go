@@ -12,9 +12,6 @@
 //     with higher-is-better semantics: failing only when the current
 //     value falls below the baseline by more than -threshold, never on
 //     improvement — the ratcheted floor for throughput benchmarks;
-//   - optionally checks that the -speedup benchmark's highest -cpu
-//     variant is at least -min-speedup times faster than its lowest, and
-//     that -parity metrics are bit-identical across -cpu variants;
 //   - optionally gates one benchmark against a different one via a
 //     shared metric (-ratio-base / -ratio-new / -min-ratio), e.g. the
 //     v2 trace pipeline must beat the v1 reader's ns/rec by 2x;
@@ -26,8 +23,6 @@
 //	benchdiff -baseline ci/bench-baseline.txt -current bench.txt \
 //	    -filter 'Table3|Fig8' -threshold 0.10 -gate 'B/op,allocs/op' \
 //	    -json BENCH_2026-01-02.json
-//	benchdiff -current bench.txt -speedup BenchmarkBoardSnoopParallel \
-//	    -min-speedup 2.5 -parity missratio
 //	benchdiff -current bench-trace.txt -ratio-base BenchmarkTraceReadV1 \
 //	    -ratio-new BenchmarkTraceReadV2Pipeline -min-ratio 2.0
 package main
@@ -48,7 +43,6 @@ type artifact struct {
 	Baseline     []benchfmt.Summary     `json:"baseline,omitempty"`
 	Deltas       []benchfmt.Delta       `json:"deltas,omitempty"`
 	MetricDeltas []benchfmt.MetricDelta `json:"metric_deltas,omitempty"`
-	Speedup      float64                `json:"speedup,omitempty"`
 	Ratio        float64                `json:"ratio,omitempty"`
 	Threshold    float64                `json:"threshold"`
 	Filter       string                 `json:"filter"`
@@ -63,9 +57,6 @@ func main() {
 		gate         = flag.String("gate", "", "comma-separated extra metrics to gate at -threshold (e.g. 'B/op,allocs/op')")
 		gateUp       = flag.String("gate-up", "", "comma-separated higher-is-better metrics to gate at -threshold (e.g. 'tx/s')")
 		jsonPath     = flag.String("json", "", "write a JSON artifact of summaries and deltas")
-		speedup      = flag.String("speedup", "", "benchmark whose -cpu scaling to check")
-		minSpeedup   = flag.Float64("min-speedup", 2.5, "minimum highest-vs-lowest -cpu speedup")
-		parity       = flag.String("parity", "", "metric that must be identical across -cpu variants of -speedup")
 		ratioBase    = flag.String("ratio-base", "", "reference benchmark for the cross-benchmark ratio gate")
 		ratioNew     = flag.String("ratio-new", "", "benchmark that must beat -ratio-base by -min-ratio")
 		ratioMetric  = flag.String("ratio-metric", "ns/rec", "shared metric the ratio gate compares")
@@ -127,27 +118,6 @@ func main() {
 		}
 		gateList(*gate, benchfmt.CompareMetric)
 		gateList(*gateUp, benchfmt.CompareMetricUp)
-	}
-
-	if *speedup != "" {
-		ratio, lo, hi, err := benchfmt.Speedup(current, *speedup)
-		if err != nil {
-			fatal(err)
-		}
-		art.Speedup = ratio
-		fmt.Printf("%s: %.2fx speedup (-cpu %d vs -cpu %d), floor %.2fx\n", *speedup, ratio, hi, lo, *minSpeedup)
-		if ratio < *minSpeedup {
-			fmt.Printf("FAIL: speedup below floor\n")
-			failed = true
-		}
-		if *parity != "" {
-			if err := benchfmt.ParityError(current, *speedup, *parity); err != nil {
-				fmt.Printf("FAIL: %v\n", err)
-				failed = true
-			} else {
-				fmt.Printf("%s: %s identical across -cpu variants\n", *speedup, *parity)
-			}
-		}
 	}
 
 	if *ratioBase != "" || *ratioNew != "" {

@@ -11,7 +11,7 @@
 //	tracesim -l3 64MB -assoc 8 tpcc.trace
 //	tracesim -l3 8GB -checkpoint warm.ckpt -checkpoint-every 50000000 big.trace
 //	tracesim -l3 8GB -resume warm.ckpt big.trace
-//	tracesim -board -shards 8 -pin -l3 64MB tpcc.trace
+//	tracesim -board -l3 64MB tpcc.trace
 //
 // Regular files are ingested zero-copy via mmap
 // (tracefile.ForEachBatchFile); pipes and non-mmap platforms fall back
@@ -22,12 +22,11 @@
 // simulated prefix of the trace and continues from the saved cache
 // state, producing the same final statistics as an uninterrupted run.
 //
-// With -board the trace replays through the sharded MPSC-ring pipeline
-// (core.ShardedBoard) instead of the serial simulator and the output is
-// the sustained replay rate, including a `go test -bench`-format line so
-// cmd/benchdiff can gate the rate against a baseline. -shards picks the
-// shard count (0: GOMAXPROCS) and -pin binds each shard worker to its
-// NUMA-placed CPU. Board mode measures throughput, so it cannot be
+// With -board the trace replays through a core.Board (batched ingest,
+// SDRAM timing model, transaction buffer) instead of the serial
+// simulator and the output is the sustained replay rate, including a
+// `go test -bench`-format line so cmd/benchdiff can gate the rate
+// against a baseline. Board mode measures throughput, so it cannot be
 // combined with -checkpoint, -resume, or -obs.
 package main
 
@@ -132,9 +131,7 @@ func run() int {
 		ckptPath  = flag.String("checkpoint", "", "write crash-safe replay checkpoints to this file")
 		ckptN     = flag.Uint64("checkpoint-every", 0, "checkpoint every N trace records (0: only on shutdown signal)")
 		resume    = flag.String("resume", "", "resume from a checkpoint written by -checkpoint")
-		boardMode = flag.Bool("board", false, "replay through the sharded board pipeline and report sustained tx/s")
-		shards    = flag.Int("shards", 0, "shard count for -board (power of two; 0: GOMAXPROCS)")
-		pin       = flag.Bool("pin", false, "pin -board shard workers to their NUMA-placed CPUs")
+		boardMode = flag.Bool("board", false, "replay through the emulated board and report sustained tx/s")
 		protoID   = flag.String("protocol", "", "coherence protocol: a shipped name (msi, mesi, moesi, write-once) or a path to a .map file (default mesi)")
 	)
 	profFlags := prof.Flags(flag.CommandLine)
@@ -166,7 +163,7 @@ func run() int {
 		if *ckptPath != "" || *resume != "" || *obsAddr != "" {
 			return fail(errors.New("-board measures throughput; it cannot be combined with -checkpoint, -resume, or -obs"))
 		}
-		return runBoard(flag.Arg(0), geom, cpus, proto, *shards, *pin, *workers, profFlags)
+		return runBoard(flag.Arg(0), geom, cpus, proto, *workers, profFlags)
 	}
 	sim, err := simbase.NewTraceSim([]simbase.TraceNodeConfig{{
 		CPUs:     cpus,
@@ -298,19 +295,19 @@ func run() int {
 	return 0
 }
 
-// runBoard replays the trace flat-out through the sharded MPSC-ring
-// pipeline and reports the sustained transaction rate. Every record
-// feeds the board; nothing is filtered, checkpointed, or mirrored into
-// a registry — this mode exists to measure how fast the emulation core
-// itself can drink a real trace, end to end from the mmap'd file bytes.
-func runBoard(path string, geom addr.Geometry, cpus []int, proto *coherence.Table, shards int, pin bool, workers int, profFlags *prof.Config) int {
-	sb, err := core.NewShardedBoard(core.Config{Nodes: []core.NodeConfig{{
+// runBoard replays the trace flat-out through one board and reports the
+// sustained transaction rate. Every record feeds the board; nothing is
+// checkpointed or mirrored into a registry — this mode exists to
+// measure how fast the emulation core itself can drink a real trace,
+// end to end from the mmap'd file bytes.
+func runBoard(path string, geom addr.Geometry, cpus []int, proto *coherence.Table, workers int, profFlags *prof.Config) int {
+	board, err := core.NewBoard(core.Config{Nodes: []core.NodeConfig{{
 		Name:     "l3",
 		CPUs:     cpus,
 		Geometry: geom,
 		Policy:   cache.LRU,
 		Protocol: proto,
-	}}}, core.ShardedConfig{Shards: shards, Pin: pin})
+	}}})
 	if err != nil {
 		return fail(err)
 	}
@@ -322,13 +319,13 @@ func runBoard(path string, geom addr.Geometry, cpus []int, proto *coherence.Tabl
 
 	lineSize := int(geom.LineSize)
 	var cycle uint64
+	var txs []bus.Transaction // one decoder window, reused
 	start := time.Now()
-	sb.Start()
-	feeder := sb.NewFeeder()
 	n, err := tracefile.ForEachBatchFile(path, workers, func(recs []tracefile.Record) error {
+		txs = txs[:0]
 		for i := range recs {
 			cycle += 48
-			feeder.Snoop(bus.Transaction{
+			txs = append(txs, bus.Transaction{
 				Cmd:   recs[i].Cmd,
 				Addr:  recs[i].Addr,
 				Size:  lineSize,
@@ -336,31 +333,25 @@ func runBoard(path string, geom addr.Geometry, cpus []int, proto *coherence.Tabl
 				Cycle: cycle,
 			})
 		}
+		board.SnoopBatch(txs)
 		return nil
 	})
-	feeder.Flush()
-	sb.Stop()
+	board.Flush()
 	elapsed := time.Since(start)
 	if err != nil {
 		return fail(err)
 	}
 
-	var misses, refs uint64
-	for i := 0; i < sb.NumNodes(); i++ {
-		misses += sb.Node(i).Misses()
-		refs += sb.Node(i).Refs()
-	}
+	st := board.Node(0)
 	rate := float64(n) / elapsed.Seconds()
 	fmt.Printf("trace      %s: %d records\n", path, n)
-	fmt.Printf("board      %s, %d shards (pin=%v)\n", geom, sb.Shards(), pin)
-	if refs > 0 {
-		fmt.Printf("refs       %d, miss ratio %.4f\n", refs, float64(misses)/float64(refs))
-	}
+	fmt.Printf("board      %s\n", geom)
+	fmt.Printf("refs       %d, miss ratio %.4f\n", st.Refs(), st.MissRatio())
 	fmt.Printf("replay     %v sustained, %.2fM tx/s\n", elapsed.Round(time.Millisecond), rate/1e6)
 	// One `go test -bench` format line so cmd/benchdiff can gate the
 	// replay rate (higher-is-better on tx/s) against a baseline file.
-	fmt.Printf("BenchmarkTracesimReplayRate/shards%d 1 %.1f ns/op %.0f tx/s\n",
-		sb.Shards(), float64(elapsed.Nanoseconds())/float64(n), rate)
+	fmt.Printf("BenchmarkTracesimReplayRate 1 %.1f ns/op %.0f tx/s\n",
+		float64(elapsed.Nanoseconds())/float64(n), rate)
 	return 0
 }
 

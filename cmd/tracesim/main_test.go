@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"memories/internal/addr"
@@ -140,7 +141,7 @@ func TestRunUsageError(t *testing.T) {
 }
 
 // -protocol swaps the coherence table for both the serial replay and
-// the -board pipeline, and rejects unknown names before touching the
+// the -board replay, and rejects unknown names before touching the
 // trace. A checkpoint written under one protocol must not resume a
 // replay under another (the fingerprint carries the protocol name).
 func TestRunProtocolFlag(t *testing.T) {
@@ -148,7 +149,7 @@ func TestRunProtocolFlag(t *testing.T) {
 	if code := runCLI(t, "-l3", "256KB", "-cpus", "4", "-protocol", "moesi", trace); code != 0 {
 		t.Fatalf("replay with -protocol moesi exited %d", code)
 	}
-	if code := runCLI(t, "-l3", "256KB", "-cpus", "4", "-board", "-shards", "2", "-protocol", "msi", trace); code != 0 {
+	if code := runCLI(t, "-l3", "256KB", "-cpus", "4", "-board", "-protocol", "msi", trace); code != 0 {
 		t.Fatalf("-board with -protocol msi exited %d", code)
 	}
 	if code := runCLI(t, "-l3", "256KB", "-cpus", "4", "-protocol", "nonsense", trace); code == 0 {
@@ -161,5 +162,95 @@ func TestRunProtocolFlag(t *testing.T) {
 	}
 	if code := runCLI(t, "-l3", "256KB", "-cpus", "4", "-resume", ckpt, trace); code == 0 {
 		t.Fatal("moesi checkpoint resumed into a mesi replay")
+	}
+}
+
+// runCLIOutput is runCLI with stdout captured.
+func runCLIOutput(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	code := func() int {
+		defer func(old *os.File) { os.Stdout = old }(os.Stdout)
+		os.Stdout = out
+		return runCLI(t, args...)
+	}()
+	data, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(data)
+}
+
+// refsLine returns the `refs ... miss ratio ...` line of a replay report.
+func refsLine(t *testing.T, out string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "refs ") {
+			return line
+		}
+	}
+	t.Fatalf("no refs line in output:\n%s", out)
+	return ""
+}
+
+// -board replays through core.Board, the default through
+// simbase.TraceSim; on the same trace the two must print the same
+// `refs ... miss ratio ...` line, and -board adds the bench-format
+// rate line cmd/benchdiff reads.
+func TestBoardMatchesTraceSim(t *testing.T) {
+	trace := writeTestTrace(t, 30_000)
+	for _, proto := range []string{"mesi", "msi"} {
+		args := []string{"-l3", "256KB", "-cpus", "4", "-protocol", proto}
+		code, simOut := runCLIOutput(t, append(args, trace)...)
+		if code != 0 {
+			t.Fatalf("%s: replay exited %d", proto, code)
+		}
+		code, boardOut := runCLIOutput(t, append(args, "-board", trace)...)
+		if code != 0 {
+			t.Fatalf("%s: -board replay exited %d", proto, code)
+		}
+		if sim, board := refsLine(t, simOut), refsLine(t, boardOut); sim != board {
+			t.Errorf("%s: -board printed %q, simulator %q", proto, board, sim)
+		}
+		if !strings.Contains(boardOut, "\nBenchmarkTracesimReplayRate 1 ") || !strings.Contains(boardOut, " tx/s\n") {
+			t.Errorf("%s: no bench-format rate line in -board output:\n%s", proto, boardOut)
+		}
+	}
+}
+
+// -obs mirrors replay progress into a served registry; it observes the
+// simulator and must not change what the replay reports.
+func TestObsDoesNotPerturbReplay(t *testing.T) {
+	trace := writeTestTrace(t, 5_000)
+	args := []string{"-l3", "256KB", "-cpus", "4"}
+	code, plain := runCLIOutput(t, append(args, trace)...)
+	if code != 0 {
+		t.Fatalf("replay exited %d", code)
+	}
+	code, observed := runCLIOutput(t, append(args, "-obs", "127.0.0.1:0", trace)...)
+	if code != 0 {
+		t.Fatalf("-obs replay exited %d", code)
+	}
+	if a, b := refsLine(t, plain), refsLine(t, observed); a != b {
+		t.Errorf("-obs replay printed %q, plain %q", b, a)
+	}
+}
+
+// -board measures throughput only: it refuses the flags that would put
+// checkpoint writes or a metrics server inside the timed region.
+func TestBoardFlagRejections(t *testing.T) {
+	trace := writeTestTrace(t, 100)
+	for _, args := range [][]string{
+		{"-board", "-checkpoint", filepath.Join(t.TempDir(), "x.ckpt")},
+		{"-board", "-resume", filepath.Join(t.TempDir(), "x.ckpt")},
+		{"-board", "-obs", "127.0.0.1:0"},
+	} {
+		if code := runCLI(t, append(args, trace)...); code == 0 {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }

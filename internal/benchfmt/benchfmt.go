@@ -262,37 +262,12 @@ func compareMetric(baseline, current []Summary, metric string, threshold float64
 	return out
 }
 
-// Speedup returns the ns/op ratio between the lowest- and highest-procs
-// variants of name (serial time / parallel time), and the procs of each.
-func Speedup(summaries []Summary, name string) (ratio float64, loProcs, hiProcs int, err error) {
-	var lo, hi *Summary
-	for i := range summaries {
-		s := &summaries[i]
-		if s.Name != name {
-			continue
-		}
-		if lo == nil || s.Procs < lo.Procs {
-			lo = s
-		}
-		if hi == nil || s.Procs > hi.Procs {
-			hi = s
-		}
-	}
-	if lo == nil || hi == nil || lo.Procs == hi.Procs {
-		return 0, 0, 0, fmt.Errorf("benchfmt: need at least two -cpu variants of %s", name)
-	}
-	if hi.NsPerOp == 0 {
-		return 0, 0, 0, fmt.Errorf("benchfmt: %s-%d reports 0 ns/op", name, hi.Procs)
-	}
-	return lo.NsPerOp / hi.NsPerOp, lo.Procs, hi.Procs, nil
-}
-
 // Ratio compares two different benchmarks by a shared metric: the
 // lowest-procs variant of baseName (the serial reference) against the
 // best (lowest-valued) variant of newName at any procs. It returns
 // baseValue/newValue — 2.0 means the new benchmark is twice as fast —
-// plus the procs of each side. This is the cross-benchmark counterpart
-// of Speedup, used to gate the v2 trace pipeline against the v1 reader.
+// plus the procs of each side. It gates the v2 trace pipeline against
+// the v1 reader and the wheel host engine against lock-step.
 func Ratio(summaries []Summary, baseName, newName, metric string) (ratio float64, baseProcs, newProcs int, err error) {
 	var base, best *Summary
 	for i := range summaries {
@@ -327,32 +302,4 @@ func Ratio(summaries []Summary, baseName, newName, metric string) (ratio float64
 		return 0, 0, 0, fmt.Errorf("benchfmt: %s-%d reports 0 %s", newName, best.Procs, metric)
 	}
 	return bv / nv, base.Procs, best.Procs, nil
-}
-
-// ParityError returns a non-nil error if the named metric differs across
-// the -cpu variants of a benchmark — the determinism check for the
-// sharded pipeline's missratio.
-func ParityError(summaries []Summary, name, metric string) error {
-	var have bool
-	var first float64
-	var firstProcs int
-	for _, s := range summaries {
-		if s.Name != name {
-			continue
-		}
-		v, ok := s.Metrics[metric]
-		if !ok {
-			return fmt.Errorf("benchfmt: %s-%d does not report %s", name, s.Procs, metric)
-		}
-		if !have {
-			have, first, firstProcs = true, v, s.Procs
-		} else if v != first {
-			return fmt.Errorf("benchfmt: %s %s differs across -cpu: %v at -cpu %d vs %v at -cpu %d",
-				name, metric, first, firstProcs, v, s.Procs)
-		}
-	}
-	if !have {
-		return fmt.Errorf("benchfmt: no variants of %s found", name)
-	}
-	return nil
 }

@@ -16,8 +16,8 @@ BenchmarkTable3BoardSnoop    	    1000	       499.0 ns/op	         0.5600 missra
 BenchmarkTable3BoardSnoop    	    1000	       520.0 ns/op	         0.5600 missratio
 BenchmarkFig8MultiConfigSweep	    1000	      2000 ns/op	         0.1200 missratio16MB
 BenchmarkAblationBufferDepth/depth512 	 1000	 300.0 ns/op
-BenchmarkBoardSnoopParallel  	    1000	      1200 ns/op	         0.5605 missratio	         1.000 shards
-BenchmarkBoardSnoopParallel-8	    1000	       400.0 ns/op	         0.5605 missratio	         8.000 shards
+BenchmarkBoardSustainedTxPerSec  	    1000	       410.0 ns/op	   2439024 tx/s
+BenchmarkBoardSustainedTxPerSec-8	    1000	       400.0 ns/op	   2500000 tx/s
 PASS
 ok  	memories	1.234s
 `
@@ -56,7 +56,7 @@ func TestParseAndSummarize(t *testing.T) {
 	if find(t, ss, "BenchmarkAblationBufferDepth/depth512", 1).NsPerOp != 300 {
 		t.Fatal("sub-benchmark with numeric tail misparsed")
 	}
-	par := find(t, ss, "BenchmarkBoardSnoopParallel", 8)
+	par := find(t, ss, "BenchmarkBoardSustainedTxPerSec", 8)
 	if par.NsPerOp != 400 {
 		t.Fatalf("procs variant = %+v", par)
 	}
@@ -156,32 +156,6 @@ Benchmark%s 	 1000	 500.0 ns/op	 %d B/op	 %d allocs/op
 	}
 }
 
-func TestSpeedupAndParity(t *testing.T) {
-	ss := parseSample(t)
-	ratio, lo, hi, err := Speedup(ss, "BenchmarkBoardSnoopParallel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo != 1 || hi != 8 || ratio != 3.0 {
-		t.Fatalf("speedup = %v (procs %d->%d)", ratio, lo, hi)
-	}
-	if err := ParityError(ss, "BenchmarkBoardSnoopParallel", "missratio"); err != nil {
-		t.Fatal(err)
-	}
-	// Break parity and expect an error.
-	for i := range ss {
-		if ss[i].Name == "BenchmarkBoardSnoopParallel" && ss[i].Procs == 8 {
-			ss[i].Metrics["missratio"] = 0.6
-		}
-	}
-	if err := ParityError(ss, "BenchmarkBoardSnoopParallel", "missratio"); err == nil {
-		t.Fatal("missratio divergence not detected")
-	}
-	if _, _, _, err := Speedup(ss, "BenchmarkTable3BoardSnoop"); err == nil {
-		t.Fatal("speedup with one variant should error")
-	}
-}
-
 func TestRatio(t *testing.T) {
 	rs, err := Parse(strings.NewReader(`
 BenchmarkTraceReadV1 	 20000	 11.5 ns/op	 11.5 ns/rec
@@ -232,7 +206,7 @@ func TestMedianEven(t *testing.T) {
 // only when a rate metric falls, never when it rises — the direction
 // the tx/s throughput floor needs.
 func TestCompareMetricUpGatesThroughput(t *testing.T) {
-	const txSample = "BenchmarkBoardSustainedTxPerSec/shards8-8 \t 1000 \t 50.0 ns/op \t %g tx/s\n"
+	const txSample = "BenchmarkBoardSustainedTxPerSec-8 \t 1000 \t 50.0 ns/op \t %g tx/s\n"
 	parse := func(rate float64) []Summary {
 		t.Helper()
 		rs, err := Parse(strings.NewReader(fmt.Sprintf(txSample, rate)))

@@ -2,16 +2,14 @@ package console
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"memories/internal/addr"
 	"memories/internal/bus"
-	"memories/internal/cache"
-	"memories/internal/coherence"
 	"memories/internal/core"
 	"memories/internal/obs"
 )
@@ -151,60 +149,58 @@ func TestParseAddrForms(t *testing.T) {
 }
 
 // TestConsoleObsConcurrentReader is the console leg of the ISSUE 5 race
-// stress: `metrics` and `watch` readers snapshot a live registry while
-// shard workers keep publishing mirrors. The console here deliberately
-// has no quiesce-point publish (publish == nil), so reads go through
-// Request/Snapshot like any live sampler.
+// stress, on the shape the service runs: `metrics` and `watch` readers
+// snapshot a live registry while two independent boards, one writer
+// goroutine each, keep publishing their mirrors. The console here
+// deliberately has no quiesce-point publish (publish == nil), so reads
+// go through Request/Snapshot like any live sampler.
 func TestConsoleObsConcurrentReader(t *testing.T) {
+	const perBoard = 30_000
 	reg := obs.NewRegistry()
-	// Same node shape as testBoard, minus the capture/profile features
-	// the sharded pipeline refuses.
-	cfg := core.Config{Nodes: []core.NodeConfig{{
-		Name:     "a",
-		CPUs:     []int{0, 1},
-		Geometry: addr.MustGeometry(64*addr.KB, 128, 4),
-		Policy:   cache.LRU,
-		Protocol: coherence.MESI(),
-	}}}
-	sb, err := core.NewShardedBoard(cfg, core.ShardedConfig{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sb.Observe(reg, nil, "board", 0); err != nil {
-		t.Fatal(err)
+	boards := []*core.Board{testBoard(t), testBoard(t)}
+	for i, b := range boards {
+		if err := b.Observe(reg, nil, fmt.Sprintf("board%d", i), 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c := New(testBoard(t), io.Discard)
 	c.SetObs(reg, nil, nil)
 
-	sb.Start()
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
+	for _, b := range boards {
+		wg.Add(1)
+		go func(b *core.Board) {
+			defer wg.Done()
+			cycle := uint64(0)
+			for i := 0; i < perBoard; i++ {
+				cycle += 48
+				b.Snoop(&bus.Transaction{Cmd: bus.Read, Addr: uint64(i%512) * 128, Size: 128, SrcID: i % 2, Cycle: cycle})
+			}
+			b.Flush()
+		}(b)
+	}
 	go func() {
-		defer wg.Done()
-		f := sb.NewFeeder()
-		cycle := uint64(0)
-		for i := 0; i < 60_000; i++ {
-			cycle += 48
-			f.Snoop(bus.Transaction{Cmd: bus.Read, Addr: uint64(i%512) * 128, Size: 128, SrcID: i % 2, Cycle: cycle})
-		}
-		f.Flush()
+		wg.Wait()
 		close(done)
 	}()
 	for {
 		if err := c.Execute("metrics board"); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Execute("watch board.shard0 2 0"); err != nil {
+		if err := c.Execute("watch board0 2 0"); err != nil {
 			t.Fatal(err)
 		}
 		select {
 		case <-done:
-			wg.Wait()
-			sb.Stop()
-			sb.PublishObs()
-			if got := core.FoldShardCounters(reg.Snapshot(), "board")["filter.accepted"]; got != 60_000 {
-				t.Fatalf("final accepted = %d, want 60000", got)
+			for _, b := range boards {
+				b.PublishObs()
+			}
+			snap := reg.Snapshot()
+			for i := range boards {
+				if got := snap.Value(fmt.Sprintf("board%d.filter.accepted", i)); got != perBoard {
+					t.Fatalf("board%d final accepted = %d, want %d", i, got, perBoard)
+				}
 			}
 			return
 		default:

@@ -539,8 +539,7 @@ func (b *Board) process(p pending) {
 // fault-injection layer uses it to keep a golden software shadow in
 // perfect step with the board: the shadow sees exactly the stream the
 // directories saw, after buffering, retries, and injected faults. The
-// seq argument is the transaction's bus issue sequence number; the
-// sharded pipeline's merge stage keys on it to restore global order.
+// seq argument is the transaction's bus issue sequence number.
 func (b *Board) SetDrainObserver(fn func(seq, cycle uint64, cmd bus.Command, addr uint64, src int)) {
 	b.onDrain = fn
 }

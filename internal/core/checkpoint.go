@@ -32,35 +32,33 @@ func (b *Board) fingerprint() string {
 }
 
 // AppendSections writes the board's checkpoint sections to an open
-// container writer under the given name prefix. The prefix keeps
-// multiple boards (shards, or a board alongside a host) apart in one
-// file. The board must be quiescent: buffered transactions are part of
-// the bus's in-flight state and are flushed, not serialized.
-func (b *Board) AppendSections(cw *checkpoint.Writer, prefix string) error {
+// container writer. The board must be quiescent: buffered transactions
+// are part of the bus's in-flight state and are flushed, not serialized.
+func (b *Board) AppendSections(cw *checkpoint.Writer) error {
 	if b.PendingDepth() != 0 {
 		return fmt.Errorf("core: checkpoint with %d buffered transactions (Flush first)", b.PendingDepth())
 	}
 	var meta checkpoint.Enc
 	meta.Str(b.fingerprint())
-	if err := cw.Section(prefix+"board.meta", meta.Bytes()); err != nil {
+	if err := cw.Section("board.meta", meta.Bytes()); err != nil {
 		return err
 	}
 	var st checkpoint.Enc
 	st.U64(b.lastCycle)
 	st.U64(b.nextScrub)
 	b.bank.SaveState(&st)
-	if err := cw.Section(prefix+"board.state", st.Bytes()); err != nil {
+	if err := cw.Section("board.state", st.Bytes()); err != nil {
 		return err
 	}
 	for i, n := range b.nodes {
 		var dir checkpoint.Enc
 		n.dir.SaveState(&dir)
-		if err := cw.Section(fmt.Sprintf("%sboard.node%d.dir", prefix, i), dir.Bytes()); err != nil {
+		if err := cw.Section(fmt.Sprintf("board.node%d.dir", i), dir.Bytes()); err != nil {
 			return err
 		}
 		var tags checkpoint.Enc
 		n.tags.SaveState(&tags)
-		if err := cw.Section(fmt.Sprintf("%sboard.node%d.tags", prefix, i), tags.Bytes()); err != nil {
+		if err := cw.Section(fmt.Sprintf("board.node%d.tags", i), tags.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -73,7 +71,7 @@ func (b *Board) WriteCheckpoint(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := b.AppendSections(cw, ""); err != nil {
+	if err := b.AppendSections(cw); err != nil {
 		return err
 	}
 	return cw.Close()
@@ -82,9 +80,7 @@ func (b *Board) WriteCheckpoint(w io.Writer) error {
 // WriteCheckpointFile writes a board checkpoint crash-safely: temp
 // file, fsync, atomic rename.
 func (b *Board) WriteCheckpointFile(path string) error {
-	return checkpoint.WriteFileAtomic(path, func(cw *checkpoint.Writer) error {
-		return b.AppendSections(cw, "")
-	})
+	return checkpoint.WriteFileAtomic(path, b.AppendSections)
 }
 
 // RestoreBoard loads a snapshot written by WriteCheckpoint into an
@@ -95,12 +91,8 @@ func (b *Board) WriteCheckpointFile(path string) error {
 // reported. Trace capture and miss-ratio profiles are not part of the
 // snapshot; capture memory is reset to empty.
 func RestoreBoard(b *Board, snap *checkpoint.Snapshot) (RestoreReport, error) {
-	return restoreBoardSections(b, snap, "")
-}
-
-func restoreBoardSections(b *Board, snap *checkpoint.Snapshot, prefix string) (RestoreReport, error) {
 	var rep RestoreReport
-	md, err := snap.Dec(prefix + "board.meta")
+	md, err := snap.Dec("board.meta")
 	if err != nil {
 		return rep, err
 	}
@@ -110,7 +102,7 @@ func restoreBoardSections(b *Board, snap *checkpoint.Snapshot, prefix string) (R
 	if err := md.Close(); err != nil {
 		return rep, err
 	}
-	st, err := snap.Dec(prefix + "board.state")
+	st, err := snap.Dec("board.state")
 	if err != nil {
 		return rep, err
 	}
@@ -131,7 +123,7 @@ func restoreBoardSections(b *Board, snap *checkpoint.Snapshot, prefix string) (R
 		b.capture.Reset()
 	}
 	for i, n := range b.nodes {
-		dd, err := snap.Dec(fmt.Sprintf("%sboard.node%d.dir", prefix, i))
+		dd, err := snap.Dec(fmt.Sprintf("board.node%d.dir", i))
 		if err != nil {
 			return rep, err
 		}
@@ -150,7 +142,7 @@ func restoreBoardSections(b *Board, snap *checkpoint.Snapshot, prefix string) (R
 		}
 		rep.ECCCorrected += crep.Corrected
 		rep.ECCInvalidated += crep.Invalidated
-		td, err := snap.Dec(fmt.Sprintf("%sboard.node%d.tags", prefix, i))
+		td, err := snap.Dec(fmt.Sprintf("board.node%d.tags", i))
 		if err != nil {
 			return rep, err
 		}
@@ -160,66 +152,6 @@ func restoreBoardSections(b *Board, snap *checkpoint.Snapshot, prefix string) (R
 		if err := td.Close(); err != nil {
 			return rep, err
 		}
-	}
-	return rep, nil
-}
-
-// AppendSections writes every shard's sections under shard<i>. prefixes
-// plus a sharded.meta header. The pipeline must be quiescent: either
-// never started, or stopped.
-func (sb *ShardedBoard) AppendSections(cw *checkpoint.Writer, prefix string) error {
-	if sb.started && !sb.stopped {
-		return fmt.Errorf("core: sharded board checkpoint requires a quiescent pipeline (Stop first)")
-	}
-	var meta checkpoint.Enc
-	meta.U32(uint32(len(sb.shards)))
-	if err := cw.Section(prefix+"sharded.meta", meta.Bytes()); err != nil {
-		return err
-	}
-	for i, sh := range sb.shards {
-		if err := sh.AppendSections(cw, fmt.Sprintf("%sshard%d.", prefix, i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteCheckpoint streams a sharded-board checkpoint to w.
-func (sb *ShardedBoard) WriteCheckpoint(w io.Writer) error {
-	cw, err := checkpoint.NewWriter(w)
-	if err != nil {
-		return err
-	}
-	if err := sb.AppendSections(cw, ""); err != nil {
-		return err
-	}
-	return cw.Close()
-}
-
-// RestoreShardedBoard loads a sharded snapshot into an identically
-// configured (and not yet started) sharded board.
-func RestoreShardedBoard(sb *ShardedBoard, snap *checkpoint.Snapshot) (RestoreReport, error) {
-	var rep RestoreReport
-	if sb.started {
-		return rep, fmt.Errorf("core: restore into a started sharded board")
-	}
-	md, err := snap.Dec("sharded.meta")
-	if err != nil {
-		return rep, err
-	}
-	if got, want := int(md.U32()), len(sb.shards); got != want {
-		return rep, md.Failf("shard count %d != configured %d", got, want)
-	}
-	if err := md.Close(); err != nil {
-		return rep, err
-	}
-	for i, sh := range sb.shards {
-		srep, err := restoreBoardSections(sh, snap, fmt.Sprintf("shard%d.", i))
-		if err != nil {
-			return rep, err
-		}
-		rep.ECCCorrected += srep.ECCCorrected
-		rep.ECCInvalidated += srep.ECCInvalidated
 	}
 	return rep, nil
 }

@@ -182,46 +182,6 @@ func TestBoardCheckpointECCRepairOnLoad(t *testing.T) {
 	}
 }
 
-// TestShardedCheckpointRoundTrip round-trips a never-started sharded
-// board shard by shard.
-func TestShardedCheckpointRoundTrip(t *testing.T) {
-	mk := func() *ShardedBoard {
-		sb, err := NewShardedBoard(Config{Nodes: []NodeConfig{
-			nodeCfg("a", []int{0, 1}, 64, 4, 0),
-		}}, ShardedConfig{Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sb
-	}
-	orig := mk()
-	rng := workload.NewRNG(9)
-	for i := 0; i < 3000; i++ {
-		orig.Snoop(&bus.Transaction{
-			Cmd: bus.Read, Addr: uint64(rng.Intn(1<<22)) &^ 127,
-			Size: 128, SrcID: int(rng.Intn(2)), Cycle: uint64(i * 100),
-		})
-	}
-	orig.Flush()
-	var buf bytes.Buffer
-	if err := orig.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := checkpoint.Decode(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := mk()
-	if _, err := RestoreShardedBoard(fresh, snap); err != nil {
-		t.Fatal(err)
-	}
-	for name, want := range orig.Counters().Snapshot() {
-		if got := fresh.Counters().Value(name); got != want {
-			t.Fatalf("counter %s = %d, want %d", name, got, want)
-		}
-	}
-}
-
 // TestBoardCheckpointRequiresQuiescence: buffered transactions are bus
 // in-flight state and must not silently vanish into a snapshot.
 func TestBoardCheckpointRequiresQuiescence(t *testing.T) {

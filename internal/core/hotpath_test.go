@@ -12,6 +12,79 @@ import (
 	"memories/internal/workload"
 )
 
+// fourNodeConfig is a four-node, two-group board with mixed geometries:
+// group 0 partitions the eight CPUs into two nodes, group 1 is an
+// independent alternative configuration of the same machine.
+func fourNodeConfig() Config {
+	mk := func(name string, cpus []int, size int64, assoc, group int) NodeConfig {
+		return NodeConfig{
+			Name:     name,
+			CPUs:     cpus,
+			Geometry: addr.MustGeometry(size, 128, assoc),
+			Policy:   cache.LRU,
+			Protocol: coherence.MESI(),
+			Group:    group,
+		}
+	}
+	return Config{Nodes: []NodeConfig{
+		mk("a", []int{0, 1, 2, 3}, 2*addr.MB, 4, 0),
+		mk("b", []int{4, 5, 6, 7}, 2*addr.MB, 4, 0),
+		mk("c", []int{0, 1, 2, 3}, 8*addr.MB, 8, 1),
+		mk("d", []int{4, 5, 6, 7}, 4*addr.MB, 2, 1),
+	}}
+}
+
+// fourNodeStream builds a deterministic transaction stream with the
+// full command mix the address filter must handle: reads, write misses,
+// castouts, and non-memory traffic.
+func fourNodeStream(n int) []bus.Transaction {
+	gen := workload.NewZipfian(workload.ZipfConfig{
+		NumCPUs: 8, FootprintByte: 64 * addr.MB, WriteFraction: 0.3, Seed: 21,
+	})
+	txs := make([]bus.Transaction, 0, n)
+	cycle := uint64(0)
+	for i := 0; i < n; i++ {
+		ref, _ := gen.Next()
+		cycle += 48
+		cmd := bus.Read
+		switch {
+		case i%31 == 0:
+			cmd = bus.IORead
+		case i%17 == 0:
+			cmd = bus.Castout
+		case ref.Write:
+			cmd = bus.RWITM
+		}
+		txs = append(txs, bus.Transaction{
+			Seq: uint64(i), Cycle: cycle, Cmd: cmd,
+			Addr: ref.Addr &^ 127, Size: 128, SrcID: ref.CPU,
+		})
+	}
+	return txs
+}
+
+func diffSnapshots(t *testing.T, want, got map[string]uint64, label string) {
+	t.Helper()
+	for name, w := range want {
+		if g, ok := got[name]; !ok || g != w {
+			t.Errorf("%s: counter %s = %d, want %d", label, name, g, w)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s: unexpected counter %s", label, name)
+		}
+	}
+}
+
+// drainEvent is one directory operation as the drain observer saw it.
+type drainEvent struct {
+	seq, cycle uint64
+	cmd        bus.Command
+	addr       uint64
+	src        int
+}
+
 // TestSnoopBatchMatchesSerial proves the batched ingest is bit-identical
 // to per-transaction Snoop: same counters (every one, including buffer
 // telemetry — a single board sees the same occupancy either way), same
@@ -19,17 +92,17 @@ import (
 // configurations.
 func TestSnoopBatchMatchesSerial(t *testing.T) {
 	const n = 60_000
-	txs := shardTestStream(n)
+	txs := fourNodeStream(n)
 
 	configs := map[string]func() Config{
-		"base": shardTestConfig,
+		"base": fourNodeConfig,
 		"trace": func() Config {
-			cfg := shardTestConfig()
+			cfg := fourNodeConfig()
 			cfg.TraceCapacity = 4096
 			return cfg
 		},
 		"scrub": func() Config {
-			cfg := shardTestConfig()
+			cfg := fourNodeConfig()
 			cfg.ECC = true
 			cfg.ScrubIntervalCycles = 50_000
 			return cfg
@@ -37,7 +110,7 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 		"tiny-buffer": func() Config {
 			// Overflow (count-only) path exercised on every transaction
 			// burst the SDRAM pacing cannot keep up with.
-			cfg := shardTestConfig()
+			cfg := fourNodeConfig()
 			cfg.BufferDepth = 2
 			return cfg
 		},
@@ -46,9 +119,9 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 	for name, mkCfg := range configs {
 		t.Run(name, func(t *testing.T) {
 			serial := MustNewBoard(mkCfg())
-			var serialEvents []DrainEvent
+			var serialEvents []drainEvent
 			serial.SetDrainObserver(func(seq, cycle uint64, cmd bus.Command, a uint64, src int) {
-				serialEvents = append(serialEvents, DrainEvent{Seq: seq, Cycle: cycle, Cmd: cmd, Addr: a, Src: src})
+				serialEvents = append(serialEvents, drainEvent{seq, cycle, cmd, a, src})
 			})
 			for i := range txs {
 				tx := txs[i]
@@ -59,9 +132,9 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 
 			for _, batchSize := range []int{1, 7, 128, n} {
 				batched := MustNewBoard(mkCfg())
-				var events []DrainEvent
+				var events []drainEvent
 				batched.SetDrainObserver(func(seq, cycle uint64, cmd bus.Command, a uint64, src int) {
-					events = append(events, DrainEvent{Seq: seq, Cycle: cycle, Cmd: cmd, Addr: a, Src: src})
+					events = append(events, drainEvent{seq, cycle, cmd, a, src})
 				})
 				for i := 0; i < len(txs); i += batchSize {
 					end := i + batchSize
@@ -110,7 +183,7 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 // per-transaction retry responses, so a RetryOnOverflow board must
 // refuse it loudly rather than silently dropping retries.
 func TestSnoopBatchRejectsRetryBoards(t *testing.T) {
-	cfg := shardTestConfig()
+	cfg := fourNodeConfig()
 	cfg.RetryOnOverflow = true
 	b := MustNewBoard(cfg)
 	defer func() {
@@ -165,8 +238,8 @@ func TestBoardRejectsBadBusIDs(t *testing.T) {
 // directory transitions, evictions — performs zero heap allocations per
 // transaction.
 func TestBoardSnoopAllocFree(t *testing.T) {
-	b := MustNewBoard(shardTestConfig())
-	txs := shardTestStream(4096)
+	b := MustNewBoard(fourNodeConfig())
+	txs := fourNodeStream(4096)
 	// Warm up: queue ring and replacement structures reach steady state.
 	for i := range txs {
 		b.Snoop(&txs[i])
@@ -197,7 +270,7 @@ func TestHostStepAllocFree(t *testing.T) {
 		Seed:          7,
 	})
 	h := host.MustNew(host.DefaultConfig(), gen)
-	b := MustNewBoard(shardTestConfig())
+	b := MustNewBoard(fourNodeConfig())
 	h.Bus().Attach(b)
 	h.Run(200_000) // warm caches, queue ring, replacement state
 	allocs := testing.AllocsPerRun(20000, func() {
@@ -211,8 +284,8 @@ func TestHostStepAllocFree(t *testing.T) {
 // TestSnoopBatchAllocFree: the batched ingest must allocate nothing
 // beyond the caller-owned batch slice.
 func TestSnoopBatchAllocFree(t *testing.T) {
-	b := MustNewBoard(shardTestConfig())
-	txs := shardTestStream(4096)
+	b := MustNewBoard(fourNodeConfig())
+	txs := fourNodeStream(4096)
 	b.SnoopBatch(txs)
 	cycle := txs[len(txs)-1].Cycle
 	batch := make([]bus.Transaction, 64)

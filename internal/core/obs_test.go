@@ -1,11 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"io"
 	"sync"
 	"testing"
 	"time"
 
+	"memories/internal/addr"
+	"memories/internal/bus"
+	"memories/internal/cache"
+	"memories/internal/coherence"
 	"memories/internal/obs"
 	"memories/internal/workload"
 )
@@ -18,11 +23,11 @@ import (
 func TestBoardObsAllocFree(t *testing.T) {
 	reg := obs.NewRegistry()
 	hub := obs.NewTraceHub(io.Discard)
-	b := MustNewBoard(shardTestConfig())
+	b := MustNewBoard(fourNodeConfig())
 	if err := b.Observe(reg, hub, "board", 4096); err != nil {
 		t.Fatal(err)
 	}
-	txs := shardTestStream(4096)
+	txs := fourNodeStream(4096)
 	for i := range txs {
 		b.Snoop(&txs[i])
 	}
@@ -103,9 +108,9 @@ func TestBoardObsAllocFree(t *testing.T) {
 // an attached registry/tracer yields bit-identical counters — the
 // observability layer observes, it never steers.
 func TestObserveDoesNotPerturbCounters(t *testing.T) {
-	txs := shardTestStream(20_000)
+	txs := fourNodeStream(20_000)
 
-	plain := MustNewBoard(shardTestConfig())
+	plain := MustNewBoard(fourNodeConfig())
 	for i := range txs {
 		tx := txs[i]
 		plain.Snoop(&tx)
@@ -114,7 +119,7 @@ func TestObserveDoesNotPerturbCounters(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	hub := obs.NewTraceHub(io.Discard)
-	observed := MustNewBoard(shardTestConfig())
+	observed := MustNewBoard(fourNodeConfig())
 	if err := observed.Observe(reg, hub, "board", 256); err != nil {
 		t.Fatal(err)
 	}
@@ -140,27 +145,44 @@ func TestObserveDoesNotPerturbCounters(t *testing.T) {
 	}
 }
 
+// stressConfig is the race-stress board: four identical nodes in one
+// snoop group, two CPUs each.
+func stressConfig() Config {
+	var nodes []NodeConfig
+	for i := 0; i < 4; i++ {
+		nodes = append(nodes, NodeConfig{
+			Name:     string(rune('a' + i)),
+			CPUs:     []int{2 * i, 2*i + 1},
+			Geometry: addr.MustGeometry(4*addr.MB, 128, 4), // 8192 sets
+			Policy:   cache.LRU,
+			Protocol: coherence.MESI(),
+		})
+	}
+	return Config{Nodes: nodes}
+}
+
 // TestObsConcurrentSamplerStress is the ISSUE 5 race-stress criterion,
-// run under -race in CI: eight producers drive a sharded pipeline via
-// SnoopBatch while a sampler snapshots the registry, the trace hub
-// drains live rings, and an extra reader renders Prometheus text — all
-// concurrently. After quiesce the folded registry view must equal the
-// aggregated bank counters exactly.
+// run under -race in CI, on the shape the session service runs: four
+// independent boards share one registry and one trace hub, each driven
+// through SnoopBatch by its own writer goroutine, while a sampler
+// snapshots the registry, the trace hub drains live rings, and an extra
+// reader renders Prometheus text — all concurrently. After quiesce each
+// board's registry view must equal its bank exactly.
 func TestObsConcurrentSamplerStress(t *testing.T) {
-	const producers = 8
-	perProducer := 40_000
+	const nBoards, batch = 4, 64
+	perBoard := 80_000
 	if testing.Short() {
-		perProducer = 8_000
+		perBoard = 16_000
 	}
 
 	reg := obs.NewRegistry()
 	hub := obs.NewTraceHub(io.Discard)
-	sb, err := NewShardedBoard(stressConfig(), ShardedConfig{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sb.Observe(reg, hub, "board", 1024); err != nil {
-		t.Fatal(err)
+	boards := make([]*Board, nBoards)
+	for i := range boards {
+		boards[i] = MustNewBoard(stressConfig())
+		if err := boards[i].Observe(reg, hub, fmt.Sprintf("board%d", i), 1024); err != nil {
+			t.Fatal(err)
+		}
 	}
 	hub.Enable(obs.Filter{})
 	sampler := &obs.Sampler{Reg: reg, Interval: time.Millisecond, Hub: hub, JSONL: io.Discard}
@@ -186,91 +208,85 @@ func TestObsConcurrentSamplerStress(t *testing.T) {
 		}
 	}()
 
-	sb.Start()
 	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
+	for i, b := range boards {
 		wg.Add(1)
-		go func(p int) {
+		go func(i int, b *Board) {
 			defer wg.Done()
-			f := sb.NewFeeder()
-			rng := workload.NewRNG(uint64(300 + p))
-			for i := 0; i < perProducer; i++ {
-				f.Snoop(stressTx(p, i, rng))
+			rng := workload.NewRNG(uint64(300 + i))
+			txs := make([]bus.Transaction, batch)
+			cycle := uint64(0)
+			for done := 0; done < perBoard; done += batch {
+				for j := range txs {
+					cycle += 48
+					cmd := bus.Read
+					if rng.Chance(0.3) {
+						cmd = bus.RWITM
+					}
+					txs[j] = bus.Transaction{
+						Cycle: cycle, Cmd: cmd,
+						Addr: uint64(rng.Intn(1<<22)) * 128, Size: 128, SrcID: int(rng.Intn(8)),
+					}
+				}
+				b.SnoopBatch(txs)
 			}
-			f.Flush()
-		}(p)
+			b.Flush()
+		}(i, b)
 	}
 	wg.Wait()
-	sb.Stop()
 	close(stop)
 	readerWG.Wait()
 	hub.Disable()
 	sampler.Stop()
 
-	// Quiesced: force-publish and fold the per-shard registry values back
-	// into the monolithic view; every counter must match the banks.
-	sb.PublishObs()
-	fold := FoldShardCounters(reg.Snapshot(), "board")
-	bank := sb.Counters().Snapshot()
-	for name, want := range bank {
-		if fold[name] != want {
-			t.Errorf("folded %s = %d, bank %d", name, fold[name], want)
+	// Quiesced: force-publish; every registry value must match its bank,
+	// and the registry must hold nothing the banks do not.
+	var accepted uint64
+	want := make(map[string]uint64)
+	for i, b := range boards {
+		b.PublishObs()
+		for name, v := range b.Counters().Snapshot() {
+			want[fmt.Sprintf("board%d.%s", i, name)] = v
 		}
+		accepted += b.Counters().Value("filter.accepted")
 	}
-	for name := range fold {
-		if _, ok := bank[name]; !ok {
-			t.Errorf("folded view has unknown counter %s", name)
-		}
+	got := make(map[string]uint64)
+	for _, c := range reg.Snapshot().Counters {
+		got[c.Name] = c.Value
 	}
+	diffSnapshots(t, want, got, "registry")
 
-	// Every accepted transaction was offered to exactly one shard tracer:
-	// captured + dropped must equal the accepted total.
+	// Every accepted transaction was offered to exactly one board's
+	// tracer: captured + dropped must equal the accepted total.
 	captured, dropped := hub.Totals()
-	if accepted := bank["filter.accepted"]; captured+dropped != accepted {
+	if captured+dropped != accepted {
 		t.Errorf("tracer saw %d (%d captured + %d dropped), accepted %d",
 			captured+dropped, captured, dropped, accepted)
+	}
+	if accepted == 0 {
+		t.Error("stress run accepted no transactions")
 	}
 	if hub.Drained() == 0 {
 		t.Error("live drain never ran")
 	}
 }
 
-// TestObserveAttachmentErrors covers the wiring failure modes: duplicate
-// registry prefixes (board and sharded), attaching after Start, and the
-// manual setter/getter pairs used by the console.
+// TestObserveAttachmentErrors covers the wiring failure modes: a
+// duplicate registry prefix, and the manual setter/getter pairs used by
+// the console.
 func TestObserveAttachmentErrors(t *testing.T) {
 	reg := obs.NewRegistry()
-	b := MustNewBoard(shardTestConfig())
+	b := MustNewBoard(fourNodeConfig())
 	if err := b.Observe(reg, nil, "board", 0); err != nil {
 		t.Fatal(err)
 	}
-	b2 := MustNewBoard(shardTestConfig())
+	b2 := MustNewBoard(fourNodeConfig())
 	if err := b2.Observe(reg, nil, "board", 0); err == nil {
 		t.Fatal("duplicate prefix did not error")
 	}
 
-	sb, err := NewShardedBoard(stressConfig(), ShardedConfig{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sb.Observe(reg, nil, "pipe", 0); err != nil {
-		t.Fatal(err)
-	}
-	sb2, err := NewShardedBoard(stressConfig(), ShardedConfig{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sb2.Observe(reg, nil, "pipe", 0); err == nil {
-		t.Fatal("sharded duplicate shard prefix did not error")
-	}
-	sb.Start()
-	if err := sb.Observe(reg, nil, "late", 0); err == nil {
-		t.Fatal("Observe after Start did not error")
-	}
-	sb.Stop()
-
 	// The console wires mirror/tracer by hand via the setters.
-	b3 := MustNewBoard(shardTestConfig())
+	b3 := MustNewBoard(fourNodeConfig())
 	m := obs.NewMirror(b.bank)
 	tr := obs.NewTracer(8)
 	b3.SetMirror(m)
@@ -279,19 +295,4 @@ func TestObserveAttachmentErrors(t *testing.T) {
 		t.Fatal("setters did not round-trip")
 	}
 	b3.PublishObs()
-}
-
-// TestFoldShardCountersIgnoresForeign pins FoldShardCounters' prefix
-// handling: entries outside the prefix, and shard entries with no
-// trailing counter name, are skipped.
-func TestFoldShardCountersIgnoresForeign(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("other.shard0.miss").Add(5)
-	reg.Counter("board.shard0").Add(7) // no trailing ".<counter>"
-	reg.Counter("board.shard0.miss").Add(3)
-	reg.Counter("board.shard1.miss").Add(4)
-	fold := FoldShardCounters(reg.Snapshot(), "board")
-	if len(fold) != 1 || fold["miss"] != 7 {
-		t.Fatalf("fold = %v, want miss=7 only", fold)
-	}
 }

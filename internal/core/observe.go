@@ -1,17 +1,13 @@
 package core
 
-import (
-	"fmt"
-
-	"memories/internal/obs"
-)
+import "memories/internal/obs"
 
 // This file wires boards into the observability layer (internal/obs).
 // The contract on both sides: the board's snoop loop remains the sole
 // writer of its counter bank; obs gets a Mirror the loop republishes on
 // request, and an optional lock-free Tracer the loop records accepted
 // transactions into while enabled. Attachment must happen before the
-// board (or pipeline) starts observing traffic.
+// board starts observing traffic.
 
 // SetMirror attaches a counter mirror. The snoop path services mirror
 // requests at its safe points (between transactions; at batch ends).
@@ -54,74 +50,4 @@ func (b *Board) Observe(reg *obs.Registry, hub *obs.TraceHub, prefix string, tra
 		hub.Add(prefix, t)
 	}
 	return nil
-}
-
-// Observe attaches every shard to the registry (and optionally a trace
-// hub) as "<prefix>.shard<N>". Per-shard mirrors keep the single-writer
-// rule intact — each shard worker republishes its own bank; samplers see
-// the per-shard split, and ObservedCounters folds a snapshot back into
-// the monolithic-board view. Must be called before Start (or, for
-// synchronous use, before the first Snoop).
-func (sb *ShardedBoard) Observe(reg *obs.Registry, hub *obs.TraceHub, prefix string, traceDepth int) error {
-	if sb.started {
-		return fmt.Errorf("core: Observe after Start")
-	}
-	for s, shard := range sb.shards {
-		if err := shard.Observe(reg, hub, fmt.Sprintf("%s.shard%d", prefix, s), traceDepth); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PublishObs force-publishes every shard's mirror. Call only when the
-// workers are quiescent (after Stop, or any time in synchronous mode).
-func (sb *ShardedBoard) PublishObs() {
-	for _, shard := range sb.shards {
-		shard.PublishObs()
-	}
-}
-
-// FoldShardCounters folds per-shard counter values from a snapshot back
-// into the monolithic-board view, given the prefix passed to Observe:
-// "<prefix>.shard<N>.<counter>" entries aggregate to "<counter>" with
-// the same semantics as ShardedBoard.Counters (event counters sum,
-// level gauges take the maximum). Entries outside the prefix are
-// ignored. The determinism suite uses it to prove a live sampler's
-// final snapshot equals the quiesced bank aggregation.
-func FoldShardCounters(snap *obs.Snapshot, prefix string) map[string]uint64 {
-	out := make(map[string]uint64)
-	for _, c := range snap.Counters {
-		rest, ok := cutPrefix(c.Name, prefix+".shard")
-		if !ok {
-			continue
-		}
-		// Skip the shard number up to the next '.'.
-		dot := -1
-		for i := 0; i < len(rest); i++ {
-			if rest[i] == '.' {
-				dot = i
-				break
-			}
-		}
-		if dot < 0 {
-			continue
-		}
-		name := rest[dot+1:]
-		if gaugeCounter(name) {
-			if c.Value > out[name] {
-				out[name] = c.Value
-			}
-		} else {
-			out[name] += c.Value
-		}
-	}
-	return out
-}
-
-func cutPrefix(s, prefix string) (string, bool) {
-	if len(s) >= len(prefix) && s[:len(prefix)] == prefix {
-		return s[len(prefix):], true
-	}
-	return "", false
 }

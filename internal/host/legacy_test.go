@@ -15,8 +15,8 @@ import (
 // from the merged stream — as the equivalence oracle for the
 // discrete-event rewrite. TestHostMatchesLegacyPort sweeps
 // configs × workloads × seeds and requires the bus transaction stream and
-// final Stats to be bit-identical, the same discipline as the PR-2
-// seq-stamped shard drain and the PR-4 cache legacy-port tests.
+// final Stats to be bit-identical, the same discipline as the PR-4
+// cache legacy-port tests.
 //
 // Do not "modernize" this copy: its value is that it does not share code
 // with the host under test.

@@ -7,10 +7,10 @@
 //
 //   - a metrics Registry that adopts the emulator's existing 40-bit
 //     counter banks under hierarchical names ("fig8.tpcc.long.batch0.
-//     nodes0.read.miss", "board.shard3.filter.accepted") alongside typed
+//     nodes0.read.miss", "board0.filter.accepted") alongside typed
 //     gauges, counters, and histograms, with deterministic snapshots
 //     rendered as JSON lines and Prometheus text;
-//   - a lock-free snoop event Tracer (per-shard single-producer rings of
+//   - a lock-free snoop event Tracer (per-board single-producer rings of
 //     packed transaction records, drained asynchronously by a TraceHub),
 //     enabled per address range or CPU mask;
 //   - a Sampler goroutine producing periodic snapshots, plus an opt-in

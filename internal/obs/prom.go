@@ -13,8 +13,8 @@ import (
 // PromNamespace prefixes every exported Prometheus metric name.
 const PromNamespace = "memories"
 
-// PromName sanitizes a hierarchical registry name ("board.shard3.miss")
-// into a Prometheus metric name ("memories_board_shard3_miss"): dots and
+// PromName sanitizes a hierarchical registry name ("board0.nodea.miss")
+// into a Prometheus metric name ("memories_board0_nodea_miss"): dots and
 // dashes become underscores, any other character outside
 // [a-zA-Z0-9_:] becomes '_' as well.
 func PromName(name string) string {

@@ -80,9 +80,9 @@ func (f *Filter) String() string {
 }
 
 // Tracer is a lock-free single-producer/single-consumer ring of packed
-// snoop records. The producer is the goroutine that owns one board (one
-// shard); the consumer is a TraceHub drainer. When disabled it costs the
-// producer one inlinable atomic load; it never allocates.
+// snoop records. The producer is the goroutine that owns one board; the
+// consumer is a TraceHub drainer. When disabled it costs the producer
+// one inlinable atomic load; it never allocates.
 //
 // Records are packed two words per event: word0 is the address, word1 is
 // cycle<<16 | cmd<<8 | src (cycles truncate to 48 bits, which at the
@@ -100,7 +100,7 @@ type Tracer struct {
 	dropped  atomic.Uint64
 }
 
-// DefaultTraceDepth is the per-shard ring capacity in records.
+// DefaultTraceDepth is the per-board ring capacity in records.
 const DefaultTraceDepth = 1 << 14
 
 // NewTracer builds a tracer with capacity rounded up to a power of two
@@ -180,9 +180,9 @@ func (t *Tracer) Drain(fn func(Event)) int {
 	return n
 }
 
-// TraceHub aggregates the per-shard tracers of one logical board (or
-// several), drains them asynchronously, and formats drained events as
-// text lines on a sink. All methods are safe for concurrent use.
+// TraceHub aggregates the tracers of one or more boards, drains them
+// asynchronously, and formats drained events as text lines on a sink.
+// All methods are safe for concurrent use.
 type TraceHub struct {
 	mu      sync.Mutex
 	names   []string

@@ -313,15 +313,23 @@ func TestBackpressure429(t *testing.T) {
 	}
 
 	// Release the worker; the client re-issues and the session drains.
+	// The queue stays full until the worker takes its next block, so the
+	// re-issue retries on 429 as a real client would.
 	close(release)
-	resp, err = http.Post(base+"/sessions/slow/trace", "application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("re-issue: %v", err)
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		resp, err = http.Post(base+"/sessions/slow/trace", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("re-issue: %v", err)
+		}
+		drainBody(resp)
+		if resp.StatusCode == http.StatusAccepted {
+			break
+		}
+		if resp.StatusCode != http.StatusTooManyRequests || time.Now().After(deadline) {
+			t.Fatalf("re-issue: status %d", resp.StatusCode)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("re-issue: status %d", resp.StatusCode)
-	}
-	drainBody(resp)
 	st := pollStats(t, base, "slow")
 	if st.Rejected == 0 {
 		t.Fatalf("stats rejected_429 = 0, want >0: %+v", st)

@@ -42,7 +42,7 @@ func (s *Session) appendSections(cw *checkpoint.Writer) error {
 	if err := cw.Section("host.state", hs.Bytes()); err != nil {
 		return err
 	}
-	if err := s.Board.AppendSections(cw, ""); err != nil {
+	if err := s.Board.AppendSections(cw); err != nil {
 		return err
 	}
 	if s.inj != nil {
