@@ -58,9 +58,13 @@ faults:
 
 # Coverage with a ratcheted floor (ci/coverage-floor.txt). Raise the
 # floor when coverage grows; CI fails if total coverage drops below it.
+# The ratchet is over the product packages: the benchmark driver in
+# bench/ is a main package whose timing loops its own 2 s test suite
+# does not (and should not) walk; `make test`/`race` still run its tests.
+PRODUCT_PKGS = $(shell $(GO) list ./... | grep -v '^memories/bench$$')
 .PHONY: cover-check
 cover-check:
-	$(GO) test -coverprofile=cover.out ./...
+	$(GO) test -coverprofile=cover.out $(PRODUCT_PKGS)
 	sh ci/check-coverage.sh cover.out
 
 # Benchmarks, matching the CI bench job's invocation. 1000x iterations

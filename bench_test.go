@@ -30,6 +30,7 @@ import (
 	"memories/internal/tracefile"
 	"memories/internal/workload"
 	"memories/internal/workload/splash"
+	"memories/protocols"
 )
 
 func benchCPUs() []int { return []int{0, 1, 2, 3, 4, 5, 6, 7} }
@@ -41,7 +42,7 @@ func BenchmarkTable3TraceSim(b *testing.B) {
 		CPUs:     benchCPUs(),
 		Geometry: addr.MustGeometry(64*addr.MB, 128, 4),
 		Policy:   cache.LRU,
-		Protocol: coherence.MESI(),
+		Protocol: protocols.MustLoad("mesi"),
 	}})
 	gen := workload.NewZipfian(workload.ZipfConfig{NumCPUs: 8, FootprintByte: 1 * addr.GB, WriteFraction: 0.3, Seed: 7})
 	b.ResetTimer()
@@ -74,11 +75,10 @@ func BenchmarkTable3BoardSnoop(b *testing.B) {
 	b.ReportMetric(board.Node(0).MissRatio(), "missratio")
 }
 
-// --- ISSUE 10: compiled protocol engine vs parsed-table lookup ---
+// --- ISSUE 10: compiled protocol engine ---
 
 // protocolLookupSequence is a fixed pseudo-random walk over the cells a
-// MESI controller actually visits; both lookup benches replay it so
-// their ns/op compare like for like.
+// MESI controller actually visits.
 func protocolLookupSequence() []struct {
 	op coherence.Op
 	st coherence.State
@@ -89,7 +89,7 @@ func protocolLookupSequence() []struct {
 		st coherence.State
 		sn coherence.SnoopIn
 	}
-	tab := coherence.MESI()
+	tab := protocols.MustLoad("mesi")
 	var seq []cell
 	x := uint64(0x9e3779b97f4a7c15)
 	for len(seq) < 1024 {
@@ -109,10 +109,9 @@ func protocolLookupSequence() []struct {
 
 // BenchmarkProtocolEngineLookup is the hot-path cost the board pays per
 // transition with the compiled engine (the node controller's table
-// walk, §3.2). Must stay 0 allocs/op: the benchdiff gate holds it to
-// the same budget as the table it replaced.
+// walk, §3.2). Must stay 0 allocs/op (benchdiff gate).
 func BenchmarkProtocolEngineLookup(b *testing.B) {
-	eng, err := coherence.Compile(coherence.MESI())
+	eng, err := coherence.Compile(protocols.MustLoad("mesi"))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -126,24 +125,10 @@ func BenchmarkProtocolEngineLookup(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkProtocolTableLookup is the pre-compiler reference: the same
-// walk through the sparse parsed Table.
-func BenchmarkProtocolTableLookup(b *testing.B) {
-	tab := coherence.MESI()
-	seq := protocolLookupSequence()
-	var sink coherence.State
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := seq[i&(len(seq)-1)]
-		sink = tab.MustLookup(c.op, c.st, c.sn).Next
-	}
-	_ = sink
-}
-
 // BenchmarkProtocolCheck prices the exhaustive model check a protocol
 // pays once at load time (three caches, full reachable state space).
 func BenchmarkProtocolCheck(b *testing.B) {
-	tab := coherence.MESI()
+	tab := protocols.MustLoad("mesi")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := coherence.Check(tab); err != nil {
@@ -292,7 +277,7 @@ func BenchmarkFig9FourNodePartition(b *testing.B) {
 			CPUs:     []int{n * 2, n*2 + 1},
 			Geometry: addr.MustGeometry(4*addr.MB, 128, 8),
 			Policy:   cache.LRU,
-			Protocol: coherence.MESI(),
+			Protocol: protocols.MustLoad("mesi"),
 		})
 	}
 	board, h := benchHostBoard(b, core.Config{Nodes: nodes}, workload.NewTPCC(workload.ScaledTPCCConfig(2048)))
@@ -359,8 +344,8 @@ func BenchmarkFig11BarnesSweep(b *testing.B) {
 
 func BenchmarkFig12FMMTwoNode(b *testing.B) {
 	nodes := []core.NodeConfig{
-		{Name: "a", CPUs: []int{0, 1, 2, 3}, Geometry: addr.MustGeometry(64*addr.MB, 1024, 4), Policy: cache.LRU, Protocol: coherence.MESI()},
-		{Name: "b", CPUs: []int{4, 5, 6, 7}, Geometry: addr.MustGeometry(64*addr.MB, 1024, 4), Policy: cache.LRU, Protocol: coherence.MESI()},
+		{Name: "a", CPUs: []int{0, 1, 2, 3}, Geometry: addr.MustGeometry(64*addr.MB, 1024, 4), Policy: cache.LRU, Protocol: protocols.MustLoad("mesi")},
+		{Name: "b", CPUs: []int{4, 5, 6, 7}, Geometry: addr.MustGeometry(64*addr.MB, 1024, 4), Policy: cache.LRU, Protocol: protocols.MustLoad("mesi")},
 	}
 	board := core.MustNewBoard(core.Config{Nodes: nodes})
 	h := host.MustNew(host.DefaultConfig(), splash.New(splash.NameFMM, splash.SizeClassic, 8, 3))
@@ -376,15 +361,15 @@ func BenchmarkFig12FMMTwoNode(b *testing.B) {
 
 // --- Ablations (DESIGN.md §4) ---
 
-// AblationProtocolTables compares the three built-in protocols on one
+// AblationProtocolTables compares three shipped protocols on one
 // write-heavy stream: protocol choice is data, so swapping tables costs
 // no code.
 func BenchmarkAblationProtocol(b *testing.B) {
 	for _, name := range []string{"msi", "mesi", "moesi"} {
 		b.Run(name, func(b *testing.B) {
 			nodes := []core.NodeConfig{
-				{Name: "a", CPUs: []int{0, 1, 2, 3}, Geometry: addr.MustGeometry(8*addr.MB, 128, 4), Policy: cache.LRU, Protocol: coherence.Builtin(name)},
-				{Name: "b", CPUs: []int{4, 5, 6, 7}, Geometry: addr.MustGeometry(8*addr.MB, 128, 4), Policy: cache.LRU, Protocol: coherence.Builtin(name)},
+				{Name: "a", CPUs: []int{0, 1, 2, 3}, Geometry: addr.MustGeometry(8*addr.MB, 128, 4), Policy: cache.LRU, Protocol: protocols.MustLoad(name)},
+				{Name: "b", CPUs: []int{4, 5, 6, 7}, Geometry: addr.MustGeometry(8*addr.MB, 128, 4), Policy: cache.LRU, Protocol: protocols.MustLoad(name)},
 			}
 			board := core.MustNewBoard(core.Config{Nodes: nodes})
 			gen := workload.NewZipfian(workload.ZipfConfig{NumCPUs: 8, FootprintByte: 64 * addr.MB, WriteFraction: 0.4, Seed: 5})
@@ -491,7 +476,7 @@ func BenchmarkAblationLockStep(b *testing.B) {
 				CPUs:     benchCPUs(),
 				Geometry: addr.MustGeometry(int64(8<<i)*addr.MB, 128, 4),
 				Policy:   cache.LRU,
-				Protocol: coherence.MESI(),
+				Protocol: protocols.MustLoad("mesi"),
 				Group:    i,
 			})
 		}
@@ -568,7 +553,7 @@ func BenchmarkBoardSustainedTxPerSec(b *testing.B) {
 			CPUs:     []int{2 * i, 2*i + 1},
 			Geometry: addr.MustGeometry(16*addr.MB, 128, 8),
 			Policy:   cache.LRU,
-			Protocol: coherence.MESI(),
+			Protocol: protocols.MustLoad("mesi"),
 		})
 	}
 	board := core.MustNewBoard(core.Config{Nodes: nodes})

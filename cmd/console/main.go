@@ -33,11 +33,12 @@ import (
 	"time"
 
 	"memories"
+	"memories/internal/workload/byname"
 )
 
 func main() {
 	var (
-		wl       = flag.String("workload", "tpcc", "workload: tpcc, tpch, uniform, or a SPLASH2 kernel")
+		wl       = flag.String("workload", "tpcc", "workload: tpcc, tpch, web, uniform, or a SPLASH2 kernel")
 		dbFactor = flag.Int64("db-factor", 2048, "database footprint divisor vs paper scale")
 		l3       = flag.String("l3", "64MB", "initial emulated cache size")
 		assoc    = flag.Int("assoc", 8, "initial associativity")
@@ -53,23 +54,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var gen memories.Generator
-	switch *wl {
-	case "tpcc":
-		cfg := memories.ScaledTPCCConfig(*dbFactor)
-		cfg.Seed = *seed
-		gen = memories.NewTPCC(cfg)
-	case "tpch":
-		cfg := memories.ScaledTPCHConfig(*dbFactor)
-		cfg.Seed = *seed
-		gen = memories.NewTPCH(cfg)
-	case "uniform":
-		gen = memories.NewUniform(8, 150*memories.GB / *dbFactor, 0.3, *seed)
-	default:
-		gen = memories.NewSplash(*wl, "classic", 8, *seed)
-	}
-	if gen == nil {
-		fatal(fmt.Errorf("unknown workload %q", *wl))
+	gen, err := byname.New(*wl, *dbFactor, *seed, 8, "classic", 0, 0.3)
+	if err != nil {
+		fatal(err)
 	}
 
 	bcfg := memories.SingleL3Board(size, *assoc, 128)

@@ -5,142 +5,115 @@
 //	memories -workload tpcc -l3 256MB -assoc 8 -refs 5000000
 //	memories -workload fft -splash-size classic -l3 64MB -counters nodea
 //	memories -workload tpch -l3 64MB,256MB,1GB        # multi-config mode
+//	memories -protocol write-once                     # a shipped protocol
+//	memories -protocol my.map                         # bring your own
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"memories"
 	"memories/internal/hotspot"
+	"memories/internal/workload/byname"
+	"memories/protocols"
 )
 
-func main() {
-	var (
-		wl         = flag.String("workload", "tpcc", "workload: tpcc, tpch, web, uniform, or a SPLASH2 kernel (fft, ocean, barnes, fmm, water)")
-		splashSize = flag.String("splash-size", "classic", "SPLASH2 problem size: paper, classic, test")
-		dbFactor   = flag.Int64("db-factor", 2048, "database footprint divisor vs paper scale (tpcc/tpch)")
-		l3         = flag.String("l3", "64MB", "emulated cache size(s), comma separated (up to 4 => multi-config mode)")
-		assoc      = flag.Int("assoc", 8, "emulated cache associativity")
-		line       = flag.Int64("line", 128, "emulated cache line size in bytes")
-		refs       = flag.Uint64("refs", 2_000_000, "workload references to run")
-		protocol   = flag.String("protocol", "mesi", "coherence protocol: msi, mesi, moesi")
-		protoFile  = flag.String("protocol-file", "", "load the protocol from a map file instead (see protocols/)")
-		counters   = flag.String("counters", "", "also dump counters with this prefix ('' = none, 'all' = everything)")
-		seed       = flag.Uint64("seed", 1, "workload seed")
-		hotspots   = flag.Int("hotspots", 0, "also profile hot spots and print the top N pages (0 = off)")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	gen := buildWorkload(*wl, *splashSize, *dbFactor, *seed)
-	if gen == nil {
-		fatal(fmt.Errorf("unknown workload %q", *wl))
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("memories", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		wl         = fs.String("workload", "tpcc", "workload: tpcc, tpch, web, uniform, or a SPLASH2 kernel (fft, ocean, barnes, fmm, water)")
+		splashSize = fs.String("splash-size", "classic", "SPLASH2 problem size: paper, classic, test")
+		dbFactor   = fs.Int64("db-factor", 2048, "database footprint divisor vs paper scale (tpcc/tpch/web/uniform)")
+		l3         = fs.String("l3", "64MB", "emulated cache size(s), comma separated (up to 4 => multi-config mode)")
+		assoc      = fs.Int("assoc", 8, "emulated cache associativity")
+		line       = fs.Int64("line", 128, "emulated cache line size in bytes")
+		refs       = fs.Uint64("refs", 2_000_000, "workload references to run")
+		protocol   = fs.String("protocol", "mesi", "coherence protocol: a shipped name (msi, mesi, moesi, write-once) or a path to a .map file")
+		counters   = fs.String("counters", "", "also dump counters with this prefix ('' = none, 'all' = everything)")
+		seed       = fs.Uint64("seed", 1, "workload seed")
+		hotspots   = fs.Int("hotspots", 0, "also profile hot spots and print the top N pages (0 = off)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "memories:", err)
+		return 1
+	}
+
+	gen, err := byname.New(*wl, *dbFactor, *seed, 8, *splashSize, 0, 0.3)
+	if err != nil {
+		return fail(err)
 	}
 
 	var sizes []int64
 	for _, s := range strings.Split(*l3, ",") {
 		n, err := memories.ParseSize(s)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		sizes = append(sizes, n)
 	}
+	tab, err := protocols.Resolve(*protocol)
+	if err != nil {
+		return fail(err)
+	}
 	bcfg := memories.MultiConfigBoard(cpus(8), *line, *assoc, sizes...)
 	for i := range bcfg.Nodes {
-		var tab *memories.ProtocolTable
-		if *protoFile != "" {
-			var err error
-			if tab, err = memories.LoadProtocolFile(*protoFile); err != nil {
-				fatal(err)
-			}
-		} else if tab = protocolTable(*protocol); tab == nil {
-			fatal(fmt.Errorf("unknown protocol %q", *protocol))
-		}
 		bcfg.Nodes[i].Protocol = tab
 	}
 
 	s, err := memories.NewSession(memories.DefaultHostConfig(), bcfg, gen)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	var prof *hotspot.Profiler
 	if *hotspots > 0 {
 		cfg := hotspot.DefaultConfig()
 		cfg.Granularity = 4096 // page-level profiling
 		if prof, err = hotspot.New(cfg); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		s.Host.Bus().Attach(prof)
 	}
 	ran := s.Run(*refs)
 
 	hs := s.Host.Stats()
-	fmt.Printf("workload   %s\n", *wl)
-	fmt.Printf("refs       %d (instructions %d)\n", ran, hs.Instructions)
-	fmt.Printf("bus        util %.1f%%, L2 miss ratio %.4f, castouts %d\n",
+	fmt.Fprintf(stdout, "workload   %s\n", *wl)
+	fmt.Fprintf(stdout, "refs       %d (instructions %d)\n", ran, hs.Instructions)
+	fmt.Fprintf(stdout, "bus        util %.1f%%, L2 miss ratio %.4f, castouts %d\n",
 		s.Host.Bus().Utilization()*100, ratio(hs.L2Misses, hs.Refs), hs.Castouts)
 	for i := 0; i < s.Board.NumNodes(); i++ {
 		v := s.Board.Node(i)
-		fmt.Printf("node %d     %s %s: refs %d, miss ratio %.4f (l3 %d, mod-int %d, shr-int %d, mem %d)\n",
+		fmt.Fprintf(stdout, "node %d     %s %s: refs %d, miss ratio %.4f (l3 %d, mod-int %d, shr-int %d, mem %d)\n",
 			i, v.Geometry, v.Protocol, v.Refs(), v.MissRatio(),
 			v.SatL3, v.SatModInt, v.SatShrInt, v.SatMemory)
 	}
 	if over := s.Board.Counters().Value("buffer.overflow"); over > 0 {
-		fmt.Printf("WARNING    transaction buffer overflowed %d times (bus too hot for the SDRAMs)\n", over)
+		fmt.Fprintf(stdout, "WARNING    transaction buffer overflowed %d times (bus too hot for the SDRAMs)\n", over)
 	}
 	if *counters != "" {
 		prefix := *counters
 		if prefix == "all" {
 			prefix = ""
 		}
-		fmt.Print(s.Board.Counters().Dump(prefix))
+		fmt.Fprint(stdout, s.Board.Counters().Dump(prefix))
 	}
 	if prof != nil {
-		fmt.Printf("hot pages  (top %d of %d tracked, %.1f%% of bus traffic)\n",
+		fmt.Fprintf(stdout, "hot pages  (top %d of %d tracked, %.1f%% of bus traffic)\n",
 			*hotspots, prof.Tracked(), prof.Concentration(*hotspots)*100)
 		for _, bs := range prof.Top(*hotspots) {
-			fmt.Printf("  %#014x  reads %-9d writes %d\n", bs.Block, bs.Reads, bs.Writes)
+			fmt.Fprintf(stdout, "  %#014x  reads %-9d writes %d\n", bs.Block, bs.Reads, bs.Writes)
 		}
 	}
-}
-
-func buildWorkload(name, splashSize string, dbFactor int64, seed uint64) memories.Generator {
-	switch name {
-	case "tpcc":
-		cfg := memories.ScaledTPCCConfig(dbFactor)
-		cfg.Seed = seed
-		return memories.NewTPCC(cfg)
-	case "tpch":
-		cfg := memories.ScaledTPCHConfig(dbFactor)
-		cfg.Seed = seed
-		return memories.NewTPCH(cfg)
-	case "web":
-		cfg := memories.ScaledWebConfig(dbFactor)
-		cfg.Seed = seed
-		return memories.NewWeb(cfg)
-	case "uniform":
-		footprint := 150 * memories.GB / dbFactor
-		if footprint < memories.MB {
-			footprint = memories.MB
-		}
-		return memories.NewUniform(8, footprint, 0.3, seed)
-	default:
-		return memories.NewSplash(name, splashSize, 8, seed)
-	}
-}
-
-func protocolTable(name string) *memories.ProtocolTable {
-	switch name {
-	case "msi":
-		return memories.MSI()
-	case "mesi":
-		return memories.MESI()
-	case "moesi":
-		return memories.MOESI()
-	}
-	return nil
+	return 0
 }
 
 func cpus(n int) []int {
@@ -156,9 +129,4 @@ func ratio(a, b uint64) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "memories:", err)
-	os.Exit(1)
 }

@@ -21,8 +21,7 @@ import (
 	"memories/internal/core"
 	"memories/internal/host"
 	"memories/internal/tracefile"
-	"memories/internal/workload"
-	"memories/internal/workload/splash"
+	"memories/internal/workload/byname"
 )
 
 func main() {
@@ -32,7 +31,7 @@ func main() {
 	}
 
 	var (
-		wl       = flag.String("workload", "tpcc", "workload: tpcc, tpch, or a SPLASH2 kernel")
+		wl       = flag.String("workload", "tpcc", "workload: tpcc, tpch, web, uniform, or a SPLASH2 kernel")
 		dbFactor = flag.Int64("db-factor", 2048, "database footprint divisor vs paper scale")
 		refs     = flag.Uint64("refs", 1_000_000, "workload references to run")
 		limit    = flag.Int("limit", 64<<20, "trace capture memory in records (board stock: 128Mi)")
@@ -47,21 +46,9 @@ func main() {
 		fatal(err)
 	}
 
-	var gen workload.Generator
-	switch *wl {
-	case "tpcc":
-		cfg := workload.ScaledTPCCConfig(*dbFactor)
-		cfg.Seed = *seed
-		gen = workload.NewTPCC(cfg)
-	case "tpch":
-		cfg := workload.ScaledTPCHConfig(*dbFactor)
-		cfg.Seed = *seed
-		gen = workload.NewTPCH(cfg)
-	default:
-		gen = splash.New(*wl, splash.SizeClassic, 8, *seed)
-	}
-	if gen == nil {
-		fatal(fmt.Errorf("unknown workload %q", *wl))
+	gen, err := byname.New(*wl, *dbFactor, *seed, 8, "classic", 0, 0.3)
+	if err != nil {
+		fatal(err)
 	}
 
 	bcfg := memories.SingleL3Board(64*memories.MB, 8, 128)

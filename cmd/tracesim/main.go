@@ -132,7 +132,7 @@ func run() int {
 		ckptN     = flag.Uint64("checkpoint-every", 0, "checkpoint every N trace records (0: only on shutdown signal)")
 		resume    = flag.String("resume", "", "resume from a checkpoint written by -checkpoint")
 		boardMode = flag.Bool("board", false, "replay through the emulated board and report sustained tx/s")
-		protoID   = flag.String("protocol", "", "coherence protocol: a shipped name (msi, mesi, moesi, write-once) or a path to a .map file (default mesi)")
+		protoID   = flag.String("protocol", "mesi", "coherence protocol: a shipped name (msi, mesi, moesi, write-once) or a path to a .map file")
 	)
 	profFlags := prof.Flags(flag.CommandLine)
 	flag.Parse()
@@ -153,11 +153,9 @@ func run() int {
 		cpus[i] = i
 	}
 	// Resolve runs the full gauntlet: parse, compile, model check.
-	proto := coherence.MESI()
-	if *protoID != "" {
-		if proto, err = protocols.Resolve(*protoID); err != nil {
-			return fail(err)
-		}
+	proto, err := protocols.Resolve(*protoID)
+	if err != nil {
+		return fail(err)
 	}
 	if *boardMode {
 		if *ckptPath != "" || *resume != "" || *obsAddr != "" {

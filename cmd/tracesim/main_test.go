@@ -11,9 +11,9 @@ import (
 	"memories/internal/bus"
 	"memories/internal/cache"
 	"memories/internal/checkpoint"
-	"memories/internal/coherence"
 	"memories/internal/simbase"
 	"memories/internal/tracefile"
+	"memories/protocols"
 )
 
 func newTestSim() *simbase.TraceSim {
@@ -21,7 +21,7 @@ func newTestSim() *simbase.TraceSim {
 		CPUs:     []int{0, 1, 2, 3},
 		Geometry: addr.MustGeometry(256*addr.KB, 128, 4),
 		Policy:   cache.LRU,
-		Protocol: coherence.MESI(),
+		Protocol: protocols.MustLoad("mesi"),
 	}})
 }
 

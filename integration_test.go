@@ -6,7 +6,6 @@ import (
 
 	"memories/internal/addr"
 	"memories/internal/cache"
-	"memories/internal/coherence"
 	"memories/internal/core"
 	"memories/internal/faults"
 	"memories/internal/host"
@@ -16,6 +15,7 @@ import (
 	"memories/internal/tracefile"
 	"memories/internal/workload"
 	"memories/internal/workload/splash"
+	"memories/protocols"
 )
 
 // TestIntegrationCaptureReplayMatchesBoard exercises the full trace
@@ -49,7 +49,7 @@ func TestIntegrationCaptureReplayMatchesBoard(t *testing.T) {
 		CPUs:     []int{0, 1, 2, 3, 4, 5, 6, 7},
 		Geometry: addr.MustGeometry(4*addr.MB, 128, 4),
 		Policy:   cache.LRU,
-		Protocol: coherence.MESI(),
+		Protocol: protocols.MustLoad("mesi"),
 	}})
 	if _, err := sim.Run(r); err != nil {
 		t.Fatal(err)

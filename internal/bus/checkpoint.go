@@ -11,9 +11,7 @@ func (b *Bus) SaveState(e *checkpoint.Enc) {
 	e.U64(b.stats.Transactions)
 	e.U64(b.stats.Retries)
 	e.U64(b.stats.BusyCycles)
-	byCmd := make([]uint64, numCommands)
-	copy(byCmd, b.stats.ByCommand[:])
-	e.U64Slice(byCmd)
+	e.U64Slice(b.stats.ByCommand[:])
 }
 
 // RestoreState loads a checkpointed bus state.

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"testing"
 
 	"memories/internal/addr"
@@ -49,6 +51,14 @@ func TestCacheCheckpointRoundTrip(t *testing.T) {
 
 			var e checkpoint.Enc
 			c.SaveState(&e)
+			// The on-disk layout is pinned: checkpoints written before
+			// SaveState stopped copying the directory must still load.
+			if pol == LRU {
+				const want = "c8bf61ba7287590369c24a51b8cc9d303080527489a3b18bc3c2a84d7e69d7c3"
+				if got := fmt.Sprintf("%x", sha256.Sum256(e.Bytes())); got != want {
+					t.Fatalf("cache section digest %s, want %s", got, want)
+				}
+			}
 
 			c2 := MustNew(cfg)
 			d := checkpoint.NewDec("cache", 0, e.Bytes())

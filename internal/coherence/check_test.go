@@ -7,7 +7,7 @@ import (
 )
 
 func TestCheckAcceptsBuiltins(t *testing.T) {
-	for _, tab := range []*Table{MSI(), MESI(), MOESI()} {
+	for _, tab := range shippedTables(t) {
 		if err := Check(tab); err != nil {
 			t.Errorf("Check(%s): %v", tab.Name, err)
 		}
@@ -23,10 +23,10 @@ func TestCheckAcceptsBuiltins(t *testing.T) {
 }
 
 func TestCheckNBounds(t *testing.T) {
-	if err := CheckN(MESI(), 1); err == nil {
+	if err := CheckN(shipped(t, "mesi"), 1); err == nil {
 		t.Fatal("CheckN(1) accepted")
 	}
-	if err := CheckN(MESI(), maxCheckCaches+1); err == nil {
+	if err := CheckN(shipped(t, "mesi"), maxCheckCaches+1); err == nil {
 		t.Fatalf("CheckN(%d) accepted", maxCheckCaches+1)
 	}
 }
@@ -35,7 +35,7 @@ func TestCheckNBounds(t *testing.T) {
 // prefix with repl, and returns the table.
 func mutateMESI(t *testing.T, prefix, repl string) *Table {
 	t.Helper()
-	src, err := MapFileString(MESI())
+	src, err := MapFileString(shipped(t, "mesi"))
 	if err != nil {
 		t.Fatal(err)
 	}

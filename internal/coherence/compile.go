@@ -152,7 +152,13 @@ func (e *Engine) States() []State {
 //     (ErrUnreachableState);
 //   - every (op, state, snoop) cell of every reachable state must be
 //     defined (ErrMissingTransition);
-//   - plus the bus-invariant lints documented on Validate.
+//   - a snoop-write always leaves the line Invalid — another cache
+//     claimed exclusive ownership (ErrSnoopWriteKeepsCopy);
+//   - a local read or write that allocates from Invalid fetches its
+//     data from memory or by intervention (ErrNoDataSource);
+//   - a transition out of Invalid allocates (ErrLeavesInvalid);
+//   - a dirty state answers a snoop-read with respond-modified or a
+//     writeback — ownership must be visible (ErrHiddenDirty).
 func Compile(t *Table) (*Engine, error) {
 	if t.Name == "" {
 		return nil, &CompileError{Protocol: "(unnamed)", Kind: ErrUnnamed}

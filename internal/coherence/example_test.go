@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"memories/internal/coherence"
+	"memories/protocols"
 )
 
 // ExampleCheck model-checks a deliberately broken MESI variant whose
@@ -11,7 +12,7 @@ import (
 // served by intervention, but memory is never updated, so a later read
 // that misses with only clean sharers on the bus observes stale data.
 func ExampleCheck() {
-	tab := coherence.MESI()
+	tab := protocols.MustLoad("mesi")
 	tab.Name = "mesi-no-wb"
 	tab.SetAllSnoops(coherence.SnoopRead, coherence.Modified,
 		coherence.Shared, coherence.ActRespondModified) // writeback dropped

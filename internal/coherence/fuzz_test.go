@@ -11,7 +11,7 @@ import (
 // panic, and any input it accepts must survive a serialize/re-parse
 // round trip (the re-serialized form is the fixed point).
 func FuzzParseMapFile(f *testing.F) {
-	for _, t := range []*Table{MESI(), MSI(), MOESI()} {
+	for _, t := range shippedTables(f) {
 		text, err := MapFileString(t)
 		if err != nil {
 			f.Fatal(err)
@@ -62,7 +62,7 @@ func FuzzParseMapFile(f *testing.F) {
 // every used-state cell is bit-identical to the table (the conformance
 // property, under fuzz).
 func FuzzProtocolCompile(f *testing.F) {
-	for _, t := range []*Table{MESI(), MSI(), MOESI()} {
+	for _, t := range shippedTables(f) {
 		text, err := MapFileString(t)
 		if err != nil {
 			f.Fatal(err)
@@ -127,7 +127,7 @@ func FuzzProtocolCompile(f *testing.F) {
 						}
 						continue
 					}
-					want := tab.MustLookup(Op(op), State(st), SnoopIn(sn))
+					want := oracle(t, tab, Op(op), State(st), SnoopIn(sn))
 					if got.Next != want.Next || got.Actions != want.Actions {
 						t.Fatalf("engine diverges from table at %s/%s/%s", Op(op), State(st), SnoopIn(sn))
 					}
@@ -142,7 +142,7 @@ func FuzzProtocolCompile(f *testing.F) {
 // counterexample) must be deterministic, and acceptance implies the
 // table compiled — Check's contract is a superset of Compile's.
 func FuzzModelCheck(f *testing.F) {
-	for _, t := range []*Table{MESI(), MSI(), MOESI()} {
+	for _, t := range shippedTables(f) {
 		text, err := MapFileString(t)
 		if err != nil {
 			f.Fatal(err)

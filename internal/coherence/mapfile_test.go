@@ -22,8 +22,7 @@ func tablesEqual(a, b *Table) bool {
 }
 
 func TestMapFileRoundTripBuiltins(t *testing.T) {
-	for _, name := range []string{"msi", "mesi", "moesi"} {
-		orig := Builtin(name)
+	for name, orig := range shippedTables(t) {
 		text, err := MapFileString(orig)
 		if err != nil {
 			t.Fatalf("%s: serialize: %v", name, err)
@@ -35,7 +34,7 @@ func TestMapFileRoundTripBuiltins(t *testing.T) {
 		if !tablesEqual(orig, parsed) {
 			t.Fatalf("%s: round trip changed the table:\n%s", name, text)
 		}
-		if err := parsed.Validate(); err != nil {
+		if _, err := Compile(parsed); err != nil {
 			t.Fatalf("%s: parsed table invalid: %v", name, err)
 		}
 	}
@@ -105,11 +104,11 @@ func TestParseMapFileErrors(t *testing.T) {
 }
 
 func TestMapFileOutputIsStable(t *testing.T) {
-	a, err := MapFileString(MESI())
+	a, err := MapFileString(shipped(t, "mesi"))
 	if err != nil {
 		t.Fatalf("serialize: %v", err)
 	}
-	b, err := MapFileString(MESI())
+	b, err := MapFileString(shipped(t, "mesi"))
 	if err != nil {
 		t.Fatalf("serialize: %v", err)
 	}
@@ -125,8 +124,8 @@ func TestMapFileOutputIsStable(t *testing.T) {
 	}
 }
 
-// TestCustomProtocolFromMapFile builds a write-through-style protocol not
-// shipped as a builtin and checks Validate flags nothing.
+// TestCustomProtocolFromMapFile types a write-through-style protocol
+// inline and checks the compiler flags nothing.
 func TestCustomProtocolFromMapFile(t *testing.T) {
 	src := `protocol write-once
 read I none -> E allocate fetch-memory
@@ -160,7 +159,7 @@ snoop-castout M * -> M -
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Validate(); err != nil {
+	if _, err := Compile(tab); err != nil {
 		t.Fatal(err)
 	}
 	if tab.Name != "write-once" {

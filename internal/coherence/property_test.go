@@ -45,26 +45,26 @@ func TestMapFileRoundTripRandomTables(t *testing.T) {
 	}
 }
 
-// TestValidateNeverPanics: Validate must reject or accept arbitrary
-// tables without panicking, and MustLookup never panics on a validated
-// table.
+// TestValidateNeverPanics: Compile must reject or accept arbitrary
+// tables without panicking, and every cell of a table it accepts is
+// defined.
 func TestValidateNeverPanics(t *testing.T) {
 	valid := 0
 	for seed := int64(0); seed < 200; seed++ {
 		tab := randomTable(seed)
-		if err := tab.Validate(); err != nil {
+		if _, err := Compile(tab); err != nil {
 			continue
 		}
 		valid++
 		for op := 0; op < NumOps; op++ {
 			for st := 0; st < NumStates; st++ {
 				for sn := 0; sn < NumSnoopIns; sn++ {
-					tab.MustLookup(Op(op), State(st), SnoopIn(sn))
+					oracle(t, tab, Op(op), State(st), SnoopIn(sn))
 				}
 			}
 		}
 	}
-	t.Logf("%d of 200 random tables validated clean", valid)
+	t.Logf("%d of 200 random tables compiled clean", valid)
 }
 
 // TestStatesReachabilityStopsAtInvalidOnlyTable: a table whose every

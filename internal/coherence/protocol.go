@@ -6,11 +6,13 @@
 // during the initialization phase."
 //
 // A Table maps (operation, current line state, snoop result from the other
-// caches) to a next state plus an action set. Tables are data: they can be
-// built programmatically (MSI, MESI, MOESI constructors), written to and
-// parsed from a textual map-file format, and different tables can be
-// loaded into different node controllers in the same run — exactly the
-// experiment §3.2 describes.
+// caches) to a next state plus an action set. Tables are data: parsed from
+// (and written back to) the textual map-file format, compiled into the
+// Engine a node controller indexes, and different tables can be loaded
+// into different node controllers in the same run — exactly the
+// experiment §3.2 describes. The shipped protocols are the map files in
+// the top-level protocols package, which is also the one loader; this
+// package defines no protocol of its own.
 package coherence
 
 import (
@@ -294,20 +296,11 @@ func (t *Table) SetAllSnoops(op Op, cur State, next State, actions Action) {
 }
 
 // Lookup returns the transition for (op, cur, snoop) and whether it is
-// defined.
+// defined. It is the reference the conformance suite holds
+// Engine.Lookup against; controllers index the compiled Engine.
 func (t *Table) Lookup(op Op, cur State, snoop SnoopIn) (Entry, bool) {
 	e := t.entries[op][cur][snoop]
 	return e, e.defined
-}
-
-// MustLookup is Lookup that panics on undefined transitions; controllers
-// call it only after Validate has passed.
-func (t *Table) MustLookup(op Op, cur State, snoop SnoopIn) Entry {
-	e, ok := t.Lookup(op, cur, snoop)
-	if !ok {
-		panic(fmt.Sprintf("coherence: undefined transition %s/%s/%s in protocol %s", op, cur, snoop, t.Name))
-	}
-	return e
 }
 
 // States returns the set of states reachable from Invalid under the table,
@@ -341,49 +334,4 @@ func (t *Table) States() []State {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Validate checks the table for structural soundness; every failure is
-// a typed *CompileError:
-//
-//   - every (op, state, snoop) reachable combination is defined for states
-//     the protocol uses (ErrMissingTransition);
-//   - a snoop-write always leaves the line Invalid — another cache claimed
-//     exclusive ownership (ErrSnoopWriteKeepsCopy);
-//   - a local op on an Invalid line that allocates fetches data from
-//     somewhere, memory or intervention (ErrNoDataSource);
-//   - transitions from Invalid without ActAllocate stay Invalid
-//     (ErrLeavesInvalid);
-//   - dirty states answer snoop-reads with respond-modified or a
-//     writeback — ownership must be visible (ErrHiddenDirty).
-//
-// Compile enforces a stricter superset (adding ambiguity and
-// unreachable-state rejection) and is what node controllers run before
-// loading a table; Check additionally model-checks the protocol's
-// reachable state space.
-func (t *Table) Validate() error {
-	used := map[State]bool{}
-	for _, s := range t.States() {
-		used[s] = true
-	}
-	for op := 0; op < NumOps; op++ {
-		for st := 0; st < NumStates; st++ {
-			if !used[State(st)] {
-				continue
-			}
-			for sn := 0; sn < NumSnoopIns; sn++ {
-				e := t.entries[op][st][sn]
-				if !e.defined {
-					return &CompileError{
-						Protocol: t.Name, Kind: ErrMissingTransition,
-						Op: Op(op), State: State(st), Snoop: SnoopIn(sn), HasCell: true,
-					}
-				}
-				if err := t.lintCell(Op(op), State(st), SnoopIn(sn), e); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }

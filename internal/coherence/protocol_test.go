@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -77,38 +78,32 @@ func TestActionStringAndParse(t *testing.T) {
 }
 
 func TestBuiltinsValidate(t *testing.T) {
-	for _, name := range []string{"msi", "mesi", "moesi"} {
-		tab := Builtin(name)
-		if tab == nil {
-			t.Fatalf("Builtin(%q) = nil", name)
-		}
-		if err := tab.Validate(); err != nil {
+	for name, tab := range shippedTables(t) {
+		if _, err := Compile(tab); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-	}
-	if Builtin("nope") != nil {
-		t.Error("Builtin accepted unknown name")
 	}
 }
 
 func TestBuiltinStateSets(t *testing.T) {
 	cases := []struct {
-		tab  *Table
+		name string
 		want []State
 	}{
-		{MSI(), []State{Invalid, Shared, Modified}},
-		{MESI(), []State{Invalid, Shared, Exclusive, Modified}},
-		{MOESI(), []State{Invalid, Shared, Exclusive, Modified, Owned}},
+		{"msi", []State{Invalid, Shared, Modified}},
+		{"mesi", []State{Invalid, Shared, Exclusive, Modified}},
+		{"moesi", []State{Invalid, Shared, Exclusive, Modified, Owned}},
+		{"write-once", []State{Invalid, Shared, Exclusive, Modified}},
 	}
 	for _, c := range cases {
-		got := c.tab.States()
+		got := shipped(t, c.name).States()
 		if len(got) != len(c.want) {
-			t.Errorf("%s uses states %v, want %v", c.tab.Name, got, c.want)
+			t.Errorf("%s uses states %v, want %v", c.name, got, c.want)
 			continue
 		}
 		for i := range got {
 			if got[i] != c.want[i] {
-				t.Errorf("%s uses states %v, want %v", c.tab.Name, got, c.want)
+				t.Errorf("%s uses states %v, want %v", c.name, got, c.want)
 				break
 			}
 		}
@@ -116,7 +111,7 @@ func TestBuiltinStateSets(t *testing.T) {
 }
 
 func TestMESIKeyTransitions(t *testing.T) {
-	tab := MESI()
+	tab := shipped(t, "mesi")
 	cases := []struct {
 		op       Op
 		cur      State
@@ -134,7 +129,7 @@ func TestMESIKeyTransitions(t *testing.T) {
 		{SnoopWrite, Modified, SnoopNone, Invalid, ActRespondModified},
 	}
 	for _, c := range cases {
-		e := tab.MustLookup(c.op, c.cur, c.snoop)
+		e := oracle(t, tab, c.op, c.cur, c.snoop)
 		if e.Next != c.wantNext || e.Actions != c.wantActs {
 			t.Errorf("%s/%s/%s -> (%s,%s), want (%s,%s)",
 				c.op, c.cur, c.snoop, e.Next, e.Actions, c.wantNext, c.wantActs)
@@ -143,15 +138,14 @@ func TestMESIKeyTransitions(t *testing.T) {
 }
 
 func TestMSIReadsAllocateShared(t *testing.T) {
-	e := MSI().MustLookup(LocalRead, Invalid, SnoopNone)
+	e := oracle(t, shipped(t, "msi"), LocalRead, Invalid, SnoopNone)
 	if e.Next != Shared {
 		t.Fatalf("MSI read-miss allocates %v, want S", e.Next)
 	}
 }
 
 func TestMOESIKeepsDirtyDataOnSnoopRead(t *testing.T) {
-	tab := MOESI()
-	e := tab.MustLookup(SnoopRead, Modified, SnoopNone)
+	e := oracle(t, shipped(t, "moesi"), SnoopRead, Modified, SnoopNone)
 	if e.Next != Owned {
 		t.Fatalf("MOESI M snoop-read -> %v, want O", e.Next)
 	}
@@ -163,61 +157,45 @@ func TestMOESIKeepsDirtyDataOnSnoopRead(t *testing.T) {
 	}
 }
 
-func TestMustLookupPanicsOnUndefined(t *testing.T) {
-	tab := &Table{Name: "empty"}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustLookup on empty table did not panic")
-		}
-	}()
-	tab.MustLookup(LocalRead, Invalid, SnoopNone)
+// wantCompileErr asserts Compile rejects tab with a *CompileError of
+// the given kind.
+func wantCompileErr(t *testing.T, tab *Table, kind CompileErrKind) {
+	t.Helper()
+	_, err := Compile(tab)
+	var ce *CompileError
+	if !errors.As(err, &ce) || ce.Kind != kind {
+		t.Fatalf("Compile(%s) = %v, want %s", tab.Name, err, kind)
+	}
 }
 
 func TestValidateCatchesMissingTransition(t *testing.T) {
-	tab := MESI()
-	tab.Name = "broken"
-	// Knock out one entry by rebuilding a partial table.
 	partial := &Table{Name: "partial"}
 	partial.Set(LocalRead, Invalid, SnoopNone, Shared, ActAllocate|ActFetchMemory)
-	if err := partial.Validate(); err == nil {
-		t.Fatal("Validate accepted a table with holes")
-	}
-	_ = tab
+	wantCompileErr(t, partial, ErrMissingTransition)
 }
 
 func TestValidateCatchesSnoopWriteKeepingLine(t *testing.T) {
-	tab := MESI()
-	tab.Name = "bad-snoop-write"
+	tab := shipped(t, "mesi")
 	tab.SetAllSnoops(SnoopWrite, Shared, Shared, 0) // illegal: must invalidate
-	if err := tab.Validate(); err == nil {
-		t.Fatal("Validate accepted snoop-write that keeps the line")
-	} else if !strings.Contains(err.Error(), "snoop-write") {
-		t.Fatalf("unexpected error: %v", err)
-	}
+	wantCompileErr(t, tab, ErrSnoopWriteKeepsCopy)
 }
 
 func TestValidateCatchesAllocationWithoutSource(t *testing.T) {
-	tab := MESI()
-	tab.Name = "bad-alloc"
+	tab := shipped(t, "mesi")
 	tab.Set(LocalRead, Invalid, SnoopNone, Exclusive, ActAllocate) // no data source
-	if err := tab.Validate(); err == nil {
-		t.Fatal("Validate accepted allocation without data source")
-	}
+	wantCompileErr(t, tab, ErrNoDataSource)
 }
 
 func TestValidateCatchesHiddenDirtyOwner(t *testing.T) {
-	tab := MESI()
-	tab.Name = "hidden-owner"
+	tab := shipped(t, "mesi")
 	tab.SetAllSnoops(SnoopRead, Modified, Shared, 0) // silent downgrade
-	if err := tab.Validate(); err == nil {
-		t.Fatal("Validate accepted silent dirty downgrade")
-	}
+	wantCompileErr(t, tab, ErrHiddenDirty)
 }
 
 func TestValidateIgnoresUnusedStates(t *testing.T) {
-	// MSI never reaches E or O; Validate must not demand transitions for
+	// MSI never reaches E or O; Compile must not demand transitions for
 	// them.
-	if err := MSI().Validate(); err != nil {
-		t.Fatalf("MSI validation failed on unused states: %v", err)
+	if _, err := Compile(shipped(t, "msi")); err != nil {
+		t.Fatalf("MSI rejected over unused states: %v", err)
 	}
 }

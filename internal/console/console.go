@@ -20,7 +20,6 @@ import (
 	"memories/internal/addr"
 	"memories/internal/cache"
 	"memories/internal/checkpoint"
-	"memories/internal/coherence"
 	"memories/internal/core"
 	"memories/protocols"
 )
@@ -196,7 +195,7 @@ func (c *Console) help() {
   profile <i>                   miss-ratio profile sparkline of node i
   reprogram <i> k=v ...         set cache parameters of node i
                                 (size, assoc, line, policy, group, cpus, protocol)
-  protocol <i> <msi|mesi|moesi> load a built-in protocol table
+  protocol <i> <name>           load a shipped protocol (msi, mesi, moesi, write-once)
   loadmap <i>                   load a protocol map file; end with "end"
   reset-counters                clear the counter bank
   scrub                         run an ECC scrub pass over every directory
@@ -352,15 +351,9 @@ func (c *Console) reprogram(args []string) error {
 				return fmt.Errorf("bad group %q", v)
 			}
 		case "protocol":
-			// Shipped protocols resolve through the embedded map files,
-			// so every name the console accepts is compiled and
-			// model-checked on load (write-once works here too, not
-			// just the builtin trio).
-			tab, err := protocols.Load(v)
-			if err != nil {
-				return fmt.Errorf("unknown protocol %q", v)
+			if nc.Protocol, err = protocols.Load(v); err != nil {
+				return err
 			}
-			nc.Protocol = tab
 		case "cpus":
 			var cpus []int
 			for _, s := range strings.Split(v, ",") {
@@ -408,14 +401,10 @@ func (c *Console) loadMap(args []string) error {
 func (c *Console) finishLoadMap() error {
 	text := strings.Join(c.pendingMap, "\n")
 	c.pendingMap = nil
-	tab, err := coherence.ParseMapFileString(text)
+	// A user-typed protocol must be proven coherent before it reaches a
+	// node controller.
+	tab, err := protocols.Verify(text)
 	if err != nil {
-		return err
-	}
-	// The full load-time gauntlet: compile (typed structural errors)
-	// plus the exhaustive model check — a user-typed protocol must be
-	// proven coherent before it reaches a node controller.
-	if err := coherence.Check(tab); err != nil {
 		return err
 	}
 	nc := c.board.Config().Nodes[c.pendingNode]

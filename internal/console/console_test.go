@@ -13,6 +13,7 @@ import (
 	"memories/internal/coherence"
 	"memories/internal/core"
 	"memories/internal/tracefile"
+	"memories/protocols"
 )
 
 func testBoard(t *testing.T) *core.Board {
@@ -23,7 +24,7 @@ func testBoard(t *testing.T) *core.Board {
 			CPUs:     []int{0, 1},
 			Geometry: addr.MustGeometry(64*addr.KB, 128, 4),
 			Policy:   cache.LRU,
-			Protocol: coherence.MESI(),
+			Protocol: protocols.MustLoad("mesi"),
 		}},
 		ProfileBucketCycles: 1000,
 		TraceCapacity:       16,
@@ -144,7 +145,7 @@ func TestProfileDisabled(t *testing.T) {
 		CPUs:     []int{0},
 		Geometry: addr.MustGeometry(64*addr.KB, 128, 4),
 		Policy:   cache.LRU,
-		Protocol: coherence.MESI(),
+		Protocol: protocols.MustLoad("mesi"),
 	}}})
 	out := run(t, b, "profile 0", "trace")
 	if !strings.Contains(out, "error: profiling disabled") {
@@ -177,7 +178,7 @@ func TestProtocolCommand(t *testing.T) {
 
 func TestLoadMapInline(t *testing.T) {
 	b := testBoard(t)
-	mapText, err := coherence.MapFileString(coherence.MSI())
+	mapText, err := coherence.MapFileString(protocols.MustLoad("msi"))
 	if err != nil {
 		t.Fatalf("serialize: %v", err)
 	}

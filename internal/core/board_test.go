@@ -6,9 +6,9 @@ import (
 	"memories/internal/addr"
 	"memories/internal/bus"
 	"memories/internal/cache"
-	"memories/internal/coherence"
 	"memories/internal/host"
 	"memories/internal/workload"
+	"memories/protocols"
 )
 
 // feeder issues hand-crafted transactions to a board, advancing the bus
@@ -29,7 +29,7 @@ func nodeCfg(name string, cpus []int, sizeKB int64, assoc int, group int) NodeCo
 		CPUs:     cpus,
 		Geometry: addr.MustGeometry(sizeKB*addr.KB, 128, assoc),
 		Policy:   cache.LRU,
-		Protocol: coherence.MESI(),
+		Protocol: protocols.MustLoad("mesi"),
 		Group:    group,
 	}
 }
@@ -244,7 +244,7 @@ func TestDirtyEvictionCountsWriteback(t *testing.T) {
 		CPUs:     []int{0},
 		Geometry: addr.MustGeometry(2*addr.KB, 128, 1),
 		Policy:   cache.LRU,
-		Protocol: coherence.MESI(),
+		Protocol: protocols.MustLoad("mesi"),
 	}}})
 	if err != nil {
 		t.Fatal(err)
@@ -454,7 +454,7 @@ func TestDifferentProtocolsPerNode(t *testing.T) {
 	// node, one MESI one MSI: after a read miss, a local write upgrade
 	// differs (E->M silent vs S->M upgrade).
 	msi := nodeCfg("b", []int{0}, 64, 4, 1)
-	msi.Protocol = coherence.MSI()
+	msi.Protocol = protocols.MustLoad("msi")
 	b, err := NewBoard(Config{Nodes: []NodeConfig{
 		nodeCfg("a", []int{0}, 64, 4, 0),
 		msi,

@@ -7,9 +7,9 @@ import (
 	"memories/internal/addr"
 	"memories/internal/bus"
 	"memories/internal/cache"
-	"memories/internal/coherence"
 	"memories/internal/host"
 	"memories/internal/workload"
+	"memories/protocols"
 )
 
 // fourNodeConfig is a four-node, two-group board with mixed geometries:
@@ -22,7 +22,7 @@ func fourNodeConfig() Config {
 			CPUs:     cpus,
 			Geometry: addr.MustGeometry(size, 128, assoc),
 			Policy:   cache.LRU,
-			Protocol: coherence.MESI(),
+			Protocol: protocols.MustLoad("mesi"),
 			Group:    group,
 		}
 	}
@@ -202,7 +202,7 @@ func TestBoardRejectsBadBusIDs(t *testing.T) {
 			CPUs:     []int{id},
 			Geometry: addr.MustGeometry(2*addr.MB, 128, 4),
 			Policy:   cache.LRU,
-			Protocol: coherence.MESI(),
+			Protocol: protocols.MustLoad("mesi"),
 		}}}
 		if _, err := NewBoard(cfg); err == nil {
 			t.Errorf("NewBoard accepted bus ID %d", id)
@@ -213,7 +213,7 @@ func TestBoardRejectsBadBusIDs(t *testing.T) {
 		CPUs:     []int{MaxBusID},
 		Geometry: addr.MustGeometry(2*addr.MB, 128, 4),
 		Policy:   cache.LRU,
-		Protocol: coherence.MESI(),
+		Protocol: protocols.MustLoad("mesi"),
 	}}}
 	b := MustNewBoard(cfg)
 	tx := bus.Transaction{Cmd: bus.Read, Addr: 0x2000, Size: 128, SrcID: MaxBusID}

@@ -10,6 +10,7 @@ import (
 	"memories/internal/coherence"
 	"memories/internal/host"
 	"memories/internal/workload"
+	"memories/protocols"
 )
 
 // checkSingleDirtyOwner verifies that within each snoop group, no line is
@@ -75,7 +76,7 @@ func checkMESIDirtyExclusive(t *testing.T, b *Board) {
 // that a coherent machine never produces (e.g. a CPU casting out a line
 // another node's CPU owns dirty), so invariants are only meaningful over
 // host traffic.
-func hostDrivenBoard(t *testing.T, protocol func() *coherence.Table, refs uint64) *Board {
+func hostDrivenBoard(t *testing.T, protocol string, refs uint64) *Board {
 	t.Helper()
 	mkNode := func(name string, cpus []int, kb int64, assoc, group int) NodeConfig {
 		return NodeConfig{
@@ -83,7 +84,7 @@ func hostDrivenBoard(t *testing.T, protocol func() *coherence.Table, refs uint64
 			CPUs:     cpus,
 			Geometry: addr.MustGeometry(kb*addr.KB, 128, assoc),
 			Policy:   cache.LRU,
-			Protocol: protocol(),
+			Protocol: protocols.MustLoad(protocol),
 			Group:    group,
 		}
 	}
@@ -105,13 +106,13 @@ func hostDrivenBoard(t *testing.T, protocol func() *coherence.Table, refs uint64
 }
 
 func TestCoherenceInvariantsUnderHostTraffic(t *testing.T) {
-	b := hostDrivenBoard(t, coherence.MESI, 200_000)
+	b := hostDrivenBoard(t, "mesi", 200_000)
 	checkSingleDirtyOwner(t, b)
 	checkMESIDirtyExclusive(t, b)
 }
 
 func TestMSIInvariantsUnderHostTraffic(t *testing.T) {
-	b := hostDrivenBoard(t, coherence.MSI, 150_000)
+	b := hostDrivenBoard(t, "msi", 150_000)
 	checkSingleDirtyOwner(t, b)
 	checkMESIDirtyExclusive(t, b)
 }
@@ -119,7 +120,7 @@ func TestMSIInvariantsUnderHostTraffic(t *testing.T) {
 func TestMOESISingleDirtyOwnerInvariant(t *testing.T) {
 	// MOESI allows S copies beside an Owned line, but never two dirty
 	// owners.
-	b := hostDrivenBoard(t, coherence.MOESI, 150_000)
+	b := hostDrivenBoard(t, "moesi", 150_000)
 	checkSingleDirtyOwner(t, b)
 }
 

@@ -10,9 +10,9 @@ import (
 	"memories/internal/addr"
 	"memories/internal/bus"
 	"memories/internal/cache"
-	"memories/internal/coherence"
 	"memories/internal/obs"
 	"memories/internal/workload"
+	"memories/protocols"
 )
 
 // TestBoardObsAllocFree is the ISSUE 5 hot-path acceptance criterion:
@@ -155,7 +155,7 @@ func stressConfig() Config {
 			CPUs:     []int{2 * i, 2*i + 1},
 			Geometry: addr.MustGeometry(4*addr.MB, 128, 4), // 8192 sets
 			Policy:   cache.LRU,
-			Protocol: coherence.MESI(),
+			Protocol: protocols.MustLoad("mesi"),
 		})
 	}
 	return Config{Nodes: nodes}

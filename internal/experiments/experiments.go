@@ -19,6 +19,7 @@ import (
 	"memories/internal/obs"
 	"memories/internal/stats"
 	"memories/internal/workload/splash"
+	"memories/protocols"
 )
 
 // Scale selects how much work an experiment does.
@@ -163,7 +164,7 @@ func (p Preset) protocol() *coherence.Table {
 	if p.Protocol != nil {
 		return p.Protocol
 	}
-	return coherence.MESI()
+	return protocols.MustLoad("mesi")
 }
 
 // PresetFor returns the parameters for a scale.

@@ -6,9 +6,9 @@ import (
 	"memories/internal/addr"
 	"memories/internal/bus"
 	"memories/internal/cache"
-	"memories/internal/coherence"
 	"memories/internal/core"
 	"memories/internal/stats"
+	"memories/protocols"
 )
 
 // runTable2 reproduces Table 2 ("Summary of Cache Emulation Parameters")
@@ -124,7 +124,7 @@ func runTable2FullFill(size int64) (string, error) {
 			CPUs:     []int{0},
 			Geometry: g,
 			Policy:   cache.LRU,
-			Protocol: coherence.MESI(),
+			Protocol: protocols.MustLoad("mesi"),
 		}},
 		ECC: true,
 	})

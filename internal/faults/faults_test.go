@@ -7,12 +7,12 @@ import (
 
 	"memories/internal/addr"
 	"memories/internal/cache"
-	"memories/internal/coherence"
 	"memories/internal/console"
 	"memories/internal/core"
 	"memories/internal/host"
 	"memories/internal/stats"
 	"memories/internal/workload"
+	"memories/protocols"
 )
 
 func testBoardConfig() core.Config {
@@ -21,7 +21,7 @@ func testBoardConfig() core.Config {
 		CPUs:     []int{0, 1, 2, 3, 4, 5, 6, 7},
 		Geometry: addr.MustGeometry(1*addr.MB, 128, 8),
 		Policy:   cache.LRU,
-		Protocol: coherence.MESI(),
+		Protocol: protocols.MustLoad("mesi"),
 	}}}
 }
 
@@ -69,7 +69,7 @@ func TestShadowRequiresSingleGroup(t *testing.T) {
 		CPUs:     []int{0, 1, 2, 3, 4, 5, 6, 7},
 		Geometry: addr.MustGeometry(1*addr.MB, 128, 8),
 		Policy:   cache.LRU,
-		Protocol: coherence.MESI(),
+		Protocol: protocols.MustLoad("mesi"),
 		Group:    1,
 	})
 	b, err := core.NewBoard(cfg)

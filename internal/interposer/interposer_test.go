@@ -7,8 +7,8 @@ import (
 	"memories/internal/addr"
 	"memories/internal/bus"
 	"memories/internal/cache"
-	"memories/internal/coherence"
 	"memories/internal/core"
+	"memories/protocols"
 )
 
 func testBoard(t *testing.T) *core.Board {
@@ -18,7 +18,7 @@ func testBoard(t *testing.T) *core.Board {
 		CPUs:     []int{0, 1, 2, 3},
 		Geometry: addr.MustGeometry(64*addr.KB, 128, 4),
 		Policy:   cache.LRU,
-		Protocol: coherence.MESI(),
+		Protocol: protocols.MustLoad("mesi"),
 	}}})
 }
 
@@ -111,7 +111,7 @@ func TestCardPropagatesRetry(t *testing.T) {
 			CPUs:     []int{0},
 			Geometry: addr.MustGeometry(64*addr.KB, 128, 4),
 			Policy:   cache.LRU,
-			Protocol: coherence.MESI(),
+			Protocol: protocols.MustLoad("mesi"),
 		}},
 		BufferDepth:     2,
 		RetryOnOverflow: true,

@@ -343,7 +343,7 @@ func buildBoardConfig(req *CreateRequest) (core.Config, host.Config, int64, erro
 		}
 		var err error
 		if proto, err = protocols.Load(protoName); err != nil {
-			return core.Config{}, host.Config{}, 0, fmt.Errorf("service: unknown protocol %q", protoName)
+			return core.Config{}, host.Config{}, 0, fmt.Errorf("service: %w", err)
 		}
 	}
 	ncpu := req.CPUs

@@ -6,7 +6,7 @@ import (
 
 	"memories/internal/addr"
 	"memories/internal/workload"
-	"memories/internal/workload/splash"
+	"memories/internal/workload/byname"
 )
 
 // WorkloadSpec is the JSON alternative to raw trace ingest: instead of
@@ -55,7 +55,8 @@ func parseWorkloadSpec(body []byte) (*WorkloadSpec, error) {
 	return &spec, nil
 }
 
-// build constructs the generator for ncpu host processors.
+// build constructs the generator for ncpu host processors, filling in
+// the service's defaults for the fields the tenant left out.
 func (spec *WorkloadSpec) build(ncpu int) (workload.Generator, error) {
 	scale := spec.Scale
 	if scale <= 0 {
@@ -65,51 +66,16 @@ func (spec *WorkloadSpec) build(ncpu int) (workload.Generator, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	switch spec.Workload {
-	case "tpcc":
-		cfg := workload.ScaledTPCCConfig(scale)
-		cfg.NumCPUs = ncpu
-		cfg.Seed = seed
-		return workload.NewTPCC(cfg), nil
-	case "tpch":
-		cfg := workload.ScaledTPCHConfig(scale)
-		cfg.NumCPUs = ncpu
-		cfg.Seed = seed
-		return workload.NewTPCH(cfg), nil
-	case "web":
-		cfg := workload.ScaledWebConfig(scale)
-		cfg.NumCPUs = ncpu
-		cfg.Seed = seed
-		return workload.NewWeb(cfg), nil
-	case "uniform":
-		foot := int64(16 << 20)
-		if spec.Footprint != "" {
-			var err error
-			if foot, err = addr.ParseSize(spec.Footprint); err != nil {
-				return nil, err
-			}
-		}
-		return workload.NewUniform(workload.UniformConfig{
-			NumCPUs:       ncpu,
-			FootprintByte: foot,
-			WriteFraction: spec.WriteFraction,
-			Seed:          seed,
-		}), nil
-	default:
-		sz := splash.SizeTest
-		switch spec.Size {
-		case "paper":
-			sz = splash.SizePaper
-		case "classic":
-			sz = splash.SizeClassic
-		case "", "test":
-		default:
-			return nil, fmt.Errorf("service: unknown splash size %q", spec.Size)
-		}
-		if g := splash.New(spec.Workload, sz, ncpu, seed); g != nil {
-			return g, nil
-		}
-		return nil, fmt.Errorf("service: unknown workload %q (want tpcc, tpch, web, uniform, or one of %v)",
-			spec.Workload, splash.Names())
+	size := spec.Size
+	if size == "" {
+		size = "test"
 	}
+	foot := int64(16 << 20)
+	if spec.Footprint != "" {
+		var err error
+		if foot, err = addr.ParseSize(spec.Footprint); err != nil {
+			return nil, err
+		}
+	}
+	return byname.New(spec.Workload, scale, seed, ncpu, size, foot, spec.WriteFraction)
 }

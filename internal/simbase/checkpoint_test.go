@@ -8,8 +8,8 @@ import (
 	"memories/internal/bus"
 	"memories/internal/cache"
 	"memories/internal/checkpoint"
-	"memories/internal/coherence"
 	"memories/internal/tracefile"
+	"memories/protocols"
 )
 
 func ckptNodeConfig() []TraceNodeConfig {
@@ -17,7 +17,7 @@ func ckptNodeConfig() []TraceNodeConfig {
 		CPUs:     []int{0, 1, 2, 3},
 		Geometry: addr.MustGeometry(256*addr.KB, 128, 4),
 		Policy:   cache.LRU,
-		Protocol: coherence.MESI(),
+		Protocol: protocols.MustLoad("mesi"),
 	}}
 }
 

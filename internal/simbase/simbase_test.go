@@ -7,10 +7,10 @@ import (
 	"memories/internal/addr"
 	"memories/internal/bus"
 	"memories/internal/cache"
-	"memories/internal/coherence"
 	"memories/internal/core"
 	"memories/internal/tracefile"
 	"memories/internal/workload"
+	"memories/protocols"
 )
 
 func traceNodeCfg(cpus []int, sizeKB int64, assoc int) TraceNodeConfig {
@@ -18,7 +18,7 @@ func traceNodeCfg(cpus []int, sizeKB int64, assoc int) TraceNodeConfig {
 		CPUs:     cpus,
 		Geometry: addr.MustGeometry(sizeKB*addr.KB, 128, assoc),
 		Policy:   cache.LRU,
-		Protocol: coherence.MESI(),
+		Protocol: protocols.MustLoad("mesi"),
 	}
 }
 
@@ -95,20 +95,20 @@ func TestDifferentialBoardVsTraceSim(t *testing.T) {
 			CPUs:     []int{0, 1, 2, 3},
 			Geometry: addr.MustGeometry(128*addr.KB, 128, 4),
 			Policy:   cache.LRU,
-			Protocol: coherence.MESI(),
+			Protocol: protocols.MustLoad("mesi"),
 		},
 		{
 			Name:     "b",
 			CPUs:     []int{4, 5, 6, 7},
 			Geometry: addr.MustGeometry(64*addr.KB, 128, 2),
 			Policy:   cache.LRU,
-			Protocol: coherence.MESI(),
+			Protocol: protocols.MustLoad("mesi"),
 		},
 	}}
 	b := core.MustNewBoard(boardCfg)
 	s := MustNewTraceSim([]TraceNodeConfig{
-		{CPUs: []int{0, 1, 2, 3}, Geometry: addr.MustGeometry(128*addr.KB, 128, 4), Policy: cache.LRU, Protocol: coherence.MESI()},
-		{CPUs: []int{4, 5, 6, 7}, Geometry: addr.MustGeometry(64*addr.KB, 128, 2), Policy: cache.LRU, Protocol: coherence.MESI()},
+		{CPUs: []int{0, 1, 2, 3}, Geometry: addr.MustGeometry(128*addr.KB, 128, 4), Policy: cache.LRU, Protocol: protocols.MustLoad("mesi")},
+		{CPUs: []int{4, 5, 6, 7}, Geometry: addr.MustGeometry(64*addr.KB, 128, 2), Policy: cache.LRU, Protocol: protocols.MustLoad("mesi")},
 	})
 
 	rng := workload.NewRNG(1234)

@@ -31,7 +31,6 @@ package memories
 
 import (
 	"io"
-	"os"
 	"time"
 
 	"memories/internal/addr"
@@ -45,6 +44,7 @@ import (
 	"memories/internal/obs"
 	"memories/internal/workload"
 	"memories/internal/workload/splash"
+	"memories/protocols"
 )
 
 // Size units.
@@ -112,33 +112,19 @@ func ParseSize(s string) (int64, error) { return addr.ParseSize(s) }
 // FormatSize renders a byte count with binary units.
 func FormatSize(b int64) string { return addr.FormatSize(b) }
 
-// MESI, MSI, and MOESI return the built-in protocol tables.
-func MESI() *ProtocolTable  { return coherence.MESI() }
-func MSI() *ProtocolTable   { return coherence.MSI() }
-func MOESI() *ProtocolTable { return coherence.MOESI() }
+// MESI, MSI, and MOESI load the shipped protocol tables (protocols/*.map).
+func MESI() *ProtocolTable  { return protocols.MustLoad("mesi") }
+func MSI() *ProtocolTable   { return protocols.MustLoad("msi") }
+func MOESI() *ProtocolTable { return protocols.MustLoad("moesi") }
 
-// ParseProtocol parses a protocol map file (§3.2's "table lookup map
-// file") and validates it.
-func ParseProtocol(text string) (*ProtocolTable, error) {
-	t, err := coherence.ParseMapFileString(text)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
+// ParseProtocol puts protocol map-file text (§3.2's "table lookup map
+// file") through the load-time gauntlet: parse, compile, model check.
+// Rejections are *coherence.CompileError or *coherence.CheckError.
+func ParseProtocol(text string) (*ProtocolTable, error) { return protocols.Verify(text) }
 
-// LoadProtocolFile reads, parses, and validates a protocol map file from
-// disk (see the protocols/ directory for the shipped tables).
-func LoadProtocolFile(path string) (*ProtocolTable, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ParseProtocol(string(data))
-}
+// LoadProtocolFile is ParseProtocol for a map file on disk (see the
+// protocols/ directory for the shipped tables).
+func LoadProtocolFile(path string) (*ProtocolTable, error) { return protocols.LoadFile(path) }
 
 // DefaultHostConfig returns the paper's host: an 8-way 262MHz S7A with
 // 8MB 4-way L2 caches on a 100MHz 6xx bus.
@@ -223,7 +209,7 @@ func SingleL3Board(sizeBytes int64, assoc int, lineBytes int64) BoardConfig {
 		CPUs:     cpus,
 		Geometry: addr.MustGeometry(sizeBytes, lineBytes, assoc),
 		Policy:   cache.LRU,
-		Protocol: coherence.MESI(),
+		Protocol: protocols.MustLoad("mesi"),
 	}}}
 }
 
@@ -232,6 +218,7 @@ func SingleL3Board(sizeBytes int64, assoc int, lineBytes int64) BoardConfig {
 // mode of §2.2 that evaluates several cache structures against one
 // workload in a single run.
 func MultiConfigBoard(cpus []int, lineBytes int64, assoc int, sizes ...int64) BoardConfig {
+	mesi := protocols.MustLoad("mesi")
 	var nodes []NodeConfig
 	for i, size := range sizes {
 		nodes = append(nodes, NodeConfig{
@@ -239,7 +226,7 @@ func MultiConfigBoard(cpus []int, lineBytes int64, assoc int, sizes ...int64) Bo
 			CPUs:     cpus,
 			Geometry: addr.MustGeometry(size, lineBytes, assoc),
 			Policy:   cache.LRU,
-			Protocol: coherence.MESI(),
+			Protocol: mesi,
 			Group:    i,
 		})
 	}

@@ -2,9 +2,12 @@ package memories
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"strings"
 	"testing"
+
+	"memories/internal/coherence"
 )
 
 func TestSessionQuickstartFlow(t *testing.T) {
@@ -97,13 +100,15 @@ func TestSessionConsole(t *testing.T) {
 }
 
 func TestProtocolHelpers(t *testing.T) {
-	for _, tab := range []*ProtocolTable{MESI(), MSI(), MOESI()} {
-		if err := tab.Validate(); err != nil {
-			t.Fatal(err)
+	for name, tab := range map[string]*ProtocolTable{"mesi": MESI(), "msi": MSI(), "moesi": MOESI()} {
+		if tab.Name != name {
+			t.Fatalf("%s helper loaded protocol %q", name, tab.Name)
 		}
 	}
-	if _, err := ParseProtocol("protocol p\nread I * -> S allocate fetch-memory\n"); err == nil {
-		t.Fatal("incomplete protocol accepted")
+	_, err := ParseProtocol("protocol p\nread I * -> S allocate fetch-memory\n")
+	var ce *coherence.CompileError
+	if !errors.As(err, &ce) || ce.Kind != coherence.ErrMissingTransition {
+		t.Fatalf("incomplete protocol: err = %v, want a missing-transition CompileError", err)
 	}
 }
 

@@ -54,6 +54,17 @@ func Load(name string) (*coherence.Table, error) {
 	return verify(src, name)
 }
 
+// MustLoad is Load for the shipped names, which the tests prove pass
+// the gauntlet; it panics on any other name. It is what a default board
+// configuration says where it means "stock MESI".
+func MustLoad(name string) *coherence.Table {
+	tab, err := Load(name)
+	if err != nil {
+		panic(err)
+	}
+	return tab
+}
+
 // LoadFile parses, compiles, and model-checks a user-supplied map file
 // from the filesystem ("bring your own protocol").
 func LoadFile(path string) (*coherence.Table, error) {
