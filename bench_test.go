@@ -57,19 +57,39 @@ func BenchmarkTable3TraceSim(b *testing.B) {
 	b.ReportMetric(sim.NodeStats(0).MissRatio(), "missratio")
 }
 
-func BenchmarkTable3BoardSnoop(b *testing.B) {
-	board := core.MustNewBoard(SingleL3Board(64*MB, 4, 128))
-	gen := workload.NewZipfian(workload.ZipfConfig{NumCPUs: 8, FootprintByte: 1 * addr.GB, WriteFraction: 0.3, Seed: 7})
-	cycle := uint64(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// zipfStream pre-generates n line-aligned bus transactions (reads, and
+// RWITMs for the generator's writes) so a benchmark loop times the board
+// and not gen.Next(). Cycles are left for the loop to stamp.
+func zipfStream(n int, cfg workload.ZipfConfig) []bus.Transaction {
+	gen := workload.NewZipfian(cfg)
+	txs := make([]bus.Transaction, n)
+	for i := range txs {
 		ref, _ := gen.Next()
 		cmd := bus.Read
 		if ref.Write {
 			cmd = bus.RWITM
 		}
+		txs[i] = bus.Transaction{Cmd: cmd, Addr: ref.Addr &^ 127, Size: 128, SrcID: ref.CPU}
+	}
+	return txs
+}
+
+// table3Stream is the reference stream BenchmarkTable3BoardSnoop and
+// BenchmarkSnoopBatch share.
+func table3Stream() []bus.Transaction {
+	return zipfStream(1<<16, workload.ZipfConfig{NumCPUs: 8, FootprintByte: 1 * addr.GB, WriteFraction: 0.3, Seed: 7})
+}
+
+func BenchmarkTable3BoardSnoop(b *testing.B) {
+	board := core.MustNewBoard(SingleL3Board(64*MB, 4, 128))
+	txs := table3Stream()
+	cycle := uint64(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx := &txs[i&(len(txs)-1)]
 		cycle += 48 // ~20% utilization arrival spacing
-		board.Snoop(&bus.Transaction{Cmd: cmd, Addr: ref.Addr, Size: 128, SrcID: ref.CPU, Cycle: cycle})
+		tx.Cycle = cycle
+		board.Snoop(tx)
 	}
 	board.Flush()
 	b.ReportMetric(board.Node(0).MissRatio(), "missratio")
@@ -536,16 +556,7 @@ func BenchmarkAblationLockStep(b *testing.B) {
 // runner's core count.
 func BenchmarkBoardSustainedTxPerSec(b *testing.B) {
 	const mask, batch = 1<<16 - 1, 256
-	gen := workload.NewZipfian(workload.ZipfConfig{NumCPUs: 8, FootprintByte: 64 * addr.MB, WriteFraction: 0.3, Seed: 7})
-	txs := make([]bus.Transaction, mask+1)
-	for i := range txs {
-		ref, _ := gen.Next()
-		cmd := bus.Read
-		if ref.Write {
-			cmd = bus.RWITM
-		}
-		txs[i] = bus.Transaction{Cmd: cmd, Addr: ref.Addr &^ 127, Size: 128, SrcID: ref.CPU}
-	}
+	txs := zipfStream(mask+1, workload.ZipfConfig{NumCPUs: 8, FootprintByte: 64 * addr.MB, WriteFraction: 0.3, Seed: 7})
 	var nodes []core.NodeConfig
 	for i := 0; i < 4; i++ {
 		nodes = append(nodes, core.NodeConfig{
@@ -720,42 +731,45 @@ func BenchmarkTraceReadV2Pipeline(b *testing.B) {
 }
 
 // BenchmarkSnoopBatch is the batched counterpart of
-// BenchmarkTable3BoardSnoop: the same board and stream, ingested through
-// Board.SnoopBatch in feeder-sized chunks. ns/op is per transaction, so
-// the delta against Table3BoardSnoop is the per-call dispatch overhead
-// the batch path removes.
+// BenchmarkTable3BoardSnoop: dir=4MB is the same board and stream,
+// ingested through Board.SnoopBatch in feeder-sized chunks. ns/op is per
+// transaction, so the delta against Table3BoardSnoop is the per-call
+// dispatch overhead the batch path removes. dir=128MB is the 2 GB/8-way
+// board under a near-uniform 16 GB stream (the bench driver's
+// replay_l3_2g): nearly every set lookup misses the host's caches, so
+// this is where SnoopBatch's look-ahead loads show. The stream is
+// replayed once before the timer starts so the directory's pages are
+// faulted in and the emulated cache is warm.
 func BenchmarkSnoopBatch(b *testing.B) {
-	const batch = 256
-	board := core.MustNewBoard(SingleL3Board(64*MB, 4, 128))
-	gen := workload.NewZipfian(workload.ZipfConfig{NumCPUs: 8, FootprintByte: 1 * addr.GB, WriteFraction: 0.3, Seed: 7})
-	txs := make([]bus.Transaction, 1<<16)
-	for i := range txs {
-		ref, _ := gen.Next()
-		cmd := bus.Read
-		if ref.Write {
-			cmd = bus.RWITM
-		}
-		txs[i] = bus.Transaction{Cmd: cmd, Addr: ref.Addr, Size: 128, SrcID: ref.CPU}
-	}
+	b.Run("dir=4MB", func(b *testing.B) {
+		benchSnoopBatch(b, core.MustNewBoard(SingleL3Board(64*MB, 4, 128)), table3Stream(), false)
+	})
+	b.Run("dir=128MB", func(b *testing.B) {
+		txs := zipfStream(1<<20, workload.ZipfConfig{NumCPUs: 8, FootprintByte: 16 * addr.GB, Skew: 1.01, WriteFraction: 0.3, Seed: 7})
+		benchSnoopBatch(b, core.MustNewBoard(SingleL3Board(2*GB, 8, 128)), txs, true)
+	})
+}
+
+func benchSnoopBatch(b *testing.B, board *core.Board, txs []bus.Transaction, warm bool) {
+	const batch = 256 // divides the stream length: no wrap inside a chunk
 	cycle := uint64(0)
-	b.ResetTimer()
-	for done := 0; done < b.N; done += batch {
-		n := batch
-		if b.N-done < n {
-			n = b.N - done
+	replay := func(n int) {
+		for done := 0; done < n; done += batch {
+			base := done & (len(txs) - 1)
+			chunk := txs[base : base+min(batch, n-done)]
+			for i := range chunk {
+				cycle += 48
+				chunk[i].Cycle = cycle
+			}
+			board.SnoopBatch(chunk)
 		}
-		base := done & (1<<16 - 1)
-		if base+n > len(txs) {
-			base = 0
-		}
-		chunk := txs[base : base+n]
-		for i := range chunk {
-			cycle += 48
-			chunk[i].Cycle = cycle
-		}
-		board.SnoopBatch(chunk)
+		board.Flush()
 	}
-	board.Flush()
+	if warm {
+		replay(len(txs))
+	}
+	b.ResetTimer()
+	replay(b.N)
 	b.ReportMetric(board.Node(0).MissRatio(), "missratio")
 }
 

@@ -214,54 +214,101 @@ func wayMatch(x uint64) uint64 {
 	return borrow
 }
 
+// Slot addressing. A lookup scans the set once; its result is a slot —
+// the flat index of the matching word, or NoSlot — that the *At calls take
+// back, so a caller that looks a line up and then acts on it (the board's
+// node controllers: one read-modify-write per transaction, paper §3.3)
+// reads the set once. A slot stays valid until the next call that writes
+// this cache (the recency update inside the AccessSlot that returned it
+// included: it reorders ranks, never slots) other than the *At call it is
+// handed to. The address-based calls below are each a Find plus the
+// slot-based one.
+
+// NoSlot is the slot of a line that is not resident.
+const NoSlot int64 = -1
+
+// Find looks a line up without modifying replacement state or
+// statistics. It returns the line's slot and state (NoSlot and
+// StateInvalid on miss).
+func (c *Cache) Find(a uint64) (slot int64, state uint8) {
+	base := c.geom.Index(a) * int64(c.geom.Assoc)
+	if w := c.findWay(base, c.geom.Tag(a)); w >= 0 {
+		slot = base + int64(w)
+		return slot, c.words[slot].State()
+	}
+	return NoSlot, StateInvalid
+}
+
+// TouchSet is the look-ahead load: it reads the first and last word of
+// a's set — between them every host cache line a set of up to 16 ways
+// occupies — and returns them combined, for the caller to fold into a
+// sink so the loads stay live. A burst of TouchSets over the addresses a batch is about to look
+// up puts their host-memory misses in flight together instead of one per
+// dependent lookup. It changes nothing (no statistics, no word, no rank)
+// and is safe for any address: the set index is masked, the tag unused.
+func (c *Cache) TouchSet(a uint64) uint64 {
+	base := c.geom.Index(a) * int64(c.geom.Assoc)
+	return uint64(c.words[base]) ^ uint64(c.words[base+int64(c.geom.Assoc)-1])
+}
+
 // Probe looks a line up without modifying replacement state. It returns
 // the line's state (StateInvalid on miss).
 func (c *Cache) Probe(a uint64) uint8 {
-	set, tag := c.geom.Index(a), c.geom.Tag(a)
-	base := set * int64(c.geom.Assoc)
-	if w := c.findWay(base, tag); w >= 0 {
-		return c.words[base+int64(w)].State()
-	}
-	return StateInvalid
+	_, state := c.Find(a)
+	return state
 }
 
-// Access looks a line up as a demand reference: on hit it updates
-// replacement recency and returns the state; on miss it returns
-// StateInvalid. It counts a probe and, on success, a hit.
-func (c *Cache) Access(a uint64) uint8 {
+// AccessSlot looks a line up as a demand reference: on hit it updates
+// replacement recency and returns the slot and state; on miss it returns
+// NoSlot and StateInvalid. It counts a probe and, on success, a hit.
+func (c *Cache) AccessSlot(a uint64) (slot int64, state uint8) {
 	c.stats.Probes++
-	set, tag := c.geom.Index(a), c.geom.Tag(a)
+	set := c.geom.Index(a)
 	base := set * int64(c.geom.Assoc)
-	if w := c.findWay(base, tag); w >= 0 {
+	if w := c.findWay(base, c.geom.Tag(a)); w >= 0 {
 		c.stats.Hits++
 		c.touch(set, base, w)
-		return c.words[base+int64(w)].State()
+		slot = base + int64(w)
+		return slot, c.words[slot].State()
 	}
-	return StateInvalid
+	return NoSlot, StateInvalid
 }
 
-// SetState rewrites the state of a resident line (e.g. S -> M on upgrade,
-// M -> S on snoop). It reports whether the line was found. Setting
-// StateInvalid via SetState is rejected; use Invalidate.
-func (c *Cache) SetState(a uint64, s uint8) bool {
+// Access is AccessSlot for callers that only need the state.
+func (c *Cache) Access(a uint64) uint8 {
+	_, state := c.AccessSlot(a)
+	return state
+}
+
+// SetStateAt rewrites the state of the resident line in slot (e.g. S -> M
+// on upgrade, M -> S on snoop). Setting StateInvalid is rejected; use
+// InvalidateAt.
+func (c *Cache) SetStateAt(slot int64, s uint8) {
 	if s == StateInvalid {
 		panic("cache: SetState to invalid; use Invalidate")
 	}
-	set, tag := c.geom.Index(a), c.geom.Tag(a)
-	base := set * int64(c.geom.Assoc)
-	if w := c.findWay(base, tag); w >= 0 {
-		c.writeState(base+int64(w), s)
-		return true
-	}
-	return false
+	c.writeState(slot, s)
 }
 
-// Fill installs a line in state s, evicting a victim if the set is full.
-// It returns the victim (valid only when evicted is true). Filling a line
-// that is already resident updates its state in place and evicts nothing.
-// The line's tag must fit the packed tag field (addresses up to 2^56
-// bytes with 128 B lines); larger tags panic rather than alias.
-func (c *Cache) Fill(a uint64, s uint8) (victim Victim, evicted bool) {
+// SetState is Find plus SetStateAt. It reports whether the line was
+// found; StateInvalid is rejected whether or not it is.
+func (c *Cache) SetState(a uint64, s uint8) bool {
+	slot, _ := c.Find(a)
+	if slot < 0 && s != StateInvalid {
+		return false
+	}
+	c.SetStateAt(slot, s)
+	return true
+}
+
+// FillAt installs line a in state s given slot, the result of looking a
+// up: a resident line (slot >= 0) has its state updated in place and
+// evicts nothing; an absent one (NoSlot) takes a free way, or evicts a
+// victim if the set is full. It returns the victim (valid only when
+// evicted is true). The line's tag must fit the packed tag field
+// (addresses up to 2^56 bytes with 128 B lines); larger tags panic rather
+// than alias.
+func (c *Cache) FillAt(a uint64, slot int64, s uint8) (victim Victim, evicted bool) {
 	if s == StateInvalid {
 		panic("cache: Fill with invalid state")
 	}
@@ -270,9 +317,9 @@ func (c *Cache) Fill(a uint64, s uint8) (victim Victim, evicted bool) {
 		panic("cache: tag exceeds the packed tag field")
 	}
 	base := set * int64(c.geom.Assoc)
-	if w := c.findWay(base, tag); w >= 0 {
-		c.writeState(base+int64(w), s)
-		c.touch(set, base, w)
+	if slot >= 0 {
+		c.writeState(slot, s)
+		c.touch(set, base, int(slot-base))
 		return Victim{}, false
 	}
 	free := -1
@@ -306,19 +353,31 @@ func (c *Cache) Fill(a uint64, s uint8) (victim Victim, evicted bool) {
 	return victim, evicted
 }
 
-// Invalidate removes a line if present, returning its prior state and
-// whether it was resident.
+// Fill is Find plus FillAt: it installs a line in state s, evicting a
+// victim if the set is full; filling a line that is already resident
+// updates its state in place.
+func (c *Cache) Fill(a uint64, s uint8) (victim Victim, evicted bool) {
+	slot, _ := c.Find(a)
+	return c.FillAt(a, slot, s)
+}
+
+// InvalidateAt removes the resident line in slot, returning its prior
+// state.
+func (c *Cache) InvalidateAt(slot int64) (prior uint8) {
+	prior = c.words[slot].State()
+	c.writeInvalid(slot)
+	c.stats.Invalidates++
+	return prior
+}
+
+// Invalidate is Find plus InvalidateAt: it removes a line if present,
+// returning its prior state and whether it was resident.
 func (c *Cache) Invalidate(a uint64) (prior uint8, found bool) {
-	set, tag := c.geom.Index(a), c.geom.Tag(a)
-	base := set * int64(c.geom.Assoc)
-	if w := c.findWay(base, tag); w >= 0 {
-		i := base + int64(w)
-		prior = c.words[i].State()
-		c.writeInvalid(i)
-		c.stats.Invalidates++
-		return prior, true
+	slot, _ := c.Find(a)
+	if slot < 0 {
+		return StateInvalid, false
 	}
-	return StateInvalid, false
+	return c.InvalidateAt(slot), true
 }
 
 // ValidCount returns the number of resident lines in O(1); the count is

@@ -1,11 +1,13 @@
 package cache
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"memories/internal/addr"
+	"memories/internal/checkpoint"
 	"memories/internal/sdram"
 )
 
@@ -15,11 +17,15 @@ import (
 // accesses, probes, state changes, invalidations, clears, soft-error
 // injection, and scrubs — and every observable output must be
 // bit-identical: returned states, victims, eviction flags, structural
-// stats, scrub reports, valid counts, and full enumeration. One caveat
-// bounds the fault model: at most two bit flips land in a slot between
-// scrubs, because under three or more aliased flips the two layouts'
-// SECDED codes may mis-correct differently (both are wrong; they are
-// allowed to be differently wrong).
+// stats, scrub reports, valid counts, and full enumeration. The packed
+// side runs twice, once through the address calls and once through the
+// slot calls the board's node controllers use — a slot from Find or
+// AccessSlot carried into FillAt, SetStateAt or InvalidateAt — and the
+// two must also end with identical checkpoint sections (words, ranks,
+// sidecars, generator state). One caveat bounds the fault model: at most
+// two bit flips land in a slot between scrubs, because under three or
+// more aliased flips the two layouts' SECDED codes may mis-correct
+// differently (both are wrong; they are allowed to be differently wrong).
 func TestPackedMatchesLegacy(t *testing.T) {
 	// 32 configs x 40k ops dominates this package's runtime; -short keeps
 	// the full config matrix but trims each stream to a smoke depth.
@@ -47,7 +53,8 @@ func runEquivalence(t *testing.T, p Policy, assoc int, ecc bool, ops int, seed i
 		Seed:     12345,
 		ECC:      ecc,
 	}
-	packed := MustNew(cfg)
+	packed := MustNew(cfg)  // address calls
+	slotted := MustNew(cfg) // slot calls
 	legacy := newLegacy(cfg)
 	rng := rand.New(rand.NewSource(seed))
 
@@ -62,34 +69,51 @@ func runEquivalence(t *testing.T, p Policy, assoc int, ecc bool, ops int, seed i
 	}
 	randomState := func() uint8 { return uint8(1 + rng.Intn(15)) }
 
+	// lookup is how a state-changing op finds its line: half the time
+	// behind a demand access, as node.local does (all three sides access;
+	// the slot side keeps the slot AccessSlot returned, across the recency
+	// update), otherwise by a bare Find, as Board.process does for peers.
+	lookup := func(op int, a uint64) (slot int64) {
+		if rng.Intn(2) == 0 {
+			slot, _ = slotted.Find(a)
+			return slot
+		}
+		slot, ss := slotted.AccessSlot(a)
+		if ps, ls := packed.Access(a), legacy.Access(a); ps != ls || ss != ls {
+			t.Fatalf("op %d: Access(%#x) diverged: packed %d slotted %d legacy %d", op, a, ps, ss, ls)
+		}
+		return slot
+	}
+
 	corrupted := map[int64]bool{}
 
+	type entry struct {
+		a uint64
+		s uint8
+	}
 	checkAll := func(op int) {
-		if ps, ls := packed.Stats(), legacy.stats; ps != ls {
-			t.Fatalf("op %d: stats diverged: packed %+v legacy %+v", op, ps, ls)
+		if ps, ss, ls := packed.Stats(), slotted.Stats(), legacy.stats; ps != ls || ss != ls {
+			t.Fatalf("op %d: stats diverged: packed %+v slotted %+v legacy %+v", op, ps, ss, ls)
 		}
-		if pv, lv := packed.ValidCount(), legacy.ValidCount(); pv != lv {
-			t.Fatalf("op %d: valid count diverged: packed %d legacy %d", op, pv, lv)
+		if pv, sv, lv := packed.ValidCount(), slotted.ValidCount(), legacy.ValidCount(); pv != lv || sv != lv {
+			t.Fatalf("op %d: valid count diverged: packed %d slotted %d legacy %d", op, pv, sv, lv)
 		}
-		// Satellite cross-check: the O(1) resident counter vs a real scan.
-		var scan int64
-		packed.ForEachValid(func(uint64, uint8) { scan++ })
-		if scan != packed.ValidCount() {
-			t.Fatalf("op %d: ValidCount %d but scan found %d", op, packed.ValidCount(), scan)
-		}
-		type entry struct {
-			a uint64
-			s uint8
-		}
-		var pe, le []entry
-		packed.ForEachValid(func(a uint64, s uint8) { pe = append(pe, entry{a, s}) })
+		var le []entry
 		legacy.ForEachValid(func(a uint64, s uint8) { le = append(le, entry{a, s}) })
-		if len(pe) != len(le) {
-			t.Fatalf("op %d: enumeration length diverged: %d vs %d", op, len(pe), len(le))
+		// Satellite cross-check: the O(1) resident counter vs a real scan.
+		if int64(len(le)) != packed.ValidCount() {
+			t.Fatalf("op %d: ValidCount %d but scan found %d", op, packed.ValidCount(), len(le))
 		}
-		for i := range pe {
-			if pe[i] != le[i] {
-				t.Fatalf("op %d: enumeration diverged at %d: packed %+v legacy %+v", op, i, pe[i], le[i])
+		for name, c := range map[string]*Cache{"packed": packed, "slotted": slotted} {
+			i := 0
+			c.ForEachValid(func(a uint64, s uint8) {
+				if i < len(le) && le[i] != (entry{a, s}) {
+					t.Fatalf("op %d: enumeration diverged at %d: %s %+v legacy %+v", op, i, name, entry{a, s}, le[i])
+				}
+				i++
+			})
+			if i != len(le) {
+				t.Fatalf("op %d: enumeration length diverged: %s %d legacy %d", op, name, i, len(le))
 			}
 		}
 	}
@@ -98,32 +122,47 @@ func runEquivalence(t *testing.T, p Policy, assoc int, ecc bool, ops int, seed i
 		switch k := rng.Intn(100); {
 		case k < 30: // Fill
 			a, s := randomAddr(), randomState()
+			slot := lookup(op, a)
 			pv, pe := packed.Fill(a, s)
+			sv, se := slotted.FillAt(a, slot, s)
 			lv, le := legacy.Fill(a, s)
-			if pv != lv || pe != le {
-				t.Fatalf("op %d: Fill(%#x,%d) diverged: packed (%+v,%v) legacy (%+v,%v)", op, a, s, pv, pe, lv, le)
+			if pv != lv || pe != le || sv != lv || se != le {
+				t.Fatalf("op %d: Fill(%#x,%d) diverged: packed (%+v,%v) slotted (%+v,%v) legacy (%+v,%v)",
+					op, a, s, pv, pe, sv, se, lv, le)
 			}
 		case k < 60: // Access
 			a := randomAddr()
-			if ps, ls := packed.Access(a), legacy.Access(a); ps != ls {
-				t.Fatalf("op %d: Access(%#x) diverged: %d vs %d", op, a, ps, ls)
+			_, ss := slotted.AccessSlot(a)
+			if ps, ls := packed.Access(a), legacy.Access(a); ps != ls || ss != ls {
+				t.Fatalf("op %d: Access(%#x) diverged: packed %d slotted %d legacy %d", op, a, ps, ss, ls)
 			}
 		case k < 75: // Probe
 			a := randomAddr()
-			if ps, ls := packed.Probe(a), legacy.Probe(a); ps != ls {
-				t.Fatalf("op %d: Probe(%#x) diverged: %d vs %d", op, a, ps, ls)
+			slot, ss := slotted.Find(a)
+			if ps, ls := packed.Probe(a), legacy.Probe(a); ps != ls || ss != ls || (slot >= 0) != (ls != StateInvalid) {
+				t.Fatalf("op %d: Probe(%#x) diverged: packed %d slotted %d (slot %d) legacy %d", op, a, ps, ss, slot, ls)
 			}
 		case k < 85: // SetState
 			a, s := randomAddr(), randomState()
-			if pf, lf := packed.SetState(a, s), legacy.SetState(a, s); pf != lf {
-				t.Fatalf("op %d: SetState(%#x,%d) diverged: %v vs %v", op, a, s, pf, lf)
+			slot := lookup(op, a)
+			if slot >= 0 {
+				slotted.SetStateAt(slot, s)
+			}
+			if pf, lf := packed.SetState(a, s), legacy.SetState(a, s); pf != lf || (slot >= 0) != lf {
+				t.Fatalf("op %d: SetState(%#x,%d) diverged: packed %v slotted %v legacy %v", op, a, s, pf, slot >= 0, lf)
 			}
 		case k < 93: // Invalidate
 			a := randomAddr()
+			slot := lookup(op, a)
+			ss := StateInvalid
+			if slot >= 0 {
+				ss = slotted.InvalidateAt(slot)
+			}
 			ps, pf := packed.Invalidate(a)
 			ls, lf := legacy.Invalidate(a)
-			if ps != ls || pf != lf {
-				t.Fatalf("op %d: Invalidate(%#x) diverged: (%d,%v) vs (%d,%v)", op, a, ps, pf, ls, lf)
+			if ps != ls || pf != lf || ss != ls || (slot >= 0) != lf {
+				t.Fatalf("op %d: Invalidate(%#x) diverged: packed (%d,%v) slotted (%d,%v) legacy (%d,%v)",
+					op, a, ps, pf, ss, slot >= 0, ls, lf)
 			}
 		case k < 96 && ecc: // CorruptSlot: 1 or 2 flips, one virgin slot
 			i := rng.Int63n(packed.SlotCount())
@@ -140,33 +179,73 @@ func runEquivalence(t *testing.T, p Policy, assoc int, ecc bool, ops int, seed i
 					stateXor ^= 1 << (bit - sdram.WordTagBits)
 				}
 			}
-			if pw, lw := packed.CorruptSlot(i, tagXor, stateXor), legacy.CorruptSlot(i, tagXor, stateXor); pw != lw {
-				t.Fatalf("op %d: CorruptSlot(%d) was-valid diverged: %v vs %v", op, i, pw, lw)
+			pw, sw, lw := packed.CorruptSlot(i, tagXor, stateXor), slotted.CorruptSlot(i, tagXor, stateXor), legacy.CorruptSlot(i, tagXor, stateXor)
+			if pw != lw || sw != lw {
+				t.Fatalf("op %d: CorruptSlot(%d) was-valid diverged: packed %v slotted %v legacy %v", op, i, pw, sw, lw)
 			}
 		case k < 98: // Scrub
-			pr, lr := packed.Scrub(), legacy.Scrub()
-			if pr != lr {
-				t.Fatalf("op %d: scrub reports diverged: packed %+v legacy %+v", op, pr, lr)
+			pr, sr, lr := packed.Scrub(), slotted.Scrub(), legacy.Scrub()
+			if pr != lr || sr != lr {
+				t.Fatalf("op %d: scrub reports diverged: packed %+v slotted %+v legacy %+v", op, pr, sr, lr)
 			}
 			corrupted = map[int64]bool{}
 		case k < 99: // Clear
 			packed.Clear()
+			slotted.Clear()
 			legacy.Clear()
 			corrupted = map[int64]bool{}
 		default:
 			packed.ResetStats()
+			slotted.ResetStats()
 			legacy.stats = Stats{}
 		}
 		if op%997 == 0 {
 			checkAll(op)
 		}
 	}
-	// Drain corruption before the final sweep so both sides are clean.
-	pr, lr := packed.Scrub(), legacy.Scrub()
-	if pr != lr {
-		t.Fatalf("final scrub diverged: packed %+v legacy %+v", pr, lr)
+	// Drain corruption before the final sweep so all sides are clean.
+	pr, sr, lr := packed.Scrub(), slotted.Scrub(), legacy.Scrub()
+	if pr != lr || sr != lr {
+		t.Fatalf("final scrub diverged: packed %+v slotted %+v legacy %+v", pr, sr, lr)
 	}
 	checkAll(ops)
+	if ps, ss := sectionDigest(packed), sectionDigest(slotted); ps != ss {
+		t.Fatalf("checkpoint sections differ: address calls %x, slot calls %x", ps, ss)
+	}
+}
+
+// sectionDigest is the SHA-256 of the cache's checkpoint section: every
+// packed word (ranks and check bytes included), the replacement sidecars,
+// the generator state, the resident count and the structural statistics.
+func sectionDigest(c *Cache) [sha256.Size]byte {
+	var e checkpoint.Enc
+	c.SaveState(&e)
+	return sha256.Sum256(e.Bytes())
+}
+
+// TestTouchSetChangesNothing: the look-ahead load is invisible — same
+// statistics, same resident count, same checkpoint section before and
+// after touching every set and some addresses no line can hold — and it
+// accepts every address Probe accepts, the oversize-tag one included.
+func TestTouchSetChangesNothing(t *testing.T) {
+	for _, assoc := range []int{1, 4, 8, 16} {
+		cfg := Config{Geometry: addr.MustGeometry(64*addr.KB, 128, assoc), Policy: LRU, ECC: true}
+		c := MustNew(cfg)
+		drive(c, 4000)
+		stats, valid, digest := c.Stats(), c.ValidCount(), sectionDigest(c)
+		var sink uint64
+		for a := uint64(0); a < 4*uint64(cfg.Geometry.SizeBytes); a += 128 {
+			sink ^= c.TouchSet(a)
+		}
+		for _, a := range []uint64{1 << 63, ^uint64(0), 1<<56 - 1} {
+			sink ^= c.TouchSet(a)
+		}
+		_ = sink
+		if c.Stats() != stats || c.ValidCount() != valid || sectionDigest(c) != digest {
+			t.Fatalf("assoc %d: TouchSet changed the cache: stats %+v -> %+v, valid %d -> %d",
+				assoc, stats, c.Stats(), valid, c.ValidCount())
+		}
+	}
 }
 
 // TestPackedMatchesLegacyWideAssoc covers the side-array fallbacks for

@@ -13,7 +13,9 @@ import (
 // the packed layout's correction behavior matches the unpacked
 // (tag64, state8) SECDED code exactly, both at the word level
 // (CheckWordECC vs CheckECC) and at the cache level (Scrub after
-// CorruptSlot corrects or invalidates just as the old layout did).
+// CorruptSlot corrects or invalidates just as the old layout did, and
+// the slot calls then act on the slot Find reports exactly as the legacy
+// address calls act on the line).
 func FuzzPackedSlot(f *testing.F) {
 	f.Add(uint64(0), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(0x1234abcd), uint8(2), uint8(3), uint8(7), uint8(7))
@@ -107,8 +109,33 @@ func FuzzPackedSlot(f *testing.F) {
 		if pr != lr {
 			t.Fatalf("scrub reports diverged: packed %+v legacy %+v", pr, lr)
 		}
-		if ps, ls := packed.Probe(a), legacy.Probe(a); ps != ls {
-			t.Fatalf("post-scrub probe diverged: %d vs %d", ps, ls)
+		slot, ps := packed.Find(a)
+		if ls := legacy.Probe(a); ps != ls || (slot >= 0) != (ls != StateInvalid) {
+			t.Fatalf("post-scrub find diverged: slot %d state %d vs %d", slot, ps, ls)
+		}
+		// Slot calls on whatever the scrub left: a survivor is rewritten
+		// and dropped by slot, a dropped line is refilled by NoSlot.
+		if slot >= 0 {
+			next := state%sdram.WordStateMask + 1
+			packed.SetStateAt(slot, next)
+			legacy.SetState(a, next)
+			if pp, lp := packed.InvalidateAt(slot), next; pp != lp || legacy.Probe(a) != next {
+				t.Fatalf("SetStateAt/InvalidateAt: prior %d, want %d (legacy holds %d)", pp, lp, legacy.Probe(a))
+			}
+			legacy.Invalidate(a)
+			slot = NoSlot
+		}
+		pv, pe := packed.FillAt(a, slot, state)
+		lv, le := legacy.Fill(a, state)
+		if pv != lv || pe != le {
+			t.Fatalf("FillAt diverged: (%+v,%v) vs (%+v,%v)", pv, pe, lv, le)
+		}
+		if _, got := packed.AccessSlot(a); got != legacy.Access(a) {
+			t.Fatalf("AccessSlot after FillAt returned %d", got)
+		}
+		if packed.Stats() != legacy.stats || packed.ValidCount() != legacy.ValidCount() {
+			t.Fatalf("after slot ops: stats %+v valid %d, legacy %+v valid %d",
+				packed.Stats(), packed.ValidCount(), legacy.stats, legacy.ValidCount())
 		}
 	})
 }

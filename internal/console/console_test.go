@@ -108,6 +108,33 @@ func TestReprogramErrors(t *testing.T) {
 	}
 }
 
+// TestRejectedReprogramKeepsTraffic drives core's
+// TestRejectedReprogramLeavesNodeIntact through the console: node a asks
+// for node b's CPUs, is refused, and still sees CPU 0.
+func TestRejectedReprogramKeepsTraffic(t *testing.T) {
+	mk := func(name string, cpus ...int) core.NodeConfig {
+		return core.NodeConfig{
+			Name:     name,
+			CPUs:     cpus,
+			Geometry: addr.MustGeometry(64*addr.KB, 128, 4),
+			Policy:   cache.LRU,
+			Protocol: protocols.MustLoad("mesi"),
+		}
+	}
+	b := core.MustNewBoard(core.Config{Nodes: []core.NodeConfig{mk("a", 0, 1), mk("b", 2, 3)}})
+	out := run(t, b, "reprogram 0 cpus=2,3")
+	if !strings.Contains(out, "error:") || !strings.Contains(out, "already owned") {
+		t.Fatalf("reprogram onto node b's CPUs:\n%s", out)
+	}
+	feed(b, 4) // CPUs 0 and 1
+	if got := b.Counters().Value("filter.unassigned"); got != 0 {
+		t.Fatalf("filter.unassigned = %d after a rejected reprogram, want 0", got)
+	}
+	if got := b.Node(0).Refs(); got != 4 {
+		t.Fatalf("node a saw %d references, want 4", got)
+	}
+}
+
 func TestReprogramAllKeys(t *testing.T) {
 	b := testBoard(t)
 	out := run(t, b, "reprogram 0 size=256KB line=256 assoc=2 policy=fifo group=3 cpus=0,1,3 protocol=msi")

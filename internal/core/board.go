@@ -17,6 +17,15 @@
 //   - the console port (internal/console) programs cache parameters,
 //     loads protocol tables, and extracts the 40-bit counter bank.
 //
+// The software board's own memory behaviour follows the hardware's tag
+// SDRAM (§3.3: one pipelined read-modify-write of one entry per
+// transaction per node): process looks each node's directory set up once
+// and carries the slot through the transition, and SnoopBatch loads the
+// sets of the next lookAhead transactions in one burst before admitting
+// them, so a directory larger than the host's caches costs overlapped
+// misses rather than one serial miss per transaction (DESIGN.md §4d).
+// Neither changes a counter, a directory word or a replacement rank.
+//
 // Everything the board reports is derived from the bus transaction stream
 // alone: it never injects traffic (the single exception being the
 // overflow retry, which the paper reports never firing in months of lab
@@ -132,6 +141,8 @@ type Board struct {
 	// batchByCmd is SnoopBatch's per-command accumulator, kept on the
 	// board so the batch path allocates nothing.
 	batchByCmd []uint64
+	// touchSink receives what touchAhead loaded; it is never read.
+	touchSink uint64
 
 	// Observability attachments (see observe.go). Both are nil until
 	// Observe/SetMirror/SetTracer; the hot path pays one nil check each
@@ -382,6 +393,9 @@ func (b *Board) SnoopBatch(txs []bus.Transaction) {
 	tr := b.tracer
 	traceOn := tr != nil && tr.Enabled()
 	for i := range txs {
+		if i%lookAhead == 0 {
+			b.touchAhead(txs[i:min(i+lookAhead, len(txs))])
+		}
 		tx := &txs[i]
 		if int(tx.Cmd) < len(byCmd) {
 			byCmd[tx.Cmd]++
@@ -442,6 +456,30 @@ func (b *Board) SnoopBatch(txs []bus.Transaction) {
 	if m := b.mirror; m != nil && m.Requested() {
 		m.Publish()
 	}
+}
+
+// lookAhead is the number of transactions whose directory sets SnoopBatch
+// loads before admitting them. On a directory larger than the host's
+// caches every lookup is a DRAM miss, and taken one per transaction the
+// misses serialize behind ~100 ns of dependent work each; loaded in a
+// burst, a window's worth are in flight together (the software form of
+// the board's pipelined SDRAM, where bank recovery overlaps the next op).
+// Measured flat from 16 to 256 on a 128 MB directory and useless at whole-
+// batch scale (lines evicted before use), hence a constant (DESIGN.md §4d).
+const lookAhead = 64
+
+// touchAhead issues the look-ahead loads for one window: every node's set
+// for every address, filtered or not — a wasted load is cheaper than the
+// filter's branches in this loop. The loaded words go to a sink field so
+// the compiler keeps the loads.
+func (b *Board) touchAhead(txs []bus.Transaction) {
+	var sink uint64
+	for _, n := range b.nodes {
+		for i := range txs {
+			sink ^= n.dir.TouchSet(txs[i].Addr)
+		}
+	}
+	b.touchSink ^= sink
 }
 
 // ObserveResponse implements bus.ResponseObserver: §3.3's filter rule —
@@ -509,15 +547,28 @@ func (b *Board) PendingDepth() int { return len(b.queue) - b.qhead }
 // group: the node owning the requesting CPU performs the local
 // transition with the snoop input combined from its group peers; the
 // peers perform the matching snoop transition.
+//
+// Each peer's directory is looked up once: the (slot, state) found for
+// the snoop input is the one its snoop transition then works on. The
+// slots stay valid in between because the only code that runs there is
+// local.local and the earlier peers' snoops, each of which writes its own
+// node's directory and no other; scrub passes, the one thing that rewrites
+// every directory, run in Snoop/SnoopBatch before drain, never in here.
 func (b *Board) process(p pending) {
+	var found [MaxNodes]struct {
+		slot int64
+		st   coherence.State
+	}
 	for _, local := range b.owners(p.src) {
 		// Combined snoop input from the other nodes of this group.
 		snoopIn := coherence.SnoopNone
-		for _, peer := range b.nodes {
+		for i, peer := range b.nodes {
 			if peer == local || peer.cfg.Group != local.cfg.Group {
 				continue
 			}
-			st := coherence.State(peer.dir.Probe(p.addr))
+			slot, raw := peer.dir.Find(p.addr)
+			st := coherence.State(raw)
+			found[i].slot, found[i].st = slot, st
 			switch {
 			case st.IsDirty():
 				snoopIn = coherence.SnoopModified
@@ -526,9 +577,9 @@ func (b *Board) process(p pending) {
 			}
 		}
 		local.local(p, snoopIn)
-		for _, peer := range b.nodes {
+		for i, peer := range b.nodes {
 			if peer != local && peer.cfg.Group == local.cfg.Group {
-				peer.snoop(p)
+				peer.snoop(p, found[i].slot, found[i].st)
 			}
 		}
 	}
@@ -615,6 +666,16 @@ func (b *Board) Reprogram(i int, nc NodeConfig) error {
 	if nc.Name != old.cfg.Name {
 		return fmt.Errorf("core: reprogram cannot rename node %q", old.cfg.Name)
 	}
+	// Validate first, mutate after: a rejected reprogram leaves the old
+	// node in place, still owning its CPUs. (owners tolerates the
+	// out-of-range IDs newNode is about to reject.)
+	for _, id := range nc.CPUs {
+		for _, owner := range b.owners(id) {
+			if owner != old && owner.cfg.Group == nc.Group {
+				return fmt.Errorf("core: bus ID %d already owned in group %d", id, nc.Group)
+			}
+		}
+	}
 	n, err := newNode(b, nc, b.cfg.ProfileBucketCycles)
 	if err != nil {
 		return err
@@ -628,13 +689,6 @@ func (b *Board) Reprogram(i int, nc NodeConfig) error {
 			}
 		}
 		b.cpuOwner[id] = keep
-	}
-	for _, id := range nc.CPUs {
-		for _, owner := range b.cpuOwner[id] {
-			if owner.cfg.Group == nc.Group {
-				return fmt.Errorf("core: bus ID %d already owned in group %d", id, nc.Group)
-			}
-		}
 	}
 	b.nodes[i] = n
 	b.cfg.Nodes[i] = nc

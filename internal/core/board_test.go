@@ -6,6 +6,7 @@ import (
 	"memories/internal/addr"
 	"memories/internal/bus"
 	"memories/internal/cache"
+	"memories/internal/coherence"
 	"memories/internal/host"
 	"memories/internal/workload"
 	"memories/protocols"
@@ -420,6 +421,74 @@ func TestReprogramChangesGeometryKeepsCounters(t *testing.T) {
 	}
 	if err := b.Reprogram(7, nc); err == nil {
 		t.Fatal("bad index accepted")
+	}
+}
+
+// TestRejectedReprogramLeavesNodeIntact: a reprogram refused for claiming
+// a peer's CPUs must change nothing — the old node keeps its CPUs, its
+// traffic still reaches it, and no counter appears for the refused IDs.
+func TestRejectedReprogramLeavesNodeIntact(t *testing.T) {
+	b, f := twoNodeBoard(t)
+	names := len(b.Counters().Snapshot())
+	if err := b.Reprogram(0, nodeCfg("a", []int{2, 3}, 64, 4, 0)); err == nil {
+		t.Fatal("reprogram onto node b's CPUs accepted")
+	}
+	f.issue(bus.Read, 0x4000, 0)
+	b.Flush()
+	if got := b.Counters().Value("filter.unassigned"); got != 0 {
+		t.Fatalf("filter.unassigned = %d after a rejected reprogram, want 0", got)
+	}
+	if got := b.Node(0).ReadMiss; got != 1 {
+		t.Fatalf("node a read misses = %d, want 1", got)
+	}
+	if got := len(b.Counters().Snapshot()); got != names {
+		t.Fatalf("rejected reprogram grew the counter bank from %d to %d names", names, got)
+	}
+	// Keeping its own CPUs (and taking a free one) is not a conflict.
+	if err := b.Reprogram(0, nodeCfg("a", []int{0, 1, 5}, 64, 4, 0)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWildStateDropsLine: a directory state the protocol cannot produce
+// (Owned under MESI) is dropped, counted, and treated as a miss on both
+// the local and the snoop path — and the fill that follows sees the set
+// as it is after the drop, so a second copy of the tag (a tag-bit soft
+// error) is updated in place rather than joined by a third.
+func TestWildStateDropsLine(t *testing.T) {
+	b, f := twoNodeBoard(t) // 64 KB 4-way: set 0 is every 16 KB
+	const lineA, lineB, lineC = 0x0000, 0x4000, 0x8000
+	wild := uint8(coherence.Exclusive ^ coherence.Owned)
+	f.issue(bus.Read, lineA, 0) // node a slot 0
+	f.issue(bus.Read, lineB, 0) // node a slot 1
+	b.Flush()
+	b.CorruptDirectory(0, 1, 0^1, 0) // slot 1's tag becomes A's
+	b.CorruptDirectory(0, 0, 0, wild)
+	f.issue(bus.Read, lineA, 0)
+	b.Flush()
+	if got := b.Counters().Value("nodea.ecc.wild-state"); got != 1 {
+		t.Fatalf("local path: wild-state = %d, want 1", got)
+	}
+	if got := b.Node(0).ReadMiss; got != 3 {
+		t.Fatalf("local path: read misses = %d, want 3 (the wild hit is a miss)", got)
+	}
+	if got := b.DirectoryResident(0); got != 1 {
+		t.Fatalf("local path: %d resident lines, want 1 (second copy reused)", got)
+	}
+
+	f.issue(bus.Read, lineC, 0) // takes the freed slot 0
+	b.Flush()
+	b.CorruptDirectory(0, 0, 0, wild)
+	f.issue(bus.Read, lineC, 2) // node b reads; node a snoops its wild copy
+	b.Flush()
+	if got := b.Counters().Value("nodea.ecc.wild-state"); got != 2 {
+		t.Fatalf("snoop path: wild-state = %d, want 2", got)
+	}
+	if got := b.DirectoryResident(0); got != 1 {
+		t.Fatalf("snoop path: %d resident lines in node a, want 1", got)
+	}
+	if got := b.Counters().Value("nodea.snoop.read.hit"); got != 0 {
+		t.Fatalf("snoop path: snoop read hits = %d, want 0", got)
 	}
 }
 

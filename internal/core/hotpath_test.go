@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"testing"
 
@@ -77,6 +78,19 @@ func diffSnapshots(t *testing.T, want, got map[string]uint64, label string) {
 	}
 }
 
+// checkpointDigest is the SHA-256 of the board's checkpoint stream: every
+// directory word (LRU ranks and check bytes included), the structural
+// cache.Stats, the tag-store timing state and the counter bank. The board
+// must be flushed.
+func checkpointDigest(t *testing.T, b *Board) [sha256.Size]byte {
+	t.Helper()
+	h := sha256.New()
+	if err := b.WriteCheckpoint(h); err != nil {
+		t.Fatal(err)
+	}
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
 // drainEvent is one directory operation as the drain observer saw it.
 type drainEvent struct {
 	seq, cycle uint64
@@ -88,8 +102,10 @@ type drainEvent struct {
 // TestSnoopBatchMatchesSerial proves the batched ingest is bit-identical
 // to per-transaction Snoop: same counters (every one, including buffer
 // telemetry — a single board sees the same occupancy either way), same
-// drain log, same trace capture, for several batch sizes and feature
-// configurations.
+// drain log, same trace capture, and the same checkpoint bytes — so the
+// look-ahead loads and the carried slots changed no word, rank or
+// structural statistic — for batch sizes on both sides of the look-ahead
+// window and several feature configurations.
 func TestSnoopBatchMatchesSerial(t *testing.T) {
 	const n = 60_000
 	txs := fourNodeStream(n)
@@ -114,6 +130,15 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 			cfg.BufferDepth = 2
 			return cfg
 		},
+		"one-node-8way": func() Config {
+			// No peers: the local AccessSlot -> apply path alone, on the
+			// 8-way set scan the large-directory boards use.
+			cfg := fourNodeConfig()
+			cfg.Nodes = cfg.Nodes[2:3]
+			cfg.Nodes[0].CPUs = []int{0, 1, 2, 3, 4, 5, 6, 7}
+			cfg.Nodes[0].Geometry = addr.MustGeometry(4*addr.MB, 128, 8)
+			return cfg
+		},
 	}
 
 	for name, mkCfg := range configs {
@@ -129,8 +154,9 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 			}
 			serial.Flush()
 			want := serial.Counters().Snapshot()
+			wantDigest := checkpointDigest(t, serial)
 
-			for _, batchSize := range []int{1, 7, 128, n} {
+			for _, batchSize := range []int{1, 7, lookAhead - 1, lookAhead, lookAhead + 1, 128, 2*lookAhead + 3, n} {
 				batched := MustNewBoard(mkCfg())
 				var events []drainEvent
 				batched.SetDrainObserver(func(seq, cycle uint64, cmd bus.Command, a uint64, src int) {
@@ -173,6 +199,9 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 					if batched.Node(i) != serial.Node(i) {
 						t.Fatalf("%s: node %d view %+v, serial %+v", label, i, batched.Node(i), serial.Node(i))
 					}
+				}
+				if got := checkpointDigest(t, batched); got != wantDigest {
+					t.Fatalf("%s: checkpoint digest %x, serial %x", label, got, wantDigest)
 				}
 			}
 		})

@@ -153,14 +153,17 @@ func (n *node) setOf(a uint64) int64 { return n.cfg.Geometry.Index(a) }
 // but that this table can never produce. A wild state means the entry is
 // garbage, so the controller drops the line — the same repair the scrub
 // pass applies to uncorrectable entries — counts the event, and proceeds
-// as a miss.
-func (n *node) sanitize(a uint64, cur coherence.State) coherence.State {
+// as a miss. It takes and returns the (slot, state) a lookup of a found;
+// after a drop the set is looked up again, so the slot handed to apply is
+// what a fresh Find would return.
+func (n *node) sanitize(a uint64, slot int64, cur coherence.State) (int64, coherence.State) {
 	if n.eng.Uses(cur) || cur == coherence.Invalid {
-		return cur
+		return slot, cur
 	}
 	n.cWildState.Inc()
-	n.dir.Invalidate(a)
-	return coherence.Invalid
+	n.dir.InvalidateAt(slot)
+	slot, _ = n.dir.Find(a)
+	return slot, coherence.Invalid
 }
 
 // opFor classifies a bus command as a protocol operation.
@@ -192,7 +195,8 @@ func (n *node) local(p pending, snoopIn coherence.SnoopIn) {
 	if !ok {
 		return
 	}
-	cur := n.sanitize(p.addr, coherence.State(n.dir.Access(p.addr)))
+	slot, st := n.dir.AccessSlot(p.addr)
+	slot, cur := n.sanitize(p.addr, slot, coherence.State(st))
 	entry := n.eng.Lookup(op, cur, snoopIn)
 	n.cTransition[op][cur][snoopIn].Inc()
 
@@ -251,16 +255,18 @@ func (n *node) local(p pending, snoopIn coherence.SnoopIn) {
 	}
 
 	// Apply the transition.
-	n.apply(p.addr, cur, entry)
+	n.apply(p.addr, slot, cur, entry)
 }
 
 // snoop processes a transaction from another node in the same group.
-func (n *node) snoop(p pending) {
+// (slot, st) is what Board.process found when it looked p.addr up in this
+// node's directory for the combined snoop input.
+func (n *node) snoop(p pending, slot int64, st coherence.State) {
 	op, ok := opFor(p.cmd, false)
 	if !ok {
 		return
 	}
-	cur := n.sanitize(p.addr, coherence.State(n.dir.Probe(p.addr)))
+	slot, cur := n.sanitize(p.addr, slot, st)
 	entry := n.eng.Lookup(op, cur, coherence.SnoopNone)
 	n.cTransition[op][cur][coherence.SnoopNone].Inc()
 
@@ -280,18 +286,19 @@ func (n *node) snoop(p pending) {
 	if op == coherence.SnoopWrite && cur.IsValid() && entry.Next == coherence.Invalid {
 		n.cInvalidations.Inc()
 	}
-	n.apply(p.addr, cur, entry)
+	n.apply(p.addr, slot, cur, entry)
 }
 
 // apply commits a protocol transition to the directory, handling
-// allocation, eviction, writeback, and invalidation.
-func (n *node) apply(a uint64, cur coherence.State, e coherence.Entry) {
+// allocation, eviction, writeback, and invalidation. slot is where the
+// lookup that produced cur found a (cache.NoSlot on a miss).
+func (n *node) apply(a uint64, slot int64, cur coherence.State, e coherence.Entry) {
 	if e.Actions.Has(coherence.ActWriteback) {
 		n.cWritebacks.Inc()
 	}
 	switch {
 	case cur == coherence.Invalid && e.Actions.Has(coherence.ActAllocate):
-		victim, evicted := n.dir.Fill(a, uint8(e.Next))
+		victim, evicted := n.dir.FillAt(a, slot, uint8(e.Next))
 		if evicted {
 			n.cEvictions.Inc()
 			if coherence.State(victim.State).IsDirty() {
@@ -304,9 +311,9 @@ func (n *node) apply(a uint64, cur coherence.State, e coherence.Entry) {
 			}
 		}
 	case cur != coherence.Invalid && e.Next == coherence.Invalid:
-		n.dir.Invalidate(a)
+		n.dir.InvalidateAt(slot)
 	case cur != coherence.Invalid && e.Next != cur:
-		n.dir.SetState(a, uint8(e.Next))
+		n.dir.SetStateAt(slot, uint8(e.Next))
 	}
 }
 
