@@ -21,6 +21,7 @@ import (
 	"memories/internal/addr"
 	"memories/internal/bus"
 	"memories/internal/cache"
+	"memories/internal/checkpoint"
 	"memories/internal/coherence"
 	"memories/internal/core"
 	"memories/internal/host"
@@ -775,14 +776,9 @@ func benchSnoopBatch(b *testing.B, board *core.Board, txs []bus.Transaction, war
 
 // --- Checkpoint serialization (crash-safe snapshots) ---
 
-// BenchmarkCheckpointWrite measures full-board snapshot serialization —
-// packed directory words, tag-store timing state, and the counter bank
-// through the section-framed container (CRC-32 per section plus the
-// whole-file digest). SetBytes makes the MB/s column the gated metric:
-// a checkpoint of the warmed 2 MB board must not get slower to produce,
-// since cmd/experiments and cmd/tracesim write these at every
-// -checkpoint-every boundary.
-func BenchmarkCheckpointWrite(b *testing.B) {
+// warmedCheckpointBoard is the 2 MB board both checkpoint benchmarks
+// serialize, after 64 Ki Zipf transactions.
+func warmedCheckpointBoard() *core.Board {
 	board := core.MustNewBoard(SingleL3Board(2*MB, 4, 128))
 	gen := workload.NewZipfian(workload.ZipfConfig{NumCPUs: 8, FootprintByte: 64 * addr.MB, WriteFraction: 0.3, Seed: 7})
 	cycle := uint64(0)
@@ -796,6 +792,18 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 		board.Snoop(&bus.Transaction{Cmd: cmd, Addr: ref.Addr, Size: 128, SrcID: ref.CPU, Cycle: cycle})
 	}
 	board.Flush()
+	return board
+}
+
+// BenchmarkCheckpointWrite measures full-board snapshot serialization —
+// packed directory words, tag-store timing state, and the counter bank
+// through the section-framed container (CRC-32 per section plus the
+// whole-file digest). SetBytes makes the MB/s column the gated metric:
+// a checkpoint of the warmed 2 MB board must not get slower to produce,
+// since cmd/experiments and cmd/tracesim write these at every
+// -checkpoint-every boundary.
+func BenchmarkCheckpointWrite(b *testing.B) {
+	board := warmedCheckpointBoard()
 	var buf bytes.Buffer
 	if err := board.WriteCheckpoint(&buf); err != nil {
 		b.Fatal(err)
@@ -805,6 +813,28 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
 		if err := board.WriteCheckpoint(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCheckpointRestore is the other direction: verify the
+// container (both CRC layers) and load it into a fresh board, the cost
+// every -resume pays before the first transaction.
+func BenchmarkCheckpointRestore(b *testing.B) {
+	var buf bytes.Buffer
+	if err := warmedCheckpointBoard().WriteCheckpoint(&buf); err != nil {
+		b.Fatal(err)
+	}
+	fresh := core.MustNewBoard(SingleL3Board(2*MB, 4, 128))
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap, err := checkpoint.Decode(buf.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.RestoreBoard(fresh, snap); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -97,6 +97,28 @@ func (j *journal) flush() error {
 	return j.saveLocked()
 }
 
+// sections walks the journal in either direction: the run-options
+// fingerprint, then one section per completed experiment in ids.
+func (j *journal) sections(a *checkpoint.Archive, ids []string) error {
+	if err := a.FixedStr("journal.meta", "journal run options", j.fingerprint()); err != nil {
+		return err
+	}
+	for _, id := range ids {
+		o := j.done[id]
+		o.id = id
+		err := a.Section("result."+id, func(c *checkpoint.Codec) error {
+			c.Str(&o.text)
+			c.I64((*int64)(&o.elapsed))
+			return c.Err()
+		})
+		if err != nil {
+			return err
+		}
+		j.done[id] = o
+	}
+	return nil
+}
+
 func (j *journal) saveLocked() error {
 	ids := make([]string, 0, len(j.done))
 	for id := range j.done {
@@ -104,21 +126,7 @@ func (j *journal) saveLocked() error {
 	}
 	sort.Strings(ids)
 	err := checkpoint.WriteFileAtomic(j.path, func(cw *checkpoint.Writer) error {
-		var meta checkpoint.Enc
-		meta.Str(j.fingerprint())
-		if err := cw.Section("journal.meta", meta.Bytes()); err != nil {
-			return err
-		}
-		for _, id := range ids {
-			o := j.done[id]
-			var e checkpoint.Enc
-			e.Str(o.text)
-			e.I64(int64(o.elapsed))
-			if err := cw.Section("result."+id, e.Bytes()); err != nil {
-				return err
-			}
-		}
-		return nil
+		return j.sections(checkpoint.SaveTo(cw), ids)
 	})
 	if err == nil {
 		j.dirty = 0
@@ -130,29 +138,13 @@ func (j *journal) saveLocked() error {
 // entry of a rotation base), skipping corrupt entries.
 func (j *journal) load(path string) error {
 	actual, skipped, err := checkpoint.LoadAny(path, func(snap *checkpoint.Snapshot) error {
-		md, err := snap.Dec("journal.meta")
-		if err != nil {
-			return err
-		}
-		if got, want := md.Str(), j.fingerprint(); got != want {
-			return md.Failf("journal run options %q != this run's %q", got, want)
-		}
-		if err := md.Close(); err != nil {
-			return err
-		}
+		var ids []string
 		for _, sec := range snap.Sections() {
-			id, ok := strings.CutPrefix(sec.Name, "result.")
-			if !ok {
-				continue
+			if id, ok := strings.CutPrefix(sec.Name, "result."); ok {
+				ids = append(ids, id)
 			}
-			d := checkpoint.NewDec(sec.Name, sec.Offset, sec.Payload)
-			o := outcome{id: id, text: d.Str(), elapsed: time.Duration(d.I64())}
-			if err := d.Close(); err != nil {
-				return err
-			}
-			j.done[id] = o
 		}
-		return nil
+		return j.sections(checkpoint.LoadFrom(snap), ids)
 	})
 	for _, s := range skipped {
 		fmt.Fprintf(os.Stderr, "experiments: skipping corrupt checkpoint: %v\n", s)

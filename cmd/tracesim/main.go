@@ -65,52 +65,30 @@ type replayState struct {
 	pos         uint64 // records consumed from the trace (incl. filtered)
 }
 
+// sections walks the replay checkpoint in either direction.
+func (r *replayState) sections(a *checkpoint.Archive) error {
+	if err := a.FixedStr("tracesim.meta", "simulator configuration", r.fingerprint); err != nil {
+		return err
+	}
+	err := a.Section("tracesim.pos", func(c *checkpoint.Codec) error {
+		c.U64(&r.pos)
+		return c.Err()
+	})
+	if err != nil {
+		return err
+	}
+	return a.Section("tracesim.state", r.sim.Checkpoint)
+}
+
 func (r *replayState) save(path string) error {
 	return checkpoint.WriteFileAtomic(path, func(cw *checkpoint.Writer) error {
-		var meta checkpoint.Enc
-		meta.Str(r.fingerprint)
-		if err := cw.Section("tracesim.meta", meta.Bytes()); err != nil {
-			return err
-		}
-		var pos checkpoint.Enc
-		pos.U64(r.pos)
-		if err := cw.Section("tracesim.pos", pos.Bytes()); err != nil {
-			return err
-		}
-		var st checkpoint.Enc
-		r.sim.SaveState(&st)
-		return cw.Section("tracesim.state", st.Bytes())
+		return r.sections(checkpoint.SaveTo(cw))
 	})
 }
 
 func (r *replayState) load(path string) (string, error) {
 	actual, skipped, err := checkpoint.LoadAny(path, func(snap *checkpoint.Snapshot) error {
-		md, err := snap.Dec("tracesim.meta")
-		if err != nil {
-			return err
-		}
-		if got := md.Str(); got != r.fingerprint {
-			return md.Failf("simulator configuration %q != this run's %q", got, r.fingerprint)
-		}
-		if err := md.Close(); err != nil {
-			return err
-		}
-		pd, err := snap.Dec("tracesim.pos")
-		if err != nil {
-			return err
-		}
-		r.pos = pd.U64()
-		if err := pd.Close(); err != nil {
-			return err
-		}
-		sd, err := snap.Dec("tracesim.state")
-		if err != nil {
-			return err
-		}
-		if err := r.sim.RestoreState(sd); err != nil {
-			return err
-		}
-		return sd.Close()
+		return r.sections(checkpoint.LoadFrom(snap))
 	})
 	for _, s := range skipped {
 		fmt.Fprintf(os.Stderr, "tracesim: skipping corrupt checkpoint: %v\n", s)

@@ -7,46 +7,20 @@ import (
 	"memories/internal/checkpoint"
 )
 
-func TestBusCheckpointRoundTrip(t *testing.T) {
-	b := New(DefaultConfig())
-	b.cycle, b.seq = 987654, 3210
-	b.stats.Transactions = 41
-	b.stats.Retries = 7
-	b.stats.BusyCycles = 99
-	for i := range b.stats.ByCommand {
-		b.stats.ByCommand[i] = uint64(i * i)
-	}
-
-	var e checkpoint.Enc
-	b.SaveState(&e)
-
-	b2 := New(DefaultConfig())
-	d := checkpoint.NewDec("bus", 0, e.Bytes())
-	if err := b2.RestoreState(d); err != nil {
-		t.Fatal(err)
-	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d unread payload bytes", d.Remaining())
-	}
-	if b2.cycle != b.cycle || b2.seq != b.seq {
-		t.Fatalf("clock (%d,%d) != saved (%d,%d)", b2.cycle, b2.seq, b.cycle, b.seq)
-	}
-	if b2.stats != b.stats {
-		t.Fatalf("stats %+v != saved %+v", b2.stats, b.stats)
-	}
-}
-
 // A histogram of the wrong width means the snapshot came from a
 // different command-set revision; it must be rejected, not truncated.
 func TestBusRestoreBadHistogram(t *testing.T) {
-	var e checkpoint.Enc
-	for i := 0; i < 5; i++ {
-		e.U64(uint64(i))
+	payload, err := checkpoint.Marshal(func(c *checkpoint.Codec) error {
+		for i := uint64(0); i < 5; i++ {
+			c.U64(&i)
+		}
+		checkpoint.Slice64(c, "short histogram", make([]uint64, numCommands-1))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	e.U64Slice(make([]uint64, numCommands-1))
-
-	b := New(DefaultConfig())
-	err := b.RestoreState(checkpoint.NewDec("bus", 0, e.Bytes()))
+	err = checkpoint.Unmarshal(payload, New(DefaultConfig()).Checkpoint)
 	var ce *checkpoint.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *checkpoint.CorruptError", err)

@@ -35,6 +35,34 @@ func drive(c *Cache, n int) {
 	}
 }
 
+// walk is c.Checkpoint in the shape Marshal takes.
+func walk(c *Cache) func(*checkpoint.Codec) error {
+	return func(k *checkpoint.Codec) error {
+		_, err := c.Checkpoint(k)
+		return err
+	}
+}
+
+// marshal renders a cache's checkpoint section.
+func marshal(t testing.TB, c *Cache) []byte {
+	t.Helper()
+	payload, err := checkpoint.Marshal(walk(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// unmarshal loads a checkpoint section into c, unread bytes included in
+// the verdict.
+func unmarshal(c *Cache, payload []byte) (rep RestoreReport, err error) {
+	err = checkpoint.Unmarshal(payload, func(k *checkpoint.Codec) (err error) {
+		rep, err = c.Checkpoint(k)
+		return err
+	})
+	return rep, err
+}
+
 // Round trip across every replacement policy: the restored twin must be
 // image-identical and continue bit-exactly under the same op stream.
 func TestCacheCheckpointRoundTrip(t *testing.T) {
@@ -49,20 +77,19 @@ func TestCacheCheckpointRoundTrip(t *testing.T) {
 			c := MustNew(cfg)
 			drive(c, 4000)
 
-			var e checkpoint.Enc
-			c.SaveState(&e)
-			// The on-disk layout is pinned: checkpoints written before
-			// SaveState stopped copying the directory must still load.
+			payload := marshal(t, c)
+			// The on-disk layout is pinned (digest computed with the
+			// Enc-based writer of b889b55): checkpoints written before
+			// the two-way codec must still load.
 			if pol == LRU {
 				const want = "c8bf61ba7287590369c24a51b8cc9d303080527489a3b18bc3c2a84d7e69d7c3"
-				if got := fmt.Sprintf("%x", sha256.Sum256(e.Bytes())); got != want {
+				if got := fmt.Sprintf("%x", sha256.Sum256(payload)); got != want {
 					t.Fatalf("cache section digest %s, want %s", got, want)
 				}
 			}
 
 			c2 := MustNew(cfg)
-			d := checkpoint.NewDec("cache", 0, e.Bytes())
-			rep, err := c2.RestoreState(d)
+			rep, err := unmarshal(c2, payload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,10 +128,8 @@ func TestCacheRestoreHealsSoftError(t *testing.T) {
 		t.Fatal("CorruptSlot refused slot 3")
 	}
 
-	var e checkpoint.Enc
-	c.SaveState(&e)
 	c2 := MustNew(cfg)
-	rep, err := c2.RestoreState(checkpoint.NewDec("cache", 0, e.Bytes()))
+	rep, err := unmarshal(c2, marshal(t, c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +144,7 @@ func TestCacheRestoreConfigMismatch(t *testing.T) {
 	base := Config{Geometry: addr.MustGeometry(64*addr.KB, 128, 4), Policy: LRU, ECC: true}
 	c := MustNew(base)
 	drive(c, 500)
-	var e checkpoint.Enc
-	c.SaveState(&e)
+	payload := marshal(t, c)
 
 	for name, cfg := range map[string]Config{
 		"size":   {Geometry: addr.MustGeometry(128*addr.KB, 128, 4), Policy: LRU, ECC: true},
@@ -130,7 +154,7 @@ func TestCacheRestoreConfigMismatch(t *testing.T) {
 		"ecc":    {Geometry: addr.MustGeometry(64*addr.KB, 128, 4), Policy: LRU, ECC: false},
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, err := MustNew(cfg).RestoreState(checkpoint.NewDec("cache", 0, e.Bytes()))
+			_, err := unmarshal(MustNew(cfg), payload)
 			var ce *checkpoint.CorruptError
 			if !errors.As(err, &ce) {
 				t.Fatalf("err = %v, want *checkpoint.CorruptError", err)

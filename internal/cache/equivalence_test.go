@@ -218,9 +218,8 @@ func runEquivalence(t *testing.T, p Policy, assoc int, ecc bool, ops int, seed i
 // packed word (ranks and check bytes included), the replacement sidecars,
 // the generator state, the resident count and the structural statistics.
 func sectionDigest(c *Cache) [sha256.Size]byte {
-	var e checkpoint.Enc
-	c.SaveState(&e)
-	return sha256.Sum256(e.Bytes())
+	payload, _ := checkpoint.Marshal(walk(c))
+	return sha256.Sum256(payload)
 }
 
 // TestTouchSetChangesNothing: the look-ahead load is invisible — same

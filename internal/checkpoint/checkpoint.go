@@ -7,8 +7,9 @@
 // The container is deliberately dumb: a magic + version header, then a
 // sequence of named sections each carrying its own length and CRC-32,
 // then a trailer with the section count and a whole-file digest. Every
-// consumer of a section owns its payload encoding (via Enc/Dec); the
-// container only guarantees that what comes out is byte-identical to
+// consumer of a section owns its payload encoding (one Codec walk per
+// struct, used in both directions through an Archive); the container
+// only guarantees that what comes out is byte-identical to
 // what went in, or that the failure is reported as a *CorruptError
 // naming the section and file offset.
 package checkpoint
@@ -188,13 +189,55 @@ func (s *Snapshot) Has(name string) bool {
 	return ok
 }
 
-// Dec returns a payload decoder for the named section.
-func (s *Snapshot) Dec(name string) (*Dec, error) {
-	sec, err := s.Section(name)
-	if err != nil {
-		return nil, err
+// Archive is the two-way view of a container, so an object lists its
+// sections once: over a Writer, Section frames what the walk appends;
+// over a Snapshot, it finds the section, runs the same walk in the
+// loading direction and requires that every payload byte was read.
+type Archive struct {
+	w    *Writer
+	snap *Snapshot
+}
+
+// SaveTo returns the archive that writes sections to w.
+func SaveTo(w *Writer) *Archive { return &Archive{w: w} }
+
+// LoadFrom returns the archive that restores sections from s.
+func LoadFrom(s *Snapshot) *Archive { return &Archive{snap: s} }
+
+// Loading reports the direction.
+func (a *Archive) Loading() bool { return a.snap != nil }
+
+// Has reports whether Section(name) has something to walk: always when
+// saving, and when the snapshot carries the section when loading. It
+// guards sections a restorer may do without.
+func (a *Archive) Has(name string) bool { return a.snap == nil || a.snap.Has(name) }
+
+// Section walks one named section. Every failure while loading — the
+// section missing, a field mismatch, unread bytes — is a *CorruptError
+// naming the section.
+func (a *Archive) Section(name string, walk func(*Codec) error) error {
+	if a.snap == nil {
+		payload, err := Marshal(walk)
+		if err != nil {
+			return err
+		}
+		return a.w.Section(name, payload)
 	}
-	return NewDec(sec.Name, sec.Offset, sec.Payload), nil
+	sec, err := a.snap.Section(name)
+	if err != nil {
+		return err
+	}
+	return unmarshal(sec.Name, sec.Offset, sec.Payload, walk)
+}
+
+// FixedStr walks a section holding one string the restorer already
+// knows: the configuration fingerprint that ties a snapshot to the
+// object it was taken from.
+func (a *Archive) FixedStr(section, what, want string) error {
+	return a.Section(section, func(c *Codec) error {
+		c.FixedStr(what, want)
+		return c.Err()
+	})
 }
 
 // Decode parses and verifies a whole checkpoint image. Every framing

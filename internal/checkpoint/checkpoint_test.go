@@ -5,24 +5,43 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// buildTwoSections writes a representative two-section checkpoint.
-func buildTwoSections(w *Writer) error {
-	var e Enc
-	e.U64(0xdeadbeef)
-	e.Str("hello")
-	e.I64Slice([]int64{-1, 0, 7})
-	if err := w.Section("alpha", e.Bytes()); err != nil {
+// twoSections is a representative two-section checkpoint, walked in
+// both directions.
+type twoSections struct {
+	u    uint64
+	s    string
+	ints []int64
+	b    bool
+	f    float64
+	raw  []byte
+}
+
+func (v *twoSections) sections(a *Archive) error {
+	err := a.Section("alpha", func(c *Codec) error {
+		c.U64(&v.u)
+		c.Str(&v.s)
+		Slice64(c, "ints", v.ints)
+		return c.Err()
+	})
+	if err != nil {
 		return err
 	}
-	var e2 Enc
-	e2.Bool(true)
-	e2.F64(3.25)
-	e2.U8Slice([]byte{1, 2, 3})
-	return w.Section("beta", e2.Bytes())
+	return a.Section("beta", func(c *Codec) error {
+		c.Bool(&v.b)
+		c.F64(&v.f)
+		c.Bytes("raw", v.raw)
+		return c.Err()
+	})
+}
+
+func buildTwoSections(w *Writer) error {
+	v := twoSections{0xdeadbeef, "hello", []int64{-1, 0, 7}, true, 3.25, []byte{1, 2, 3}}
+	return v.sections(SaveTo(w))
 }
 
 func encodeTwoSections(t *testing.T) []byte {
@@ -52,35 +71,20 @@ func TestRoundTrip(t *testing.T) {
 	if len(snap.Sections()) != 2 {
 		t.Fatalf("sections = %d, want 2", len(snap.Sections()))
 	}
-	d, err := snap.Dec("alpha")
-	if err != nil {
+	got := twoSections{ints: make([]int64, 3), raw: make([]byte, 3)}
+	if err := got.sections(LoadFrom(snap)); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.U64(); got != 0xdeadbeef {
-		t.Errorf("U64 = %#x", got)
+	want := twoSections{0xdeadbeef, "hello", []int64{-1, 0, 7}, true, 3.25, []byte{1, 2, 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded %+v, want %+v", got, want)
 	}
-	if got := d.Str(); got != "hello" {
-		t.Errorf("Str = %q", got)
-	}
-	sl := d.I64Slice()
-	if len(sl) != 3 || sl[0] != -1 || sl[2] != 7 {
-		t.Errorf("I64Slice = %v", sl)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := snap.Dec("beta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d2.Bool() || d2.F64() != 3.25 {
-		t.Error("beta fields mismatch")
-	}
-	if got := d2.U8Slice(); len(got) != 3 || got[1] != 2 {
-		t.Errorf("U8Slice = %v", got)
-	}
-	if err := d2.Close(); err != nil {
-		t.Fatal(err)
+	// A walk that reads less than the writer wrote is corruption,
+	// attributed to the section.
+	err = LoadFrom(snap).Section("beta", func(c *Codec) error { c.Bool(new(bool)); return nil })
+	var ce *CorruptError
+	if !errors.As(err, &ce) || ce.Section != "beta" || !strings.Contains(ce.Reason, "unread") {
+		t.Fatalf("short walk: err = %v, want unread-bytes CorruptError in beta", err)
 	}
 }
 
@@ -175,27 +179,28 @@ func TestWriterRejectsDuplicates(t *testing.T) {
 }
 
 func TestDecStickyErrors(t *testing.T) {
-	d := NewDec("s", 0, []byte{1, 2})
-	_ = d.U64() // past end: latches
-	if d.Err() == nil {
+	c := Codec{loading: true, section: "s", b: []byte{1, 2}}
+	u64, u32, str, words := uint64(5), uint32(6), "kept", []uint64{7}
+	c.U64(&u64) // past end: latches
+	if c.Err() == nil {
 		t.Fatal("no error after reading past end")
 	}
-	// Subsequent reads stay zero without panicking.
-	if d.U32() != 0 || d.Str() != "" || d.U64Slice() != nil {
-		t.Error("accessor returned non-zero after latched error")
+	// Subsequent reads leave their variables alone without panicking.
+	c.U32(&u32)
+	c.Str(&str)
+	Slice64(&c, "words", words)
+	if u64 != 5 || u32 != 6 || str != "kept" || words[0] != 7 {
+		t.Error("accessor wrote its variable after a latched error")
 	}
-	// Oversized slice length must not allocate.
-	var e Enc
-	e.U32(1 << 30)
-	d2 := NewDec("s", 0, e.Bytes())
-	if got := d2.U64Slice(); got != nil || d2.Err() == nil {
-		t.Errorf("oversized slice: got %v, err %v", got, d2.Err())
+	// An oversized string length must not allocate or panic.
+	c2 := Codec{loading: true, section: "s", b: []byte{0, 0, 0, 0x40}}
+	if c2.Str(&str); c2.Err() == nil || str != "kept" {
+		t.Errorf("oversized string: got %q, err %v", str, c2.Err())
 	}
-	// Unread bytes at Close are corruption.
-	d3 := NewDec("s", 0, []byte{1, 2, 3})
-	d3.U8()
-	if d3.Close() == nil {
-		t.Error("Close accepted unread bytes")
+	// Unread bytes at the end are corruption.
+	err := Unmarshal([]byte{1, 2, 3}, func(c *Codec) error { c.U8(new(uint8)); return nil })
+	if err == nil {
+		t.Error("Unmarshal accepted unread bytes")
 	}
 }
 

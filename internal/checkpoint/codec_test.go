@@ -6,84 +6,132 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// Every codec type round trips bit-exactly through an Enc/Dec pair.
-func TestCodecRoundTrip(t *testing.T) {
-	var e Enc
-	e.U8(0xAB)
-	e.Bool(true)
-	e.Bool(false)
-	e.U32(0xDEADBEEF)
-	e.U64(1 << 63)
-	e.I64(-42)
-	e.F64(math.Pi)
-	e.F64(math.Inf(-1))
-	e.Str("hello, 世界")
-	e.Str("")
-	e.U64Slice([]uint64{1, 1 << 40, 0})
-	e.U64Slice(nil)
-	e.I64Slice([]int64{-1, 0, 1 << 50})
-	e.U8Slice([]byte{9, 8, 7})
+// codecFields is one value of every kind a Codec walks.
+type codecFields struct {
+	u8         uint8
+	t, f       bool
+	u32        uint32
+	u64        uint64
+	i64        int64
+	pi, inf    float64
+	str, empty string
+	words      []uint64
+	none       []uint64
+	ints       []int64
+	bytes      []uint8
+}
 
-	d := NewDec("codec", 0, e.Bytes())
-	if got := d.U8(); got != 0xAB {
-		t.Fatalf("U8 = %#x", got)
+func (v *codecFields) walk(c *Codec) error {
+	c.U8(&v.u8)
+	c.Bool(&v.t)
+	c.Bool(&v.f)
+	c.U32(&v.u32)
+	c.U64(&v.u64)
+	c.I64(&v.i64)
+	c.F64(&v.pi)
+	c.F64(&v.inf)
+	c.Str(&v.str)
+	c.Str(&v.empty)
+	Slice64(c, "words", v.words)
+	Slice64(c, "none", v.none)
+	Slice64(c, "ints", v.ints)
+	c.Bytes("bytes", v.bytes)
+	c.FixedU8("version", 2)
+	c.FixedBool("flag", true)
+	c.FixedI64("size", -7)
+	c.Len("count", 3)
+	c.FixedStr("name", "tpcc")
+	return c.Err()
+}
+
+// Every codec type round trips bit-exactly through one walk used in
+// both directions, and the bytes are the documented layout.
+func TestCodecRoundTrip(t *testing.T) {
+	in := codecFields{
+		u8: 0xAB, t: true, u32: 0xDEADBEEF, u64: 1 << 63, i64: -42,
+		pi: math.Pi, inf: math.Inf(-1), str: "hello, 世界",
+		words: []uint64{1, 1 << 40, 0}, ints: []int64{-1, 0, 1 << 50}, bytes: []byte{9, 8, 7},
 	}
-	if !d.Bool() || d.Bool() {
-		t.Fatal("Bool round trip failed")
+	payload, err := Marshal(in.walk)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := d.U32(); got != 0xDEADBEEF {
-		t.Fatalf("U32 = %#x", got)
+	// Little-endian integers, u32 length prefixes.
+	wantHead := []byte{0xAB, 1, 0, 0xEF, 0xBE, 0xAD, 0xDE, 0, 0, 0, 0, 0, 0, 0, 0x80}
+	if !bytes.HasPrefix(payload, wantHead) {
+		t.Fatalf("payload starts % x, want % x", payload[:len(wantHead)], wantHead)
 	}
-	if got := d.U64(); got != 1<<63 {
-		t.Fatalf("U64 = %#x", got)
+	out := codecFields{
+		t: false, f: true, str: "stale", empty: "stale",
+		words: make([]uint64, 3), ints: make([]int64, 3), bytes: make([]byte, 3),
 	}
-	if got := d.I64(); got != -42 {
-		t.Fatalf("I64 = %d", got)
+	if err := Unmarshal(payload, out.walk); err != nil {
+		t.Fatal(err)
 	}
-	if got := d.F64(); got != math.Pi {
-		t.Fatalf("F64 = %v", got)
+	if !reflect.DeepEqual(in, out) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", out, in)
 	}
-	if got := d.F64(); !math.IsInf(got, -1) {
-		t.Fatalf("F64 inf = %v", got)
+	// A second save of the loaded copy is byte-identical.
+	again, err := Marshal(out.walk)
+	if err != nil || !bytes.Equal(again, payload) {
+		t.Fatalf("re-save differs (err %v)", err)
 	}
-	if got := d.Str(); got != "hello, 世界" {
-		t.Fatalf("Str = %q", got)
+	// Every strict prefix is corruption, never a panic.
+	for n := range payload {
+		var ce *CorruptError
+		if err := Unmarshal(payload[:n], out.walk); !errors.As(err, &ce) {
+			t.Fatalf("prefix %d: err = %v, want *CorruptError", n, err)
+		}
 	}
-	if got := d.Str(); got != "" {
-		t.Fatalf("empty Str = %q", got)
-	}
-	u := d.U64Slice()
-	if len(u) != 3 || u[0] != 1 || u[1] != 1<<40 || u[2] != 0 {
-		t.Fatalf("U64Slice = %v", u)
-	}
-	if got := d.U64Slice(); len(got) != 0 {
-		t.Fatalf("nil U64Slice = %v", got)
-	}
-	i := d.I64Slice()
-	if len(i) != 3 || i[0] != -1 || i[2] != 1<<50 {
-		t.Fatalf("I64Slice = %v", i)
-	}
-	b := d.U8Slice()
-	if len(b) != 3 || b[0] != 9 {
-		t.Fatalf("U8Slice = %v", b)
-	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d bytes left over", d.Remaining())
-	}
-	if d.Err() != nil {
-		t.Fatal(d.Err())
+}
+
+// The fixed forms reject a value or length that differs from the
+// restorer's, naming what differed.
+func TestCodecFixedMismatch(t *testing.T) {
+	for what, save := range map[string]func(c *Codec){
+		"version": func(c *Codec) { c.FixedU8("version", 1) },
+		"flag":    func(c *Codec) { c.FixedBool("flag", false) },
+		"size":    func(c *Codec) { c.FixedI64("size", 64) },
+		"count":   func(c *Codec) { c.Len("count", 4) },
+		"name":    func(c *Codec) { c.FixedStr("name", "tpch") },
+		"words":   func(c *Codec) { Slice64(c, "words", make([]uint64, 2)) },
+		"bytes":   func(c *Codec) { c.Bytes("bytes", make([]byte, 5)) },
+	} {
+		payload, err := Marshal(func(c *Codec) error { save(c); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		words, raw := []uint64{7, 7, 7}, []byte{7, 7, 7}
+		err = Unmarshal(payload, func(c *Codec) error {
+			c.FixedU8("version", 2)
+			c.FixedBool("flag", true)
+			c.FixedI64("size", -7)
+			c.Len("count", 3)
+			c.FixedStr("name", "tpcc")
+			Slice64(c, "words", words)
+			c.Bytes("bytes", raw)
+			return c.Err()
+		})
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: err = %v, want *CorruptError", what, err)
+		}
+		if words[0] != 7 || raw[0] != 7 {
+			t.Fatalf("%s: a mismatching slice was decoded anyway", what)
+		}
 	}
 }
 
 // CorruptError reports the section name, file offset, and reason — the
 // three things a postmortem needs.
 func TestCorruptErrorMessage(t *testing.T) {
-	d := NewDec("node0.cache", 4096, nil)
-	err := d.Failf("bad tag word %d", 7)
+	c := Codec{loading: true, section: "node0.cache", base: 4096}
+	err := c.Failf("bad tag word %d", 7)
 	msg := err.Error()
 	for _, want := range []string{"node0.cache", "4096", "bad tag word 7"} {
 		if !strings.Contains(msg, want) {
@@ -103,9 +151,7 @@ func TestSnapshotHas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e Enc
-	e.U64(1)
-	if err := w.Section("alpha", e.Bytes()); err != nil {
+	if err := w.Section("alpha", []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -130,9 +176,7 @@ func TestRotationSequenceOrdering(t *testing.T) {
 	write := func(name string, v uint64) {
 		t.Helper()
 		err := WriteFileAtomic(filepath.Join(dir, name), func(w *Writer) error {
-			var e Enc
-			e.U64(v)
-			return w.Section("v", e.Bytes())
+			return SaveTo(w).Section("v", func(c *Codec) error { c.U64(&v); return nil })
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -151,12 +195,7 @@ func TestRotationSequenceOrdering(t *testing.T) {
 	}
 	var got uint64
 	path, skipped, err := LoadAny(filepath.Join(dir, "ck"), func(s *Snapshot) error {
-		d, err := s.Dec("v")
-		if err != nil {
-			return err
-		}
-		got = d.U64()
-		return d.Err()
+		return LoadFrom(s).Section("v", func(c *Codec) error { c.U64(&got); return nil })
 	})
 	if err != nil || len(skipped) != 0 {
 		t.Fatalf("LoadAny: path=%s skipped=%v err=%v", path, skipped, err)

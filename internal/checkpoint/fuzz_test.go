@@ -43,9 +43,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		// A valid decode must survive field-level reads without panics.
 		for _, sec := range snap.Sections() {
-			d := NewDec(sec.Name, sec.Offset, sec.Payload)
-			for d.Err() == nil && d.Remaining() > 0 {
-				_ = d.U8()
+			err := LoadFrom(snap).Section(sec.Name, func(c *Codec) error {
+				var b uint8
+				for range sec.Payload {
+					c.U8(&b)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("section %q: %v", sec.Name, err)
 			}
 		}
 	})

@@ -31,38 +31,70 @@ func (b *Board) fingerprint() string {
 	return s
 }
 
-// AppendSections writes the board's checkpoint sections to an open
-// container writer. The board must be quiescent: buffered transactions
-// are part of the bus's in-flight state and are flushed, not serialized.
-func (b *Board) AppendSections(cw *checkpoint.Writer) error {
-	if b.PendingDepth() != 0 {
-		return fmt.Errorf("core: checkpoint with %d buffered transactions (Flush first)", b.PendingDepth())
+// Sections walks the board's checkpoint sections in either direction:
+// the configuration fingerprint, the clocks and counter bank, and each
+// node's directory image and tag-store state.
+//
+// Saving needs a quiescent board: buffered transactions are part of the
+// bus's in-flight state and are flushed, not serialized. Loading needs
+// an identically configured one. Counter values land in the existing
+// bank, so cached counter pointers (the board's own, and any attached
+// obs mirror's) stay live. Directory words are ECC-verified as they
+// load; repairs are counted into the per-node ecc counters and
+// reported. Trace capture and miss-ratio profiles are not part of the
+// snapshot; capture memory is reset to empty.
+func (b *Board) Sections(a *checkpoint.Archive) (RestoreReport, error) {
+	var rep RestoreReport
+	if !a.Loading() && b.PendingDepth() != 0 {
+		return rep, fmt.Errorf("core: checkpoint with %d buffered transactions (Flush first)", b.PendingDepth())
 	}
-	var meta checkpoint.Enc
-	meta.Str(b.fingerprint())
-	if err := cw.Section("board.meta", meta.Bytes()); err != nil {
-		return err
+	if err := a.FixedStr("board.meta", "board configuration", b.fingerprint()); err != nil {
+		return rep, err
 	}
-	var st checkpoint.Enc
-	st.U64(b.lastCycle)
-	st.U64(b.nextScrub)
-	b.bank.SaveState(&st)
-	if err := cw.Section("board.state", st.Bytes()); err != nil {
-		return err
+	err := a.Section("board.state", func(c *checkpoint.Codec) error {
+		c.U64(&b.lastCycle)
+		c.U64(&b.nextScrub)
+		return b.bank.Checkpoint(c)
+	})
+	if err != nil {
+		return rep, err
+	}
+	if a.Loading() {
+		b.queue = b.queue[:0]
+		b.qhead = 0
+		b.justEnqueued = false
+		if b.capture != nil {
+			b.capture.Reset()
+		}
 	}
 	for i, n := range b.nodes {
-		var dir checkpoint.Enc
-		n.dir.SaveState(&dir)
-		if err := cw.Section(fmt.Sprintf("board.node%d.dir", i), dir.Bytes()); err != nil {
+		err := a.Section(fmt.Sprintf("board.node%d.dir", i), func(c *checkpoint.Codec) error {
+			crep, err := n.dir.Checkpoint(c)
+			if crep.Corrected > 0 {
+				n.cECCCorrected.Add(crep.Corrected)
+			}
+			if crep.Invalidated > 0 {
+				n.cECCInvalidated.Add(crep.Invalidated)
+			}
+			rep.ECCCorrected += crep.Corrected
+			rep.ECCInvalidated += crep.Invalidated
 			return err
+		})
+		if err != nil {
+			return rep, err
 		}
-		var tags checkpoint.Enc
-		n.tags.SaveState(&tags)
-		if err := cw.Section(fmt.Sprintf("board.node%d.tags", i), tags.Bytes()); err != nil {
-			return err
+		if err := a.Section(fmt.Sprintf("board.node%d.tags", i), n.tags.Checkpoint); err != nil {
+			return rep, err
 		}
 	}
-	return nil
+	return rep, nil
+}
+
+// save is Sections in the saving direction, in the shape the container
+// writers take.
+func (b *Board) save(cw *checkpoint.Writer) error {
+	_, err := b.Sections(checkpoint.SaveTo(cw))
+	return err
 }
 
 // WriteCheckpoint streams a complete board checkpoint to w.
@@ -71,7 +103,7 @@ func (b *Board) WriteCheckpoint(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := b.AppendSections(cw); err != nil {
+	if err := b.save(cw); err != nil {
 		return err
 	}
 	return cw.Close()
@@ -80,78 +112,11 @@ func (b *Board) WriteCheckpoint(w io.Writer) error {
 // WriteCheckpointFile writes a board checkpoint crash-safely: temp
 // file, fsync, atomic rename.
 func (b *Board) WriteCheckpointFile(path string) error {
-	return checkpoint.WriteFileAtomic(path, b.AppendSections)
+	return checkpoint.WriteFileAtomic(path, b.save)
 }
 
 // RestoreBoard loads a snapshot written by WriteCheckpoint into an
-// identically configured board. Counter values land in the existing
-// bank, so cached counter pointers (the board's own, and any attached
-// obs mirror's) stay live. Directory words are ECC-verified as they
-// load; repairs are counted into the per-node ecc counters and
-// reported. Trace capture and miss-ratio profiles are not part of the
-// snapshot; capture memory is reset to empty.
+// identically configured board.
 func RestoreBoard(b *Board, snap *checkpoint.Snapshot) (RestoreReport, error) {
-	var rep RestoreReport
-	md, err := snap.Dec("board.meta")
-	if err != nil {
-		return rep, err
-	}
-	if got, want := md.Str(), b.fingerprint(); got != want {
-		return rep, md.Failf("board configuration mismatch: snapshot %q, this board %q", got, want)
-	}
-	if err := md.Close(); err != nil {
-		return rep, err
-	}
-	st, err := snap.Dec("board.state")
-	if err != nil {
-		return rep, err
-	}
-	lastCycle := st.U64()
-	nextScrub := st.U64()
-	if err := b.bank.RestoreState(st); err != nil {
-		return rep, err
-	}
-	if err := st.Close(); err != nil {
-		return rep, err
-	}
-	b.lastCycle = lastCycle
-	b.nextScrub = nextScrub
-	b.queue = b.queue[:0]
-	b.qhead = 0
-	b.justEnqueued = false
-	if b.capture != nil {
-		b.capture.Reset()
-	}
-	for i, n := range b.nodes {
-		dd, err := snap.Dec(fmt.Sprintf("board.node%d.dir", i))
-		if err != nil {
-			return rep, err
-		}
-		crep, err := n.dir.RestoreState(dd)
-		if err != nil {
-			return rep, err
-		}
-		if err := dd.Close(); err != nil {
-			return rep, err
-		}
-		if crep.Corrected > 0 {
-			n.cECCCorrected.Add(crep.Corrected)
-		}
-		if crep.Invalidated > 0 {
-			n.cECCInvalidated.Add(crep.Invalidated)
-		}
-		rep.ECCCorrected += crep.Corrected
-		rep.ECCInvalidated += crep.Invalidated
-		td, err := snap.Dec(fmt.Sprintf("board.node%d.tags", i))
-		if err != nil {
-			return rep, err
-		}
-		if err := n.tags.RestoreState(td); err != nil {
-			return rep, err
-		}
-		if err := td.Close(); err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
+	return b.Sections(checkpoint.LoadFrom(snap))
 }

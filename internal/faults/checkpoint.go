@@ -2,33 +2,20 @@ package faults
 
 import "memories/internal/checkpoint"
 
-// SaveState serializes the injector's RNG position and, when divergence
-// detection is enabled, the shadow simulator's full state. The fault
-// counters live in the board's bank and travel with the board sections.
+// Checkpoint walks the injector's RNG position and, when divergence
+// detection is enabled, the shadow simulator's full state; the snapshot
+// must have been taken with the same Shadow setting. The fault counters
+// live in the board's bank and travel with the board sections.
 // lastForwarded is response-phase scratch; a checkpoint is only taken
 // between transactions, where it is dead state.
-func (inj *Injector) SaveState(e *checkpoint.Enc) {
-	e.U64(inj.rng.State())
-	e.Bool(inj.shadow != nil)
+func (inj *Injector) Checkpoint(c *checkpoint.Codec) error {
+	inj.rng.Checkpoint(c)
+	c.FixedBool("shadow presence", inj.shadow != nil)
+	if c.Loading() {
+		inj.lastForwarded = false
+	}
 	if inj.shadow != nil {
-		inj.shadow.SaveState(e)
+		return inj.shadow.Checkpoint(c)
 	}
-}
-
-// RestoreState loads an injector checkpoint. The snapshot must have
-// been taken with the same Shadow setting.
-func (inj *Injector) RestoreState(d *checkpoint.Dec) error {
-	inj.rng.SetState(d.U64())
-	hasShadow := d.Bool()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if hasShadow != (inj.shadow != nil) {
-		return d.Failf("shadow presence %v != configured %v", hasShadow, inj.shadow != nil)
-	}
-	inj.lastForwarded = false
-	if inj.shadow != nil {
-		return inj.shadow.RestoreState(d)
-	}
-	return nil
+	return c.Err()
 }

@@ -15,8 +15,10 @@ func TestInjectorCheckpointRoundTrip(t *testing.T) {
 	fcfg := Config{Seed: 11, DropProb: 0.01, DupProb: 0.01, Shadow: true}
 	_, inj, _ := run(t, testBoardConfig(), fcfg, 5000)
 
-	var e checkpoint.Enc
-	inj.SaveState(&e)
+	payload, err := checkpoint.Marshal(inj.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	board2, err := core.NewBoard(testBoardConfig())
 	if err != nil {
@@ -27,12 +29,8 @@ func TestInjectorCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj2.lastForwarded = true // restore must clear response-phase scratch
-	d := checkpoint.NewDec("faults", 0, e.Bytes())
-	if err := inj2.RestoreState(d); err != nil {
+	if err := checkpoint.Unmarshal(payload, inj2.Checkpoint); err != nil {
 		t.Fatal(err)
-	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d unread payload bytes", d.Remaining())
 	}
 	if inj2.rng.State() != inj.rng.State() {
 		t.Fatalf("rng state %#x != saved %#x", inj2.rng.State(), inj.rng.State())
@@ -45,37 +43,15 @@ func TestInjectorCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// The no-shadow variant exercises the short encoding.
-func TestInjectorCheckpointRoundTripNoShadow(t *testing.T) {
-	fcfg := Config{Seed: 11, DropProb: 0.01}
-	_, inj, _ := run(t, testBoardConfig(), fcfg, 2000)
-
-	var e checkpoint.Enc
-	inj.SaveState(&e)
-
-	board2, err := core.NewBoard(testBoardConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj2, err := New(board2, fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inj2.RestoreState(checkpoint.NewDec("faults", 0, e.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if inj2.rng.State() != inj.rng.State() {
-		t.Fatalf("rng state %#x != saved %#x", inj2.rng.State(), inj.rng.State())
-	}
-}
-
 // A snapshot taken without divergence detection cannot restore into an
 // injector that has it (and vice versa): the shadow flag is part of the
 // configuration fingerprint.
 func TestInjectorRestoreShadowMismatch(t *testing.T) {
 	_, inj, _ := run(t, testBoardConfig(), Config{Seed: 3}, 1000)
-	var e checkpoint.Enc
-	inj.SaveState(&e)
+	payload, err := checkpoint.Marshal(inj.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	board2, err := core.NewBoard(testBoardConfig())
 	if err != nil {
@@ -85,7 +61,7 @@ func TestInjectorRestoreShadowMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rerr := inj2.RestoreState(checkpoint.NewDec("faults", 0, e.Bytes()))
+	rerr := checkpoint.Unmarshal(payload, inj2.Checkpoint)
 	var ce *checkpoint.CorruptError
 	if !errors.As(rerr, &ce) {
 		t.Fatalf("err = %v, want *checkpoint.CorruptError", rerr)

@@ -21,238 +21,115 @@ import (
 // misdecoding.
 const hostSectionVersion = 2
 
-// SaveState serializes the host: format version, mode, generator
-// identity + stream position (per actor in per-CPU mode, along with each
-// actor's clock and pending event), the accumulated statistics, the bus,
-// and every CPU's private caches. Generators must implement
-// workload.Checkpointer (the splash kernels do not — their state lives
-// in goroutine stacks).
-func (h *Host) SaveState(e *checkpoint.Enc) error {
-	e.U8(hostSectionVersion)
-	e.Bool(h.perCPU)
+// Checkpoint walks the host: format version, mode, generator identity +
+// stream position (per actor in per-CPU mode, along with each actor's
+// clock and pending event), the accumulated statistics, the bus, and
+// every CPU's private caches. A snapshot loads only into an identically
+// configured host (same Config, same generator construction, same
+// mode); generator names are cross-checked so a snapshot from a
+// different workload is rejected rather than silently misapplied.
+// Generators must implement workload.Checkpointer (the splash kernels do
+// not — their state lives in goroutine stacks).
+func (h *Host) Checkpoint(k *checkpoint.Codec) error {
+	k.FixedU8("host section version", hostSectionVersion)
+	k.FixedBool("per-CPU mode", h.perCPU)
 	if h.perCPU {
-		if err := h.saveActors(e); err != nil {
+		if err := h.checkpointActors(k); err != nil {
 			return err
 		}
 	} else {
 		if h.gen == nil {
 			return fmt.Errorf("host: no workload generator to checkpoint")
 		}
-		ck, ok := h.gen.(workload.Checkpointer)
-		if !ok {
-			return fmt.Errorf("host: generator %q is not checkpointable", h.gen.Name())
-		}
-		e.Str(h.gen.Name())
-		if err := ck.SaveState(e); err != nil {
+		k.FixedStr("generator", h.gen.Name())
+		if err := workload.CheckpointGenerator(k, h.gen); err != nil {
 			return err
 		}
-		e.U64(h.rng.State())
-		e.F64(h.idleCarry)
-		e.U64(h.ioAddr)
+		h.rng.Checkpoint(k)
+		k.F64(&h.idleCarry)
+		k.U64(&h.ioAddr)
 	}
-	e.U64(h.stats.Refs)
-	e.U64(h.stats.Instructions)
-	e.U64(h.stats.L1Hits)
-	e.U64(h.stats.L1Misses)
-	e.U64(h.stats.L2Hits)
-	e.U64(h.stats.L2Misses)
-	e.U64(h.stats.Upgrades)
-	e.U64(h.stats.Castouts)
-	e.U64(h.stats.IntervModSup)
-	e.U64(h.stats.IntervShrSup)
-	e.U64(h.stats.Invalidations)
-	e.U64(h.stats.IOOps)
-	e.U64(h.stats.Retried)
-	e.U64(h.stats.RetryExhausted)
-	h.bus.SaveState(e)
-	e.U32(uint32(len(h.cpus)))
-	for _, c := range h.cpus {
-		e.Bool(c.l1 != nil)
-		if c.l1 != nil {
-			c.l1.SaveState(e)
-		}
-		c.coh.SaveState(e)
+	if k.Loading() {
+		h.err = nil
 	}
-	return nil
-}
-
-// saveActors writes the per-CPU discrete-event state: each actor's
-// stream, RNG, local clock, and the one pending scheduled event.
-func (h *Host) saveActors(e *checkpoint.Enc) error {
-	e.U64(h.events)
-	e.U32(uint32(len(h.cpus)))
-	for _, c := range h.cpus {
-		e.Bool(c.gen != nil)
-		if c.gen == nil {
-			continue
-		}
-		ck, ok := c.gen.(workload.Checkpointer)
-		if !ok {
-			return fmt.Errorf("host: cpu %d generator %q is not checkpointable", c.id, c.gen.Name())
-		}
-		e.Str(c.gen.Name())
-		if err := ck.SaveState(e); err != nil {
-			return err
-		}
-		e.U64(c.rng.State())
-		e.U64(c.clock)
-		e.F64(c.carry)
-		e.U64(c.ioAddr)
-		e.U8(uint8(c.pend))
-		e.U64(c.pendCycle)
-		e.U64(c.pendLine)
-		e.Bool(c.pendWrite)
-		e.Bool(c.pendFill)
-		e.U8(uint8(c.pendIOCmd))
-		e.Bool(c.hasBuf)
-		if c.hasBuf {
-			e.U64(c.buf.Addr)
-			e.Bool(c.buf.Write)
-			e.I64(int64(c.buf.CPU))
-			e.U64(c.buf.Instrs)
-		}
-		e.Bool(c.done)
-	}
-	return nil
-}
-
-// RestoreState loads a host checkpoint into an identically configured
-// host (same Config, same generator construction, same mode). Generator
-// names are cross-checked so a snapshot from a different workload is
-// rejected rather than silently misapplied.
-func (h *Host) RestoreState(d *checkpoint.Dec) error {
-	if v := d.U8(); v != hostSectionVersion {
-		if d.Err() != nil {
-			return d.Err()
-		}
-		return d.Failf("host section version %d, want %d", v, hostSectionVersion)
-	}
-	perCPU := d.Bool()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if perCPU != h.perCPU {
-		return d.Failf("snapshot per-CPU mode %v != configured %v", perCPU, h.perCPU)
-	}
-	if h.perCPU {
-		if err := h.restoreActors(d); err != nil {
-			return err
-		}
-	} else {
-		if h.gen == nil {
-			return fmt.Errorf("host: no workload generator to restore into")
-		}
-		ck, ok := h.gen.(workload.Checkpointer)
-		if !ok {
-			return fmt.Errorf("host: generator %q is not checkpointable", h.gen.Name())
-		}
-		if got, want := d.Str(), h.gen.Name(); got != want {
-			return d.Failf("generator %q != configured %q", got, want)
-		}
-		if err := ck.RestoreState(d); err != nil {
-			return err
-		}
-		h.rng.SetState(d.U64())
-		h.idleCarry = d.F64()
-		h.ioAddr = d.U64()
-	}
-	h.err = nil
-	h.stats.Refs = d.U64()
-	h.stats.Instructions = d.U64()
-	h.stats.L1Hits = d.U64()
-	h.stats.L1Misses = d.U64()
-	h.stats.L2Hits = d.U64()
-	h.stats.L2Misses = d.U64()
-	h.stats.Upgrades = d.U64()
-	h.stats.Castouts = d.U64()
-	h.stats.IntervModSup = d.U64()
-	h.stats.IntervShrSup = d.U64()
-	h.stats.Invalidations = d.U64()
-	h.stats.IOOps = d.U64()
-	h.stats.Retried = d.U64()
-	h.stats.RetryExhausted = d.U64()
-	if err := h.bus.RestoreState(d); err != nil {
+	k.U64(&h.stats.Refs)
+	k.U64(&h.stats.Instructions)
+	k.U64(&h.stats.L1Hits)
+	k.U64(&h.stats.L1Misses)
+	k.U64(&h.stats.L2Hits)
+	k.U64(&h.stats.L2Misses)
+	k.U64(&h.stats.Upgrades)
+	k.U64(&h.stats.Castouts)
+	k.U64(&h.stats.IntervModSup)
+	k.U64(&h.stats.IntervShrSup)
+	k.U64(&h.stats.Invalidations)
+	k.U64(&h.stats.IOOps)
+	k.U64(&h.stats.Retried)
+	k.U64(&h.stats.RetryExhausted)
+	if err := h.bus.Checkpoint(k); err != nil {
 		return err
 	}
-	if got, want := int(d.U32()), len(h.cpus); got != want {
-		return d.Failf("cpu count %d != configured %d", got, want)
-	}
+	k.Len("cpu count", len(h.cpus))
 	for _, c := range h.cpus {
-		hasL1 := d.Bool()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if hasL1 != (c.l1 != nil) {
-			return d.Failf("cpu %d L1 presence %v != configured %v", c.id, hasL1, c.l1 != nil)
-		}
+		k.FixedBool("L1 presence", c.l1 != nil)
 		if c.l1 != nil {
-			if _, err := c.l1.RestoreState(d); err != nil {
+			if _, err := c.l1.Checkpoint(k); err != nil {
 				return err
 			}
 		}
-		if _, err := c.coh.RestoreState(d); err != nil {
+		if _, err := c.coh.Checkpoint(k); err != nil {
 			return err
 		}
 	}
-	return d.Err()
+	return k.Err()
 }
 
-// restoreActors loads the per-CPU discrete-event state and rebuilds the
-// scheduler: the wheel is repopulated from each actor's pending event;
-// the lock-step cursor rewinds to the earliest one.
-func (h *Host) restoreActors(d *checkpoint.Dec) error {
-	h.events = d.U64()
-	if got, want := int(d.U32()), len(h.cpus); got != want {
-		return d.Failf("actor count %d != configured %d", got, want)
-	}
+// checkpointActors walks the per-CPU discrete-event state — each
+// actor's stream, RNG, local clock, and the one pending scheduled event —
+// and on load rebuilds the scheduler: the wheel is repopulated from each
+// actor's pending event; the lock-step cursor rewinds to the earliest
+// one.
+func (h *Host) checkpointActors(k *checkpoint.Codec) error {
+	k.U64(&h.events)
+	k.Len("actor count", len(h.cpus))
 	for _, c := range h.cpus {
-		hasGen := d.Bool()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if hasGen != (c.gen != nil) {
-			return d.Failf("cpu %d stream presence %v != configured %v", c.id, hasGen, c.gen != nil)
-		}
+		k.FixedBool("stream presence", c.gen != nil)
 		if c.gen == nil {
 			continue
 		}
-		ck, ok := c.gen.(workload.Checkpointer)
-		if !ok {
-			return fmt.Errorf("host: cpu %d generator %q is not checkpointable", c.id, c.gen.Name())
-		}
-		if got, want := d.Str(), c.gen.Name(); got != want {
-			return d.Failf("cpu %d generator %q != configured %q", c.id, got, want)
-		}
-		if err := ck.RestoreState(d); err != nil {
+		k.FixedStr("generator", c.gen.Name())
+		if err := workload.CheckpointGenerator(k, c.gen); err != nil {
 			return err
 		}
-		c.rng.SetState(d.U64())
-		c.clock = d.U64()
-		c.carry = d.F64()
-		c.ioAddr = d.U64()
-		c.pend = pendKind(d.U8())
-		c.pendCycle = d.U64()
-		c.pendLine = d.U64()
-		c.pendWrite = d.Bool()
-		c.pendFill = d.Bool()
-		c.pendIOCmd = bus.Command(d.U8())
-		c.hasBuf = d.Bool()
-		if d.Err() != nil {
-			return d.Err()
+		c.rng.Checkpoint(k)
+		k.U64(&c.clock)
+		k.F64(&c.carry)
+		k.U64(&c.ioAddr)
+		k.U8((*uint8)(&c.pend))
+		k.U64(&c.pendCycle)
+		k.U64(&c.pendLine)
+		k.Bool(&c.pendWrite)
+		k.Bool(&c.pendFill)
+		k.U8((*uint8)(&c.pendIOCmd))
+		// dispatch drops a kind it does not know, which would leave the
+		// actor live but never scheduled again.
+		if c.pend > pendIO || int(c.pendIOCmd) >= bus.NumCommands() {
+			return k.Failf("cpu %d pending event kind %d or bus command %d outside its enum", c.id, c.pend, uint8(c.pendIOCmd))
 		}
-		c.buf = workload.Ref{}
+		k.Bool(&c.hasBuf)
 		if c.hasBuf {
-			c.buf.Addr = d.U64()
-			c.buf.Write = d.Bool()
-			c.buf.CPU = int(d.I64())
-			c.buf.Instrs = d.U64()
+			k.U64(&c.buf.Addr)
+			k.Bool(&c.buf.Write)
+			cpu := int64(c.buf.CPU)
+			k.I64(&cpu)
+			c.buf.CPU = int(cpu)
+			k.U64(&c.buf.Instrs)
 		}
-		c.done = d.Bool()
+		k.Bool(&c.done)
 	}
-	if d.Err() != nil {
-		return d.Err()
+	if err := k.Err(); err != nil || !k.Loading() {
+		return err
 	}
-	// Rebuild the scheduler from the restored pending events.
 	h.live = 0
 	if h.engine == EngineWheel {
 		h.wheel = newEventWheel(0)
@@ -265,7 +142,7 @@ func (h *Host) restoreActors(d *checkpoint.Dec) error {
 		}
 		h.live++
 		if c.pend == pendNone {
-			return d.Failf("cpu %d live without a pending event", c.id)
+			return k.Failf("cpu %d live without a pending event", c.id)
 		}
 		if h.wheel != nil {
 			h.wheel.Schedule(c.pendCycle, int32(c.id))

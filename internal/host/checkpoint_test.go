@@ -1,9 +1,12 @@
 package host
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"testing"
 
+	"memories/internal/bus"
 	"memories/internal/checkpoint"
 	"memories/internal/workload"
 )
@@ -18,17 +21,13 @@ func TestHostCheckpointContinuation(t *testing.T) {
 	h := mk()
 	h.Run(20_000)
 
-	var e checkpoint.Enc
-	if err := h.SaveState(&e); err != nil {
+	payload, err := checkpoint.Marshal(h.Checkpoint)
+	if err != nil {
 		t.Fatal(err)
 	}
 	h2 := mk()
-	d := checkpoint.NewDec("host", 0, e.Bytes())
-	if err := h2.RestoreState(d); err != nil {
+	if err := checkpoint.Unmarshal(payload, h2.Checkpoint); err != nil {
 		t.Fatal(err)
-	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d unread payload bytes", d.Remaining())
 	}
 	if h2.Stats() != h.Stats() {
 		t.Fatalf("stats diverge immediately after restore:\n%+v\n%+v", h2.Stats(), h.Stats())
@@ -63,17 +62,21 @@ func TestHostCheckpointContinuationPerCPU(t *testing.T) {
 
 			h := mk()
 			h.RunCycles(half)
-			var e checkpoint.Enc
-			if err := h.SaveState(&e); err != nil {
+			payload, err := checkpoint.Marshal(h.Checkpoint)
+			if err != nil {
 				t.Fatal(err)
+			}
+			// The on-disk layout is pinned (digest computed with the
+			// Enc-based writer of b889b55; both engines write the same
+			// bytes): host sections written before the two-way codec
+			// must still load.
+			const want = "4098464f3ab29e2c7f1a5ac655ccb92202ffe9a4e84ac0227f94b75567364521"
+			if got := fmt.Sprintf("%x", sha256.Sum256(payload)); got != want || len(payload) != 77098 {
+				t.Fatalf("host section digest %s (%d B), want %s (77098 B)", got, len(payload), want)
 			}
 			h2 := mk()
-			d := checkpoint.NewDec("host", 0, e.Bytes())
-			if err := h2.RestoreState(d); err != nil {
+			if err := checkpoint.Unmarshal(payload, h2.Checkpoint); err != nil {
 				t.Fatal(err)
-			}
-			if d.Remaining() != 0 {
-				t.Fatalf("%d unread payload bytes", d.Remaining())
 			}
 			if h2.Stats() != h.Stats() {
 				t.Fatalf("stats diverge immediately after restore:\n%+v\n%+v", h2.Stats(), h.Stats())
@@ -101,12 +104,12 @@ func TestHostCheckpointContinuationPerCPU(t *testing.T) {
 func TestHostRestoreRejectsModeMismatch(t *testing.T) {
 	src := MustNewPerCPU(perCPUTestConfig(8), perCPUStreams(8, 4, 3), EngineWheel)
 	src.RunCycles(10_000)
-	var e checkpoint.Enc
-	if err := src.SaveState(&e); err != nil {
+	payload, err := checkpoint.Marshal(src.Checkpoint)
+	if err != nil {
 		t.Fatal(err)
 	}
 	dst := MustNew(DefaultConfig(), workload.NewTPCC(workload.ScaledTPCCConfig(4096)))
-	err := dst.RestoreState(checkpoint.NewDec("host", 0, e.Bytes()))
+	err = checkpoint.Unmarshal(payload, dst.Checkpoint)
 	var ce *checkpoint.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *checkpoint.CorruptError", err)
@@ -117,11 +120,14 @@ func TestHostRestoreRejectsModeMismatch(t *testing.T) {
 // generator-name string) must be rejected by the version check, not
 // misdecoded.
 func TestHostRestoreRejectsV1Snapshot(t *testing.T) {
-	var e checkpoint.Enc
-	e.Str("tpcc-oltp") // how a v1 host section began
-	e.U64(42)
+	payload, _ := checkpoint.Marshal(func(c *checkpoint.Codec) error {
+		name, pos := "tpcc-oltp", uint64(42) // how a v1 host section began
+		c.Str(&name)
+		c.U64(&pos)
+		return nil
+	})
 	dst := MustNew(DefaultConfig(), workload.NewTPCC(workload.ScaledTPCCConfig(4096)))
-	err := dst.RestoreState(checkpoint.NewDec("host", 0, e.Bytes()))
+	err := checkpoint.Unmarshal(payload, dst.Checkpoint)
 	var ce *checkpoint.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *checkpoint.CorruptError", err)
@@ -133,13 +139,13 @@ func TestHostRestoreRejectsV1Snapshot(t *testing.T) {
 func TestHostRestoreRejectsWrongGenerator(t *testing.T) {
 	src := MustNew(DefaultConfig(), workload.NewTPCC(workload.ScaledTPCCConfig(4096)))
 	src.Run(1000)
-	var e checkpoint.Enc
-	if err := src.SaveState(&e); err != nil {
+	payload, err := checkpoint.Marshal(src.Checkpoint)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	dst := MustNew(DefaultConfig(), workload.NewTPCH(workload.ScaledTPCHConfig(4096)))
-	err := dst.RestoreState(checkpoint.NewDec("host", 0, e.Bytes()))
+	err = checkpoint.Unmarshal(payload, dst.Checkpoint)
 	var ce *checkpoint.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *checkpoint.CorruptError", err)
@@ -157,11 +163,63 @@ func (stackGen) Footprint() int64           { return 1 << 20 }
 func TestHostSaveRejectsNonCheckpointableGenerator(t *testing.T) {
 	h := MustNew(DefaultConfig(), stackGen{})
 	h.Run(100)
-	var e checkpoint.Enc
-	if err := h.SaveState(&e); err == nil {
-		t.Fatal("SaveState accepted a non-checkpointable generator")
+	if _, err := checkpoint.Marshal(h.Checkpoint); err == nil {
+		t.Fatal("save accepted a non-checkpointable generator")
 	}
-	if err := h.RestoreState(checkpoint.NewDec("host", 0, nil)); err == nil {
-		t.Fatal("RestoreState accepted a non-checkpointable generator")
+	if err := checkpoint.Unmarshal(nil, h.Checkpoint); err == nil {
+		t.Fatal("restore accepted a non-checkpointable generator")
+	}
+}
+
+// A pending-event kind or I/O bus command outside its enum restores an
+// actor that is live but that dispatch never reschedules: the wheel
+// engine stops early with live > 0 and the lock-step stepEvent spins.
+// Both bytes are checked on the way in.
+func TestHostRestoreRejectsUnknownPendingEvent(t *testing.T) {
+	cfg := perCPUTestConfig(2)
+	mk := func() *Host { return MustNewPerCPU(cfg, perCPUStreams(2, 2, 5), EngineWheel) }
+	src := mk()
+	src.RunCycles(5_000)
+	good, err := checkpoint.Marshal(src.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Locate actor 0's two enum bytes by saving a twin that differs from
+	// src in exactly that byte.
+	offsetOf := func(mutate func(*cpu)) int {
+		twin := mk()
+		if err := checkpoint.Unmarshal(good, twin.Checkpoint); err != nil {
+			t.Fatal(err)
+		}
+		mutate(twin.cpus[0])
+		b, err := checkpoint.Marshal(twin.Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range good {
+			if b[i] != good[i] {
+				return i
+			}
+		}
+		t.Fatal("mutation did not change the payload")
+		return -1
+	}
+	for _, tc := range []struct {
+		name string
+		off  int
+		val  uint8
+	}{
+		{"pend", offsetOf(func(c *cpu) { c.pend ^= 1 }), uint8(pendIO) + 1},
+		{"pendIOCmd", offsetOf(func(c *cpu) { c.pendIOCmd ^= 1 }), uint8(bus.NumCommands())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := append([]byte(nil), good...)
+			bad[tc.off] = tc.val
+			err := checkpoint.Unmarshal(bad, mk().Checkpoint)
+			var ce *checkpoint.CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("%s = %d: err = %v, want *checkpoint.CorruptError", tc.name, tc.val, err)
+			}
+		})
 	}
 }

@@ -6,37 +6,39 @@ import (
 	"memories/internal/checkpoint"
 )
 
-// SaveCounters serializes the registry's own atomic counters (sampler
-// ticks, drain events — everything created via Registry.Counter) in
+// Checkpoint walks the registry's own atomic counters (sampler ticks,
+// drain events — everything created via Registry.Counter) in
 // sorted-name order. Mirrors, gauges, and histograms are derived from
-// live owners and are not part of a snapshot.
-func (r *Registry) SaveCounters(e *checkpoint.Enc) {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
+// live owners and are not part of a snapshot. Registry counters are
+// open-namespace, unlike the board's fixed bank: loading creates the
+// ones this registry has not seen yet.
+func (r *Registry) Checkpoint(c *checkpoint.Codec) error {
+	var names []string
+	if !c.Loading() {
+		r.mu.RLock()
+		for name := range r.counters {
+			names = append(names, name)
+		}
+		r.mu.RUnlock()
+		sort.Strings(names)
 	}
-	sort.Strings(names)
-	e.U32(uint32(len(names)))
-	for _, name := range names {
-		e.Str(name)
-		e.U64(r.counters[name].Value())
-	}
-	r.mu.RUnlock()
-}
-
-// RestoreCounters loads checkpointed counter values, creating counters
-// as needed (registry counters are open-namespace, unlike the board's
-// fixed bank).
-func (r *Registry) RestoreCounters(d *checkpoint.Dec) error {
-	n := d.U32()
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		name := d.Str()
-		v := d.U64()
-		if d.Err() != nil {
+	n := uint32(len(names))
+	c.U32(&n)
+	for i := 0; i < int(n) && c.Err() == nil; i++ {
+		var name string
+		if !c.Loading() {
+			name = names[i]
+		}
+		c.Str(&name)
+		if c.Err() != nil {
 			break
 		}
-		r.Counter(name).Store(v)
+		ctr := r.Counter(name)
+		v := ctr.Value()
+		c.U64(&v)
+		if c.Loading() {
+			ctr.Store(v)
+		}
 	}
-	return d.Err()
+	return c.Err()
 }

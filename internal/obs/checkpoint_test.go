@@ -14,18 +14,16 @@ func TestRegistryCountersCheckpointRoundTrip(t *testing.T) {
 	r.Counter("tracer.drops").Store(7)
 	r.Counter("zero.counter")
 
-	var e checkpoint.Enc
-	r.SaveCounters(&e)
+	payload, err := checkpoint.Marshal(r.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	r2 := NewRegistry()
 	pre := r2.Counter("sampler.ticks") // existing counter keeps its pointer
 	pre.Add(999)
-	d := checkpoint.NewDec("obs", 0, e.Bytes())
-	if err := r2.RestoreCounters(d); err != nil {
+	if err := checkpoint.Unmarshal(payload, r2.Checkpoint); err != nil {
 		t.Fatal(err)
-	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d unread payload bytes", d.Remaining())
 	}
 	if pre.Value() != 42 {
 		t.Fatalf("sampler.ticks = %d, want 42", pre.Value())
@@ -40,15 +38,16 @@ func TestRegistryCountersCheckpointRoundTrip(t *testing.T) {
 
 // A truncated payload latches a corruption error rather than partially
 // applying.
-func TestRegistryRestoreCountersTruncated(t *testing.T) {
+func TestRegistryRestoreTruncated(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a").Add(1)
-	var e checkpoint.Enc
-	r.SaveCounters(&e)
-	payload := e.Bytes()
+	payload, err := checkpoint.Marshal(r.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	r2 := NewRegistry()
-	if err := r2.RestoreCounters(checkpoint.NewDec("obs", 0, payload[:len(payload)-3])); err == nil {
+	if err := checkpoint.Unmarshal(payload[:len(payload)-3], r2.Checkpoint); err == nil {
 		t.Fatal("truncated payload restored without error")
 	}
 }

@@ -2,36 +2,16 @@ package sdram
 
 import "memories/internal/checkpoint"
 
-// SaveState serializes the tag-store scheduler horizon and statistics.
-// The configuration itself is not stored; the restorer must be built
-// with the same timing, which the per-bank slice length cross-checks.
-func (t *TagStore) SaveState(e *checkpoint.Enc) {
-	e.U64(t.channelFree)
-	e.U64Slice(t.bankFree)
-	e.U64(t.stats.Ops)
-	e.U64(t.stats.BusyCycles)
-	e.U64(t.stats.BankConflicts)
-	e.U64(t.stats.StallCycles)
-	e.U64(t.stats.InjectedStallCycles)
-}
-
-// RestoreState loads a checkpointed scheduler state into an identically
-// configured store.
-func (t *TagStore) RestoreState(d *checkpoint.Dec) error {
-	channelFree := d.U64()
-	bankFree := d.U64Slice()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if len(bankFree) != len(t.bankFree) {
-		return d.Failf("bank count %d != configured %d", len(bankFree), len(t.bankFree))
-	}
-	t.channelFree = channelFree
-	copy(t.bankFree, bankFree)
-	t.stats.Ops = d.U64()
-	t.stats.BusyCycles = d.U64()
-	t.stats.BankConflicts = d.U64()
-	t.stats.StallCycles = d.U64()
-	t.stats.InjectedStallCycles = d.U64()
-	return d.Err()
+// Checkpoint walks the tag-store scheduler horizon and statistics. The
+// configuration itself is not stored; the restorer must be built with
+// the same timing, which the per-bank slice length cross-checks.
+func (t *TagStore) Checkpoint(c *checkpoint.Codec) error {
+	c.U64(&t.channelFree)
+	checkpoint.Slice64(c, "bank count", t.bankFree)
+	c.U64(&t.stats.Ops)
+	c.U64(&t.stats.BusyCycles)
+	c.U64(&t.stats.BankConflicts)
+	c.U64(&t.stats.StallCycles)
+	c.U64(&t.stats.InjectedStallCycles)
+	return c.Err()
 }

@@ -7,45 +7,16 @@ import (
 	"memories/internal/checkpoint"
 )
 
-func TestTagStoreCheckpointRoundTrip(t *testing.T) {
-	ts := New(DefaultConfig())
-	ts.channelFree = 777
-	for i := range ts.bankFree {
-		ts.bankFree[i] = uint64(1000 + 3*i)
-	}
-	ts.stats = Stats{Ops: 1, BusyCycles: 2, BankConflicts: 3, StallCycles: 4, InjectedStallCycles: 5}
-
-	var e checkpoint.Enc
-	ts.SaveState(&e)
-
-	ts2 := New(DefaultConfig())
-	d := checkpoint.NewDec("sdram", 0, e.Bytes())
-	if err := ts2.RestoreState(d); err != nil {
-		t.Fatal(err)
-	}
-	if ts2.channelFree != ts.channelFree {
-		t.Fatalf("channelFree %d != saved %d", ts2.channelFree, ts.channelFree)
-	}
-	for i := range ts.bankFree {
-		if ts2.bankFree[i] != ts.bankFree[i] {
-			t.Fatalf("bankFree[%d] = %d, want %d", i, ts2.bankFree[i], ts.bankFree[i])
-		}
-	}
-	if ts2.stats != ts.stats {
-		t.Fatalf("stats %+v != saved %+v", ts2.stats, ts.stats)
-	}
-}
-
 // The per-bank horizon slice length cross-checks the configuration: a
 // snapshot from a store with a different bank count is corruption.
 func TestTagStoreRestoreBankMismatch(t *testing.T) {
-	ts := New(DefaultConfig())
-	var e checkpoint.Enc
-	ts.SaveState(&e)
-
+	payload, err := checkpoint.Marshal(New(DefaultConfig()).Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
 	small := DefaultConfig()
 	small.Banks = 4
-	err := New(small).RestoreState(checkpoint.NewDec("sdram", 0, e.Bytes()))
+	err = checkpoint.Unmarshal(payload, New(small).Checkpoint)
 	var ce *checkpoint.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *checkpoint.CorruptError", err)

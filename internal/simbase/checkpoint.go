@@ -2,55 +2,27 @@ package simbase
 
 import "memories/internal/checkpoint"
 
-// SaveState serializes the trace simulator: global record counts and,
-// per node, the directory image and result counters. Node configuration
-// is cross-checked structurally by the cache restore, not stored.
-func (s *TraceSim) SaveState(e *checkpoint.Enc) {
-	e.U64(s.Filtered)
-	e.U64(s.Processed)
-	e.U32(uint32(len(s.nodes)))
+// Checkpoint walks the trace simulator: global record counts and, per
+// node, the directory image and result counters. Node configuration is
+// cross-checked structurally by the cache walk, not stored.
+func (s *TraceSim) Checkpoint(c *checkpoint.Codec) error {
+	c.U64(&s.Filtered)
+	c.U64(&s.Processed)
+	c.Len("node count", len(s.nodes))
 	for _, n := range s.nodes {
-		n.dir.SaveState(e)
-		e.U64(n.stats.ReadHit)
-		e.U64(n.stats.ReadMiss)
-		e.U64(n.stats.WriteHit)
-		e.U64(n.stats.WriteMiss)
-		e.U64(n.stats.SatL3)
-		e.U64(n.stats.SatModInt)
-		e.U64(n.stats.SatShrInt)
-		e.U64(n.stats.SatMemory)
-		e.U64(n.stats.Castouts)
-		e.U64(n.stats.Evictions)
-	}
-}
-
-// RestoreState loads a checkpointed simulator state into an identically
-// configured one.
-func (s *TraceSim) RestoreState(d *checkpoint.Dec) error {
-	filtered := d.U64()
-	processed := d.U64()
-	if got, want := int(d.U32()), len(s.nodes); got != want {
-		return d.Failf("node count %d != configured %d", got, want)
-	}
-	for _, n := range s.nodes {
-		if _, err := n.dir.RestoreState(d); err != nil {
+		if _, err := n.dir.Checkpoint(c); err != nil {
 			return err
 		}
-		n.stats.ReadHit = d.U64()
-		n.stats.ReadMiss = d.U64()
-		n.stats.WriteHit = d.U64()
-		n.stats.WriteMiss = d.U64()
-		n.stats.SatL3 = d.U64()
-		n.stats.SatModInt = d.U64()
-		n.stats.SatShrInt = d.U64()
-		n.stats.SatMemory = d.U64()
-		n.stats.Castouts = d.U64()
-		n.stats.Evictions = d.U64()
+		c.U64(&n.stats.ReadHit)
+		c.U64(&n.stats.ReadMiss)
+		c.U64(&n.stats.WriteHit)
+		c.U64(&n.stats.WriteMiss)
+		c.U64(&n.stats.SatL3)
+		c.U64(&n.stats.SatModInt)
+		c.U64(&n.stats.SatShrInt)
+		c.U64(&n.stats.SatMemory)
+		c.U64(&n.stats.Castouts)
+		c.U64(&n.stats.Evictions)
 	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	s.Filtered = filtered
-	s.Processed = processed
-	return nil
+	return c.Err()
 }

@@ -46,16 +46,14 @@ func TestTraceSimCheckpointContinuation(t *testing.T) {
 	s := MustNewTraceSim(ckptNodeConfig())
 	feed(s, 42, 10_000)
 
-	var e checkpoint.Enc
-	s.SaveState(&e)
-
-	s2 := MustNewTraceSim(ckptNodeConfig())
-	d := checkpoint.NewDec("tracesim", 0, e.Bytes())
-	if err := s2.RestoreState(d); err != nil {
+	payload, err := checkpoint.Marshal(s.Checkpoint)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d unread payload bytes", d.Remaining())
+
+	s2 := MustNewTraceSim(ckptNodeConfig())
+	if err := checkpoint.Unmarshal(payload, s2.Checkpoint); err != nil {
+		t.Fatal(err)
 	}
 	if s2.Processed != s.Processed || s2.Filtered != s.Filtered {
 		t.Fatalf("counts (%d,%d) != saved (%d,%d)", s2.Processed, s2.Filtered, s.Processed, s.Filtered)
@@ -76,12 +74,14 @@ func TestTraceSimCheckpointContinuation(t *testing.T) {
 func TestTraceSimRestoreNodeCountMismatch(t *testing.T) {
 	s := MustNewTraceSim(ckptNodeConfig())
 	feed(s, 1, 100)
-	var e checkpoint.Enc
-	s.SaveState(&e)
+	payload, err := checkpoint.Marshal(s.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	two := append(ckptNodeConfig(), ckptNodeConfig()...)
 	two[1].CPUs = []int{4, 5, 6, 7}
-	err := MustNewTraceSim(two).RestoreState(checkpoint.NewDec("tracesim", 0, e.Bytes()))
+	err = checkpoint.Unmarshal(payload, MustNewTraceSim(two).Checkpoint)
 	var ce *checkpoint.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *checkpoint.CorruptError", err)

@@ -13,38 +13,34 @@ func (c *Counter) Restore(v uint64, saturated bool) {
 	c.v, c.saturated = v, saturated
 }
 
-// SaveState serializes every counter (name, value, saturation flag) in
-// creation order.
-func (b *Bank) SaveState(e *checkpoint.Enc) {
-	e.U32(uint32(len(b.order)))
-	for _, name := range b.order {
-		c := b.counters[name]
-		e.Str(name)
-		e.U64(c.v)
-		e.Bool(c.saturated)
+// Checkpoint walks every counter (name, value, saturation flag) in
+// creation order. Loading resets the bank and then lands the values in
+// the existing counters, so that cached *Counter pointers held by the
+// board and the obs mirror remain valid; a snapshot naming a counter
+// this bank does not have means the configurations differ, which is
+// reported as corruption.
+func (b *Bank) Checkpoint(c *checkpoint.Codec) error {
+	n := uint32(len(b.order))
+	c.U32(&n)
+	if c.Loading() {
+		b.ResetAll()
 	}
-}
-
-// RestoreState loads counter values into the existing bank, so that
-// cached *Counter pointers held by the board and the obs mirror remain
-// valid. Counters are reset first; a snapshot naming a counter this
-// bank does not have means the configurations differ, which is reported
-// as corruption.
-func (b *Bank) RestoreState(d *checkpoint.Dec) error {
-	b.ResetAll()
-	n := d.U32()
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		name := d.Str()
-		v := d.U64()
-		sat := d.Bool()
-		if d.Err() != nil {
-			break
+	for i := 0; i < int(n) && c.Err() == nil; i++ {
+		var name string
+		if !c.Loading() {
+			name = b.order[i]
 		}
-		c := b.counters[name]
-		if c == nil {
-			return d.Failf("snapshot counter %q not present in this bank", name)
+		c.Str(&name)
+		ctr := b.counters[name]
+		if ctr == nil {
+			return c.Failf("snapshot counter %q not present in this bank", name)
 		}
-		c.Restore(v, sat)
+		v, sat := ctr.v, ctr.saturated
+		c.U64(&v)
+		c.Bool(&sat)
+		if c.Loading() {
+			ctr.Restore(v, sat)
+		}
 	}
-	return d.Err()
+	return c.Err()
 }

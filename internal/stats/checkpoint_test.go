@@ -15,8 +15,10 @@ func TestBankCheckpointRoundTrip(t *testing.T) {
 	b.Counter("hits").Add(CounterMax + 99) // saturates at the 40-bit cap
 	b.Counter("zero")
 
-	var e checkpoint.Enc
-	b.SaveState(&e)
+	payload, err := checkpoint.Marshal(b.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	b2 := NewBank()
 	// Same counter set, scrambled pre-restore values: restore must
@@ -25,8 +27,7 @@ func TestBankCheckpointRoundTrip(t *testing.T) {
 	b2.Counter("hits")
 	b2.Counter("zero").Add(777)
 
-	d := checkpoint.NewDec("bank", 0, e.Bytes())
-	if err := b2.RestoreState(d); err != nil {
+	if err := checkpoint.Unmarshal(payload, b2.Checkpoint); err != nil {
 		t.Fatal(err)
 	}
 	if snoops.Value() != 12345 {
@@ -48,12 +49,14 @@ func TestBankCheckpointRoundTrip(t *testing.T) {
 func TestBankRestoreUnknownCounter(t *testing.T) {
 	b := NewBank()
 	b.Counter("only-here").Inc()
-	var e checkpoint.Enc
-	b.SaveState(&e)
+	payload, err := checkpoint.Marshal(b.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	other := NewBank()
 	other.Counter("different")
-	err := other.RestoreState(checkpoint.NewDec("bank", 0, e.Bytes()))
+	err = checkpoint.Unmarshal(payload, other.Checkpoint)
 	var ce *checkpoint.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *checkpoint.CorruptError", err)

@@ -6,7 +6,7 @@ import (
 	"memories/internal/checkpoint"
 )
 
-// State returns the RNG's raw xorshift state for checkpointing.
+// State returns the RNG's raw xorshift state.
 func (r *RNG) State() uint64 { return r.state }
 
 // SetState restores a checkpointed RNG state. Zero is remapped the same
@@ -18,200 +18,104 @@ func (r *RNG) SetState(s uint64) {
 	r.state = s
 }
 
+// Checkpoint walks the RNG's state.
+func (r *RNG) Checkpoint(c *checkpoint.Codec) {
+	s := r.state
+	c.U64(&s)
+	r.SetState(s)
+}
+
 // Checkpointer is implemented by generators whose position in the
 // reference stream can be saved and restored. The splash kernels do not
-// implement it (their state lives in goroutine stacks); Host.SaveState
+// implement it (their state lives in goroutine stacks); Host.Checkpoint
 // surfaces that as an error rather than writing a partial snapshot.
 type Checkpointer interface {
-	SaveState(e *checkpoint.Enc) error
-	RestoreState(d *checkpoint.Dec) error
+	Checkpoint(c *checkpoint.Codec) error
 }
 
-// decCPU reads a CPU cursor and clamps it into [0, n): a corrupt value
-// must not index past per-CPU state slices.
-func decCPU(d *checkpoint.Dec, n int) int {
-	cpu := int(d.U32())
-	if cpu < 0 || cpu >= n {
-		cpu = 0
+// cursor walks a generator's RNG and its round-robin CPU cursor. Name()
+// does not carry the CPU count, so a cursor outside [0, n) is the only
+// sign that the snapshot came from a generator built with more CPUs; it
+// is corruption, not something to clamp — the stream would silently
+// resume at a different point.
+func cursor(c *checkpoint.Codec, r *RNG, cpu *int, n int) {
+	r.Checkpoint(c)
+	v := uint32(*cpu)
+	c.U32(&v)
+	if int(v) >= n {
+		c.Failf("cpu cursor %d, generator has %d CPUs", v, n)
+	} else {
+		*cpu = int(v)
 	}
-	return cpu
 }
 
-// SaveState implements Checkpointer.
-func (u *Uniform) SaveState(e *checkpoint.Enc) error {
-	e.U64(u.r.state)
-	e.U32(uint32(u.cpu))
-	return nil
+// Checkpoint implements Checkpointer.
+func (u *Uniform) Checkpoint(c *checkpoint.Codec) error {
+	cursor(c, u.r, &u.cpu, u.cfg.NumCPUs)
+	return c.Err()
 }
 
-// RestoreState implements Checkpointer.
-func (u *Uniform) RestoreState(d *checkpoint.Dec) error {
-	u.r.SetState(d.U64())
-	u.cpu = decCPU(d, u.cfg.NumCPUs)
-	return d.Err()
+// Checkpoint implements Checkpointer.
+func (s *Stride) Checkpoint(c *checkpoint.Codec) error {
+	cursor(c, s.r, &s.cpu, s.cfg.NumCPUs)
+	checkpoint.Slice64(c, "stride cursor count", s.pos)
+	return c.Err()
 }
 
-// SaveState implements Checkpointer.
-func (s *Stride) SaveState(e *checkpoint.Enc) error {
-	e.U64(s.r.state)
-	e.U32(uint32(s.cpu))
-	e.I64Slice(s.pos)
-	return nil
+// Checkpoint implements Checkpointer.
+func (z *Zipfian) Checkpoint(c *checkpoint.Codec) error {
+	cursor(c, z.r, &z.cpu, z.cfg.NumCPUs)
+	return c.Err()
 }
 
-// RestoreState implements Checkpointer.
-func (s *Stride) RestoreState(d *checkpoint.Dec) error {
-	s.r.SetState(d.U64())
-	s.cpu = decCPU(d, s.cfg.NumCPUs)
-	pos := d.I64Slice()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if len(pos) != len(s.pos) {
-		return d.Failf("stride cursor count %d != %d CPUs", len(pos), len(s.pos))
-	}
-	copy(s.pos, pos)
-	return nil
-}
-
-// SaveState implements Checkpointer.
-func (z *Zipfian) SaveState(e *checkpoint.Enc) error {
-	e.U64(z.r.state)
-	e.U32(uint32(z.cpu))
-	return nil
-}
-
-// RestoreState implements Checkpointer.
-func (z *Zipfian) RestoreState(d *checkpoint.Dec) error {
-	z.r.SetState(d.U64())
-	z.cpu = decCPU(d, z.cfg.NumCPUs)
-	return d.Err()
-}
-
-// SaveState implements Checkpointer. The pyramids and Zipf samplers are
+// Checkpoint implements Checkpointer. The pyramids and Zipf samplers are
 // immutable after construction; only the RNG and cursors move.
-func (t *TPCC) SaveState(e *checkpoint.Enc) error {
-	e.U64(t.r.state)
-	e.U32(uint32(t.cpu))
-	e.I64(t.logPos)
-	return nil
+func (t *TPCC) Checkpoint(c *checkpoint.Codec) error {
+	cursor(c, t.r, &t.cpu, t.cfg.NumCPUs)
+	c.I64(&t.logPos)
+	return c.Err()
 }
 
-// RestoreState implements Checkpointer.
-func (t *TPCC) RestoreState(d *checkpoint.Dec) error {
-	t.r.SetState(d.U64())
-	t.cpu = decCPU(d, t.cfg.NumCPUs)
-	t.logPos = d.I64()
-	return d.Err()
+// Checkpoint implements Checkpointer.
+func (t *TPCH) Checkpoint(c *checkpoint.Codec) error {
+	cursor(c, t.r, &t.cpu, t.cfg.NumCPUs)
+	checkpoint.Slice64(c, "tpch scan cursor count", t.scanPos)
+	return c.Err()
 }
 
-// SaveState implements Checkpointer.
-func (t *TPCH) SaveState(e *checkpoint.Enc) error {
-	e.U64(t.r.state)
-	e.U32(uint32(t.cpu))
-	e.I64Slice(t.scanPos)
-	return nil
-}
-
-// RestoreState implements Checkpointer.
-func (t *TPCH) RestoreState(d *checkpoint.Dec) error {
-	t.r.SetState(d.U64())
-	t.cpu = decCPU(d, t.cfg.NumCPUs)
-	pos := d.I64Slice()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if len(pos) != len(t.scanPos) {
-		return d.Failf("tpch scan cursor count %d != %d CPUs", len(pos), len(t.scanPos))
-	}
-	copy(t.scanPos, pos)
-	return nil
-}
-
-// SaveState implements Checkpointer.
-func (w *Web) SaveState(e *checkpoint.Enc) error {
-	e.U64(w.r.state)
-	e.U32(uint32(w.cpu))
-	e.I64(w.logPos)
-	e.U32(uint32(len(w.st)))
-	for _, s := range w.st {
-		e.I64(s.docBase)
-		e.I64(s.docLeft)
-		e.I64(s.conn)
-	}
-	return nil
-}
-
-// RestoreState implements Checkpointer.
-func (w *Web) RestoreState(d *checkpoint.Dec) error {
-	w.r.SetState(d.U64())
-	w.cpu = decCPU(d, w.cfg.NumCPUs)
-	w.logPos = d.I64()
-	n := int(d.U32())
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(w.st) {
-		return d.Failf("web per-CPU state count %d != %d CPUs", n, len(w.st))
-	}
+// Checkpoint implements Checkpointer.
+func (w *Web) Checkpoint(c *checkpoint.Codec) error {
+	cursor(c, w.r, &w.cpu, w.cfg.NumCPUs)
+	c.I64(&w.logPos)
+	c.Len("web per-CPU state count", len(w.st))
 	for i := range w.st {
-		w.st[i].docBase = d.I64()
-		w.st[i].docLeft = d.I64()
-		w.st[i].conn = d.I64()
+		c.I64(&w.st[i].docBase)
+		c.I64(&w.st[i].docLeft)
+		c.I64(&w.st[i].conn)
 	}
-	return d.Err()
+	return c.Err()
 }
 
-// checkpointerFor returns g as a Checkpointer, or an error naming the
-// generator when its stream position cannot be serialized.
-func checkpointerFor(g Generator) (Checkpointer, error) {
-	if c, ok := g.(Checkpointer); ok {
-		return c, nil
+// CheckpointGenerator walks g's stream position, or reports by name a
+// generator whose position cannot be serialized.
+func CheckpointGenerator(c *checkpoint.Codec, g Generator) error {
+	if ck, ok := g.(Checkpointer); ok {
+		return ck.Checkpoint(c)
 	}
-	return nil, fmt.Errorf("workload: generator %q is not checkpointable", g.Name())
+	return fmt.Errorf("workload: generator %q is not checkpointable", g.Name())
 }
 
-// SaveState implements Checkpointer by delegating to the wrapped
-// generator after the remaining-reference budget.
-func (l *limited) SaveState(e *checkpoint.Enc) error {
-	c, err := checkpointerFor(l.g)
-	if err != nil {
-		return err
-	}
-	e.U64(l.left)
-	return c.SaveState(e)
+// Checkpoint implements Checkpointer: the remaining-reference budget,
+// then the wrapped generator.
+func (l *limited) Checkpoint(c *checkpoint.Codec) error {
+	c.U64(&l.left)
+	return CheckpointGenerator(c, l.g)
 }
 
-// RestoreState implements Checkpointer.
-func (l *limited) RestoreState(d *checkpoint.Dec) error {
-	c, err := checkpointerFor(l.g)
-	if err != nil {
-		return err
-	}
-	l.left = d.U64()
-	return c.RestoreState(d)
-}
-
-// SaveState implements Checkpointer: burst phase, then the inner stream.
-func (dg *disturbed) SaveState(e *checkpoint.Enc) error {
-	c, err := checkpointerFor(dg.g)
-	if err != nil {
-		return err
-	}
-	e.U64(dg.sinceBurst)
-	e.U64(dg.burstLeft)
-	e.I64(dg.journalPos)
-	return c.SaveState(e)
-}
-
-// RestoreState implements Checkpointer.
-func (dg *disturbed) RestoreState(d *checkpoint.Dec) error {
-	c, err := checkpointerFor(dg.g)
-	if err != nil {
-		return err
-	}
-	dg.sinceBurst = d.U64()
-	dg.burstLeft = d.U64()
-	dg.journalPos = d.I64()
-	return c.RestoreState(d)
+// Checkpoint implements Checkpointer: burst phase, then the inner stream.
+func (dg *disturbed) Checkpoint(c *checkpoint.Codec) error {
+	c.U64(&dg.sinceBurst)
+	c.U64(&dg.burstLeft)
+	c.I64(&dg.journalPos)
+	return CheckpointGenerator(c, dg.g)
 }

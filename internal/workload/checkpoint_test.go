@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"memories/internal/addr"
@@ -46,20 +48,16 @@ func TestGeneratorCheckpointContinuation(t *testing.T) {
 					t.Fatal("stream ended early")
 				}
 			}
-			var e checkpoint.Enc
 			ck, ok := orig.(Checkpointer)
 			if !ok {
 				t.Fatalf("%s does not implement Checkpointer", name)
 			}
-			if err := ck.SaveState(&e); err != nil {
+			payload, err := checkpoint.Marshal(ck.Checkpoint)
+			if err != nil {
 				t.Fatal(err)
 			}
 			fresh := mk()
-			d := checkpoint.NewDec("gen", 0, e.Bytes())
-			if err := fresh.(Checkpointer).RestoreState(d); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Close(); err != nil {
+			if err := checkpoint.Unmarshal(payload, fresh.(Checkpointer).Checkpoint); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 5000; i++ {
@@ -73,13 +71,49 @@ func TestGeneratorCheckpointContinuation(t *testing.T) {
 	}
 }
 
-// TestSplashNotCheckpointable: the goroutine-backed kernels must be
-// reported, not silently mis-snapshotted.
+// TestLimitedRejectsNonCheckpointable: a wrapper over a generator whose
+// position cannot be serialized (the goroutine-backed kernels) must
+// report it, not silently snapshot its own half.
 func TestLimitedRejectsNonCheckpointable(t *testing.T) {
 	g := Limit(&fake{}, 10)
-	var e checkpoint.Enc
-	if err := g.(Checkpointer).SaveState(&e); err == nil {
+	if _, err := checkpoint.Marshal(g.(Checkpointer).Checkpoint); err == nil {
 		t.Fatal("limited over non-checkpointable generator saved")
+	}
+}
+
+// TestGeneratorRestoreRejectsWiderCursor: Name() does not carry the CPU
+// count, so the round-robin cursor is the only witness that a snapshot
+// came from a generator built with more CPUs. Clamping it would resume
+// the stream at a different point without a word.
+func TestGeneratorRestoreRejectsWiderCursor(t *testing.T) {
+	for name, mk := range map[string]func(ncpu int) Generator{
+		"uniform": func(n int) Generator {
+			return NewUniform(UniformConfig{NumCPUs: n, FootprintByte: 8 * addr.MB, Seed: 5})
+		},
+		"zipf": func(n int) Generator {
+			return NewZipfian(ZipfConfig{NumCPUs: n, FootprintByte: 8 * addr.MB, Seed: 5})
+		},
+		"tpcc": func(n int) Generator {
+			cfg := ScaledTPCCConfig(4096)
+			cfg.NumCPUs = n
+			return NewTPCC(cfg)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			wide := mk(8)
+			for i := 0; i < 7; i++ { // cursor now at CPU 7
+				wide.Next()
+			}
+			payload, err := checkpoint.Marshal(wide.(Checkpointer).Checkpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = checkpoint.Unmarshal(payload, mk(4).(Checkpointer).Checkpoint)
+			var ce *checkpoint.CorruptError
+			if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "cpu cursor 7, generator has 4 CPUs") {
+				t.Fatalf("err = %v, want cpu-cursor *checkpoint.CorruptError", err)
+			}
+		})
 	}
 }
 

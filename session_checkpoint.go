@@ -26,40 +26,33 @@ func (s *Session) sessionFingerprint() string {
 	return fmt.Sprintf("host=%+v gen=%s", s.Host.Config(), s.Host.Generator().Name())
 }
 
-// appendSections writes the whole session: meta fingerprint, host state
-// (workload position, RNG, private caches, bus), board sections, and —
-// when present — fault-injector and obs-registry state.
-func (s *Session) appendSections(cw *checkpoint.Writer) error {
-	var meta checkpoint.Enc
-	meta.Str(s.sessionFingerprint())
-	if err := cw.Section("session.meta", meta.Bytes()); err != nil {
-		return err
+// sections walks the whole session in either direction: meta
+// fingerprint, host state (workload position, RNG, private caches, bus),
+// board sections, and — when present — fault-injector and obs-registry
+// state. A plain session loads a snapshot taken by an obs-enabled twin
+// by ignoring the obs section, and an obs-enabled one a plain snapshot.
+func (s *Session) sections(a *checkpoint.Archive) (RestoreReport, error) {
+	if err := a.FixedStr("session.meta", "session configuration", s.sessionFingerprint()); err != nil {
+		return RestoreReport{}, err
 	}
-	var hs checkpoint.Enc
-	if err := s.Host.SaveState(&hs); err != nil {
-		return err
+	if err := a.Section("host.state", s.Host.Checkpoint); err != nil {
+		return RestoreReport{}, err
 	}
-	if err := cw.Section("host.state", hs.Bytes()); err != nil {
-		return err
-	}
-	if err := s.Board.AppendSections(cw); err != nil {
-		return err
+	rep, err := s.Board.Sections(a)
+	if err != nil {
+		return rep, err
 	}
 	if s.inj != nil {
-		var fs checkpoint.Enc
-		s.inj.SaveState(&fs)
-		if err := cw.Section("faults.state", fs.Bytes()); err != nil {
-			return err
+		if err := a.Section("faults.state", s.inj.Checkpoint); err != nil {
+			return rep, err
 		}
 	}
-	if s.obs != nil {
-		var os checkpoint.Enc
-		s.obs.Registry.SaveCounters(&os)
-		if err := cw.Section("obs.counters", os.Bytes()); err != nil {
-			return err
+	if s.obs != nil && a.Has("obs.counters") {
+		if err := a.Section("obs.counters", s.obs.Registry.Checkpoint); err != nil {
+			return rep, err
 		}
 	}
-	return nil
+	return rep, nil
 }
 
 // Checkpoint writes the session's complete state to path, crash-safely
@@ -68,7 +61,10 @@ func (s *Session) appendSections(cw *checkpoint.Writer) error {
 // buffers are flushed first so the snapshot is a quiescent point.
 func (s *Session) Checkpoint(path string) error {
 	s.Board.Flush()
-	return checkpoint.WriteFileAtomic(path, s.appendSections)
+	return checkpoint.WriteFileAtomic(path, func(cw *checkpoint.Writer) error {
+		_, err := s.sections(checkpoint.SaveTo(cw))
+		return err
+	})
 }
 
 // Restore loads a checkpoint written by Checkpoint into this session,
@@ -86,53 +82,5 @@ func (s *Session) Restore(path string) (RestoreReport, error) {
 
 // RestoreSnapshot applies an already decoded snapshot (see Restore).
 func (s *Session) RestoreSnapshot(snap *checkpoint.Snapshot) (RestoreReport, error) {
-	md, err := snap.Dec("session.meta")
-	if err != nil {
-		return RestoreReport{}, err
-	}
-	if got, want := md.Str(), s.sessionFingerprint(); got != want {
-		return RestoreReport{}, md.Failf("session configuration mismatch: snapshot %q, this session %q", got, want)
-	}
-	if err := md.Close(); err != nil {
-		return RestoreReport{}, err
-	}
-	hs, err := snap.Dec("host.state")
-	if err != nil {
-		return RestoreReport{}, err
-	}
-	if err := s.Host.RestoreState(hs); err != nil {
-		return RestoreReport{}, err
-	}
-	if err := hs.Close(); err != nil {
-		return RestoreReport{}, err
-	}
-	rep, err := core.RestoreBoard(s.Board, snap)
-	if err != nil {
-		return rep, err
-	}
-	if s.inj != nil {
-		fs, err := snap.Dec("faults.state")
-		if err != nil {
-			return rep, err
-		}
-		if err := s.inj.RestoreState(fs); err != nil {
-			return rep, err
-		}
-		if err := fs.Close(); err != nil {
-			return rep, err
-		}
-	}
-	if s.obs != nil && snap.Has("obs.counters") {
-		od, err := snap.Dec("obs.counters")
-		if err != nil {
-			return rep, err
-		}
-		if err := s.obs.Registry.RestoreCounters(od); err != nil {
-			return rep, err
-		}
-		if err := od.Close(); err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
+	return s.sections(checkpoint.LoadFrom(snap))
 }

@@ -2,12 +2,30 @@ package memories
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 )
+
+// requireFileDigest pins the bytes Session.Checkpoint leaves on disk.
+// The digests were computed with the Enc-based writers of b889b55, so a
+// match means files written by either side of the two-way codec load
+// under the other.
+func requireFileDigest(t *testing.T, path, want string, size int) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want || len(b) != size {
+		t.Fatalf("%s: digest %s (%d B), want %s (%d B)", filepath.Base(path), got, len(b), want, size)
+	}
+}
 
 func testSession(t *testing.T) *Session {
 	t.Helper()
@@ -34,6 +52,7 @@ func TestSessionCheckpointResumeEquivalence(t *testing.T) {
 	if err := s.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}
+	requireFileDigest(t, path, "11c326ea77154cb9967bd1ffce1b7ce462ba7bc6b7961ac2c45d33b2db6c245f", 4759856)
 	resumed := testSession(t)
 	if _, err := resumed.Restore(path); err != nil {
 		t.Fatal(err)
@@ -79,6 +98,13 @@ func TestFaultSessionCheckpointResume(t *testing.T) {
 	ref.Run(half)
 
 	path := filepath.Join(t.TempDir(), "faults.ckpt")
+	pin, _ := mk()
+	pin.Run(half)
+	if err := pin.Checkpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	requireFileDigest(t, path, "61fb46451171c57efb29612d6e5be1851b7b7543c9f2b1438baeec28a9742298", 5284659)
+
 	s, _ := mk()
 	s.Run(half)
 	s.Board.ScrubNow()
