@@ -49,6 +49,7 @@ fuzz-long:
 	$(GO) test ./internal/core/ -run FuzzCheckpointRestore -fuzz FuzzCheckpointRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tracefile/ -run FuzzV2MmapDecode -fuzz FuzzV2MmapDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/host/ -run FuzzEventWheel -fuzz FuzzEventWheel -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/host/ -run FuzzPresence -fuzz FuzzPresence -fuzztime $(FUZZTIME)
 
 # The fault-injection acceptance sweep at CI scale (~seconds), run
 # serially (-parallel 1) so the output is the deterministic golden run.

@@ -5,14 +5,22 @@
 // The model is transaction-level, not signal-level. Devices attach as
 // Snoopers; for every address tenure the bus presents the transaction to
 // every snooper (except the source) and combines their responses with the
-// 6xx priority rule (Retry > Modified > Shared > Null). Passive devices —
+// 6xx priority rule (Retry > Modified > Shared > Null). The host's CPUs
+// attach behind a Presence summary of their caches — a snoop filter — and
+// are presented only the transactions it cannot rule out for them, which
+// leaves every combined response what the exhaustive loop would have
+// computed (a skipped snooper is one that would have answered Null).
+// Each device's BusID is sampled once, when it attaches. Passive devices —
 // MemorIES above all — snoop every transaction but normally answer Null;
 // the only active behaviour the board is permitted is posting Retry when
 // its transaction buffers are full (paper §3.3), which this model
 // faithfully allows.
 package bus
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Command enumerates 6xx bus transaction types. The set covers what the
 // paper's address filter must distinguish: cacheable memory operations
@@ -205,20 +213,47 @@ type Config struct {
 // DefaultConfig returns the host bus as used in the paper's case studies.
 func DefaultConfig() Config { return Config{ClockMHz: 100, WidthBytes: 16} }
 
+// Presence is an exact-negative summary of what the snoopers attached with
+// AttachFiltered hold: the software twin of the snoop filter real 6xx
+// machines put in front of the processors' L2 tags.
+type Presence interface {
+	// Holders returns one bit per filtered snooper, in AttachFiltered order
+	// (snooper i is bit i%8 of byte i/8; a short or nil slice is all
+	// zeros). A clear bit is a promise that the snooper's Snoop(tx) would
+	// answer RespNull and change nothing, so the bus does not make the
+	// call. A set bit promises nothing. The bus reads each byte before it
+	// calls the snoopers in it, and a Snoop may rewrite only its own bit.
+	Holders(tx *Transaction) []byte
+}
+
 // Bus is the shared 6xx memory bus. It is single-threaded by design: the
 // host model issues transactions in program order per cycle, matching the
 // single physical address tenure per bus clock.
 type Bus struct {
-	cfg      Config
-	cycle    uint64
-	seq      uint64
-	snoopers []Snooper
+	cfg   Config
+	cycle uint64
+	seq   uint64
+	// snoopers are presented every transaction, in attach order; filtered
+	// only those whose presence bit is set. Each entry carries the bus ID
+	// sampled at attach, so Issue makes no BusID call.
+	snoopers []device
+	filtered []device
+	presence Presence
 	// observers caches the snoopers that implement ResponseObserver
 	// (with their bus IDs) so Issue's combined-response phase is a plain
 	// slice walk instead of a per-transaction interface type assertion.
 	observers []observerEntry
 	stats     Stats
 }
+
+type device struct {
+	s  Snooper
+	id int
+}
+
+// own reports whether a transaction from src is the device's own, which
+// the bus does not present back to it. Negative IDs own nothing.
+func (d device) own(src int) bool { return d.id >= 0 && d.id == src }
 
 type observerEntry struct {
 	ro ResponseObserver
@@ -235,28 +270,57 @@ func New(cfg Config) *Bus {
 
 // Attach registers a snooper. Attach order determines snoop order, which
 // is observable only through identical-priority response ties and thus
-// does not affect results. The device's BusID is sampled here and must
-// be stable for its lifetime (true of every device in this codebase:
-// CPUs are numbered at construction, passive observers are fixed at -1).
+// does not affect results. The device's BusID is sampled here and never
+// asked for again, so it must be stable for the device's lifetime (true
+// of every device in this codebase: CPUs are numbered at construction,
+// passive observers are fixed at -1).
 func (b *Bus) Attach(s Snooper) {
-	b.snoopers = append(b.snoopers, s)
-	if ro, ok := s.(ResponseObserver); ok {
-		b.observers = append(b.observers, observerEntry{ro: ro, id: s.BusID()})
+	d := device{s, s.BusID()}
+	b.snoopers = append(b.snoopers, d)
+	b.observe(d)
+}
+
+// AttachFiltered registers snoopers behind a presence summary: each is
+// presented only the transactions for which p sets its bit (position in
+// ss), and none of its own; one that is a ResponseObserver is still told
+// every combined response. Everything Attach says holds otherwise. A bus
+// carries at most one summary, and filtered snoopers stay for its
+// lifetime — their positions are the summary's columns.
+func (b *Bus) AttachFiltered(p Presence, ss []Snooper) {
+	if b.presence != nil {
+		panic("bus: a presence summary is already installed")
+	}
+	b.presence = p
+	for _, s := range ss {
+		d := device{s, s.BusID()}
+		b.filtered = append(b.filtered, d)
+		b.observe(d)
 	}
 }
 
-// Detach removes a previously attached snooper (and, if it observed
+func (b *Bus) observe(d device) {
+	if ro, ok := d.s.(ResponseObserver); ok {
+		b.observers = append(b.observers, observerEntry{ro: ro, id: d.id})
+	}
+}
+
+// Detach removes a snooper registered with Attach (and, if it observed
 // combined responses, that registration too). Detaching a device whose
-// snoop can only ever answer Null — e.g. an idle CPU whose cache can
-// never hold a line — leaves every combined response unchanged; it only
-// removes the wasted probe. Unknown snoopers are ignored.
+// snoop can only ever answer Null leaves every combined response
+// unchanged; it only removes the wasted probe. Unknown snoopers, and
+// those attached with AttachFiltered, are ignored.
 func (b *Bus) Detach(s Snooper) {
-	for i, sn := range b.snoopers {
-		if sn == s {
-			b.snoopers = append(b.snoopers[:i], b.snoopers[i+1:]...)
+	at := -1
+	for i, d := range b.snoopers {
+		if d.s == s {
+			at = i
 			break
 		}
 	}
+	if at < 0 {
+		return
+	}
+	b.snoopers = append(b.snoopers[:at], b.snoopers[at+1:]...)
 	if ro, ok := s.(ResponseObserver); ok {
 		for i, o := range b.observers {
 			if o.ro == ro {
@@ -305,20 +369,30 @@ func (b *Bus) dataBeats(size int) uint64 {
 }
 
 // Issue places a transaction on the bus: it stamps the cycle and sequence
-// number, presents the address tenure to every snooper, combines their
-// responses, and advances the clock over the address and (unless retried)
-// data tenures. The caller owns re-issue on RespRetry.
+// number, presents the address tenure to every snooper that may react —
+// the filtered ones the presence summary names, then all the others —
+// combines their responses, and advances the clock over the address and
+// (unless retried) data tenures. The caller owns re-issue on RespRetry; a
+// re-issue consults the summary again, as it re-probed every cache before.
 func (b *Bus) Issue(tx *Transaction) SnoopResponse {
 	tx.Seq = b.seq
 	b.seq++
 	tx.Cycle = b.cycle
 
 	resp := RespNull
-	for _, s := range b.snoopers {
-		if id := s.BusID(); id >= 0 && id == tx.SrcID {
-			continue
+	if b.presence != nil {
+		for i, m := range b.presence.Holders(tx) {
+			for ; m != 0; m &= m - 1 {
+				if d := b.filtered[i<<3|bits.TrailingZeros8(m)]; !d.own(tx.SrcID) {
+					resp = Combine(resp, d.s.Snoop(tx))
+				}
+			}
 		}
-		resp = Combine(resp, s.Snoop(tx))
+	}
+	for _, d := range b.snoopers {
+		if !d.own(tx.SrcID) {
+			resp = Combine(resp, d.s.Snoop(tx))
+		}
 	}
 	// Combined-response phase: every participating device sees the
 	// outcome.

@@ -291,10 +291,8 @@ func (o *observingSnooper) ObserveResponse(tx *Transaction, combined SnoopRespon
 	o.combined = append(o.combined, combined)
 }
 
-// Detach exists so the discrete-event host can take guaranteed-Null
-// snoopers (idle CPUs) off the bus: a detached device is neither probed
-// nor told combined responses, and the remaining devices' combined
-// response is unaffected.
+// A detached device is neither probed nor told combined responses, and
+// the remaining devices' combined response is unaffected.
 func TestBusDetach(t *testing.T) {
 	b := New(DefaultConfig())
 	stay := &fakeSnooper{id: 0, resp: RespShared}
@@ -359,4 +357,150 @@ func TestBusIssueAt(t *testing.T) {
 	if tx2.Seq != tx.Seq+1 {
 		t.Fatalf("seq %d, want %d", tx2.Seq, tx.Seq+1)
 	}
+}
+
+// rowPresence is a Presence that answers every transaction with one fixed
+// row.
+type rowPresence struct{ row []byte }
+
+func (p *rowPresence) Holders(*Transaction) []byte { return p.row }
+
+// A filtered snooper is presented exactly the transactions whose row
+// names it (its own never); snoopers attached the plain way — passive
+// observers, and devices with CPU-like positive IDs the summary knows
+// nothing about — are presented everything, whatever the row says.
+func TestBusFilteredSnoopersFollowTheRow(t *testing.T) {
+	b := New(DefaultConfig())
+	cpus := []*fakeSnooper{{id: 0}, {id: 1}, {id: 2}}
+	p := &rowPresence{}
+	b.AttachFiltered(p, []Snooper{cpus[0], cpus[1], cpus[2]})
+	outsider := &fakeSnooper{id: 1, resp: RespRetry} // same ID as a CPU, not in the summary
+	passive := &observingSnooper{fakeSnooper: fakeSnooper{id: -1}}
+	b.Attach(outsider)
+	b.Attach(passive)
+
+	for _, tc := range []struct {
+		row  []byte
+		src  int
+		want [3]int // snoops each CPU has seen after this transaction
+	}{
+		{nil, 7, [3]int{0, 0, 0}},
+		{[]byte{0b101}, 7, [3]int{1, 0, 1}},
+		{[]byte{0b111}, 0, [3]int{1, 1, 2}}, // CPU 0's own
+		{[]byte{0b010}, 1, [3]int{1, 1, 2}}, // the only holder is the requester
+		{[]byte{0}, 2, [3]int{1, 1, 2}},
+	} {
+		p.row = tc.row
+		b.Issue(&Transaction{Cmd: Read, Addr: 0x1000, Size: 128, SrcID: tc.src})
+		for i, c := range cpus {
+			if len(c.seen) != tc.want[i] {
+				t.Fatalf("row %08b src %d: CPU %d has seen %d snoops, want %d", tc.row, tc.src, i, len(c.seen), tc.want[i])
+			}
+		}
+	}
+	// The outsider skipped only its own ID's transaction; the passive
+	// observer saw, and was told the outcome of, all five.
+	if len(outsider.seen) != 4 {
+		t.Fatalf("unfiltered device saw %d of 5 transactions, want 4 (all but SrcID 1)", len(outsider.seen))
+	}
+	if len(passive.seen) != 5 || len(passive.combined) != 5 {
+		t.Fatalf("passive observer saw %d snoops and %d combined responses, want 5 and 5", len(passive.seen), len(passive.combined))
+	}
+	if passive.combined[0] != RespRetry || passive.combined[3] != RespNull {
+		t.Fatalf("combined responses %v: the outsider's Retry must count whenever it is snooped", passive.combined)
+	}
+}
+
+// For every subset of four CPUs holding a line (two Shared, one Modified,
+// one Retry-posting) and every requester, a bus that snoops only the
+// holders combines to the same response as one that snoops everybody —
+// provided, as the Presence contract demands, that non-holders answer
+// Null.
+func TestBusFilteredCombineMatchesExhaustive(t *testing.T) {
+	held := [4]SnoopResponse{RespShared, RespShared, RespModified, RespRetry}
+	for holders := 0; holders < 16; holders++ {
+		for src := 0; src < 5; src++ { // 4 is a device outside the summary
+			mk := func() []Snooper {
+				ss := make([]Snooper, 4)
+				for i := range ss {
+					f := &fakeSnooper{id: i}
+					if holders>>i&1 == 1 {
+						f.resp = held[i]
+					}
+					ss[i] = f
+				}
+				return ss
+			}
+			filtered, exhaustive := New(DefaultConfig()), New(DefaultConfig())
+			fs := mk()
+			filtered.AttachFiltered(&rowPresence{row: []byte{byte(holders)}}, fs)
+			for _, s := range mk() {
+				exhaustive.Attach(s)
+			}
+			tx := Transaction{Cmd: RWITM, Addr: 0x4000, Size: 128, SrcID: src}
+			tx2 := tx
+			if got, want := filtered.Issue(&tx), exhaustive.Issue(&tx2); got != want {
+				t.Fatalf("holders %04b, requester %d: filtered bus combined %v, exhaustive %v", holders, src, got, want)
+			}
+			if filtered.Stats() != exhaustive.Stats() || filtered.Cycle() != exhaustive.Cycle() {
+				t.Fatalf("holders %04b, requester %d: bus stats or clock differ", holders, src)
+			}
+			for i, s := range fs {
+				want := 0
+				if holders>>i&1 == 1 && i != src {
+					want = 1
+				}
+				if got := len(s.(*fakeSnooper).seen); got != want {
+					t.Fatalf("holders %04b, requester %d: CPU %d snooped %d times, want %d", holders, src, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Detaching from the middle of the plain list must keep each remaining
+// device paired with its own sampled ID (self-snoop suppression) and
+// leave the observer list aligned; filtered devices are not in that list
+// and are untouched.
+func TestBusDetachKeepsIDsAligned(t *testing.T) {
+	b := New(DefaultConfig())
+	cpu := &observingSnooper{fakeSnooper: fakeSnooper{id: 0, resp: RespShared}}
+	b.AttachFiltered(&rowPresence{row: []byte{1}}, []Snooper{cpu})
+	first := &observingSnooper{fakeSnooper: fakeSnooper{id: 5}}
+	middle := &observingSnooper{fakeSnooper: fakeSnooper{id: 6}}
+	last := &observingSnooper{fakeSnooper: fakeSnooper{id: 7}}
+	b.Attach(first)
+	b.Attach(middle)
+	b.Attach(last)
+	b.Detach(middle)
+	b.Detach(cpu) // not in the plain list: ignored, its observer registration too
+
+	for _, src := range []int{5, 6, 7} {
+		b.Issue(&Transaction{Cmd: Read, Addr: 0x1000, Size: 128, SrcID: src})
+	}
+	// Each remaining device misses exactly its own transaction — had the
+	// IDs slipped by one on Detach, `last` would be skipped for SrcID 6.
+	if len(first.seen) != 2 || len(first.combined) != 2 || first.seen[0].SrcID != 6 {
+		t.Fatalf("first: %d snoops, %d combined, first from %d", len(first.seen), len(first.combined), first.seen[0].SrcID)
+	}
+	if len(last.seen) != 2 || len(last.combined) != 2 || last.seen[1].SrcID != 6 {
+		t.Fatalf("last: %d snoops, %d combined", len(last.seen), len(last.combined))
+	}
+	if len(middle.seen) != 0 || len(middle.combined) != 0 {
+		t.Fatal("detached device still on the bus")
+	}
+	if len(cpu.seen) != 3 || len(cpu.combined) != 3 {
+		t.Fatalf("filtered CPU saw %d of 3 transactions and %d combined responses", len(cpu.seen), len(cpu.combined))
+	}
+}
+
+func TestBusOneSummaryPerBus(t *testing.T) {
+	b := New(DefaultConfig())
+	b.AttachFiltered(&rowPresence{}, nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second AttachFiltered did not panic")
+		}
+	}()
+	b.AttachFiltered(&rowPresence{}, nil)
 }

@@ -380,6 +380,49 @@ func (c *Cache) Invalidate(a uint64) (prior uint8, found bool) {
 	return c.InvalidateAt(slot), true
 }
 
+// Presence buckets. A summary of which of several same-geometry caches may
+// hold a line (the host bus's snoop filter) needs a partition of the line
+// addresses that every such cache computes identically and that one cache
+// can test for emptiness without a walk. A bucket is (set index, hash of
+// the tag): all of one cache's lines in a bucket live in one set, so
+// "does this cache still hold anything in the bucket" is one set scan.
+
+// BucketsPerWay is the grain of the partition: a set splits into
+// Assoc × BucketsPerWay buckets, so a full set marks at most 1 in 16.
+const BucketsPerWay = 16
+
+// Buckets returns how many buckets a cache of geometry g splits into.
+func Buckets(g addr.Geometry) int64 { return g.Lines() * BucketsPerWay }
+
+// Bucket returns the bucket of the line containing a, in [0, Buckets(g)).
+func Bucket(g addr.Geometry, a uint64) int64 {
+	per := uint64(g.Assoc) * BucketsPerWay
+	return g.Index(a)*int64(per) + int64(tagBucket(g.Tag(a), per))
+}
+
+// tagBucket spreads a tag over [0, per). The tag is hashed (Fibonacci
+// multiply, top 32 bits, then multiply-shift range reduction) because the
+// low tag bits of real streams carry little entropy: regions start at
+// round addresses, so neighbouring tags differ mostly above them.
+func tagBucket(tag, per uint64) uint64 {
+	return (tag * 0x9e3779b97f4a7c15 >> 32) * per >> 32
+}
+
+// BucketOccupied reports whether any resident line shares a's bucket —
+// a itself included, if resident. It rescans a's one set and changes
+// nothing (no statistics, no recency).
+func (c *Cache) BucketOccupied(a uint64) bool {
+	per := uint64(c.geom.Assoc) * BucketsPerWay
+	want := tagBucket(c.geom.Tag(a), per)
+	base := c.geom.Index(a) * int64(c.geom.Assoc)
+	for _, w := range c.words[base : base+int64(c.geom.Assoc)] {
+		if w.State() != StateInvalid && tagBucket(w.Tag(), per) == want {
+			return true
+		}
+	}
+	return false
+}
+
 // ValidCount returns the number of resident lines in O(1); the count is
 // maintained incrementally by every state-changing operation (an 8 GB
 // directory scan would be 64M iterations per occupancy sample).

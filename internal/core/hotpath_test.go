@@ -310,6 +310,35 @@ func TestHostStepAllocFree(t *testing.T) {
 	}
 }
 
+// TestHostStepAllocFreePerCPU is the wheel twin: eight per-CPU actors over
+// one shared region, so a step is an event pop, a burst of filtered
+// references, and a bus tenure that goes through the presence summary to
+// the peers that hold the line and on to the board.
+func TestHostStepAllocFreePerCPU(t *testing.T) {
+	cfg := host.DefaultConfig()
+	cfg.L1Bytes = 8 * addr.KB
+	cfg.L2Bytes = 64 * addr.KB
+	streams := make([]workload.Generator, cfg.NumCPUs)
+	for i := range streams {
+		streams[i] = workload.NewZipfian(workload.ZipfConfig{
+			NumCPUs: 1, FootprintByte: addr.MB, WriteFraction: 0.3, Seed: 7 + uint64(i),
+		})
+	}
+	h := host.MustNewPerCPU(cfg, streams, host.EngineWheel)
+	b := MustNewBoard(fourNodeConfig())
+	h.Bus().Attach(b)
+	h.Run(200_000)
+	if st := h.Stats(); st.Invalidations == 0 || st.Castouts == 0 {
+		t.Fatalf("warm-up never invalidated or cast out: %+v", st)
+	}
+	allocs := testing.AllocsPerRun(20000, func() {
+		h.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("per-CPU host.Step allocates %.2f/op, want 0", allocs)
+	}
+}
+
 // TestSnoopBatchAllocFree: the batched ingest must allocate nothing
 // beyond the caller-owned batch slice.
 func TestSnoopBatchAllocFree(t *testing.T) {

@@ -64,6 +64,7 @@ func runHostScale(p Preset) (*Result, error) {
 		st     host.Stats
 		bst    busStatsLike
 		busPct float64
+		probes float64 // peer snoops per memory transaction
 	}
 	pts, err := parallel.Map(p.Parallel, len(sweep), func(i int) (point, error) {
 		ncpu := sweep[i]
@@ -99,6 +100,7 @@ func runHostScale(p Preset) (*Result, error) {
 			return point{}, fmt.Errorf("hostscale: %d CPUs: bus stats diverge between engines", ncpu)
 		}
 		bs := wheel.Bus().Stats()
+		probed, _ := wheel.SnoopFilter()
 		return point{
 			ncpu:   ncpu,
 			active: active,
@@ -106,6 +108,7 @@ func runHostScale(p Preset) (*Result, error) {
 			st:     wheel.Stats(),
 			bst:    busStatsLike{Transactions: bs.Transactions, BusyCycles: bs.BusyCycles},
 			busPct: 100 * float64(bs.BusyCycles) / float64(wheel.Bus().Cycle()),
+			probes: float64(probed) / float64(bs.Transactions-wheel.Stats().IOOps),
 		}, nil
 	})
 	if err != nil {
@@ -114,18 +117,19 @@ func runHostScale(p Preset) (*Result, error) {
 
 	t := stats.NewTable(
 		fmt.Sprintf("HOST SCALING. Event-wheel dispatches vs. lock-step polls over %d bus cycles", cycles),
-		"CPUs", "busy", "refs", "bus txns", "bus busy%", "events", "lock-step polls", "polls/event")
+		"CPUs", "busy", "refs", "bus txns", "bus busy%", "events", "lock-step polls", "polls/event", "probes/txn")
 	for _, pt := range pts {
 		polls := cycles * uint64(pt.ncpu)
 		t.AddRow(pt.ncpu, pt.active, pt.st.Refs, pt.bst.Transactions,
 			fmt.Sprintf("%.1f%%", pt.busPct), pt.events, polls,
-			float64(polls)/float64(pt.events))
+			float64(polls)/float64(pt.events), pt.probes)
 	}
 	res := &Result{
 		Tables: []*stats.Table{t},
 		Notes: []string{
 			fmt.Sprintf("%d conflicting Zipf streams (seed %d) inside machines of growing size; idle CPUs are never scheduled", pts[0].active, seed),
 			"every point re-ran under the lock-step engine with bit-identical stats, events, and bus clock",
+			fmt.Sprintf("probes/txn: peer caches the bus's snoop filter presented each memory transaction to, of the %d busy peers a bus without it snoops", pts[0].active-1),
 		},
 	}
 

@@ -24,7 +24,8 @@ const hostSectionVersion = 2
 // Checkpoint walks the host: format version, mode, generator identity +
 // stream position (per actor in per-CPU mode, along with each actor's
 // clock and pending event), the accumulated statistics, the bus, and
-// every CPU's private caches. A snapshot loads only into an identically
+// every CPU's private caches (the snoop filter over them is rebuilt, not
+// stored). A snapshot loads only into an identically
 // configured host (same Config, same generator construction, same
 // mode); generator names are cross-checked so a snapshot from a
 // different workload is rejected rather than silently misapplied.
@@ -81,7 +82,14 @@ func (h *Host) Checkpoint(k *checkpoint.Codec) error {
 			return err
 		}
 	}
-	return k.Err()
+	if err := k.Err(); err != nil || !k.Loading() {
+		return err
+	}
+	// The bus's presence summary is derived from the caches just loaded
+	// and is not in the snapshot; left as it was it would hide the
+	// restored lines from their snoops.
+	h.pres.rebuild()
+	return nil
 }
 
 // checkpointActors walks the per-CPU discrete-event state — each

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -14,6 +15,11 @@ import (
 // Save mid-run, restore into a freshly constructed twin, and run both
 // forward: every statistic, the bus clock, and the private caches must
 // stay bit-identical — the resume-equivalence oracle at host scope.
+//
+// This test and its per-CPU twin are also what holds restore to
+// rebuilding the bus's snoop filter, which the snapshot does not carry:
+// without Checkpoint's rebuild the twin's empty table hides every
+// restored line from its snoops and the resumed statistics diverge.
 func TestHostCheckpointContinuation(t *testing.T) {
 	mk := func() *Host {
 		return MustNew(DefaultConfig(), workload.NewTPCC(workload.ScaledTPCCConfig(4096)))
@@ -83,6 +89,9 @@ func TestHostCheckpointContinuationPerCPU(t *testing.T) {
 			}
 			if h2.Events() != h.Events() {
 				t.Fatalf("events %d after restore, want %d", h2.Events(), h.Events())
+			}
+			if !bytes.Equal(h2.pres.rows, h.pres.rows) {
+				t.Fatal("snoop filter rebuilt on restore differs from the source host's")
 			}
 			h2.RunCycles(2 * half)
 			if h2.Stats() != oracle.Stats() {

@@ -19,6 +19,16 @@
 // unaffected; only the intervention/invalidation counters can run one
 // event high per retry.
 //
+// Snoop filter: the CPUs sit on the bus behind an exact presence summary
+// of their coherence caches (presence.go, DESIGN.md §4e), so a
+// transaction is presented only to the peers that may hold its line —
+// O(holders) per transaction instead of O(NumCPUs). The summary changes
+// which Snoop calls are made, never what any of them answers: statistics,
+// the transaction stream and checkpoints are those of the exhaustive
+// loop. A retried transaction consults it again on re-issue, as it
+// re-probed every cache before. It relies on bus.Attach's contract that a
+// device's BusID never changes: CPU i is bus ID i for the host's life.
+//
 // Timing: each instruction advances the bus clock by
 // CPI * (busClock/cpuClock) / NumCPUs idle cycles, and each L2 miss stalls
 // its processor for a memory latency. Together these place bus utilization
@@ -148,6 +158,7 @@ type Stats struct {
 // merged-stream host.
 type cpu struct {
 	id   int
+	bit  int // column in the bus's presence summary; -1 while off the bus
 	host *Host
 	l1   *cache.Cache // nil when the L1 is the coherence cache
 	coh  *cache.Cache
@@ -174,6 +185,7 @@ type Host struct {
 	cfg   Config
 	bus   *bus.Bus
 	cpus  []*cpu
+	pres  *presence // the bus's snoop filter over the attached CPUs
 	gen   workload.Generator
 	rng   *workload.RNG
 	stats Stats
@@ -203,6 +215,17 @@ type Host struct {
 // New builds the host. The workload generator may be nil and set later
 // with SetWorkload.
 func New(cfg Config, gen workload.Generator) (*Host, error) {
+	h, err := build(cfg, gen)
+	if err != nil {
+		return nil, err
+	}
+	h.attach(h.cpus)
+	return h, nil
+}
+
+// build constructs the host and its CPUs; the caller puts the CPUs that
+// will run on the bus with attach.
+func build(cfg Config, gen workload.Generator) (*Host, error) {
 	if cfg.NumCPUs <= 0 {
 		return nil, fmt.Errorf("host: NumCPUs must be positive")
 	}
@@ -220,7 +243,7 @@ func New(cfg Config, gen workload.Generator) (*Host, error) {
 	}
 	h.cyclesPerRef = cfg.CPI * float64(cfg.Bus.ClockMHz) / float64(cfg.CPUClockMHz) / float64(cfg.NumCPUs)
 	for i := 0; i < cfg.NumCPUs; i++ {
-		c := &cpu{id: i, host: h}
+		c := &cpu{id: i, bit: -1, host: h}
 		l1geom, err := addr.NewGeometry(cfg.L1Bytes, cfg.LineSize, cfg.L1Assoc)
 		if err != nil {
 			return nil, fmt.Errorf("host: L1: %v", err)
@@ -237,9 +260,21 @@ func New(cfg Config, gen workload.Generator) (*Host, error) {
 			c.coh = l1
 		}
 		h.cpus = append(h.cpus, c)
-		h.bus.Attach(c)
 	}
 	return h, nil
+}
+
+// attach puts the CPUs that can ever hold a line on the bus, behind a
+// presence summary sized for exactly them: a 256-way host with 8 live
+// streams pays for 8 columns and 8 possible snoops.
+func (h *Host) attach(live []*cpu) {
+	h.pres = newPresence(h.cpus, len(live))
+	ss := make([]bus.Snooper, len(live))
+	for i, c := range live {
+		c.bit = i
+		ss[i] = c
+	}
+	h.bus.AttachFiltered(h.pres, ss)
 }
 
 // MustNew is New for statically known-good configurations.
@@ -387,16 +422,12 @@ func (c *cpu) access(a uint64, write bool) {
 				return
 			}
 			// Write hits still need ownership at the coherence point.
-			st := c.coh.Access(line)
+			slot, st := c.coh.AccessSlot(line)
 			switch st {
-			case stModified:
-				return
 			case stExclusive:
-				c.coh.SetState(line, stModified)
-				return
+				c.coh.SetStateAt(slot, stModified)
 			case stShared:
-				c.upgrade(line)
-				return
+				c.upgrade(line, slot)
 			case stInvalid:
 				// L1 had the line but L2 lost it (inclusion violation
 				// would be a bug; the eviction path below prevents it).
@@ -407,21 +438,21 @@ func (c *cpu) access(a uint64, write bool) {
 		h.stats.L1Misses++
 	}
 
-	st := c.coh.Access(line)
+	slot, st := c.coh.AccessSlot(line)
 	switch {
 	case st == stInvalid:
 		c.miss(line, write)
 	case write && st == stShared:
 		h.stats.L2Hits++
-		c.upgrade(line)
+		c.upgrade(line, slot)
 	case write && st == stExclusive:
 		h.stats.L2Hits++
-		c.coh.SetState(line, stModified)
+		c.coh.SetStateAt(slot, stModified)
 	default:
 		h.stats.L2Hits++
 	}
 	if c.l1 != nil {
-		c.l1.Fill(line, 1)
+		c.l1.FillAt(line, cache.NoSlot, 1) // it just missed there
 	}
 }
 
@@ -455,35 +486,84 @@ func (h *Host) issueWithRetry(tx *bus.Transaction) bus.SnoopResponse {
 	}
 }
 
-// upgrade claims exclusive ownership of a shared line via DClaim.
-func (c *cpu) upgrade(line uint64) {
+// request stages one of this CPU's line transactions in the host's
+// scratch transaction.
+func (c *cpu) request(cmd bus.Command, line uint64) *bus.Transaction {
 	h := c.host
-	h.stats.Upgrades++
-	h.tx = bus.Transaction{
-		Cmd:   bus.DClaim,
-		Addr:  line,
-		SrcID: c.id,
+	h.tx = bus.Transaction{Cmd: cmd, Addr: line, SrcID: c.id}
+	if cmd.CarriesData() {
+		h.tx.Size = int(h.cfg.LineSize)
 	}
-	h.issueWithRetry(&h.tx)
-	c.coh.SetState(line, stModified)
+	return &h.tx
+}
+
+// claim counts an ownership upgrade of a shared line and stages its
+// DClaim; the caller issues it and then owns the line Modified.
+func (c *cpu) claim(line uint64) *bus.Transaction {
+	c.host.stats.Upgrades++
+	return c.request(bus.DClaim, line)
+}
+
+// fetch counts an L2 miss and stages its Read or RWITM.
+func (c *cpu) fetch(line uint64, write bool) *bus.Transaction {
+	c.host.stats.L2Misses++
+	if write {
+		return c.request(bus.RWITM, line)
+	}
+	return c.request(bus.Read, line)
+}
+
+// install is what follows a miss's address tenure in either host mode:
+// fill the line — absent since the lookup that missed, because only this
+// CPU fills its own cache — in the state the combined response dictates,
+// name this CPU in the line's presence bucket and un-name it in the
+// victim's if that emptied, keep the L1 inclusive, and stage the castout
+// of a dirty victim for the caller to issue (nil when there is none).
+func (c *cpu) install(line uint64, write bool, resp bus.SnoopResponse) *bus.Transaction {
+	h := c.host
+	fill := uint8(stExclusive)
+	switch {
+	case write:
+		fill = stModified
+	case resp == bus.RespShared || resp == bus.RespModified:
+		fill = stShared
+	}
+	victim, evicted := c.coh.FillAt(line, cache.NoSlot, fill)
+	h.pres.add(c.bit, line)
+	if !evicted {
+		return nil
+	}
+	c.left(victim.Addr)
+	if c.l1 != nil {
+		c.l1.Invalidate(victim.Addr) // inclusion
+	}
+	if victim.State != stModified {
+		return nil
+	}
+	h.stats.Castouts++
+	return c.request(bus.Castout, victim.Addr)
+}
+
+// left records that line has just left the coherence cache: the CPU stays
+// named in the line's presence bucket only while another of its lines —
+// necessarily in the same, just-touched set — still falls there.
+func (c *cpu) left(line uint64) {
+	if !c.coh.BucketOccupied(line) {
+		c.host.pres.drop(c.bit, line)
+	}
+}
+
+// upgrade claims exclusive ownership of the shared line in slot.
+func (c *cpu) upgrade(line uint64, slot int64) {
+	c.host.issueWithRetry(c.claim(line))
+	c.coh.SetStateAt(slot, stModified)
 }
 
 // miss fetches a line from the bus with the appropriate command, fills the
 // hierarchy, and writes back any dirty victim.
 func (c *cpu) miss(line uint64, write bool) {
 	h := c.host
-	h.stats.L2Misses++
-	cmd := bus.Read
-	if write {
-		cmd = bus.RWITM
-	}
-	h.tx = bus.Transaction{
-		Cmd:   cmd,
-		Addr:  line,
-		Size:  int(h.cfg.LineSize),
-		SrcID: c.id,
-	}
-	resp := h.issueWithRetry(&h.tx)
+	resp := h.issueWithRetry(c.fetch(line, write))
 
 	// Memory-latency stall; only MissOverlap misses hide each other.
 	h.idleCarry += h.cfg.MissStallBusCycles / h.cfg.MissOverlap
@@ -493,28 +573,8 @@ func (c *cpu) miss(line uint64, write bool) {
 		h.idleCarry -= float64(n)
 	}
 
-	fill := uint8(stExclusive)
-	switch {
-	case write:
-		fill = stModified
-	case resp == bus.RespShared || resp == bus.RespModified:
-		fill = stShared
-	}
-	victim, evicted := c.coh.Fill(line, fill)
-	if evicted {
-		if c.l1 != nil {
-			c.l1.Invalidate(victim.Addr) // inclusion
-		}
-		if victim.State == stModified {
-			h.stats.Castouts++
-			h.tx = bus.Transaction{
-				Cmd:   bus.Castout,
-				Addr:  victim.Addr,
-				Size:  int(h.cfg.LineSize),
-				SrcID: c.id,
-			}
-			h.issueWithRetry(&h.tx)
-		}
+	if castout := c.install(line, write, resp); castout != nil {
+		h.issueWithRetry(castout)
 	}
 }
 
@@ -522,14 +582,17 @@ func (c *cpu) miss(line uint64, write bool) {
 func (c *cpu) BusID() int { return c.id }
 
 // Snoop implements bus.Snooper: MESI reactions of this CPU's private
-// hierarchy to other CPUs' transactions.
+// hierarchy to other CPUs' transactions. On the host's own bus the
+// presence summary makes the call only for memory transactions whose
+// bucket names this CPU.
 func (c *cpu) Snoop(tx *bus.Transaction) bus.SnoopResponse {
 	if !tx.Cmd.IsMemoryOp() {
 		return bus.RespNull
 	}
 	h := c.host
+	h.pres.probed++
 	line := c.coh.Geometry().LineAddr(tx.Addr)
-	st := c.coh.Probe(line)
+	slot, st := c.coh.Find(line)
 	if st == stInvalid {
 		return bus.RespNull
 	}
@@ -538,18 +601,19 @@ func (c *cpu) Snoop(tx *bus.Transaction) bus.SnoopResponse {
 		switch st {
 		case stModified:
 			h.stats.IntervModSup++
-			c.coh.SetState(line, stShared)
+			c.coh.SetStateAt(slot, stShared)
 			return bus.RespModified
 		case stExclusive:
 			h.stats.IntervShrSup++
-			c.coh.SetState(line, stShared)
+			c.coh.SetStateAt(slot, stShared)
 			return bus.RespShared
 		default:
 			return bus.RespShared
 		}
 	case bus.RWITM, bus.DClaim, bus.Flush:
 		h.stats.Invalidations++
-		c.coh.Invalidate(line)
+		c.coh.InvalidateAt(slot)
+		c.left(line)
 		if c.l1 != nil {
 			c.l1.Invalidate(line)
 		}
@@ -560,7 +624,7 @@ func (c *cpu) Snoop(tx *bus.Transaction) bus.SnoopResponse {
 		return bus.RespShared
 	case bus.Clean:
 		if st == stModified {
-			c.coh.SetState(line, stShared)
+			c.coh.SetStateAt(slot, stShared)
 			return bus.RespModified
 		}
 		return bus.RespNull

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"memories/internal/bus"
+	"memories/internal/cache"
 	"memories/internal/workload"
 )
 
@@ -76,7 +77,7 @@ func NewPerCPU(cfg Config, streams []workload.Generator, engine Engine) (*Host, 
 	if len(streams) != cfg.NumCPUs {
 		return nil, fmt.Errorf("host: %d streams for %d CPUs", len(streams), cfg.NumCPUs)
 	}
-	h, err := New(cfg, nil)
+	h, err := build(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -86,16 +87,16 @@ func NewPerCPU(cfg Config, streams []workload.Generator, engine Engine) (*Host, 
 	if engine == EngineWheel {
 		h.wheel = newEventWheel(0)
 	}
+	var live []*cpu
 	for i, c := range h.cpus {
 		if streams[i] == nil {
 			// An idle CPU can never hold a cache line (nothing drives its
-			// access path), so its snoop is a guaranteed Null: take it off
-			// the bus entirely. This is what makes snoops O(busy CPUs)
-			// rather than O(machine size).
-			h.bus.Detach(c)
+			// access path), so its snoop is a guaranteed Null: it stays
+			// off the bus entirely, and out of the presence summary.
 			c.done = true
 			continue
 		}
+		live = append(live, c)
 		c.gen = streams[i]
 		// Decorrelate per-CPU I/O draws without a shared RNG: golden
 		// ratio stride, the same mix the workload RNG zero-seed guard
@@ -107,6 +108,7 @@ func NewPerCPU(cfg Config, streams []workload.Generator, engine Engine) (*Host, 
 	if h.live == 0 {
 		return nil, fmt.Errorf("host: all %d streams are nil", cfg.NumCPUs)
 	}
+	h.attach(live)
 	return h, nil
 }
 
@@ -317,13 +319,10 @@ func (c *cpu) filter(a uint64, write bool) bool {
 			if !write {
 				return false
 			}
-			st := c.coh.Access(line)
+			slot, st := c.coh.AccessSlot(line)
 			switch st {
-			case stModified:
-				return false
 			case stExclusive:
-				c.coh.SetState(line, stModified)
-				return false
+				c.coh.SetStateAt(slot, stModified)
 			case stShared:
 				c.pendLine, c.pendWrite, c.pendFill = line, true, false
 				c.schedule(pendIssueUpgrade, c.clock)
@@ -336,7 +335,7 @@ func (c *cpu) filter(a uint64, write bool) bool {
 		h.stats.L1Misses++
 	}
 
-	st := c.coh.Access(line)
+	slot, st := c.coh.AccessSlot(line)
 	switch {
 	case st == stInvalid:
 		c.pendLine, c.pendWrite, c.pendFill = line, write, true
@@ -348,12 +347,12 @@ func (c *cpu) filter(a uint64, write bool) bool {
 		return true
 	case write && st == stExclusive:
 		h.stats.L2Hits++
-		c.coh.SetState(line, stModified)
+		c.coh.SetStateAt(slot, stModified)
 	default:
 		h.stats.L2Hits++
 	}
 	if c.l1 != nil {
-		c.l1.Fill(line, 1)
+		c.l1.FillAt(line, cache.NoSlot, 1) // it just missed there
 	}
 	return false
 }
@@ -366,12 +365,13 @@ func (c *cpu) commit(kind pendKind) {
 	h := c.host
 	line := c.pendLine
 	if kind == pendIssueUpgrade {
-		switch c.coh.Probe(line) {
+		switch slot, st := c.coh.Find(line); st {
 		case stShared:
 			if c.pendFill {
 				h.stats.L2Hits++
 			}
-			c.upgradeAt(line)
+			c.issueAtWithRetry(c.claim(line))
+			c.coh.SetStateAt(slot, stModified)
 		case stInvalid:
 			c.missAt(line, true)
 		default:
@@ -380,7 +380,7 @@ func (c *cpu) commit(kind pendKind) {
 			if c.pendFill {
 				h.stats.L2Hits++
 			}
-			c.coh.SetState(line, stModified)
+			c.coh.SetStateAt(slot, stModified)
 		}
 	} else {
 		// A line Invalid at filter time stays Invalid: only this CPU
@@ -388,7 +388,8 @@ func (c *cpu) commit(kind pendKind) {
 		c.missAt(line, c.pendWrite)
 	}
 	if c.pendFill && c.l1 != nil {
-		c.l1.Fill(line, 1)
+		// Absent since filter missed it: peers' snoops only remove lines.
+		c.l1.FillAt(line, cache.NoSlot, 1)
 	}
 }
 
@@ -439,37 +440,12 @@ func (c *cpu) issueAtWithRetry(tx *bus.Transaction) bus.SnoopResponse {
 	}
 }
 
-// upgradeAt claims exclusive ownership of a shared line via DClaim at
-// the actor's clock.
-func (c *cpu) upgradeAt(line uint64) {
-	h := c.host
-	h.stats.Upgrades++
-	h.tx = bus.Transaction{
-		Cmd:   bus.DClaim,
-		Addr:  line,
-		SrcID: c.id,
-	}
-	c.issueAtWithRetry(&h.tx)
-	c.coh.SetState(line, stModified)
-}
-
 // missAt fetches a line at the actor's clock, accrues the un-overlapped
 // miss stall locally, fills the hierarchy, and writes back any dirty
 // victim.
 func (c *cpu) missAt(line uint64, write bool) {
 	h := c.host
-	h.stats.L2Misses++
-	cmd := bus.Read
-	if write {
-		cmd = bus.RWITM
-	}
-	h.tx = bus.Transaction{
-		Cmd:   cmd,
-		Addr:  line,
-		Size:  int(h.cfg.LineSize),
-		SrcID: c.id,
-	}
-	resp := c.issueAtWithRetry(&h.tx)
+	resp := c.issueAtWithRetry(c.fetch(line, write))
 
 	c.carry += h.cfg.MissStallBusCycles / h.cfg.MissOverlap
 	if c.carry >= 1 {
@@ -478,27 +454,7 @@ func (c *cpu) missAt(line uint64, write bool) {
 		c.carry -= float64(n)
 	}
 
-	fill := uint8(stExclusive)
-	switch {
-	case write:
-		fill = stModified
-	case resp == bus.RespShared || resp == bus.RespModified:
-		fill = stShared
-	}
-	victim, evicted := c.coh.Fill(line, fill)
-	if evicted {
-		if c.l1 != nil {
-			c.l1.Invalidate(victim.Addr)
-		}
-		if victim.State == stModified {
-			h.stats.Castouts++
-			h.tx = bus.Transaction{
-				Cmd:   bus.Castout,
-				Addr:  victim.Addr,
-				Size:  int(h.cfg.LineSize),
-				SrcID: c.id,
-			}
-			c.issueAtWithRetry(&h.tx)
-		}
+	if castout := c.install(line, write, resp); castout != nil {
+		c.issueAtWithRetry(castout)
 	}
 }

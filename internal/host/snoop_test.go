@@ -59,10 +59,18 @@ func TestSnoopIgnoresNonMemoryAndCastout(t *testing.T) {
 	gen := &scriptGen{refs: []workload.Ref{{Addr: 0x90000, CPU: 0}}}
 	h := MustNew(testConfig(), gen)
 	h.Run(1)
+	watch := &busSpy{}
+	h.Bus().Attach(watch)
 	for _, cmd := range []bus.Command{bus.IORead, bus.Interrupt, bus.Sync, bus.Castout, bus.Push} {
 		if resp := rawIssue(h, cmd, 0x90000, 99); resp != bus.RespNull {
 			t.Fatalf("%v response = %v, want null", cmd, resp)
 		}
+	}
+	// Passive observers see all five; the snoop filter presents the CPUs
+	// only the two memory commands, and only to the one holder. Skipped:
+	// the three peers of the cold read, and three non-holders twice.
+	if probed, skipped := h.SnoopFilter(); len(watch.seen) != 5 || probed != 2 || skipped != 3+2*3 {
+		t.Fatalf("observer saw %d of 5; CPUs probed %d (want 2), skipped %d (want 9)", len(watch.seen), probed, skipped)
 	}
 	// Line still present.
 	spy := &busSpy{}
