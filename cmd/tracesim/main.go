@@ -24,10 +24,9 @@
 //
 // With -board the trace replays through a core.Board (batched ingest,
 // SDRAM timing model, transaction buffer) instead of the serial
-// simulator and the output is the sustained replay rate, including a
-// `go test -bench`-format line so cmd/benchdiff can gate the rate
-// against a baseline. Board mode measures throughput, so it cannot be
-// combined with -checkpoint, -resume, or -obs.
+// simulator and the output is the sustained replay rate. Board mode
+// measures throughput, so it cannot be combined with -checkpoint,
+// -resume, or -obs.
 package main
 
 import (
@@ -324,10 +323,6 @@ func runBoard(path string, geom addr.Geometry, cpus []int, proto *coherence.Tabl
 	fmt.Printf("board      %s\n", geom)
 	fmt.Printf("refs       %d, miss ratio %.4f\n", st.Refs(), st.MissRatio())
 	fmt.Printf("replay     %v sustained, %.2fM tx/s\n", elapsed.Round(time.Millisecond), rate/1e6)
-	// One `go test -bench` format line so cmd/benchdiff can gate the
-	// replay rate (higher-is-better on tx/s) against a baseline file.
-	fmt.Printf("BenchmarkTracesimReplayRate 1 %.1f ns/op %.0f tx/s\n",
-		float64(elapsed.Nanoseconds())/float64(n), rate)
 	return 0
 }
 

@@ -199,8 +199,8 @@ func refsLine(t *testing.T, out string) string {
 
 // -board replays through core.Board, the default through
 // simbase.TraceSim; on the same trace the two must print the same
-// `refs ... miss ratio ...` line, and -board adds the bench-format
-// rate line cmd/benchdiff reads.
+// `refs ... miss ratio ...` line, and -board adds the sustained
+// `replay ... M tx/s` rate line.
 func TestBoardMatchesTraceSim(t *testing.T) {
 	trace := writeTestTrace(t, 30_000)
 	for _, proto := range []string{"mesi", "msi"} {
@@ -216,8 +216,8 @@ func TestBoardMatchesTraceSim(t *testing.T) {
 		if sim, board := refsLine(t, simOut), refsLine(t, boardOut); sim != board {
 			t.Errorf("%s: -board printed %q, simulator %q", proto, board, sim)
 		}
-		if !strings.Contains(boardOut, "\nBenchmarkTracesimReplayRate 1 ") || !strings.Contains(boardOut, " tx/s\n") {
-			t.Errorf("%s: no bench-format rate line in -board output:\n%s", proto, boardOut)
+		if !strings.Contains(boardOut, "\nreplay     ") || !strings.HasSuffix(boardOut, "M tx/s\n") {
+			t.Errorf("%s: no replay rate line in -board output:\n%s", proto, boardOut)
 		}
 	}
 }

@@ -232,3 +232,28 @@ func TestBoardWriteCheckpointFile(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteCheckpointAllocsIndependentOfSize: serializing into a reused
+// buffer costs a fixed number of allocations (section framing, codec
+// scratch), not one per slot or per set — the Slice64 bulk path writes
+// the packed directory straight through. 16x the directory may add at
+// most a handful.
+func TestWriteCheckpointAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(sizeKB int64) float64 {
+		b := MustNewBoard(Config{Nodes: []NodeConfig{nodeCfg("a", []int{0, 1, 2, 3}, sizeKB, 4, 0)}})
+		driveRandom(&feeder{board: b}, 7, 1<<16)
+		var buf bytes.Buffer
+		write := func() {
+			buf.Reset()
+			if err := b.WriteCheckpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write() // grow buf to its final capacity
+		return testing.AllocsPerRun(5, write)
+	}
+	small, large := allocs(2*1024), allocs(32*1024)
+	if large > small+8 {
+		t.Fatalf("WriteCheckpoint allocs grow with the directory: %.0f at 2 MB, %.0f at 32 MB", small, large)
+	}
+}

@@ -17,8 +17,8 @@ import (
 //     (cycle, cpuID) order. Idle CPUs schedule nothing and cost zero, so
 //     wall-clock scales with bus events, not machine size.
 //   - EngineLockStep polls every CPU each bus cycle in ID order — the
-//     pre-wheel host structure, retained as the baseline the wheel's
-//     speedup is measured (and CI-gated) against.
+//     pre-wheel host structure, retained as the baseline the wheel
+//     is held bit-identical to and hostscale counts polls against.
 //
 // Both engines drive the same actor handlers, and actors only ever
 // schedule their own next event at a cycle >= their current one. Under
