@@ -10,6 +10,7 @@ package addr
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -172,6 +173,9 @@ func ParseSize(s string) (int64, error) {
 	}
 	if n < 0 {
 		return 0, fmt.Errorf("addr: negative size %q", s)
+	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("addr: size %q overflows 64 bits", s)
 	}
 	return n * mult, nil
 }

@@ -166,6 +166,7 @@ func TestParseSize(t *testing.T) {
 		{"2G", 2 * GB},
 		{" 512 KB ", 512 * KB},
 		{"0", 0},
+		{"8589934591G", 8589934591 * GB}, // the largest whole G in an int64
 	}
 	for _, c := range cases {
 		got, err := ParseSize(c.in)
@@ -177,7 +178,7 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("ParseSize(%q) = %d, want %d", c.in, got, c.want)
 		}
 	}
-	for _, bad := range []string{"", "abc", "12XB", "-5MB", "1.5MB"} {
+	for _, bad := range []string{"", "abc", "12XB", "-5MB", "1.5MB", "8589934592G", "9999999999G", "17179869184G"} {
 		if _, err := ParseSize(bad); err == nil {
 			t.Errorf("ParseSize(%q) succeeded, want error", bad)
 		}

@@ -32,13 +32,14 @@ func runTable3(p Preset) (*Result, error) {
 	maxSize := p.Table3Sizes[len(p.Table3Sizes)-1]
 	measured := make([]time.Duration, len(p.Table3Sizes))
 	modeled := make([]time.Duration, len(p.Table3Sizes))
+	processed := make([]uint64, len(p.Table3Sizes))
 
 	// Each trace size replays from its own simulator and generator, so
 	// the sizes run concurrently up to p.Parallel. The simulator's cache
 	// statistics are bit-identical at any parallelism; only the measured
-	// wall-clock column varies run to run (as it does serially), and the
-	// ~8x gaps between consecutive sizes keep the growth check robust to
-	// contention between concurrent rows.
+	// wall-clock column varies run to run (as it does serially), which is
+	// why the per-row shape checks below count the simulator's work and
+	// only the two ends of the sweep are compared on the clock.
 	err := parallel.ForEach(p.Parallel, len(p.Table3Sizes), func(i int) error {
 		size := p.Table3Sizes[i]
 		if size > maxSize {
@@ -64,6 +65,7 @@ func runTable3(p Preset) (*Result, error) {
 		}
 		measured[i] = time.Since(start)
 		modeled[i] = model.Duration(size)
+		processed[i] = sim.Processed
 		return nil
 	})
 	if err != nil {
@@ -86,20 +88,41 @@ func runTable3(p Preset) (*Result, error) {
 
 	// Shape: the board is faster at every size and the simulator's cost
 	// grows with trace size (the paper's "software simulation becomes
-	// prohibitive as trace sizes grow").
-	for i := range p.Table3Sizes {
-		if measured[i] <= modeled[i] {
-			return nil, fmt.Errorf("table3: simulator (%v) not slower than board (%v) at %d vectors",
-				measured[i], modeled[i], p.Table3Sizes[i])
+	// prohibitive as trace sizes grow"). Both hold on the simulator's
+	// work, not on this machine's clock: it applies every vector, one at
+	// a time, so its cost is linear in the trace with no bound, and at the
+	// rate the paper measured for that work (paperSimVectorsPerSec) every
+	// row takes longer than the board's. The measured column is printed
+	// and not compared with the board: generator plus simulator cost about
+	// the board's 100 ns per vector on a current core, so that comparison
+	// flips with the machine and its load.
+	for i, size := range p.Table3Sizes {
+		if processed[i] != size {
+			return nil, fmt.Errorf("table3: simulator applied %d of %d vectors", processed[i], size)
+		}
+		onPaperHost := time.Duration(float64(processed[i]) / paperSimVectorsPerSec * float64(time.Second))
+		if onPaperHost <= modeled[i] {
+			return nil, fmt.Errorf("table3: simulator (%v on the paper's host) not slower than board (%v) at %d vectors",
+				onPaperHost, modeled[i], size)
 		}
 	}
-	for i := 1; i < len(measured); i++ {
-		if measured[i] <= measured[i-1] {
-			return nil, fmt.Errorf("table3: simulator time did not grow with trace size")
+	for i := 1; i < len(processed); i++ {
+		if processed[i] <= processed[i-1] {
+			return nil, fmt.Errorf("table3: simulator work did not grow with trace size")
 		}
+	}
+	// The clock still has to agree where it cannot be mistaken: the
+	// largest trace, 60 or more times the smallest, takes longer.
+	if last := len(measured) - 1; last > 0 && measured[last] <= measured[0] {
+		return nil, fmt.Errorf("table3: simulator time did not grow with trace size")
 	}
 	return res, nil
 }
+
+// paperSimVectorsPerSec is the paper's C simulator on its 133 MHz host:
+// Table 3 lists 32 768 vectors in 1 s, 262 144 in 8 s and 10 million in
+// 5 minutes, the same rate at every size.
+const paperSimVectorsPerSec = 32768
 
 // fmtDuration renders durations in the paper's style.
 func fmtDuration(d time.Duration) string {

@@ -316,7 +316,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if !sess.setMode(modeWorkload) {
+		// The mode latches only once the spec has built and the host
+		// exists: a refused spec must leave a fresh session free to take
+		// trace blocks. A trace-driven session is turned away before a
+		// host is built for it; the second check catches a first trace
+		// block that raced this request.
+		if sess.mode.Load() == modeTrace {
 			writeErr(w, http.StatusConflict, "session is trace-driven; workload ingest refused")
 			return
 		}
@@ -327,6 +332,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		if err := sess.ensureHost(); err != nil {
 			writeErr(w, http.StatusBadRequest, "host: %v", err)
+			return
+		}
+		if !sess.setMode(modeWorkload) {
+			writeErr(w, http.StatusConflict, "session is trace-driven; workload ingest refused")
 			return
 		}
 		blk = block{gen: gen, refs: spec.Refs, enq: time.Now()}

@@ -402,6 +402,39 @@ func TestWorkloadSession(t *testing.T) {
 	}
 }
 
+// TestRefusedSpecLeavesSessionFresh: a spec whose scale divides a table
+// down to nothing, or whose footprint does not fit in 64 bits, is a 400
+// with the reason — both used to panic in the handler, resetting the
+// connection — and, because the mode latches only after the spec has
+// built, the session it was sent to still takes trace blocks.
+func TestRefusedSpecLeavesSessionFresh(t *testing.T) {
+	_, base := testServer(t, Config{})
+	drainBody(postJSON(t, base+"/sessions", CreateRequest{ID: "fresh", Cache: "64KB", LineBytes: 64}))
+
+	for _, wl := range []string{"tpcc", "tpch"} {
+		resp := postJSON(t, base+"/sessions/fresh/trace", WorkloadSpec{Workload: wl, Refs: 1, Scale: 1 << 40})
+		body := drainBody(resp)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "scale 1099511627776 leaves "+wl+" no ") {
+			t.Fatalf("%s at scale 2^40: status %d, body %s; want 400 naming the scale", wl, resp.StatusCode, body)
+		}
+	}
+	resp := postJSON(t, base+"/sessions/fresh/trace", WorkloadSpec{Workload: "uniform", Refs: 1, Footprint: "9999999999G"})
+	if body := drainBody(resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "overflows 64 bits") {
+		t.Fatalf("uniform with a 9999999999G footprint: status %d, body %s; want 400 naming the overflow", resp.StatusCode, body)
+	}
+
+	resp, err := http.Post(base+"/sessions/fresh/trace", "application/octet-stream", bytes.NewReader(traceBody(t, 10)))
+	if err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	if body := drainBody(resp); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("trace block after the refused specs: status %d: %s", resp.StatusCode, body)
+	}
+	if st := pollStats(t, base, "fresh"); st.Mode != "trace" || st.Ingested != 10 {
+		t.Fatalf("mode %q, ingested %d; want trace, 10", st.Mode, st.Ingested)
+	}
+}
+
 // TestDrainCheckpoint is the acceptance criterion: SIGTERM-style drain
 // mid-load checkpoints every session, and a restored board matches the
 // drained session's counters exactly.

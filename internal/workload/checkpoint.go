@@ -80,6 +80,11 @@ func (t *TPCC) Checkpoint(c *checkpoint.Codec) error {
 func (t *TPCH) Checkpoint(c *checkpoint.Codec) error {
 	cursor(c, t.r, &t.cpu, t.cfg.NumCPUs)
 	checkpoint.Slice64(c, "tpch scan cursor count", t.scanPos)
+	for cpu, pos := range t.scanPos {
+		if pos < 0 || pos >= t.part {
+			c.Failf("scan cursor %d of CPU %d outside its %d-byte partition", pos, cpu, t.part)
+		}
+	}
 	return c.Err()
 }
 
@@ -92,6 +97,9 @@ func (w *Web) Checkpoint(c *checkpoint.Codec) error {
 		c.I64(&w.st[i].docBase)
 		c.I64(&w.st[i].docLeft)
 		c.I64(&w.st[i].conn)
+		if conn := w.st[i].conn; conn < 0 || conn >= int64(w.cfg.Connections) {
+			c.Failf("connection %d of CPU %d, server has %d", conn, i, w.cfg.Connections)
+		}
 	}
 	return c.Err()
 }

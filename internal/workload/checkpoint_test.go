@@ -117,6 +117,41 @@ func TestGeneratorRestoreRejectsWiderCursor(t *testing.T) {
 	}
 }
 
+// TestGeneratorRestoreRejectsForeignPosition: TPCH's scan cursors and
+// Web's connection numbers index their regions without a wrap, so a
+// snapshot taken from a generator with bigger partitions or more
+// connections must be refused rather than addressed outside the region.
+func TestGeneratorRestoreRejectsForeignPosition(t *testing.T) {
+	web := func(conns int) Generator {
+		cfg := ScaledWebConfig(4096)
+		cfg.Connections = conns
+		return NewWeb(cfg)
+	}
+	for name, c := range map[string]struct {
+		from, into Generator
+		refs       int
+		want       string
+	}{
+		"tpch": {NewTPCH(ScaledTPCHConfig(100)), NewTPCH(ScaledTPCHConfig(4096)), 600_000, "outside its 3276800-byte partition"},
+		"web":  {web(4096), web(16), 1000, "server has 16"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			for i := 0; i < c.refs; i++ {
+				c.from.Next()
+			}
+			payload, err := checkpoint.Marshal(c.from.(Checkpointer).Checkpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = checkpoint.Unmarshal(payload, c.into.(Checkpointer).Checkpoint)
+			var ce *checkpoint.CorruptError
+			if !errors.As(err, &ce) || !strings.Contains(ce.Reason, c.want) {
+				t.Fatalf("err = %v, want *checkpoint.CorruptError containing %q", err, c.want)
+			}
+		})
+	}
+}
+
 type fake struct{}
 
 func (f *fake) Name() string      { return "fake" }

@@ -14,6 +14,7 @@ package workload
 // working sets in the middle, the full table at the top.
 type Pyramid struct {
 	sizes  []int64
+	slots  []int64   // slots per level, at least 1
 	cum    []float64 // cumulative selection probabilities
 	slotSz int64
 }
@@ -39,6 +40,9 @@ func NewPyramid(total, minLevel, slotSize int64, growth int64, damp float64) *Py
 	}
 	p.sizes = append(p.sizes, total)
 	weights = append(weights, w)
+	for _, s := range p.sizes {
+		p.slots = append(p.slots, max(s/slotSize, 1))
+	}
 	var sum float64
 	for _, x := range weights {
 		sum += x
@@ -70,11 +74,7 @@ func (p *Pyramid) Sample(r *RNG) int64 {
 			break
 		}
 	}
-	slots := p.sizes[level] / p.slotSz
-	if slots <= 0 {
-		slots = 1
-	}
-	return r.Intn(slots) * p.slotSz
+	return r.Intn(p.slots[level]) * p.slotSz
 }
 
 // ExpectedTouched estimates the distinct bytes touched after n samples:

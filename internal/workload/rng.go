@@ -1,7 +1,5 @@
 package workload
 
-import "math"
-
 // RNG is a small, fast, deterministic generator (xorshift64*), used by
 // every workload so that streams are reproducible without carrying
 // math/rand state into hot loops. It is exported for the splash
@@ -44,46 +42,3 @@ func (r *RNG) Float() float64 {
 
 // Chance reports true with probability p.
 func (r *RNG) Chance(p float64) bool { return r.Float() < p }
-
-// Zipf samples from an approximate Zipf distribution over [0, n) with
-// skew s > 1, using inverse-CDF sampling on the continuous bounded-Pareto
-// approximation. Rank 0 is the hottest. This is the record-popularity
-// model for OLTP row access: a few rows are very hot, with a long tail.
-type Zipf struct {
-	r       *RNG
-	n       float64
-	oneMinS float64 // 1 - s
-	scale   float64 // n^(1-s) - 1
-}
-
-// NewZipf builds a sampler over [0, n) with skew s (s > 1).
-func NewZipf(r *RNG, s float64, n int64) *Zipf {
-	if n <= 0 {
-		panic("workload: zipf range must be positive")
-	}
-	if s <= 1.0 {
-		panic("workload: zipf skew must exceed 1")
-	}
-	oneMinS := 1 - s
-	return &Zipf{
-		r:       r,
-		n:       float64(n),
-		oneMinS: oneMinS,
-		scale:   math.Pow(float64(n), oneMinS) - 1,
-	}
-}
-
-// Sample returns a rank in [0, n), rank 0 hottest.
-func (z *Zipf) Sample() int64 {
-	u := z.r.Float()
-	// Inverse CDF of bounded Pareto on [1, n]: x = (1 + u*(n^(1-s)-1))^(1/(1-s))
-	x := math.Pow(1+u*z.scale, 1/z.oneMinS)
-	i := int64(x) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= int64(z.n) {
-		i = int64(z.n) - 1
-	}
-	return i
-}

@@ -38,11 +38,9 @@ func (u *Uniform) Footprint() int64 { return u.region.Size }
 
 // Next implements Generator.
 func (u *Uniform) Next() (Ref, bool) {
-	cpu := u.cpu
-	u.cpu = (u.cpu + 1) % u.cfg.NumCPUs
-	a := u.region.At(u.r.Intn(u.region.Size) &^ 7)
+	cpu := nextCPU(&u.cpu, u.cfg.NumCPUs)
 	return Ref{
-		Addr:   a,
+		Addr:   u.region.Base + uint64(u.r.Intn(u.region.Size)&^7),
 		Write:  u.r.Chance(u.cfg.WriteFraction),
 		CPU:    cpu,
 		Instrs: 3,
@@ -94,8 +92,7 @@ func (s *Stride) Footprint() int64 { return s.region.Size }
 
 // Next implements Generator.
 func (s *Stride) Next() (Ref, bool) {
-	cpu := s.cpu
-	s.cpu = (s.cpu + 1) % s.cfg.NumCPUs
+	cpu := nextCPU(&s.cpu, s.cfg.NumCPUs)
 	part := s.region.Size / int64(s.cfg.NumCPUs)
 	off := int64(cpu)*part + s.pos[cpu]
 	s.pos[cpu] = (s.pos[cpu] + s.cfg.Stride) % part
@@ -123,6 +120,7 @@ type ZipfConfig struct {
 type Zipfian struct {
 	cfg    ZipfConfig
 	region Region
+	slots  int64 // SlotBytes-sized slots in region
 	r      *RNG
 	z      *Zipf
 	cpu    int
@@ -142,12 +140,14 @@ func NewZipfian(cfg ZipfConfig) *Zipfian {
 	}
 	l := NewLayout()
 	region := l.Region(cfg.FootprintByte)
+	slots := region.Slots(cfg.SlotBytes)
 	r := NewRNG(cfg.Seed)
 	return &Zipfian{
 		cfg:    cfg,
 		region: region,
+		slots:  slots,
 		r:      r,
-		z:      NewZipf(r, cfg.Skew, region.Slots(cfg.SlotBytes)),
+		z:      NewZipf(r, cfg.Skew, slots),
 	}
 }
 
@@ -159,14 +159,12 @@ func (z *Zipfian) Footprint() int64 { return z.region.Size }
 
 // Next implements Generator.
 func (z *Zipfian) Next() (Ref, bool) {
-	cpu := z.cpu
-	z.cpu = (z.cpu + 1) % z.cfg.NumCPUs
-	slot := z.z.Sample()
+	cpu := nextCPU(&z.cpu, z.cfg.NumCPUs)
 	// Scatter ranks across the region so that popularity is not spatially
 	// correlated (hot records are not adjacent on disk pages).
-	scattered := slot * 2654435761 % z.region.Slots(z.cfg.SlotBytes)
+	scattered := wrap(z.z.Sample()*2654435761, z.slots)
 	return Ref{
-		Addr:   z.region.Slot(scattered, z.cfg.SlotBytes),
+		Addr:   z.region.Base + uint64(scattered*z.cfg.SlotBytes),
 		Write:  z.r.Chance(z.cfg.WriteFraction),
 		CPU:    cpu,
 		Instrs: 3,

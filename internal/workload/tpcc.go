@@ -93,6 +93,9 @@ type TPCC struct {
 	sharedPyr *Pyramid // shared hot tables
 	indexZipf *Zipf    // index page popularity (very hot upper levels)
 
+	part       int64 // bytes of rows per CPU
+	indexSlots int64 // RecordBytes-sized slots in index
+
 	cpu    int
 	logPos int64
 }
@@ -123,10 +126,11 @@ func NewTPCC(cfg TPCCConfig) *TPCC {
 		log:    l.Region(cfg.LogBytes),
 		r:      NewRNG(cfg.Seed),
 	}
-	part := t.rows.Size / int64(cfg.NumCPUs)
-	t.privPyr = NewPyramid(part, cfg.MinWorkingSet, cfg.RecordBytes, 4, 0.5)
+	t.part = t.rows.Size / int64(cfg.NumCPUs)
+	t.indexSlots = t.index.Slots(cfg.RecordBytes)
+	t.privPyr = NewPyramid(t.part, cfg.MinWorkingSet, cfg.RecordBytes, 4, 0.5)
 	t.sharedPyr = NewPyramid(t.shared.Size, cfg.MinWorkingSet, cfg.RecordBytes, 4, 0.5)
-	t.indexZipf = NewZipf(t.r, 1.6, t.index.Slots(cfg.RecordBytes))
+	t.indexZipf = NewZipf(t.r, 1.6, t.indexSlots)
 	return t
 }
 
@@ -140,8 +144,7 @@ func (t *TPCC) Footprint() int64 {
 
 // Next implements Generator.
 func (t *TPCC) Next() (Ref, bool) {
-	cpu := t.cpu
-	t.cpu = (t.cpu + 1) % t.cfg.NumCPUs
+	cpu := nextCPU(&t.cpu, t.cfg.NumCPUs)
 
 	roll := t.r.Float()
 	switch {
@@ -153,10 +156,9 @@ func (t *TPCC) Next() (Ref, bool) {
 
 	case roll < t.cfg.LogFraction+t.cfg.IndexFraction:
 		// Index probe: read-mostly, extremely hot upper levels.
-		slot := t.indexZipf.Sample()
-		scattered := slot * 2654435761 % t.index.Slots(t.cfg.RecordBytes)
+		scattered := wrap(t.indexZipf.Sample()*2654435761, t.indexSlots)
 		return Ref{
-			Addr:   t.index.Slot(scattered, t.cfg.RecordBytes),
+			Addr:   t.index.Base + uint64(scattered*t.cfg.RecordBytes),
 			Write:  t.r.Chance(0.02),
 			CPU:    cpu,
 			Instrs: 5,
@@ -164,8 +166,9 @@ func (t *TPCC) Next() (Ref, bool) {
 
 	case roll < t.cfg.LogFraction+t.cfg.IndexFraction+t.cfg.SharedFraction:
 		// Shared hot tables: nested working sets touched by every CPU.
+		// A pyramid's offsets lie inside its span, so no wrap.
 		return Ref{
-			Addr:   t.shared.At(t.sharedPyr.Sample(t.r)),
+			Addr:   t.shared.Base + uint64(t.sharedPyr.Sample(t.r)),
 			Write:  t.r.Chance(t.cfg.WriteFraction),
 			CPU:    cpu,
 			Instrs: 4,
@@ -173,10 +176,9 @@ func (t *TPCC) Next() (Ref, bool) {
 
 	default:
 		// The CPU's own partition: nested transaction working sets.
-		part := t.rows.Size / int64(t.cfg.NumCPUs)
-		off := int64(cpu)*part + t.privPyr.Sample(t.r)
+		off := int64(cpu)*t.part + t.privPyr.Sample(t.r)
 		return Ref{
-			Addr:   t.rows.At(off),
+			Addr:   t.rows.Base + uint64(off),
 			Write:  t.r.Chance(t.cfg.WriteFraction),
 			CPU:    cpu,
 			Instrs: 4,

@@ -59,11 +59,14 @@ type TPCH struct {
 	dim  Region
 	hash Region
 
-	r        *RNG
-	hashZipf *Zipf
-	dimPyr   *Pyramid
-	cpu      int
-	scanPos  []int64 // per-CPU fact-scan cursor
+	r         *RNG
+	hashZipf  *Zipf
+	dimPyr    *Pyramid
+	part      int64 // bytes of fact per CPU
+	hashSlots int64 // 64-byte slots in hash
+
+	cpu     int
+	scanPos []int64 // per-CPU fact-scan cursor, in [0, part)
 }
 
 // NewTPCH builds the generator.
@@ -80,7 +83,9 @@ func NewTPCH(cfg TPCHConfig) *TPCH {
 		r:       NewRNG(cfg.Seed),
 		scanPos: make([]int64, cfg.NumCPUs),
 	}
-	t.hashZipf = NewZipf(t.r, 1.1, t.hash.Slots(64))
+	t.part = t.fact.Size / int64(cfg.NumCPUs)
+	t.hashSlots = t.hash.Slots(64)
+	t.hashZipf = NewZipf(t.r, 1.1, t.hashSlots)
 	minLevel := t.dim.Size / 256
 	if minLevel < 64<<10 {
 		minLevel = 64 << 10
@@ -97,28 +102,31 @@ func (t *TPCH) Footprint() int64 { return t.fact.Size + t.dim.Size + t.hash.Size
 
 // Next implements Generator.
 func (t *TPCH) Next() (Ref, bool) {
-	cpu := t.cpu
-	t.cpu = (t.cpu + 1) % t.cfg.NumCPUs
+	cpu := nextCPU(&t.cpu, t.cfg.NumCPUs)
 
 	roll := t.r.Float()
 	switch {
 	case roll < t.cfg.ScanFraction:
 		// Parallel partitioned scan of the fact table: pure streaming.
-		part := t.fact.Size / int64(t.cfg.NumCPUs)
-		off := int64(cpu)*part + t.scanPos[cpu]
-		t.scanPos[cpu] = (t.scanPos[cpu] + 64) % part
-		return Ref{Addr: t.fact.At(off), Write: false, CPU: cpu, Instrs: 3}, true
+		// The cursor stays inside the partition (Checkpoint refuses one
+		// that is not), so the address needs no wrap and the cursor
+		// divides only when it passes the partition's end.
+		off := int64(cpu)*t.part + t.scanPos[cpu]
+		if t.scanPos[cpu] += 64; t.scanPos[cpu] >= t.part {
+			t.scanPos[cpu] %= t.part
+		}
+		return Ref{Addr: t.fact.Base + uint64(off), Write: false, CPU: cpu, Instrs: 3}, true
 
 	case roll < t.cfg.ScanFraction+t.cfg.DimFraction:
 		// Dimension tables: nested working sets shared by every query —
 		// a cache big enough to retain a level keeps its accesses.
-		return Ref{Addr: t.dim.At(t.dimPyr.Sample(t.r)), Write: false, CPU: cpu, Instrs: 4}, true
+		return Ref{Addr: t.dim.Base + uint64(t.dimPyr.Sample(t.r)), Write: false, CPU: cpu, Instrs: 4}, true
 
 	default:
 		// Hash-join build/probe: skewed random access, mixed read/write.
-		slot := t.hashZipf.Sample() * 2654435761 % t.hash.Slots(64)
+		slot := wrap(t.hashZipf.Sample()*2654435761, t.hashSlots)
 		return Ref{
-			Addr:   t.hash.At(slot * 64),
+			Addr:   t.hash.Base + uint64(slot*64),
 			Write:  t.r.Chance(0.4),
 			CPU:    cpu,
 			Instrs: 6,

@@ -61,8 +61,9 @@ type Web struct {
 	kernel  Region
 	logreg  Region
 
-	r       *RNG
-	docZipf *Zipf
+	r        *RNG
+	docZipf  *Zipf
+	docCount int64 // MeanDocBytes-sized documents in docs
 
 	cpu    int
 	st     []webCPUState
@@ -99,7 +100,8 @@ func NewWeb(cfg WebConfig) *Web {
 		r:       NewRNG(cfg.Seed),
 		st:      make([]webCPUState, cfg.NumCPUs),
 	}
-	w.docZipf = NewZipf(w.r, cfg.Skew, w.docs.Size/cfg.MeanDocBytes)
+	w.docCount = w.docs.Size / cfg.MeanDocBytes
+	w.docZipf = NewZipf(w.r, cfg.Skew, w.docCount)
 	return w
 }
 
@@ -113,8 +115,7 @@ func (w *Web) Footprint() int64 {
 
 // Next implements Generator.
 func (w *Web) Next() (Ref, bool) {
-	cpu := w.cpu
-	w.cpu = (w.cpu + 1) % w.cfg.NumCPUs
+	cpu := nextCPU(&w.cpu, w.cfg.NumCPUs)
 	s := &w.st[cpu]
 
 	if s.docLeft <= 0 {
@@ -127,11 +128,12 @@ func (w *Web) Next() (Ref, bool) {
 			return Ref{Addr: a, Write: true, CPU: cpu, Instrs: 4}, true
 		case 1:
 			// Kernel TCP/route structures: small, shared, read-mostly.
-			a := w.kernel.At(w.r.Intn(w.kernel.Size) &^ 63)
+			a := w.kernel.Base + uint64(w.r.Intn(w.kernel.Size)&^63)
 			return Ref{Addr: a, Write: w.r.Chance(0.2), CPU: cpu, Instrs: 8}, true
 		}
-		doc := w.docZipf.Sample()
-		scattered := doc * 2654435761 % (w.docs.Size / w.cfg.MeanDocBytes)
+		// Once per document, not per reference, and docBase is checkpointed
+		// with the sign this % gives it: the division stays.
+		scattered := w.docZipf.Sample() * 2654435761 % w.docCount
 		s.docBase = scattered * w.cfg.MeanDocBytes
 		// Document lengths vary 1x-4x around the mean.
 		s.docLeft = w.cfg.MeanDocBytes * (1 + w.r.Intn(4)) / 2
@@ -143,7 +145,9 @@ func (w *Web) Next() (Ref, bool) {
 	off := s.docBase + (w.cfg.MeanDocBytes - s.docLeft)
 	s.docLeft -= 64
 	if s.docLeft%256 == 192 {
-		a := w.sockets.Slot(s.conn, 16*addr.KB) + (uint64(off)%uint64(16*addr.KB))&^63
+		// conn is below Connections (Checkpoint refuses one that is not),
+		// so its buffer needs no wrap.
+		a := w.sockets.Base + uint64(s.conn*16*addr.KB) + (uint64(off)%uint64(16*addr.KB))&^63
 		return Ref{Addr: a, Write: true, CPU: cpu, Instrs: 3}, true
 	}
 	return Ref{Addr: w.docs.At(off), Write: false, CPU: cpu, Instrs: 3}, true

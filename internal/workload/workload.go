@@ -10,6 +10,18 @@
 // Every generator is deterministic for a given seed, which is what makes
 // the differential tests between the board and the baseline simulators
 // meaningful.
+//
+// The streams are also frozen: every bench digest, experiment golden and
+// checkpoint continuation hangs from them, and TestStreamPins holds the
+// first 64 Ki references of each generator to a recorded SHA-256. Next is
+// the first stage of every host-driven run and of every trace the replay
+// benchmarks are built from, so it is written to cost no division and no
+// math.Pow per reference — Zipf.Sample answers from a table-and-series
+// kernel and falls back to math.Pow only inside a guard band around each
+// integer, which makes its rank math.Pow's for every draw (zipf.go), and
+// address arithmetic keeps its counts and wraps by mask or compare
+// (wrap, nextCPU) — without moving a stream by one reference (DESIGN.md
+// §4g lists what was removed and what was kept).
 package workload
 
 import "memories/internal/addr"
@@ -84,11 +96,32 @@ func (r Region) At(off int64) uint64 {
 	if r.Size == 0 {
 		panic("workload: empty region")
 	}
-	o := off % r.Size
-	if o < 0 {
-		o += r.Size
+	return r.Base + uint64(wrap(off, r.Size))
+}
+
+// wrap returns i modulo n in [0, n) for n > 0 — Go's % followed by a
+// sign fix — without the division when n is a power of two. The mask is
+// the same number for a negative i as well (two's complement), which is
+// what lets the Zipf scatter use it on products that overflowed int64.
+func wrap(i, n int64) int64 {
+	if n&(n-1) == 0 {
+		return i & (n - 1)
 	}
-	return r.Base + uint64(o)
+	if i %= n; i < 0 {
+		i += n
+	}
+	return i
+}
+
+// nextCPU returns a generator's round-robin cursor and moves it on. The
+// cursor starts at 0 and a checkpoint outside [0, n) is refused (cursor),
+// so the wrap is a compare.
+func nextCPU(cpu *int, n int) int {
+	c := *cpu
+	if *cpu = c + 1; *cpu == n {
+		*cpu = 0
+	}
+	return c
 }
 
 // Contains reports whether a falls inside the region.
@@ -103,11 +136,7 @@ func (r Region) Slot(i int64, slotSize int64) uint64 {
 	if n <= 0 {
 		panic("workload: slot size exceeds region")
 	}
-	s := i % n
-	if s < 0 {
-		s += n
-	}
-	return r.Base + uint64(s*slotSize)
+	return r.Base + uint64(wrap(i, n)*slotSize)
 }
 
 // Slots returns how many slotSize-byte elements fit in the region.

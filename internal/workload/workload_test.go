@@ -40,6 +40,28 @@ func TestRegionAtWraps(t *testing.T) {
 	}
 }
 
+// TestWrapIsFlooredModulo: the mask wrap takes for a power-of-two count
+// is the % and sign fix it replaced, negative indices included (the Zipf
+// scatter's products overflow int64 past 2^31.7 slots).
+func TestWrapIsFlooredModulo(t *testing.T) {
+	r := NewRNG(9)
+	for _, n := range []int64{1, 2, 3, 96, 128, 81920, 1 << 23, 6 << 30, 1 << 33, 1<<62 + 1, 1 << 62} {
+		for i := 0; i < 2000; i++ {
+			v := int64(r.Uint64())
+			if i < 8 {
+				v = []int64{0, -1, 1, n, -n, n - 1, 1 - n, -1 << 63}[i]
+			}
+			want := v % n
+			if want < 0 {
+				want += n
+			}
+			if got := wrap(v, n); got != want {
+				t.Fatalf("wrap(%d, %d) = %d, want %d", v, n, got, want)
+			}
+		}
+	}
+}
+
 func TestRegionSlots(t *testing.T) {
 	r := Region{Base: 0x1000, Size: 1024}
 	if got := r.Slots(128); got != 8 {
