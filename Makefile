@@ -109,5 +109,11 @@ loadtest:
 lint:
 	golangci-lint run
 
+# Every package under internal/ must be imported by a binary, an
+# example, the benchmark driver or the root facade.
+.PHONY: reachable
+reachable:
+	sh ci/check-reachable.sh
+
 .PHONY: ci
-ci: vet build race fuzz-seeds cover-check
+ci: vet build reachable race fuzz-seeds cover-check

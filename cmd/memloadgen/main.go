@@ -156,12 +156,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// tracePayload builds one MIES0001 trace body shared by every ingest
-// request: a deterministic read/write mix over a bounded footprint,
-// enough to make the emulated cache do real work.
+// tracePayload builds one MIES0002 trace body shared by every ingest
+// request — the format the ledger's service_ingest workload posts, so
+// the stress test exercises the decode path the service is measured on:
+// a deterministic read/write mix over a bounded footprint, enough to
+// make the emulated cache do real work.
 func tracePayload(records int, line int64) ([]byte, error) {
 	var buf bytes.Buffer
-	w, err := tracefile.NewWriter(&buf)
+	w, err := tracefile.NewV2Writer(&buf)
 	if err != nil {
 		return nil, err
 	}

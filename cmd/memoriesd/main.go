@@ -89,13 +89,14 @@ func run(args []string, logw io.Writer, ready chan<- string) int {
 	}
 	fmt.Fprintf(logw, "memoriesd: serving on %s (pool %d, dir quota %s)\n",
 		srv.Addr(), *maxSessions, addr.FormatSize(dirQuota))
-	if ready != nil {
-		ready <- srv.Addr()
-	}
-
+	// Catch signals before anyone is told the server is up: a SIGTERM
+	// sent on seeing ready must drain, not kill the process.
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigc)
+	if ready != nil {
+		ready <- srv.Addr()
+	}
 	<-sigc
 	fmt.Fprintln(logw, "memoriesd: shutdown requested; draining sessions (^C again to abort)")
 	go func() {

@@ -47,7 +47,7 @@ func TestRunDrainsOnSIGTERM(t *testing.T) {
 	resp.Body.Close()
 
 	var buf bytes.Buffer
-	w, err := tracefile.NewWriter(&buf)
+	w, err := tracefile.NewV2Writer(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,16 +3,14 @@
 // file, ready for cmd/tracesim.
 //
 //	tracegen -workload tpcc -refs 2000000 -o tpcc.trace
-//	tracegen -format v2 -workload tpch -o tpch.trace
 //
-// It also converts between the fixed-width v1 format and the
-// delta-compressed v2 format in either direction:
+// Traces are written in the delta-compressed v2 format. An old
+// fixed-width v1 file (still read everywhere) is rewritten with:
 //
-//	tracegen convert -format v2 old.trace new.trace
+//	tracegen convert old.trace new.trace
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -37,14 +35,8 @@ func main() {
 		limit    = flag.Int("limit", 64<<20, "trace capture memory in records (board stock: 128Mi)")
 		out      = flag.String("o", "bus.trace", "output trace file")
 		seed     = flag.Uint64("seed", 1, "workload seed")
-		formatID = flag.String("format", "v2", "trace file format: v1 (fixed 8-byte records) or v2 (delta-compressed blocks)")
 	)
 	flag.Parse()
-
-	format, err := tracefile.ParseFormat(*formatID)
-	if err != nil {
-		fatal(err)
-	}
 
 	gen, err := byname.New(*wl, *dbFactor, *seed, 8, "classic", 0, 0.3)
 	if err != nil {
@@ -69,7 +61,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := b.Trace().DumpFormat(f, format); err != nil {
+	if err := b.Trace().Dump(f); err != nil {
 		f.Close()
 		fatal(err)
 	}
@@ -82,19 +74,17 @@ func main() {
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("captured %d bus references (%d dropped) from %d workload refs -> %s (%s)\n",
-		b.Trace().Len(), b.Trace().Dropped(), *refs, *out, format)
+	fmt.Printf("captured %d bus references (%d dropped) from %d workload refs -> %s (v2)\n",
+		b.Trace().Len(), b.Trace().Dropped(), *refs, *out)
 }
 
-// convert rewrites a trace file into the requested format, streaming
-// record by record so arbitrarily large traces convert in constant
-// memory. The input format is auto-detected from the magic.
+// convert rewrites a trace file as v2, streaming record by record so
+// arbitrarily large traces convert in constant memory. The input format
+// is auto-detected from the magic.
 func convert(argv []string) {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	formatID := fs.String("format", "v2", "output format: v1 or v2")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: tracegen convert [-format v1|v2] <in.trace> <out.trace>")
-		fs.PrintDefaults()
+		fmt.Fprintln(os.Stderr, "usage: tracegen convert <in.trace> <out.trace>")
 	}
 	if err := fs.Parse(argv); err != nil {
 		os.Exit(2)
@@ -102,10 +92,6 @@ func convert(argv []string) {
 	if fs.NArg() != 2 {
 		fs.Usage()
 		os.Exit(2)
-	}
-	format, err := tracefile.ParseFormat(*formatID)
-	if err != nil {
-		fatal(err)
 	}
 
 	in, err := os.Open(fs.Arg(0))
@@ -122,8 +108,7 @@ func convert(argv []string) {
 	if err != nil {
 		fatal(err)
 	}
-	bw := bufio.NewWriter(outF)
-	w, err := tracefile.NewWriterFormat(bw, format)
+	w, err := tracefile.NewV2Writer(outF)
 	if err != nil {
 		fatal(err)
 	}
@@ -135,9 +120,6 @@ func convert(argv []string) {
 	if err := w.Flush(); err != nil {
 		fatal(err)
 	}
-	if err := bw.Flush(); err != nil {
-		fatal(err)
-	}
 	// Same truncation discipline as the capture path: sync and close
 	// errors are real data loss and must be reported.
 	if err := outF.Sync(); err != nil {
@@ -146,7 +128,7 @@ func convert(argv []string) {
 	if err := outF.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("converted %d records: %s -> %s (%s)\n", n, fs.Arg(0), fs.Arg(1), format)
+	fmt.Printf("converted %d records: %s -> %s (v2)\n", n, fs.Arg(0), fs.Arg(1))
 }
 
 func fatal(err error) {

@@ -4,9 +4,10 @@
 // reports the same statistics the board produces, plus its own measured
 // run time for the speed comparison.
 //
-// Both trace formats are accepted; the magic is auto-detected. v2 traces
-// decode block-parallel (-workers), which is what makes the "software
-// simulator" column of Table 3 honest on modern hosts.
+// Both trace formats are accepted; the magic is auto-detected. Decode
+// runs on the replay goroutine, a block at a time: it is under a tenth
+// of the per-record cost, and fanning it out across cores measured
+// slower than not (DESIGN.md §5, "why it is serial").
 //
 //	tracesim -l3 64MB -assoc 8 tpcc.trace
 //	tracesim -l3 8GB -checkpoint warm.ckpt -checkpoint-every 50000000 big.trace
@@ -35,7 +36,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -103,7 +103,6 @@ func run() int {
 		assoc     = flag.Int("assoc", 8, "associativity")
 		line      = flag.Int64("line", 128, "line size in bytes")
 		ncpu      = flag.Int("cpus", 8, "host CPUs covered by the trace")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "decode workers for v2 traces")
 		obsAddr   = flag.String("obs", "", "serve live replay metrics on this address (e.g. :9090)")
 		ckptPath  = flag.String("checkpoint", "", "write crash-safe replay checkpoints to this file")
 		ckptN     = flag.Uint64("checkpoint-every", 0, "checkpoint every N trace records (0: only on shutdown signal)")
@@ -138,7 +137,7 @@ func run() int {
 		if *ckptPath != "" || *resume != "" || *obsAddr != "" {
 			return fail(errors.New("-board measures throughput; it cannot be combined with -checkpoint, -resume, or -obs"))
 		}
-		return runBoard(flag.Arg(0), geom, cpus, proto, *workers, profFlags)
+		return runBoard(flag.Arg(0), geom, cpus, proto, profFlags)
 	}
 	sim, err := simbase.NewTraceSim([]simbase.TraceNodeConfig{{
 		CPUs:     cpus,
@@ -172,8 +171,7 @@ func run() int {
 
 	// Live observability: the simulator keeps plain struct counters, so
 	// the replay loop mirrors them into atomic registry counters after
-	// each batch (the batch apply is single-threaded; only the decode
-	// fan-out is parallel).
+	// each batch.
 	var watch *replayWatch
 	if *obsAddr != "" {
 		reg := obs.NewRegistry()
@@ -207,7 +205,7 @@ func run() int {
 		nextCkpt = (state.pos/(*ckptN) + 1) * (*ckptN)
 	}
 	start := time.Now()
-	_, err = tracefile.ForEachBatchFile(flag.Arg(0), *workers, func(recs []tracefile.Record) error {
+	_, err = tracefile.ForEachBatchFile(flag.Arg(0), 0, func(recs []tracefile.Record) error {
 		// Fast-forward through the already simulated prefix on resume.
 		if fileOff < resumeSkip {
 			skip := resumeSkip - fileOff
@@ -275,7 +273,7 @@ func run() int {
 // checkpointed or mirrored into a registry — this mode exists to
 // measure how fast the emulation core itself can drink a real trace,
 // end to end from the mmap'd file bytes.
-func runBoard(path string, geom addr.Geometry, cpus []int, proto *coherence.Table, workers int, profFlags *prof.Config) int {
+func runBoard(path string, geom addr.Geometry, cpus []int, proto *coherence.Table, profFlags *prof.Config) int {
 	board, err := core.NewBoard(core.Config{Nodes: []core.NodeConfig{{
 		Name:     "l3",
 		CPUs:     cpus,
@@ -294,9 +292,9 @@ func runBoard(path string, geom addr.Geometry, cpus []int, proto *coherence.Tabl
 
 	lineSize := int(geom.LineSize)
 	var cycle uint64
-	var txs []bus.Transaction // one decoder window, reused
+	var txs []bus.Transaction // one decoded block, reused
 	start := time.Now()
-	n, err := tracefile.ForEachBatchFile(path, workers, func(recs []tracefile.Record) error {
+	n, err := tracefile.ForEachBatchFile(path, 0, func(recs []tracefile.Record) error {
 		txs = txs[:0]
 		for i := range recs {
 			cycle += 48

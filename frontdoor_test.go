@@ -2,6 +2,7 @@ package memories
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,10 +16,12 @@ import (
 	"strings"
 	"testing"
 
+	"memories/internal/bus"
 	"memories/internal/coherence"
 	"memories/internal/console"
 	"memories/internal/core"
 	"memories/internal/service"
+	"memories/internal/tracefile"
 	"memories/internal/workload/splash"
 	"memories/protocols"
 )
@@ -274,6 +277,84 @@ func TestWorkloadNamesAtEveryCaller(t *testing.T) {
 		}
 		if !known && !strings.Contains(body, "unknown workload") {
 			t.Errorf("service workload %s: body %s", name, body)
+		}
+	}
+}
+
+// TestTraceFormatsAtTheFrontDoor: nothing writes the fixed-width v1
+// format any more, but every trace door still reads it. A hand-packed v1
+// file goes through `tracegen convert` to v2, and tracesim prints the
+// same statistics for both files. The knobs that selected the deleted
+// paths — a decode fan-out, a v1 writer — are refused by name.
+func TestTraceFormatsAtTheFrontDoor(t *testing.T) {
+	bins := buildCmds(t, "tracegen", "tracesim")
+	dir := t.TempDir()
+	v1path, v2path := filepath.Join(dir, "old.trace"), filepath.Join(dir, "new.trace")
+
+	v1 := []byte(tracefile.Magic)
+	a := uint64(23)
+	for i := 0; i < 50_000; i++ {
+		a = a*6364136223846793005 + 1442695040888963407
+		rec := tracefile.Record{Addr: ((a >> 16) % (8 << 20)) &^ 7, Cmd: bus.Read, SrcID: uint8(i % 8)}
+		if i%5 == 0 {
+			rec.Cmd = bus.RWITM
+		}
+		v, err := rec.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1 = binary.LittleEndian.AppendUint64(v1, v)
+	}
+	if err := os.WriteFile(v1path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	code, out, errs := runCmd(t, "", bins["tracegen"], "convert", v1path, v2path)
+	if code != 0 || !strings.Contains(out, "converted 50000 records") {
+		t.Fatalf("tracegen convert: exit %d\n%s%s", code, out, errs)
+	}
+	converted, err := os.ReadFile(v2path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(converted, []byte(tracefile.MagicV2)) || len(converted)*2 > len(v1) {
+		t.Fatalf("converted file: %d bytes starting %q, want a v2 file under half of %d", len(converted), converted[:8], len(v1))
+	}
+
+	// Everything tracesim reports about the cache, which is every line
+	// but the file name and the wall clock.
+	statLines := func(path string, mode ...string) string {
+		code, out, errs := runCmd(t, "", bins["tracesim"], append(append([]string{"-l3", "1MB", "-assoc", "4"}, mode...), path)...)
+		if code != 0 {
+			t.Fatalf("tracesim %v %s: exit %d\n%s%s", mode, path, code, out, errs)
+		}
+		var keep []string
+		for _, line := range strings.Split(out, "\n") {
+			for _, prefix := range []string{"cache ", "board ", "refs ", "reads ", "castouts "} {
+				if strings.HasPrefix(line, prefix) {
+					keep = append(keep, line)
+				}
+			}
+		}
+		if len(keep) < 2 {
+			t.Fatalf("tracesim %v %s printed no statistics:\n%s", mode, path, out)
+		}
+		return strings.Join(keep, "\n")
+	}
+	for _, mode := range [][]string{nil, {"-board"}} {
+		if old, conv := statLines(v1path, mode...), statLines(v2path, mode...); old != conv {
+			t.Errorf("tracesim %v: v1 file\n%s\nconverted file\n%s", mode, old, conv)
+		}
+	}
+
+	for _, gone := range [][]string{
+		{"tracesim", "-workers", "2", v2path},
+		{"tracegen", "-format", "v1", "-refs", "1000", "-o", filepath.Join(dir, "x.trace")},
+		{"tracegen", "convert", "-format", "v1", v2path, filepath.Join(dir, "y.trace")},
+	} {
+		code, _, errs := runCmd(t, "", bins[gone[0]], gone[1:]...)
+		if code == 0 || !strings.Contains(errs, "flag provided but not defined") {
+			t.Errorf("%v: exit %d, stderr %q; want the flag package's refusal", gone, code, errs)
 		}
 	}
 }

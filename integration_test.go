@@ -41,7 +41,7 @@ func TestIntegrationCaptureReplayMatchesBoard(t *testing.T) {
 	if err := s.Board.Trace().Dump(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r, err := tracefile.NewReader(&buf)
+	r, err := tracefile.Open(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

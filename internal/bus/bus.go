@@ -304,33 +304,6 @@ func (b *Bus) observe(d device) {
 	}
 }
 
-// Detach removes a snooper registered with Attach (and, if it observed
-// combined responses, that registration too). Detaching a device whose
-// snoop can only ever answer Null leaves every combined response
-// unchanged; it only removes the wasted probe. Unknown snoopers, and
-// those attached with AttachFiltered, are ignored.
-func (b *Bus) Detach(s Snooper) {
-	at := -1
-	for i, d := range b.snoopers {
-		if d.s == s {
-			at = i
-			break
-		}
-	}
-	if at < 0 {
-		return
-	}
-	b.snoopers = append(b.snoopers[:at], b.snoopers[at+1:]...)
-	if ro, ok := s.(ResponseObserver); ok {
-		for i, o := range b.observers {
-			if o.ro == ro {
-				b.observers = append(b.observers[:i], b.observers[i+1:]...)
-				break
-			}
-		}
-	}
-}
-
 // Config returns the bus configuration.
 func (b *Bus) Config() Config { return b.cfg }
 

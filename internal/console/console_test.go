@@ -265,7 +265,7 @@ func TestTraceDumpAndReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	r, err := tracefile.NewReader(f)
+	r, err := tracefile.Open(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,14 +116,6 @@ func (r *Registry) AttachMirror(prefix string, m *Mirror) error {
 	return nil
 }
 
-// DetachMirror removes a previously attached mirror. Its last published
-// values disappear from subsequent snapshots.
-func (r *Registry) DetachMirror(prefix string) {
-	r.mu.Lock()
-	delete(r.mirrors, prefix)
-	r.mu.Unlock()
-}
-
 // RemovePrefix detaches every mirror, counter, gauge, and histogram
 // whose name starts with prefix, returning how many metrics were
 // dropped. Long-running multi-tenant processes (the session service)

@@ -92,21 +92,24 @@ func TestRegistryMirrorPrefixes(t *testing.T) {
 	bank.Counter("miss").Add(11)
 	r := NewRegistry()
 	m := NewMirror(bank)
-	if err := r.AttachMirror("board0.shard3", m); err != nil {
+	if err := r.AttachMirror("board0", m); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AttachMirror("board0.shard3", NewMirror(bank)); err == nil {
+	if err := r.AttachMirror("board0", NewMirror(bank)); err == nil {
 		t.Fatal("duplicate prefix accepted")
 	}
 	if err := r.AttachMirror("", m); err == nil {
 		t.Fatal("empty prefix accepted")
 	}
-	if got := r.Snapshot().Value("board0.shard3.miss"); got != 11 {
+	if got := r.Snapshot().Value("board0.miss"); got != 11 {
 		t.Fatalf("mirrored value %d, want 11", got)
 	}
-	r.DetachMirror("board0.shard3")
-	if got := r.Snapshot().Value("board0.shard3.miss"); got != 0 {
-		t.Fatalf("detached mirror still visible: %d", got)
+	// RemovePrefix is the one way a mirror leaves the registry.
+	if n := r.RemovePrefix("board0"); n != 1 {
+		t.Fatalf("RemovePrefix dropped %d entries, want the one mirror", n)
+	}
+	if got := r.Snapshot().Value("board0.miss"); got != 0 {
+		t.Fatalf("removed mirror still visible: %d", got)
 	}
 }
 

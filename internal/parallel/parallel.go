@@ -1,6 +1,6 @@
 // Package parallel provides the small deterministic worker-pool
-// primitives shared by the experiment rig and the trace decoder. The
-// contract that matters everywhere in this repository is
+// primitives the experiment rig runs its sweeps on. The contract that
+// matters everywhere in this repository is
 // *bit-identical results at any parallelism level*: every task runs
 // exactly once, writes only to its own result slot, and error selection
 // is by lowest task index — so a sweep run with one worker and the same

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -33,20 +34,29 @@ func testServer(t *testing.T, cfg Config) (*Server, string) {
 	return srv, "http://" + srv.Addr()
 }
 
-// traceBody encodes n records as a MIES0001 stream with a fixed stride.
-func traceBody(t *testing.T, n int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := tracefile.NewWriter(&buf)
-	if err != nil {
-		t.Fatalf("trace writer: %v", err)
-	}
-	for i := 0; i < n; i++ {
+// traceRecords is the record stream of every ingest fixture: a fixed
+// stride with every fourth reference a write.
+func traceRecords(n int) []tracefile.Record {
+	recs := make([]tracefile.Record, n)
+	for i := range recs {
 		cmd := bus.Read
 		if i%4 == 3 {
 			cmd = bus.RWITM
 		}
-		rec := tracefile.Record{Addr: uint64(i) * 64, Cmd: cmd, SrcID: uint8(i % 4)}
+		recs[i] = tracefile.Record{Addr: uint64(i) * 64, Cmd: cmd, SrcID: uint8(i % 4)}
+	}
+	return recs
+}
+
+// traceBody encodes n records as a MIES0002 body.
+func traceBody(t *testing.T, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := tracefile.NewV2Writer(&buf)
+	if err != nil {
+		t.Fatalf("trace writer: %v", err)
+	}
+	for _, rec := range traceRecords(n) {
 		if err := w.Write(rec); err != nil {
 			t.Fatalf("trace write: %v", err)
 		}
@@ -57,22 +67,19 @@ func traceBody(t *testing.T, n int) []byte {
 	return buf.Bytes()
 }
 
-func traceBodyV2(t *testing.T, n int) []byte {
+// traceBodyV1 hand-packs the same records as a MIES0001 body: nothing
+// writes v1 any more, but the ingest endpoint must keep accepting it.
+func traceBodyV1(t *testing.T, n int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w, err := tracefile.NewV2Writer(&buf)
-	if err != nil {
-		t.Fatalf("v2 writer: %v", err)
-	}
-	for i := 0; i < n; i++ {
-		if err := w.Write(tracefile.Record{Addr: uint64(i) * 128, Cmd: bus.Read}); err != nil {
-			t.Fatalf("v2 write: %v", err)
+	body := []byte(tracefile.Magic)
+	for _, rec := range traceRecords(n) {
+		v, err := rec.Pack()
+		if err != nil {
+			t.Fatalf("pack: %v", err)
 		}
+		body = binary.LittleEndian.AppendUint64(body, v)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("v2 flush: %v", err)
-	}
-	return buf.Bytes()
+	return body
 }
 
 func postJSON(t *testing.T, url string, v any) *http.Response {
@@ -140,7 +147,7 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 
 	// Ingest two v1 blocks and one v2 block; all go to the same clock.
-	for i, body := range [][]byte{traceBody(t, 500), traceBody(t, 500), traceBodyV2(t, 250)} {
+	for i, body := range [][]byte{traceBodyV1(t, 500), traceBodyV1(t, 500), traceBody(t, 250)} {
 		resp, err := http.Post(base+"/sessions/alpha/trace", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("ingest %d: %v", i, err)

@@ -59,7 +59,10 @@ func TestTraceSimValidation(t *testing.T) {
 
 func TestTraceSimRunFromFile(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := tracefile.NewWriter(&buf)
+	w, err := tracefile.NewV2Writer(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 100; i++ {
 		if err := w.Write(tracefile.Record{Addr: uint64(i%8) * 128, Cmd: bus.Read, SrcID: uint8(i % 2)}); err != nil {
 			t.Fatal(err)
@@ -68,7 +71,7 @@ func TestTraceSimRunFromFile(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := tracefile.NewReader(&buf)
+	r, err := tracefile.Open(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

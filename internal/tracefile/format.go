@@ -6,50 +6,11 @@ import (
 	"io"
 )
 
-// Format selects a trace file format version.
-type Format int
-
-const (
-	// FormatV1 is the fixed 8-byte record format ("MIES0001").
-	FormatV1 Format = 1
-	// FormatV2 is the block-framed varint delta format ("MIES0002").
-	FormatV2 Format = 2
-)
-
-// String returns the flag spelling of the format ("v1" / "v2").
-func (f Format) String() string {
-	switch f {
-	case FormatV1:
-		return "v1"
-	case FormatV2:
-		return "v2"
-	}
-	return fmt.Sprintf("Format(%d)", int(f))
-}
-
-// ParseFormat parses a -format flag value.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "v1", "1", Magic:
-		return FormatV1, nil
-	case "v2", "2", MagicV2:
-		return FormatV2, nil
-	}
-	return 0, fmt.Errorf("tracefile: unknown format %q (want v1 or v2)", s)
-}
-
 // RecordReader is the streaming side shared by both format readers.
 type RecordReader interface {
 	// Next returns the next record, or io.EOF after the last one.
 	Next() (Record, error)
 	// Count returns the number of records read so far.
-	Count() uint64
-}
-
-// RecordWriter is the streaming side shared by both format writers.
-type RecordWriter interface {
-	Write(Record) error
-	Flush() error
 	Count() uint64
 }
 
@@ -87,25 +48,14 @@ func Open(r io.Reader) (RecordReader, error) {
 	case Magic:
 		return &Reader{br: br}, nil
 	case MagicV2:
-		return newV2Reader(br), nil
+		return &V2Reader{br: br}, nil
 	}
 	return nil, fmt.Errorf("tracefile: bad magic %q", magic)
 }
 
-// NewWriterFormat returns a record writer producing the given format.
-func NewWriterFormat(w io.Writer, f Format) (RecordWriter, error) {
-	switch f {
-	case FormatV1:
-		return NewWriter(w)
-	case FormatV2:
-		return NewV2Writer(w)
-	}
-	return nil, fmt.Errorf("tracefile: unknown format %v", f)
-}
-
 // CopyRecords streams every record from r into w, returning how many
 // were copied. It does not Flush w; the caller owns finalization.
-func CopyRecords(w RecordWriter, r RecordReader) (uint64, error) {
+func CopyRecords(w *V2Writer, r RecordReader) (uint64, error) {
 	var n uint64
 	for {
 		rec, err := r.Next()
@@ -120,19 +70,4 @@ func CopyRecords(w RecordWriter, r RecordReader) (uint64, error) {
 		}
 		n++
 	}
-}
-
-// DumpFormat writes the captured trace in the requested format;
-// Capture.Dump remains the v1 shorthand.
-func (c *Capture) DumpFormat(w io.Writer, f Format) error {
-	tw, err := NewWriterFormat(w, f)
-	if err != nil {
-		return err
-	}
-	for _, v := range c.records {
-		if err := tw.Write(Unpack(v)); err != nil {
-			return err
-		}
-	}
-	return tw.Flush()
 }

@@ -1,23 +1,16 @@
 package tracefile
 
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-	"os"
-
-	"memories/internal/parallel"
-)
+import "os"
 
 // Zero-copy v2 ingest: when the trace is a regular file on a platform
 // with mmap, the whole file is mapped read-only and MIES0002 blocks are
-// decoded in place — header parsing walks the mapping and each decode
-// worker's payload slice aliases it, eliminating the read+copy per
-// block that the bufio path pays (readBlockRaw's io.ReadFull into a
-// frame buffer). Everything downstream of the framing is shared with
-// the streaming reader (checkBlockCRC, decodeBlockV2), so the two paths
-// cannot drift: same plausibility checks, same CRC, same record stream,
-// same errors at the same byte offsets.
+// decoded in place — header parsing walks the mapping and each payload
+// slice aliases it, eliminating the read+copy per block that the bufio
+// path pays (V2Reader.loadBlock's io.ReadFull into a frame buffer). The
+// header parse and everything after it are shared with the streaming
+// reader (parseBlockHeader, decodeChecked), so the two paths cannot
+// drift: same plausibility checks, same CRC, same record stream, same
+// errors at the same byte offsets.
 //
 // The fallback ladder is total — v1 traces, non-regular sources (pipes,
 // sockets), platforms without mmap, and any map failure all land on the
@@ -32,8 +25,9 @@ var mmapForceFallback bool
 // mmap-capable platforms decode zero-copy from the mapped region; v1
 // traces, map failures, and mmap-less platforms fall back to the
 // streaming reader transparently. The emitted batches and the returned
-// record count are identical on both paths.
-func ForEachBatchFile(path string, workers int, emit func([]Record) error) (uint64, error) {
+// record count are identical on both paths. The int is dead; see
+// ForEachBatch.
+func ForEachBatchFile(path string, _ int, emit func([]Record) error) (uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
@@ -43,7 +37,7 @@ func ForEachBatchFile(path string, workers int, emit func([]Record) error) (uint
 		if st, serr := f.Stat(); serr == nil && st.Mode().IsRegular() && st.Size() > int64(len(MagicV2)) {
 			if data, unmap, merr := mmapFile(f, st.Size()); merr == nil {
 				if string(data[:len(MagicV2)]) == MagicV2 {
-					total, derr := v2BatchesMapped(data[len(MagicV2):], workers, emit)
+					total, derr := v2BatchesMapped(data[len(MagicV2):], emit)
 					if uerr := unmap(); derr == nil {
 						derr = uerr
 					}
@@ -53,89 +47,36 @@ func ForEachBatchFile(path string, workers int, emit func([]Record) error) (uint
 			}
 		}
 	}
-	return ForEachBatch(f, workers, emit)
-}
-
-// nextBlockMapped frames the next block at the start of data, returning
-// its header fields, the in-place payload slice, and the total bytes
-// consumed. It applies exactly readBlockRaw's checks: io.EOF only at a
-// clean block boundary, torn header/payload as io.ErrUnexpectedEOF, and
-// the same implausible-header rejection.
-func nextBlockMapped(data []byte) (count int, crc uint32, payload []byte, n int, err error) {
-	if len(data) == 0 {
-		return 0, 0, nil, 0, io.EOF
-	}
-	if len(data) < blockHeaderSize {
-		return 0, 0, nil, 0, fmt.Errorf("tracefile: torn v2 block header: %w", io.ErrUnexpectedEOF)
-	}
-	count = int(binary.LittleEndian.Uint32(data[0:]))
-	plen := int(binary.LittleEndian.Uint32(data[4:]))
-	crc = binary.LittleEndian.Uint32(data[8:])
-	if count < 1 || count > maxBlockRecords ||
-		plen < count*minRecordBytes || plen > count*maxRecordBytes {
-		return 0, 0, nil, 0, fmt.Errorf("%w: implausible header (count=%d, payload=%d)", ErrCorrupt, count, plen)
-	}
-	if len(data)-blockHeaderSize < plen {
-		return 0, 0, nil, 0, fmt.Errorf("tracefile: torn v2 block payload: %w", io.ErrUnexpectedEOF)
-	}
-	return count, crc, data[blockHeaderSize : blockHeaderSize+plen], blockHeaderSize + plen, nil
+	return ForEachBatch(f, 0, emit)
 }
 
 // v2BatchesMapped is v2Batches over an in-memory block region (the
-// mapped file past the magic): same windowing, same worker fan-out,
-// same in-order emit — but the payload slices alias data instead of
-// being copied into reused frames. Record slabs are still per-slot and
-// reused across windows, so steady state allocates nothing.
-func v2BatchesMapped(data []byte, workers int, emit func([]Record) error) (uint64, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	type slot struct {
-		payload []byte
-		recs    []Record
-		count   int
-		crc     uint32
-	}
-	slots := make([]slot, workers)
+// mapped file past the magic): the same header parse, checks and decode,
+// with each payload a slice of data instead of a copy into a frame. The
+// one record slab is reused, so steady state allocates nothing.
+func v2BatchesMapped(data []byte, emit func([]Record) error) (uint64, error) {
+	var recs []Record
 	var total uint64
-	for {
-		filled := 0
-		var readErr error
-		for filled < workers {
-			count, crc, payload, n, err := nextBlockMapped(data)
-			if err != nil {
-				readErr = err
-				break
-			}
-			s := &slots[filled]
-			s.count, s.crc, s.payload = count, crc, payload
-			data = data[n:]
-			filled++
+	for len(data) > 0 {
+		if len(data) < blockHeaderSize {
+			return total, errTornHeader
 		}
-		if filled > 0 {
-			err := parallel.ForEach(workers, filled, func(i int) error {
-				if cerr := checkBlockCRC(slots[i].payload, slots[i].crc); cerr != nil {
-					return cerr
-				}
-				recs, derr := decodeBlockV2(slots[i].payload, slots[i].count, slots[i].recs[:0])
-				slots[i].recs = recs
-				return derr
-			})
-			if err != nil {
-				return total, err
-			}
-			for i := 0; i < filled; i++ {
-				total += uint64(len(slots[i].recs))
-				if err := emit(slots[i].recs); err != nil {
-					return total, err
-				}
-			}
+		count, plen, crc, err := parseBlockHeader(data)
+		if err != nil {
+			return total, err
 		}
-		if readErr == io.EOF {
-			return total, nil
+		data = data[blockHeaderSize:]
+		if len(data) < plen {
+			return total, errTornPayload
 		}
-		if readErr != nil {
-			return total, readErr
+		if recs, err = decodeChecked(data[:plen], count, crc, recs); err != nil {
+			return total, err
+		}
+		data = data[plen:]
+		total += uint64(len(recs))
+		if err := emit(recs); err != nil {
+			return total, err
 		}
 	}
+	return total, nil
 }

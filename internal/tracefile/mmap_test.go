@@ -3,6 +3,8 @@ package tracefile
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -31,60 +33,44 @@ func writeTempTrace(t *testing.T, data []byte) string {
 
 // TestForEachBatchFileMatchesReader: the mapped path and the streaming
 // reader deliver the identical record stream for a v2 file, at several
-// worker counts and block sizes.
+// block sizes.
 func TestForEachBatchFileMatchesReader(t *testing.T) {
 	recs := testRecords(10_000, 42)
 	for _, blockRecords := range []int{16, 512, 4096} {
 		data := writeV2(t, recs, blockRecords)
 		path := writeTempTrace(t, data)
-		for _, workers := range []int{1, 2, 4} {
-			var viaReader, viaFile []Record
-			rn, err := ForEachBatch(bytes.NewReader(data), workers, collect(&viaReader))
-			if err != nil {
-				t.Fatal(err)
-			}
-			fn, err := ForEachBatchFile(path, workers, collect(&viaFile))
-			if err != nil {
-				t.Fatalf("block=%d workers=%d: %v", blockRecords, workers, err)
-			}
-			if rn != fn || len(viaReader) != len(viaFile) {
-				t.Fatalf("block=%d workers=%d: reader %d recs, mapped %d", blockRecords, workers, rn, fn)
-			}
-			for i := range viaReader {
-				if viaReader[i] != viaFile[i] {
-					t.Fatalf("block=%d workers=%d: record %d = %+v, reader %+v",
-						blockRecords, workers, i, viaFile[i], viaReader[i])
-				}
+		var viaReader, viaFile []Record
+		rn, err := ForEachBatch(bytes.NewReader(data), 0, collect(&viaReader))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn, err := ForEachBatchFile(path, 0, collect(&viaFile))
+		if err != nil {
+			t.Fatalf("block=%d: %v", blockRecords, err)
+		}
+		if rn != fn || len(viaReader) != len(viaFile) {
+			t.Fatalf("block=%d: reader %d recs, mapped %d", blockRecords, rn, fn)
+		}
+		for i := range viaReader {
+			if viaReader[i] != viaFile[i] {
+				t.Fatalf("block=%d: record %d = %+v, reader %+v", blockRecords, i, viaFile[i], viaReader[i])
 			}
 		}
 	}
 }
 
-// TestForEachBatchFileV1Fallback: a v1 file through ForEachBatchFile
-// takes the reader path (wrong magic for in-place decode) and still
-// yields the full stream.
+// TestForEachBatchFileV1Fallback: a hand-packed v1 file through
+// ForEachBatchFile takes the reader path (wrong magic for in-place
+// decode) and still yields the full stream.
 func TestForEachBatchFileV1Fallback(t *testing.T) {
 	recs := []Record{
 		{Addr: 0x1000, Cmd: bus.Read, SrcID: 1},
 		{Addr: 0x2000, Cmd: bus.RWITM, SrcID: 2},
 		{Addr: 0x3000, Cmd: bus.Castout, SrcID: 3},
 	}
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	path := writeTempTrace(t, buf.Bytes())
+	path := writeTempTrace(t, packV1(t, recs))
 	var got []Record
-	n, err := ForEachBatchFile(path, 2, collect(&got))
+	n, err := ForEachBatchFile(path, 0, collect(&got))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +94,14 @@ func TestForEachBatchFileForcedFallback(t *testing.T) {
 	path := writeTempTrace(t, data)
 
 	var mapped []Record
-	if _, err := ForEachBatchFile(path, 2, collect(&mapped)); err != nil {
+	if _, err := ForEachBatchFile(path, 0, collect(&mapped)); err != nil {
 		t.Fatal(err)
 	}
 
 	mmapForceFallback = true
 	defer func() { mmapForceFallback = false }()
 	var fallback []Record
-	n, err := ForEachBatchFile(path, 2, collect(&fallback))
+	n, err := ForEachBatchFile(path, 0, collect(&fallback))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,43 +115,85 @@ func TestForEachBatchFileForcedFallback(t *testing.T) {
 	}
 }
 
-// TestV2MappedCorruptionParity: torn headers, torn payloads, corrupt
-// CRCs, and implausible headers must fail on the mapped path exactly
-// where the streaming reader fails, with the same records delivered
-// before the error.
+// TestV2MappedCorruptionParity: a CRC flip, a torn header, a torn
+// payload or an implausible header in block k of n must look the same
+// from all three readers — V2Reader, ForEachBatch, ForEachBatchFile:
+// exactly the records of blocks < k, then the same class of error. No
+// reader hands out part of the bad block, and nothing else (a window, a
+// flag) decides how much precedes the error.
 func TestV2MappedCorruptionParity(t *testing.T) {
-	recs := testRecords(2_000, 7)
-	good := writeV2(t, recs, 128)
-	// End of the first block: magic + header + its payload length.
-	firstEnd := len(MagicV2) + blockHeaderSize + int(binary.LittleEndian.Uint32(good[len(MagicV2)+4:]))
-	mutate := map[string]func([]byte) []byte{
-		"torn header":  func(b []byte) []byte { return b[:firstEnd+5] },
-		"torn payload": func(b []byte) []byte { return b[:len(b)-3] },
-		"flipped bit":  func(b []byte) []byte { c := append([]byte(nil), b...); c[len(c)/2] ^= 0x40; return c },
-		"bad count": func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			binary.LittleEndian.PutUint32(c[len(MagicV2):], maxBlockRecords+1)
-			return c
-		},
+	const block, n = 128, 16
+	recs := testRecords(block*n, 7)
+	good := writeV2(t, recs, block)
+	// starts[k] is the file offset of block k's header.
+	var starts []int
+	for off := len(MagicV2); off < len(good); {
+		starts = append(starts, off)
+		off += blockHeaderSize + int(binary.LittleEndian.Uint32(good[off+4:]))
 	}
-	for name, mut := range mutate {
-		data := mut(good)
-		path := writeTempTrace(t, data)
-		var viaReader, viaFile []Record
-		rn, rerr := ForEachBatch(bytes.NewReader(data), 2, collect(&viaReader))
-		fn, ferr := ForEachBatchFile(path, 2, collect(&viaFile))
-		if (rerr == nil) != (ferr == nil) {
-			t.Fatalf("%s: reader err %v, mapped err %v", name, rerr, ferr)
-		}
-		if rerr == nil {
-			t.Fatalf("%s: corruption went unnoticed", name)
-		}
-		if rn != fn || len(viaReader) != len(viaFile) {
-			t.Fatalf("%s: reader emitted %d, mapped %d", name, rn, fn)
-		}
-		for i := range viaReader {
-			if viaReader[i] != viaFile[i] {
-				t.Fatalf("%s: record %d diverges", name, i)
+	if len(starts) != n {
+		t.Fatalf("fixture has %d blocks, want %d", len(starts), n)
+	}
+	mutations := []struct {
+		name string
+		want error
+		mut  func(b []byte, k int) []byte
+	}{
+		{"CRC flip", ErrCorrupt, func(b []byte, k int) []byte {
+			b[starts[k]+blockHeaderSize+7] ^= 0x40
+			return b
+		}},
+		{"torn header", io.ErrUnexpectedEOF, func(b []byte, k int) []byte {
+			return b[:starts[k]+5]
+		}},
+		{"torn payload", io.ErrUnexpectedEOF, func(b []byte, k int) []byte {
+			return b[:starts[k]+blockHeaderSize+20]
+		}},
+		{"implausible header", ErrCorrupt, func(b []byte, k int) []byte {
+			binary.LittleEndian.PutUint32(b[starts[k]:], maxBlockRecords+1)
+			return b
+		}},
+	}
+	sides := []struct {
+		name string
+		read func(data []byte, out *[]Record) error
+	}{
+		{"V2Reader", func(data []byte, out *[]Record) error {
+			r, err := NewV2Reader(bytes.NewReader(data))
+			for err == nil {
+				var rec Record
+				if rec, err = r.Next(); err == nil {
+					*out = append(*out, rec)
+				}
+			}
+			return err
+		}},
+		{"ForEachBatch", func(data []byte, out *[]Record) error {
+			_, err := ForEachBatch(bytes.NewReader(data), 0, collect(out))
+			return err
+		}},
+		{"ForEachBatchFile", func(data []byte, out *[]Record) error {
+			_, err := ForEachBatchFile(writeTempTrace(t, data), 0, collect(out))
+			return err
+		}},
+	}
+	for _, m := range mutations {
+		for _, k := range []int{0, 5, n - 1} {
+			data := m.mut(append([]byte(nil), good...), k)
+			for _, side := range sides {
+				var got []Record
+				err := side.read(data, &got)
+				if !errors.Is(err, m.want) {
+					t.Fatalf("%s in block %d, %s: error %v, want %v", m.name, k, side.name, err, m.want)
+				}
+				if len(got) != k*block {
+					t.Fatalf("%s in block %d, %s: %d records delivered, want %d", m.name, k, side.name, len(got), k*block)
+				}
+				for i := range got {
+					if got[i] != recs[i] {
+						t.Fatalf("%s in block %d, %s: record %d = %+v, want %+v", m.name, k, side.name, i, got[i], recs[i])
+					}
+				}
 			}
 		}
 	}
@@ -195,21 +223,19 @@ func FuzzV2MmapDecode(f *testing.F) {
 	f.Add([]byte("short"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, workers := range []int{1, 2} {
-			var mapped, streamed []Record
-			mn, merr := v2BatchesMapped(data, workers, collect(&mapped))
-			body := append([]byte(MagicV2), data...)
-			sn, serr := ForEachBatch(bytes.NewReader(body), workers, collect(&streamed))
-			if (merr == nil) != (serr == nil) {
-				t.Fatalf("workers=%d: mapped err %v, reader err %v", workers, merr, serr)
-			}
-			if mn != sn || len(mapped) != len(streamed) {
-				t.Fatalf("workers=%d: mapped %d records, reader %d", workers, mn, sn)
-			}
-			for i := range mapped {
-				if mapped[i] != streamed[i] {
-					t.Fatalf("workers=%d: record %d = %+v mapped, %+v reader", workers, i, mapped[i], streamed[i])
-				}
+		var mapped, streamed []Record
+		mn, merr := v2BatchesMapped(data, collect(&mapped))
+		body := append([]byte(MagicV2), data...)
+		sn, serr := ForEachBatch(bytes.NewReader(body), 0, collect(&streamed))
+		if (merr == nil) != (serr == nil) {
+			t.Fatalf("mapped err %v, reader err %v", merr, serr)
+		}
+		if mn != sn || len(mapped) != len(streamed) {
+			t.Fatalf("mapped %d records, reader %d", mn, sn)
+		}
+		for i := range mapped {
+			if mapped[i] != streamed[i] {
+				t.Fatalf("record %d = %+v mapped, %+v reader", i, mapped[i], streamed[i])
 			}
 		}
 	})

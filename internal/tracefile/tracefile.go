@@ -4,13 +4,18 @@
 // billion 8-byte wide bus references at a time", later dumped to disk on
 // the console machine for off-line analysis.
 //
-// Each reference is packed into exactly 8 bytes:
+// In memory, and in the original fixed-width file format, each reference
+// is packed into exactly 8 bytes:
 //
 //	bits 63..16  physical address >> 3 (8-byte aligned; 48 bits => 2 PB)
 //	bits 15..8   bus command
 //	bits  7..0   source bus ID
 //
-// A file is the 8-byte magic "MIES0001" followed by little-endian records.
+// A version-1 file is the 8-byte magic "MIES0001" followed by
+// little-endian records. It is read-only here: every reader accepts it
+// (Open, ForEachBatch), every writer produces the block-framed,
+// delta-compressed version 2 (v2.go), and `tracegen convert` rewrites an
+// old file.
 package tracefile
 
 import (
@@ -75,43 +80,7 @@ func FromTransaction(tx *bus.Transaction) Record {
 	return Record{Addr: tx.Addr &^ 7, Cmd: tx.Cmd, SrcID: uint8(src)}
 }
 
-// Writer streams trace records to an io.Writer.
-type Writer struct {
-	bw    *bufio.Writer
-	count uint64
-	buf   [RecordSize]byte
-}
-
-// NewWriter writes the file magic and returns a record writer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(Magic); err != nil {
-		return nil, err
-	}
-	return &Writer{bw: bw}, nil
-}
-
-// Write appends one record.
-func (w *Writer) Write(r Record) error {
-	v, err := r.Pack()
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	if _, err := w.bw.Write(w.buf[:]); err != nil {
-		return err
-	}
-	w.count++
-	return nil
-}
-
-// Count returns the number of records written.
-func (w *Writer) Count() uint64 { return w.count }
-
-// Flush drains buffered records to the underlying writer.
-func (w *Writer) Flush() error { return w.bw.Flush() }
-
-// Reader streams trace records from an io.Reader.
+// Reader streams version-1 trace records from an io.Reader.
 type Reader struct {
 	br    *bufio.Reader
 	count uint64
@@ -188,10 +157,19 @@ func (c *Capture) Full() bool { return len(c.records) >= c.limit }
 // Record returns the i-th stored record.
 func (c *Capture) Record(i int) Record { return Unpack(c.records[i]) }
 
-// Dump writes the captured trace as a version-1 file (the "dump to a
-// disk in the console machine" step); see DumpFormat for v2.
+// Dump writes the captured trace as a version-2 file (the "dump to a
+// disk in the console machine" step).
 func (c *Capture) Dump(w io.Writer) error {
-	return c.DumpFormat(w, FormatV1)
+	tw, err := NewV2Writer(w)
+	if err != nil {
+		return err
+	}
+	for _, v := range c.records {
+		if err := tw.Write(Unpack(v)); err != nil {
+			return err
+		}
+	}
+	return tw.Flush()
 }
 
 // Reset clears the capture buffer for a new collection window.

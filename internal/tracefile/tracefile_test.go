@@ -2,6 +2,7 @@ package tracefile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -65,36 +66,38 @@ func TestFromTransaction(t *testing.T) {
 	}
 }
 
-func TestWriteReadFile(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
+// packV1 hand-packs recs as a version-1 file: the magic, then each
+// record's 8 little-endian bytes. Nothing writes v1 any more, so the
+// tests that prove v1 input is still read build their bytes here.
+func packV1(t testing.TB, recs []Record) []byte {
+	t.Helper()
+	data := []byte(Magic)
+	for _, r := range recs {
+		v, err := r.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = binary.LittleEndian.AppendUint64(data, v)
 	}
+	return data
+}
+
+func TestWriteReadFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var want []Record
 	for i := 0; i < 1000; i++ {
-		r := Record{
+		want = append(want, Record{
 			Addr:  uint64(rng.Intn(1<<30)) &^ 7,
 			Cmd:   bus.Command(rng.Intn(bus.NumCommands())),
 			SrcID: uint8(rng.Intn(12)),
-		}
-		want = append(want, r)
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
-	if w.Count() != 1000 {
-		t.Fatalf("writer count = %d", w.Count())
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != len(Magic)+1000*RecordSize {
-		t.Fatalf("file size = %d", buf.Len())
+	data := packV1(t, want)
+	if len(data) != len(Magic)+1000*RecordSize {
+		t.Fatalf("file size = %d", len(data))
 	}
 
-	r, err := NewReader(&buf)
+	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,15 +128,8 @@ func TestReaderRejectsBadMagic(t *testing.T) {
 }
 
 func TestReaderTornRecord(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	if err := w.Write(Record{Addr: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()[:buf.Len()-3] // tear the record
+	data := packV1(t, []Record{{Addr: 8}})
+	data = data[:len(data)-3] // tear the record
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -166,30 +162,34 @@ func TestCaptureLimitAndDrop(t *testing.T) {
 	}
 }
 
+// TestCaptureDumpRoundTrip: the console's dump step writes v2, and the
+// auto-detecting reader gets every captured record back.
 func TestCaptureDumpRoundTrip(t *testing.T) {
 	c := NewCapture(100)
 	for i := 0; i < 10; i++ {
-		c.Add(Record{Addr: uint64(i) * 128, Cmd: bus.Read, SrcID: uint8(i)})
+		if _, err := c.Add(Record{Addr: uint64(i) * 128, Cmd: bus.Read, SrcID: uint8(i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var buf bytes.Buffer
 	if err := c.Dump(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(&buf)
+	r, err := Open(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		rec, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
+	if _, ok := r.(*V2Reader); !ok {
+		t.Fatalf("Dump wrote a file Open reads as %T, want *V2Reader", r)
+	}
+	got := readAll(t, r)
+	if len(got) != 10 {
+		t.Fatalf("got %d records", len(got))
+	}
+	for i, rec := range got {
 		if rec.Addr != uint64(i)*128 || rec.SrcID != uint8(i) {
 			t.Fatalf("record %d = %+v", i, rec)
 		}
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatal("expected EOF")
 	}
 }
 

@@ -17,11 +17,9 @@
 // record of a block deltas from zero. A typical record is therefore 2-4
 // bytes instead of 8.
 //
-// Deltas reset at every block boundary, so blocks decode independently:
-// that is what lets ForEachBatch fan block decoding out across workers
-// and re-deliver the batches in file order, and what keeps a single
-// flipped bit from poisoning more than one block (each block carries a
-// CRC-32 of its payload).
+// Deltas reset at every block boundary, so a block decodes from its own
+// bytes alone: that is what keeps a single flipped bit from poisoning
+// more than one block (each block carries a CRC-32 of its payload).
 package tracefile
 
 import (
@@ -32,18 +30,18 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
+	"slices"
 
 	"memories/internal/bus"
-	"memories/internal/parallel"
 )
 
 // MagicV2 identifies a version-2 MemorIES trace file.
 const MagicV2 = "MIES0002"
 
 // DefaultBlockRecords is the number of records per block sealed by a
-// V2Writer: large enough to amortize the 12-byte header and give decode
-// workers meaningful slabs, small enough that a corrupt block loses
-// little and streaming readers stay cache-resident.
+// V2Writer: large enough to amortize the 12-byte header, small enough
+// that a corrupt block loses little and the decoded slab stays
+// cache-resident.
 const DefaultBlockRecords = 4096
 
 const (
@@ -180,12 +178,48 @@ func decodeBlockV2(payload []byte, count int, dst []Record) ([]Record, error) {
 	return dst, nil
 }
 
+// parseBlockHeader decodes a block header from the first
+// blockHeaderSize bytes of hdr. A record count or payload length that no
+// well-formed block could carry is rejected here, before the caller
+// sizes a buffer from it.
+func parseBlockHeader(hdr []byte) (count, plen int, crc uint32, err error) {
+	count = int(binary.LittleEndian.Uint32(hdr[0:]))
+	plen = int(binary.LittleEndian.Uint32(hdr[4:]))
+	crc = binary.LittleEndian.Uint32(hdr[8:])
+	if count < 1 || count > maxBlockRecords ||
+		plen < count*minRecordBytes || plen > count*maxRecordBytes {
+		return 0, 0, 0, fmt.Errorf("%w: implausible header (count=%d, payload=%d)", ErrCorrupt, count, plen)
+	}
+	return count, plen, crc, nil
+}
+
+// decodeChecked verifies a block payload against its header CRC, then
+// decodes its count records into dst[:0]. On any error it returns an
+// empty slab: a consumer never sees part of a bad block.
+func decodeChecked(payload []byte, count int, crc uint32, dst []Record) ([]Record, error) {
+	if crc32.ChecksumIEEE(payload) != crc {
+		return dst[:0], fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+	}
+	recs, err := decodeBlockV2(payload, count, dst[:0])
+	if err != nil {
+		return recs[:0], err
+	}
+	return recs, nil
+}
+
+// A block that ends before its header or payload does. io.EOF is
+// reserved for a clean block boundary.
+var (
+	errTornHeader  = fmt.Errorf("tracefile: torn v2 block header: %w", io.ErrUnexpectedEOF)
+	errTornPayload = fmt.Errorf("tracefile: torn v2 block payload: %w", io.ErrUnexpectedEOF)
+)
+
 // V2Writer streams records as version-2 blocks. Not safe for concurrent
-// use; for parallel encoding see EncodeV2Blocks.
+// use.
 type V2Writer struct {
 	bw           *bufio.Writer
-	payload      []byte
-	n            int
+	payload      []byte // the open block's records, encoded
+	n            int    // records in the open block
 	prev         uint64
 	blockRecords int
 	count        uint64
@@ -226,7 +260,11 @@ func (w *V2Writer) Write(r Record) error {
 	return nil
 }
 
-// seal frames and writes the current block, if any.
+// seal frames and writes the open block, if any: the 12-byte header
+// (record count, payload length, CRC-32 of the payload), then the
+// payload. It is the only place a block is framed for writing — Flush
+// and EncodeV2Blocks both end a block here — and parseBlockHeader and
+// decodeChecked are its inverse.
 func (w *V2Writer) seal() error {
 	if w.n == 0 {
 		return nil
@@ -276,69 +314,33 @@ func NewV2Reader(r io.Reader) (*V2Reader, error) {
 	if err := expectMagic(br, MagicV2); err != nil {
 		return nil, err
 	}
-	return newV2Reader(br), nil
+	return &V2Reader{br: br}, nil
 }
 
-func newV2Reader(br *bufio.Reader) *V2Reader {
-	return &V2Reader{br: br}
-}
-
-// readBlockRaw reads and sanity-checks one block header, then fills
-// frame (reused, regrown as needed) with the raw payload. The CRC from
-// the header is returned unverified — checkBlockCRC runs separately so
-// the parallel pipeline can push that work onto decode workers. It
-// returns io.EOF only at a clean block boundary; a torn header or
-// payload yields a wrapped io.ErrUnexpectedEOF.
-func readBlockRaw(br *bufio.Reader, frame []byte) (count int, crc uint32, _ []byte, err error) {
-	var hdr [blockHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, 0, frame, io.EOF
-		}
-		return 0, 0, frame, fmt.Errorf("tracefile: torn v2 block header: %w", io.ErrUnexpectedEOF)
-	}
-	count = int(binary.LittleEndian.Uint32(hdr[0:]))
-	plen := int(binary.LittleEndian.Uint32(hdr[4:]))
-	crc = binary.LittleEndian.Uint32(hdr[8:])
-	if count < 1 || count > maxBlockRecords ||
-		plen < count*minRecordBytes || plen > count*maxRecordBytes {
-		return 0, 0, frame, fmt.Errorf("%w: implausible header (count=%d, payload=%d)", ErrCorrupt, count, plen)
-	}
-	if cap(frame) < plen {
-		frame = make([]byte, plen)
-	}
-	frame = frame[:plen]
-	if _, err := io.ReadFull(br, frame); err != nil {
-		return 0, 0, frame, fmt.Errorf("tracefile: torn v2 block payload: %w", io.ErrUnexpectedEOF)
-	}
-	return count, crc, frame, nil
-}
-
-// checkBlockCRC verifies a raw payload against its header CRC.
-func checkBlockCRC(payload []byte, crc uint32) error {
-	if crc32.ChecksumIEEE(payload) != crc {
-		return fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
-	}
-	return nil
-}
-
-// loadBlock decodes the next block into the record slab.
+// loadBlock reads, checks and decodes the next block into the record
+// slab. It returns io.EOF only at a clean block boundary; on any error
+// the slab is left empty.
 func (r *V2Reader) loadBlock() error {
-	count, crc, frame, err := readBlockRaw(r.br, r.frame)
-	r.frame = frame
+	r.recs, r.pos = r.recs[:0], 0
+	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
+		if err == io.EOF {
+			return io.EOF
+		}
+		return errTornHeader
+	}
+	count, plen, crc, err := parseBlockHeader(r.hdr[:])
 	if err != nil {
 		return err
 	}
-	if err := checkBlockCRC(frame, crc); err != nil {
-		return err
+	if cap(r.frame) < plen {
+		r.frame = make([]byte, plen)
 	}
-	recs, err := decodeBlockV2(frame, count, r.recs[:0])
-	r.recs = recs
-	if err != nil {
-		return err
+	r.frame = r.frame[:plen]
+	if _, err := io.ReadFull(r.br, r.frame); err != nil {
+		return errTornPayload
 	}
-	r.pos = 0
-	return nil
+	r.recs, err = decodeChecked(r.frame, count, crc, r.recs)
+	return err
 }
 
 // Next returns the next record, or io.EOF after the last block. A torn
@@ -360,13 +362,13 @@ func (r *V2Reader) Count() uint64 { return r.count }
 
 // ForEachBatch streams a trace of either format to emit as decoded
 // record batches, auto-detecting the magic. The batch slice is reused
-// between calls: emit must finish with it before returning. For v2
-// traces, up to `workers` blocks are CRC-checked and decoded
-// concurrently (via internal/parallel) and the batches delivered
-// strictly in file order, so the consumer sees exactly the sequential
-// record stream; workers <= 1 decodes inline. It returns the number of
-// records delivered.
-func ForEachBatch(r io.Reader, workers int, emit func([]Record) error) (uint64, error) {
+// between calls: emit must finish with it before returning. A v2 trace
+// is delivered one block per batch, decoded on the calling goroutine
+// (DESIGN.md §5, "why it is serial"). It returns the number of records
+// delivered.
+//
+// The unnamed int (once a decode workers count) is dead; ROADMAP 1(g) drops it.
+func ForEachBatch(r io.Reader, _ int, emit func([]Record) error) (uint64, error) {
 	br := bufio.NewReaderSize(r, 1<<18)
 	magic, err := readMagic(br)
 	if err != nil {
@@ -376,7 +378,7 @@ func ForEachBatch(r io.Reader, workers int, emit func([]Record) error) (uint64, 
 	case Magic:
 		return v1Batches(br, emit)
 	case MagicV2:
-		return v2Batches(br, workers, emit)
+		return v2Batches(br, emit)
 	}
 	return 0, fmt.Errorf("tracefile: bad magic %q", magic)
 }
@@ -411,134 +413,53 @@ func v1Batches(br *bufio.Reader, emit func([]Record) error) (uint64, error) {
 	}
 }
 
-// v2Batches reads a window of raw block frames, decodes them on up to
-// `workers` workers, and emits the decoded batches in file order.
-func v2Batches(br *bufio.Reader, workers int, emit func([]Record) error) (uint64, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	type slot struct {
-		frame []byte
-		recs  []Record
-		count int
-		crc   uint32
-	}
-	slots := make([]slot, workers)
+// v2Batches emits a v2 body block by block: V2Reader.loadBlock, hand out
+// its slab, repeat.
+func v2Batches(br *bufio.Reader, emit func([]Record) error) (uint64, error) {
+	r := V2Reader{br: br}
 	var total uint64
 	for {
-		// Fill the window serially (the file is one stream).
-		filled := 0
-		var readErr error
-		for filled < workers {
-			s := &slots[filled]
-			count, crc, frame, err := readBlockRaw(br, s.frame)
-			s.frame = frame
-			if err != nil {
-				readErr = err
-				break
+		if err := r.loadBlock(); err != nil {
+			if err == io.EOF {
+				return total, nil
 			}
-			s.count = count
-			s.crc = crc
-			filled++
+			return total, err
 		}
-		// CRC-check and decode the window concurrently, results slotted
-		// by index. Hashing in the workers keeps the serial reader thread
-		// down to header parsing and byte shuffling.
-		if filled > 0 {
-			err := parallel.ForEach(workers, filled, func(i int) error {
-				if cerr := checkBlockCRC(slots[i].frame, slots[i].crc); cerr != nil {
-					return cerr
-				}
-				recs, derr := decodeBlockV2(slots[i].frame, slots[i].count, slots[i].recs[:0])
-				slots[i].recs = recs
-				return derr
-			})
-			if err != nil {
-				return total, err
-			}
-			for i := 0; i < filled; i++ {
-				total += uint64(len(slots[i].recs))
-				if err := emit(slots[i].recs); err != nil {
-					return total, err
-				}
-			}
-		}
-		if readErr == io.EOF {
-			return total, nil
-		}
-		if readErr != nil {
-			return total, readErr
+		total += uint64(len(r.recs))
+		if err := emit(r.recs); err != nil {
+			return total, err
 		}
 	}
 }
 
 // EncodeV2Blocks writes a v2 trace from successive record batches
-// returned by next (nil ends the stream). Each non-empty batch becomes
-// exactly one block; up to `workers` batches are encoded concurrently
-// (via internal/parallel) and written strictly in call order, so the
-// output is byte-identical at any worker count. Batches must remain
-// untouched until the following next call returns. Returns the records
-// written.
-func EncodeV2Blocks(w io.Writer, workers int, next func() []Record) (uint64, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	bw := bufio.NewWriterSize(w, 1<<18)
-	if _, err := bw.WriteString(MagicV2); err != nil {
+// returned by next (nil ends the stream): a V2Writer sealed after every
+// non-empty batch, so each batch becomes exactly one block. A batch is
+// encoded in full before next is called again, so next may reuse its
+// slice. Returns the records written. The int is dead; see ForEachBatch.
+func EncodeV2Blocks(w io.Writer, _ int, next func() []Record) (uint64, error) {
+	vw, err := NewV2WriterBlock(w, maxBlockRecords) // batches, not the size, end blocks
+	if err != nil {
 		return 0, err
 	}
-	window := make([][]Record, 0, workers)
-	blobs := make([][]byte, workers)
-	var total uint64
-	done := false
-	for !done {
-		window = window[:0]
-		for len(window) < workers {
-			batch := next()
-			if batch == nil {
-				done = true
-				break
-			}
-			if len(batch) == 0 {
-				continue
-			}
-			if len(batch) > maxBlockRecords {
-				return total, fmt.Errorf("tracefile: batch of %d exceeds block limit %d", len(batch), maxBlockRecords)
-			}
-			window = append(window, batch)
+	for batch := next(); batch != nil; batch = next() {
+		if len(batch) > maxBlockRecords {
+			return vw.count, fmt.Errorf("tracefile: batch of %d exceeds block limit %d", len(batch), maxBlockRecords)
 		}
-		if len(window) == 0 {
-			continue
-		}
-		err := parallel.ForEach(workers, len(window), func(i int) error {
-			blob := blobs[i][:0]
-			if cap(blob) == 0 {
-				blob = make([]byte, 0, blockHeaderSize+len(window[i])*4)
+		// Write's append without its per-record block-full test: the
+		// batch is the block. A typical record is under 4 bytes; sizing
+		// the first payload for that spares a dozen regrowth copies.
+		vw.payload = slices.Grow(vw.payload, 4*len(batch))
+		for _, r := range batch {
+			if vw.payload, vw.prev, err = appendRecordV2(vw.payload, vw.prev, r); err != nil {
+				return vw.count, err
 			}
-			blob = blob[:blockHeaderSize]
-			var prev uint64
-			var err error
-			for _, rec := range window[i] {
-				if blob, prev, err = appendRecordV2(blob, prev, rec); err != nil {
-					return err
-				}
-			}
-			payload := blob[blockHeaderSize:]
-			binary.LittleEndian.PutUint32(blob[0:], uint32(len(window[i])))
-			binary.LittleEndian.PutUint32(blob[4:], uint32(len(payload)))
-			binary.LittleEndian.PutUint32(blob[8:], crc32.ChecksumIEEE(payload))
-			blobs[i] = blob
-			return nil
-		})
-		if err != nil {
-			return total, err
 		}
-		for i := range window {
-			if _, err := bw.Write(blobs[i]); err != nil {
-				return total, err
-			}
-			total += uint64(len(window[i]))
+		vw.n = len(batch)
+		if err := vw.seal(); err != nil {
+			return vw.count, err
 		}
+		vw.count += uint64(len(batch))
 	}
-	return total, bw.Flush()
+	return vw.count, vw.Flush()
 }

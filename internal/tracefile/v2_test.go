@@ -2,6 +2,8 @@ package tracefile
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math/rand"
@@ -102,27 +104,15 @@ func TestV2RoundTrip(t *testing.T) {
 }
 
 // TestV2MatchesV1 proves the v2 round-trip is bit-identical to v1: the
-// same record stream written through both formats reads back equal,
-// record for record.
+// same record stream in both formats (v1 hand-packed, v2 written) reads
+// back equal, record for record.
 func TestV2MatchesV1(t *testing.T) {
 	recs := testRecords(5000, 13)
 
-	var v1buf bytes.Buffer
-	w1, err := NewWriter(&v1buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := w1.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w1.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	v1data := packV1(t, recs)
 	v2data := writeV2(t, recs, DefaultBlockRecords)
 
-	r1, err := Open(bytes.NewReader(v1buf.Bytes()))
+	r1, err := Open(bytes.NewReader(v1data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +138,8 @@ func TestV2MatchesV1(t *testing.T) {
 
 	// The compression claim: on this bursty trace, v2 should beat v1's
 	// fixed 8 bytes/record by a wide margin.
-	if len(v2data)*2 > v1buf.Len() {
-		t.Fatalf("v2 size %d not < half of v1 size %d", len(v2data), v1buf.Len())
+	if len(v2data)*2 > len(v1data) {
+		t.Fatalf("v2 size %d not < half of v1 size %d", len(v2data), len(v1data))
 	}
 }
 
@@ -249,81 +239,41 @@ func TestOpenRejectsBadMagic(t *testing.T) {
 	}
 }
 
-func TestParseFormat(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Format
-	}{{"v1", FormatV1}, {"1", FormatV1}, {Magic, FormatV1}, {"v2", FormatV2}, {"2", FormatV2}, {MagicV2, FormatV2}} {
-		got, err := ParseFormat(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseFormat(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if _, err := ParseFormat("v3"); err == nil {
-		t.Fatal("ParseFormat accepted v3")
-	}
-	if FormatV1.String() != "v1" || FormatV2.String() != "v2" {
-		t.Fatal("Format.String mismatch")
-	}
-}
-
-// TestCopyRecordsConvert drives the tracegen-convert path: v1 -> v2 ->
-// v1 through CopyRecords must reproduce the original stream, and the
-// writer/reader counts must agree at every hop.
+// TestCopyRecordsConvert drives the tracegen-convert path: a v1 file
+// through CopyRecords into a V2Writer yields the file the same records
+// written directly would, and the writer/reader counts agree.
 func TestCopyRecordsConvert(t *testing.T) {
 	recs := testRecords(3000, 29)
-	var v1 bytes.Buffer
-	w1, err := NewWriterFormat(&v1, FormatV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := w1.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w1.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	hop := func(data []byte, f Format) []byte {
-		t.Helper()
-		r, err := Open(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		w, err := NewWriterFormat(&out, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := CopyRecords(w, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != uint64(len(recs)) || w.Count() != n || r.Count() != n {
-			t.Fatalf("copied %d (writer %d, reader %d), want %d", n, w.Count(), r.Count(), len(recs))
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return out.Bytes()
-	}
-
-	v2data := hop(v1.Bytes(), FormatV2)
-	back := hop(v2data, FormatV1)
-	if !bytes.Equal(back, v1.Bytes()) {
-		t.Fatal("v1 -> v2 -> v1 conversion is not byte-identical")
-	}
-
-	// Errors from the source must surface, reporting progress so far.
-	r, err := Open(bytes.NewReader(v2data[:len(v2data)-3]))
+	r, err := Open(bytes.NewReader(packV1(t, recs)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	w, err := NewWriterFormat(&out, FormatV1)
+	w, err := NewV2Writer(&out)
 	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := CopyRecords(w, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != uint64(len(recs)) || w.Count() != n || r.Count() != n {
+		t.Fatalf("copied %d (writer %d, reader %d), want %d", n, w.Count(), r.Count(), len(recs))
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	v2data := out.Bytes()
+	if !bytes.Equal(v2data, writeV2(t, recs, DefaultBlockRecords)) {
+		t.Fatal("converted file differs from the same records written directly")
+	}
+
+	// Errors from the source must surface, reporting progress so far.
+	r, err = Open(bytes.NewReader(v2data[:len(v2data)-3]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, err = NewV2Writer(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := CopyRecords(w, r); err == nil {
@@ -331,74 +281,28 @@ func TestCopyRecordsConvert(t *testing.T) {
 	}
 }
 
-func TestCaptureDumpFormatV2(t *testing.T) {
-	c := NewCapture(100)
-	for i := 0; i < 10; i++ {
-		if _, err := c.Add(Record{Addr: uint64(i) * 128, Cmd: bus.Read, SrcID: uint8(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := c.DumpFormat(&buf, FormatV2); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := readAll(t, r)
-	if len(got) != 10 {
-		t.Fatalf("got %d records", len(got))
-	}
-	for i, rec := range got {
-		if rec.Addr != uint64(i)*128 || rec.SrcID != uint8(i) {
-			t.Fatalf("record %d = %+v", i, rec)
-		}
-	}
-}
-
 // TestForEachBatchMatchesSerial proves batch delivery is in file order
-// and record-identical to the streaming readers, for both formats and
-// several worker counts.
+// and record-identical to the streaming readers, for both formats.
 func TestForEachBatchMatchesSerial(t *testing.T) {
 	want := testRecords(9000, 17)
-
-	var v1buf bytes.Buffer
-	w1, err := NewWriter(&v1buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range want {
-		if err := w1.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w1.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Odd block size so the final block is partial.
-	v2data := writeV2(t, want, 700)
-
 	for _, tc := range []struct {
 		name string
 		data []byte
-	}{{"v1", v1buf.Bytes()}, {"v2", v2data}} {
-		for _, workers := range []int{1, 2, 4} {
-			var got []Record
-			n, err := ForEachBatch(bytes.NewReader(tc.data), workers, func(batch []Record) error {
-				got = append(got, batch...)
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
-			}
-			if n != uint64(len(want)) || len(got) != len(want) {
-				t.Fatalf("%s workers=%d: delivered %d/%d records", tc.name, workers, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s workers=%d: record %d = %+v, want %+v", tc.name, workers, i, got[i], want[i])
-				}
+	}{
+		{"v1", packV1(t, want)},
+		{"v2", writeV2(t, want, 700)}, // odd block size: the final block is partial
+	} {
+		var got []Record
+		n, err := ForEachBatch(bytes.NewReader(tc.data), 0, collect(&got))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n != uint64(len(want)) || len(got) != len(want) {
+			t.Fatalf("%s: delivered %d/%d records", tc.name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: record %d = %+v, want %+v", tc.name, i, got[i], want[i])
 			}
 		}
 	}
@@ -407,55 +311,75 @@ func TestForEachBatchMatchesSerial(t *testing.T) {
 func TestForEachBatchPropagatesErrors(t *testing.T) {
 	data := writeV2(t, testRecords(100, 23), 32)
 	sentinel := errors.New("stop")
-	_, err := ForEachBatch(bytes.NewReader(data), 2, func([]Record) error { return sentinel })
+	_, err := ForEachBatch(bytes.NewReader(data), 0, func([]Record) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("emit error = %v", err)
 	}
 	mut := append([]byte(nil), data...)
 	mut[len(MagicV2)+blockHeaderSize] ^= 1
-	_, err = ForEachBatch(bytes.NewReader(mut), 2, func([]Record) error { return nil })
+	_, err = ForEachBatch(bytes.NewReader(mut), 0, func([]Record) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt block error = %v", err)
 	}
-	if _, err := ForEachBatch(bytes.NewReader([]byte("MIESXXXX")), 1, nil); err == nil {
+	if _, err := ForEachBatch(bytes.NewReader([]byte("MIESXXXX")), 0, nil); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
 
-// TestEncodeV2BlocksDeterministic proves parallel encode produces
-// byte-identical output at every worker count, equal to the serial
-// V2Writer with the same block size.
+// encodeV2 runs recs through EncodeV2Blocks, one batch (so one block)
+// per `block` records.
+func encodeV2(t *testing.T, recs []Record, block int) []byte {
+	t.Helper()
+	total := uint64(len(recs))
+	var buf bytes.Buffer
+	n, err := EncodeV2Blocks(&buf, 0, func() []Record {
+		if len(recs) == 0 {
+			return nil
+		}
+		b := recs[:min(block, len(recs))]
+		recs = recs[len(b):]
+		return b
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != total {
+		t.Fatalf("EncodeV2Blocks wrote %d of %d records", n, total)
+	}
+	return buf.Bytes()
+}
+
+// TestEncodeV2BlocksDeterministic proves the batch encoder's output is
+// byte-identical to the V2Writer's at the same block size: both frame
+// through V2Writer.seal, and a partial final block is no exception.
 func TestEncodeV2BlocksDeterministic(t *testing.T) {
 	recs := testRecords(5000, 29)
 	const block = 512
-	want := writeV2(t, recs, block)
-
-	chunk := func() func() []Record {
-		i := 0
-		return func() []Record {
-			if i >= len(recs) {
-				return nil
-			}
-			end := i + block
-			if end > len(recs) {
-				end = len(recs)
-			}
-			b := recs[i:end]
-			i = end
-			return b
-		}
+	if !bytes.Equal(encodeV2(t, recs, block), writeV2(t, recs, block)) {
+		t.Fatal("EncodeV2Blocks output differs from V2Writer")
 	}
-	for _, workers := range []int{1, 3, 8} {
-		var buf bytes.Buffer
-		n, err := EncodeV2Blocks(&buf, workers, chunk())
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if n != uint64(len(recs)) {
-			t.Fatalf("workers=%d: wrote %d records", workers, n)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("workers=%d: output differs from serial writer", workers)
+}
+
+// TestV2EncodingPins freezes the on-disk v2 format: one seeded 200 k
+// record stream through both encoders, hashed. The digests were
+// recorded on the parent commit, before the block framer was unified,
+// so a change here moves every stored trace and bench's
+// tracefile.bytes_per_rec.
+func TestV2EncodingPins(t *testing.T) {
+	recs := testRecords(200_000, 23)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		sha  string
+	}{
+		{"V2Writer/block=4096", writeV2(t, recs, DefaultBlockRecords),
+			"ffdb3e0a16801de8cbce20b642a562db01c4cca2251d112003c9b5f20639c994"},
+		{"EncodeV2Blocks/batch=65536", encodeV2(t, recs, 1<<16),
+			"57f765d6cd526b1f5a64f6278d164cb3dc0d053fc99e5b4926f276708f255ccb"},
+	} {
+		sum := sha256.Sum256(tc.data)
+		if got := hex.EncodeToString(sum[:]); got != tc.sha {
+			t.Errorf("%s: sha256 = %s, want %s", tc.name, got, tc.sha)
 		}
 	}
 }
@@ -464,7 +388,7 @@ func TestEncodeV2BlocksRejectsBadInput(t *testing.T) {
 	var buf bytes.Buffer
 	big := make([]Record, maxBlockRecords+1)
 	done := false
-	_, err := EncodeV2Blocks(&buf, 2, func() []Record {
+	_, err := EncodeV2Blocks(&buf, 0, func() []Record {
 		if done {
 			return nil
 		}
@@ -475,7 +399,7 @@ func TestEncodeV2BlocksRejectsBadInput(t *testing.T) {
 		t.Fatal("oversized batch accepted")
 	}
 	done = false
-	_, err = EncodeV2Blocks(&buf, 2, func() []Record {
+	_, err = EncodeV2Blocks(&buf, 0, func() []Record {
 		if done {
 			return nil
 		}
@@ -488,7 +412,8 @@ func TestEncodeV2BlocksRejectsBadInput(t *testing.T) {
 }
 
 // TestV2WriteAllocFree asserts the v2 hot write path is allocation-free
-// at steady state (ISSUE 3 acceptance criterion).
+// at steady state (ISSUE 3 acceptance criterion), record by record
+// through V2Writer and batch by batch through EncodeV2Blocks.
 func TestV2WriteAllocFree(t *testing.T) {
 	w, err := NewV2WriterBlock(io.Discard, 256)
 	if err != nil {
@@ -502,28 +427,59 @@ func TestV2WriteAllocFree(t *testing.T) {
 		}
 		rec.Addr += 64
 	}
-	allocs := testing.AllocsPerRun(4096, func() {
-		rec.Addr += 64
-		if err := w.Write(rec); err != nil {
-			t.Fatal(err)
+	// One run is one whole block, so the seal is inside every run and a
+	// single allocation per block cannot round down to zero.
+	allocs := testing.AllocsPerRun(64, func() {
+		for i := 0; i < 256; i++ {
+			rec.Addr += 64
+			if err := w.Write(rec); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("V2Writer.Write allocates %.2f/op, want 0", allocs)
+		t.Fatalf("V2Writer allocates %.2f per block, want 0", allocs)
+	}
+
+	// EncodeV2Blocks: what one call allocates may not grow with the number
+	// of batches it frames.
+	recs := strideRecords(1 << 16)
+	perCall := func(batches int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			i := 0
+			_, err := EncodeV2Blocks(io.Discard, 0, func() []Record {
+				if i == batches {
+					return nil
+				}
+				i++
+				return recs[(i-1)*256 : i*256]
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := perCall(32), perCall(256); few != many {
+		t.Fatalf("EncodeV2Blocks: %.0f allocs for 32 batches, %.0f for 256; want equal", few, many)
 	}
 }
 
-// TestV2ReadAllocFree asserts the v2 hot read path is allocation-free at
-// steady state: uniform block sizes, so frame/record slabs stabilize
-// after the first block.
-func TestV2ReadAllocFree(t *testing.T) {
-	// Constant stride => every record encodes to the same width, so
-	// every block payload is the same size and the reused frame slab
-	// never regrows mid-stream.
-	recs := make([]Record, 1<<16)
+// strideRecords returns n records at a constant 64-byte stride: every
+// record encodes to the same width, so every block payload has the same
+// size and reused frame and record slabs never regrow mid-stream.
+func strideRecords(n int) []Record {
+	recs := make([]Record, n)
 	for i := range recs {
 		recs[i] = Record{Addr: uint64(i) * 64, Cmd: bus.Read, SrcID: 3}
 	}
+	return recs
+}
+
+// TestV2ReadAllocFree asserts the v2 hot read path is allocation-free at
+// steady state: per record through V2Reader.Next, and per block through
+// ForEachBatch and ForEachBatchFile.
+func TestV2ReadAllocFree(t *testing.T) {
+	recs := strideRecords(1 << 16)
 	data := writeV2(t, recs, 256)
 	r, err := NewV2Reader(bytes.NewReader(data))
 	if err != nil {
@@ -535,12 +491,43 @@ func TestV2ReadAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(16384, func() {
-		if _, err := r.Next(); err != nil {
-			t.Fatal(err)
+	// One run is one whole block, so loadBlock is inside every run.
+	allocs := testing.AllocsPerRun(64, func() {
+		for i := 0; i < 256; i++ {
+			if _, err := r.Next(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("V2Reader.Next allocates %.2f/op, want 0", allocs)
+		t.Fatalf("V2Reader allocates %.2f per block, want 0", allocs)
+	}
+
+	// The batch walkers: what one call allocates (reader, frame, slab) may
+	// not grow with the number of blocks it delivers.
+	short, long := writeV2(t, recs[:32*256], 256), data
+	drop := func([]Record) error { return nil }
+	for _, side := range []struct {
+		name string
+		walk func(data []byte, path string) (uint64, error)
+	}{
+		{"ForEachBatch", func(data []byte, _ string) (uint64, error) {
+			return ForEachBatch(bytes.NewReader(data), 0, drop)
+		}},
+		{"ForEachBatchFile", func(_ []byte, path string) (uint64, error) {
+			return ForEachBatchFile(path, 0, drop)
+		}},
+	} {
+		perCall := func(data []byte) float64 {
+			path := writeTempTrace(t, data)
+			return testing.AllocsPerRun(5, func() {
+				if _, err := side.walk(data, path); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if few, many := perCall(short), perCall(long); few != many {
+			t.Fatalf("%s: %.0f allocs for 32 blocks, %.0f for 256; want equal", side.name, few, many)
+		}
 	}
 }
