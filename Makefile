@@ -110,7 +110,9 @@ lint:
 	golangci-lint run
 
 # Every package under internal/ must be imported by a binary, an
-# example, the benchmark driver or the root facade.
+# example, the benchmark driver or the root facade, and every function a
+# product package declares must be linked into one of those binaries or
+# listed, with its reason, in ci/test-only-api.txt.
 .PHONY: reachable
 reachable:
 	sh ci/check-reachable.sh

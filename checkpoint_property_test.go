@@ -115,8 +115,7 @@ func checkpointCases(t *testing.T) map[string]func(warm bool) ckptObject {
 		cfg.NumCPUs = 4
 		return workload.NewTPCC(cfg)
 	}
-	disturbance := workload.DefaultDisturbanceConfig()
-	disturbance.PeriodRefs, disturbance.BurstRefs = 500, 50
+	disturbance := workload.DisturbanceConfig{PeriodRefs: 500, BurstRefs: 50, JournalBytes: 256 * addr.MB}
 	for name, mk := range map[string]func() workload.Generator{
 		"uniform": func() workload.Generator {
 			return workload.NewUniform(workload.UniformConfig{NumCPUs: 4, FootprintByte: 8 * addr.MB, WriteFraction: 0.3, Seed: 5})
@@ -307,9 +306,8 @@ func checkpointCases(t *testing.T) map[string]func(warm bool) ckptObject {
 // (2) Every strict prefix of the payload (a sample of them when it is
 // large) fails with a *CorruptError and never panics. (3) After those
 // failed, half-applied loads, one good load into the same twin brings it
-// to identical bytes again — a restore overwrites everything, which is
-// what Rotation.LoadLatest relies on when it falls back past a corrupt
-// entry onto the same object.
+// to identical bytes again — a restore overwrites everything, the
+// guarantee Codec's doc comment asks of every walker.
 func TestCheckpointRoundTripProperty(t *testing.T) {
 	for name, build := range checkpointCases(t) {
 		t.Run(name, func(t *testing.T) {

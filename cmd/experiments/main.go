@@ -134,10 +134,9 @@ func (j *journal) saveLocked() error {
 	return err
 }
 
-// load restores completed results from a journal file (or the newest
-// entry of a rotation base), skipping corrupt entries.
+// load restores completed results from a journal file.
 func (j *journal) load(path string) error {
-	actual, skipped, err := checkpoint.LoadAny(path, func(snap *checkpoint.Snapshot) error {
+	err := checkpoint.LoadFile(path, func(snap *checkpoint.Snapshot) error {
 		var ids []string
 		for _, sec := range snap.Sections() {
 			if id, ok := strings.CutPrefix(sec.Name, "result."); ok {
@@ -146,13 +145,10 @@ func (j *journal) load(path string) error {
 		}
 		return j.sections(checkpoint.LoadFrom(snap), ids)
 	})
-	for _, s := range skipped {
-		fmt.Fprintf(os.Stderr, "experiments: skipping corrupt checkpoint: %v\n", s)
-	}
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "experiments: resumed %d completed experiment(s) from %s\n", len(j.done), actual)
+	fmt.Fprintf(os.Stderr, "experiments: resumed %d completed experiment(s) from %s\n", len(j.done), path)
 	return nil
 }
 
@@ -187,7 +183,7 @@ func run() int {
 		obsJSONL = flag.String("obs-jsonl", "", "append JSON-lines metric snapshots to this file (requires -obs or standalone)")
 		ckptPath = flag.String("checkpoint", "", "journal completed experiments to this file (crash-safe atomic writes)")
 		ckptN    = flag.Int("checkpoint-every", 1, "journal after every N completed experiments")
-		resume   = flag.String("resume", "", "resume from a journal file written by -checkpoint (falls back past corrupt rotation entries)")
+		resume   = flag.String("resume", "", "resume from a journal file written by -checkpoint")
 		protoID  = flag.String("protocol", "", "coherence protocol for the emulated caches: a shipped name (msi, mesi, moesi, write-once) or a path to a .map file (default mesi)")
 	)
 	profFlags := prof.Flags(flag.CommandLine)

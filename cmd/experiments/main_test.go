@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -144,6 +145,44 @@ func TestRunJournalAndResume(t *testing.T) {
 func TestRunList(t *testing.T) {
 	if code := runCLI(t, "-list"); code != 0 {
 		t.Fatalf("-list exited %d", code)
+	}
+}
+
+// -resume names one journal file. A missing one is the OS error (there
+// is no directory of numbered checkpoints to search), and a corrupt one
+// is reported with its path; both exit 1 before any experiment runs.
+func TestResumeMissingOrCorrupt(t *testing.T) {
+	stderr := func(args ...string) (int, string) {
+		t.Helper()
+		f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		code := func() int {
+			defer func(old *os.File) { os.Stderr = old }(os.Stderr)
+			os.Stderr = f
+			return runCLI(t, args...)
+		}()
+		data, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return code, string(data)
+	}
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "absent.ckpt")
+	code, errs := stderr("-run", "table1", "-scale", "ci", "-resume", missing)
+	if code != 1 || !strings.Contains(errs, missing) || !strings.Contains(errs, syscall.ENOENT.Error()) {
+		t.Errorf("missing journal: exit %d, stderr %q; want 1 naming %s and %q", code, errs, missing, syscall.ENOENT.Error())
+	}
+	corrupt := filepath.Join(dir, "corrupt.ckpt")
+	if err := os.WriteFile(corrupt, []byte("MIESCKPTgarbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, errs = stderr("-run", "table1", "-scale", "ci", "-resume", corrupt)
+	if code != 1 || !strings.Contains(errs, "checkpoint: corrupt "+corrupt) {
+		t.Errorf("corrupt journal: exit %d, stderr %q; want 1 naming %s as corrupt", code, errs, corrupt)
 	}
 }
 

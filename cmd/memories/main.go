@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"memories"
+	"memories/internal/core"
 	"memories/internal/hotspot"
 	"memories/internal/workload/byname"
 	"memories/protocols"
@@ -65,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	bcfg := memories.MultiConfigBoard(cpus(8), *line, *assoc, sizes...)
+	bcfg := memories.MultiConfigBoard(core.CPURange(8), *line, *assoc, sizes...)
 	for i := range bcfg.Nodes {
 		bcfg.Nodes[i].Protocol = tab
 	}
@@ -114,14 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-func cpus(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 func ratio(a, b uint64) float64 {

@@ -85,14 +85,10 @@ func (r *replayState) save(path string) error {
 	})
 }
 
-func (r *replayState) load(path string) (string, error) {
-	actual, skipped, err := checkpoint.LoadAny(path, func(snap *checkpoint.Snapshot) error {
+func (r *replayState) load(path string) error {
+	return checkpoint.LoadFile(path, func(snap *checkpoint.Snapshot) error {
 		return r.sections(checkpoint.LoadFrom(snap))
 	})
-	for _, s := range skipped {
-		fmt.Fprintf(os.Stderr, "tracesim: skipping corrupt checkpoint: %v\n", s)
-	}
-	return actual, err
 }
 
 func main() { os.Exit(run()) }
@@ -124,10 +120,7 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	cpus := make([]int, *ncpu)
-	for i := range cpus {
-		cpus[i] = i
-	}
+	cpus := core.CPURange(*ncpu)
 	// Resolve runs the full gauntlet: parse, compile, model check.
 	proto, err := protocols.Resolve(*protoID)
 	if err != nil {
@@ -153,11 +146,10 @@ func run() int {
 		fingerprint: fmt.Sprintf("geom=%s cpus=%d policy=lru proto=%s", geom, *ncpu, proto.Name),
 	}
 	if *resume != "" {
-		actual, err := state.load(*resume)
-		if err != nil {
+		if err := state.load(*resume); err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "tracesim: resumed at record %d from %s\n", state.pos, actual)
+		fmt.Fprintf(os.Stderr, "tracesim: resumed at record %d from %s\n", state.pos, *resume)
 		if *ckptPath == "" {
 			*ckptPath = *resume
 		}

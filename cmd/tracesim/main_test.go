@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"memories/internal/addr"
@@ -44,12 +45,8 @@ func TestReplayStateRoundTrip(t *testing.T) {
 	}
 
 	st2 := &replayState{sim: newTestSim(), fingerprint: st.fingerprint}
-	actual, err := st2.load(path)
-	if err != nil {
+	if err := st2.load(path); err != nil {
 		t.Fatal(err)
-	}
-	if actual != path {
-		t.Fatalf("loaded %s, want %s", actual, path)
 	}
 	if st2.pos != st.pos {
 		t.Fatalf("pos %d != saved %d", st2.pos, st.pos)
@@ -68,7 +65,7 @@ func TestReplayStateFingerprintMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2 := &replayState{sim: newTestSim(), fingerprint: "geom=B"}
-	if _, err := st2.load(path); err == nil {
+	if err := st2.load(path); err == nil {
 		t.Fatal("mismatched fingerprint loaded cleanly")
 	} else if _, ok := err.(*checkpoint.CorruptError); !ok {
 		t.Fatalf("err = %T %v, want *checkpoint.CorruptError", err, err)
@@ -172,6 +169,27 @@ func TestRunCheckpointAndResume(t *testing.T) {
 	}
 }
 
+// -resume names one file. A missing one is the OS error (there is no
+// directory of numbered checkpoints to search), and a corrupt one is
+// reported with its path; both exit 1 before the trace is opened.
+func TestResumeMissingOrCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "never-opened.trace")
+	missing := filepath.Join(dir, "absent.ckpt")
+	code, errs := runCLICapture(t, &os.Stderr, "-resume", missing, trace)
+	if code != 1 || !strings.Contains(errs, missing) || !strings.Contains(errs, syscall.ENOENT.Error()) {
+		t.Errorf("missing checkpoint: exit %d, stderr %q; want 1 naming %s and %q", code, errs, missing, syscall.ENOENT.Error())
+	}
+	corrupt := filepath.Join(dir, "corrupt.ckpt")
+	if err := os.WriteFile(corrupt, []byte("MIESCKPTgarbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, errs = runCLICapture(t, &os.Stderr, "-resume", corrupt, trace)
+	if code != 1 || !strings.Contains(errs, "checkpoint: corrupt "+corrupt) {
+		t.Errorf("corrupt checkpoint: exit %d, stderr %q; want 1 naming %s as corrupt", code, errs, corrupt)
+	}
+}
+
 func TestRunUsageError(t *testing.T) {
 	if code := runCLI(t); code == 0 {
 		t.Fatal("missing trace argument accepted")
@@ -209,14 +227,20 @@ func TestRunProtocolFlag(t *testing.T) {
 // runCLIOutput is runCLI with stdout captured.
 func runCLIOutput(t *testing.T, args ...string) (int, string) {
 	t.Helper()
-	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	return runCLICapture(t, &os.Stdout, args...)
+}
+
+// runCLICapture is runCLI with *stream (os.Stdout or os.Stderr) captured.
+func runCLICapture(t *testing.T, stream **os.File, args ...string) (int, string) {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "captured"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer out.Close()
 	code := func() int {
-		defer func(old *os.File) { os.Stdout = old }(os.Stdout)
-		os.Stdout = out
+		defer func(old *os.File) { *stream = old }(*stream)
+		*stream = out
 		return runCLI(t, args...)
 	}()
 	data, err := os.ReadFile(out.Name())

@@ -165,8 +165,9 @@ func TestBadMapsRefusedAtEveryDoor(t *testing.T) {
 
 			srv := service.New(service.Config{})
 			code, body := serve(t, srv, "POST", "/sessions", service.CreateRequest{Cache: "64KB", ProtocolMap: c.src})
-			if code < 400 || code > 499 || !strings.Contains(body, verdict) || srv.SessionCount() != 0 {
-				t.Errorf("service: status %d, %d sessions, body %s; want 4xx carrying %q", code, srv.SessionCount(), body, verdict)
+			_, sessions := serve(t, srv, "GET", "/sessions", nil)
+			if code < 400 || code > 499 || !strings.Contains(body, verdict) || strings.TrimSpace(sessions) != "[]" {
+				t.Errorf("service: status %d, sessions %s, body %s; want 4xx carrying %q and no session", code, sessions, body, verdict)
 			}
 
 			for name, args := range map[string][]string{

@@ -41,17 +41,16 @@ func TestIntegrationCaptureReplayMatchesBoard(t *testing.T) {
 	if err := s.Board.Trace().Dump(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r, err := tracefile.Open(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sim := simbase.MustNewTraceSim([]simbase.TraceNodeConfig{{
 		CPUs:     []int{0, 1, 2, 3, 4, 5, 6, 7},
 		Geometry: addr.MustGeometry(4*addr.MB, 128, 4),
 		Policy:   cache.LRU,
 		Protocol: protocols.MustLoad("mesi"),
 	}})
-	if _, err := sim.Run(r); err != nil {
+	if _, err := tracefile.ForEachBatch(&buf, 1, func(recs []tracefile.Record) error {
+		sim.ProcessBatch(recs)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 

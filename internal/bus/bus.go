@@ -304,9 +304,6 @@ func (b *Bus) observe(d device) {
 	}
 }
 
-// Config returns the bus configuration.
-func (b *Bus) Config() Config { return b.cfg }
-
 // Cycle returns the current bus cycle.
 func (b *Bus) Cycle() uint64 { return b.cycle }
 
@@ -402,10 +399,4 @@ func (b *Bus) Issue(tx *Transaction) SnoopResponse {
 func (b *Bus) IssueAt(cycle uint64, tx *Transaction) SnoopResponse {
 	b.AdvanceTo(cycle)
 	return b.Issue(tx)
-}
-
-// Seconds converts a cycle count on this bus into wall-clock seconds,
-// used by the real-time model for Tables 3 and 4.
-func (b *Bus) Seconds(cycles uint64) float64 {
-	return float64(cycles) / (float64(b.cfg.ClockMHz) * 1e6)
 }

@@ -83,8 +83,8 @@ func TestSnoopResponseString(t *testing.T) {
 
 func TestBusConfigAccessor(t *testing.T) {
 	b := New(Config{ClockMHz: 50, WidthBytes: 8})
-	if got := b.Config(); got.ClockMHz != 50 || got.WidthBytes != 8 {
-		t.Fatalf("Config = %+v", got)
+	if got := b.cfg; got.ClockMHz != 50 || got.WidthBytes != 8 {
+		t.Fatalf("cfg = %+v", got)
 	}
 	if b.Utilization() != 0 {
 		t.Fatal("fresh bus utilization nonzero")
@@ -247,13 +247,6 @@ func TestBusPerCommandStats(t *testing.T) {
 	}
 	if s.Transactions != 3 {
 		t.Fatalf("Transactions = %d", s.Transactions)
-	}
-}
-
-func TestBusSeconds(t *testing.T) {
-	b := New(Config{ClockMHz: 100, WidthBytes: 16})
-	if got := b.Seconds(100e6); got != 1.0 {
-		t.Fatalf("Seconds(100e6) = %v, want 1", got)
 	}
 }
 

@@ -128,9 +128,6 @@ func (c *Cache) Geometry() addr.Geometry { return c.geom }
 // Stats returns a copy of the structural statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the structural statistics without touching contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // findWay returns the way within the set at base holding a valid line
 // with the given tag, or -1. Every lookup funnels through here. A way
 // matches when its word's tag field equals tag and its state field is
@@ -442,20 +439,6 @@ func (c *Cache) ForEachValid(fn func(lineAddr uint64, state uint8)) {
 	}
 }
 
-// Clear invalidates every line (power-up initialization). Tags and
-// replacement metadata survive, exactly as in SDRAM: only the state
-// field is zeroed.
-func (c *Cache) Clear() {
-	for i := range c.words {
-		w := c.words[i].WithState(StateInvalid)
-		if c.hasECC {
-			w = sdram.EncodeWordECC(w)
-		}
-		c.words[i] = w
-	}
-	c.valid = 0
-}
-
 // writeState rewrites the state field of slot i to a non-invalid value,
 // refreshing the check byte and the resident count.
 func (c *Cache) writeState(i int64, s uint8) {
@@ -483,9 +466,6 @@ func (c *Cache) writeInvalid(i int64) {
 	}
 	c.words[i] = w
 }
-
-// HasECC reports whether the cache maintains SECDED check bytes.
-func (c *Cache) HasECC() bool { return c.hasECC }
 
 // SlotCount returns the number of tag slots (sets x ways); fault
 // injection addresses slots by flat index.

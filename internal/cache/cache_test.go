@@ -233,20 +233,6 @@ func TestRandomDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	c := mkCache(t, 1024, 128, 2, LRU)
-	for i := 0; i < 8; i++ {
-		c.Fill(lineFor(c, int64(i%4), uint64(i)+1), 1)
-	}
-	if c.ValidCount() == 0 {
-		t.Fatal("setup failed")
-	}
-	c.Clear()
-	if c.ValidCount() != 0 {
-		t.Fatalf("ValidCount after Clear = %d", c.ValidCount())
-	}
-}
-
 func TestForEachValid(t *testing.T) {
 	c := mkCache(t, 1024, 128, 2, LRU)
 	want := map[uint64]uint8{

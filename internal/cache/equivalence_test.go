@@ -189,15 +189,8 @@ func runEquivalence(t *testing.T, p Policy, assoc int, ecc bool, ops int, seed i
 				t.Fatalf("op %d: scrub reports diverged: packed %+v slotted %+v legacy %+v", op, pr, sr, lr)
 			}
 			corrupted = map[int64]bool{}
-		case k < 99: // Clear
-			packed.Clear()
-			slotted.Clear()
-			legacy.Clear()
-			corrupted = map[int64]bool{}
 		default:
-			packed.ResetStats()
-			slotted.ResetStats()
-			legacy.stats = Stats{}
+			packed.stats, slotted.stats, legacy.stats = Stats{}, Stats{}, Stats{}
 		}
 		if op%997 == 0 {
 			checkAll(op)
@@ -265,8 +258,8 @@ func TestPackedMatchesLegacyWideAssoc(t *testing.T) {
 
 // TestWideAssocEvictionMatchesLegacy drives 16-way sets far past
 // capacity so the side-array victim selectors themselves run: the
-// randomized harness above rarely fills a 16-way set between its Clear
-// ops, so this test hammers two sets with 6x-associativity distinct
+// randomized harness above spreads its fills over every set, so this
+// test hammers two sets with 6x-associativity distinct
 // tags, interleaved with re-touches, and demands identical victims.
 func TestWideAssocEvictionMatchesLegacy(t *testing.T) {
 	for _, p := range []Policy{LRU, PLRU, FIFO, Random} {

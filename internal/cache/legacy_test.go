@@ -282,13 +282,6 @@ func (c *legacyCache) ForEachValid(fn func(lineAddr uint64, state uint8)) {
 	}
 }
 
-func (c *legacyCache) Clear() {
-	for i := range c.state {
-		c.state[i] = StateInvalid
-		c.updateECC(int64(i))
-	}
-}
-
 func (c *legacyCache) updateECC(i int64) {
 	if c.ecc != nil {
 		c.ecc[i] = sdram.EncodeECC(c.tags[i], c.state[i])

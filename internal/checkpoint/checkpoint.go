@@ -16,6 +16,7 @@ package checkpoint
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -320,6 +321,21 @@ func ReadFile(path string) (*Snapshot, error) {
 		return nil, err
 	}
 	return snap, nil
+}
+
+// LoadFile reads the checkpoint at path and hands it to apply. A
+// *CorruptError from either step carries the path.
+func LoadFile(path string, apply func(*Snapshot) error) error {
+	snap, err := ReadFile(path)
+	if err != nil {
+		return err
+	}
+	err = apply(snap)
+	var ce *CorruptError
+	if errors.As(err, &ce) && ce.Path == "" {
+		ce.Path = path
+	}
+	return err
 }
 
 // WriteFileAtomic writes a checkpoint crash-safely: the sections are

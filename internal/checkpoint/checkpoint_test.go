@@ -240,120 +240,51 @@ func TestWriteFileAtomicPreservesOld(t *testing.T) {
 	}
 }
 
-func TestRotationSavePrune(t *testing.T) {
-	rot := &Rotation{Dir: t.TempDir(), Base: "board", Keep: 2}
-	var paths []string
-	for i := 0; i < 4; i++ {
-		p, err := rot.Save(buildTwoSections)
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, p)
-	}
-	// Only the newest 2 remain.
-	for i, p := range paths {
-		_, err := os.Stat(p)
-		if i < 2 && err == nil {
-			t.Errorf("old entry %s not pruned", p)
-		}
-		if i >= 2 && err != nil {
-			t.Errorf("entry %s missing: %v", p, err)
-		}
-	}
-	latest, err := rot.Latest()
-	if err != nil || latest != paths[3] {
-		t.Fatalf("Latest = %q, %v; want %q", latest, err, paths[3])
-	}
-}
-
-// TestRotationFallback corrupts the newest entry and requires
-// LoadLatest to fall back to the previous one, reporting the skip.
-func TestRotationFallback(t *testing.T) {
-	rot := &Rotation{Dir: t.TempDir(), Base: "board", Keep: 3}
-	if _, err := rot.Save(buildTwoSections); err != nil {
+// LoadFile (LoadAny until it lost its rotation fallback; the test keeps
+// that name) reads exactly the named file: a good one reaches apply, and
+// a missing one is the OS error, not a search for neighbours.
+func TestLoadAny(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "one.ckpt")
+	if err := WriteFileAtomic(path, buildTwoSections); err != nil {
 		t.Fatal(err)
 	}
-	newest, err := rot.Save(buildTwoSections)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the newest file's mid-section bytes.
-	b, err := os.ReadFile(newest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] ^= 0xff
-	if err := os.WriteFile(newest, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var applied int
-	path, skipped, err := rot.LoadLatest(func(s *Snapshot) error {
+	applied := 0
+	err := LoadFile(path, func(s *Snapshot) error {
 		applied++
 		_, err := s.Section("alpha")
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || applied != 1 {
+		t.Fatalf("LoadFile: err=%v, apply ran %d times", err, applied)
 	}
-	if path == newest {
-		t.Fatal("restored the corrupt newest entry")
-	}
-	if len(skipped) != 1 {
-		t.Fatalf("skipped = %v, want 1 entry", skipped)
-	}
-	var ce *CorruptError
-	if !errors.As(skipped[0], &ce) || ce.Path != newest {
-		t.Errorf("skipped[0] = %v, want CorruptError for %s", skipped[0], newest)
-	}
-	if applied != 1 {
-		t.Errorf("apply ran %d times, want 1", applied)
+	err = LoadFile(filepath.Join(dir, "one"), func(*Snapshot) error { return nil })
+	if !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing file: err = %v, want os.ErrNotExist", err)
 	}
 }
 
-// TestRotationFallbackOnApplyReject: an entry that decodes but fails a
-// semantic check (wrong fingerprint) also falls back.
-func TestRotationFallbackOnApplyReject(t *testing.T) {
-	rot := &Rotation{Dir: t.TempDir(), Base: "board"}
-	if _, err := rot.Save(buildTwoSections); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rot.Save(buildTwoSections); err != nil {
-		t.Fatal(err)
-	}
-	first := true
-	path, skipped, err := rot.LoadLatest(func(s *Snapshot) error {
-		if first {
-			first = false
-			return corruptf("meta", -1, "config fingerprint mismatch")
-		}
-		return nil
-	})
-	if err != nil || len(skipped) != 1 {
-		t.Fatalf("path=%q skipped=%v err=%v", path, skipped, err)
-	}
-}
-
-func TestLoadAny(t *testing.T) {
+// TestLoadAnyExactFileCorrupt: corrupt bytes and a snapshot that decodes
+// but fails apply's semantic check (wrong fingerprint) both come back
+// from LoadFile as a *CorruptError naming the file.
+func TestLoadAnyExactFileCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	exact := filepath.Join(dir, "one.ckpt")
-	if err := WriteFileAtomic(exact, buildTwoSections); err != nil {
+	garbage := filepath.Join(dir, "solo.ckpt")
+	if err := os.WriteFile(garbage, []byte("MIESCKPTgarbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	actual, skipped, err := LoadAny(exact, func(*Snapshot) error { return nil })
-	if err != nil || actual != exact || len(skipped) != 0 {
-		t.Fatalf("exact: actual=%q skipped=%v err=%v", actual, skipped, err)
-	}
-	// Rotation-base fallback: no file named "board", but board-*.ckpt.
-	rot := &Rotation{Dir: dir, Base: "board"}
-	p, err := rot.Save(buildTwoSections)
-	if err != nil {
+	good := filepath.Join(dir, "good.ckpt")
+	if err := WriteFileAtomic(good, buildTwoSections); err != nil {
 		t.Fatal(err)
 	}
-	actual, _, err = LoadAny(filepath.Join(dir, "board"), func(*Snapshot) error { return nil })
-	if err != nil || actual != p {
-		t.Fatalf("rotation: actual=%q err=%v, want %q", actual, err, p)
-	}
-	if _, _, err := LoadAny(filepath.Join(dir, "absent"), func(*Snapshot) error { return nil }); err == nil {
-		t.Fatal("absent path restored")
+	for path, apply := range map[string]func(*Snapshot) error{
+		garbage: func(*Snapshot) error { return nil },
+		good:    func(*Snapshot) error { return corruptf("meta", -1, "config fingerprint mismatch") },
+	} {
+		err := LoadFile(path, apply)
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Path != path {
+			t.Errorf("%s: err = %v, want *CorruptError with Path set", path, err)
+		}
 	}
 }

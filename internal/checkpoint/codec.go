@@ -17,9 +17,9 @@ import (
 // its variable untouched, so a walker checks Err once at the end rather
 // than after every field. Fields decode in place, which means a restore
 // that fails half-way leaves its object part old, part new; the
-// guarantee walkers must keep is the one Rotation.LoadLatest relies on
-// when it falls back onto the same object: a following successful
-// restore overwrites everything, including state derived under Loading.
+// guarantee walkers must keep is that a following successful restore
+// into the same object overwrites everything, including state derived
+// under Loading.
 type Codec struct {
 	loading bool
 	section string

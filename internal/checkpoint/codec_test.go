@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -166,56 +164,5 @@ func TestSnapshotHas(t *testing.T) {
 	}
 	if snap.Has("omega") {
 		t.Fatal("Has(omega) = true for an absent section")
-	}
-}
-
-// Sequence numbers order the rotation, not filename order: an unpadded
-// seq 9 is older than seq 10 even though "…-9" sorts after "…-10".
-func TestRotationSequenceOrdering(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, v uint64) {
-		t.Helper()
-		err := WriteFileAtomic(filepath.Join(dir, name), func(w *Writer) error {
-			return SaveTo(w).Section("v", func(c *Codec) error { c.U64(&v); return nil })
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("ck-9.ckpt", 9)
-	write("ck-10.ckpt", 10)
-
-	rot := &Rotation{Dir: dir, Base: "ck"}
-	latest, err := rot.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(latest) != "ck-10.ckpt" {
-		t.Fatalf("Latest = %s, want ck-10.ckpt", latest)
-	}
-	var got uint64
-	path, skipped, err := LoadAny(filepath.Join(dir, "ck"), func(s *Snapshot) error {
-		return LoadFrom(s).Section("v", func(c *Codec) error { c.U64(&got); return nil })
-	})
-	if err != nil || len(skipped) != 0 {
-		t.Fatalf("LoadAny: path=%s skipped=%v err=%v", path, skipped, err)
-	}
-	if got != 10 {
-		t.Fatalf("restored seq %d, want 10", got)
-	}
-}
-
-// LoadAny on an exact path whose bytes are corrupt reports the file
-// rather than falling back to a rotation that does not exist.
-func TestLoadAnyExactFileCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "solo.ckpt")
-	if err := os.WriteFile(path, []byte("MIESCKPTgarbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := LoadAny(path, func(*Snapshot) error { return nil })
-	var ce *CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *CorruptError", err)
 	}
 }

@@ -35,10 +35,7 @@ func TestCheckNBounds(t *testing.T) {
 // prefix with repl, and returns the table.
 func mutateMESI(t *testing.T, prefix, repl string) *Table {
 	t.Helper()
-	src, err := MapFileString(shipped(t, "mesi"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := MapFileString(shipped(t, "mesi"))
 	var out []string
 	replaced := false
 	for _, line := range strings.Split(src, "\n") {

@@ -125,21 +125,6 @@ func (e *Engine) Uses(s State) bool {
 	return int(s) < NumStates && e.usedMask>>uint(s)&1 != 0
 }
 
-// UsedMask returns the reachable-state set as a bit mask (bit i set
-// when State(i) is used).
-func (e *Engine) UsedMask() uint8 { return e.usedMask }
-
-// States returns the protocol's reachable states in ascending order.
-func (e *Engine) States() []State {
-	var out []State
-	for st := 0; st < NumStates; st++ {
-		if e.usedMask>>uint(st)&1 != 0 {
-			out = append(out, State(st))
-		}
-	}
-	return out
-}
-
 // Compile validates a table and lowers it into an Engine. All
 // structural defects are *CompileError values:
 //

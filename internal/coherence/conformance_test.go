@@ -373,10 +373,7 @@ var mutations = []mutation{
 func TestCheckRejectsMutations(t *testing.T) {
 	sources := map[string]string{}
 	for name, tab := range shippedTables(t) {
-		src, err := MapFileString(tab)
-		if err != nil {
-			t.Fatal(err)
-		}
+		src := MapFileString(tab)
 		sources[name] = src
 	}
 	perProto := map[string]int{}

@@ -14,8 +14,10 @@ import (
 func ExampleCheck() {
 	tab := protocols.MustLoad("mesi")
 	tab.Name = "mesi-no-wb"
-	tab.SetAllSnoops(coherence.SnoopRead, coherence.Modified,
-		coherence.Shared, coherence.ActRespondModified) // writeback dropped
+	for sn := 0; sn < coherence.NumSnoopIns; sn++ { // writeback dropped
+		tab.Set(coherence.SnoopRead, coherence.Modified, coherence.SnoopIn(sn),
+			coherence.Shared, coherence.ActRespondModified)
+	}
 	err := coherence.Check(tab)
 	fmt.Println(err)
 	// Output:

@@ -12,10 +12,7 @@ import (
 // round trip (the re-serialized form is the fixed point).
 func FuzzParseMapFile(f *testing.F) {
 	for _, t := range shippedTables(f) {
-		text, err := MapFileString(t)
-		if err != nil {
-			f.Fatal(err)
-		}
+		text := MapFileString(t)
 		f.Add(text)
 	}
 	f.Add("protocol p\nread I * -> S -\n")
@@ -38,18 +35,12 @@ func FuzzParseMapFile(f *testing.F) {
 		if tab.Name == "" {
 			t.Fatal("accepted a table with no protocol name")
 		}
-		text, err := MapFileString(tab)
-		if err != nil {
-			t.Fatalf("accepted table does not serialize: %v", err)
-		}
+		text := MapFileString(tab)
 		tab2, err := ParseMapFileString(text)
 		if err != nil {
 			t.Fatalf("serialized form does not re-parse: %v\n%s", err, text)
 		}
-		text2, err := MapFileString(tab2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		text2 := MapFileString(tab2)
 		if text != text2 {
 			t.Fatalf("round trip not a fixed point:\n--- first\n%s\n--- second\n%s", text, text2)
 		}
@@ -63,10 +54,7 @@ func FuzzParseMapFile(f *testing.F) {
 // property, under fuzz).
 func FuzzProtocolCompile(f *testing.F) {
 	for _, t := range shippedTables(f) {
-		text, err := MapFileString(t)
-		if err != nil {
-			f.Fatal(err)
-		}
+		text := MapFileString(t)
 		f.Add(text)
 	}
 	// A deliberately incoherent map: the dirty line answers the snoop
@@ -143,10 +131,7 @@ func FuzzProtocolCompile(f *testing.F) {
 // table compiled — Check's contract is a superset of Compile's.
 func FuzzModelCheck(f *testing.F) {
 	for _, t := range shippedTables(f) {
-		text, err := MapFileString(t)
-		if err != nil {
-			f.Fatal(err)
-		}
+		text := MapFileString(t)
 		f.Add(text)
 	}
 	// The same deliberately incoherent map as FuzzProtocolCompile: it

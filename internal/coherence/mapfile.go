@@ -19,12 +19,12 @@ import (
 // wildcard and refine. This mirrors the FPGA "table lookup map file"
 // loaded at initialization (paper §3.2).
 
-// WriteMapFile serializes the table in map-file form. Runs of snoop inputs
-// with identical entries collapse to '*'.
-func WriteMapFile(w io.Writer, t *Table) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "protocol %s\n", t.Name)
-	fmt.Fprintf(bw, "# op state snoop -> next actions\n")
+// MapFileString serializes the table in map-file form. Runs of snoop
+// inputs with identical entries collapse to '*'.
+func MapFileString(t *Table) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "protocol %s\n", t.Name)
+	fmt.Fprintf(&sb, "# op state snoop -> next actions\n")
 	for op := 0; op < NumOps; op++ {
 		for st := 0; st < NumStates; st++ {
 			entries := t.entries[op][st]
@@ -45,26 +45,17 @@ func WriteMapFile(w io.Writer, t *Table) error {
 			}
 			if allSame {
 				e := entries[0]
-				fmt.Fprintf(bw, "%s %s * -> %s %s\n", Op(op), State(st), e.Next, e.Actions)
+				fmt.Fprintf(&sb, "%s %s * -> %s %s\n", Op(op), State(st), e.Next, e.Actions)
 				continue
 			}
 			for sn := 0; sn < NumSnoopIns; sn++ {
 				if e := entries[sn]; e.defined {
-					fmt.Fprintf(bw, "%s %s %s -> %s %s\n", Op(op), State(st), SnoopIn(sn), e.Next, e.Actions)
+					fmt.Fprintf(&sb, "%s %s %s -> %s %s\n", Op(op), State(st), SnoopIn(sn), e.Next, e.Actions)
 				}
 			}
 		}
 	}
-	return bw.Flush()
-}
-
-// MapFileString returns the map-file text for t.
-func MapFileString(t *Table) (string, error) {
-	var sb strings.Builder
-	if err := WriteMapFile(&sb, t); err != nil {
-		return "", fmt.Errorf("coherence: serializing protocol %q: %w", t.Name, err)
-	}
-	return sb.String(), nil
+	return sb.String()
 }
 
 // ParseError reports a syntactically invalid map file: an unknown op,

@@ -31,10 +31,7 @@ func randomTable(seed int64) *Table {
 func TestMapFileRoundTripRandomTables(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		orig := randomTable(seed)
-		text, err := MapFileString(orig)
-		if err != nil {
-			t.Fatalf("seed %d: serialize: %v", seed, err)
-		}
+		text := MapFileString(orig)
 		parsed, err := ParseMapFileString(text)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -73,7 +70,7 @@ func TestStatesReachabilityStopsAtInvalidOnlyTable(t *testing.T) {
 	tab := &Table{Name: "inert"}
 	for op := 0; op < NumOps; op++ {
 		for st := 0; st < NumStates; st++ {
-			tab.SetAllSnoops(Op(op), State(st), Invalid, 0)
+			setAllSnoops(tab, Op(op), State(st), Invalid, 0)
 		}
 	}
 	states := tab.States()

@@ -287,14 +287,6 @@ func (t *Table) Set(op Op, cur State, snoop SnoopIn, next State, actions Action)
 	t.entries[op][cur][snoop] = Entry{Next: next, Actions: actions, defined: true}
 }
 
-// SetAllSnoops defines the same transition for every snoop input; most
-// snoop-side and hit transitions do not depend on it.
-func (t *Table) SetAllSnoops(op Op, cur State, next State, actions Action) {
-	for s := 0; s < NumSnoopIns; s++ {
-		t.Set(op, cur, SnoopIn(s), next, actions)
-	}
-}
-
 // Lookup returns the transition for (op, cur, snoop) and whether it is
 // defined. It is the reference the conformance suite holds
 // Engine.Lookup against; controllers index the compiled Engine.

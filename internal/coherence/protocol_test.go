@@ -168,6 +168,13 @@ func wantCompileErr(t *testing.T, tab *Table, kind CompileErrKind) {
 	}
 }
 
+// setAllSnoops defines the same transition for every snoop input.
+func setAllSnoops(t *Table, op Op, cur, next State, actions Action) {
+	for s := 0; s < NumSnoopIns; s++ {
+		t.Set(op, cur, SnoopIn(s), next, actions)
+	}
+}
+
 func TestValidateCatchesMissingTransition(t *testing.T) {
 	partial := &Table{Name: "partial"}
 	partial.Set(LocalRead, Invalid, SnoopNone, Shared, ActAllocate|ActFetchMemory)
@@ -176,7 +183,7 @@ func TestValidateCatchesMissingTransition(t *testing.T) {
 
 func TestValidateCatchesSnoopWriteKeepingLine(t *testing.T) {
 	tab := shipped(t, "mesi")
-	tab.SetAllSnoops(SnoopWrite, Shared, Shared, 0) // illegal: must invalidate
+	setAllSnoops(tab, SnoopWrite, Shared, Shared, 0) // illegal: must invalidate
 	wantCompileErr(t, tab, ErrSnoopWriteKeepsCopy)
 }
 
@@ -188,7 +195,7 @@ func TestValidateCatchesAllocationWithoutSource(t *testing.T) {
 
 func TestValidateCatchesHiddenDirtyOwner(t *testing.T) {
 	tab := shipped(t, "mesi")
-	tab.SetAllSnoops(SnoopRead, Modified, Shared, 0) // silent downgrade
+	setAllSnoops(tab, SnoopRead, Modified, Shared, 0) // silent downgrade
 	wantCompileErr(t, tab, ErrHiddenDirty)
 }
 

@@ -205,10 +205,7 @@ func TestProtocolCommand(t *testing.T) {
 
 func TestLoadMapInline(t *testing.T) {
 	b := testBoard(t)
-	mapText, err := coherence.MapFileString(protocols.MustLoad("msi"))
-	if err != nil {
-		t.Fatalf("serialize: %v", err)
-	}
+	mapText := coherence.MapFileString(protocols.MustLoad("msi"))
 	cmds := append([]string{"loadmap 0"}, strings.Split(mapText, "\n")...)
 	cmds = append(cmds, "end")
 	out := run(t, b, cmds...)

@@ -114,6 +114,16 @@ type Config struct {
 // instead of a map probe.
 const MaxBusID = 255
 
+// CPURange returns the bus IDs 0..n-1: a node that owns the host's
+// first n processors.
+func CPURange(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
 // Board is the MemorIES emulator.
 type Board struct {
 	cfg      Config
@@ -145,8 +155,8 @@ type Board struct {
 	touchSink uint64
 
 	// Observability attachments (see observe.go). Both are nil until
-	// Observe/SetMirror/SetTracer; the hot path pays one nil check each
-	// when detached and one inlined atomic flag probe when attached.
+	// Observe; the hot path pays one nil check each when detached and
+	// one inlined atomic flag probe when attached.
 	mirror *obs.Mirror
 	tracer *obs.Tracer
 }

@@ -644,15 +644,3 @@ func TestRealTimeModel(t *testing.T) {
 		t.Fatal("duration must grow with trace length")
 	}
 }
-
-func TestEmulatedSeconds(t *testing.T) {
-	b, f := twoNodeBoard(t)
-	for i := 0; i < 10; i++ {
-		f.issue(bus.Read, uint64(i)*128, 0)
-	}
-	b.Flush()
-	sec := b.EmulatedSeconds(100)
-	if sec <= 0 {
-		t.Fatalf("EmulatedSeconds = %v", sec)
-	}
-}

@@ -10,8 +10,7 @@ import (
 
 // FuzzCheckpointRestore mutates full board snapshots: restoring any
 // byte soup must never panic, and must either succeed or fail with a
-// typed *checkpoint.CorruptError — the invariant the rotation fallback
-// relies on to skip bad entries.
+// typed *checkpoint.CorruptError, which is what -resume reports.
 func FuzzCheckpointRestore(f *testing.F) {
 	mkBoard := func() (*Board, error) {
 		return NewBoard(Config{

@@ -24,9 +24,9 @@ func checkSingleDirtyOwner(t *testing.T, b *Board) {
 	}
 	dirtyOwner := map[key]int{}
 	for i := 0; i < b.NumNodes(); i++ {
-		group := b.NodeGroup(i)
-		b.ForEachLine(i, func(line uint64, st coherence.State) {
-			if !st.IsDirty() {
+		group := b.nodes[i].cfg.Group
+		b.nodes[i].dir.ForEachValid(func(line uint64, s uint8) {
+			if !coherence.State(s).IsDirty() {
 				return
 			}
 			k := key{group, line}
@@ -51,10 +51,10 @@ func checkMESIDirtyExclusive(t *testing.T, b *Board) {
 	}
 	holders := map[key][]coherence.State{}
 	for i := 0; i < b.NumNodes(); i++ {
-		group := b.NodeGroup(i)
-		b.ForEachLine(i, func(line uint64, st coherence.State) {
+		group := b.nodes[i].cfg.Group
+		b.nodes[i].dir.ForEachValid(func(line uint64, s uint8) {
 			k := key{group, line}
-			holders[k] = append(holders[k], st)
+			holders[k] = append(holders[k], coherence.State(s))
 		})
 	}
 	for k, states := range holders {

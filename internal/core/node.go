@@ -370,18 +370,6 @@ func (v NodeView) MissRatio() float64 { return stats.Ratio(v.Misses(), v.Refs())
 // Profile returns node i's miss-ratio time series (nil if profiling off).
 func (b *Board) Profile(i int) *stats.TimeSeries { return b.nodes[i].prof }
 
-// ForEachLine calls fn for every valid line in node i's directory with
-// its line address and coherence state. Tests use it to check cross-node
-// invariants (e.g. single dirty owner per snoop group).
-func (b *Board) ForEachLine(i int, fn func(lineAddr uint64, st coherence.State)) {
-	b.nodes[i].dir.ForEachValid(func(a uint64, s uint8) {
-		fn(a, coherence.State(s))
-	})
-}
-
-// NodeGroup returns the snoop group of node i.
-func (b *Board) NodeGroup(i int) int { return b.nodes[i].cfg.Group }
-
 // DirectoryOccupancy returns the number of valid lines in node i's
 // directory, refreshing the occupancy counters as a side effect.
 func (b *Board) DirectoryOccupancy(i int) int64 {

@@ -31,7 +31,7 @@ func TestBoardObsAllocFree(t *testing.T) {
 	for i := range txs {
 		b.Snoop(&txs[i])
 	}
-	m, tr := b.Mirror(), b.Tracer()
+	m, tr := b.mirror, b.tracer
 	if m == nil || tr == nil {
 		t.Fatal("Observe did not attach mirror and tracer")
 	}
@@ -52,15 +52,14 @@ func TestBoardObsAllocFree(t *testing.T) {
 		}
 	})
 	t.Run("snoop/mirror-publish", func(t *testing.T) {
-		before := m.Publishes()
 		if allocs := testing.AllocsPerRun(2000, func() {
 			m.Request() // sampler asking for a publish every transaction
 			snoopOne()
 		}); allocs != 0 {
 			t.Fatalf("Snoop servicing mirror requests allocates %.2f/op, want 0", allocs)
 		}
-		if m.Publishes() == before {
-			t.Fatal("publish path was not exercised")
+		if m.Requested() {
+			t.Fatal("publish path was not exercised: the last request is still pending")
 		}
 	})
 	t.Run("snoop/tracing-on", func(t *testing.T) {
@@ -123,12 +122,12 @@ func TestObserveDoesNotPerturbCounters(t *testing.T) {
 	if err := observed.Observe(reg, hub, "board", 256); err != nil {
 		t.Fatal(err)
 	}
-	observed.Tracer().Enable(obs.Filter{})
+	observed.tracer.Enable(obs.Filter{})
 	for i := range txs {
 		tx := txs[i]
 		observed.Snoop(&tx)
 		if i%1000 == 0 {
-			observed.Mirror().Request()
+			observed.mirror.Request()
 		}
 	}
 	observed.Flush()
@@ -271,9 +270,8 @@ func TestObsConcurrentSamplerStress(t *testing.T) {
 	}
 }
 
-// TestObserveAttachmentErrors covers the wiring failure modes: a
-// duplicate registry prefix, and the manual setter/getter pairs used by
-// the console.
+// TestObserveAttachmentErrors covers the wiring failure mode: a
+// duplicate registry prefix.
 func TestObserveAttachmentErrors(t *testing.T) {
 	reg := obs.NewRegistry()
 	b := MustNewBoard(fourNodeConfig())
@@ -285,14 +283,6 @@ func TestObserveAttachmentErrors(t *testing.T) {
 		t.Fatal("duplicate prefix did not error")
 	}
 
-	// The console wires mirror/tracer by hand via the setters.
-	b3 := MustNewBoard(fourNodeConfig())
-	m := obs.NewMirror(b.bank)
-	tr := obs.NewTracer(8)
-	b3.SetMirror(m)
-	b3.SetTracer(tr)
-	if b3.Mirror() != m || b3.Tracer() != tr {
-		t.Fatal("setters did not round-trip")
-	}
-	b3.PublishObs()
+	// Without a mirror there is nothing to publish.
+	MustNewBoard(fourNodeConfig()).PublishObs()
 }

@@ -9,21 +9,6 @@ import "memories/internal/obs"
 // transactions into while enabled. Attachment must happen before the
 // board starts observing traffic.
 
-// SetMirror attaches a counter mirror. The snoop path services mirror
-// requests at its safe points (between transactions; at batch ends).
-// Call before the board starts snooping, or from the owner goroutine.
-func (b *Board) SetMirror(m *obs.Mirror) { b.mirror = m }
-
-// Mirror returns the attached counter mirror, or nil.
-func (b *Board) Mirror() *obs.Mirror { return b.mirror }
-
-// SetTracer attaches a snoop event tracer. The snoop path records every
-// accepted memory transaction into it while it is enabled.
-func (b *Board) SetTracer(t *obs.Tracer) { b.tracer = t }
-
-// Tracer returns the attached snoop tracer, or nil.
-func (b *Board) Tracer() *obs.Tracer { return b.tracer }
-
 // PublishObs force-publishes the mirror from a quiesce point (after
 // Flush, end of run), making the final counter values visible to
 // samplers exactly. No-op when no mirror is attached.

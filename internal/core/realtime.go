@@ -41,9 +41,3 @@ func (m RealTimeModel) Duration(n uint64) time.Duration {
 	sec := float64(n) / m.OpsPerSecond()
 	return time.Duration(sec * float64(time.Second))
 }
-
-// EmulatedSeconds converts a board cycle horizon into seconds of host
-// execution covered so far.
-func (b *Board) EmulatedSeconds(busClockMHz float64) float64 {
-	return float64(b.lastCycle) / (busClockMHz * 1e6)
-}

@@ -38,19 +38,6 @@ const (
 	ScalePaper
 )
 
-// String returns the scale name.
-func (s Scale) String() string {
-	switch s {
-	case ScaleCI:
-		return "ci"
-	case ScaleDefault:
-		return "default"
-	case ScalePaper:
-		return "paper"
-	}
-	return "scale(?)"
-}
-
 // ParseScale parses a scale name.
 func ParseScale(s string) (Scale, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
@@ -322,12 +309,6 @@ type Options struct {
 	// Protocol, when non-nil, replaces MESI as the coherence protocol
 	// on every emulated node (see Preset.Protocol).
 	Protocol *coherence.Table
-}
-
-// Run regenerates one experiment at the given scale, serially — the
-// deterministic golden path. Equivalent to RunWith with Parallel: 1.
-func Run(id string, scale Scale) (*Result, error) {
-	return RunWith(id, scale, Options{Parallel: 1})
 }
 
 // RunWith regenerates one experiment at the given scale with the given

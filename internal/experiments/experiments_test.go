@@ -41,14 +41,14 @@ func TestIDsAndTitles(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run("fig99", ScaleCI); err == nil {
+	if _, err := RunWith("fig99", ScaleCI, Options{Parallel: 1}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestStaticExhibits(t *testing.T) {
 	for _, id := range []string{"table1", "fig1"} {
-		res, err := Run(id, ScaleCI)
+		res, err := RunWith(id, ScaleCI, Options{Parallel: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -72,7 +72,7 @@ func TestAllExperimentsReproduceShapes(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			res, err := Run(id, ScaleCI)
+			res, err := RunWith(id, ScaleCI, Options{Parallel: 1})
 			if err != nil {
 				t.Fatalf("shape violation or failure: %v", err)
 			}

@@ -41,7 +41,7 @@ func runFaults(p Preset) (*Result, error) {
 	}
 	// faultRun wires host -> injector -> board and runs the workload.
 	faultRun := func(bcfg core.Config, fcfg faults.Config) (runOut, error) {
-		bcfg.Nodes = []core.NodeConfig{stdNode(p, "f", allCPUs(hcfg.NumCPUs), cacheBytes, 128, 8, 0)}
+		bcfg.Nodes = []core.NodeConfig{stdNode(p, "f", core.CPURange(hcfg.NumCPUs), cacheBytes, 128, 8, 0)}
 		b, err := core.NewBoard(bcfg)
 		if err != nil {
 			return runOut{}, err

@@ -21,8 +21,8 @@ func runFig10(p Preset) (*Result, error) {
 		JournalBytes: 64 * addr.MB,
 	}
 	nodes := []core.NodeConfig{
-		stdNode(p, "small", allCPUs(hcfg.NumCPUs), p.Fig10SmallMB*addr.MB, 128, 1, 0),
-		stdNode(p, "big", allCPUs(hcfg.NumCPUs), p.Fig10BigMB*addr.MB, 128, 8, 1),
+		stdNode(p, "small", core.CPURange(hcfg.NumCPUs), p.Fig10SmallMB*addr.MB, 128, 1, 0),
+		stdNode(p, "big", core.CPURange(hcfg.NumCPUs), p.Fig10BigMB*addr.MB, 128, 8, 1),
 	}
 	bcfg := core.Config{Nodes: nodes, ProfileBucketCycles: p.Fig10BucketCyc}
 

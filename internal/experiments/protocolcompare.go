@@ -24,7 +24,7 @@ func runProtocolCompare(p Preset) (*Result, error) {
 		return nil, fmt.Errorf("protocolcompare: need an even CPU count, got %d", hcfg.NumCPUs)
 	}
 	half := hcfg.NumCPUs / 2
-	cpusA, cpusB := allCPUs(hcfg.NumCPUs)[:half], allCPUs(hcfg.NumCPUs)[half:]
+	cpusA, cpusB := core.CPURange(hcfg.NumCPUs)[:half], core.CPURange(hcfg.NumCPUs)[half:]
 	cacheBytes := p.Fig9CacheMB * addr.MB
 	refs := p.Fig8Short
 

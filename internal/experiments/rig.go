@@ -11,15 +11,6 @@ import (
 	"memories/internal/workload"
 )
 
-// allCPUs returns [0..n).
-func allCPUs(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // stdNode builds a standard LRU node configuration running the
 // preset's coherence protocol (MESI unless -protocol overrode it).
 func stdNode(p Preset, name string, cpus []int, sizeBytes, lineBytes int64, assoc, group int) core.NodeConfig {
@@ -95,7 +86,7 @@ func cacheSweep(p Preset, scope string, hcfg host.Config, newGen func() workload
 		end := min(start+core.MaxNodes, len(sizes))
 		var nodes []core.NodeConfig
 		for i, size := range sizes[start:end] {
-			nodes = append(nodes, stdNode(p, fmt.Sprintf("s%d", start+i), allCPUs(hcfg.NumCPUs), size, lineBytes, assoc, i))
+			nodes = append(nodes, stdNode(p, fmt.Sprintf("s%d", start+i), core.CPURange(hcfg.NumCPUs), size, lineBytes, assoc, i))
 		}
 		b, _, err := boardRun(p, sweepLabel(scope, bi), hcfg, newGen, core.Config{Nodes: nodes}, refs)
 		if err != nil {

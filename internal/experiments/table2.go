@@ -42,13 +42,9 @@ func runTable2(p Preset) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table2: geometry %v rejected: %v", c, err)
 		}
-		cpus := make([]int, c.cpus)
-		for i := range cpus {
-			cpus[i] = i
-		}
 		b, err := core.NewBoard(core.Config{Nodes: []core.NodeConfig{{
 			Name:     "a",
-			CPUs:     cpus,
+			CPUs:     core.CPURange(c.cpus),
 			Geometry: g,
 			Policy:   cache.LRU,
 			Protocol: p.protocol(),

@@ -46,7 +46,7 @@ func runTable3(p Preset) (*Result, error) {
 			return fmt.Errorf("table3: sizes must be ascending")
 		}
 		sim := simbase.MustNewTraceSim([]simbase.TraceNodeConfig{{
-			CPUs:     allCPUs(8),
+			CPUs:     core.CPURange(8),
 			Geometry: addr.MustGeometry(64*addr.MB, 128, 4),
 			Policy:   cache.LRU,
 			Protocol: p.protocol(),

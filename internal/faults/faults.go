@@ -156,9 +156,6 @@ func New(board *core.Board, cfg Config) (*Injector, error) {
 // Board returns the wrapped board.
 func (inj *Injector) Board() *core.Board { return inj.board }
 
-// Shadow returns the golden software model, or nil when disabled.
-func (inj *Injector) Shadow() *simbase.TraceSim { return inj.shadow }
-
 // BusID implements bus.Snooper with the board's passive (negative) ID.
 func (inj *Injector) BusID() int { return inj.board.BusID() }
 
@@ -282,9 +279,6 @@ func (inj *Injector) CheckDivergence() DivergenceReport {
 	}
 	return rep
 }
-
-// Divergence returns the accumulated divergence event count.
-func (inj *Injector) Divergence() uint64 { return inj.cDivergence.Value() }
 
 func absDiff(a, b uint64) uint64 {
 	if a > b {

@@ -372,18 +372,6 @@ func (h *Host) Run(n uint64) uint64 {
 	return i
 }
 
-// RunE is Run with the terminal condition surfaced: it returns a nil
-// error when all n references were processed, and otherwise the reason
-// the stream stopped short — ErrExhausted for a normal end of stream, or
-// the generator's own error.
-func (h *Host) RunE(n uint64) (uint64, error) {
-	done := h.Run(n)
-	if done < n {
-		return done, h.err
-	}
-	return done, nil
-}
-
 // injectIO issues one I/O-register, interrupt, or sync transaction.
 func (h *Host) injectIO(cpuID int) {
 	h.stats.IOOps++
@@ -631,23 +619,6 @@ func (c *cpu) Snoop(tx *bus.Transaction) bus.SnoopResponse {
 	default: // Castout, Push: no reaction
 		return bus.RespNull
 	}
-}
-
-// CacheFootprint returns the total backing-store bytes of the host's
-// private cache hierarchy (every CPU's L1 and coherence-point cache),
-// from the packed tag-word layout. The host caches model real hardware
-// rather than board SDRAM, but the same single-word-per-slot encoding
-// keeps the full-machine emulation footprint proportional to tags, not
-// data.
-func (h *Host) CacheFootprint() int64 {
-	var total int64
-	for _, c := range h.cpus {
-		if c.l1 != nil {
-			total += c.l1.DirectoryBytes()
-		}
-		total += c.coh.DirectoryBytes()
-	}
-	return total
 }
 
 // CheckInclusion verifies L1 ⊆ L2 for every CPU; tests call it after

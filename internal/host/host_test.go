@@ -311,18 +311,20 @@ func TestNewRejectsBadConfig(t *testing.T) {
 // SMP's L1+L2 tag storage is exactly one 8-byte word per slot.
 func TestCacheFootprintIsPackedWordPerSlot(t *testing.T) {
 	h := MustNew(testConfig(), &scriptGen{})
-	var slots int64
+	var slots, bytes int64
 	for _, c := range h.cpus {
 		if c.l1 != nil {
 			slots += c.l1.SlotCount()
+			bytes += c.l1.DirectoryBytes()
 		}
 		slots += c.coh.SlotCount()
+		bytes += c.coh.DirectoryBytes()
 	}
 	if slots == 0 {
 		t.Fatal("host built no cache slots")
 	}
-	if got := h.CacheFootprint(); got != 8*slots {
-		t.Fatalf("CacheFootprint = %d, want %d (8 B x %d slots)", got, 8*slots, slots)
+	if bytes != 8*slots {
+		t.Fatalf("cache directories = %d bytes, want %d (8 B x %d slots)", bytes, 8*slots, slots)
 	}
 }
 
@@ -349,35 +351,28 @@ var errTruncated = errors.New("trace truncated")
 
 // TestRunSurfacesExhaustionVsError is the regression test for the Err
 // sentinel: Step returning false used to conflate "stream finished" with
-// "stream broke"; Err and RunE now tell them apart.
+// "stream broke"; Err tells them apart.
 func TestRunSurfacesExhaustionVsError(t *testing.T) {
 	// Normal end of stream: ErrExhausted.
 	done := MustNew(testConfig(), &scriptGen{refs: []workload.Ref{{Addr: 4096}, {Addr: 8192}}})
-	if n, err := done.RunE(10); n != 2 || !errors.Is(err, ErrExhausted) {
-		t.Fatalf("RunE = (%d, %v), want (2, ErrExhausted)", n, err)
-	}
-	if !errors.Is(done.Err(), ErrExhausted) {
-		t.Fatalf("Err = %v, want ErrExhausted", done.Err())
+	if n := done.Run(10); n != 2 || !errors.Is(done.Err(), ErrExhausted) {
+		t.Fatalf("Run = %d, Err = %v, want 2, ErrExhausted", n, done.Err())
 	}
 
 	// Broken stream: the generator's own error, wrapped — distinct from
 	// exhaustion.
 	broken := MustNew(testConfig(), &failGen{left: 5})
-	n, err := broken.RunE(10)
-	if n != 5 {
-		t.Fatalf("RunE processed %d refs, want 5", n)
+	if n := broken.Run(10); n != 5 {
+		t.Fatalf("Run processed %d refs, want 5", n)
 	}
-	if !errors.Is(err, errTruncated) || errors.Is(err, ErrExhausted) {
-		t.Fatalf("RunE error = %v, want wrapped errTruncated", err)
+	if err := broken.Err(); !errors.Is(err, errTruncated) || errors.Is(err, ErrExhausted) {
+		t.Fatalf("Err = %v, want wrapped errTruncated", err)
 	}
 
 	// A full run reports no terminal condition.
 	live := MustNew(testConfig(), &failGen{left: 100})
-	if n, err := live.RunE(10); n != 10 || err != nil {
-		t.Fatalf("RunE = (%d, %v), want (10, nil)", n, err)
-	}
-	if live.Err() != nil {
-		t.Fatalf("Err = %v mid-stream, want nil", live.Err())
+	if n := live.Run(10); n != 10 || live.Err() != nil {
+		t.Fatalf("Run = %d, Err = %v mid-stream, want 10, nil", n, live.Err())
 	}
 }
 

@@ -121,10 +121,6 @@ func MustNewPerCPU(cfg Config, streams []workload.Generator, engine Engine) *Hos
 	return h
 }
 
-// PerCPU reports whether this host runs per-CPU streams on the
-// discrete-event engines rather than a merged stream.
-func (h *Host) PerCPU() bool { return h.perCPU }
-
 // Events returns how many scheduler events have been dispatched. For the
 // wheel engine this is the total work the scheduler did; comparing it
 // against NumCPUs × cycles (what the lock-step poller inspects) is the

@@ -169,12 +169,11 @@ func TestPerCPUExhaustion(t *testing.T) {
 		}
 	}
 	h := MustNewPerCPU(perCPUTestConfig(8), streams, EngineWheel)
-	n, err := h.RunE(10000)
-	if n != 2000 {
-		t.Fatalf("RunE processed %d refs, want 2000", n)
+	if n := h.Run(10000); n != 2000 {
+		t.Fatalf("Run processed %d refs, want 2000", n)
 	}
-	if !errors.Is(err, ErrExhausted) {
-		t.Fatalf("RunE error = %v, want ErrExhausted", err)
+	if err := h.Err(); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("Err = %v, want ErrExhausted", err)
 	}
 	if h.Live() != 0 {
 		t.Fatalf("Live = %d after exhaustion", h.Live())

@@ -53,10 +53,6 @@ func newEventWheel(start uint64) *eventWheel {
 // Len returns the number of scheduled, not-yet-popped events.
 func (w *eventWheel) Len() int { return w.size }
 
-// Now returns the wheel clock: the cycle of the last popped event (or the
-// start cycle). Schedules earlier than Now clamp to it.
-func (w *eventWheel) Now() uint64 { return w.now }
-
 // Schedule adds an event for cpu at the given absolute cycle, clamping
 // cycles in the past to the current wheel time. It returns the effective
 // (possibly clamped) cycle.

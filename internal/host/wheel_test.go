@@ -73,8 +73,8 @@ func TestWheelClampsPastSchedules(t *testing.T) {
 	if cyc, _, _ := w.Pop(); cyc != 100 {
 		t.Fatalf("clamped pop cycle = %d, want 100", cyc)
 	}
-	if w.Now() != 100 {
-		t.Fatalf("Now = %d, want 100", w.Now())
+	if w.now != 100 {
+		t.Fatalf("now = %d, want 100", w.now)
 	}
 }
 

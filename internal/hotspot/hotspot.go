@@ -20,7 +20,7 @@ type Config struct {
 	Granularity int64
 	// MaxBlocks bounds the counter table, modeling the 256MB of private
 	// memory per FPGA (256MB / 16B counters = 16Mi blocks). Once full,
-	// new blocks are counted as untracked rather than evicting hot
+	// new blocks count toward the total only, rather than evicting hot
 	// entries.
 	MaxBlocks int
 }
@@ -44,10 +44,9 @@ func (b BlockStats) Total() uint64 { return b.Reads + b.Writes }
 // Profiler is the hot-spot counter table. It implements bus.Snooper as a
 // purely passive observer.
 type Profiler struct {
-	cfg       Config
-	blocks    map[uint64]*BlockStats
-	untracked uint64
-	total     uint64
+	cfg    Config
+	blocks map[uint64]*BlockStats
+	total  uint64
 }
 
 // New builds a profiler.
@@ -74,7 +73,6 @@ func (p *Profiler) Snoop(tx *bus.Transaction) bus.SnoopResponse {
 	bs := p.blocks[block]
 	if bs == nil {
 		if len(p.blocks) >= p.cfg.MaxBlocks {
-			p.untracked++
 			return bus.RespNull
 		}
 		bs = &BlockStats{Block: block}
@@ -90,9 +88,6 @@ func (p *Profiler) Snoop(tx *bus.Transaction) bus.SnoopResponse {
 
 // Tracked returns the number of distinct blocks observed.
 func (p *Profiler) Tracked() int { return len(p.blocks) }
-
-// Untracked returns operations dropped after the table filled.
-func (p *Profiler) Untracked() uint64 { return p.untracked }
 
 // Total returns all memory operations observed.
 func (p *Profiler) Total() uint64 { return p.total }
@@ -133,6 +128,5 @@ func (p *Profiler) Concentration(k int) float64 {
 // Reset clears the table for a new measurement window.
 func (p *Profiler) Reset() {
 	p.blocks = make(map[uint64]*BlockStats)
-	p.untracked = 0
 	p.total = 0
 }

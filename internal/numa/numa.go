@@ -326,18 +326,6 @@ type View struct {
 	InvalidationsSent uint64
 }
 
-// DirectoryBytes returns the total backing-store bytes of node i's
-// emulated structures: its L3 tags, sparse home directory, and remote
-// cache (when configured) — all packed one word per slot.
-func (e *Emulator) DirectoryBytes(i int) int64 {
-	n := e.nodes[i]
-	total := n.l3.DirectoryBytes() + n.dir.DirectoryBytes()
-	if n.remote != nil {
-		total += n.remote.DirectoryBytes()
-	}
-	return total
-}
-
 // Node returns the view of node i.
 func (e *Emulator) Node(i int) View {
 	n := e.nodes[i]
@@ -351,10 +339,4 @@ func (e *Emulator) Node(i int) View {
 		DirEvictions:      n.cDirEvict.Value(),
 		InvalidationsSent: n.cInvalSent.Value(),
 	}
-}
-
-// RemoteFraction returns the fraction of node i's requests whose home is
-// another node — the basic NUMA placement metric.
-func (v View) RemoteFraction() float64 {
-	return stats.Ratio(v.Remote, v.Local+v.Remote)
 }

@@ -75,9 +75,6 @@ func TestLocalVsRemoteClassification(t *testing.T) {
 	if v1.Local != 1 || v1.Remote != 1 {
 		t.Fatalf("node1 = %+v", v1)
 	}
-	if v0.RemoteFraction() != 0.5 {
-		t.Fatalf("remote fraction = %v", v0.RemoteFraction())
-	}
 }
 
 func TestL3HitAfterFill(t *testing.T) {
@@ -203,8 +200,8 @@ func TestDirectoryBytesIsPackedWordPerSlot(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		n := e.nodes[i]
 		slots := n.l3.SlotCount() + n.dir.SlotCount() + n.remote.SlotCount()
-		if got := e.DirectoryBytes(i); got != 8*slots {
-			t.Fatalf("node %d DirectoryBytes = %d, want %d (8 B x %d slots)", i, got, 8*slots, slots)
+		if got := n.l3.DirectoryBytes() + n.dir.DirectoryBytes() + n.remote.DirectoryBytes(); got != 8*slots {
+			t.Fatalf("node %d directories = %d bytes, want %d (8 B x %d slots)", i, got, 8*slots, slots)
 		}
 	}
 }

@@ -2,10 +2,6 @@ package obs
 
 import "sync/atomic"
 
-// DefaultDurationBounds is a bucket ladder for nanosecond durations:
-// 1us, 10us, 100us, 1ms, 10ms, 100ms, 1s.
-var DefaultDurationBounds = []uint64{1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000}
-
 // DefaultSizeBounds is a power-of-four ladder for counts and sizes.
 var DefaultSizeBounds = []uint64{1, 4, 16, 64, 256, 1024, 4096, 16384}
 
@@ -46,12 +42,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.count.Add(1)
 	h.sum.Add(v)
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
 // view snapshots the histogram. Counts are per-bucket (not cumulative);
 // the Prometheus renderer accumulates them.

@@ -27,7 +27,6 @@ type Mirror struct {
 	state atomic.Pointer[mirrorState]
 	bank  *stats.Bank
 	req   atomic.Bool
-	pubs  atomic.Uint64
 }
 
 // mirrorState is an immutable (names, sources) pairing plus the mutable
@@ -55,7 +54,6 @@ func (m *Mirror) rebuild() {
 		st.vals[i].Store(c.Value())
 	}
 	m.state.Store(st)
-	m.pubs.Add(1)
 }
 
 // Request asks the owner for a fresh publish at its next safe point.
@@ -78,11 +76,7 @@ func (m *Mirror) Publish() {
 	for i, c := range st.srcs {
 		st.vals[i].Store(c.Value())
 	}
-	m.pubs.Add(1)
 }
-
-// Publishes returns how many times the mirror has been published.
-func (m *Mirror) Publishes() uint64 { return m.pubs.Load() }
 
 // Each calls fn for every mirrored counter with its bank-local name and
 // last published value, in the bank's creation order. Safe from any
@@ -92,15 +86,4 @@ func (m *Mirror) Each(fn func(name string, v uint64)) {
 	for i, name := range st.names {
 		fn(name, st.vals[i].Load())
 	}
-}
-
-// Value returns the last published value of the named counter, or 0.
-func (m *Mirror) Value(name string) uint64 {
-	st := m.state.Load()
-	for i, n := range st.names {
-		if n == name {
-			return st.vals[i].Load()
-		}
-	}
-	return 0
 }

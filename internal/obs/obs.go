@@ -35,32 +35,6 @@ import (
 	"sync/atomic"
 )
 
-// Kind classifies a metric in snapshots and export formats.
-type Kind uint8
-
-const (
-	// KindCounter is a monotonically non-decreasing event count (the
-	// board's 40-bit counters, adopted via mirrors, and atomic Counters).
-	KindCounter Kind = iota
-	// KindGauge is a level sampled at snapshot time.
-	KindGauge
-	// KindHistogram is a bucketed distribution.
-	KindHistogram
-)
-
-// String returns the Prometheus type name for the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindCounter:
-		return "counter"
-	case KindGauge:
-		return "gauge"
-	case KindHistogram:
-		return "histogram"
-	}
-	return "untyped"
-}
-
 // Counter is an atomic event counter for code that runs off the board's
 // lock-step loop (samplers, drainers, HTTP handlers). Hot-path code uses
 // stats.Counter banks plus a Mirror instead.

@@ -24,10 +24,9 @@ type Sampler struct {
 	// is written (tests and the console `watch` command hook in here).
 	OnSnapshot func(*Snapshot)
 
-	mu    sync.Mutex
-	stop  chan struct{}
-	done  chan struct{}
-	ticks Counter
+	mu   sync.Mutex
+	stop chan struct{}
+	done chan struct{}
 
 	errMu   sync.Mutex
 	lastErr error
@@ -60,12 +59,8 @@ func (s *Sampler) Tick() *Snapshot {
 	if s.OnSnapshot != nil {
 		s.OnSnapshot(snap)
 	}
-	s.ticks.Inc()
 	return snap
 }
-
-// Ticks returns how many snapshots the sampler has produced.
-func (s *Sampler) Ticks() uint64 { return s.ticks.Value() }
 
 // Err returns the most recent JSONL write failure, if any. Check it
 // after Stop: a non-nil error means the emitted stream is missing at

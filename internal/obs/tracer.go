@@ -5,7 +5,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Event is one traced snoop transaction, unpacked.
@@ -81,8 +80,9 @@ func (f *Filter) String() string {
 
 // Tracer is a lock-free single-producer/single-consumer ring of packed
 // snoop records. The producer is the goroutine that owns one board; the
-// consumer is a TraceHub drainer. When disabled it costs the producer
-// one inlinable atomic load; it never allocates.
+// consumer is the one caller of TraceHub.DrainOnce (the Sampler). When
+// disabled it costs the producer one inlinable atomic load; it never
+// allocates.
 //
 // Records are packed two words per event: word0 is the address, word1 is
 // cycle<<16 | cmd<<8 | src (cycles truncate to 48 bits, which at the
@@ -131,9 +131,6 @@ func (t *Tracer) Enable(f Filter) {
 // Disable stops recording. Already-buffered records remain drainable.
 func (t *Tracer) Disable() { t.enabled.Store(false) }
 
-// Filter returns the active filter.
-func (t *Tracer) Filter() Filter { return *t.filter.Load() }
-
 // Captured returns how many records were written to the ring.
 func (t *Tracer) Captured() uint64 { return t.captured.Load() }
 
@@ -180,9 +177,11 @@ func (t *Tracer) Drain(fn func(Event)) int {
 	return n
 }
 
-// TraceHub aggregates the tracers of one or more boards, drains them
-// asynchronously, and formats drained events as text lines on a sink.
-// All methods are safe for concurrent use.
+// TraceHub aggregates the tracers of one or more boards and formats
+// drained events as text lines on a sink. All methods are safe for
+// concurrent use except DrainOnce, which has one caller at a time: the
+// tracer rings are single-consumer, and the Sampler's Tick is that
+// consumer.
 type TraceHub struct {
 	mu      sync.Mutex
 	names   []string
@@ -195,9 +194,6 @@ type TraceHub struct {
 	on      bool
 	filter  Filter
 	drained *Counter
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // NewTraceHub returns a hub writing drained events to sink (nil
@@ -286,47 +282,4 @@ func (h *TraceHub) DrainOnce() int {
 	}
 	h.drained.Add(uint64(n))
 	return n
-}
-
-// Start launches the asynchronous drainer, draining every interval
-// until Stop.
-func (h *TraceHub) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	h.mu.Lock()
-	if h.stop != nil {
-		h.mu.Unlock()
-		return
-	}
-	h.stop = make(chan struct{})
-	h.done = make(chan struct{})
-	stop, done := h.stop, h.done
-	h.mu.Unlock()
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				h.DrainOnce()
-				return
-			case <-tick.C:
-				h.DrainOnce()
-			}
-		}
-	}()
-}
-
-// Stop halts the drainer after a final drain.
-func (h *TraceHub) Stop() {
-	h.mu.Lock()
-	stop, done := h.stop, h.done
-	h.stop, h.done = nil, nil
-	h.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
 }

@@ -74,19 +74,12 @@ func New(cfg Config) *TagStore {
 	return &TagStore{cfg: cfg, bankMask: mask, bankFree: make([]uint64, cfg.Banks)}
 }
 
-// Config returns the timing configuration.
-func (t *TagStore) Config() Config { return t.cfg }
-
 // Stats returns a copy of the accumulated statistics.
 func (t *TagStore) Stats() Stats { return t.stats }
 
 // NextFree returns the earliest cycle at which a new operation could start
 // on the channel (ignoring bank state, which depends on the set).
 func (t *TagStore) NextFree() uint64 { return t.channelFree }
-
-// Idle reports whether an operation arriving at cycle now would start
-// immediately.
-func (t *TagStore) Idle(now uint64) bool { return t.channelFree <= now }
 
 // Stall pushes the channel-free horizon forward by the given number of
 // cycles from now, modeling a transient node-controller stall (a hung
@@ -126,16 +119,4 @@ func (t *TagStore) Schedule(now uint64, set int64) (done uint64) {
 	t.stats.BusyCycles += t.cfg.ChannelGap
 	done = start + t.cfg.BankBusy
 	return done
-}
-
-// SustainedOpsPerCycle returns the best-case steady-state operation rate,
-// the number compared against bus bandwidth to derive the 42% figure.
-func (t *TagStore) SustainedOpsPerCycle() float64 {
-	// With enough banks the channel gap is the binding constraint.
-	channelRate := 1.0 / float64(t.cfg.ChannelGap)
-	bankRate := float64(t.cfg.Banks) / float64(t.cfg.BankBusy)
-	if bankRate < channelRate {
-		return bankRate
-	}
-	return channelRate
 }

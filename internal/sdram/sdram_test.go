@@ -55,27 +55,20 @@ func TestNonPow2Banks(t *testing.T) {
 
 func TestIdleAndNextFree(t *testing.T) {
 	ts := New(Config{Banks: 4, ChannelGap: 10, BankBusy: 10})
-	if !ts.Idle(0) {
+	if ts.NextFree() != 0 {
 		t.Fatal("fresh store not idle")
 	}
 	ts.Schedule(0, 0)
-	if ts.Idle(5) {
-		t.Fatal("store idle during channel gap")
-	}
-	if !ts.Idle(10) {
-		t.Fatal("store not idle after channel gap")
-	}
 	if ts.NextFree() != 10 {
 		t.Fatalf("NextFree = %d, want 10", ts.NextFree())
 	}
 }
 
 func TestSustainedThroughputMatches42Percent(t *testing.T) {
-	ts := New(DefaultConfig())
 	// Peak memory-op rate on a 100MHz 6xx bus with 128B lines and a
 	// 16B-wide data path: one op per 1+8 = 9.6-ish cycles. The paper's
 	// 42% of that is ~0.0437 ops/cycle; our default sustains 1/23.
-	got := ts.SustainedOpsPerCycle()
+	got := defaultSustainedOpsPerCycle()
 	busPeak := 1.0 / 9.6
 	frac := got / busPeak
 	if frac < 0.38 || frac > 0.46 {
@@ -83,9 +76,16 @@ func TestSustainedThroughputMatches42Percent(t *testing.T) {
 	}
 }
 
+// defaultSustainedOpsPerCycle is the best-case steady-state rate of the
+// default timing: its sixteen banks (16/46 ops per cycle) outrun the
+// channel, so the channel gap is the binding constraint.
+func defaultSustainedOpsPerCycle() float64 {
+	return 1 / float64(DefaultConfig().ChannelGap)
+}
+
 func TestSustainedRateUnderRandomLoad(t *testing.T) {
 	// Saturate the store with back-to-back random-set ops and measure the
-	// realized rate; it must match SustainedOpsPerCycle within 10%.
+	// realized rate; it must match the nominal rate within 10%.
 	ts := New(DefaultConfig())
 	rng := rand.New(rand.NewSource(3))
 	const ops = 20000
@@ -96,7 +96,7 @@ func TestSustainedRateUnderRandomLoad(t *testing.T) {
 		// Arrivals are instantaneous (worst-case burst).
 	}
 	rate := float64(ops) / float64(last)
-	want := ts.SustainedOpsPerCycle()
+	want := defaultSustainedOpsPerCycle()
 	// Random bank conflicts cost ~ChannelGap/Banks extra per op, so the
 	// realized rate sits a few percent under nominal.
 	if rate < want*0.85 || rate > want*1.01 {

@@ -164,10 +164,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Registry returns the server's metrics registry (per-session counters
-// live under "session.<id>.", service counters under "service.").
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // Handler returns the service's HTTP handler, for embedding in an
 // existing mux or httptest server.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -191,13 +187,6 @@ func (s *Server) Addr() string {
 		return ""
 	}
 	return s.ln.Addr().String()
-}
-
-// SessionCount returns the number of live sessions.
-func (s *Server) SessionCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
 }
 
 // session looks a live session up by ID.

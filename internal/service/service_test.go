@@ -82,6 +82,13 @@ func traceBodyV1(t *testing.T, n int) []byte {
 	return body
 }
 
+// sessionCount returns the number of live sessions.
+func sessionCount(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.sessions)
+}
+
 func postJSON(t *testing.T, url string, v any) *http.Response {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -231,7 +238,7 @@ func TestCreateValidation(t *testing.T) {
 		}
 		drainBody(resp)
 	}
-	if n := srv.SessionCount(); n != 0 {
+	if n := sessionCount(srv); n != 0 {
 		t.Fatalf("rejected creates leaked %d sessions", n)
 	}
 
@@ -341,7 +348,7 @@ func TestBackpressure429(t *testing.T) {
 	if st.Rejected == 0 {
 		t.Fatalf("stats rejected_429 = 0, want >0: %+v", st)
 	}
-	if v := srv.Registry().Counter("service.ingest.retry-posted").Value(); v == 0 {
+	if v := srv.reg.Counter("service.ingest.retry-posted").Value(); v == 0 {
 		t.Fatal("service.ingest.retry-posted counter = 0")
 	}
 }
@@ -650,7 +657,7 @@ func TestMetricsLabels(t *testing.T) {
 		t.Fatalf("delete: %v", err)
 	}
 	drainBody(resp)
-	if n := srv.Registry().RemovePrefix("session.m-1"); n != 0 {
+	if n := srv.reg.RemovePrefix("session.m-1"); n != 0 {
 		t.Fatalf("teardown left %d session series behind", n)
 	}
 }
@@ -810,7 +817,7 @@ func TestCreateProtocolMap(t *testing.T) {
 	}
 	drainBody(resp)
 
-	if n := srv.SessionCount(); n != 1 {
+	if n := sessionCount(srv); n != 1 {
 		t.Fatalf("session count = %d, want 1 (only the valid create)", n)
 	}
 }

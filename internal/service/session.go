@@ -353,14 +353,10 @@ func buildBoardConfig(req *CreateRequest) (core.Config, host.Config, int64, erro
 	if ncpu < 1 || ncpu > core.MaxBusID {
 		return core.Config{}, host.Config{}, 0, fmt.Errorf("service: cpus %d out of range [1,%d]", ncpu, core.MaxBusID)
 	}
-	cpus := make([]int, ncpu)
-	for i := range cpus {
-		cpus[i] = i
-	}
 	bcfg := core.Config{
 		Nodes: []core.NodeConfig{{
 			Name:     "a",
-			CPUs:     cpus,
+			CPUs:     core.CPURange(ncpu),
 			Geometry: g,
 			Policy:   pol,
 			Protocol: proto,

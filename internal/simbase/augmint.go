@@ -84,13 +84,6 @@ func NewAugmint(cfg AugmintConfig) (*Augmint, error) {
 	return a, nil
 }
 
-// Stats returns the results so far.
-func (a *Augmint) Stats() AugmintStats { return a.stats }
-
-// Checksum exposes the interpreter state so callers (and the compiler)
-// treat the per-instruction work as live.
-func (a *Augmint) Checksum() uint64 { return a.checksum }
-
 // Run interprets up to n references of the workload, returning how many
 // were processed.
 func (a *Augmint) Run(gen workload.Generator, n uint64) uint64 {

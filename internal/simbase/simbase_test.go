@@ -71,14 +71,13 @@ func TestTraceSimRunFromFile(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := tracefile.Open(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := MustNewTraceSim([]TraceNodeConfig{traceNodeCfg([]int{0, 1}, 64, 4)})
-	n, err := s.Run(r)
+	n, err := tracefile.ForEachBatch(&buf, 1, func(recs []tracefile.Record) error {
+		s.ProcessBatch(recs)
+		return nil
+	})
 	if err != nil || n != 100 {
-		t.Fatalf("Run = %d, %v", n, err)
+		t.Fatalf("ForEachBatch = %d, %v", n, err)
 	}
 	st := s.NodeStats(0)
 	if st.ReadMiss != 8 || st.ReadHit != 92 {
@@ -154,14 +153,14 @@ func TestAugmintInterpretsInstructions(t *testing.T) {
 	if n != 10000 {
 		t.Fatalf("Run = %d", n)
 	}
-	st := a.Stats()
+	st := a.stats
 	if st.Refs != 10000 || st.Instructions == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.L1Misses == 0 || st.L2Misses == 0 {
 		t.Fatalf("cache model inert: %+v", st)
 	}
-	if a.Checksum() == 0 {
+	if a.checksum == 0 {
 		t.Fatal("interpreter work optimized away")
 	}
 }

@@ -8,7 +8,6 @@ package simbase
 
 import (
 	"fmt"
-	"io"
 
 	"memories/internal/addr"
 	"memories/internal/bus"
@@ -159,23 +158,6 @@ func (s *TraceSim) Process(rec tracefile.Record) {
 func (s *TraceSim) ProcessBatch(recs []tracefile.Record) {
 	for i := range recs {
 		s.Process(recs[i])
-	}
-}
-
-// Run drains a trace reader (either format) through the simulator,
-// returning the record count.
-func (s *TraceSim) Run(r tracefile.RecordReader) (uint64, error) {
-	var n uint64
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		s.Process(rec)
-		n++
 	}
 }
 

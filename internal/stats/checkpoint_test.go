@@ -36,7 +36,7 @@ func TestBankCheckpointRoundTrip(t *testing.T) {
 	if got := b2.Value("hits"); got != CounterMax {
 		t.Fatalf("hits = %d, want saturated %d", got, CounterMax)
 	}
-	if !b2.Counter("hits").Saturated() {
+	if !b2.Counter("hits").saturated {
 		t.Fatal("hits lost its saturation flag")
 	}
 	if got := b2.Value("zero"); got != 0 {
@@ -68,11 +68,11 @@ func TestBankRestoreUnknownCounter(t *testing.T) {
 func TestCounterRestoreClamp(t *testing.T) {
 	var c Counter
 	c.Restore(CounterMax+1, false)
-	if c.Value() != CounterMax || !c.Saturated() {
-		t.Fatalf("got (%d, %v), want clamped (%d, true)", c.Value(), c.Saturated(), uint64(CounterMax))
+	if c.Value() != CounterMax || !c.saturated {
+		t.Fatalf("got (%d, %v), want clamped (%d, true)", c.Value(), c.saturated, uint64(CounterMax))
 	}
 	c.Restore(5, true)
-	if c.Value() != 5 || !c.Saturated() {
-		t.Fatalf("got (%d, %v), want (5, true)", c.Value(), c.Saturated())
+	if c.Value() != 5 || !c.saturated {
+		t.Fatalf("got (%d, %v), want (5, true)", c.Value(), c.saturated)
 	}
 }

@@ -41,9 +41,6 @@ func (c *Counter) Inc() { c.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
 
-// Saturated reports whether the counter has ever hit CounterMax.
-func (c *Counter) Saturated() bool { return c.saturated }
-
 // Reset clears the counter and its saturation flag.
 func (c *Counter) Reset() { c.v, c.saturated = 0, false }
 
@@ -100,13 +97,6 @@ func (b *Bank) Ordered() ([]string, []*Counter) {
 		counters[i] = b.counters[name]
 	}
 	return names, counters
-}
-
-// Names returns all counter names in creation order.
-func (b *Bank) Names() []string {
-	out := make([]string, len(b.order))
-	copy(out, b.order)
-	return out
 }
 
 // ResetAll clears every counter in the bank.

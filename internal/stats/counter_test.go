@@ -8,7 +8,7 @@ import (
 
 func TestCounterBasics(t *testing.T) {
 	var c Counter
-	if c.Value() != 0 || c.Saturated() {
+	if c.Value() != 0 || c.saturated {
 		t.Fatal("zero value not clean")
 	}
 	c.Inc()
@@ -25,19 +25,19 @@ func TestCounterBasics(t *testing.T) {
 func TestCounterSaturates(t *testing.T) {
 	var c Counter
 	c.Add(CounterMax - 1)
-	if c.Saturated() {
+	if c.saturated {
 		t.Fatal("saturated too early")
 	}
 	c.Add(1)
 	if c.Value() != CounterMax {
 		t.Fatalf("Value = %d, want max", c.Value())
 	}
-	if c.Saturated() {
+	if c.saturated {
 		t.Fatal("exact max should not set saturated flag") // landing exactly on max is representable
 	}
 	c.Inc()
-	if c.Value() != CounterMax || !c.Saturated() {
-		t.Fatalf("overflow: value=%d saturated=%v", c.Value(), c.Saturated())
+	if c.Value() != CounterMax || !c.saturated {
+		t.Fatalf("overflow: value=%d saturated=%v", c.Value(), c.saturated)
 	}
 	c.Add(1 << 50)
 	if c.Value() != CounterMax {
@@ -65,11 +65,11 @@ func TestCounterResetClearsSaturation(t *testing.T) {
 	var c Counter
 	c.Add(CounterMax)
 	c.Inc()
-	if !c.Saturated() {
+	if !c.saturated {
 		t.Fatal("expected saturation")
 	}
 	c.Reset()
-	if c.Saturated() || c.Value() != 0 {
+	if c.saturated || c.Value() != 0 {
 		t.Fatal("Reset did not clear saturation")
 	}
 }
@@ -118,10 +118,10 @@ func TestBankNamesOrderAndSnapshot(t *testing.T) {
 	for i, n := range names {
 		b.Counter(n).Add(uint64(i + 1))
 	}
-	got := b.Names()
+	got, _ := b.Ordered()
 	for i := range names {
 		if got[i] != names[i] {
-			t.Fatalf("Names() = %v, want creation order %v", got, names)
+			t.Fatalf("Ordered() = %v, want creation order %v", got, names)
 		}
 	}
 	snap := b.Snapshot()

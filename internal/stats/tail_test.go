@@ -11,8 +11,8 @@ func TestTailKeepsTrailingBuckets(t *testing.T) {
 	if tail.Len() != 5 {
 		t.Fatalf("Tail(0.5).Len = %d, want 5", tail.Len())
 	}
-	if tail.BucketWidth() != 10 {
-		t.Fatalf("BucketWidth = %d", tail.BucketWidth())
+	if tail.bucketWidth != 10 {
+		t.Fatalf("bucketWidth = %d", tail.bucketWidth)
 	}
 	// The kept buckets are the last five (ratios 0.5..0.9).
 	if tail.Ratio(0) != 0.5 || tail.Ratio(4) != 0.9 {

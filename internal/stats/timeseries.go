@@ -38,9 +38,6 @@ func (ts *TimeSeries) Observe(at, num, den uint64) {
 	ts.den[i] += den
 }
 
-// BucketWidth returns the width of each bucket on the time axis.
-func (ts *TimeSeries) BucketWidth() uint64 { return ts.bucketWidth }
-
 // Len returns the number of buckets observed so far.
 func (ts *TimeSeries) Len() int { return len(ts.num) }
 

@@ -10,8 +10,6 @@ import (
 type RecordReader interface {
 	// Next returns the next record, or io.EOF after the last one.
 	Next() (Record, error)
-	// Count returns the number of records read so far.
-	Count() uint64
 }
 
 // readMagic consumes and returns the 8-byte file magic.
@@ -23,21 +21,8 @@ func readMagic(br *bufio.Reader) (string, error) {
 	return string(head), nil
 }
 
-// expectMagic consumes the file magic and checks it is exactly want.
-func expectMagic(br *bufio.Reader, want string) error {
-	got, err := readMagic(br)
-	if err != nil {
-		return err
-	}
-	if got != want {
-		return fmt.Errorf("tracefile: bad magic %q (want %q)", got, want)
-	}
-	return nil
-}
-
 // Open auto-detects the trace format from the file magic and returns a
-// streaming reader for it. This is what every trace consumer should
-// use unless it needs a version-specific API.
+// streaming reader for it: the one way to construct a reader.
 func Open(r io.Reader) (RecordReader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic, err := readMagic(br)

@@ -73,7 +73,7 @@ func FuzzRoundTripV2(f *testing.F) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewV2Reader(bytes.NewReader(buf.Bytes()))
+		r, err := Open(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func FuzzRoundTripV2(f *testing.F) {
 		// Direction 2: the raw fuzz input as an untrusted v2 body must
 		// never panic — torn, corrupt, or implausible blocks are errors.
 		body := append([]byte(MagicV2), data...)
-		ur, err := NewV2Reader(bytes.NewReader(body))
+		ur, err := Open(bytes.NewReader(body))
 		if err != nil {
 			return
 		}

@@ -159,7 +159,7 @@ func TestV2MappedCorruptionParity(t *testing.T) {
 		read func(data []byte, out *[]Record) error
 	}{
 		{"V2Reader", func(data []byte, out *[]Record) error {
-			r, err := NewV2Reader(bytes.NewReader(data))
+			r, err := Open(bytes.NewReader(data))
 			for err == nil {
 				var rec Record
 				if rec, err = r.Next(); err == nil {

@@ -87,15 +87,6 @@ type Reader struct {
 	buf   [RecordSize]byte
 }
 
-// NewReader validates the file magic and returns a record reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	if err := expectMagic(br, Magic); err != nil {
-		return nil, err
-	}
-	return &Reader{br: br}, nil
-}
-
 // Next returns the next record, or io.EOF after the last one. A torn final
 // record yields io.ErrUnexpectedEOF.
 func (r *Reader) Next() (Record, error) {
@@ -108,9 +99,6 @@ func (r *Reader) Next() (Record, error) {
 	r.count++
 	return Unpack(binary.LittleEndian.Uint64(r.buf[:])), nil
 }
-
-// Count returns the number of records read so far.
-func (r *Reader) Count() uint64 { return r.count }
 
 // Capture models the board's on-board trace memory: a bounded in-memory
 // record buffer. Once full, further records are dropped and counted, like

@@ -97,7 +97,7 @@ func TestWriteReadFile(t *testing.T) {
 		t.Fatalf("file size = %d", len(data))
 	}
 
-	r, err := NewReader(bytes.NewReader(data))
+	r, err := Open(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,16 +113,13 @@ func TestWriteReadFile(t *testing.T) {
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
 	}
-	if r.Count() != 1000 {
-		t.Fatalf("reader count = %d", r.Count())
-	}
 }
 
 func TestReaderRejectsBadMagic(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("NOTMIES0"))); err == nil {
+	if _, err := Open(bytes.NewReader([]byte("NOTMIES0"))); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	if _, err := NewReader(bytes.NewReader([]byte("MI"))); err == nil {
+	if _, err := Open(bytes.NewReader([]byte("MI"))); err == nil {
 		t.Fatal("truncated magic accepted")
 	}
 }
@@ -130,7 +127,7 @@ func TestReaderRejectsBadMagic(t *testing.T) {
 func TestReaderTornRecord(t *testing.T) {
 	data := packV1(t, []Record{{Addr: 8}})
 	data = data[:len(data)-3] // tear the record
-	r, err := NewReader(bytes.NewReader(data))
+	r, err := Open(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

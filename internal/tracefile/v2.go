@@ -284,9 +284,6 @@ func (w *V2Writer) seal() error {
 	return nil
 }
 
-// Count returns the number of records written.
-func (w *V2Writer) Count() uint64 { return w.count }
-
 // Flush seals the partial block and drains the buffered writer. The
 // writer remains usable; a subsequent Write starts a new block.
 func (w *V2Writer) Flush() error {
@@ -304,17 +301,7 @@ type V2Reader struct {
 	frame []byte
 	recs  []Record
 	pos   int
-	count uint64
 	hdr   [blockHeaderSize]byte
-}
-
-// NewV2Reader validates the v2 magic and returns a reader.
-func NewV2Reader(r io.Reader) (*V2Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	if err := expectMagic(br, MagicV2); err != nil {
-		return nil, err
-	}
-	return &V2Reader{br: br}, nil
 }
 
 // loadBlock reads, checks and decodes the next block into the record
@@ -353,12 +340,8 @@ func (r *V2Reader) Next() (Record, error) {
 	}
 	rec := r.recs[r.pos]
 	r.pos++
-	r.count++
 	return rec, nil
 }
-
-// Count returns the number of records read so far.
-func (r *V2Reader) Count() uint64 { return r.count }
 
 // ForEachBatch streams a trace of either format to emit as decoded
 // record batches, auto-detecting the magic. The batch slice is reused

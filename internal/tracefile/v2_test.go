@@ -85,7 +85,7 @@ func readAll(t *testing.T, r RecordReader) []Record {
 func TestV2RoundTrip(t *testing.T) {
 	want := testRecords(10000, 7)
 	data := writeV2(t, want, 512)
-	r, err := NewV2Reader(bytes.NewReader(data))
+	r, err := Open(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +97,6 @@ func TestV2RoundTrip(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
 		}
-	}
-	if r.Count() != uint64(len(want)) {
-		t.Fatalf("reader count = %d", r.Count())
 	}
 }
 
@@ -167,7 +164,7 @@ func TestV2TruncatedBlock(t *testing.T) {
 	data := writeV2(t, testRecords(100, 3), 64)
 
 	// Torn payload: cut mid-block.
-	r, err := NewV2Reader(bytes.NewReader(data[:len(data)-5]))
+	r, err := Open(bytes.NewReader(data[:len(data)-5]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +180,7 @@ func TestV2TruncatedBlock(t *testing.T) {
 
 	// Torn header: cut inside the second block's 12-byte header.
 	hdrEnd := len(MagicV2) + blockHeaderSize
-	r, err = NewV2Reader(bytes.NewReader(data[:hdrEnd-4]))
+	r, err = Open(bytes.NewReader(data[:hdrEnd-4]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +189,7 @@ func TestV2TruncatedBlock(t *testing.T) {
 	}
 
 	// Clean EOF at a block boundary is NOT an error.
-	r, err = NewV2Reader(bytes.NewReader(data))
+	r, err = Open(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +204,7 @@ func TestV2CorruptCRC(t *testing.T) {
 	// Flip one payload bit: CRC catches it.
 	mut := append([]byte(nil), data...)
 	mut[len(MagicV2)+blockHeaderSize+3] ^= 0x40
-	r, err := NewV2Reader(bytes.NewReader(mut))
+	r, err := Open(bytes.NewReader(mut))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +218,7 @@ func TestV2CorruptCRC(t *testing.T) {
 	mut[len(MagicV2)] = 0xFF
 	mut[len(MagicV2)+1] = 0xFF
 	mut[len(MagicV2)+2] = 0xFF
-	r, err = NewV2Reader(bytes.NewReader(mut))
+	r, err = Open(bytes.NewReader(mut))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +238,7 @@ func TestOpenRejectsBadMagic(t *testing.T) {
 
 // TestCopyRecordsConvert drives the tracegen-convert path: a v1 file
 // through CopyRecords into a V2Writer yields the file the same records
-// written directly would, and the writer/reader counts agree.
+// written directly would, and the writer's count agrees.
 func TestCopyRecordsConvert(t *testing.T) {
 	recs := testRecords(3000, 29)
 	r, err := Open(bytes.NewReader(packV1(t, recs)))
@@ -257,8 +254,8 @@ func TestCopyRecordsConvert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != uint64(len(recs)) || w.Count() != n || r.Count() != n {
-		t.Fatalf("copied %d (writer %d, reader %d), want %d", n, w.Count(), r.Count(), len(recs))
+	if n != uint64(len(recs)) || w.count != n {
+		t.Fatalf("copied %d (writer %d), want %d", n, w.count, len(recs))
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -481,7 +478,7 @@ func strideRecords(n int) []Record {
 func TestV2ReadAllocFree(t *testing.T) {
 	recs := strideRecords(1 << 16)
 	data := writeV2(t, recs, 256)
-	r, err := NewV2Reader(bytes.NewReader(data))
+	r, err := Open(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,6 @@ import (
 	"memories/internal/checkpoint"
 )
 
-// State returns the RNG's raw xorshift state.
-func (r *RNG) State() uint64 { return r.state }
-
 // SetState restores a checkpointed RNG state. Zero is remapped the same
 // way NewRNG remaps a zero seed (xorshift's all-zero fixed point).
 func (r *RNG) SetState(s uint64) {

@@ -29,8 +29,7 @@ func checkpointableGenerators() map[string]func() Generator {
 			return Limit(NewTPCC(ScaledTPCCConfig(4096)), 100_000)
 		},
 		"disturbed-tpcc": func() Generator {
-			cfg := DefaultDisturbanceConfig()
-			cfg.PeriodRefs, cfg.BurstRefs = 500, 50
+			cfg := DisturbanceConfig{PeriodRefs: 500, BurstRefs: 50, JournalBytes: 256 * addr.MB}
 			return WithDisturbance(NewTPCC(ScaledTPCCConfig(4096)), cfg)
 		},
 	}
@@ -162,7 +161,7 @@ func (f *fake) Footprint() int64  { return 0 }
 func TestRNGStateRoundTrip(t *testing.T) {
 	r := NewRNG(77)
 	r.Uint64()
-	s := r.State()
+	s := r.state
 	r2 := NewRNG(1)
 	r2.SetState(s)
 	if r.Uint64() != r2.Uint64() {

@@ -1,7 +1,5 @@
 package workload
 
-import "memories/internal/addr"
-
 // DisturbanceConfig models the OS file-system journaling bug of case
 // study 2 (Figure 10): every few minutes the OS sweeps a journal region,
 // displacing the workload's working set and spiking the miss ratio at
@@ -18,16 +16,6 @@ type DisturbanceConfig struct {
 	JournalBytes int64
 	// CPU is the processor running the OS daemon.
 	CPU int
-}
-
-// DefaultDisturbanceConfig returns a visible journaling bug: bursts of
-// 60k references every 1M references over a 256MB journal.
-func DefaultDisturbanceConfig() DisturbanceConfig {
-	return DisturbanceConfig{
-		PeriodRefs:   1_000_000,
-		BurstRefs:    60_000,
-		JournalBytes: 256 * addr.MB,
-	}
 }
 
 // WithDisturbance wraps g so that journaling bursts interleave with the

@@ -56,13 +56,6 @@ func NewPyramid(total, minLevel, slotSize int64, growth int64, damp float64) *Py
 	return p
 }
 
-// Levels returns the level sizes, smallest first.
-func (p *Pyramid) Levels() []int64 {
-	out := make([]int64, len(p.sizes))
-	copy(out, p.sizes)
-	return out
-}
-
 // Sample returns a byte offset within the pyramid's span, aligned to the
 // slot size.
 func (p *Pyramid) Sample(r *RNG) int64 {
@@ -75,25 +68,4 @@ func (p *Pyramid) Sample(r *RNG) int64 {
 		}
 	}
 	return r.Intn(p.slots[level]) * p.slotSz
-}
-
-// ExpectedTouched estimates the distinct bytes touched after n samples:
-// each level contributes min(level size, samples into it * slot size).
-// Used by tests and calibration, not the hot path.
-func (p *Pyramid) ExpectedTouched(n uint64) int64 {
-	var total int64
-	prev := 0.0
-	for i, c := range p.cum {
-		frac := c - prev
-		prev = c
-		into := int64(float64(n) * frac * float64(p.slotSz))
-		if into > p.sizes[i] {
-			into = p.sizes[i]
-		}
-		total += into
-	}
-	if total > p.sizes[len(p.sizes)-1] {
-		total = p.sizes[len(p.sizes)-1]
-	}
-	return total
 }

@@ -8,7 +8,7 @@ import (
 
 func TestPyramidLevels(t *testing.T) {
 	p := NewPyramid(64*addr.MB, addr.MB, 128, 4, 0.5)
-	levels := p.Levels()
+	levels := p.sizes
 	want := []int64{addr.MB, 4 * addr.MB, 16 * addr.MB, 64 * addr.MB}
 	if len(levels) != len(want) {
 		t.Fatalf("levels = %v", levels)
@@ -22,7 +22,7 @@ func TestPyramidLevels(t *testing.T) {
 
 func TestPyramidTopLevelAlwaysFullSpan(t *testing.T) {
 	p := NewPyramid(100*addr.MB, addr.MB, 128, 4, 0.5) // 100MB not a power of 4 multiple
-	levels := p.Levels()
+	levels := p.sizes
 	if levels[len(levels)-1] != 100*addr.MB {
 		t.Fatalf("top level = %d, want full span", levels[len(levels)-1])
 	}
@@ -30,8 +30,8 @@ func TestPyramidTopLevelAlwaysFullSpan(t *testing.T) {
 
 func TestPyramidMinLevelClamped(t *testing.T) {
 	p := NewPyramid(addr.MB, 16*addr.MB, 128, 4, 0.5)
-	if len(p.Levels()) != 1 || p.Levels()[0] != addr.MB {
-		t.Fatalf("levels = %v", p.Levels())
+	if len(p.sizes) != 1 || p.sizes[0] != addr.MB {
+		t.Fatalf("levels = %v", p.sizes)
 	}
 }
 
@@ -64,19 +64,6 @@ func TestPyramidConcentratesOnSmallLevels(t *testing.T) {
 	frac := float64(inHot) / n
 	if frac < 0.45 || frac > 0.70 {
 		t.Fatalf("hot-level fraction = %.3f, want ~0.55", frac)
-	}
-}
-
-func TestPyramidTouchedGrowsSublinearly(t *testing.T) {
-	p := NewPyramid(1*addr.GB, addr.MB, 128, 4, 0.5)
-	small := p.ExpectedTouched(10_000)
-	big := p.ExpectedTouched(10_000_000)
-	if big <= small {
-		t.Fatal("touched footprint must grow with samples")
-	}
-	// 1000x the samples must touch far less than 1000x the bytes.
-	if big >= small*200 {
-		t.Fatalf("touched grew linearly: %d -> %d", small, big)
 	}
 }
 

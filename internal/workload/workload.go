@@ -24,8 +24,6 @@
 // §4g lists what was removed and what was kept).
 package workload
 
-import "memories/internal/addr"
-
 // Ref is a single processor memory reference, before any cache filtering.
 type Ref struct {
 	// Addr is the physical byte address.
@@ -160,9 +158,4 @@ func (l *limited) Next() (Ref, bool) {
 	}
 	l.left--
 	return l.g.Next()
-}
-
-// Describe renders a one-line workload summary for reports.
-func Describe(g Generator) string {
-	return g.Name() + " (" + addr.FormatSize(g.Footprint()) + " footprint)"
 }

@@ -343,10 +343,3 @@ func TestDisturbanceJournalAlwaysFresh(t *testing.T) {
 		}
 	}
 }
-
-func TestDescribe(t *testing.T) {
-	g := NewUniform(UniformConfig{NumCPUs: 1, FootprintByte: 8 * addr.MB})
-	if got := Describe(g); got != "uniform (8MB footprint)" {
-		t.Fatalf("Describe = %q", got)
-	}
-}

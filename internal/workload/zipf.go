@@ -20,7 +20,6 @@ type Zipf struct {
 	limit int64   // ranks are clamped below this: n, through float64 as always
 	p     float64 // 1/(1-s), negative
 	scale float64 // n^(1-s) - 1
-	guard float64 // zipfGuard, or +Inf when only math.Pow may answer
 }
 
 const (
@@ -30,11 +29,12 @@ const (
 	// zipfMaxExponent bounds |p| for the kernel: its error grows as
 	// |p|*1e-15 (the logarithm's absolute error is multiplied by p), so
 	// at 1024, skew 1+2^-10, it is still 1000 times inside the band.
-	// Flatter distributions always take math.Pow.
+	// NewZipf refuses flatter distributions; every skew in the tree
+	// (1.01 to 1.6) has |p| <= 100.
 	zipfMaxExponent = 1024
 )
 
-// NewZipf builds a sampler over [0, n) with skew s (s > 1).
+// NewZipf builds a sampler over [0, n) with skew s, 1+2^-10 <= s.
 func NewZipf(r *RNG, s float64, n int64) *Zipf {
 	if n <= 0 {
 		panic("workload: zipf range must be positive")
@@ -43,17 +43,16 @@ func NewZipf(r *RNG, s float64, n int64) *Zipf {
 		panic("workload: zipf skew must exceed 1")
 	}
 	oneMinS := 1 - s
-	z := &Zipf{
+	p := 1 / oneMinS
+	if !(p >= -zipfMaxExponent) { // a NaN skew fails this too
+		panic("workload: zipf skew must be at least 1+2^-10")
+	}
+	return &Zipf{
 		r:     r,
 		limit: int64(float64(n)),
-		p:     1 / oneMinS,
+		p:     p,
 		scale: math.Pow(float64(n), oneMinS) - 1,
-		guard: math.Inf(1),
 	}
-	if z.p >= -zipfMaxExponent { // false for a NaN skew too
-		z.guard = zipfGuard
-	}
-	return z
 }
 
 // Sample returns a rank in [0, n), rank 0 hottest.
@@ -65,10 +64,10 @@ func (z *Zipf) rank(u float64) int64 {
 	b := 1 + u*z.scale
 	x := fastPow(b, z.p)
 	// Trust x only when it is farther than tau from the nearest integer.
-	// x is positive, so the comparison is false for an infinite guard, for
-	// a NaN, and for any x past 5e8, where tau exceeds one half; below that
-	// roundShift does round to the nearest integer and int64(x) is exact.
-	if tau := z.guard * x; !(math.Abs(x-((x+roundShift)-roundShift)) > tau) {
+	// x is positive, so the comparison is false for a NaN and for any x
+	// past 5e8, where tau exceeds one half; below that roundShift does
+	// round to the nearest integer and int64(x) is exact.
+	if tau := zipfGuard * x; !(math.Abs(x-((x+roundShift)-roundShift)) > tau) {
 		x = math.Pow(b, z.p)
 	}
 	i := int64(x) - 1

@@ -51,7 +51,7 @@ func (c *zipfTally) check(t testing.TB, u float64) {
 	}
 	c.draws++
 	xf := fastPow(1+u*c.z.scale, c.z.p)
-	if !(math.Abs(xf-math.Round(xf)) > c.z.guard*xf) { // rank's test
+	if !(math.Abs(xf-math.Round(xf)) > zipfGuard*xf) { // rank's test
 		c.fallbacks++
 		return
 	}
@@ -130,29 +130,35 @@ func TestZipfMatchesReference(t *testing.T) {
 }
 
 // TestZipfFlatSkewTakesPow: past zipfMaxExponent the kernel's error is no
-// longer a small fraction of the band, so the sampler must not use it.
+// longer a small fraction of the band, and nothing in the tree asks for
+// such a skew, so the constructor refuses it the way it refuses s <= 1.
 func TestZipfFlatSkewTakesPow(t *testing.T) {
 	for _, s := range []float64{1 + 1.0/2048, 1.0001, math.Nextafter(1, 2), math.NaN()} {
-		if z := NewZipf(NewRNG(1), s, 1<<20); !math.IsInf(z.guard, 1) {
-			t.Errorf("skew %v (p %v): guard %v, want +Inf", s, z.p, z.guard)
-		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("skew %v accepted, want a panic", s)
+				}
+			}()
+			NewZipf(NewRNG(1), s, 1<<20)
+		}()
 	}
-	if z := NewZipf(NewRNG(1), 1+1.0/1024, 1<<20); z.guard != zipfGuard {
-		t.Errorf("skew 1+2^-10 (p %v): guard %v, want %v", z.p, z.guard, zipfGuard)
+	if z := NewZipf(NewRNG(1), 1+1.0/1024, 1<<20); z.p != -zipfMaxExponent {
+		t.Errorf("skew 1+2^-10: p %v, want %v", z.p, -zipfMaxExponent)
 	}
 }
 
 // FuzzZipfExact: any skew the constructor accepts, any range, any seed.
 func FuzzZipfExact(f *testing.F) {
 	for _, s := range []float64{1.01, 1.1, 1.2, 1.3, 1.6, 3, 50, 1e300, math.Inf(1),
-		1 + 1.0/1024, 1 + 1.0/1023, 1.0001, math.Nextafter(1, 2)} {
+		1 + 1.0/1024, 1 + 1.0/1023, 1 + 1.0/1000, 1.002} {
 		for _, n := range []int64{1, 2, 1 << 16, 1 << 27, 1 << 34, math.MaxInt64} {
 			f.Add(math.Float64bits(s), n, uint64(n)+7)
 		}
 	}
 	f.Fuzz(func(t *testing.T, skewBits uint64, n int64, seed uint64) {
 		s := math.Float64frombits(skewBits)
-		if !(s > 1) || n <= 0 {
+		if !(s > 1) || !(1/(1-s) >= -zipfMaxExponent) || n <= 0 {
 			t.Skip()
 		}
 		r := NewRNG(seed)

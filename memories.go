@@ -200,13 +200,9 @@ func NewUniform(ncpu int, footprint int64, writeFraction float64, seed uint64) G
 // host's first eight CPUs, running MESI with LRU replacement — the
 // single-node logical target machine of Figure 3.
 func SingleL3Board(sizeBytes int64, assoc int, lineBytes int64) BoardConfig {
-	cpus := make([]int, 8)
-	for i := range cpus {
-		cpus[i] = i
-	}
 	return BoardConfig{Nodes: []NodeConfig{{
 		Name:     "a",
-		CPUs:     cpus,
+		CPUs:     core.CPURange(8),
 		Geometry: addr.MustGeometry(sizeBytes, lineBytes, assoc),
 		Policy:   cache.LRU,
 		Protocol: protocols.MustLoad("mesi"),
@@ -319,11 +315,10 @@ type ObsHandle struct {
 	Server   *obs.Server
 }
 
-// Close stops the sampler (with a final snapshot), the trace drainer,
-// and the HTTP endpoint.
+// Close stops the sampler (with a final trace drain and snapshot) and
+// the HTTP endpoint.
 func (h *ObsHandle) Close() error {
 	h.Sampler.Stop()
-	h.Hub.Stop()
 	if h.Server != nil {
 		return h.Server.Close()
 	}
@@ -335,8 +330,9 @@ func (h *ObsHandle) Close() error {
 // it: httpAddr (e.g. ":9090") serves /metrics and /metrics.json (empty
 // disables HTTP), jsonl receives one JSON snapshot line per interval
 // (nil disables), and traceSink receives drained snoop-trace lines once
-// tracing is turned on (nil discards them). The sampler and trace
-// drainer start immediately; Close the handle when done.
+// tracing is turned on (nil discards them). The sampler, which is also
+// the trace rings' one drainer, starts immediately; Close the handle
+// when done.
 func (s *Session) EnableObs(httpAddr string, interval time.Duration, jsonl, traceSink io.Writer) (*ObsHandle, error) {
 	reg := obs.NewRegistry()
 	hub := obs.NewTraceHub(traceSink)
@@ -359,7 +355,6 @@ func (s *Session) EnableObs(httpAddr string, interval time.Duration, jsonl, trac
 		}
 		h.Server = srv
 	}
-	h.Hub.Start(interval)
 	h.Sampler.Start()
 	s.obs = h
 	return h, nil

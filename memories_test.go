@@ -3,11 +3,14 @@ package memories
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"memories/internal/coherence"
+	"memories/internal/obs"
 )
 
 func TestSessionQuickstartFlow(t *testing.T) {
@@ -96,6 +99,52 @@ func TestSessionConsole(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "8MB 4-way") {
 		t.Fatalf("console output:\n%s", out.String())
+	}
+}
+
+// TestObsTraceSingleDrainer: the snoop-trace ring is single-consumer, so
+// a session's sampler must be its only drainer. With the producer running
+// flat out, tracing on and a 1 ms sampler, every captured record reaches
+// the sink exactly once and in order. A second consumer shows up as
+// duplicated or reordered lines, and as a data race on the sink under
+// -race.
+func TestObsTraceSingleDrainer(t *testing.T) {
+	s, err := NewSession(DefaultHostConfig(), SingleL3Board(8*MB, 4, 128), NewTPCC(ScaledTPCCConfig(8192)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink bytes.Buffer
+	h, err := s.EnableObs("", time.Millisecond, nil, &sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Hub.Enable(obs.Filter{})
+	s.Run(150_000)
+	s.Board.Flush()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	captured, dropped := h.Hub.Totals()
+	if captured == 0 {
+		t.Fatal("tracer captured nothing")
+	}
+	lines := strings.Split(strings.TrimSuffix(sink.String(), "\n"), "\n")
+	if uint64(len(lines)) != captured {
+		t.Fatalf("%d lines on the sink, tracer captured %d (dropped %d)", len(lines), captured, dropped)
+	}
+	var last uint64
+	for i, line := range lines {
+		var name, cmd string
+		var cycle, addr uint64
+		var src int
+		if _, err := fmt.Sscanf(line, "trace %s cycle=%d cmd=%s src=%d addr=%v", &name, &cycle, &cmd, &src, &addr); err != nil {
+			t.Fatalf("line %d %q: %v", i, line, err)
+		}
+		if i > 0 && cycle <= last {
+			t.Fatalf("line %d: cycle %d after %d: records duplicated or reordered", i, cycle, last)
+		}
+		last = cycle
 	}
 }
 
