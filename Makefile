@@ -30,6 +30,12 @@ test-short:
 race:
 	$(GO) test -race ./...
 
+# The session service's pooled body buffers and record slabs, hammered:
+# concurrent clients through the 429-and-re-issue path, ten times over.
+.PHONY: race-ingest
+race-ingest:
+	$(GO) test -race -count=10 -run 'TestConcurrentClients|TestConcurrentDistinctBodies' ./internal/service
+
 # Run every fuzz target over its seed corpus only (no time-boxed
 # exploration) — this is what CI executes. Use `make fuzz-long` locally
 # to actually explore.
@@ -118,4 +124,4 @@ reachable:
 	sh ci/check-reachable.sh
 
 .PHONY: ci
-ci: vet build reachable race fuzz-seeds cover-check
+ci: vet build reachable race race-ingest fuzz-seeds cover-check

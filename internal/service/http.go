@@ -110,6 +110,17 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// readStatus answers a request body that could not be read: 413 when it
+// ran past its cap, 400 for anything else (a client that hung up
+// mid-body, a malformed chunked encoding).
+func readStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // retryAfter sets the flow-control hint on 429/503 responses.
 func (s *Server) retryAfter(w http.ResponseWriter) {
 	secs := int(s.cfg.RetryAfter / time.Second)
@@ -137,7 +148,7 @@ func (s *Server) routes() {
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "read body: %v", err)
+		writeErr(w, readStatus(err), "read body: %v", err)
 		return
 	}
 	var req CreateRequest
@@ -274,74 +285,28 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	buf := s.bodies.Get().(*bytes.Buffer)
+	buf.Reset()
+	var blk block
+	var code int
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	switch body := buf.Bytes(); {
+	case err != nil:
+		code, err = readStatus(err), fmt.Errorf("read body: %w", err)
+	case len(body) >= 8 && (string(body[:8]) == tracefile.Magic || string(body[:8]) == tracefile.MagicV2):
+		blk, code, err = s.traceBlock(sess, body)
+	default:
+		blk, code, err = specBlock(sess, body)
+	}
+	s.bodies.Put(buf) // nothing in blk aliases the body
 	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, "read body: %v", err)
+		writeErr(w, code, "%v", err)
 		return
 	}
-	var blk block
-	var count uint64
-	switch {
-	case len(body) >= 8 && (string(body[:8]) == tracefile.Magic || string(body[:8]) == tracefile.MagicV2):
-		rr, err := tracefile.Open(bytes.NewReader(body))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "trace: %v", err)
-			return
-		}
-		var recs []tracefile.Record
-		for {
-			rec, err := rr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, "trace: %v", err)
-				return
-			}
-			recs = append(recs, rec)
-		}
-		if len(recs) == 0 {
-			writeErr(w, http.StatusBadRequest, "trace: empty")
-			return
-		}
-		if !sess.setMode(modeTrace) {
-			writeErr(w, http.StatusConflict, "session is workload-driven; trace ingest refused")
-			return
-		}
-		blk = block{recs: recs, enq: time.Now()}
-		count = uint64(len(recs))
-	default:
-		spec, err := parseWorkloadSpec(body)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		// The mode latches only once the spec has built and the host
-		// exists: a refused spec must leave a fresh session free to take
-		// trace blocks. A trace-driven session is turned away before a
-		// host is built for it; the second check catches a first trace
-		// block that raced this request.
-		if sess.mode.Load() == modeTrace {
-			writeErr(w, http.StatusConflict, "session is trace-driven; workload ingest refused")
-			return
-		}
-		gen, err := spec.build(sess.hcfg.NumCPUs)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if err := sess.ensureHost(); err != nil {
-			writeErr(w, http.StatusBadRequest, "host: %v", err)
-			return
-		}
-		if !sess.setMode(modeWorkload) {
-			writeErr(w, http.StatusConflict, "session is trace-driven; workload ingest refused")
-			return
-		}
-		blk = block{gen: gen, refs: spec.Refs, enq: time.Now()}
-		count = spec.Refs
-	}
 	ok, closed := sess.enqueue(blk)
+	if !ok && blk.recs != nil {
+		s.slabs.Put(blk.recs)
+	}
 	if closed {
 		s.retryAfter(w)
 		writeErr(w, http.StatusServiceUnavailable, "session draining")
@@ -353,9 +318,56 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			"ingest queue full (%d blocks in flight); retry after backoff", s.cfg.MaxInflight)
 		return
 	}
-	sess.accepted.Add(count)
+	sess.accepted.Add(blk.n)
 	s.cBlocks.Inc()
-	writeJSON(w, http.StatusAccepted, IngestResponse{Accepted: count, Queue: sess.inflight.Load()})
+	writeJSON(w, http.StatusAccepted, IngestResponse{Accepted: blk.n, Queue: sess.inflight.Load()})
+}
+
+// traceBlock decodes a trace body into a slab from the pool and latches
+// trace mode. A refused body returns the slab and leaves the mode as it
+// was.
+func (s *Server) traceBlock(sess *Session, body []byte) (block, int, error) {
+	slab := s.slabs.Get().(*[]tracefile.Record)
+	recs, err := tracefile.AppendRecords((*slab)[:0], body)
+	*slab = recs
+	code := http.StatusBadRequest
+	switch {
+	case err != nil:
+		err = fmt.Errorf("trace: %w", err)
+	case len(recs) == 0:
+		err = errors.New("trace: empty")
+	case !sess.setMode(modeTrace):
+		code, err = http.StatusConflict, errors.New("session is workload-driven; trace ingest refused")
+	}
+	if err != nil {
+		s.slabs.Put(slab)
+		return block{}, code, err
+	}
+	return block{recs: slab, n: uint64(len(recs)), enq: time.Now()}, 0, nil
+}
+
+// specBlock builds a workload spec's generator and, on the first spec,
+// the session's host. A trace-driven session is turned away before
+// anything is built for it; ensureHost latches the mode and catches a
+// first trace block that raced this request.
+func specBlock(sess *Session, body []byte) (block, int, error) {
+	spec, err := parseWorkloadSpec(body)
+	if err != nil {
+		return block{}, http.StatusBadRequest, err
+	}
+	if sess.mode.Load() == modeTrace {
+		return block{}, http.StatusConflict, errTraceDriven
+	}
+	gen, err := spec.build(sess.hcfg.NumCPUs)
+	if err != nil {
+		return block{}, http.StatusBadRequest, err
+	}
+	if err := sess.ensureHost(); errors.Is(err, errTraceDriven) {
+		return block{}, http.StatusConflict, err
+	} else if err != nil {
+		return block{}, http.StatusBadRequest, fmt.Errorf("host: %w", err)
+	}
+	return block{gen: gen, n: spec.Refs, enq: time.Now()}, 0, nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -37,6 +37,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -45,6 +46,7 @@ import (
 	"time"
 
 	"memories/internal/obs"
+	"memories/internal/tracefile"
 )
 
 // Config bounds the service.
@@ -115,6 +117,13 @@ type Server struct {
 	cRecords      *obs.Counter
 	cDrained      *obs.Counter
 
+	// Trace ingest allocates nothing in steady state: a POST reads its
+	// body into a pooled buffer and decodes it into a pooled record slab.
+	// The records do not alias the body, so the buffer goes back once
+	// decoded; the slab rides the queue and goes back once applied.
+	bodies sync.Pool // *bytes.Buffer
+	slabs  sync.Pool // *[]tracefile.Record
+
 	// applyHook, when non-nil, runs inside every session worker's block
 	// apply while the session lock is held. Tests use it to hold a
 	// session's consumer slow and provoke 429 backpressure
@@ -145,6 +154,8 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		reg:      obs.NewRegistry(),
 		sessions: make(map[string]*Session),
+		bodies:   sync.Pool{New: func() any { return new(bytes.Buffer) }},
+		slabs:    sync.Pool{New: func() any { return new([]tracefile.Record) }},
 	}
 	s.cCreated = s.reg.Counter("service.sessions.created")
 	s.cDestroyed = s.reg.Counter("service.sessions.destroyed")

@@ -5,14 +5,17 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"memories/internal/bus"
@@ -51,12 +54,18 @@ func traceRecords(n int) []tracefile.Record {
 // traceBody encodes n records as a MIES0002 body.
 func traceBody(t *testing.T, n int) []byte {
 	t.Helper()
+	return v2Body(t, traceRecords(n))
+}
+
+// v2Body encodes recs as a MIES0002 body.
+func v2Body(t *testing.T, recs []tracefile.Record) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	w, err := tracefile.NewV2Writer(&buf)
 	if err != nil {
 		t.Fatalf("trace writer: %v", err)
 	}
-	for _, rec := range traceRecords(n) {
+	for _, rec := range recs {
 		if err := w.Write(rec); err != nil {
 			t.Fatalf("trace write: %v", err)
 		}
@@ -770,6 +779,242 @@ func TestIngestErrors(t *testing.T) {
 		t.Fatalf("oversized ingest: status %d", resp.StatusCode)
 	}
 	drainBody(resp)
+
+	post := func(name string, body []byte, want int) {
+		t.Helper()
+		resp, err := http.Post(base+"/sessions/e/trace", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := drainBody(resp); resp.StatusCode != want {
+			t.Fatalf("%s: status %d, want %d (%s)", name, resp.StatusCode, want, msg)
+		}
+	}
+	// A valid v1 body is taken.
+	v1 := traceBodyV1(t, 10)
+	post("v1 body", v1, http.StatusAccepted)
+	if st := pollStats(t, base, "e"); st.Ingested != 10 {
+		t.Fatalf("ingested %d after the v1 body, want 10", st.Ingested)
+	}
+
+	// Damaged trace bodies are 400s that apply nothing.
+	good := traceBody(t, 100)
+	badCRC := append([]byte(nil), good...)
+	badCRC[len(badCRC)-1] ^= 0x40
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"bad CRC", badCRC},
+		{"torn header", good[:len(tracefile.MagicV2)+5]},
+		{"torn payload", good[:len(good)-3]},
+		{"torn v1 record", v1[:len(v1)-3]},
+		{"no records", []byte(tracefile.MagicV2)},
+	} {
+		post(tc.name, tc.body, http.StatusBadRequest)
+	}
+	if st := pollStats(t, base, "e"); st.Ingested != 10 || st.Accepted != 10 {
+		t.Fatalf("refused bodies moved ingested/accepted to %d/%d, want 10/10", st.Ingested, st.Accepted)
+	}
+
+	// And the session still takes the next valid body.
+	post("v2 body after the refusals", good, http.StatusAccepted)
+	if st := pollStats(t, base, "e"); st.Ingested != 110 || st.Mode != "trace" {
+		t.Fatalf("ingested %d in mode %q, want 110 in trace", st.Ingested, st.Mode)
+	}
+}
+
+// TestBodyReadErrorStatus: a body the server cannot read is a 413 when
+// it runs past its cap and a 400 otherwise — a client that hangs up
+// mid-body did not send too much — on both handlers that read one.
+func TestBodyReadErrorStatus(t *testing.T) {
+	srv := New(Config{MaxBodyBytes: 1 << 10})
+	serve := func(path string, body io.Reader) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		return rec
+	}
+	if rec := serve("/sessions", strings.NewReader(`{"id":"r","cache":"64KB","line_bytes":64}`)); rec.Code != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", rec.Code, rec.Body)
+	}
+	t.Cleanup(srv.session("r").teardown)
+
+	hangUp := func(sent []byte) io.Reader {
+		return io.MultiReader(bytes.NewReader(sent), iotest.ErrReader(errors.New("client went away")))
+	}
+	for _, tc := range []struct {
+		name, path string
+		body       io.Reader
+		want       int
+	}{
+		{"create, client hangs up", "/sessions", hangUp([]byte(`{"id":`)), http.StatusBadRequest},
+		{"create, over 1 MB", "/sessions", bytes.NewReader(bytes.Repeat([]byte(" "), 1<<20+1)), http.StatusRequestEntityTooLarge},
+		{"ingest, client hangs up", "/sessions/r/trace", hangUp(traceBody(t, 10)[:20]), http.StatusBadRequest},
+		{"ingest, over the cap", "/sessions/r/trace", bytes.NewReader(traceBody(t, 4096)), http.StatusRequestEntityTooLarge},
+	} {
+		if rec := serve(tc.path, tc.body); rec.Code != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body)
+		}
+	}
+	if n := sessionCount(srv); n != 1 {
+		t.Fatalf("%d sessions, want only r", n)
+	}
+}
+
+// TestSpecLosingToTraceAttachesNoHost: a workload spec that passed the
+// handler's mode check, then lost the latch to a session's first trace
+// block, is refused and attaches no host to a board that would never
+// run it.
+func TestSpecLosingToTraceAttachesNoHost(t *testing.T) {
+	srv := New(Config{})
+	bcfg, hcfg, _, err := buildBoardConfig(&CreateRequest{Cache: "64KB", LineBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := srv.newSession("race", bcfg, hcfg, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sess.teardown)
+	sess.mode.Store(modeTrace) // the trace block won after the handler's check
+	if err := sess.ensureHost(); !errors.Is(err, errTraceDriven) {
+		t.Fatalf("ensureHost = %v, want %v", err, errTraceDriven)
+	}
+	if sess.h != nil {
+		t.Fatal("a spec refused as trace-driven left a host on the session")
+	}
+}
+
+// distinctRecords is n records over a 4 MB footprint, a different
+// stream for every salt.
+func distinctRecords(n int, salt uint64) []tracefile.Record {
+	recs := traceRecords(n)
+	x := salt*0x9E3779B97F4A7C15 | 1
+	for i := range recs {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		recs[i].Addr = x % (4 << 20) &^ 63
+	}
+	return recs
+}
+
+// TestConcurrentDistinctBodies is the pooled-slab check: several clients,
+// one session each, post distinct bodies into queues two deep, so 429s
+// send slabs back to the pool while workers still read others. Every
+// session must end exactly where a board fed the same records directly
+// ends; a slab handed out again before its worker was done with it shows
+// here, and as a race under -race.
+func TestConcurrentDistinctBodies(t *testing.T) {
+	srv, base := testServer(t, Config{MaxInflight: 2})
+	const clients, posts = 4, 10
+	records := make([][][]tracefile.Record, clients)
+	bodies := make([][][]byte, clients)
+	for c := range records {
+		for p := 0; p < posts; p++ {
+			// 1 000 to 9 000 records: slabs of every size cycle through the
+			// pool, and the larger bodies span several 4 Ki apply chunks.
+			recs := distinctRecords(1000+2000*(p%5), uint64(c*posts+p))
+			records[c] = append(records[c], recs)
+			bodies[c] = append(bodies[c], v2Body(t, recs))
+		}
+	}
+
+	// Workers hold their first block until every client has been bounced
+	// once, so each session's 429 path runs whatever the machine's speed.
+	release := make(chan struct{})
+	srv.applyHook = func() { <-release }
+	var bounced sync.WaitGroup
+	bounced.Add(clients)
+	go func() {
+		bounced.Wait()
+		close(release)
+	}()
+
+	var wg sync.WaitGroup
+	errc := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			seen429 := false
+			defer func() {
+				if !seen429 {
+					bounced.Done()
+				}
+			}()
+			id := fmt.Sprintf("d%d", c)
+			b, _ := json.Marshal(CreateRequest{ID: id, Cache: "64KB", LineBytes: 64, Assoc: 2})
+			resp, err := http.Post(base+"/sessions", "application/json", bytes.NewReader(b))
+			if err != nil {
+				errc <- err
+				return
+			}
+			if drainBody(resp); resp.StatusCode != http.StatusCreated {
+				errc <- fmt.Errorf("%s create: status %d", id, resp.StatusCode)
+				return
+			}
+			for _, body := range bodies[c] {
+				for {
+					resp, err := http.Post(base+"/sessions/"+id+"/trace", "application/octet-stream", bytes.NewReader(body))
+					if err != nil {
+						errc <- err
+						return
+					}
+					drainBody(resp)
+					if resp.StatusCode == http.StatusAccepted {
+						break
+					}
+					if resp.StatusCode != http.StatusTooManyRequests {
+						errc <- fmt.Errorf("%s ingest: status %d", id, resp.StatusCode)
+						return
+					}
+					if !seen429 {
+						seen429 = true
+						bounced.Done()
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+
+	for c := 0; c < clients; c++ {
+		id := fmt.Sprintf("d%d", c)
+		pollStats(t, base, id)
+		sess := srv.session(id)
+		direct, err := core.NewBoard(sess.board.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cycle uint64
+		for _, recs := range records[c] {
+			txs := make([]bus.Transaction, len(recs))
+			for i, r := range recs {
+				cycle++
+				txs[i] = bus.Transaction{Seq: cycle, Cycle: cycle, Cmd: r.Cmd, Addr: r.Addr, Size: 64, SrcID: int(r.SrcID)}
+			}
+			direct.SnoopBatch(txs)
+			direct.Flush()
+		}
+		sess.mu.Lock()
+		gotNames, got := sess.board.Counters().Ordered()
+		wantNames, want := direct.Counters().Ordered()
+		for i := range want {
+			if gotNames[i] != wantNames[i] || got[i].Value() != want[i].Value() {
+				t.Errorf("%s: %s = %d, direct board %s = %d", id, gotNames[i], got[i].Value(), wantNames[i], want[i].Value())
+			}
+		}
+		sess.mu.Unlock()
+	}
+	if n := srv.reg.Counter("service.ingest.retry-posted").Value(); n < clients {
+		t.Fatalf("%d 429s, want at least one per client", n)
+	}
 }
 
 // A custom protocol arrives as inline map text and runs the full

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"regexp"
@@ -40,11 +41,19 @@ var ingestLatencyBounds = []uint64{
 	1 << 26, 1 << 28, 1 << 30, 1 << 32,
 }
 
+// applyChunk is how many transactions the worker stamps and snoops at a
+// time, so a session's txbuf stays 4 Ki transactions (192 KB) whatever
+// the body: an 8 MB body of 2-byte records would otherwise pin ~200 MB
+// of bus.Transaction for the session's lifetime. Chunking changes no
+// counter — SnoopBatch is serial Snoop (TestSnoopBatchMatchesSerial) —
+// and the block still ends in one Flush.
+const applyChunk = 4096
+
 // block is one unit of queued ingest work.
 type block struct {
-	recs []tracefile.Record // trace mode
-	gen  workload.Generator // workload mode: swap generator first (may be nil)
-	refs uint64             // workload mode: references to run
+	recs *[]tracefile.Record // trace mode: a slab from Server.slabs, returned once applied
+	gen  workload.Generator  // workload mode: swap generator first (may be nil)
+	n    uint64              // records in recs, or references for the host to run
 	enq  time.Time
 }
 
@@ -151,28 +160,33 @@ func (s *Session) apply(blk block) {
 	}
 	var n uint64
 	if blk.recs != nil {
-		txs := s.txbuf[:0]
-		for _, r := range blk.recs {
-			s.cycle++
-			s.seq++
-			txs = append(txs, bus.Transaction{
-				Seq:   s.seq,
-				Cycle: s.cycle,
-				Cmd:   r.Cmd,
-				Addr:  r.Addr,
-				Size:  int(s.lineSize),
-				SrcID: int(r.SrcID),
-			})
+		for recs := *blk.recs; len(recs) > 0; {
+			chunk := recs[:min(len(recs), applyChunk)]
+			recs = recs[len(chunk):]
+			txs := s.txbuf[:0]
+			for _, r := range chunk {
+				s.cycle++
+				s.seq++
+				txs = append(txs, bus.Transaction{
+					Seq:   s.seq,
+					Cycle: s.cycle,
+					Cmd:   r.Cmd,
+					Addr:  r.Addr,
+					Size:  int(s.lineSize),
+					SrcID: int(r.SrcID),
+				})
+			}
+			s.txbuf = txs
+			s.board.SnoopBatch(txs)
 		}
-		s.txbuf = txs
-		s.board.SnoopBatch(txs)
 		s.board.Flush()
-		n = uint64(len(blk.recs))
+		n = blk.n
+		s.srv.slabs.Put(blk.recs)
 	} else {
 		if blk.gen != nil {
 			s.h.SetWorkload(blk.gen)
 		}
-		n = s.h.Run(blk.refs)
+		n = s.h.Run(blk.n)
 		s.board.Flush()
 	}
 	s.ingested.Add(n)
@@ -211,10 +225,17 @@ func (s *Session) setMode(m int32) bool {
 	return s.mode.Load() == m
 }
 
-// ensureHost lazily builds the modeled host the first time a workload
-// spec arrives, attaching the board to its bus. Safe to call from the
-// ingest handler: the worker never touches s.h before the first
-// workload block, and that block cannot be queued until this returns.
+// errTraceDriven refuses a workload spec in a trace-driven session.
+var errTraceDriven = errors.New("session is trace-driven; workload ingest refused")
+
+// ensureHost latches workload mode and, the first time, builds the
+// modeled host and attaches the board to its bus. The host is built
+// before the latch, so a spec it refuses leaves a fresh session free to
+// take trace blocks, and attached only once the latch has won, so a spec
+// that lost the race to a first trace block (errTraceDriven) leaves the
+// board as it was. Safe to call from the ingest handler: the worker
+// never touches s.h before the first workload block, and that block
+// cannot be queued until this returns.
 func (s *Session) ensureHost() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -224,6 +245,9 @@ func (s *Session) ensureHost() error {
 	h, err := host.New(s.hcfg, nil)
 	if err != nil {
 		return err
+	}
+	if !s.setMode(modeWorkload) {
+		return errTraceDriven
 	}
 	h.Bus().Attach(s.board)
 	s.h = h

@@ -6,11 +6,12 @@ import "os"
 // with mmap, the whole file is mapped read-only and MIES0002 blocks are
 // decoded in place — header parsing walks the mapping and each payload
 // slice aliases it, eliminating the read+copy per block that the bufio
-// path pays (V2Reader.loadBlock's io.ReadFull into a frame buffer). The
-// header parse and everything after it are shared with the streaming
-// reader (parseBlockHeader, decodeChecked), so the two paths cannot
-// drift: same plausibility checks, same CRC, same record stream, same
-// errors at the same byte offsets.
+// path pays (V2Reader.loadBlock's io.ReadFull into a frame buffer). A
+// request body already in memory (AppendRecords) takes the same walker.
+// The header parse and everything after it are shared with the streaming
+// reader (parseBlockHeader, decodeChecked), so the paths cannot drift:
+// same plausibility checks, same CRC, same record stream, same errors at
+// the same byte offsets.
 //
 // The fallback ladder is total — v1 traces, non-regular sources (pipes,
 // sockets), platforms without mmap, and any map failure all land on the
@@ -50,29 +51,39 @@ func ForEachBatchFile(path string, _ int, emit func([]Record) error) (uint64, er
 	return ForEachBatch(f, 0, emit)
 }
 
-// v2BatchesMapped is v2Batches over an in-memory block region (the
-// mapped file past the magic): the same header parse, checks and decode,
-// with each payload a slice of data instead of a copy into a frame. The
-// one record slab is reused, so steady state allocates nothing.
+// appendBlock is the step of the one in-memory v2 walker, under both a
+// mapped file (v2BatchesMapped) and a request body (AppendRecords): it
+// checks and decodes the block at the head of data (bytes past the
+// magic, at a block boundary) in place, its payload a slice of data
+// rather than a copy, appends the block's records to dst, and returns
+// the bytes after the block. On error dst comes back as it came in.
+func appendBlock(dst []Record, data []byte) ([]Record, []byte, error) {
+	if len(data) < blockHeaderSize {
+		return dst, data, errTornHeader
+	}
+	count, plen, crc, err := parseBlockHeader(data)
+	if err != nil {
+		return dst, data, err
+	}
+	data = data[blockHeaderSize:]
+	if len(data) < plen {
+		return dst, data, errTornPayload
+	}
+	dst, err = decodeChecked(data[:plen], count, crc, dst)
+	return dst, data[plen:], err
+}
+
+// v2BatchesMapped is v2Batches over the mapped file past the magic: each
+// block decoded in place into the one reused record slab and emitted,
+// so steady state allocates nothing.
 func v2BatchesMapped(data []byte, emit func([]Record) error) (uint64, error) {
 	var recs []Record
 	var total uint64
 	for len(data) > 0 {
-		if len(data) < blockHeaderSize {
-			return total, errTornHeader
-		}
-		count, plen, crc, err := parseBlockHeader(data)
-		if err != nil {
+		var err error
+		if recs, data, err = appendBlock(recs[:0], data); err != nil {
 			return total, err
 		}
-		data = data[blockHeaderSize:]
-		if len(data) < plen {
-			return total, errTornPayload
-		}
-		if recs, err = decodeChecked(data[:plen], count, crc, recs); err != nil {
-			return total, err
-		}
-		data = data[plen:]
 		total += uint64(len(recs))
 		if err := emit(recs); err != nil {
 			return total, err

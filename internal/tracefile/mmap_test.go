@@ -117,7 +117,8 @@ func TestForEachBatchFileForcedFallback(t *testing.T) {
 
 // TestV2MappedCorruptionParity: a CRC flip, a torn header, a torn
 // payload or an implausible header in block k of n must look the same
-// from all three readers — V2Reader, ForEachBatch, ForEachBatchFile:
+// from all four readers — V2Reader, ForEachBatch, ForEachBatchFile,
+// AppendRecords:
 // exactly the records of blocks < k, then the same class of error. No
 // reader hands out part of the bad block, and nothing else (a window, a
 // flag) decides how much precedes the error.
@@ -176,6 +177,11 @@ func TestV2MappedCorruptionParity(t *testing.T) {
 			_, err := ForEachBatchFile(writeTempTrace(t, data), 0, collect(out))
 			return err
 		}},
+		{"AppendRecords", func(data []byte, out *[]Record) error {
+			var err error
+			*out, err = AppendRecords(*out, data)
+			return err
+		}},
 	}
 	for _, m := range mutations {
 		for _, k := range []int{0, 5, n - 1} {
@@ -199,13 +205,15 @@ func TestV2MappedCorruptionParity(t *testing.T) {
 	}
 }
 
-// FuzzV2MmapDecode feeds arbitrary bytes to the in-place block decoder
-// as an untrusted v2 body and cross-checks it against the streaming
-// reader: neither may panic, both must agree on success vs failure, and
-// the records delivered (including any prefix before an error) must be
-// identical.
+// FuzzV2MmapDecode feeds arbitrary bytes behind either magic (v2 when
+// the bool is set, v1 otherwise) to the three walkers of an untrusted
+// trace: the mapped file (ForEachBatchFile, which falls back to the
+// stream for v1), the stream (ForEachBatch) and the in-memory body
+// (AppendRecords). None may panic; all three must agree on success vs
+// failure and on the records delivered, including any prefix before an
+// error.
 func FuzzV2MmapDecode(f *testing.F) {
-	f.Add([]byte{})
+	f.Add(true, []byte{})
 	var valid bytes.Buffer
 	if w, err := NewV2WriterBlock(&valid, 16); err == nil {
 		for _, r := range testRecords(100, 3) {
@@ -217,25 +225,34 @@ func FuzzV2MmapDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	f.Add(valid.Bytes()[len(MagicV2):])
-	f.Add([]byte("\x01\x00\x00\x00\x02\x00\x00\x00\xff\xff\xff\xff\x13\x00"))
-	f.Add(bytes.Repeat([]byte{0xFF}, 40))
-	f.Add([]byte("short"))
+	f.Add(true, valid.Bytes()[len(MagicV2):])
+	f.Add(true, []byte("\x01\x00\x00\x00\x02\x00\x00\x00\xff\xff\xff\xff\x13\x00"))
+	f.Add(true, bytes.Repeat([]byte{0xFF}, 40))
+	f.Add(true, []byte("short"))
+	v1 := packV1(f, testRecords(20, 5))[len(Magic):]
+	f.Add(false, []byte{})
+	f.Add(false, v1)
+	f.Add(false, v1[:len(v1)-3])
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, v2 bool, data []byte) {
+		magic := Magic
+		if v2 {
+			magic = MagicV2
+		}
+		body := append([]byte(magic), data...)
 		var mapped, streamed []Record
-		mn, merr := v2BatchesMapped(data, collect(&mapped))
-		body := append([]byte(MagicV2), data...)
+		mn, merr := ForEachBatchFile(writeTempTrace(t, body), 0, collect(&mapped))
 		sn, serr := ForEachBatch(bytes.NewReader(body), 0, collect(&streamed))
-		if (merr == nil) != (serr == nil) {
-			t.Fatalf("mapped err %v, reader err %v", merr, serr)
+		appended, aerr := AppendRecords(nil, body)
+		if (merr == nil) != (serr == nil) || (aerr == nil) != (serr == nil) {
+			t.Fatalf("mapped err %v, reader err %v, AppendRecords err %v", merr, serr, aerr)
 		}
-		if mn != sn || len(mapped) != len(streamed) {
-			t.Fatalf("mapped %d records, reader %d", mn, sn)
+		if mn != sn || len(mapped) != len(streamed) || len(appended) != len(streamed) {
+			t.Fatalf("mapped %d records, reader %d, AppendRecords %d", mn, sn, len(appended))
 		}
-		for i := range mapped {
-			if mapped[i] != streamed[i] {
-				t.Fatalf("record %d = %+v mapped, %+v reader", i, mapped[i], streamed[i])
+		for i := range streamed {
+			if mapped[i] != streamed[i] || appended[i] != streamed[i] {
+				t.Fatalf("record %d = %+v mapped, %+v reader, %+v appended", i, mapped[i], streamed[i], appended[i])
 			}
 		}
 	})

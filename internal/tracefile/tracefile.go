@@ -13,9 +13,9 @@
 //
 // A version-1 file is the 8-byte magic "MIES0001" followed by
 // little-endian records. It is read-only here: every reader accepts it
-// (Open, ForEachBatch), every writer produces the block-framed,
-// delta-compressed version 2 (v2.go), and `tracegen convert` rewrites an
-// old file.
+// (Open, ForEachBatch, AppendRecords), every writer produces the
+// block-framed, delta-compressed version 2 (v2.go), and `tracegen
+// convert` rewrites an old file.
 package tracefile
 
 import (
@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"memories/internal/bus"
 )
@@ -98,6 +99,22 @@ func (r *Reader) Next() (Record, error) {
 	}
 	r.count++
 	return Unpack(binary.LittleEndian.Uint64(r.buf[:])), nil
+}
+
+// appendV1 unpacks the whole v1 records in raw onto dst. A torn tail
+// (fewer than RecordSize bytes) is left for the caller to report.
+func appendV1(dst []Record, raw []byte) []Record {
+	dst = slices.Grow(dst, len(raw)/RecordSize)
+	for ; len(raw) >= RecordSize; raw = raw[RecordSize:] {
+		dst = append(dst, Unpack(binary.LittleEndian.Uint64(raw)))
+	}
+	return dst
+}
+
+// errTornV1 reports a v1 stream that ends inside the record after the
+// first n.
+func errTornV1(n uint64) error {
+	return fmt.Errorf("tracefile: torn record after %d: %w", n, io.ErrUnexpectedEOF)
 }
 
 // Capture models the board's on-board trace memory: a bounded in-memory

@@ -194,15 +194,15 @@ func parseBlockHeader(hdr []byte) (count, plen int, crc uint32, err error) {
 }
 
 // decodeChecked verifies a block payload against its header CRC, then
-// decodes its count records into dst[:0]. On any error it returns an
-// empty slab: a consumer never sees part of a bad block.
+// appends its count records to dst. On any error it returns dst as it
+// came in: a consumer never sees part of a bad block.
 func decodeChecked(payload []byte, count int, crc uint32, dst []Record) ([]Record, error) {
 	if crc32.ChecksumIEEE(payload) != crc {
-		return dst[:0], fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+		return dst, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
-	recs, err := decodeBlockV2(payload, count, dst[:0])
+	recs, err := decodeBlockV2(payload, count, dst)
 	if err != nil {
-		return recs[:0], err
+		return dst, err
 	}
 	return recs, nil
 }
@@ -326,7 +326,7 @@ func (r *V2Reader) loadBlock() error {
 	if _, err := io.ReadFull(r.br, r.frame); err != nil {
 		return errTornPayload
 	}
-	r.recs, err = decodeChecked(r.frame, count, crc, r.recs)
+	r.recs, err = decodeChecked(r.frame, count, crc, r.recs[:0])
 	return err
 }
 
@@ -366,7 +366,9 @@ func ForEachBatch(r io.Reader, _ int, emit func([]Record) error) (uint64, error)
 	return 0, fmt.Errorf("tracefile: bad magic %q", magic)
 }
 
-// v1Batches slab-decodes fixed-size v1 records.
+// v1Batches slab-decodes fixed-size v1 records. Each record is its own
+// block: a torn final record ends the stream with an error after every
+// whole record before it has been delivered, as AppendRecords does.
 func v1Batches(br *bufio.Reader, emit func([]Record) error) (uint64, error) {
 	const batch = DefaultBlockRecords
 	raw := make([]byte, batch*RecordSize)
@@ -374,18 +376,15 @@ func v1Batches(br *bufio.Reader, emit func([]Record) error) (uint64, error) {
 	var total uint64
 	for {
 		n, err := io.ReadFull(br, raw)
-		if n%RecordSize != 0 {
-			return total, fmt.Errorf("tracefile: torn record after %d: %w", total+uint64(n/RecordSize), io.ErrUnexpectedEOF)
-		}
-		recs = recs[:0]
-		for i := 0; i < n; i += RecordSize {
-			recs = append(recs, Unpack(binary.LittleEndian.Uint64(raw[i:])))
-		}
+		recs = appendV1(recs[:0], raw[:n])
 		if len(recs) > 0 {
 			total += uint64(len(recs))
 			if eerr := emit(recs); eerr != nil {
 				return total, eerr
 			}
+		}
+		if n%RecordSize != 0 {
+			return total, errTornV1(total)
 		}
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return total, nil

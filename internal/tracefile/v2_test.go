@@ -473,8 +473,8 @@ func strideRecords(n int) []Record {
 }
 
 // TestV2ReadAllocFree asserts the v2 hot read path is allocation-free at
-// steady state: per record through V2Reader.Next, and per block through
-// ForEachBatch and ForEachBatchFile.
+// steady state: per record through V2Reader.Next, per body through
+// AppendRecords, and per block through ForEachBatch and ForEachBatchFile.
 func TestV2ReadAllocFree(t *testing.T) {
 	recs := strideRecords(1 << 16)
 	data := writeV2(t, recs, 256)
@@ -498,6 +498,19 @@ func TestV2ReadAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("V2Reader allocates %.2f per block, want 0", allocs)
+	}
+
+	// The in-memory body decoder, into a slab already grown to the body:
+	// what the session service does with every trace POST.
+	dst := make([]Record, 0, len(recs))
+	allocs = testing.AllocsPerRun(16, func() {
+		var err error
+		if dst, err = AppendRecords(dst[:0], data); err != nil || len(dst) != len(recs) {
+			t.Fatalf("AppendRecords: %d records, %v", len(dst), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendRecords allocates %.2f per body, want 0", allocs)
 	}
 
 	// The batch walkers: what one call allocates (reader, frame, slab) may
