@@ -55,6 +55,7 @@ fuzz-long:
 	$(GO) test ./internal/console/ -run FuzzConsoleCommand -fuzz FuzzConsoleCommand -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/checkpoint/ -run FuzzSnapshotDecode -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzCheckpointRestore -fuzz FuzzCheckpointRestore -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -run FuzzSnoopBatchSplits -fuzz FuzzSnoopBatchSplits -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tracefile/ -run FuzzV2MmapDecode -fuzz FuzzV2MmapDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/host/ -run FuzzEventWheel -fuzz FuzzEventWheel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/host/ -run FuzzPresence -fuzz FuzzPresence -fuzztime $(FUZZTIME)

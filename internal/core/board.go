@@ -19,12 +19,16 @@
 //
 // The software board's own memory behaviour follows the hardware's tag
 // SDRAM (§3.3: one pipelined read-modify-write of one entry per
-// transaction per node): process looks each node's directory set up once
-// and carries the slot through the transition, and SnoopBatch loads the
-// sets of the next lookAhead transactions in one burst before admitting
-// them, so a directory larger than the host's caches costs overlapped
-// misses rather than one serial miss per transaction (DESIGN.md §4d).
-// Neither changes a counter, a directory word or a replacement rank.
+// transaction per node). The buffer is worked in two steps: drain retires
+// the transactions whose lock-step SDRAM slot has come up, and service
+// then performs their directory operations, loading the sets of each
+// window of lookAhead retired transactions in one burst before processing
+// it. A directory larger than the host's caches therefore costs
+// overlapped misses rather than one serial miss per transaction, however
+// long the transactions waited in the buffer (DESIGN.md §4d). process
+// looks each node's set up once and carries the slot through the
+// transition. None of this changes a counter, a directory word or a
+// replacement rank.
 //
 // Everything the board reports is derived from the bus transaction stream
 // alone: it never injects traffic (the single exception being the
@@ -131,7 +135,8 @@ type Board struct {
 	nodes    []*node
 	cpuOwner [][]*node // bus ID -> owning node per group (dense, nil holes)
 	queue    []pending
-	qhead    int // queue[:qhead] already drained; see enqueue/drain
+	qhead    int // queue[:qhead] retired from the buffer; see drain
+	phead    int // queue[:phead] serviced, phead <= qhead; see service
 	capture  *tracefile.Capture
 
 	// cached global counters (hot path)
@@ -146,7 +151,7 @@ type Board struct {
 	lastCycle                                           uint64
 	justEnqueued                                        bool
 	nextScrub                                           uint64
-	onDrain                                             func(seq, cycle uint64, cmd bus.Command, addr uint64, src int)
+	onDrain                                             func(cycle uint64, cmd bus.Command, addr uint64, src int)
 
 	// batchByCmd is SnoopBatch's per-command accumulator, kept on the
 	// board so the batch path allocates nothing.
@@ -161,13 +166,13 @@ type Board struct {
 	tracer *obs.Tracer
 }
 
-// pending is a buffered transaction awaiting directory service.
+// pending is a buffered transaction awaiting directory service: 24 bytes.
+// src fits a byte because only transactions from an owned bus ID
+// (0..MaxBusID) are admitted.
 type pending struct {
-	seq   uint64
-	cycle uint64
-	cmd   bus.Command
-	addr  uint64
-	src   int
+	cycle, addr uint64
+	cmd         bus.Command
+	src         uint8
 }
 
 // NewBoard validates the configuration and powers up the board with all
@@ -336,9 +341,10 @@ func (b *Board) Snoop(tx *bus.Transaction) bus.SnoopResponse {
 		b.nextScrub = tx.Cycle + iv
 	}
 
-	// Drain whatever the SDRAMs have finished by now, then admit the new
-	// transaction into the lock-step buffer.
+	// Retire and service whatever the SDRAMs have finished by now, then
+	// admit the new transaction into the lock-step buffer.
 	b.drain(tx.Cycle)
+	b.service()
 	if len(b.queue)-b.qhead >= b.cfg.BufferDepth {
 		b.cOverflow.Inc()
 		if b.cfg.RetryOnOverflow {
@@ -352,7 +358,7 @@ func (b *Board) Snoop(tx *bus.Transaction) bus.SnoopResponse {
 	if tr := b.tracer; tr != nil && tr.Enabled() {
 		tr.Record(tx.Cycle, tx.Addr, uint8(tx.Cmd), uint8(tx.SrcID))
 	}
-	b.enqueue(pending{seq: tx.Seq, cycle: tx.Cycle, cmd: tx.Cmd, addr: tx.Addr, src: tx.SrcID})
+	b.enqueue(pending{cycle: tx.Cycle, addr: tx.Addr, cmd: tx.Cmd, src: uint8(tx.SrcID)})
 	b.justEnqueued = true
 	if hw := uint64(len(b.queue) - b.qhead); hw > b.cBufferHigh.Value() {
 		b.cBufferHigh.Reset()
@@ -363,14 +369,15 @@ func (b *Board) Snoop(tx *bus.Transaction) bus.SnoopResponse {
 	return bus.RespNull
 }
 
-// enqueue admits one pending transaction, recycling the drained prefix
+// enqueue admits one pending transaction, recycling the serviced prefix
 // of the queue's backing array before growing it: the queue is a ring in
 // all but name, so a board in steady state never re-allocates it.
 func (b *Board) enqueue(p pending) {
-	if len(b.queue) == cap(b.queue) && b.qhead > 0 {
-		n := copy(b.queue, b.queue[b.qhead:])
+	if len(b.queue) == cap(b.queue) && b.phead > 0 {
+		n := copy(b.queue, b.queue[b.phead:])
 		b.queue = b.queue[:n]
-		b.qhead = 0
+		b.qhead -= b.phead
+		b.phead = 0
 	}
 	b.queue = append(b.queue, p)
 }
@@ -403,9 +410,6 @@ func (b *Board) SnoopBatch(txs []bus.Transaction) {
 	tr := b.tracer
 	traceOn := tr != nil && tr.Enabled()
 	for i := range txs {
-		if i%lookAhead == 0 {
-			b.touchAhead(txs[i:min(i+lookAhead, len(txs))])
-		}
 		tx := &txs[i]
 		if int(tx.Cmd) < len(byCmd) {
 			byCmd[tx.Cmd]++
@@ -442,11 +446,12 @@ func (b *Board) SnoopBatch(txs []bus.Transaction) {
 		if traceOn {
 			tr.Record(tx.Cycle, tx.Addr, uint8(tx.Cmd), uint8(tx.SrcID))
 		}
-		b.enqueue(pending{seq: tx.Seq, cycle: tx.Cycle, cmd: tx.Cmd, addr: tx.Addr, src: tx.SrcID})
+		b.enqueue(pending{cycle: tx.Cycle, addr: tx.Addr, cmd: tx.Cmd, src: uint8(tx.SrcID)})
 		if occ := uint64(len(b.queue) - b.qhead); occ > hw {
 			hw = occ
 		}
 	}
+	b.service()
 	b.lastCycle = txs[len(txs)-1].Cycle
 	b.cCycles.Reset()
 	b.cCycles.Add(b.lastCycle)
@@ -468,25 +473,27 @@ func (b *Board) SnoopBatch(txs []bus.Transaction) {
 	}
 }
 
-// lookAhead is the number of transactions whose directory sets SnoopBatch
-// loads before admitting them. On a directory larger than the host's
-// caches every lookup is a DRAM miss, and taken one per transaction the
-// misses serialize behind ~100 ns of dependent work each; loaded in a
-// burst, a window's worth are in flight together (the software form of
-// the board's pipelined SDRAM, where bank recovery overlaps the next op).
-// Measured flat from 16 to 256 on a 128 MB directory and useless at whole-
-// batch scale (lines evicted before use), hence a constant (DESIGN.md §4d).
+// lookAhead is the service window: the number of retired transactions
+// whose directory sets service loads in one burst before processing them.
+// On a directory larger than the host's caches every lookup is a DRAM
+// miss, and taken one per transaction the misses serialize behind ~100 ns
+// of dependent work each; loaded in a burst, a window's worth are in
+// flight together (the software form of the board's pipelined SDRAM,
+// where bank recovery overlaps the next op). The burst is issued at
+// service, not admission, so it lands however long the transactions
+// queued. Measured flat from 16 to 256 on a 128 MB directory and useless
+// at whole-batch scale (lines evicted before use), hence a constant
+// (DESIGN.md §4d).
 const lookAhead = 64
 
-// touchAhead issues the look-ahead loads for one window: every node's set
-// for every address, filtered or not — a wasted load is cheaper than the
-// filter's branches in this loop. The loaded words go to a sink field so
-// the compiler keeps the loads.
-func (b *Board) touchAhead(txs []bus.Transaction) {
+// touchAhead issues the look-ahead loads for one service window: every
+// node's set for every transaction in it. The loaded words go to a sink
+// field so the compiler keeps the loads.
+func (b *Board) touchAhead(w []pending) {
 	var sink uint64
 	for _, n := range b.nodes {
-		for i := range txs {
-			sink ^= n.dir.TouchSet(txs[i].Addr)
+		for i := range w {
+			sink ^= n.dir.TouchSet(w[i].addr)
 		}
 	}
 	b.touchSink ^= sink
@@ -500,7 +507,7 @@ func (b *Board) ObserveResponse(tx *bus.Transaction, combined bus.SnoopResponse)
 		b.queue = b.queue[:len(b.queue)-1] // pop the entry Snoop just pushed
 		if b.qhead == len(b.queue) {
 			b.queue = b.queue[:0]
-			b.qhead = 0
+			b.qhead, b.phead = 0, 0
 		}
 		b.cRejectedRetried.Inc()
 		// The accepted counter tracked the enqueue; take it back.
@@ -510,13 +517,15 @@ func (b *Board) ObserveResponse(tx *bus.Transaction, combined bus.SnoopResponse)
 	b.justEnqueued = false
 }
 
-// drain services buffered transactions whose lock-step SDRAM slot starts
-// by the given cycle. Serviced entries advance qhead rather than
+// drain retires buffered transactions whose lock-step SDRAM slot starts
+// by the given cycle: it books each slot and advances qhead, the buffer's
+// occupancy pointer, leaving the directory work to service, which it runs
+// every lookAhead retirements. Retired entries advance qhead rather than
 // re-slicing the queue, so the backing array is reused (enqueue
 // compacts) instead of sliding toward a re-allocation per wrap.
 func (b *Board) drain(now uint64) {
 	for b.qhead < len(b.queue) {
-		p := b.queue[b.qhead]
+		p := &b.queue[b.qhead]
 		// Lock-step: every node controller performs its directory
 		// operation for this transaction in the same service slot, so
 		// the op starts when the slowest node's SDRAM channel is free.
@@ -534,20 +543,44 @@ func (b *Board) drain(now uint64) {
 		for _, n := range b.nodes {
 			n.tags.Schedule(start, n.setOf(p.addr))
 		}
-		b.process(p)
-		if b.onDrain != nil {
-			b.onDrain(p.seq, p.cycle, p.cmd, p.addr, p.src)
-		}
 		b.qhead++
+		if b.qhead-b.phead == lookAhead {
+			b.service()
+		}
 	}
-	b.queue = b.queue[:0]
-	b.qhead = 0
+}
+
+// service performs the directory operations of the retired transactions
+// queue[phead:qhead], in retirement order, one lookAhead window at a
+// time: the window's sets are loaded in one burst, then each transaction
+// is processed. It runs every lookAhead retirements and before anything
+// that reads or rewrites the directories — a scrub pass, the return of
+// every Snoop, SnoopBatch and Flush — so between calls the board is as if
+// each transaction had been processed the moment it retired.
+func (b *Board) service() {
+	for b.phead < b.qhead {
+		w := b.queue[b.phead:min(b.phead+lookAhead, b.qhead)]
+		b.touchAhead(w)
+		for i := range w {
+			p := &w[i]
+			b.process(p)
+			if b.onDrain != nil {
+				b.onDrain(p.cycle, p.cmd, p.addr, int(p.src))
+			}
+		}
+		b.phead += len(w)
+	}
+	if b.phead == len(b.queue) {
+		b.queue = b.queue[:0]
+		b.qhead, b.phead = 0, 0
+	}
 }
 
 // Flush services every buffered transaction regardless of timing; callers
 // use it at end of run before reading counters.
 func (b *Board) Flush() {
 	b.drain(^uint64(0))
+	b.service()
 }
 
 // PendingDepth returns the current transaction-buffer occupancy.
@@ -563,13 +596,14 @@ func (b *Board) PendingDepth() int { return len(b.queue) - b.qhead }
 // slots stay valid in between because the only code that runs there is
 // local.local and the earlier peers' snoops, each of which writes its own
 // node's directory and no other; scrub passes, the one thing that rewrites
-// every directory, run in Snoop/SnoopBatch before drain, never in here.
-func (b *Board) process(p pending) {
+// every directory, run after service has processed every retired entry,
+// never in here.
+func (b *Board) process(p *pending) {
 	var found [MaxNodes]struct {
 		slot int64
 		st   coherence.State
 	}
-	for _, local := range b.owners(p.src) {
+	for _, local := range b.cpuOwner[p.src] {
 		// Combined snoop input from the other nodes of this group.
 		snoopIn := coherence.SnoopNone
 		for i, peer := range b.nodes {
@@ -599,18 +633,20 @@ func (b *Board) process(p pending) {
 // moment its directory operation is performed (in drain order). The
 // fault-injection layer uses it to keep a golden software shadow in
 // perfect step with the board: the shadow sees exactly the stream the
-// directories saw, after buffering, retries, and injected faults. The
-// seq argument is the transaction's bus issue sequence number.
-func (b *Board) SetDrainObserver(fn func(seq, cycle uint64, cmd bus.Command, addr uint64, src int)) {
+// directories saw, after buffering, retries, and injected faults.
+func (b *Board) SetDrainObserver(fn func(cycle uint64, cmd bus.Command, addr uint64, src int)) {
 	b.onDrain = fn
 }
 
 // ScrubNow runs one ECC scrub pass over every node directory and returns
-// the totals. It is a no-op (0, 0) when ECC is disabled.
+// the totals. It is a no-op (0, 0) when ECC is disabled. Retired
+// transactions are serviced first: the pass sees the directories their
+// SDRAM slots have already written.
 func (b *Board) ScrubNow() (corrected, invalidated uint64) {
 	if !b.cfg.ECC {
 		return 0, 0
 	}
+	b.service()
 	for _, n := range b.nodes {
 		rep := n.dir.Scrub()
 		n.cECCCorrected.Add(uint64(rep.Corrected))

@@ -61,7 +61,7 @@ func (b *Board) Sections(a *checkpoint.Archive) (RestoreReport, error) {
 	}
 	if a.Loading() {
 		b.queue = b.queue[:0]
-		b.qhead = 0
+		b.qhead, b.phead = 0, 0
 		b.justEnqueued = false
 		if b.capture != nil {
 			b.capture.Reset()

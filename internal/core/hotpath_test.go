@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"memories/internal/addr"
 	"memories/internal/bus"
@@ -37,8 +38,11 @@ func fourNodeConfig() Config {
 
 // fourNodeStream builds a deterministic transaction stream with the
 // full command mix the address filter must handle: reads, write misses,
-// castouts, and non-memory traffic.
-func fourNodeStream(n int) []bus.Transaction {
+// castouts, and non-memory traffic, stamped step bus cycles apart. At
+// step 48 the SDRAM keeps up and the buffer stays shallow; at step 1
+// transactions arrive faster than the tag store retires them, as in a
+// service session, and the buffer runs deep.
+func fourNodeStream(n int, step uint64) []bus.Transaction {
 	gen := workload.NewZipfian(workload.ZipfConfig{
 		NumCPUs: 8, FootprintByte: 64 * addr.MB, WriteFraction: 0.3, Seed: 21,
 	})
@@ -46,7 +50,7 @@ func fourNodeStream(n int) []bus.Transaction {
 	cycle := uint64(0)
 	for i := 0; i < n; i++ {
 		ref, _ := gen.Next()
-		cycle += 48
+		cycle += step
 		cmd := bus.Read
 		switch {
 		case i%31 == 0:
@@ -64,7 +68,7 @@ func fourNodeStream(n int) []bus.Transaction {
 	return txs
 }
 
-func diffSnapshots(t *testing.T, want, got map[string]uint64, label string) {
+func diffSnapshots(t testing.TB, want, got map[string]uint64, label string) {
 	t.Helper()
 	for name, w := range want {
 		if g, ok := got[name]; !ok || g != w {
@@ -82,7 +86,7 @@ func diffSnapshots(t *testing.T, want, got map[string]uint64, label string) {
 // directory word (LRU ranks and check bytes included), the structural
 // cache.Stats, the tag-store timing state and the counter bank. The board
 // must be flushed.
-func checkpointDigest(t *testing.T, b *Board) [sha256.Size]byte {
+func checkpointDigest(t testing.TB, b *Board) [sha256.Size]byte {
 	t.Helper()
 	h := sha256.New()
 	if err := b.WriteCheckpoint(h); err != nil {
@@ -93,44 +97,160 @@ func checkpointDigest(t *testing.T, b *Board) [sha256.Size]byte {
 
 // drainEvent is one directory operation as the drain observer saw it.
 type drainEvent struct {
-	seq, cycle uint64
-	cmd        bus.Command
-	addr       uint64
-	src        int
+	cycle uint64
+	cmd   bus.Command
+	addr  uint64
+	src   int
+}
+
+// recordDrains attaches a drain observer to b that appends to *log.
+func recordDrains(b *Board, log *[]drainEvent) {
+	b.SetDrainObserver(func(cycle uint64, cmd bus.Command, a uint64, src int) {
+		*log = append(*log, drainEvent{cycle, cmd, a, src})
+	})
+}
+
+// split is one step on the batched side of lockstep: the next n
+// transactions in one SnoopBatch (or, if snoop is set, one Snoop each, so
+// the two entry points mix), then a Flush of both boards if flush is set.
+type split struct {
+	n     int
+	snoop bool
+	flush bool
+}
+
+// lockstep feeds txs to serial one Snoop at a time and to batched in the
+// splits next returns, and checks at every call boundary that both boards have
+// serviced everything they retired and hold the same value in every
+// counter. On ECC boards, before each batch in which a scrub pass falls,
+// it corrupts — on both boards alike — one tag bit at the set of each of
+// the next lookAhead transactions to retire: a scrub that ran before the
+// retired transactions were serviced would repair words that serial Snoop
+// had already seen corrupted, and the counters would part.
+func lockstep(t testing.TB, label string, serial, batched *Board, txs []bus.Transaction, next func(done int) split) {
+	t.Helper()
+	names, sc := serial.Counters().Ordered()
+	_, bc := batched.Counters().Ordered()
+	if len(sc) != len(bc) {
+		t.Fatalf("%s: %d counters, serial %d", label, len(bc), len(sc))
+	}
+	var buf []bus.Transaction
+	for done := 0; done < len(txs); {
+		s := next(done)
+		end := min(done+max(s.n, 1), len(txs))
+		if batched.cfg.ECC && txs[end-1].Cycle >= batched.nextScrub {
+			corruptAhead(serial, batched)
+		}
+		for i := done; i < end; i++ {
+			tx := txs[i]
+			serial.Snoop(&tx)
+		}
+		buf = append(buf[:0], txs[done:end]...)
+		if s.snoop {
+			for i := range buf {
+				batched.Snoop(&buf[i])
+			}
+		} else {
+			batched.SnoopBatch(buf)
+		}
+		done = end
+		if s.flush {
+			serial.Flush()
+			batched.Flush()
+		}
+		for _, b := range []*Board{serial, batched} {
+			if b.phead != b.qhead {
+				t.Fatalf("%s: after %d transactions phead %d != qhead %d", label, done, b.phead, b.qhead)
+			}
+		}
+		for i := range sc {
+			if sc[i].Value() != bc[i].Value() {
+				t.Fatalf("%s: after %d transactions counter %s = %d, serial %d",
+					label, done, names[i], bc[i].Value(), sc[i].Value())
+			}
+		}
+	}
+	serial.Flush()
+	batched.Flush()
+}
+
+// corruptAhead flips one tag bit in every node's directory at the set of
+// each of the next lookAhead transactions to retire from boards[0]'s
+// buffer — the slot holding the line if it is resident, else the set's
+// first way — and applies the same flips to every board.
+func corruptAhead(boards ...*Board) {
+	b0 := boards[0]
+	for _, p := range b0.queue[b0.qhead:min(b0.qhead+lookAhead, len(b0.queue))] {
+		for i, n := range b0.nodes {
+			slot, _ := n.dir.Find(p.addr)
+			if slot == cache.NoSlot {
+				slot = n.setOf(p.addr) * int64(n.cfg.Geometry.Assoc)
+			}
+			for _, b := range boards {
+				b.CorruptDirectory(i, slot, 1, 0)
+			}
+		}
+	}
+}
+
+// checkSameBoard compares two flushed boards: every counter, every node
+// view, and the SHA-256 of the whole checkpoint stream — so the look-ahead
+// loads, the carried slots and the split between retiring and servicing
+// changed no word, rank or structural statistic.
+func checkSameBoard(t testing.TB, label string, want, got *Board) {
+	t.Helper()
+	diffSnapshots(t, want.Counters().Snapshot(), got.Counters().Snapshot(), label)
+	for i := 0; i < want.NumNodes(); i++ {
+		if got.Node(i) != want.Node(i) {
+			t.Fatalf("%s: node %d view %+v, serial %+v", label, i, got.Node(i), want.Node(i))
+		}
+	}
+	if g, w := checkpointDigest(t, got), checkpointDigest(t, want); g != w {
+		t.Fatalf("%s: checkpoint digest %x, serial %x", label, g, w)
+	}
 }
 
 // TestSnoopBatchMatchesSerial proves the batched ingest is bit-identical
-// to per-transaction Snoop: same counters (every one, including buffer
-// telemetry — a single board sees the same occupancy either way), same
-// drain log, same trace capture, and the same checkpoint bytes — so the
-// look-ahead loads and the carried slots changed no word, rank or
-// structural statistic — for batch sizes on both sides of the look-ahead
-// window and several feature configurations.
+// to per-transaction Snoop: the same counters (every one, including
+// buffer telemetry — a single board sees the same occupancy either way)
+// at every call boundary, the same drain log, the same trace capture, and
+// the same checkpoint bytes, for batch sizes on both sides of the
+// look-ahead window and several feature configurations. The deep-buffer
+// configurations stamp transactions one cycle apart and flush every 8 Ki,
+// as a service session does, so most directory work is done inside Flush
+// and, with scrubbing on, scrub passes fall between retiring and
+// servicing.
 func TestSnoopBatchMatchesSerial(t *testing.T) {
 	const n = 60_000
-	txs := fourNodeStream(n)
-
-	configs := map[string]func() Config{
-		"base": fourNodeConfig,
-		"trace": func() Config {
+	type setup struct {
+		cfg        func() Config
+		step       uint64 // bus cycles between transactions
+		flushEvery int    // transactions between Flushes (0: at the end only)
+	}
+	scrub := func(interval uint64) func() Config {
+		return func() Config {
+			cfg := fourNodeConfig()
+			cfg.ECC = true
+			cfg.ScrubIntervalCycles = interval
+			return cfg
+		}
+	}
+	configs := map[string]setup{
+		"base": {cfg: fourNodeConfig, step: 48},
+		"trace": {cfg: func() Config {
 			cfg := fourNodeConfig()
 			cfg.TraceCapacity = 4096
 			return cfg
-		},
-		"scrub": func() Config {
-			cfg := fourNodeConfig()
-			cfg.ECC = true
-			cfg.ScrubIntervalCycles = 50_000
-			return cfg
-		},
-		"tiny-buffer": func() Config {
+		}, step: 48},
+		"scrub": {cfg: scrub(50_000), step: 48},
+		"tiny-buffer": {cfg: func() Config {
 			// Overflow (count-only) path exercised on every transaction
 			// burst the SDRAM pacing cannot keep up with.
 			cfg := fourNodeConfig()
 			cfg.BufferDepth = 2
 			return cfg
-		},
-		"one-node-8way": func() Config {
+		}, step: 48},
+		"one-node-8way": {cfg: func() Config {
 			// No peers: the local AccessSlot -> apply path alone, on the
 			// 8-way set scan the large-directory boards use.
 			cfg := fourNodeConfig()
@@ -138,42 +258,23 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 			cfg.Nodes[0].CPUs = []int{0, 1, 2, 3, 4, 5, 6, 7}
 			cfg.Nodes[0].Geometry = addr.MustGeometry(4*addr.MB, 128, 8)
 			return cfg
-		},
+		}, step: 48},
+		"deep-buffer":       {cfg: fourNodeConfig, step: 1, flushEvery: 8192},
+		"deep-buffer-scrub": {cfg: scrub(1000), step: 1, flushEvery: 8192},
 	}
 
-	for name, mkCfg := range configs {
+	for name, su := range configs {
 		t.Run(name, func(t *testing.T) {
-			serial := MustNewBoard(mkCfg())
-			var serialEvents []drainEvent
-			serial.SetDrainObserver(func(seq, cycle uint64, cmd bus.Command, a uint64, src int) {
-				serialEvents = append(serialEvents, drainEvent{seq, cycle, cmd, a, src})
-			})
-			for i := range txs {
-				tx := txs[i]
-				serial.Snoop(&tx)
-			}
-			serial.Flush()
-			want := serial.Counters().Snapshot()
-			wantDigest := checkpointDigest(t, serial)
-
+			txs := fourNodeStream(n, su.step)
 			for _, batchSize := range []int{1, 7, lookAhead - 1, lookAhead, lookAhead + 1, 128, 2*lookAhead + 3, n} {
-				batched := MustNewBoard(mkCfg())
-				var events []drainEvent
-				batched.SetDrainObserver(func(seq, cycle uint64, cmd bus.Command, a uint64, src int) {
-					events = append(events, drainEvent{seq, cycle, cmd, a, src})
-				})
-				for i := 0; i < len(txs); i += batchSize {
-					end := i + batchSize
-					if end > len(txs) {
-						end = len(txs)
-					}
-					batch := append([]bus.Transaction(nil), txs[i:end]...)
-					batched.SnoopBatch(batch)
-				}
-				batched.Flush()
-
 				label := fmt.Sprintf("batch=%d", batchSize)
-				diffSnapshots(t, want, batched.Counters().Snapshot(), label)
+				serial, batched := MustNewBoard(su.cfg()), MustNewBoard(su.cfg())
+				var serialEvents, events []drainEvent
+				recordDrains(serial, &serialEvents)
+				recordDrains(batched, &events)
+				lockstep(t, label, serial, batched, txs, func(done int) split {
+					return split{n: batchSize, flush: su.flushEvery > 0 && (done+batchSize)/su.flushEvery > done/su.flushEvery}
+				})
 				if len(events) != len(serialEvents) {
 					t.Fatalf("%s: %d drain events, serial %d", label, len(events), len(serialEvents))
 				}
@@ -195,13 +296,12 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 						}
 					}
 				}
-				for i := 0; i < serial.NumNodes(); i++ {
-					if batched.Node(i) != serial.Node(i) {
-						t.Fatalf("%s: node %d view %+v, serial %+v", label, i, batched.Node(i), serial.Node(i))
-					}
+				checkSameBoard(t, label, serial, batched)
+				if su.step == 1 && batched.Counters().Value("buffer.high-water") <= DefaultBufferDepth {
+					t.Fatalf("%s: high-water %d: the buffer never ran deep", label, batched.Counters().Value("buffer.high-water"))
 				}
-				if got := checkpointDigest(t, batched); got != wantDigest {
-					t.Fatalf("%s: checkpoint digest %x, serial %x", label, got, wantDigest)
+				if su.cfg().ScrubIntervalCycles > 0 && batchSize < n && batched.Counters().Value("nodea.ecc.corrected") == 0 {
+					t.Fatalf("%s: no scrub ever repaired a corrupted word", label)
 				}
 			}
 		})
@@ -268,7 +368,7 @@ func TestBoardRejectsBadBusIDs(t *testing.T) {
 // transaction.
 func TestBoardSnoopAllocFree(t *testing.T) {
 	b := MustNewBoard(fourNodeConfig())
-	txs := fourNodeStream(4096)
+	txs := fourNodeStream(4096, 48)
 	// Warm up: queue ring and replacement structures reach steady state.
 	for i := range txs {
 		b.Snoop(&txs[i])
@@ -340,24 +440,83 @@ func TestHostStepAllocFreePerCPU(t *testing.T) {
 }
 
 // TestSnoopBatchAllocFree: the batched ingest must allocate nothing
-// beyond the caller-owned batch slice.
+// beyond the caller-owned batch slice — with the SDRAM keeping up, and
+// with transactions stamped one cycle apart and a Flush per call, as a
+// service session feeds it, once the queue has grown to a call's depth.
 func TestSnoopBatchAllocFree(t *testing.T) {
-	b := MustNewBoard(fourNodeConfig())
-	txs := fourNodeStream(4096)
-	b.SnoopBatch(txs)
-	cycle := txs[len(txs)-1].Cycle
-	batch := make([]bus.Transaction, 64)
-	i := 0
-	allocs := testing.AllocsPerRun(500, func() {
-		for j := range batch {
-			cycle += 48
-			batch[j] = txs[(i+j)%len(txs)]
-			batch[j].Cycle = cycle
+	for _, tc := range []struct {
+		step  uint64
+		size  int
+		flush bool
+	}{{48, 64, false}, {1, 4096, true}} {
+		b := MustNewBoard(fourNodeConfig())
+		txs := fourNodeStream(4096, tc.step)
+		b.SnoopBatch(txs)
+		b.Flush()
+		cycle := txs[len(txs)-1].Cycle
+		batch := make([]bus.Transaction, tc.size)
+		i := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			for j := range batch {
+				cycle += tc.step
+				batch[j] = txs[(i+j)%len(txs)]
+				batch[j].Cycle = cycle
+			}
+			i += len(batch)
+			b.SnoopBatch(batch)
+			if tc.flush {
+				b.Flush()
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("step %d: Board.SnoopBatch allocates %.2f/run, want 0", tc.step, allocs)
 		}
-		i += len(batch)
-		b.SnoopBatch(batch)
-	})
-	if allocs != 0 {
-		t.Fatalf("Board.SnoopBatch allocates %.2f/run, want 0", allocs)
+	}
+}
+
+// TestServicedAtEveryCallBoundary: service never leaves a retired
+// transaction behind when control returns to the caller, whichever entry
+// point ran — so between calls the board is what processing at
+// retirement would have left.
+func TestServicedAtEveryCallBoundary(t *testing.T) {
+	for _, step := range []uint64{1, 48} {
+		b := MustNewBoard(fourNodeConfig())
+		txs := fourNodeStream(20_000, step)
+		check := func(call string, i int) {
+			t.Helper()
+			if b.phead != b.qhead {
+				t.Fatalf("step %d: after %s at %d: phead %d != qhead %d", step, call, i, b.phead, b.qhead)
+			}
+		}
+		for i, k := 0, 0; i < len(txs); k++ {
+			switch k % 5 {
+			case 0, 1:
+				tx := txs[i]
+				b.Snoop(&tx)
+				check("Snoop", i)
+				if i%3 == 0 {
+					b.ObserveResponse(&tx, bus.RespRetry)
+					check("ObserveResponse", i)
+				}
+				i++
+			case 2, 3:
+				end := min(i+97, len(txs))
+				b.SnoopBatch(txs[i:end])
+				check("SnoopBatch", i)
+				i = end
+			default:
+				b.Flush()
+				check("Flush", i)
+			}
+		}
+	}
+}
+
+// TestPendingIs24Bytes pins the buffered-transaction size: service walks
+// the queue once per window and drain once per retirement, so the entry
+// is kept to three words.
+func TestPendingIs24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(pending{}); got != 24 {
+		t.Fatalf("pending is %d bytes, want 24", got)
 	}
 }

@@ -190,7 +190,7 @@ func opFor(cmd bus.Command, local bool) (coherence.Op, bool) {
 }
 
 // local processes a transaction from one of this node's own CPUs.
-func (n *node) local(p pending, snoopIn coherence.SnoopIn) {
+func (n *node) local(p *pending, snoopIn coherence.SnoopIn) {
 	op, ok := opFor(p.cmd, true)
 	if !ok {
 		return
@@ -261,7 +261,7 @@ func (n *node) local(p pending, snoopIn coherence.SnoopIn) {
 // snoop processes a transaction from another node in the same group.
 // (slot, st) is what Board.process found when it looked p.addr up in this
 // node's directory for the combined snoop input.
-func (n *node) snoop(p pending, slot int64, st coherence.State) {
+func (n *node) snoop(p *pending, slot int64, st coherence.State) {
 	op, ok := opFor(p.cmd, false)
 	if !ok {
 		return

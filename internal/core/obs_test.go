@@ -27,7 +27,7 @@ func TestBoardObsAllocFree(t *testing.T) {
 	if err := b.Observe(reg, hub, "board", 4096); err != nil {
 		t.Fatal(err)
 	}
-	txs := fourNodeStream(4096)
+	txs := fourNodeStream(4096, 48)
 	for i := range txs {
 		b.Snoop(&txs[i])
 	}
@@ -107,7 +107,7 @@ func TestBoardObsAllocFree(t *testing.T) {
 // an attached registry/tracer yields bit-identical counters — the
 // observability layer observes, it never steers.
 func TestObserveDoesNotPerturbCounters(t *testing.T) {
-	txs := fourNodeStream(20_000)
+	txs := fourNodeStream(20_000, 48)
 
 	plain := MustNewBoard(fourNodeConfig())
 	for i := range txs {

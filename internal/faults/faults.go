@@ -135,7 +135,7 @@ func New(board *core.Board, cfg Config) (*Injector, error) {
 			return nil, fmt.Errorf("faults: shadow: %v", err)
 		}
 		inj.shadow = shadow
-		board.SetDrainObserver(func(_, _ uint64, cmd bus.Command, addr uint64, src int) {
+		board.SetDrainObserver(func(_ uint64, cmd bus.Command, addr uint64, src int) {
 			shadow.Process(tracefile.Record{Addr: addr, Cmd: cmd, SrcID: uint8(src)})
 		})
 	}
