@@ -124,5 +124,11 @@ lint:
 reachable:
 	sh ci/check-reachable.sh
 
+# The leaves the board's per-transaction loop inlines must stay within
+# the compiler's inlining budget (ci/check-inline.sh lists them).
+.PHONY: inline
+inline:
+	sh ci/check-inline.sh
+
 .PHONY: ci
-ci: vet build reachable race race-ingest fuzz-seeds cover-check
+ci: vet build reachable inline race race-ingest fuzz-seeds cover-check

@@ -124,7 +124,9 @@ func (c *Cache) victim(set, base int64) int {
 }
 
 // lruTouch promotes way to the most-recent rank (assoc-1) and closes the
-// gap it left by decrementing every rank above its old one.
+// gap it left by decrementing every rank above its old one. A way already
+// at the top rank changes nothing, so it returns without the scan: the
+// common case of a line hit again before any other line of its set.
 func (c *Cache) lruTouch(base int64, way int) {
 	assoc := c.geom.Assoc
 	if assoc == 1 {
@@ -132,6 +134,9 @@ func (c *Cache) lruTouch(base int64, way int) {
 	}
 	if c.wideRank != nil {
 		old := c.wideRank[base+int64(way)]
+		if int(old) == assoc-1 {
+			return
+		}
 		for w := 0; w < assoc; w++ {
 			if r := c.wideRank[base+int64(w)]; r > old {
 				c.wideRank[base+int64(w)] = r - 1
@@ -141,6 +146,9 @@ func (c *Cache) lruTouch(base int64, way int) {
 		return
 	}
 	old := c.words[base+int64(way)].Rank()
+	if int(old) == assoc-1 {
+		return
+	}
 	for w := 0; w < assoc; w++ {
 		i := base + int64(w)
 		if r := c.words[i].Rank(); r > old {

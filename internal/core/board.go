@@ -26,9 +26,10 @@
 // it. A directory larger than the host's caches therefore costs
 // overlapped misses rather than one serial miss per transaction, however
 // long the transactions waited in the buffer (DESIGN.md §4d). process
-// looks each node's set up once and carries the slot through the
-// transition. None of this changes a counter, a directory word or a
-// replacement rank.
+// walks only the requester's snoop-group peers, looks each node's set up
+// once and carries the slot through the transition, and a peer that
+// misses on a snoop its table ignores only has the transition counted.
+// None of this changes a counter, a directory word or a replacement rank.
 //
 // Everything the board reports is derived from the bus transaction stream
 // alone: it never injects traffic (the single exception being the
@@ -153,9 +154,13 @@ type Board struct {
 	nextScrub                                           uint64
 	onDrain                                             func(cycle uint64, cmd bus.Command, addr uint64, src int)
 
-	// batchByCmd is SnoopBatch's per-command accumulator, kept on the
-	// board so the batch path allocates nothing.
+	// batchByCmd and batchByCPU are SnoopBatch's per-command and per-bus-ID
+	// accumulators, kept on the board so the batch path allocates nothing.
+	// busIDs lists the assigned bus IDs, the only batchByCPU entries a
+	// batch can move.
 	batchByCmd []uint64
+	batchByCPU [MaxBusID + 1]uint64
+	busIDs     []uint8
 	// touchSink receives what touchAhead loaded; it is never read.
 	touchSink uint64
 
@@ -212,6 +217,7 @@ func NewBoard(cfg Config) (*Board, error) {
 		}
 		b.nodes = append(b.nodes, n)
 	}
+	b.linkPeers()
 	// Validate CPU assignment: within one group, a CPU may belong to at
 	// most one node. (newNode has already bounds-checked every ID.)
 	for _, n := range b.nodes {
@@ -260,10 +266,31 @@ func (b *Board) initGlobalCounters() {
 	// Per-CPU global operation counters for every assigned bus ID.
 	for id, owners := range b.cpuOwner {
 		if len(owners) > 0 {
-			b.cPerCPU[id] = b.bank.Counter(fmt.Sprintf("bus.cpu%02d.ops", id))
+			b.perCPUCounter(id)
 		}
 	}
 	b.batchByCmd = make([]uint64, len(b.cByCmd))
+}
+
+// perCPUCounter registers bus ID id's global operation counter, once.
+func (b *Board) perCPUCounter(id int) {
+	if b.cPerCPU[id] == nil {
+		b.cPerCPU[id] = b.bank.Counter(fmt.Sprintf("bus.cpu%02d.ops", id))
+		b.busIDs = append(b.busIDs, uint8(id))
+	}
+}
+
+// linkPeers rebuilds every node's peer list: the other nodes of its snoop
+// group, in board order.
+func (b *Board) linkPeers() {
+	for _, n := range b.nodes {
+		n.peers = n.peers[:0]
+		for _, peer := range b.nodes {
+			if peer != n && peer.cfg.Group == n.cfg.Group {
+				n.peers = append(n.peers, peer)
+			}
+		}
+	}
 }
 
 // owners returns the nodes owning bus ID id (nil for unassigned or
@@ -386,8 +413,8 @@ func (b *Board) enqueue(p pending) {
 // Snoop calls would — same filter decisions, same drain timing, same
 // counter values — while amortizing the per-transaction bookkeeping:
 // the cycle gauge and buffer high-water are folded once per batch, and
-// per-command counts accumulate in a scratch array before a single
-// saturating Add each. It is bit-identical to the serial path (proven
+// per-command and per-bus-ID counts accumulate in scratch arrays before a
+// single saturating Add each. It is bit-identical to the serial path (proven
 // by TestSnoopBatchMatchesSerial) but cannot post overflow retries,
 // because the combined-response window for each transaction has closed
 // by the time a batch is handed over; boards configured with
@@ -400,7 +427,7 @@ func (b *Board) SnoopBatch(txs []bus.Transaction) {
 		return
 	}
 	b.justEnqueued = false
-	byCmd := b.batchByCmd
+	byCmd, byCPU := b.batchByCmd, &b.batchByCPU
 	var accepted, overflow uint64
 	hw := b.cBufferHigh.Value()
 	scrubIv := b.cfg.ScrubIntervalCycles
@@ -426,7 +453,7 @@ func (b *Board) SnoopBatch(txs []bus.Transaction) {
 			b.cUnassigned.Inc()
 			continue
 		}
-		b.cPerCPU[tx.SrcID].Inc()
+		byCPU[uint8(tx.SrcID)]++
 		if b.capture != nil {
 			if stored, err := b.capture.Add(tracefile.FromTransaction(tx)); err == nil && stored {
 				b.cTraceCaptured.Inc()
@@ -459,6 +486,12 @@ func (b *Board) SnoopBatch(txs []bus.Transaction) {
 		if n > 0 {
 			b.cByCmd[cmd].Add(n)
 			byCmd[cmd] = 0
+		}
+	}
+	for _, id := range b.busIDs {
+		if n := byCPU[id]; n > 0 {
+			b.cPerCPU[id].Add(n)
+			byCPU[id] = 0
 		}
 	}
 	b.cAccepted.Add(accepted)
@@ -588,8 +621,10 @@ func (b *Board) PendingDepth() int { return len(b.queue) - b.qhead }
 
 // process applies one memory operation to every emulated node, group by
 // group: the node owning the requesting CPU performs the local
-// transition with the snoop input combined from its group peers; the
-// peers perform the matching snoop transition.
+// transition with the snoop input combined from its peers (the other
+// nodes of its group, local.peers); the peers perform the matching snoop
+// transition. The operation is classified once per transaction, and a
+// command with no directory action (Push) touches no node.
 //
 // Each peer's directory is looked up once: the (slot, state) found for
 // the snoop input is the one its snoop transition then works on. The
@@ -597,19 +632,23 @@ func (b *Board) PendingDepth() int { return len(b.queue) - b.qhead }
 // local.local and the earlier peers' snoops, each of which writes its own
 // node's directory and no other; scrub passes, the one thing that rewrites
 // every directory, run after service has processed every retired entry,
-// never in here.
+// never in here. A peer that missed on an op its table answers with
+// "stay Invalid, do nothing" (node.idleMiss) only has that transition
+// counted; every other snoop goes through node.snoop.
 func (b *Board) process(p *pending) {
-	var found [MaxNodes]struct {
+	localOp, ok := opFor(p.cmd, true)
+	if !ok {
+		return
+	}
+	snoopOp, _ := opFor(p.cmd, false)
+	var found [MaxNodes - 1]struct {
 		slot int64
 		st   coherence.State
 	}
 	for _, local := range b.cpuOwner[p.src] {
 		// Combined snoop input from the other nodes of this group.
 		snoopIn := coherence.SnoopNone
-		for i, peer := range b.nodes {
-			if peer == local || peer.cfg.Group != local.cfg.Group {
-				continue
-			}
+		for i, peer := range local.peers {
 			slot, raw := peer.dir.Find(p.addr)
 			st := coherence.State(raw)
 			found[i].slot, found[i].st = slot, st
@@ -620,11 +659,13 @@ func (b *Board) process(p *pending) {
 				snoopIn = coherence.SnoopShared
 			}
 		}
-		local.local(p, snoopIn)
-		for i, peer := range b.nodes {
-			if peer != local && peer.cfg.Group == local.cfg.Group {
-				peer.snoop(p, found[i].slot, found[i].st)
+		local.local(localOp, p, snoopIn)
+		for i, peer := range local.peers {
+			if c := peer.idleMiss[snoopOp]; c != nil && found[i].slot == cache.NoSlot {
+				c.Inc()
+				continue
 			}
+			peer.snoop(snoopOp, p, found[i].slot, found[i].st)
 		}
 	}
 }
@@ -738,11 +779,10 @@ func (b *Board) Reprogram(i int, nc NodeConfig) error {
 	}
 	b.nodes[i] = n
 	b.cfg.Nodes[i] = nc
+	b.linkPeers()
 	for _, id := range nc.CPUs {
 		b.cpuOwner[id] = append(b.cpuOwner[id], n)
-		if b.cPerCPU[id] == nil {
-			b.cPerCPU[id] = b.bank.Counter(fmt.Sprintf("bus.cpu%02d.ops", id))
-		}
+		b.perCPUCounter(id)
 	}
 	return nil
 }

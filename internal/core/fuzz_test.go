@@ -71,27 +71,34 @@ func FuzzCheckpointRestore(f *testing.F) {
 // every call boundary, node views and the checkpoint digest at the end.
 // step is the bus-cycle spacing of the stream (1 runs the buffer deep, 48
 // lets the SDRAM keep up), depth the buffer depth (0: the default 512),
-// and scrub turns on ECC with a scrub pass every 500 transactions, with
-// tag bits flipped ahead of each one (see lockstep).
+// scrub turns on ECC with a scrub pass every 500 transactions, with tag
+// bits flipped ahead of each one (see lockstep), and mixed swaps the
+// two-group MESI board for one group running all four shipped protocols.
 func FuzzSnoopBatchSplits(f *testing.F) {
 	seed := uint64(1)
 	for _, step := range []uint8{1, 23, 48} {
 		for _, depth := range []uint16{2, 512} {
 			for _, scrub := range []bool{false, true} {
-				f.Add(seed, step, depth, scrub)
+				f.Add(seed, step, depth, scrub, false)
 				seed++
 			}
 		}
 	}
 	for i, step := range []uint8{1, 23, 48, 5, 1, 23, 48, 200} {
-		f.Add(uint64(100+i), step, []uint16{0, 64, 2, 512}[i%4], i%2 == 0)
+		f.Add(uint64(100+i), step, []uint16{0, 64, 2, 512}[i%4], i%2 == 0, false)
+	}
+	for i, step := range []uint8{1, 48, 23, 1} {
+		f.Add(uint64(200+i), step, []uint16{0, 512, 2, 64}[i], i%2 == 1, true)
 	}
 
-	f.Fuzz(func(t *testing.T, seed uint64, step uint8, depth uint16, scrub bool) {
+	f.Fuzz(func(t *testing.T, seed uint64, step uint8, depth uint16, scrub, mixed bool) {
 		const n = 4000
 		cyc := uint64(max(step, 1))
 		mkCfg := func() Config {
 			cfg := fourNodeConfig()
+			if mixed {
+				cfg = mixedProtocolConfig()
+			}
 			cfg.BufferDepth = int(depth)
 			if scrub {
 				cfg.ECC = true

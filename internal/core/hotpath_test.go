@@ -259,6 +259,9 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 			cfg.Nodes[0].Geometry = addr.MustGeometry(4*addr.MB, 128, 8)
 			return cfg
 		}, step: 48},
+		// One group of four nodes running msi, mesi, moesi and write-once:
+		// every protocol's snoop cells, idle and not, as a peer of the rest.
+		"mixed-protocol":    {cfg: mixedProtocolConfig, step: 48},
 		"deep-buffer":       {cfg: fourNodeConfig, step: 1, flushEvery: 8192},
 		"deep-buffer-scrub": {cfg: scrub(1000), step: 1, flushEvery: 8192},
 	}

@@ -23,6 +23,15 @@ type node struct {
 	dir  *cache.Cache    // tag/state directory; states are coherence.State
 	tags *sdram.TagStore // timing model pacing directory operations
 	prof *stats.TimeSeries
+	// peers are the other nodes of this node's snoop group, in board
+	// order. Board.linkPeers rebuilds them whenever a group changes.
+	peers []*node
+	// idleMiss[op] is, for a snoop op whose (op, Invalid, SnoopNone) cell
+	// neither leaves Invalid nor acts, that cell's transition counter: a
+	// peer snoop that misses then changes nothing but the count. It is nil
+	// for every other op, so a table whose missing snoop does something
+	// takes the full snoop path.
+	idleMiss [coherence.NumOps]*stats.Counter
 
 	// Cached counters (hot path).
 	cReadHit, cReadMiss   *stats.Counter
@@ -88,6 +97,11 @@ func newNode(b *Board, nc NodeConfig, profileBucket uint64) (*node, error) {
 		n.prof = stats.NewTimeSeries(profileBucket)
 	}
 	n.initCounters(b.bank)
+	for _, op := range []coherence.Op{coherence.SnoopRead, coherence.SnoopWrite, coherence.SnoopCastout} {
+		if e := eng.Lookup(op, coherence.Invalid, coherence.SnoopNone); e.Next == coherence.Invalid && e.Actions == 0 {
+			n.idleMiss[op] = n.cTransition[op][coherence.Invalid][coherence.SnoopNone]
+		}
+	}
 	return n, nil
 }
 
@@ -189,12 +203,9 @@ func opFor(cmd bus.Command, local bool) (coherence.Op, bool) {
 	}
 }
 
-// local processes a transaction from one of this node's own CPUs.
-func (n *node) local(p *pending, snoopIn coherence.SnoopIn) {
-	op, ok := opFor(p.cmd, true)
-	if !ok {
-		return
-	}
+// local processes a transaction from one of this node's own CPUs; op is
+// its local operation.
+func (n *node) local(op coherence.Op, p *pending, snoopIn coherence.SnoopIn) {
 	slot, st := n.dir.AccessSlot(p.addr)
 	slot, cur := n.sanitize(p.addr, slot, coherence.State(st))
 	entry := n.eng.Lookup(op, cur, snoopIn)
@@ -258,14 +269,12 @@ func (n *node) local(p *pending, snoopIn coherence.SnoopIn) {
 	n.apply(p.addr, slot, cur, entry)
 }
 
-// snoop processes a transaction from another node in the same group.
-// (slot, st) is what Board.process found when it looked p.addr up in this
-// node's directory for the combined snoop input.
-func (n *node) snoop(p *pending, slot int64, st coherence.State) {
-	op, ok := opFor(p.cmd, false)
-	if !ok {
-		return
-	}
+// snoop processes a transaction from another node in the same group; op
+// is its snoop operation. (slot, st) is what Board.process found when it
+// looked p.addr up in this node's directory for the combined snoop input.
+// Board.process answers a miss on an idleMiss op itself and never calls
+// snoop for it.
+func (n *node) snoop(op coherence.Op, p *pending, slot int64, st coherence.State) {
 	slot, cur := n.sanitize(p.addr, slot, st)
 	entry := n.eng.Lookup(op, cur, coherence.SnoopNone)
 	n.cTransition[op][cur][coherence.SnoopNone].Inc()

@@ -42,8 +42,12 @@ func DefaultConfig() Config {
 
 // Stats counts tag-store activity.
 type Stats struct {
-	Ops                 uint64 // operations performed
-	BusyCycles          uint64 // cycles the channel was occupied
+	Ops uint64 // operations performed
+	// BusyCycles is the cycles the channel was occupied. Every operation
+	// holds the channel for exactly ChannelGap, so BusyCycles is always
+	// Ops × ChannelGap: Stats derives it rather than Schedule summing it,
+	// and a checkpoint that says otherwise is refused as corrupt.
+	BusyCycles          uint64
 	BankConflicts       uint64 // ops delayed by a busy bank beyond the channel gap
 	StallCycles         uint64 // total cycles ops waited beyond their arrival
 	InjectedStallCycles uint64 // cycles of externally injected controller stalls
@@ -54,11 +58,11 @@ type Stats struct {
 // given set would complete, and the store advances its internal busy
 // horizon. Not safe for concurrent use.
 type TagStore struct {
-	cfg         Config
+	gap, busy   uint64   // Config.ChannelGap, Config.BankBusy
 	bankMask    int64    // Banks-1 when Banks is a power of two, else -1
 	channelFree uint64   // earliest cycle the channel can start a new op
 	bankFree    []uint64 // earliest cycle each bank can start a new op
-	stats       Stats
+	stats       Stats // BusyCycles unused: Stats derives it
 }
 
 // New creates a tag store with the given timing. Banks must be positive
@@ -71,11 +75,18 @@ func New(cfg Config) *TagStore {
 	if cfg.Banks&(cfg.Banks-1) != 0 {
 		mask = -1
 	}
-	return &TagStore{cfg: cfg, bankMask: mask, bankFree: make([]uint64, cfg.Banks)}
+	return &TagStore{gap: cfg.ChannelGap, busy: cfg.BankBusy, bankMask: mask, bankFree: make([]uint64, cfg.Banks)}
 }
 
 // Stats returns a copy of the accumulated statistics.
-func (t *TagStore) Stats() Stats { return t.stats }
+func (t *TagStore) Stats() Stats {
+	st := t.stats
+	st.BusyCycles = t.busyCycles()
+	return st
+}
+
+// busyCycles is the channel occupancy the operations so far imply.
+func (t *TagStore) busyCycles() uint64 { return t.stats.Ops * t.gap }
 
 // NextFree returns the earliest cycle at which a new operation could start
 // on the channel (ignoring bank state, which depends on the set).
@@ -97,26 +108,20 @@ func (t *TagStore) Stall(now, cycles uint64) {
 // Schedule issues a directory operation for the given set at cycle now and
 // returns the cycle at which it completes. Operations are serviced in call
 // order (the node controller drains its transaction buffer FIFO).
-func (t *TagStore) Schedule(now uint64, set int64) (done uint64) {
-	var bank int64
-	if t.bankMask >= 0 {
-		bank = set & t.bankMask
-	} else {
-		bank = set % int64(t.cfg.Banks)
+func (t *TagStore) Schedule(now uint64, set int64) uint64 {
+	bank := set & t.bankMask
+	if t.bankMask < 0 {
+		bank = set % int64(len(t.bankFree))
 	}
-	start := now
-	if t.channelFree > start {
-		start = t.channelFree
-	}
-	if bf := t.bankFree[bank]; bf > start {
-		start = bf
+	bf := &t.bankFree[bank]
+	start := max(now, t.channelFree)
+	if *bf > start {
+		start = *bf
 		t.stats.BankConflicts++
 	}
 	t.stats.StallCycles += start - now
-	t.channelFree = start + t.cfg.ChannelGap
-	t.bankFree[bank] = start + t.cfg.BankBusy
 	t.stats.Ops++
-	t.stats.BusyCycles += t.cfg.ChannelGap
-	done = start + t.cfg.BankBusy
-	return done
+	t.channelFree = start + t.gap
+	*bf = start + t.busy
+	return *bf
 }
