@@ -41,7 +41,7 @@ race-ingest:
 # to actually explore.
 .PHONY: fuzz-seeds
 fuzz-seeds:
-	$(GO) test ./internal/cache/ ./internal/coherence/ ./internal/tracefile/ ./internal/obs/ ./internal/console/ ./internal/checkpoint/ ./internal/core/ ./internal/host/ ./internal/workload/ -run 'Fuzz.*'
+	$(GO) test ./internal/cache/ ./internal/coherence/ ./internal/tracefile/ ./internal/obs/ ./internal/console/ ./internal/checkpoint/ ./internal/core/ ./internal/host/ ./internal/workload/ ./internal/service/ -run 'Fuzz.*'
 
 FUZZTIME ?= 2m
 .PHONY: fuzz-long
@@ -60,6 +60,7 @@ fuzz-long:
 	$(GO) test ./internal/host/ -run FuzzEventWheel -fuzz FuzzEventWheel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/host/ -run FuzzPresence -fuzz FuzzPresence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload/ -run FuzzZipfExact -fuzz FuzzZipfExact -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/service/ -run FuzzCreateSession -fuzz FuzzCreateSession -fuzztime $(FUZZTIME)
 
 # The fault-injection acceptance sweep at CI scale (~seconds), run
 # serially (-parallel 1) so the output is the deterministic golden run.

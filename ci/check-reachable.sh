@@ -12,6 +12,8 @@
 #    root facade) need it. The linker decides: binaries are built without
 #    inlining, so a function some binary calls keeps its symbol. The list
 #    is held in both directions, so it cannot rot.
+# 3. The service takes bus records only: neither the server nor its load
+#    generator links the modeled host or a workload generator.
 set -e
 cd "$(dirname "$0")/.."
 mains="./cmd/... ./examples/... ./bench"
@@ -24,6 +26,14 @@ if [ -n "$dead" ]; then
     exit 1
 fi
 echo "every internal package is reachable"
+
+hosted="$(go list -deps ./cmd/memoriesd ./cmd/memloadgen | grep -E '^memories/internal/(host|workload)(/|$)' || true)"
+if [ -n "$hosted" ]; then
+    echo "the session service must take traces only, but cmd/memoriesd or cmd/memloadgen links:" >&2
+    echo "$hosted" >&2
+    exit 1
+fi
+echo "the session service links no host or workload package"
 
 allow=ci/test-only-api.txt
 max_listed=60

@@ -54,7 +54,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	gen, err := byname.New(*wl, *dbFactor, *seed, 8, "classic", 0, 0.3)
+	gen, err := byname.New(*wl, *dbFactor, *seed, 8, "classic")
 	if err != nil {
 		fatal(err)
 	}

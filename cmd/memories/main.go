@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	gen, err := byname.New(*wl, *dbFactor, *seed, 8, *splashSize, 0, 0.3)
+	gen, err := byname.New(*wl, *dbFactor, *seed, 8, *splashSize)
 	if err != nil {
 		return fail(err)
 	}

@@ -1,8 +1,8 @@
 // Command memoriesd is the MemorIES emulation service: a long-running
 // multi-tenant server that hosts a bounded pool of emulated boards and
 // drives them over HTTP sessions (internal/service). It is the
-// "shared lab instrument" deployment shape — many tenants plugging
-// their traces and workloads into one always-on emulator.
+// "shared lab instrument" deployment shape — many tenants streaming
+// their bus traces into one always-on emulator.
 //
 //	memoriesd -addr :8080 -checkpoint-dir /var/lib/memories
 //

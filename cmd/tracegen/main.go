@@ -38,7 +38,7 @@ func main() {
 	)
 	flag.Parse()
 
-	gen, err := byname.New(*wl, *dbFactor, *seed, 8, "classic", 0, 0.3)
+	gen, err := byname.New(*wl, *dbFactor, *seed, 8, "classic")
 	if err != nil {
 		fatal(err)
 	}

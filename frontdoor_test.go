@@ -243,11 +243,11 @@ func TestShippedNamesLoadAtEveryDoor(t *testing.T) {
 }
 
 // TestWorkloadNamesAtEveryCaller lists every workload name once and
-// runs it through the four places a name is accepted; each must build
-// it and drive references from it.
+// runs it through the three binaries that accept one; each must build
+// it and drive references from it. The session service takes none: it
+// takes the traces tracegen writes.
 func TestWorkloadNamesAtEveryCaller(t *testing.T) {
 	bins := buildCmds(t, "memories", "console", "tracegen")
-	srv := service.New(service.Config{})
 	names := append([]string{"tpcc", "tpch", "web", "uniform"}, splash.Names()...)
 	for _, name := range append(names, "doom") {
 		known := name != "doom"
@@ -262,22 +262,6 @@ func TestWorkloadNamesAtEveryCaller(t *testing.T) {
 		code, out, errs = runCmd(t, "", bins["tracegen"], "-workload", name, "-refs", "2000", "-o", filepath.Join(t.TempDir(), "t.trace"))
 		if known != (code == 0 && strings.Contains(out, "from 2000 workload refs")) {
 			t.Errorf("tracegen -workload %s: exit %d\n%s%s", name, code, out, errs)
-		}
-
-		if code, body := serve(t, srv, "POST", "/sessions", service.CreateRequest{ID: name, Cache: "64KB"}); code != http.StatusCreated {
-			t.Fatalf("service create: %d %s", code, body)
-		}
-		code, body := serve(t, srv, "POST", "/sessions/"+name+"/trace", service.WorkloadSpec{Workload: name, Refs: 2000})
-		_, final := serve(t, srv, "DELETE", "/sessions/"+name, nil)
-		var st service.StatsResponse
-		if err := json.Unmarshal([]byte(final), &st); err != nil {
-			t.Fatal(err)
-		}
-		if known != (code == http.StatusAccepted && st.Ingested == 2000) {
-			t.Errorf("service workload %s: status %d %s, ingested %d", name, code, body, st.Ingested)
-		}
-		if !known && !strings.Contains(body, "unknown workload") {
-			t.Errorf("service workload %s: body %s", name, body)
 		}
 	}
 }

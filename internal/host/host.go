@@ -212,8 +212,7 @@ type Host struct {
 	tx bus.Transaction
 }
 
-// New builds the host. The workload generator may be nil and set later
-// with SetWorkload.
+// New builds the host.
 func New(cfg Config, gen workload.Generator) (*Host, error) {
 	h, err := build(cfg, gen)
 	if err != nil {
@@ -295,9 +294,6 @@ func (h *Host) Config() Config { return h.cfg }
 
 // Stats returns a copy of the host statistics.
 func (h *Host) Stats() Stats { return h.stats }
-
-// SetWorkload replaces the workload generator.
-func (h *Host) SetWorkload(gen workload.Generator) { h.gen = gen }
 
 // Generator returns the current workload generator (nil if unset).
 func (h *Host) Generator() workload.Generator { return h.gen }

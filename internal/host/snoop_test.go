@@ -14,7 +14,7 @@ func rawIssue(h *Host, cmd bus.Command, a uint64, src int) bus.SnoopResponse {
 }
 
 func TestSnoopCleanDowngradesModified(t *testing.T) {
-	gen := &scriptGen{refs: []workload.Ref{{Addr: 0x70000, CPU: 0, Write: true}}}
+	gen := &scriptGen{refs: []workload.Ref{{Addr: 0x70000, CPU: 0, Write: true}, {Addr: 0x70000, CPU: 0}}}
 	h := MustNew(testConfig(), gen)
 	h.Run(1)
 	// A Clean from a phantom device (ID 99): cpu0 must answer modified
@@ -28,7 +28,6 @@ func TestSnoopCleanDowngradesModified(t *testing.T) {
 	// The line must still be readable without a new bus read.
 	spy := &busSpy{}
 	h.Bus().Attach(spy)
-	h.SetWorkload(&scriptGen{refs: []workload.Ref{{Addr: 0x70000, CPU: 0}}})
 	h.Run(1)
 	if len(spy.seen) != 0 {
 		t.Fatalf("read after Clean went to the bus: %+v", spy.seen)
@@ -36,7 +35,7 @@ func TestSnoopCleanDowngradesModified(t *testing.T) {
 }
 
 func TestSnoopFlushInvalidates(t *testing.T) {
-	gen := &scriptGen{refs: []workload.Ref{{Addr: 0x80000, CPU: 1, Write: true}}}
+	gen := &scriptGen{refs: []workload.Ref{{Addr: 0x80000, CPU: 1, Write: true}, {Addr: 0x80000, CPU: 1}}}
 	h := MustNew(testConfig(), gen)
 	h.Run(1)
 	if resp := rawIssue(h, bus.Flush, 0x80000, 99); resp != bus.RespModified {
@@ -45,7 +44,6 @@ func TestSnoopFlushInvalidates(t *testing.T) {
 	// The line is gone: a re-read must miss to the bus.
 	spy := &busSpy{}
 	h.Bus().Attach(spy)
-	h.SetWorkload(&scriptGen{refs: []workload.Ref{{Addr: 0x80000, CPU: 1}}})
 	h.Run(1)
 	if len(spy.byCmd(bus.Read)) != 1 {
 		t.Fatal("read after Flush did not reach the bus")
@@ -56,7 +54,7 @@ func TestSnoopFlushInvalidates(t *testing.T) {
 }
 
 func TestSnoopIgnoresNonMemoryAndCastout(t *testing.T) {
-	gen := &scriptGen{refs: []workload.Ref{{Addr: 0x90000, CPU: 0}}}
+	gen := &scriptGen{refs: []workload.Ref{{Addr: 0x90000, CPU: 0}, {Addr: 0x90000, CPU: 0}}}
 	h := MustNew(testConfig(), gen)
 	h.Run(1)
 	watch := &busSpy{}
@@ -75,7 +73,6 @@ func TestSnoopIgnoresNonMemoryAndCastout(t *testing.T) {
 	// Line still present.
 	spy := &busSpy{}
 	h.Bus().Attach(spy)
-	h.SetWorkload(&scriptGen{refs: []workload.Ref{{Addr: 0x90000, CPU: 0}}})
 	h.Run(1)
 	if len(spy.seen) != 0 {
 		t.Fatal("benign snoops disturbed the cache")

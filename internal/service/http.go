@@ -45,8 +45,6 @@ type CreateRequest struct {
 	CPUs int `json:"cpus,omitempty"`
 	// ECC enables SECDED protection on the emulated tag store.
 	ECC bool `json:"ecc,omitempty"`
-	// Seed drives workload-mode host randomness.
-	Seed uint64 `json:"seed,omitempty"`
 	// WarmStart names a checkpoint file in the server's corpus
 	// directory to restore the board from before any ingest.
 	WarmStart string `json:"warm_start,omitempty"`
@@ -77,7 +75,6 @@ type NodeStats struct {
 // StatsResponse is the GET /sessions/{id}/stats body.
 type StatsResponse struct {
 	ID        string      `json:"id"`
-	Mode      string      `json:"mode"`
 	Ingested  uint64      `json:"ingested"`
 	Accepted  uint64      `json:"accepted"`
 	Rejected  uint64      `json:"rejected_429"`
@@ -135,7 +132,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /sessions", s.handleList)
 	s.mux.HandleFunc("POST /sessions/{id}/trace", s.handleIngest)
 	s.mux.HandleFunc("GET /sessions/{id}/stats", s.handleStats)
-	s.mux.HandleFunc("GET /sessions/{id}", s.handleStats)
 	s.mux.HandleFunc("DELETE /sessions/{id}", s.handleDelete)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -153,12 +149,20 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	var req CreateRequest
 	if len(bytes.TrimSpace(body)) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
+		// A misspelled or retired field is an error, not a silent
+		// default, and so is anything after the one object.
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&req)
+		if _, tail := dec.Token(); err == nil && tail != io.EOF {
+			err = errors.New("trailing data after the request object")
+		}
+		if err != nil {
 			writeErr(w, http.StatusBadRequest, "parse request: %v", err)
 			return
 		}
 	}
-	bcfg, hcfg, dirBytes, err := buildBoardConfig(&req)
+	bcfg, dirBytes, err := buildBoardConfig(&req)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -208,7 +212,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	s.sessions[id] = nil
 	s.mu.Unlock()
 
-	sess, err := s.newSession(id, bcfg, hcfg, bcfg.Nodes[0].Geometry.LineSize)
+	sess, err := s.newSession(id, bcfg)
 	if err == nil && req.WarmStart != "" {
 		if werr := sess.warmStartFrom(s.cfg.CorpusDir, req.WarmStart); werr != nil {
 			sess.teardown()
@@ -269,11 +273,12 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, infos)
 }
 
-// handleIngest accepts one block of work: raw trace bytes (either
-// MIES format, auto-detected from the magic) or a JSON workload spec.
-// Ingest is asynchronous — 202 means queued, and stats report when it
-// has been applied. A full queue returns the bus-retry: 429 +
-// Retry-After, client owns the re-issue.
+// handleIngest accepts one block of bus records: raw trace bytes in
+// either MIES format, auto-detected from the magic. The board only ever
+// saw the bus, so a body that is not a trace is a 400; a workload
+// becomes a trace with cmd/tracegen first. Ingest is asynchronous — 202
+// means queued, and stats report when it has been applied. A full queue
+// returns the bus-retry: 429 + Retry-After, client owns the re-issue.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sess := s.session(r.PathValue("id"))
 	if sess == nil {
@@ -288,15 +293,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	buf := s.bodies.Get().(*bytes.Buffer)
 	buf.Reset()
 	var blk block
-	var code int
+	code := http.StatusBadRequest
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	switch body := buf.Bytes(); {
-	case err != nil:
+	if err != nil {
 		code, err = readStatus(err), fmt.Errorf("read body: %w", err)
-	case len(body) >= 8 && (string(body[:8]) == tracefile.Magic || string(body[:8]) == tracefile.MagicV2):
-		blk, code, err = s.traceBlock(sess, body)
-	default:
-		blk, code, err = specBlock(sess, body)
+	} else {
+		blk, err = s.traceBlock(buf.Bytes())
 	}
 	s.bodies.Put(buf) // nothing in blk aliases the body
 	if err != nil {
@@ -304,7 +306,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ok, closed := sess.enqueue(blk)
-	if !ok && blk.recs != nil {
+	if !ok {
 		s.slabs.Put(blk.recs)
 	}
 	if closed {
@@ -323,51 +325,24 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, IngestResponse{Accepted: blk.n, Queue: sess.inflight.Load()})
 }
 
-// traceBlock decodes a trace body into a slab from the pool and latches
-// trace mode. A refused body returns the slab and leaves the mode as it
-// was.
-func (s *Server) traceBlock(sess *Session, body []byte) (block, int, error) {
+// traceBlock decodes a trace body into a slab from the pool. A refused
+// body returns the slab.
+func (s *Server) traceBlock(body []byte) (block, error) {
 	slab := s.slabs.Get().(*[]tracefile.Record)
 	recs, err := tracefile.AppendRecords((*slab)[:0], body)
 	*slab = recs
-	code := http.StatusBadRequest
 	switch {
 	case err != nil:
-		err = fmt.Errorf("trace: %w", err)
+		err = fmt.Errorf("trace: %w (the body must be a MIES trace; make one with "+
+			"go run ./cmd/tracegen -workload NAME -refs N -o FILE)", err)
 	case len(recs) == 0:
 		err = errors.New("trace: empty")
-	case !sess.setMode(modeTrace):
-		code, err = http.StatusConflict, errors.New("session is workload-driven; trace ingest refused")
 	}
 	if err != nil {
 		s.slabs.Put(slab)
-		return block{}, code, err
+		return block{}, err
 	}
-	return block{recs: slab, n: uint64(len(recs)), enq: time.Now()}, 0, nil
-}
-
-// specBlock builds a workload spec's generator and, on the first spec,
-// the session's host. A trace-driven session is turned away before
-// anything is built for it; ensureHost latches the mode and catches a
-// first trace block that raced this request.
-func specBlock(sess *Session, body []byte) (block, int, error) {
-	spec, err := parseWorkloadSpec(body)
-	if err != nil {
-		return block{}, http.StatusBadRequest, err
-	}
-	if sess.mode.Load() == modeTrace {
-		return block{}, http.StatusConflict, errTraceDriven
-	}
-	gen, err := spec.build(sess.hcfg.NumCPUs)
-	if err != nil {
-		return block{}, http.StatusBadRequest, err
-	}
-	if err := sess.ensureHost(); errors.Is(err, errTraceDriven) {
-		return block{}, http.StatusConflict, err
-	} else if err != nil {
-		return block{}, http.StatusBadRequest, fmt.Errorf("host: %w", err)
-	}
-	return block{gen: gen, n: spec.Refs, enq: time.Now()}, 0, nil
+	return block{recs: slab, n: uint64(len(recs)), enq: time.Now()}, nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -394,14 +369,6 @@ func (sess *Session) stats() StatsResponse {
 		LastCycle: sess.board.LastCycle(),
 		WarmStart: sess.warmStart,
 		Ckpt:      sess.lastCkpt,
-	}
-	switch sess.mode.Load() {
-	case modeTrace:
-		resp.Mode = "trace"
-	case modeWorkload:
-		resp.Mode = "workload"
-	default:
-		resp.Mode = "idle"
 	}
 	for i := 0; i < sess.board.NumNodes(); i++ {
 		v := sess.board.Node(i)

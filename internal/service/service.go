@@ -10,13 +10,16 @@
 //	POST   /sessions            create a configured board (optionally
 //	                            warm-started from a checkpoint corpus)
 //	GET    /sessions            list live sessions
-//	POST   /sessions/{id}/trace stream MIES0001/MIES0002 trace bytes or
-//	                            a JSON workload spec in (async ingest)
+//	POST   /sessions/{id}/trace stream MIES0001/MIES0002 trace bytes in
+//	                            (async ingest)
 //	GET    /sessions/{id}/stats poll emulation results
 //	DELETE /sessions/{id}       tear the session down
 //	GET    /healthz             liveness (reports draining)
 //	GET    /metrics             Prometheus text with per-session labels
 //	GET    /metrics.json        one JSON snapshot object
+//
+// A session takes bus records only, as the board snooped only the bus:
+// a workload model becomes a trace with cmd/tracegen first.
 //
 // Resource bounds are explicit because the service faces many tenants
 // at once: the session pool is bounded (MaxSessions), each session's

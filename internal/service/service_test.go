@@ -6,12 +6,15 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -25,15 +28,47 @@ import (
 	"memories/protocols"
 )
 
+// TestMain fails the package if its tests leave goroutines behind: a
+// session worker nobody drained, a listener nobody closed. Under -fuzz
+// the check is off: the fuzzing engine keeps its own signal handler
+// running.
+func TestMain(m *testing.M) {
+	before := runtime.NumGoroutine()
+	code := m.Run()
+	if code == 0 && flag.Lookup("test.fuzz").Value.String() == "" {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			fmt.Fprintf(os.Stderr, "goroutine leak: %d before the tests, %d after\n", before, n)
+			_ = pprof.Lookup("goroutine").WriteTo(os.Stderr, 2)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
+
 // testServer starts a service on a loopback port and returns its base
-// URL; the listener is torn down with the test.
+// URL. The test's cleanup drains every session it left, so no worker
+// outlives it, closes the client's idle connections, which Shutdown
+// would leave open if the client dialled one and never sent on it, and
+// then closes the listener.
 func testServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
 	srv := New(cfg)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	t.Cleanup(func() { _ = srv.Close() })
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if _, err := srv.Drain(ctx); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+		http.DefaultClient.CloseIdleConnections()
+		_ = srv.Close()
+	})
 	return srv, "http://" + srv.Addr()
 }
 
@@ -179,9 +214,6 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 
 	st := pollStats(t, base, "alpha")
-	if st.Mode != "trace" {
-		t.Fatalf("mode = %q, want trace", st.Mode)
-	}
 	if st.Ingested != 1250 || st.Accepted != 1250 {
 		t.Fatalf("ingested/accepted = %d/%d, want 1250/1250", st.Ingested, st.Accepted)
 	}
@@ -246,6 +278,22 @@ func TestCreateValidation(t *testing.T) {
 			continue
 		}
 		drainBody(resp)
+	}
+	// Unknown fields are refused by name — a misspelling, and a field a
+	// stale client still sends after its removal — and so is a second
+	// value after the request object.
+	for _, tc := range []struct{ body, want string }{
+		{`{"cahce":"64KB"}`, `unknown field \"cahce\"`},
+		{`{"cache":"64KB","seed":7}`, `unknown field \"seed\"`},
+		{`{"cache":"64KB"} {}`, "trailing data"},
+	} {
+		resp, err := http.Post(base+"/sessions", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := drainBody(resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, tc.want) {
+			t.Errorf("create %s: status %d, want 400 naming %s (%s)", tc.body, resp.StatusCode, tc.want, msg)
+		}
 	}
 	if n := sessionCount(srv); n != 0 {
 		t.Fatalf("rejected creates leaked %d sessions", n)
@@ -362,99 +410,29 @@ func TestBackpressure429(t *testing.T) {
 	}
 }
 
-func TestModeConflict(t *testing.T) {
+// TestSpecBodyRefused: the session takes bus records only. A JSON
+// workload spec is a 400 pointing at tracegen, and the session it was
+// sent to takes the next trace.
+func TestSpecBodyRefused(t *testing.T) {
 	_, base := testServer(t, Config{})
-	resp := postJSON(t, base+"/sessions", CreateRequest{ID: "tr", Cache: "64KB", LineBytes: 64})
-	drainBody(resp)
+	drainBody(postJSON(t, base+"/sessions", CreateRequest{ID: "tr", Cache: "64KB", LineBytes: 64}))
 
-	resp, err := http.Post(base+"/sessions/tr/trace", "application/octet-stream", bytes.NewReader(traceBody(t, 10)))
+	resp, err := http.Post(base+"/sessions/tr/trace", "application/json", strings.NewReader(`{"workload":"tpcc","refs":1000}`))
 	if err != nil {
-		t.Fatalf("ingest: %v", err)
+		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("trace ingest: status %d", resp.StatusCode)
+	if body := drainBody(resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "tracegen") {
+		t.Fatalf("workload spec: status %d, body %s; want 400 naming tracegen", resp.StatusCode, body)
 	}
-	drainBody(resp)
-
-	resp = postJSON(t, base+"/sessions/tr/trace", WorkloadSpec{Workload: "uniform", Refs: 100})
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("workload into trace session: status %d, want 409 (%s)", resp.StatusCode, drainBody(resp))
-	}
-	drainBody(resp)
-}
-
-func TestWorkloadSession(t *testing.T) {
-	_, base := testServer(t, Config{})
-	resp := postJSON(t, base+"/sessions", CreateRequest{ID: "wl", Cache: "64KB", LineBytes: 64, CPUs: 4, Seed: 7})
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create: status %d", resp.StatusCode)
-	}
-	drainBody(resp)
-
-	for _, spec := range []WorkloadSpec{
-		{Workload: "tpcc", Refs: 5000},
-		{Workload: "uniform", Refs: 5000, Footprint: "1MB", WriteFraction: 0.3},
-	} {
-		resp = postJSON(t, base+"/sessions/wl/trace", spec)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("%s: status %d: %s", spec.Workload, resp.StatusCode, drainBody(resp))
-		}
-		drainBody(resp)
-	}
-	st := pollStats(t, base, "wl")
-	if st.Mode != "workload" {
-		t.Fatalf("mode = %q", st.Mode)
-	}
-	if st.Ingested != 10000 {
-		t.Fatalf("ingested = %d, want 10000", st.Ingested)
-	}
-	if st.Nodes[0].ReadHit+st.Nodes[0].ReadMiss+st.Nodes[0].WriteHit+st.Nodes[0].WriteMiss == 0 {
-		t.Fatal("workload produced no cache activity")
-	}
-
-	// Unknown workload and over-cap refs are refused.
-	for _, spec := range []WorkloadSpec{
-		{Workload: "nosuch", Refs: 10},
-		{Workload: "uniform", Refs: MaxSpecRefs + 1},
-	} {
-		resp = postJSON(t, base+"/sessions/wl/trace", spec)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", spec.Workload, resp.StatusCode)
-		}
-		drainBody(resp)
-	}
-}
-
-// TestRefusedSpecLeavesSessionFresh: a spec whose scale divides a table
-// down to nothing, or whose footprint does not fit in 64 bits, is a 400
-// with the reason — both used to panic in the handler, resetting the
-// connection — and, because the mode latches only after the spec has
-// built, the session it was sent to still takes trace blocks.
-func TestRefusedSpecLeavesSessionFresh(t *testing.T) {
-	_, base := testServer(t, Config{})
-	drainBody(postJSON(t, base+"/sessions", CreateRequest{ID: "fresh", Cache: "64KB", LineBytes: 64}))
-
-	for _, wl := range []string{"tpcc", "tpch"} {
-		resp := postJSON(t, base+"/sessions/fresh/trace", WorkloadSpec{Workload: wl, Refs: 1, Scale: 1 << 40})
-		body := drainBody(resp)
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "scale 1099511627776 leaves "+wl+" no ") {
-			t.Fatalf("%s at scale 2^40: status %d, body %s; want 400 naming the scale", wl, resp.StatusCode, body)
-		}
-	}
-	resp := postJSON(t, base+"/sessions/fresh/trace", WorkloadSpec{Workload: "uniform", Refs: 1, Footprint: "9999999999G"})
-	if body := drainBody(resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "overflows 64 bits") {
-		t.Fatalf("uniform with a 9999999999G footprint: status %d, body %s; want 400 naming the overflow", resp.StatusCode, body)
-	}
-
-	resp, err := http.Post(base+"/sessions/fresh/trace", "application/octet-stream", bytes.NewReader(traceBody(t, 10)))
+	resp, err = http.Post(base+"/sessions/tr/trace", "application/octet-stream", bytes.NewReader(traceBody(t, 100)))
 	if err != nil {
-		t.Fatalf("ingest: %v", err)
+		t.Fatal(err)
 	}
 	if body := drainBody(resp); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("trace block after the refused specs: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("trace after the spec: status %d: %s", resp.StatusCode, body)
 	}
-	if st := pollStats(t, base, "fresh"); st.Mode != "trace" || st.Ingested != 10 {
-		t.Fatalf("mode %q, ingested %d; want trace, 10", st.Mode, st.Ingested)
+	if st := pollStats(t, base, "tr"); st.Ingested != 100 {
+		t.Fatalf("ingested %d, want 100", st.Ingested)
 	}
 }
 
@@ -760,7 +738,7 @@ func TestIngestErrors(t *testing.T) {
 	}
 	drainBody(resp)
 
-	// Garbage body: neither trace magic nor a workload spec.
+	// Garbage body: no trace magic.
 	resp, err = http.Post(base+"/sessions/e/trace", "application/octet-stream", strings.NewReader("not a trace"))
 	if err != nil {
 		t.Fatal(err)
@@ -819,8 +797,8 @@ func TestIngestErrors(t *testing.T) {
 
 	// And the session still takes the next valid body.
 	post("v2 body after the refusals", good, http.StatusAccepted)
-	if st := pollStats(t, base, "e"); st.Ingested != 110 || st.Mode != "trace" {
-		t.Fatalf("ingested %d in mode %q, want 110 in trace", st.Ingested, st.Mode)
+	if st := pollStats(t, base, "e"); st.Ingested != 110 {
+		t.Fatalf("ingested %d, want 110", st.Ingested)
 	}
 }
 
@@ -858,30 +836,6 @@ func TestBodyReadErrorStatus(t *testing.T) {
 	}
 	if n := sessionCount(srv); n != 1 {
 		t.Fatalf("%d sessions, want only r", n)
-	}
-}
-
-// TestSpecLosingToTraceAttachesNoHost: a workload spec that passed the
-// handler's mode check, then lost the latch to a session's first trace
-// block, is refused and attaches no host to a board that would never
-// run it.
-func TestSpecLosingToTraceAttachesNoHost(t *testing.T) {
-	srv := New(Config{})
-	bcfg, hcfg, _, err := buildBoardConfig(&CreateRequest{Cache: "64KB", LineBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := srv.newSession("race", bcfg, hcfg, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sess.teardown)
-	sess.mode.Store(modeTrace) // the trace block won after the handler's check
-	if err := sess.ensureHost(); !errors.Is(err, errTraceDriven) {
-		t.Fatalf("ensureHost = %v, want %v", err, errTraceDriven)
-	}
-	if sess.h != nil {
-		t.Fatal("a spec refused as trace-driven left a host on the session")
 	}
 }
 

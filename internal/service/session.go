@@ -1,7 +1,6 @@
 package service
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"regexp"
@@ -16,22 +15,9 @@ import (
 	"memories/internal/checkpoint"
 	"memories/internal/coherence"
 	"memories/internal/core"
-	"memories/internal/host"
 	"memories/internal/obs"
 	"memories/internal/tracefile"
-	"memories/internal/workload"
 	"memories/protocols"
-)
-
-// Session modes: a session is driven either by raw trace records (the
-// board replays them directly) or by a synthetic workload spec (a
-// modeled host generates the bus stream). Mixing the two in one
-// session would interleave two incompatible bus clocks, so the first
-// ingest fixes the mode.
-const (
-	modeUnset = iota
-	modeTrace
-	modeWorkload
 )
 
 // ingestLatencyBounds bucket the enqueue→applied wait of one ingest
@@ -51,16 +37,15 @@ const applyChunk = 4096
 
 // block is one unit of queued ingest work.
 type block struct {
-	recs *[]tracefile.Record // trace mode: a slab from Server.slabs, returned once applied
-	gen  workload.Generator  // workload mode: swap generator first (may be nil)
-	n    uint64              // records in recs, or references for the host to run
+	recs *[]tracefile.Record // a slab from Server.slabs, returned once applied
+	n    uint64              // records in recs
 	enq  time.Time
 }
 
-// Session is one tenant's board (and, in workload mode, its modeled
-// host), fed by a single worker goroutine through a bounded queue.
+// Session is one tenant's board, fed by a single worker goroutine
+// through a bounded queue.
 //
-// Locking: mu guards the board, host, and trace-clock fields. The
+// Locking: mu guards the board and trace-clock fields. The
 // worker holds it while applying a block; HTTP handlers hold it while
 // reading stats or writing checkpoints. The board's counters are plain
 // single-writer 40-bit counters, so every touch goes through mu — the
@@ -70,15 +55,11 @@ type Session struct {
 	srv     *Server
 	created time.Time
 
-	mu    sync.Mutex
-	board *core.Board
-	h     *host.Host   // nil until the first workload ingest
-	mode  atomic.Int32 // modeUnset/modeTrace/modeWorkload
-	seq   uint64       // trace-mode bus sequence stamp
-	cycle uint64       // trace-mode bus cycle stamp
-	txbuf []bus.Transaction
-
-	hcfg     host.Config // host configuration if workload mode engages
+	mu       sync.Mutex
+	board    *core.Board
+	seq      uint64 // bus sequence stamp
+	cycle    uint64 // bus cycle stamp
+	txbuf    []bus.Transaction
 	lineSize int64
 
 	// Intake: senders hold sendMu.RLock and test closed before posting
@@ -90,8 +71,8 @@ type Session struct {
 	inflight atomic.Int64
 	done     chan struct{}
 
-	ingested atomic.Uint64 // records/refs applied to the board
-	accepted atomic.Uint64 // records/refs admitted to the queue
+	ingested atomic.Uint64 // records applied to the board
+	accepted atomic.Uint64 // records admitted to the queue
 	rejected atomic.Uint64 // ingest requests bounced with 429
 
 	dirBytes   int64
@@ -108,7 +89,7 @@ var idRx = regexp.MustCompile(`^[a-zA-Z0-9_.-]{1,64}$`)
 
 // newSession allocates the board, attaches it to the registry under
 // "session.<id>", and starts the worker.
-func (s *Server) newSession(id string, bcfg core.Config, hcfg host.Config, lineSize int64) (*Session, error) {
+func (s *Server) newSession(id string, bcfg core.Config) (*Session, error) {
 	b, err := core.NewBoard(bcfg)
 	if err != nil {
 		return nil, err
@@ -118,8 +99,7 @@ func (s *Server) newSession(id string, bcfg core.Config, hcfg host.Config, lineS
 		srv:      s,
 		created:  time.Now(),
 		board:    b,
-		hcfg:     hcfg,
-		lineSize: lineSize,
+		lineSize: bcfg.Nodes[0].Geometry.LineSize,
 		blocks:   make(chan block, s.cfg.MaxInflight),
 		done:     make(chan struct{}),
 	}
@@ -158,40 +138,30 @@ func (s *Session) apply(blk block) {
 	if hook := s.srv.applyHook; hook != nil {
 		hook()
 	}
-	var n uint64
-	if blk.recs != nil {
-		for recs := *blk.recs; len(recs) > 0; {
-			chunk := recs[:min(len(recs), applyChunk)]
-			recs = recs[len(chunk):]
-			txs := s.txbuf[:0]
-			for _, r := range chunk {
-				s.cycle++
-				s.seq++
-				txs = append(txs, bus.Transaction{
-					Seq:   s.seq,
-					Cycle: s.cycle,
-					Cmd:   r.Cmd,
-					Addr:  r.Addr,
-					Size:  int(s.lineSize),
-					SrcID: int(r.SrcID),
-				})
-			}
-			s.txbuf = txs
-			s.board.SnoopBatch(txs)
+	for recs := *blk.recs; len(recs) > 0; {
+		chunk := recs[:min(len(recs), applyChunk)]
+		recs = recs[len(chunk):]
+		txs := s.txbuf[:0]
+		for _, r := range chunk {
+			s.cycle++
+			s.seq++
+			txs = append(txs, bus.Transaction{
+				Seq:   s.seq,
+				Cycle: s.cycle,
+				Cmd:   r.Cmd,
+				Addr:  r.Addr,
+				Size:  int(s.lineSize),
+				SrcID: int(r.SrcID),
+			})
 		}
-		s.board.Flush()
-		n = blk.n
-		s.srv.slabs.Put(blk.recs)
-	} else {
-		if blk.gen != nil {
-			s.h.SetWorkload(blk.gen)
-		}
-		n = s.h.Run(blk.n)
-		s.board.Flush()
+		s.txbuf = txs
+		s.board.SnoopBatch(txs)
 	}
-	s.ingested.Add(n)
-	s.cIngested.Add(n)
-	s.srv.cRecords.Add(n)
+	s.board.Flush()
+	s.srv.slabs.Put(blk.recs)
+	s.ingested.Add(blk.n)
+	s.cIngested.Add(blk.n)
+	s.srv.cRecords.Add(blk.n)
 	s.board.PublishObs()
 }
 
@@ -214,44 +184,6 @@ func (s *Session) enqueue(blk block) (ok, closed bool) {
 		s.srv.cRetryPosted.Inc()
 		return false, false
 	}
-}
-
-// setMode fixes the session's drive mode on first ingest; a later
-// ingest of the other kind is refused (ok=false).
-func (s *Session) setMode(m int32) bool {
-	if s.mode.CompareAndSwap(modeUnset, m) {
-		return true
-	}
-	return s.mode.Load() == m
-}
-
-// errTraceDriven refuses a workload spec in a trace-driven session.
-var errTraceDriven = errors.New("session is trace-driven; workload ingest refused")
-
-// ensureHost latches workload mode and, the first time, builds the
-// modeled host and attaches the board to its bus. The host is built
-// before the latch, so a spec it refuses leaves a fresh session free to
-// take trace blocks, and attached only once the latch has won, so a spec
-// that lost the race to a first trace block (errTraceDriven) leaves the
-// board as it was. Safe to call from the ingest handler: the worker
-// never touches s.h before the first workload block, and that block
-// cannot be queued until this returns.
-func (s *Session) ensureHost() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.h != nil {
-		return nil
-	}
-	h, err := host.New(s.hcfg, nil)
-	if err != nil {
-		return err
-	}
-	if !s.setMode(modeWorkload) {
-		return errTraceDriven
-	}
-	h.Bus().Attach(s.board)
-	s.h = h
-	return nil
 }
 
 // closeIntake stops accepting blocks; the worker drains what is queued
@@ -320,13 +252,13 @@ func (s *Session) teardown() {
 
 // buildBoardConfig translates a create request into a board config,
 // validating geometry, policy, and protocol.
-func buildBoardConfig(req *CreateRequest) (core.Config, host.Config, int64, error) {
+func buildBoardConfig(req *CreateRequest) (core.Config, int64, error) {
 	if req.Cache == "" {
 		req.Cache = "1MB"
 	}
 	size, err := addr.ParseSize(req.Cache)
 	if err != nil {
-		return core.Config{}, host.Config{}, 0, err
+		return core.Config{}, 0, err
 	}
 	line := req.LineBytes
 	if line == 0 {
@@ -338,12 +270,12 @@ func buildBoardConfig(req *CreateRequest) (core.Config, host.Config, int64, erro
 	}
 	g, err := addr.NewGeometry(size, line, assoc)
 	if err != nil {
-		return core.Config{}, host.Config{}, 0, err
+		return core.Config{}, 0, err
 	}
 	pol := cache.LRU
 	if req.Policy != "" {
 		if pol, err = cache.ParsePolicy(req.Policy); err != nil {
-			return core.Config{}, host.Config{}, 0, err
+			return core.Config{}, 0, err
 		}
 	}
 	var proto *coherence.Table
@@ -354,11 +286,11 @@ func buildBoardConfig(req *CreateRequest) (core.Config, host.Config, int64, erro
 		// full gauntlet (parse, compile, model check) runs before the
 		// table touches a board.
 		if req.Protocol != "" {
-			return core.Config{}, host.Config{}, 0, fmt.Errorf("service: protocol and protocol_map are mutually exclusive")
+			return core.Config{}, 0, fmt.Errorf("service: protocol and protocol_map are mutually exclusive")
 		}
 		var err error
 		if proto, err = protocols.Verify(req.ProtocolMap); err != nil {
-			return core.Config{}, host.Config{}, 0, fmt.Errorf("service: protocol_map rejected: %w", err)
+			return core.Config{}, 0, fmt.Errorf("service: protocol_map rejected: %w", err)
 		}
 	default:
 		protoName := strings.ToLower(req.Protocol)
@@ -367,7 +299,7 @@ func buildBoardConfig(req *CreateRequest) (core.Config, host.Config, int64, erro
 		}
 		var err error
 		if proto, err = protocols.Load(protoName); err != nil {
-			return core.Config{}, host.Config{}, 0, fmt.Errorf("service: %w", err)
+			return core.Config{}, 0, fmt.Errorf("service: %w", err)
 		}
 	}
 	ncpu := req.CPUs
@@ -375,7 +307,7 @@ func buildBoardConfig(req *CreateRequest) (core.Config, host.Config, int64, erro
 		ncpu = 8
 	}
 	if ncpu < 1 || ncpu > core.MaxBusID {
-		return core.Config{}, host.Config{}, 0, fmt.Errorf("service: cpus %d out of range [1,%d]", ncpu, core.MaxBusID)
+		return core.Config{}, 0, fmt.Errorf("service: cpus %d out of range [1,%d]", ncpu, core.MaxBusID)
 	}
 	bcfg := core.Config{
 		Nodes: []core.NodeConfig{{
@@ -387,15 +319,9 @@ func buildBoardConfig(req *CreateRequest) (core.Config, host.Config, int64, erro
 		}},
 		ECC: req.ECC,
 	}
-	hcfg := host.DefaultConfig()
-	hcfg.NumCPUs = ncpu
-	hcfg.LineSize = line
-	if req.Seed != 0 {
-		hcfg.Seed = req.Seed
-	}
 	// The packed directory stores one 8-byte word per slot (DESIGN.md
 	// §4c); computing the footprint from the geometry lets the quota
 	// check run before the board allocates anything.
 	dirBytes := (g.SizeBytes / g.LineSize) * 8
-	return bcfg, hcfg, dirBytes, nil
+	return bcfg, dirBytes, nil
 }

@@ -14,17 +14,14 @@ import (
 // New builds the named workload model for ncpu host processors: tpcc,
 // tpch, web, uniform, or a SPLASH2 kernel (splash.Names).
 //
-// scale divides the paper-size footprint of tpcc/tpch/web. splashSize
-// is the kernels' problem size: paper, classic or test. footprint and
-// writeFraction shape uniform only; footprint 0 sizes it like the
-// database models, 150 GB / scale, at least 1 MB.
+// scale divides the paper-size footprint of tpcc/tpch/web, and sizes
+// uniform like them: 150 GB / scale, at least 1 MB, 30 % writes.
+// splashSize is the kernels' problem size: paper, classic or test.
 //
-// Every name and number here can come from outside the program (a flag,
-// a service request), so whatever the generators' constructors would
-// panic on is an error: an unknown name, a scale so large that a table
-// it divides has no bytes left, a footprint that is negative or too
-// large to round up to a region.
-func New(name string, scale int64, seed uint64, ncpu int, splashSize string, footprint int64, writeFraction float64) (workload.Generator, error) {
+// The name and numbers come from command-line flags, so whatever the
+// generators' constructors would panic on is an error: an unknown name,
+// or a scale so large that a table it divides has no bytes left.
+func New(name string, scale int64, seed uint64, ncpu int, splashSize string) (workload.Generator, error) {
 	switch name {
 	case "tpcc":
 		cfg := workload.ScaledTPCCConfig(scale)
@@ -45,21 +42,14 @@ func New(name string, scale int64, seed uint64, ncpu int, splashSize string, foo
 		cfg.NumCPUs, cfg.Seed = ncpu, seed
 		return workload.NewWeb(cfg), nil
 	case "uniform":
-		if footprint == 0 {
-			if scale < 1 {
-				scale = 1
-			}
-			if footprint = 150 * addr.GB / scale; footprint < addr.MB {
-				footprint = addr.MB
-			}
-		}
-		if footprint < 0 || footprint > maxFootprint {
-			return nil, fmt.Errorf("workload: uniform footprint %d outside [1, %d] bytes", footprint, int64(maxFootprint))
+		footprint := 150 * addr.GB
+		if scale > 1 {
+			footprint = max(footprint/scale, addr.MB)
 		}
 		return workload.NewUniform(workload.UniformConfig{
 			NumCPUs:       ncpu,
 			FootprintByte: footprint,
-			WriteFraction: writeFraction,
+			WriteFraction: 0.3,
 			Seed:          seed,
 		}), nil
 	}
@@ -80,10 +70,6 @@ func New(name string, scale int64, seed uint64, ncpu int, splashSize string, foo
 	return nil, fmt.Errorf("workload: unknown workload %q (want tpcc, tpch, web, uniform, or one of %v)",
 		name, splash.Names())
 }
-
-// maxFootprint leaves Layout.Region room to round up to its 1 MB
-// alignment inside an int64.
-const maxFootprint = 1 << 62
 
 func emptyAt(name string, scale int64, what string) error {
 	return fmt.Errorf("workload: scale %d leaves %s no %s", scale, name, what)
