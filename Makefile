@@ -57,6 +57,7 @@ fuzz-long:
 	$(GO) test ./internal/core/ -run FuzzCheckpointRestore -fuzz FuzzCheckpointRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzSnoopBatchSplits -fuzz FuzzSnoopBatchSplits -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tracefile/ -run FuzzV2MmapDecode -fuzz FuzzV2MmapDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tracefile/ -run FuzzConvertV1 -fuzz FuzzConvertV1 -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/host/ -run FuzzEventWheel -fuzz FuzzEventWheel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/host/ -run FuzzPresence -fuzz FuzzPresence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload/ -run FuzzZipfExact -fuzz FuzzZipfExact -fuzztime $(FUZZTIME)

@@ -4,8 +4,8 @@
 //
 //	tracegen -workload tpcc -refs 2000000 -o tpcc.trace
 //
-// Traces are written in the delta-compressed v2 format. An old
-// fixed-width v1 file (still read everywhere) is rewritten with:
+// Traces are written in the delta-compressed v2 format, the only one any
+// other command reads. An old fixed-width v1 file is rewritten with:
 //
 //	tracegen convert old.trace new.trace
 package main
@@ -37,6 +37,10 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "workload seed")
 	)
 	flag.Parse()
+	if *limit < 1 {
+		fmt.Fprintln(os.Stderr, "tracegen: -limit must be at least 1 record")
+		os.Exit(2)
+	}
 
 	gen, err := byname.New(*wl, *dbFactor, *seed, 8, "classic")
 	if err != nil {
@@ -78,9 +82,8 @@ func main() {
 		b.Trace().Len(), b.Trace().Dropped(), *refs, *out)
 }
 
-// convert rewrites a trace file as v2, streaming record by record so
-// arbitrarily large traces convert in constant memory. The input format
-// is auto-detected from the magic.
+// convert rewrites a v1 trace file as v2, streaming record by record so
+// arbitrarily large traces convert in constant memory.
 func convert(argv []string) {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	fs.Usage = func() {
@@ -99,10 +102,6 @@ func convert(argv []string) {
 		fatal(err)
 	}
 	defer in.Close()
-	r, err := tracefile.Open(in)
-	if err != nil {
-		fatal(err)
-	}
 
 	outF, err := os.Create(fs.Arg(1))
 	if err != nil {
@@ -113,7 +112,7 @@ func convert(argv []string) {
 		fatal(err)
 	}
 
-	n, err := tracefile.CopyRecords(w, r)
+	n, err := tracefile.ConvertV1(w, in)
 	if err != nil {
 		fatal(fmt.Errorf("after %d records: %v", n, err))
 	}

@@ -4,10 +4,11 @@
 // reports the same statistics the board produces, plus its own measured
 // run time for the speed comparison.
 //
-// Both trace formats are accepted; the magic is auto-detected. Decode
-// runs on the replay goroutine, a block at a time: it is under a tenth
-// of the per-record cost, and fanning it out across cores measured
-// slower than not (DESIGN.md §5, "why it is serial").
+// The trace must be v2; a v1 file is refused with the `tracegen convert`
+// command that rewrites it. Decode runs on the replay goroutine, a block
+// at a time: it is under a tenth of the per-record cost, and fanning it
+// out across cores measured slower than not (DESIGN.md §5, "why it is
+// serial").
 //
 //	tracesim -l3 64MB -assoc 8 tpcc.trace
 //	tracesim -l3 8GB -checkpoint warm.ckpt -checkpoint-every 50000000 big.trace
@@ -119,6 +120,9 @@ func run() int {
 	geom, err := addr.NewGeometry(size, *line, *assoc)
 	if err != nil {
 		return fail(err)
+	}
+	if *ncpu < 1 {
+		return fail(fmt.Errorf("-cpus must be at least 1, got %d", *ncpu))
 	}
 	cpus := core.CPURange(*ncpu)
 	// Resolve runs the full gauntlet: parse, compile, model check.
@@ -243,6 +247,9 @@ func run() int {
 	}
 	if err != nil {
 		return fail(err)
+	}
+	if fileOff < resumeSkip {
+		return fail(fmt.Errorf("%s has %d records, but the checkpoint is at record %d", flag.Arg(0), fileOff, resumeSkip))
 	}
 	n := state.pos // total records simulated, including any resumed prefix
 

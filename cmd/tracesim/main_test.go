@@ -124,10 +124,10 @@ func writeFile(t *testing.T, data []byte) string {
 	return path
 }
 
-// Nothing writes MIES0001 any more, but old captures exist: the same
-// records hand-packed as a v1 file must replay to the same statistics
-// as the v2 file, through the simulator and through -board.
-func TestV1TraceStillReplays(t *testing.T) {
+// Nothing writes MIES0001 any more, and only `tracegen convert` reads
+// it: a hand-packed v1 file exits 1 in both modes, naming that command,
+// before anything is replayed.
+func TestV1TraceRefused(t *testing.T) {
 	v1 := []byte(tracefile.Magic)
 	for _, rec := range testTrace(10_000) {
 		v, err := rec.Pack()
@@ -136,19 +136,12 @@ func TestV1TraceStillReplays(t *testing.T) {
 		}
 		v1 = binary.LittleEndian.AppendUint64(v1, v)
 	}
-	v1path, v2path := writeFile(t, v1), writeTestTrace(t, 10_000)
+	v1path := writeFile(t, v1)
 	for _, mode := range [][]string{{}, {"-board"}} {
 		args := append([]string{"-l3", "256KB", "-cpus", "4"}, mode...)
-		code, out1 := runCLIOutput(t, append(args, v1path)...)
-		if code != 0 {
-			t.Fatalf("%v: v1 replay exited %d", mode, code)
-		}
-		code, out2 := runCLIOutput(t, append(args, v2path)...)
-		if code != 0 {
-			t.Fatalf("%v: v2 replay exited %d", mode, code)
-		}
-		if a, b := refsLine(t, out1), refsLine(t, out2); a != b {
-			t.Errorf("%v: v1 file printed %q, v2 file %q", mode, a, b)
+		code, errs := runCLICapture(t, &os.Stderr, append(args, v1path)...)
+		if code != 1 || !strings.Contains(errs, "go run ./cmd/tracegen convert OLD NEW") {
+			t.Errorf("%v: v1 replay exited %d, stderr %q; want 1 naming tracegen convert", mode, code, errs)
 		}
 	}
 }
@@ -166,6 +159,21 @@ func TestRunCheckpointAndResume(t *testing.T) {
 	}
 	if code := runCLI(t, "-l3", "256KB", "-cpus", "4", "-resume", ckpt, trace); code != 0 {
 		t.Fatalf("resumed replay exited %d", code)
+	}
+}
+
+// A checkpoint from a longer trace cannot resume a shorter one: the
+// replay would skip every record and report the checkpoint's position as
+// if it had been read.
+func TestResumeShortTrace(t *testing.T) {
+	long, short := writeTestTrace(t, 30_000), writeTestTrace(t, 5_000)
+	ckpt := filepath.Join(t.TempDir(), "replay.ckpt")
+	if code := runCLI(t, "-l3", "256KB", "-cpus", "4", "-checkpoint", ckpt, "-checkpoint-every", "10000", long); code != 0 {
+		t.Fatalf("checkpointed replay exited %d", code)
+	}
+	code, errs := runCLICapture(t, &os.Stderr, "-l3", "256KB", "-cpus", "4", "-resume", ckpt, short)
+	if code != 1 || !strings.Contains(errs, "has 5000 records, but the checkpoint is at record 30000") {
+		t.Errorf("resume on a shorter trace: exit %d, stderr %q; want 1 naming both counts", code, errs)
 	}
 }
 
@@ -196,6 +204,16 @@ func TestRunUsageError(t *testing.T) {
 	}
 	if code := runCLI(t, "-l3", "not-a-size", "x.trace"); code == 0 {
 		t.Fatal("bad -l3 accepted")
+	}
+	trace := writeTestTrace(t, 100)
+	for _, cpus := range []string{"0", "-1"} {
+		for _, mode := range [][]string{{}, {"-board"}} {
+			args := append([]string{"-cpus", cpus}, mode...)
+			code, errs := runCLICapture(t, &os.Stderr, append(args, trace)...)
+			if code != 1 || !strings.Contains(errs, "-cpus must be at least 1") {
+				t.Errorf("%v: exit %d, stderr %q; want 1 naming -cpus", args, code, errs)
+			}
+		}
 	}
 }
 

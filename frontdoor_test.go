@@ -267,16 +267,23 @@ func TestWorkloadNamesAtEveryCaller(t *testing.T) {
 }
 
 // TestTraceFormatsAtTheFrontDoor: nothing writes the fixed-width v1
-// format any more, but every trace door still reads it. A hand-packed v1
-// file goes through `tracegen convert` to v2, and tracesim prints the
-// same statistics for both files. The knobs that selected the deleted
-// paths — a decode fan-out, a v1 writer — are refused by name.
+// format any more, and only `tracegen convert` reads it. A hand-packed v1
+// file converts to the bytes a v2 writer makes of the same records, and
+// tracesim prints the same statistics for both v2 files; tracesim itself
+// refuses the v1 file by naming the command. The knobs that selected the
+// deleted paths — a decode fan-out, a v1 writer — are refused by name, and
+// so is a capture memory that could hold no record.
 func TestTraceFormatsAtTheFrontDoor(t *testing.T) {
 	bins := buildCmds(t, "tracegen", "tracesim")
 	dir := t.TempDir()
-	v1path, v2path := filepath.Join(dir, "old.trace"), filepath.Join(dir, "new.trace")
+	v1path, v2path, directPath := filepath.Join(dir, "old.trace"), filepath.Join(dir, "new.trace"), filepath.Join(dir, "direct.trace")
 
 	v1 := []byte(tracefile.Magic)
+	var direct bytes.Buffer
+	w, err := tracefile.NewV2Writer(&direct)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := uint64(23)
 	for i := 0; i < 50_000; i++ {
 		a = a*6364136223846793005 + 1442695040888963407
@@ -289,8 +296,17 @@ func TestTraceFormatsAtTheFrontDoor(t *testing.T) {
 			t.Fatal(err)
 		}
 		v1 = binary.LittleEndian.AppendUint64(v1, v)
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	if err := os.WriteFile(v1path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(directPath, direct.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -302,8 +318,11 @@ func TestTraceFormatsAtTheFrontDoor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(converted, []byte(tracefile.MagicV2)) || len(converted)*2 > len(v1) {
-		t.Fatalf("converted file: %d bytes starting %q, want a v2 file under half of %d", len(converted), converted[:8], len(v1))
+	if !bytes.Equal(converted, direct.Bytes()) || len(converted)*2 > len(v1) {
+		t.Fatalf("converted file: %d bytes, want the %d a v2 writer makes of the same records, under half of %d", len(converted), direct.Len(), len(v1))
+	}
+	if code, _, errs := runCmd(t, "", bins["tracegen"], "convert", v2path, filepath.Join(dir, "again.trace")); code != 1 || !strings.Contains(errs, "already a version-2") {
+		t.Errorf("tracegen convert of a v2 file: exit %d, stderr %q; want 1", code, errs)
 	}
 
 	// Everything tracesim reports about the cache, which is every line
@@ -327,8 +346,20 @@ func TestTraceFormatsAtTheFrontDoor(t *testing.T) {
 		return strings.Join(keep, "\n")
 	}
 	for _, mode := range [][]string{nil, {"-board"}} {
-		if old, conv := statLines(v1path, mode...), statLines(v2path, mode...); old != conv {
-			t.Errorf("tracesim %v: v1 file\n%s\nconverted file\n%s", mode, old, conv)
+		if conv, written := statLines(v2path, mode...), statLines(directPath, mode...); conv != written {
+			t.Errorf("tracesim %v: converted file\n%s\ndirectly written file\n%s", mode, conv, written)
+		}
+		code, _, errs := runCmd(t, "", bins["tracesim"], append(mode, v1path)...)
+		if code != 1 || !strings.Contains(errs, "go run ./cmd/tracegen convert OLD NEW") {
+			t.Errorf("tracesim %v on the v1 file: exit %d, stderr %q; want 1 naming tracegen convert", mode, code, errs)
+		}
+	}
+
+	for _, limit := range []string{"0", "-1"} {
+		outPath := filepath.Join(dir, "limit"+limit+".trace")
+		code, _, errs := runCmd(t, "", bins["tracegen"], "-limit", limit, "-refs", "1000", "-o", outPath)
+		if _, err := os.Stat(outPath); code != 2 || !strings.Contains(errs, "-limit") || !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("tracegen -limit %s: exit %d, stderr %q, output stat %v; want 2 naming -limit and no file", limit, code, errs, err)
 		}
 	}
 

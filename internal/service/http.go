@@ -273,10 +273,10 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, infos)
 }
 
-// handleIngest accepts one block of bus records: raw trace bytes in
-// either MIES format, auto-detected from the magic. The board only ever
-// saw the bus, so a body that is not a trace is a 400; a workload
-// becomes a trace with cmd/tracegen first. Ingest is asynchronous — 202
+// handleIngest accepts one block of bus records: a MIES0002 trace body.
+// The board only ever saw the bus, so a body that is not a v2 trace is a
+// 400; a workload becomes a trace with cmd/tracegen first, and a v1
+// trace a v2 one with tracegen convert. Ingest is asynchronous — 202
 // means queued, and stats report when it has been applied. A full queue
 // returns the bus-retry: 429 + Retry-After, client owns the re-issue.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -333,7 +333,7 @@ func (s *Server) traceBlock(body []byte) (block, error) {
 	*slab = recs
 	switch {
 	case err != nil:
-		err = fmt.Errorf("trace: %w (the body must be a MIES trace; make one with "+
+		err = fmt.Errorf("trace: %w (the body must be a MIES0002 trace; make one with "+
 			"go run ./cmd/tracegen -workload NAME -refs N -o FILE)", err)
 	case len(recs) == 0:
 		err = errors.New("trace: empty")

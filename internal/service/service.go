@@ -10,7 +10,7 @@
 //	POST   /sessions            create a configured board (optionally
 //	                            warm-started from a checkpoint corpus)
 //	GET    /sessions            list live sessions
-//	POST   /sessions/{id}/trace stream MIES0001/MIES0002 trace bytes in
+//	POST   /sessions/{id}/trace stream MIES0002 trace bytes in
 //	                            (async ingest)
 //	GET    /sessions/{id}/stats poll emulation results
 //	DELETE /sessions/{id}       tear the session down

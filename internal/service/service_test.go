@@ -112,7 +112,7 @@ func v2Body(t *testing.T, recs []tracefile.Record) []byte {
 }
 
 // traceBodyV1 hand-packs the same records as a MIES0001 body: nothing
-// writes v1 any more, but the ingest endpoint must keep accepting it.
+// writes v1 any more, and the ingest endpoint refuses it by name.
 func traceBodyV1(t *testing.T, n int) []byte {
 	t.Helper()
 	body := []byte(tracefile.Magic)
@@ -197,8 +197,8 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("create info = %+v", info)
 	}
 
-	// Ingest two v1 blocks and one v2 block; all go to the same clock.
-	for i, body := range [][]byte{traceBodyV1(t, 500), traceBodyV1(t, 500), traceBody(t, 250)} {
+	// Ingest three bodies; all go to the same clock.
+	for i, body := range [][]byte{traceBody(t, 500), traceBody(t, 500), traceBody(t, 250)} {
 		resp, err := http.Post(base+"/sessions/alpha/trace", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
@@ -758,21 +758,22 @@ func TestIngestErrors(t *testing.T) {
 	}
 	drainBody(resp)
 
-	post := func(name string, body []byte, want int) {
+	post := func(name string, body []byte, want int) string {
 		t.Helper()
 		resp, err := http.Post(base+"/sessions/e/trace", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if msg := drainBody(resp); resp.StatusCode != want {
+		msg := drainBody(resp)
+		if resp.StatusCode != want {
 			t.Fatalf("%s: status %d, want %d (%s)", name, resp.StatusCode, want, msg)
 		}
+		return msg
 	}
-	// A valid v1 body is taken.
+	// A v1 body is a 400 that names the command converting it.
 	v1 := traceBodyV1(t, 10)
-	post("v1 body", v1, http.StatusAccepted)
-	if st := pollStats(t, base, "e"); st.Ingested != 10 {
-		t.Fatalf("ingested %d after the v1 body, want 10", st.Ingested)
+	if msg := post("v1 body", v1, http.StatusBadRequest); !strings.Contains(msg, "tracegen convert") {
+		t.Fatalf("v1 body refused with %q, want it to name tracegen convert", msg)
 	}
 
 	// Damaged trace bodies are 400s that apply nothing.
@@ -791,14 +792,14 @@ func TestIngestErrors(t *testing.T) {
 	} {
 		post(tc.name, tc.body, http.StatusBadRequest)
 	}
-	if st := pollStats(t, base, "e"); st.Ingested != 10 || st.Accepted != 10 {
-		t.Fatalf("refused bodies moved ingested/accepted to %d/%d, want 10/10", st.Ingested, st.Accepted)
+	if st := pollStats(t, base, "e"); st.Ingested != 0 || st.Accepted != 0 {
+		t.Fatalf("refused bodies moved ingested/accepted to %d/%d, want 0/0", st.Ingested, st.Accepted)
 	}
 
 	// And the session still takes the next valid body.
 	post("v2 body after the refusals", good, http.StatusAccepted)
-	if st := pollStats(t, base, "e"); st.Ingested != 110 {
-		t.Fatalf("ingested %d, want 110", st.Ingested)
+	if st := pollStats(t, base, "e"); st.Ingested != 100 {
+		t.Fatalf("ingested %d, want 100", st.Ingested)
 	}
 }
 

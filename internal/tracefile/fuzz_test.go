@@ -3,6 +3,7 @@ package tracefile
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 
@@ -104,5 +105,37 @@ func FuzzRoundTripV2(f *testing.F) {
 		}
 		// Same body through the batch path.
 		_, _ = ForEachBatch(bytes.NewReader(body), 0, func([]Record) error { return nil })
+	})
+}
+
+// FuzzConvertV1 feeds arbitrary bytes behind the v1 magic to ConvertV1,
+// the one v1 reader left. It must never panic. Every whole 8-byte word
+// becomes one record, equal to Unpack of the word, and reads back
+// through AppendRecords; a torn tail is an error after those records.
+func FuzzConvertV1(f *testing.F) {
+	f.Add([]byte{})
+	words := packV1(f, testRecords(50, 9))[len(Magic):]
+	f.Add(words)
+	f.Add(words[:len(words)-5])
+	f.Add(bytes.Repeat([]byte{0xFF}, 24))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v2, n, err := convertV1(t, append([]byte(Magic), data...))
+		whole := len(data) / RecordSize
+		if torn := len(data)%RecordSize != 0; torn != errors.Is(err, io.ErrUnexpectedEOF) || (!torn && err != nil) {
+			t.Fatalf("%d bytes of records: error %v", len(data), err)
+		}
+		if n != uint64(whole) {
+			t.Fatalf("%d bytes of records: converted %d, want %d", len(data), n, whole)
+		}
+		got, err := AppendRecords(nil, v2)
+		if err != nil || len(got) != whole {
+			t.Fatalf("read back %d records, %v; want %d", len(got), err, whole)
+		}
+		for i := range got {
+			if want := Unpack(binary.LittleEndian.Uint64(data[i*RecordSize:])); got[i] != want {
+				t.Fatalf("record %d = %+v, want %+v", i, got[i], want)
+			}
+		}
 	})
 }

@@ -13,21 +13,22 @@ import "os"
 // same plausibility checks, same CRC, same record stream, same errors at
 // the same byte offsets.
 //
-// The fallback ladder is total — v1 traces, non-regular sources (pipes,
-// sockets), platforms without mmap, and any map failure all land on the
-// existing ForEachBatch reader with the file untouched at offset 0.
+// The fallback ladder is total — non-regular sources (pipes, sockets),
+// platforms without mmap, and any map failure all land on the existing
+// ForEachBatch reader with the file untouched at offset 0. Both paths
+// check the magic the same way (checkMagic), so a v1 or foreign file gets
+// the same error from either.
 
 // mmapForceFallback forces ForEachBatchFile onto the streaming-reader
 // path; the forced-fallback test uses it to prove the ladder yields
 // identical results.
 var mmapForceFallback bool
 
-// ForEachBatchFile is ForEachBatch for a named trace file. V2 traces on
-// mmap-capable platforms decode zero-copy from the mapped region; v1
-// traces, map failures, and mmap-less platforms fall back to the
-// streaming reader transparently. The emitted batches and the returned
-// record count are identical on both paths. The int is dead; see
-// ForEachBatch.
+// ForEachBatchFile is ForEachBatch for a named trace file. On
+// mmap-capable platforms it decodes zero-copy from the mapped region;
+// map failures and mmap-less platforms fall back to the streaming reader
+// transparently. The emitted batches, the returned record count and any
+// error are identical on both paths. The int is dead; see ForEachBatch.
 func ForEachBatchFile(path string, _ int, emit func([]Record) error) (uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -37,14 +38,11 @@ func ForEachBatchFile(path string, _ int, emit func([]Record) error) (uint64, er
 	if !mmapForceFallback {
 		if st, serr := f.Stat(); serr == nil && st.Mode().IsRegular() && st.Size() > int64(len(MagicV2)) {
 			if data, unmap, merr := mmapFile(f, st.Size()); merr == nil {
-				if string(data[:len(MagicV2)]) == MagicV2 {
-					total, derr := v2BatchesMapped(data[len(MagicV2):], emit)
-					if uerr := unmap(); derr == nil {
-						derr = uerr
-					}
-					return total, derr
+				total, derr := v2BatchesMapped(data, emit)
+				if uerr := unmap(); derr == nil {
+					derr = uerr
 				}
-				_ = unmap() // v1 or foreign magic: stream it instead
+				return total, derr
 			}
 		}
 	}
@@ -73,13 +71,16 @@ func appendBlock(dst []Record, data []byte) ([]Record, []byte, error) {
 	return dst, data[plen:], err
 }
 
-// v2BatchesMapped is v2Batches over the mapped file past the magic: each
-// block decoded in place into the one reused record slab and emitted,
-// so steady state allocates nothing.
+// v2BatchesMapped is ForEachBatch over the mapped file: the magic
+// checked, then each block decoded in place into the one reused record
+// slab and emitted, so steady state allocates nothing.
 func v2BatchesMapped(data []byte, emit func([]Record) error) (uint64, error) {
+	if err := checkMagic(data[:len(MagicV2)]); err != nil {
+		return 0, err
+	}
 	var recs []Record
 	var total uint64
-	for len(data) > 0 {
+	for data = data[len(MagicV2):]; len(data) > 0; {
 		var err error
 		if recs, data, err = appendBlock(recs[:0], data); err != nil {
 			return total, err

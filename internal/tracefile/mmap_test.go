@@ -7,9 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"memories/internal/bus"
 )
 
 // collect appends emitted batches into one flat slice (copying, since
@@ -59,28 +58,49 @@ func TestForEachBatchFileMatchesReader(t *testing.T) {
 	}
 }
 
-// TestForEachBatchFileV1Fallback: a hand-packed v1 file through
-// ForEachBatchFile takes the reader path (wrong magic for in-place
-// decode) and still yields the full stream.
-func TestForEachBatchFileV1Fallback(t *testing.T) {
-	recs := []Record{
-		{Addr: 0x1000, Cmd: bus.Read, SrcID: 1},
-		{Addr: 0x2000, Cmd: bus.RWITM, SrcID: 2},
-		{Addr: 0x3000, Cmd: bus.Castout, SrcID: 3},
-	}
-	path := writeTempTrace(t, packV1(t, recs))
-	var got []Record
-	n, err := ForEachBatchFile(path, 0, collect(&got))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(n) != len(recs) || len(got) != len(recs) {
-		t.Fatalf("delivered %d records, want %d", n, len(recs))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
+// TestEveryReaderRefusesV1: every reader but ConvertV1 answers a
+// v1 file — empty, whole or torn — with the one error that names
+// `tracegen convert`, and delivers no record: Open, ForEachBatch,
+// ForEachBatchFile on the mapped and the forced-fallback path, and
+// AppendRecords.
+func TestEveryReaderRefusesV1(t *testing.T) {
+	whole := packV1(t, testRecords(20, 5))
+	for _, data := range [][]byte{whole[:len(Magic)], whole, whole[:len(whole)-3]} {
+		path := writeTempTrace(t, data)
+		var got []Record
+		sides := map[string]func() error{
+			"Open": func() error {
+				_, err := Open(bytes.NewReader(data))
+				return err
+			},
+			"ForEachBatch": func() error {
+				_, err := ForEachBatch(bytes.NewReader(data), 0, collect(&got))
+				return err
+			},
+			"ForEachBatchFile": func() error {
+				_, err := ForEachBatchFile(path, 0, collect(&got))
+				return err
+			},
+			"ForEachBatchFile, forced fallback": func() error {
+				mmapForceFallback = true
+				defer func() { mmapForceFallback = false }()
+				_, err := ForEachBatchFile(path, 0, collect(&got))
+				return err
+			},
+			"AppendRecords": func() error {
+				var err error
+				got, err = AppendRecords(got, data)
+				return err
+			},
 		}
+		for name, read := range sides {
+			if err := read(); !errors.Is(err, errV1) || len(got) != 0 {
+				t.Errorf("%s, %d-byte v1 file: %d records, error %v; want none and %v", name, len(data), len(got), err, errV1)
+			}
+		}
+	}
+	if !strings.Contains(errV1.Error(), "go run ./cmd/tracegen convert OLD NEW") {
+		t.Fatalf("v1 refusal %q does not name the convert command", errV1)
 	}
 }
 
@@ -205,15 +225,14 @@ func TestV2MappedCorruptionParity(t *testing.T) {
 	}
 }
 
-// FuzzV2MmapDecode feeds arbitrary bytes behind either magic (v2 when
-// the bool is set, v1 otherwise) to the three walkers of an untrusted
-// trace: the mapped file (ForEachBatchFile, which falls back to the
-// stream for v1), the stream (ForEachBatch) and the in-memory body
+// FuzzV2MmapDecode feeds arbitrary bytes behind the v2 magic to the
+// three walkers of an untrusted trace: the mapped file
+// (ForEachBatchFile), the stream (ForEachBatch) and the in-memory body
 // (AppendRecords). None may panic; all three must agree on success vs
 // failure and on the records delivered, including any prefix before an
 // error.
 func FuzzV2MmapDecode(f *testing.F) {
-	f.Add(true, []byte{})
+	f.Add([]byte{})
 	var valid bytes.Buffer
 	if w, err := NewV2WriterBlock(&valid, 16); err == nil {
 		for _, r := range testRecords(100, 3) {
@@ -225,21 +244,20 @@ func FuzzV2MmapDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	f.Add(true, valid.Bytes()[len(MagicV2):])
-	f.Add(true, []byte("\x01\x00\x00\x00\x02\x00\x00\x00\xff\xff\xff\xff\x13\x00"))
-	f.Add(true, bytes.Repeat([]byte{0xFF}, 40))
-	f.Add(true, []byte("short"))
-	v1 := packV1(f, testRecords(20, 5))[len(Magic):]
-	f.Add(false, []byte{})
-	f.Add(false, v1)
-	f.Add(false, v1[:len(v1)-3])
+	blocks := valid.Bytes()[len(MagicV2):]
+	f.Add(blocks)
+	f.Add([]byte("\x01\x00\x00\x00\x02\x00\x00\x00\xff\xff\xff\xff\x13\x00"))
+	f.Add(bytes.Repeat([]byte{0xFF}, 40))
+	f.Add([]byte("short"))
+	// Packed v1 words where blocks belong, whole and torn, and a torn
+	// last block.
+	words := packV1(f, testRecords(20, 5))[len(Magic):]
+	f.Add(words)
+	f.Add(words[:len(words)-3])
+	f.Add(blocks[:len(blocks)-5])
 
-	f.Fuzz(func(t *testing.T, v2 bool, data []byte) {
-		magic := Magic
-		if v2 {
-			magic = MagicV2
-		}
-		body := append([]byte(magic), data...)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		body := append([]byte(MagicV2), data...)
 		var mapped, streamed []Record
 		mn, merr := ForEachBatchFile(writeTempTrace(t, body), 0, collect(&mapped))
 		sn, serr := ForEachBatch(bytes.NewReader(body), 0, collect(&streamed))

@@ -11,28 +11,25 @@
 //	bits 15..8   bus command
 //	bits  7..0   source bus ID
 //
-// A version-1 file is the 8-byte magic "MIES0001" followed by
-// little-endian records. It is read-only here: every reader accepts it
-// (Open, ForEachBatch, AppendRecords), every writer produces the
-// block-framed, delta-compressed version 2 (v2.go), and `tracegen
-// convert` rewrites an old file.
+// Files are the block-framed, delta-compressed version 2 (v2.go), which
+// every writer produces. A version-1 file (the magic "MIES0001", then
+// little-endian packed records) is read by ConvertV1 alone, behind
+// `tracegen convert`; every other reader refuses it with an error naming
+// that command.
 package tracefile
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 
 	"memories/internal/bus"
 )
 
-// Magic identifies a MemorIES trace file (format version 1).
+// Magic identifies a version-1 trace file, which only ConvertV1 reads.
 const Magic = "MIES0001"
 
-// RecordSize is the on-disk size of one bus reference.
+// RecordSize is the packed size of one bus reference.
 const RecordSize = 8
 
 // MaxAddr is the largest encodable address (exclusive bound).
@@ -79,42 +76,6 @@ func FromTransaction(tx *bus.Transaction) Record {
 		src = 0
 	}
 	return Record{Addr: tx.Addr &^ 7, Cmd: tx.Cmd, SrcID: uint8(src)}
-}
-
-// Reader streams version-1 trace records from an io.Reader.
-type Reader struct {
-	br    *bufio.Reader
-	count uint64
-	buf   [RecordSize]byte
-}
-
-// Next returns the next record, or io.EOF after the last one. A torn final
-// record yields io.ErrUnexpectedEOF.
-func (r *Reader) Next() (Record, error) {
-	if _, err := io.ReadFull(r.br, r.buf[:]); err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("tracefile: torn record after %d: %w", r.count, err)
-	}
-	r.count++
-	return Unpack(binary.LittleEndian.Uint64(r.buf[:])), nil
-}
-
-// appendV1 unpacks the whole v1 records in raw onto dst. A torn tail
-// (fewer than RecordSize bytes) is left for the caller to report.
-func appendV1(dst []Record, raw []byte) []Record {
-	dst = slices.Grow(dst, len(raw)/RecordSize)
-	for ; len(raw) >= RecordSize; raw = raw[RecordSize:] {
-		dst = append(dst, Unpack(binary.LittleEndian.Uint64(raw)))
-	}
-	return dst
-}
-
-// errTornV1 reports a v1 stream that ends inside the record after the
-// first n.
-func errTornV1(n uint64) error {
-	return fmt.Errorf("tracefile: torn record after %d: %w", n, io.ErrUnexpectedEOF)
 }
 
 // Capture models the board's on-board trace memory: a bounded in-memory

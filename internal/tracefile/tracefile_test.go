@@ -68,7 +68,8 @@ func TestFromTransaction(t *testing.T) {
 
 // packV1 hand-packs recs as a version-1 file: the magic, then each
 // record's 8 little-endian bytes. Nothing writes v1 any more, so the
-// tests that prove v1 input is still read build their bytes here.
+// tests of ConvertV1 and of every other reader's refusal build their
+// bytes here.
 func packV1(t testing.TB, recs []Record) []byte {
 	t.Helper()
 	data := []byte(Magic)
@@ -82,6 +83,24 @@ func packV1(t testing.TB, recs []Record) []byte {
 	return data
 }
 
+// convertV1 runs data through ConvertV1 into a fresh v2 file, returning
+// the flushed v2 bytes, the record count and ConvertV1's error.
+func convertV1(t testing.TB, data []byte) ([]byte, uint64, error) {
+	t.Helper()
+	var out bytes.Buffer
+	w, err := NewV2Writer(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, cerr := ConvertV1(w, bytes.NewReader(data))
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes(), n, cerr
+}
+
+// TestWriteReadFile: a hand-packed v1 file of 1 000 records is 8 bytes a
+// record after the magic, and converted, it reads back record for record.
 func TestWriteReadFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var want []Record
@@ -97,7 +116,11 @@ func TestWriteReadFile(t *testing.T) {
 		t.Fatalf("file size = %d", len(data))
 	}
 
-	r, err := Open(bytes.NewReader(data))
+	v2, n, err := convertV1(t, data)
+	if err != nil || n != 1000 {
+		t.Fatalf("ConvertV1: %d records, %v", n, err)
+	}
+	r, err := Open(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,15 +147,17 @@ func TestReaderRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// TestReaderTornRecord: ConvertV1, the one v1 reader left, reports a torn
+// final record after writing every whole record before it.
 func TestReaderTornRecord(t *testing.T) {
-	data := packV1(t, []Record{{Addr: 8}})
-	data = data[:len(data)-3] // tear the record
-	r, err := Open(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+	data := packV1(t, []Record{{Addr: 8}, {Addr: 16, Cmd: bus.RWITM}})
+	data = data[:len(data)-3] // tear the second record
+	v2, n, err := convertV1(t, data)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || n != 1 {
+		t.Fatalf("torn record: %d records, error %v; want 1 and ErrUnexpectedEOF", n, err)
 	}
-	if _, err := r.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("torn record error = %v", err)
+	if got, err := AppendRecords(nil, v2); err != nil || len(got) != 1 || got[0] != (Record{Addr: 8}) {
+		t.Fatalf("records written before the tear = %+v, %v", got, err)
 	}
 }
 
@@ -160,7 +185,7 @@ func TestCaptureLimitAndDrop(t *testing.T) {
 }
 
 // TestCaptureDumpRoundTrip: the console's dump step writes v2, and the
-// auto-detecting reader gets every captured record back.
+// reader gets every captured record back.
 func TestCaptureDumpRoundTrip(t *testing.T) {
 	c := NewCapture(100)
 	for i := 0; i < 10; i++ {
@@ -175,9 +200,6 @@ func TestCaptureDumpRoundTrip(t *testing.T) {
 	r, err := Open(&buf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := r.(*V2Reader); !ok {
-		t.Fatalf("Dump wrote a file Open reads as %T, want *V2Reader", r)
 	}
 	got := readAll(t, r)
 	if len(got) != 10 {

@@ -294,8 +294,7 @@ func (w *V2Writer) Flush() error {
 }
 
 // V2Reader streams records from a version-2 trace: it decodes a block at
-// a time into a reused slab and serves records from it, replacing v1's
-// per-record io.ReadFull with a slab decode.
+// a time into a reused slab and serves records from it.
 type V2Reader struct {
 	br    *bufio.Reader
 	frame []byte
@@ -343,72 +342,28 @@ func (r *V2Reader) Next() (Record, error) {
 	return rec, nil
 }
 
-// ForEachBatch streams a trace of either format to emit as decoded
-// record batches, auto-detecting the magic. The batch slice is reused
-// between calls: emit must finish with it before returning. A v2 trace
-// is delivered one block per batch, decoded on the calling goroutine
-// (DESIGN.md §5, "why it is serial"). It returns the number of records
-// delivered.
+// ForEachBatch streams a v2 trace to emit as decoded record batches,
+// one block per batch, decoded on the calling goroutine (DESIGN.md §5,
+// "why it is serial"). The batch slice is reused between calls: emit
+// must finish with it before returning. It returns the number of
+// records delivered.
 //
 // The unnamed int (once a decode workers count) is dead; ROADMAP 1(g) drops it.
 func ForEachBatch(r io.Reader, _ int, emit func([]Record) error) (uint64, error) {
-	br := bufio.NewReaderSize(r, 1<<18)
-	magic, err := readMagic(br)
-	if err != nil {
+	vr := V2Reader{br: bufio.NewReaderSize(r, 1<<18)}
+	if err := readMagic(vr.br); err != nil {
 		return 0, err
 	}
-	switch magic {
-	case Magic:
-		return v1Batches(br, emit)
-	case MagicV2:
-		return v2Batches(br, emit)
-	}
-	return 0, fmt.Errorf("tracefile: bad magic %q", magic)
-}
-
-// v1Batches slab-decodes fixed-size v1 records. Each record is its own
-// block: a torn final record ends the stream with an error after every
-// whole record before it has been delivered, as AppendRecords does.
-func v1Batches(br *bufio.Reader, emit func([]Record) error) (uint64, error) {
-	const batch = DefaultBlockRecords
-	raw := make([]byte, batch*RecordSize)
-	recs := make([]Record, 0, batch)
 	var total uint64
 	for {
-		n, err := io.ReadFull(br, raw)
-		recs = appendV1(recs[:0], raw[:n])
-		if len(recs) > 0 {
-			total += uint64(len(recs))
-			if eerr := emit(recs); eerr != nil {
-				return total, eerr
-			}
-		}
-		if n%RecordSize != 0 {
-			return total, errTornV1(total)
-		}
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
-	}
-}
-
-// v2Batches emits a v2 body block by block: V2Reader.loadBlock, hand out
-// its slab, repeat.
-func v2Batches(br *bufio.Reader, emit func([]Record) error) (uint64, error) {
-	r := V2Reader{br: br}
-	var total uint64
-	for {
-		if err := r.loadBlock(); err != nil {
+		if err := vr.loadBlock(); err != nil {
 			if err == io.EOF {
 				return total, nil
 			}
 			return total, err
 		}
-		total += uint64(len(r.recs))
-		if err := emit(r.recs); err != nil {
+		total += uint64(len(vr.recs))
+		if err := emit(vr.recs); err != nil {
 			return total, err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"memories/internal/bus"
@@ -67,7 +68,7 @@ func writeV2(t *testing.T, recs []Record, blockRecords int) []byte {
 	return buf.Bytes()
 }
 
-func readAll(t *testing.T, r RecordReader) []Record {
+func readAll(t *testing.T, r *V2Reader) []Record {
 	t.Helper()
 	var out []Record
 	for {
@@ -100,36 +101,27 @@ func TestV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2MatchesV1 proves the v2 round-trip is bit-identical to v1: the
-// same record stream in both formats (v1 hand-packed, v2 written) reads
-// back equal, record for record.
+// TestV2MatchesV1 proves conversion is lossless: the same record stream
+// hand-packed as v1 and converted reads back equal, record for record,
+// and the v2 file is under half the v1 file's size.
 func TestV2MatchesV1(t *testing.T) {
 	recs := testRecords(5000, 13)
-
 	v1data := packV1(t, recs)
-	v2data := writeV2(t, recs, DefaultBlockRecords)
-
-	r1, err := Open(bytes.NewReader(v1data))
+	v2data, n, err := convertV1(t, v1data)
+	if err != nil || n != uint64(len(recs)) {
+		t.Fatalf("ConvertV1: %d records, %v", n, err)
+	}
+	r, err := Open(bytes.NewReader(v2data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Open(bytes.NewReader(v2data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r1.(*Reader); !ok {
-		t.Fatalf("Open(v1) = %T, want *Reader", r1)
-	}
-	if _, ok := r2.(*V2Reader); !ok {
-		t.Fatalf("Open(v2) = %T, want *V2Reader", r2)
-	}
-	g1, g2 := readAll(t, r1), readAll(t, r2)
-	if len(g1) != len(recs) || len(g2) != len(recs) {
-		t.Fatalf("lengths: v1=%d v2=%d want %d", len(g1), len(g2), len(recs))
+	got := readAll(t, r)
+	if len(got) != len(recs) {
+		t.Fatalf("read %d records, want %d", len(got), len(recs))
 	}
 	for i := range recs {
-		if g1[i] != g2[i] {
-			t.Fatalf("record %d: v1=%+v v2=%+v", i, g1[i], g2[i])
+		if got[i] != recs[i] {
+			t.Fatalf("record %d: converted %+v, v1 %+v", i, got[i], recs[i])
 		}
 	}
 
@@ -236,71 +228,54 @@ func TestOpenRejectsBadMagic(t *testing.T) {
 	}
 }
 
-// TestCopyRecordsConvert drives the tracegen-convert path: a v1 file
-// through CopyRecords into a V2Writer yields the file the same records
-// written directly would, and the writer's count agrees.
-func TestCopyRecordsConvert(t *testing.T) {
+// TestConvertV1MatchesWriter drives the tracegen-convert path: a v1 file
+// through ConvertV1 into a V2Writer yields the file the same records
+// written directly would, and the writer's count agrees. A v2 input is
+// refused as already converted, and a foreign one by its magic.
+func TestConvertV1MatchesWriter(t *testing.T) {
 	recs := testRecords(3000, 29)
-	r, err := Open(bytes.NewReader(packV1(t, recs)))
+	v2data, n, err := convertV1(t, packV1(t, recs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	w, err := NewV2Writer(&out)
-	if err != nil {
-		t.Fatal(err)
+	if n != uint64(len(recs)) {
+		t.Fatalf("converted %d, want %d", n, len(recs))
 	}
-	n, err := CopyRecords(w, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != uint64(len(recs)) || w.count != n {
-		t.Fatalf("copied %d (writer %d), want %d", n, w.count, len(recs))
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	v2data := out.Bytes()
 	if !bytes.Equal(v2data, writeV2(t, recs, DefaultBlockRecords)) {
 		t.Fatal("converted file differs from the same records written directly")
 	}
 
-	// Errors from the source must surface, reporting progress so far.
-	r, err = Open(bytes.NewReader(v2data[:len(v2data)-3]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, err = NewV2Writer(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CopyRecords(w, r); err == nil {
-		t.Fatal("truncated source copied without error")
+	for _, tc := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"v2 input", "already a version-2", v2data},
+		{"foreign magic", "bad magic", []byte("MIES9999\x00\x00\x00\x00\x00\x00\x00\x00")},
+		{"torn magic", "reading magic", []byte("MIES")},
+	} {
+		out, n, err := convertV1(t, tc.data)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || n != 0 || len(out) != len(MagicV2) {
+			t.Errorf("%s: %d records, %d bytes out, error %v; want none and %q", tc.name, n, len(out), err, tc.want)
+		}
 	}
 }
 
 // TestForEachBatchMatchesSerial proves batch delivery is in file order
-// and record-identical to the streaming readers, for both formats.
+// and record-identical to the written stream.
 func TestForEachBatchMatchesSerial(t *testing.T) {
 	want := testRecords(9000, 17)
-	for _, tc := range []struct {
-		name string
-		data []byte
-	}{
-		{"v1", packV1(t, want)},
-		{"v2", writeV2(t, want, 700)}, // odd block size: the final block is partial
-	} {
-		var got []Record
-		n, err := ForEachBatch(bytes.NewReader(tc.data), 0, collect(&got))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if n != uint64(len(want)) || len(got) != len(want) {
-			t.Fatalf("%s: delivered %d/%d records", tc.name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: record %d = %+v, want %+v", tc.name, i, got[i], want[i])
-			}
+	data := writeV2(t, want, 700) // odd block size: the final block is partial
+	var got []Record
+	n, err := ForEachBatch(bytes.NewReader(data), 0, collect(&got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != uint64(len(want)) || len(got) != len(want) {
+		t.Fatalf("delivered %d/%d records", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
