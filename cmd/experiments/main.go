@@ -20,19 +20,18 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"memories/internal/checkpoint"
+	"memories/internal/cli"
 	"memories/internal/coherence"
 	"memories/internal/experiments"
 	"memories/internal/obs"
@@ -189,13 +188,12 @@ func run() int {
 	profFlags := prof.Flags(flag.CommandLine)
 	flag.Parse()
 
-	cpusSet := false
-	flag.CommandLine.Visit(func(f *flag.Flag) {
-		if f.Name == "cpus" {
-			cpusSet = true
-		}
-	})
-	if cpusSet {
+	set := map[string]bool{}
+	flag.CommandLine.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["checkpoint-every"] && *ckptPath == "" && *resume == "" {
+		return fail(errors.New("-checkpoint-every needs -checkpoint or -resume to name the journal it writes"))
+	}
+	if set["cpus"] {
 		if *cpus < 1 {
 			return fail(fmt.Errorf("-cpus %d: an emulated machine needs at least one CPU", *cpus))
 		}
@@ -303,20 +301,9 @@ func run() int {
 	}
 
 	// Graceful shutdown: the first SIGINT/SIGTERM stops new experiments
-	// from starting (in-flight ones finish and are journaled); a second
-	// signal aborts immediately.
-	var quit atomic.Bool
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		quit.Store(true)
-		fmt.Fprintln(os.Stderr, "experiments: shutdown requested; finishing in-flight experiments (^C again to abort)")
-		<-sigc
-		fmt.Fprintln(os.Stderr, "experiments: aborted")
-		os.Exit(130)
-	}()
-	defer signal.Stop(sigc)
+	// from starting (in-flight ones finish and are journaled).
+	interrupted, stop := cli.Interrupts(os.Stderr, "experiments", "shutdown requested; finishing in-flight experiments")
+	defer stop()
 
 	// Run experiments concurrently (each independent, internally
 	// parallel up to the same bound), bounded by a semaphore; report in
@@ -336,7 +323,7 @@ func run() int {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if quit.Load() {
+			if interrupted.Err() != nil {
 				results[i] = outcome{id: id, skipped: true}
 				return
 			}

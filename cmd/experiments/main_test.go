@@ -124,6 +124,35 @@ func runCLI(t *testing.T, args ...string) int {
 	return run()
 }
 
+// runCLIStderr is runCLI that also returns what the run wrote to stderr.
+func runCLIStderr(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	code := func() int {
+		defer func(old *os.File) { os.Stderr = old }(os.Stderr)
+		os.Stderr = f
+		return runCLI(t, args...)
+	}()
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(data)
+}
+
+// -checkpoint-every with no journal to write is refused before any
+// experiment runs, not silently ignored.
+func TestRunCheckpointEveryNeedsJournal(t *testing.T) {
+	code, errs := runCLIStderr(t, "-run", "table1", "-scale", "ci", "-checkpoint-every", "2")
+	if code != 1 || !strings.Contains(errs, "-checkpoint-every needs -checkpoint or -resume") {
+		t.Fatalf("exit %d, stderr %q; want 1 naming -checkpoint and -resume", code, errs)
+	}
+}
+
 // End to end: a journaled CI-scale run followed by a resume that
 // replays everything from the journal without re-running.
 func TestRunJournalAndResume(t *testing.T) {
@@ -152,27 +181,9 @@ func TestRunList(t *testing.T) {
 // is no directory of numbered checkpoints to search), and a corrupt one
 // is reported with its path; both exit 1 before any experiment runs.
 func TestResumeMissingOrCorrupt(t *testing.T) {
-	stderr := func(args ...string) (int, string) {
-		t.Helper()
-		f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		code := func() int {
-			defer func(old *os.File) { os.Stderr = old }(os.Stderr)
-			os.Stderr = f
-			return runCLI(t, args...)
-		}()
-		data, err := os.ReadFile(f.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return code, string(data)
-	}
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "absent.ckpt")
-	code, errs := stderr("-run", "table1", "-scale", "ci", "-resume", missing)
+	code, errs := runCLIStderr(t, "-run", "table1", "-scale", "ci", "-resume", missing)
 	if code != 1 || !strings.Contains(errs, missing) || !strings.Contains(errs, syscall.ENOENT.Error()) {
 		t.Errorf("missing journal: exit %d, stderr %q; want 1 naming %s and %q", code, errs, missing, syscall.ENOENT.Error())
 	}
@@ -180,7 +191,7 @@ func TestResumeMissingOrCorrupt(t *testing.T) {
 	if err := os.WriteFile(corrupt, []byte("MIESCKPTgarbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, errs = stderr("-run", "table1", "-scale", "ci", "-resume", corrupt)
+	code, errs = runCLIStderr(t, "-run", "table1", "-scale", "ci", "-resume", corrupt)
 	if code != 1 || !strings.Contains(errs, "checkpoint: corrupt "+corrupt) {
 		t.Errorf("corrupt journal: exit %d, stderr %q; want 1 naming %s as corrupt", code, errs, corrupt)
 	}

@@ -25,11 +25,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"memories/internal/addr"
+	"memories/internal/cli"
 	"memories/internal/service"
 )
 
@@ -57,15 +56,27 @@ func run(args []string, logw io.Writer, ready chan<- string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	dirQuota, err := addr.ParseSize(*maxDirBytes)
-	if err != nil {
-		fmt.Fprintf(logw, "memoriesd: -max-dir-bytes: %v\n", err)
-		return 2
-	}
-	bodyCap, err := addr.ParseSize(*maxBody)
-	if err != nil {
-		fmt.Fprintf(logw, "memoriesd: -max-body: %v\n", err)
-		return 2
+	dirQuota, dirErr := addr.ParseSize(*maxDirBytes)
+	bodyCap, bodyErr := addr.ParseSize(*maxBody)
+	for _, f := range []struct {
+		name string
+		err  error
+		ok   bool
+	}{
+		{"max-dir-bytes", dirErr, dirQuota > 0},
+		{"max-body", bodyErr, bodyCap > 0},
+		{"max-sessions", nil, *maxSessions >= 1},
+		{"max-inflight", nil, *maxInflight >= 1},
+		{"drain-timeout", nil, *drainTimeout > 0},
+		{"retry-after", nil, *retryAfter > 0},
+	} {
+		if f.err == nil && !f.ok {
+			f.err = fmt.Errorf("%s is not above 0", fs.Lookup(f.name).Value)
+		}
+		if f.err != nil {
+			fmt.Fprintf(logw, "memoriesd: -%s: %v\n", f.name, f.err)
+			return 2
+		}
 	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
@@ -91,19 +102,12 @@ func run(args []string, logw io.Writer, ready chan<- string) int {
 		srv.Addr(), *maxSessions, addr.FormatSize(dirQuota))
 	// Catch signals before anyone is told the server is up: a SIGTERM
 	// sent on seeing ready must drain, not kill the process.
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
+	interrupted, stop := cli.Interrupts(logw, "memoriesd", "shutdown requested; draining sessions")
+	defer stop()
 	if ready != nil {
 		ready <- srv.Addr()
 	}
-	<-sigc
-	fmt.Fprintln(logw, "memoriesd: shutdown requested; draining sessions (^C again to abort)")
-	go func() {
-		<-sigc
-		fmt.Fprintln(logw, "memoriesd: aborted")
-		os.Exit(130)
-	}()
+	<-interrupted.Done()
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()

@@ -106,4 +106,19 @@ func TestRunFlagErrors(t *testing.T) {
 	if code := run([]string{"-nosuchflag"}, &logs, nil); code != 2 {
 		t.Fatalf("bad flag: exit %d, want 2", code)
 	}
+	// Values the service would silently replace, or that make a drain
+	// expire before it starts: refused before the listener opens.
+	for _, args := range [][]string{
+		{"-max-sessions", "0"}, {"-max-sessions", "-3"},
+		{"-max-inflight", "0"},
+		{"-max-dir-bytes", "0"}, {"-max-body", "0B"},
+		{"-drain-timeout", "0"}, {"-drain-timeout", "-1s"},
+		{"-retry-after", "0s"},
+	} {
+		logs.Reset()
+		code := run(append([]string{"-addr", "127.0.0.1:0"}, args...), &logs, nil)
+		if code != 2 || !strings.Contains(logs.String(), "memoriesd: "+args[0]+": ") || strings.Contains(logs.String(), "serving") {
+			t.Errorf("%v: exit %d, logs %q; want 2 naming %s before serving", args, code, logs.String(), args[0])
+		}
+	}
 }

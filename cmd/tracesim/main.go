@@ -32,13 +32,11 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"memories"
@@ -46,6 +44,7 @@ import (
 	"memories/internal/bus"
 	"memories/internal/cache"
 	"memories/internal/checkpoint"
+	"memories/internal/cli"
 	"memories/internal/coherence"
 	"memories/internal/core"
 	"memories/internal/obs"
@@ -54,9 +53,6 @@ import (
 	"memories/internal/tracefile"
 	"memories/protocols"
 )
-
-// errInterrupted aborts the replay loop cleanly after a checkpoint.
-var errInterrupted = errors.New("interrupted")
 
 // replayState checkpoints the simulator plus its position in the trace.
 type replayState struct {
@@ -111,6 +107,9 @@ func run() int {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		return fail(fmt.Errorf("usage: tracesim [flags] <trace-file>"))
+	}
+	if *ckptN > 0 && *ckptPath == "" && *resume == "" {
+		return fail(errors.New("-checkpoint-every needs -checkpoint or -resume to name the file it writes"))
 	}
 
 	size, err := memories.ParseSize(*l3)
@@ -181,19 +180,9 @@ func run() int {
 	}
 
 	// Graceful shutdown: the first SIGINT/SIGTERM checkpoints at the
-	// next batch boundary and stops; a second signal aborts outright.
-	var quit atomic.Bool
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		quit.Store(true)
-		fmt.Fprintln(os.Stderr, "tracesim: shutdown requested; checkpointing at next batch (^C again to abort)")
-		<-sigc
-		fmt.Fprintln(os.Stderr, "tracesim: aborted")
-		os.Exit(130)
-	}()
-	defer signal.Stop(sigc)
+	// next batch boundary and stops.
+	interrupted, stop := cli.Interrupts(os.Stderr, "tracesim", "shutdown requested; checkpointing at next batch")
+	defer stop()
 
 	resumeSkip := state.pos // records of the trace already simulated
 	var fileOff, nextCkpt uint64
@@ -218,26 +207,21 @@ func run() int {
 		if watch != nil {
 			watch.update(uint64(len(recs)), sim)
 		}
-		if *ckptPath != "" {
-			if *ckptN > 0 && fileOff >= nextCkpt {
-				nextCkpt = (fileOff/(*ckptN) + 1) * (*ckptN)
-				if err := state.save(*ckptPath); err != nil {
-					return fmt.Errorf("checkpoint: %w", err)
-				}
-			}
-			if quit.Load() {
-				if err := state.save(*ckptPath); err != nil {
-					return fmt.Errorf("checkpoint: %w", err)
-				}
-				return errInterrupted
-			}
-		} else if quit.Load() {
-			return errInterrupted
+		due := *ckptN > 0 && fileOff >= nextCkpt // -checkpoint-every implies a path
+		if due {
+			nextCkpt = (fileOff/(*ckptN) + 1) * (*ckptN)
 		}
-		return nil
+		// A shutdown signal ends the replay here, after a checkpoint.
+		stopped := interrupted.Err()
+		if (due || stopped != nil) && *ckptPath != "" {
+			if err := state.save(*ckptPath); err != nil {
+				return fmt.Errorf("checkpoint: %w", err)
+			}
+		}
+		return stopped
 	})
 	elapsed := time.Since(start)
-	if errors.Is(err, errInterrupted) {
+	if errors.Is(err, context.Canceled) {
 		if *ckptPath != "" {
 			fmt.Fprintf(os.Stderr, "tracesim: interrupted at record %d; resume with -resume %s\n", state.pos, *ckptPath)
 		} else {

@@ -215,6 +215,14 @@ func TestRunUsageError(t *testing.T) {
 			}
 		}
 	}
+	// -checkpoint-every with no file to write is refused, not ignored.
+	for _, mode := range [][]string{{}, {"-board"}} {
+		args := append([]string{"-checkpoint-every", "10"}, mode...)
+		code, errs := runCLICapture(t, &os.Stderr, append(args, trace)...)
+		if code != 1 || !strings.Contains(errs, "-checkpoint-every needs -checkpoint or -resume") {
+			t.Errorf("%v: exit %d, stderr %q; want 1 naming -checkpoint and -resume", args, code, errs)
+		}
+	}
 }
 
 // -protocol swaps the coherence table for both the serial replay and

@@ -1,11 +1,17 @@
 package memories
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -90,5 +96,64 @@ func TestKillResumeExperiments(t *testing.T) {
 	got, want := normalizeExperimentOutput(string(resumed)), normalizeExperimentOutput(string(ref))
 	if got != want {
 		t.Fatalf("killed+resumed output diverged from uninterrupted run:\n--- resumed ---\n%s\n--- reference ---\n%s", got, want)
+	}
+}
+
+// TestConsoleCheckpointsOnSIGTERM: a console started with -checkpoint
+// that gets SIGTERM in the middle of a long run stops at the next chunk,
+// writes its final session snapshot and exits 130; a second console
+// resumes from that snapshot with the references already run.
+func TestConsoleCheckpointsOnSIGTERM(t *testing.T) {
+	bin := buildCmds(t, "console")["console"]
+	ckpt := filepath.Join(t.TempDir(), "final.ckpt")
+	cmd := exec.Command(bin, "-checkpoint", ckpt, "-l3", "1MB")
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdin.Close()
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+
+	// A short run first, so the signal lands once references have run
+	// and, most likely, inside the long one.
+	fmt.Fprint(stdin, "run 5000\nrun 5000000\n")
+	out := bufio.NewReader(stdout)
+	for {
+		line, err := out.ReadString('\n')
+		if err != nil {
+			t.Fatalf("console ended before the first run finished: %v; stderr:\n%s", err, stderr.String())
+		}
+		if strings.Contains(line, "ran 5000 references") {
+			break
+		}
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, out)
+	cmd.Wait()
+	if code := cmd.ProcessState.ExitCode(); code != 130 || !strings.Contains(stderr.String(), "session checkpointed to "+ckpt) {
+		t.Fatalf("exit %d, stderr:\n%s\nwant 130 and the final checkpoint named", code, stderr.String())
+	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Fatalf("no checkpoint file: %v", err)
+	}
+
+	code, nodes, errs := runCmd(t, "nodes\n", bin, "-resume", ckpt, "-l3", "1MB")
+	m := regexp.MustCompile(`refs (\d+),`).FindStringSubmatch(nodes)
+	if code != 0 || m == nil {
+		t.Fatalf("resume: exit %d\n%s%s", code, nodes, errs)
+	}
+	if refs, _ := strconv.ParseUint(m[1], 10, 64); refs == 0 {
+		t.Fatalf("resumed board has no references:\n%s", nodes)
 	}
 }

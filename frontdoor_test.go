@@ -106,7 +106,7 @@ func smallBoard(t *testing.T) *core.Board {
 // map text or a map file. Each must refuse with the checker's or
 // compiler's own message, and none may leave a board running the map.
 func TestBadMapsRefusedAtEveryDoor(t *testing.T) {
-	bins := buildCmds(t, "memories", "tracesim")
+	bins := buildCmds(t, "console", "tracesim")
 	cases := []struct {
 		name, src string
 		typed     func(error) bool
@@ -171,10 +171,10 @@ func TestBadMapsRefusedAtEveryDoor(t *testing.T) {
 			}
 
 			for name, args := range map[string][]string{
-				"memories": {"-protocol", path, "-refs", "1000"},
+				"console":  {"-protocol", path},
 				"tracesim": {"-protocol", path, filepath.Join(t.TempDir(), "never-opened.trace")},
 			} {
-				code, out, errs := runCmd(t, "", bins[name], args...)
+				code, out, errs := runCmd(t, "run 1000\nnodes\n", bins[name], args...)
 				if code == 0 || !strings.Contains(errs, verdict) || out != "" {
 					t.Errorf("%s: exit %d, stdout %q, stderr %q; want non-zero, no report, and %q", name, code, out, errs, verdict)
 				}
@@ -187,7 +187,7 @@ func TestBadMapsRefusedAtEveryDoor(t *testing.T) {
 // name takes all four shipped ones, and says which are shipped when it
 // is handed anything else.
 func TestShippedNamesLoadAtEveryDoor(t *testing.T) {
-	bins := buildCmds(t, "memories", "tracesim")
+	bins := buildCmds(t, "console", "tracesim")
 	srv := service.New(service.Config{})
 	board := smallBoard(t)
 	cons := console.New(board, io.Discard)
@@ -225,15 +225,15 @@ func TestShippedNamesLoadAtEveryDoor(t *testing.T) {
 		}
 
 		for bin, args := range map[string][]string{
-			"memories": {"-protocol", name, "-refs", "1000", "-l3", "1MB"},
+			"console":  {"-protocol", name, "-l3", "1MB"},
 			"tracesim": {"-protocol", name, filepath.Join(t.TempDir(), "absent.trace")},
 		} {
-			code, out, errs := runCmd(t, "", bins[bin], args...)
+			code, out, errs := runCmd(t, "run 1000\nnodes\n", bins[bin], args...)
 			switch {
 			case !shipped:
 				check(bin, "", errors.New(errs))
-			case bin == "memories" && (code != 0 || !strings.Contains(out, " "+name+": refs")):
-				t.Errorf("memories -protocol %s: exit %d\n%s%s", name, code, out, errs)
+			case bin == "console" && (code != 0 || !strings.Contains(out, "protocol "+name+", refs")):
+				t.Errorf("console -protocol %s: exit %d\n%s%s", name, code, out, errs)
 			case bin == "tracesim" && !strings.Contains(errs, "absent.trace"):
 				// Past the protocol, the missing trace is the failure.
 				t.Errorf("tracesim -protocol %s: stderr %q, want only the missing trace", name, errs)
@@ -243,19 +243,15 @@ func TestShippedNamesLoadAtEveryDoor(t *testing.T) {
 }
 
 // TestWorkloadNamesAtEveryCaller lists every workload name once and
-// runs it through the three binaries that accept one; each must build
-// it and drive references from it. The session service takes none: it
+// runs it through the two binaries that accept one; each must build it
+// and drive references from it. The session service takes none: it
 // takes the traces tracegen writes.
 func TestWorkloadNamesAtEveryCaller(t *testing.T) {
-	bins := buildCmds(t, "memories", "console", "tracegen")
+	bins := buildCmds(t, "console", "tracegen")
 	names := append([]string{"tpcc", "tpch", "web", "uniform"}, splash.Names()...)
 	for _, name := range append(names, "doom") {
 		known := name != "doom"
-		code, out, errs := runCmd(t, "", bins["memories"], "-workload", name, "-refs", "2000", "-l3", "1MB")
-		if known != (code == 0 && strings.Contains(out, "refs       2000 ")) {
-			t.Errorf("memories -workload %s: exit %d\n%s%s", name, code, out, errs)
-		}
-		code, out, errs = runCmd(t, "run 2000\nquit\n", bins["console"], "-workload", name, "-l3", "1MB")
+		code, out, errs := runCmd(t, "run 2000\nquit\n", bins["console"], "-workload", name, "-l3", "1MB")
 		if known != (code == 0 && strings.Contains(out, "ran 2000 references")) {
 			t.Errorf("console -workload %s: exit %d\n%s%s", name, code, out, errs)
 		}
