@@ -10,6 +10,11 @@ all: vet build test
 vet:
 	$(GO) vet ./...
 
+# Every Go file is gofmt-clean.
+.PHONY: fmt
+fmt:
+	test -z "$$(gofmt -l .)"
+
 .PHONY: build
 build:
 	$(GO) build ./...
@@ -133,4 +138,4 @@ inline:
 	sh ci/check-inline.sh
 
 .PHONY: ci
-ci: vet build reachable inline race race-ingest fuzz-seeds cover-check
+ci: fmt vet build reachable inline race race-ingest fuzz-seeds cover-check

@@ -66,6 +66,11 @@ type Cache struct {
 	hasECC   bool
 	valid    int64 // resident lines, maintained incrementally
 	stats    Stats
+	// offBits, setMask and tagShift split an address into its set index
+	// and tag: the geometry's Index and Tag, kept here so the address-based
+	// wrappers stay within the inlining budget.
+	offBits, tagShift uint
+	setMask           uint64
 }
 
 // New builds a cache from cfg. PLRU requires power-of-two associativity.
@@ -78,10 +83,13 @@ func New(cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("cache: associativity %d exceeds replacement metadata width", g.Assoc)
 	}
 	c := &Cache{
-		geom:   g,
-		words:  make([]sdram.Word, g.Lines()),
-		policy: cfg.Policy,
-		hasECC: cfg.ECC,
+		geom:     g,
+		words:    make([]sdram.Word, g.Lines()),
+		policy:   cfg.Policy,
+		hasECC:   cfg.ECC,
+		offBits:  addr.Log2(g.LineSize),
+		tagShift: addr.Log2(g.LineSize) + addr.Log2(g.Sets),
+		setMask:  uint64(g.Sets - 1),
 	}
 	// An all-zero packed word is a self-consistent invalid entry even
 	// with ECC on (EncodeECC(0,0) == 0), so no initialization pass is
@@ -220,6 +228,16 @@ func wayMatch(x uint64) uint64 {
 // included: it reorders ranks, never slots) other than the *At call it is
 // handed to. The address-based calls below are each a Find plus the
 // slot-based one.
+//
+// Set and tag keys. FindIn, AccessSlotIn, FillIn and TouchSet take a
+// line's set index and tag instead of its address, so a caller holding
+// several caches of one set shape (line size and set count; the board's
+// lanes) splits each address once for all of them. Find, Probe,
+// AccessSlot, Access and FillAt split it here and make the keyed call,
+// one line each, small enough to inline into their callers. Each assigns
+// the call's results to its named results and returns bare: returning
+// the call directly costs the inliner more (81 against 75), enough to
+// stop Find from inlining. ci/check-inline.sh holds all five.
 
 // NoSlot is the slot of a line that is not resident.
 const NoSlot int64 = -1
@@ -228,8 +246,14 @@ const NoSlot int64 = -1
 // statistics. It returns the line's slot and state (NoSlot and
 // StateInvalid on miss).
 func (c *Cache) Find(a uint64) (slot int64, state uint8) {
-	base := c.geom.Index(a) * int64(c.geom.Assoc)
-	if w := c.findWay(base, c.geom.Tag(a)); w >= 0 {
+	slot, state = c.FindIn(int64(a>>c.offBits&c.setMask), a>>c.tagShift)
+	return
+}
+
+// FindIn is Find for the line with the given set index and tag.
+func (c *Cache) FindIn(set int64, tag uint64) (slot int64, state uint8) {
+	base := set * int64(c.geom.Assoc)
+	if w := c.findWay(base, tag); w >= 0 {
 		slot = base + int64(w)
 		return slot, c.words[slot].State()
 	}
@@ -237,32 +261,38 @@ func (c *Cache) Find(a uint64) (slot int64, state uint8) {
 }
 
 // TouchSet is the look-ahead load: it reads the first and last word of
-// a's set — between them every host cache line a set of up to 16 ways
-// occupies — and returns them combined, for the caller to fold into a
-// sink so the loads stay live. A burst of TouchSets over the addresses a batch is about to look
-// up puts their host-memory misses in flight together instead of one per
-// dependent lookup. It changes nothing (no statistics, no word, no rank)
-// and is safe for any address: the set index is masked, the tag unused.
-func (c *Cache) TouchSet(a uint64) uint64 {
-	base := c.geom.Index(a) * int64(c.geom.Assoc)
+// the set with the given index — between them every host cache line a
+// set of up to 16 ways occupies — and returns them combined, for the
+// caller to fold into a sink so the loads stay live. A burst of TouchSets
+// over the sets a batch is about to look up puts their host-memory misses
+// in flight together instead of one per dependent lookup. It changes
+// nothing (no statistics, no word, no rank).
+func (c *Cache) TouchSet(set int64) uint64 {
+	base := set * int64(c.geom.Assoc)
 	return uint64(c.words[base]) ^ uint64(c.words[base+int64(c.geom.Assoc)-1])
 }
 
 // Probe looks a line up without modifying replacement state. It returns
 // the line's state (StateInvalid on miss).
-func (c *Cache) Probe(a uint64) uint8 {
-	_, state := c.Find(a)
-	return state
+func (c *Cache) Probe(a uint64) (state uint8) {
+	_, state = c.FindIn(int64(a>>c.offBits&c.setMask), a>>c.tagShift)
+	return
 }
 
 // AccessSlot looks a line up as a demand reference: on hit it updates
 // replacement recency and returns the slot and state; on miss it returns
 // NoSlot and StateInvalid. It counts a probe and, on success, a hit.
 func (c *Cache) AccessSlot(a uint64) (slot int64, state uint8) {
+	slot, state = c.AccessSlotIn(int64(a>>c.offBits&c.setMask), a>>c.tagShift)
+	return
+}
+
+// AccessSlotIn is AccessSlot for the line with the given set index and
+// tag.
+func (c *Cache) AccessSlotIn(set int64, tag uint64) (slot int64, state uint8) {
 	c.stats.Probes++
-	set := c.geom.Index(a)
 	base := set * int64(c.geom.Assoc)
-	if w := c.findWay(base, c.geom.Tag(a)); w >= 0 {
+	if w := c.findWay(base, tag); w >= 0 {
 		c.stats.Hits++
 		c.touch(set, base, w)
 		slot = base + int64(w)
@@ -272,9 +302,9 @@ func (c *Cache) AccessSlot(a uint64) (slot int64, state uint8) {
 }
 
 // Access is AccessSlot for callers that only need the state.
-func (c *Cache) Access(a uint64) uint8 {
-	_, state := c.AccessSlot(a)
-	return state
+func (c *Cache) Access(a uint64) (state uint8) {
+	_, state = c.AccessSlotIn(int64(a>>c.offBits&c.setMask), a>>c.tagShift)
+	return
 }
 
 // SetStateAt rewrites the state of the resident line in slot (e.g. S -> M
@@ -306,10 +336,15 @@ func (c *Cache) SetState(a uint64, s uint8) bool {
 // (addresses up to 2^56 bytes with 128 B lines); larger tags panic rather
 // than alias.
 func (c *Cache) FillAt(a uint64, slot int64, s uint8) (victim Victim, evicted bool) {
+	victim, evicted = c.FillIn(int64(a>>c.offBits&c.setMask), a>>c.tagShift, slot, s)
+	return
+}
+
+// FillIn is FillAt for the line with the given set index and tag.
+func (c *Cache) FillIn(set int64, tag uint64, slot int64, s uint8) (victim Victim, evicted bool) {
 	if s == StateInvalid {
 		panic("cache: Fill with invalid state")
 	}
-	set, tag := c.geom.Index(a), c.geom.Tag(a)
 	if tag > sdram.WordTagMask {
 		panic("cache: tag exceeds the packed tag field")
 	}

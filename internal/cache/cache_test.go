@@ -41,6 +41,48 @@ func TestFillAndProbe(t *testing.T) {
 	}
 }
 
+// TestKeyedCallsMatchAddressCalls: the address calls split an address
+// with the cache's own shifts, the keyed calls take the geometry's Index
+// and Tag, and across line sizes, set counts and associativities the two
+// name the same line. A line filled by key is found by address at every
+// byte of it and rebuilt to its own address, and one filled by address is
+// found by key.
+func TestKeyedCallsMatchAddressCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, g := range []addr.Geometry{
+		addr.MustGeometry(4*addr.KB, 64, 1),
+		addr.MustGeometry(64*addr.KB, 128, 4),
+		addr.MustGeometry(2*addr.MB, 128, 8),
+		addr.MustGeometry(16*addr.MB, 16*addr.KB, 2),
+	} {
+		c := MustNew(Config{Geometry: g, Policy: LRU})
+		for i := 0; i < 200; i++ {
+			a := g.LineAddr(rng.Uint64() >> 9)
+			set, tag := g.Index(a), g.Tag(a)
+			if i%2 == 0 {
+				c.FillIn(set, tag, NoSlot, 1)
+			} else {
+				c.FillAt(a, NoSlot, 1)
+			}
+			slot, st := c.FindIn(set, tag)
+			if st != 1 {
+				t.Fatalf("%v: %#x not found by key after fill", g, a)
+			}
+			for _, off := range []uint64{0, uint64(g.LineSize) - 1} {
+				if s, _ := c.Find(a + off); s != slot {
+					t.Fatalf("%v: Find(%#x) slot %d, FindIn slot %d", g, a+off, s, slot)
+				}
+			}
+			if s, _ := c.AccessSlot(a); s != slot {
+				t.Fatalf("%v: AccessSlot(%#x) slot %d, want %d", g, a, s, slot)
+			}
+			if got := g.Rebuild(c.words[slot].Tag(), set); got != a {
+				t.Fatalf("%v: slot %d rebuilds to %#x, want %#x", g, slot, got, a)
+			}
+		}
+	}
+}
+
 func TestAccessCountsHitsAndMisses(t *testing.T) {
 	c := mkCache(t, 4096, 128, 2, LRU)
 	a := lineFor(c, 0, 1)

@@ -217,8 +217,7 @@ func sectionDigest(c *Cache) [sha256.Size]byte {
 
 // TestTouchSetChangesNothing: the look-ahead load is invisible — same
 // statistics, same resident count, same checkpoint section before and
-// after touching every set and some addresses no line can hold — and it
-// accepts every address Probe accepts, the oversize-tag one included.
+// after touching every set, several times over.
 func TestTouchSetChangesNothing(t *testing.T) {
 	for _, assoc := range []int{1, 4, 8, 16} {
 		cfg := Config{Geometry: addr.MustGeometry(64*addr.KB, 128, assoc), Policy: LRU, ECC: true}
@@ -226,11 +225,8 @@ func TestTouchSetChangesNothing(t *testing.T) {
 		drive(c, 4000)
 		stats, valid, digest := c.Stats(), c.ValidCount(), sectionDigest(c)
 		var sink uint64
-		for a := uint64(0); a < 4*uint64(cfg.Geometry.SizeBytes); a += 128 {
-			sink ^= c.TouchSet(a)
-		}
-		for _, a := range []uint64{1 << 63, ^uint64(0), 1<<56 - 1} {
-			sink ^= c.TouchSet(a)
+		for i := int64(0); i < 4*cfg.Geometry.Sets; i++ {
+			sink ^= c.TouchSet(i % cfg.Geometry.Sets)
 		}
 		_ = sink
 		if c.Stats() != stats || c.ValidCount() != valid || sectionDigest(c) != digest {

@@ -8,14 +8,17 @@
 // to implement the cache tag and state tables"). Line state is an opaque
 // byte owned by the coherence layer; state 0 always means invalid.
 //
-// Every operation exists once, on a slot: Find and AccessSlot scan a set
-// and return the slot they found, SetStateAt, InvalidateAt and FillAt act
-// on it, and the address-based Probe, Access, SetState, Invalidate and
-// Fill are each a Find plus the slot call. The board's node controllers
-// use the slot calls so a transaction reads each directory set once, as
-// the hardware's one read-modify-write per tag entry does; TouchSet is
-// the read-only look-ahead load core.Board.SnoopBatch issues a window
-// ahead of those scans.
+// Every operation exists once, keyed by a line's set index and tag and
+// working on a slot: FindIn and AccessSlotIn scan a set and return the
+// slot they found, and SetStateAt, InvalidateAt and FillIn act on it. The
+// address-based Find, Probe, AccessSlot, Access and FillAt split the
+// address into those keys and call them, one line each; SetState,
+// Invalidate and Fill are each a Find plus the slot call. The board's
+// node controllers use the keyed calls, so a transaction splits its
+// address once per set shape and reads each directory set once, as the
+// hardware's one read-modify-write per tag entry does; TouchSet is the
+// read-only look-ahead load core.Board.SnoopBatch issues a window ahead
+// of those scans.
 package cache
 
 import (

@@ -25,11 +25,16 @@
 // window of lookAhead retired transactions in one burst before processing
 // it. A directory larger than the host's caches therefore costs
 // overlapped misses rather than one serial miss per transaction, however
-// long the transactions waited in the buffer (DESIGN.md §4d). process
-// walks only the requester's snoop-group peers, looks each node's set up
-// once and carries the slot through the transition, and a peer that
-// misses on a snoop its table ignores only has the transition counted.
-// None of this changes a counter, a directory word or a replacement rank.
+// long the transactions waited in the buffer (DESIGN.md §4d). Work that
+// depends only on the address and a node's set shape is done once per
+// shape: nodes with one line size and set count form a lane, which splits
+// each window entry into set index and tag once for all of them, and
+// nodes of a lane whose tag-store models are equal share one model, which
+// drain steps once. process walks only the requester's snoop-group peers,
+// looks each node's set up once and carries the slot through the
+// transition, and a peer that misses on a snoop its table ignores only
+// has the transition counted. None of this changes a counter, a directory
+// word, a replacement rank or a checkpoint byte.
 //
 // Everything the board reports is derived from the bus transaction stream
 // alone: it never injects traffic (the single exception being the
@@ -163,6 +168,11 @@ type Board struct {
 	busIDs     []uint8
 	// touchSink receives what touchAhead loaded; it is never read.
 	touchSink uint64
+	// lanes and timing are the board's set shapes and its distinct
+	// tag-store models (see regroup): touchAhead splits each address once
+	// per lane, drain steps each model once.
+	lanes  []*lane
+	timing []timing
 
 	// Observability attachments (see observe.go). Both are nil until
 	// Observe; the hot path pays one nil check each when detached and
@@ -178,6 +188,22 @@ type pending struct {
 	cycle, addr uint64
 	cmd         bus.Command
 	src         uint8
+}
+
+// lane is one set shape — a line size and a set count — and the nodes
+// that have it share the address split: set and tag hold, for each entry
+// of the service window being processed, its set index and tag in every
+// directory of this shape, whatever its associativity.
+type lane struct {
+	geom addr.Geometry
+	set  [lookAhead]int64
+	tag  [lookAhead]uint64
+}
+
+// timing is one tag-store model and the lane whose set indices bank it.
+type timing struct {
+	tags *sdram.TagStore
+	lane *lane
 }
 
 // NewBoard validates the configuration and powers up the board with all
@@ -217,7 +243,7 @@ func NewBoard(cfg Config) (*Board, error) {
 		}
 		b.nodes = append(b.nodes, n)
 	}
-	b.linkPeers()
+	b.regroup()
 	// Validate CPU assignment: within one group, a CPU may belong to at
 	// most one node. (newNode has already bounds-checked every ID.)
 	for _, n := range b.nodes {
@@ -280,15 +306,46 @@ func (b *Board) perCPUCounter(id int) {
 	}
 }
 
-// linkPeers rebuilds every node's peer list: the other nodes of its snoop
-// group, in board order.
-func (b *Board) linkPeers() {
+// regroup rebuilds what the board derives from its node list: every
+// node's peer list (the other nodes of its snoop group, in board order),
+// the lanes and the timing classes. A lane is the nodes with one set
+// shape (line size and set count); a timing class is the nodes of one
+// lane whose tag-store models are equal, which then share the first one's
+// model. Equal models fed the same operations stay equal, and drain feeds
+// every model of a lane the same operations, so sharing changes no
+// timing. NewBoard, Reprogram and a checkpoint restore call it; a model
+// that is not equal (a reprogrammed node's fresh one, a restored one with
+// its own history) stays apart.
+func (b *Board) regroup() {
+	b.lanes, b.timing = b.lanes[:0], b.timing[:0]
 	for _, n := range b.nodes {
 		n.peers = n.peers[:0]
 		for _, peer := range b.nodes {
 			if peer != n && peer.cfg.Group == n.cfg.Group {
 				n.peers = append(n.peers, peer)
 			}
+		}
+		g := n.cfg.Geometry
+		n.lane = nil
+		for _, l := range b.lanes {
+			if l.geom.LineSize == g.LineSize && l.geom.Sets == g.Sets {
+				n.lane = l
+				break
+			}
+		}
+		if n.lane == nil {
+			n.lane = &lane{geom: g}
+			b.lanes = append(b.lanes, n.lane)
+		}
+		shared := false
+		for _, m := range b.timing {
+			if m.lane == n.lane && m.tags.Equal(n.tags) {
+				n.tags, shared = m.tags, true
+				break
+			}
+		}
+		if !shared {
+			b.timing = append(b.timing, timing{tags: n.tags, lane: n.lane})
 		}
 	}
 }
@@ -507,7 +564,8 @@ func (b *Board) SnoopBatch(txs []bus.Transaction) {
 }
 
 // lookAhead is the service window: the number of retired transactions
-// whose directory sets service loads in one burst before processing them.
+// whose directory sets service loads in one burst before processing them,
+// and the length of each lane's set and tag arrays.
 // On a directory larger than the host's caches every lookup is a DRAM
 // miss, and taken one per transaction the misses serialize behind ~100 ns
 // of dependent work each; loaded in a burst, a window's worth are in
@@ -519,14 +577,20 @@ func (b *Board) SnoopBatch(txs []bus.Transaction) {
 // (DESIGN.md §4d).
 const lookAhead = 64
 
-// touchAhead issues the look-ahead loads for one service window: every
-// node's set for every transaction in it. The loaded words go to a sink
-// field so the compiler keeps the loads.
+// touchAhead prepares one service window: it splits every entry's address
+// into set index and tag once per lane, then issues the look-ahead loads,
+// every node's set for each transaction in turn. The loaded words go to a
+// sink field so the compiler keeps the loads.
 func (b *Board) touchAhead(w []pending) {
-	var sink uint64
-	for _, n := range b.nodes {
+	for _, l := range b.lanes {
 		for i := range w {
-			sink ^= n.dir.TouchSet(w[i].addr)
+			l.set[i], l.tag[i] = l.geom.Index(w[i].addr), l.geom.Tag(w[i].addr)
+		}
+	}
+	var sink uint64
+	for i := range w {
+		for _, n := range b.nodes {
+			sink ^= n.dir.TouchSet(n.lane.set[i])
 		}
 	}
 	b.touchSink ^= sink
@@ -551,11 +615,12 @@ func (b *Board) ObserveResponse(tx *bus.Transaction, combined bus.SnoopResponse)
 }
 
 // drain retires buffered transactions whose lock-step SDRAM slot starts
-// by the given cycle: it books each slot and advances qhead, the buffer's
-// occupancy pointer, leaving the directory work to service, which it runs
-// every lookAhead retirements. Retired entries advance qhead rather than
-// re-slicing the queue, so the backing array is reused (enqueue
-// compacts) instead of sliding toward a re-allocation per wrap.
+// by the given cycle: it books each slot on every distinct timing model
+// (regroup) and advances qhead, the buffer's occupancy pointer, leaving
+// the directory work to service, which it runs every lookAhead
+// retirements. Retired entries advance qhead rather than re-slicing the
+// queue, so the backing array is reused (enqueue compacts) instead of
+// sliding toward a re-allocation per wrap.
 func (b *Board) drain(now uint64) {
 	for b.qhead < len(b.queue) {
 		p := &b.queue[b.qhead]
@@ -564,17 +629,18 @@ func (b *Board) drain(now uint64) {
 		// the op starts when the slowest node's SDRAM channel is free.
 		// Bank recovery overlaps with the next op (pipelining), so the
 		// sustained rate is one op per channel gap, the 42% figure.
+		// Nodes sharing a model are stepped once, through it.
 		start := p.cycle
-		for _, n := range b.nodes {
-			if nf := n.tags.NextFree(); nf > start {
+		for _, m := range b.timing {
+			if nf := m.tags.NextFree(); nf > start {
 				start = nf
 			}
 		}
 		if start > now {
 			return
 		}
-		for _, n := range b.nodes {
-			n.tags.Schedule(start, n.setOf(p.addr))
+		for _, m := range b.timing {
+			m.tags.Schedule(start, m.lane.geom.Index(p.addr))
 		}
 		b.qhead++
 		if b.qhead-b.phead == lookAhead {
@@ -585,18 +651,20 @@ func (b *Board) drain(now uint64) {
 
 // service performs the directory operations of the retired transactions
 // queue[phead:qhead], in retirement order, one lookAhead window at a
-// time: the window's sets are loaded in one burst, then each transaction
-// is processed. It runs every lookAhead retirements and before anything
-// that reads or rewrites the directories — a scrub pass, the return of
-// every Snoop, SnoopBatch and Flush — so between calls the board is as if
-// each transaction had been processed the moment it retired.
+// time: the window's addresses are split and its sets loaded in one
+// burst (touchAhead), then each transaction is processed with its index
+// in the window, which selects its set and tag in every lane. It runs
+// every lookAhead retirements and before anything that reads or rewrites
+// the directories — a scrub pass, the return of every Snoop, SnoopBatch
+// and Flush — so between calls the board is as if each transaction had
+// been processed the moment it retired.
 func (b *Board) service() {
 	for b.phead < b.qhead {
 		w := b.queue[b.phead:min(b.phead+lookAhead, b.qhead)]
 		b.touchAhead(w)
 		for i := range w {
 			p := &w[i]
-			b.process(p)
+			b.process(p, i)
 			if b.onDrain != nil {
 				b.onDrain(p.cycle, p.cmd, p.addr, int(p.src))
 			}
@@ -635,7 +703,7 @@ func (b *Board) PendingDepth() int { return len(b.queue) - b.qhead }
 // never in here. A peer that missed on an op its table answers with
 // "stay Invalid, do nothing" (node.idleMiss) only has that transition
 // counted; every other snoop goes through node.snoop.
-func (b *Board) process(p *pending) {
+func (b *Board) process(p *pending, i int) {
 	localOp, ok := opFor(p.cmd, true)
 	if !ok {
 		return
@@ -648,10 +716,10 @@ func (b *Board) process(p *pending) {
 	for _, local := range b.cpuOwner[p.src] {
 		// Combined snoop input from the other nodes of this group.
 		snoopIn := coherence.SnoopNone
-		for i, peer := range local.peers {
-			slot, raw := peer.dir.Find(p.addr)
+		for j, peer := range local.peers {
+			slot, raw := peer.dir.FindIn(peer.lane.set[i], peer.lane.tag[i])
 			st := coherence.State(raw)
-			found[i].slot, found[i].st = slot, st
+			found[j].slot, found[j].st = slot, st
 			switch {
 			case st.IsDirty():
 				snoopIn = coherence.SnoopModified
@@ -659,13 +727,13 @@ func (b *Board) process(p *pending) {
 				snoopIn = coherence.SnoopShared
 			}
 		}
-		local.local(localOp, p, snoopIn)
-		for i, peer := range local.peers {
-			if c := peer.idleMiss[snoopOp]; c != nil && found[i].slot == cache.NoSlot {
+		local.local(localOp, p, i, snoopIn)
+		for j, peer := range local.peers {
+			if c := peer.idleMiss[snoopOp]; c != nil && found[j].slot == cache.NoSlot {
 				c.Inc()
 				continue
 			}
-			peer.snoop(snoopOp, p, found[i].slot, found[i].st)
+			peer.snoop(snoopOp, i, found[j].slot, found[j].st)
 		}
 	}
 }
@@ -730,8 +798,8 @@ func (b *Board) CorruptDirectory(i int, slot int64, tagXor uint64, stateXor uint
 // accumulating while the channel is down, which is how injected stalls
 // push the transaction buffers toward overflow.
 func (b *Board) StallTagStores(cycles uint64) {
-	for _, n := range b.nodes {
-		n.tags.Stall(b.lastCycle, cycles)
+	for _, m := range b.timing {
+		m.tags.Stall(b.lastCycle, cycles)
 	}
 }
 
@@ -779,7 +847,7 @@ func (b *Board) Reprogram(i int, nc NodeConfig) error {
 	}
 	b.nodes[i] = n
 	b.cfg.Nodes[i] = nc
-	b.linkPeers()
+	b.regroup()
 	for _, id := range nc.CPUs {
 		b.cpuOwner[id] = append(b.cpuOwner[id], n)
 		b.perCPUCounter(id)

@@ -33,7 +33,8 @@ func (b *Board) fingerprint() string {
 
 // Sections walks the board's checkpoint sections in either direction:
 // the configuration fingerprint, the clocks and counter bank, and each
-// node's directory image and tag-store state.
+// node's directory image and tag-store state. Nodes that share a timing
+// model (Board.regroup) each save it in their own section.
 //
 // Saving needs a quiescent board: buffered transactions are part of the
 // bus's in-flight state and are flushed, not serialized. Loading needs
@@ -66,6 +67,13 @@ func (b *Board) Sections(a *checkpoint.Archive) (RestoreReport, error) {
 		if b.capture != nil {
 			b.capture.Reset()
 		}
+		// Each node's tag-store section loads into a model of its own, so
+		// no section overwrites a model another node shares; the equal
+		// ones merge again afterwards, however the load ends.
+		for _, n := range b.nodes {
+			n.tags = newTagStore(n.cfg)
+		}
+		defer b.regroup()
 	}
 	for i, n := range b.nodes {
 		err := a.Section(fmt.Sprintf("board.node%d.dir", i), func(c *checkpoint.Codec) error {

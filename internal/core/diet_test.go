@@ -13,18 +13,6 @@ import (
 	"memories/protocols"
 )
 
-// snoopCmd is a bus command whose snoop operation is op.
-func snoopCmd(op coherence.Op) bus.Command {
-	switch op {
-	case coherence.SnoopRead:
-		return bus.Read
-	case coherence.SnoopWrite:
-		return bus.RWITM
-	default:
-		return bus.Castout
-	}
-}
-
 // dirBytes is the checkpoint image of n's directory: every word, rank and
 // structural statistic.
 func dirBytes(t *testing.T, n *node) []byte {
@@ -50,8 +38,8 @@ func snoopMissIsIdle(t *testing.T, table *coherence.Table, op coherence.Op) bool
 	b := MustNewBoard(Config{Nodes: []NodeConfig{a, peer}})
 	n := b.nodes[1]
 	before, img := b.Counters().Snapshot(), dirBytes(t, n)
-	p := pending{addr: 0x4000, cmd: snoopCmd(op)}
-	n.snoop(op, &p, cache.NoSlot, coherence.Invalid)
+	b.touchAhead([]pending{{addr: 0x4000}})
+	n.snoop(op, 0, cache.NoSlot, coherence.Invalid)
 	moved := 0
 	for name, v := range b.Counters().Snapshot() {
 		if v != before[name] {

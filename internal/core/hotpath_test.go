@@ -184,7 +184,7 @@ func corruptAhead(boards ...*Board) {
 		for i, n := range b0.nodes {
 			slot, _ := n.dir.Find(p.addr)
 			if slot == cache.NoSlot {
-				slot = n.setOf(p.addr) * int64(n.cfg.Geometry.Assoc)
+				slot = n.cfg.Geometry.Index(p.addr) * int64(n.cfg.Geometry.Assoc)
 			}
 			for _, b := range boards {
 				b.CorruptDirectory(i, slot, 1, 0)

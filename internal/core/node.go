@@ -19,12 +19,17 @@ type node struct {
 	// controller indexes directly, standing in for the map file loaded
 	// into the node controller FPGA (paper §3.2). Compile has proven
 	// every reachable cell defined, so lookups are branch-free.
-	eng  *coherence.Engine
-	dir  *cache.Cache    // tag/state directory; states are coherence.State
-	tags *sdram.TagStore // timing model pacing directory operations
+	eng *coherence.Engine
+	dir *cache.Cache // tag/state directory; states are coherence.State
+	// tags is the timing model pacing directory operations, shared with
+	// every node of its timing class (Board.regroup).
+	tags *sdram.TagStore
+	// lane holds this node's set index and tag for each entry of the
+	// service window (Board.touchAhead).
+	lane *lane
 	prof *stats.TimeSeries
 	// peers are the other nodes of this node's snoop group, in board
-	// order. Board.linkPeers rebuilds them whenever a group changes.
+	// order. Board.regroup rebuilds them whenever a group changes.
 	peers []*node
 	// idleMiss[op] is, for a snoop op whose (op, Invalid, SnoopNone) cell
 	// neither leaves Invalid nor acts, that cell's transition counter: a
@@ -82,16 +87,12 @@ func newNode(b *Board, nc NodeConfig, profileBucket uint64) (*node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: node %q: %v", nc.Name, err)
 	}
-	sc := nc.SDRAM
-	if sc.Banks == 0 {
-		sc = sdram.DefaultConfig()
-	}
 	n := &node{
 		board: b,
 		cfg:   nc,
 		eng:   eng,
 		dir:   dir,
-		tags:  sdram.New(sc),
+		tags:  newTagStore(nc),
 	}
 	if profileBucket > 0 {
 		n.prof = stats.NewTimeSeries(profileBucket)
@@ -157,8 +158,14 @@ func (n *node) initCounters(bank *stats.Bank) {
 	}
 }
 
-// setOf maps an address to this node's directory set (for SDRAM banking).
-func (n *node) setOf(a uint64) int64 { return n.cfg.Geometry.Index(a) }
+// newTagStore builds a fresh tag-store model for node configuration nc.
+func newTagStore(nc NodeConfig) *sdram.TagStore {
+	sc := nc.SDRAM
+	if sc.Banks == 0 {
+		sc = sdram.DefaultConfig()
+	}
+	return sdram.New(sc)
+}
 
 // sanitize guards the protocol lookup against corrupted directory states:
 // an injected (or real) soft error can leave a state byte outside the
@@ -167,16 +174,17 @@ func (n *node) setOf(a uint64) int64 { return n.cfg.Geometry.Index(a) }
 // but that this table can never produce. A wild state means the entry is
 // garbage, so the controller drops the line — the same repair the scrub
 // pass applies to uncorrectable entries — counts the event, and proceeds
-// as a miss. It takes and returns the (slot, state) a lookup of a found;
-// after a drop the set is looked up again, so the slot handed to apply is
-// what a fresh Find would return.
-func (n *node) sanitize(a uint64, slot int64, cur coherence.State) (int64, coherence.State) {
+// as a miss. It takes and returns the (slot, state) a lookup of the line
+// with the given set index and tag found; after a drop the set is looked
+// up again, so the slot handed to apply is what a fresh lookup would
+// return.
+func (n *node) sanitize(set int64, tag uint64, slot int64, cur coherence.State) (int64, coherence.State) {
 	if n.eng.Uses(cur) || cur == coherence.Invalid {
 		return slot, cur
 	}
 	n.cWildState.Inc()
 	n.dir.InvalidateAt(slot)
-	slot, _ = n.dir.Find(a)
+	slot, _ = n.dir.FindIn(set, tag)
 	return slot, coherence.Invalid
 }
 
@@ -204,10 +212,11 @@ func opFor(cmd bus.Command, local bool) (coherence.Op, bool) {
 }
 
 // local processes a transaction from one of this node's own CPUs; op is
-// its local operation.
-func (n *node) local(op coherence.Op, p *pending, snoopIn coherence.SnoopIn) {
-	slot, st := n.dir.AccessSlot(p.addr)
-	slot, cur := n.sanitize(p.addr, slot, coherence.State(st))
+// its local operation and i its index in the service window.
+func (n *node) local(op coherence.Op, p *pending, i int, snoopIn coherence.SnoopIn) {
+	set, tag := n.lane.set[i], n.lane.tag[i]
+	slot, st := n.dir.AccessSlotIn(set, tag)
+	slot, cur := n.sanitize(set, tag, slot, coherence.State(st))
 	entry := n.eng.Lookup(op, cur, snoopIn)
 	n.cTransition[op][cur][snoopIn].Inc()
 
@@ -266,16 +275,17 @@ func (n *node) local(op coherence.Op, p *pending, snoopIn coherence.SnoopIn) {
 	}
 
 	// Apply the transition.
-	n.apply(p.addr, slot, cur, entry)
+	n.apply(set, tag, slot, cur, entry)
 }
 
 // snoop processes a transaction from another node in the same group; op
-// is its snoop operation. (slot, st) is what Board.process found when it
-// looked p.addr up in this node's directory for the combined snoop input.
-// Board.process answers a miss on an idleMiss op itself and never calls
-// snoop for it.
-func (n *node) snoop(op coherence.Op, p *pending, slot int64, st coherence.State) {
-	slot, cur := n.sanitize(p.addr, slot, st)
+// is its snoop operation and i its index in the service window. (slot,
+// st) is what Board.process found when it looked the line up in this
+// node's directory for the combined snoop input. Board.process answers a
+// miss on an idleMiss op itself and never calls snoop for it.
+func (n *node) snoop(op coherence.Op, i int, slot int64, st coherence.State) {
+	set, tag := n.lane.set[i], n.lane.tag[i]
+	slot, cur := n.sanitize(set, tag, slot, st)
 	entry := n.eng.Lookup(op, cur, coherence.SnoopNone)
 	n.cTransition[op][cur][coherence.SnoopNone].Inc()
 
@@ -295,19 +305,20 @@ func (n *node) snoop(op coherence.Op, p *pending, slot int64, st coherence.State
 	if op == coherence.SnoopWrite && cur.IsValid() && entry.Next == coherence.Invalid {
 		n.cInvalidations.Inc()
 	}
-	n.apply(p.addr, slot, cur, entry)
+	n.apply(set, tag, slot, cur, entry)
 }
 
 // apply commits a protocol transition to the directory, handling
 // allocation, eviction, writeback, and invalidation. slot is where the
-// lookup that produced cur found a (cache.NoSlot on a miss).
-func (n *node) apply(a uint64, slot int64, cur coherence.State, e coherence.Entry) {
+// lookup that produced cur found the line with the given set index and
+// tag (cache.NoSlot on a miss).
+func (n *node) apply(set int64, tag uint64, slot int64, cur coherence.State, e coherence.Entry) {
 	if e.Actions.Has(coherence.ActWriteback) {
 		n.cWritebacks.Inc()
 	}
 	switch {
 	case cur == coherence.Invalid && e.Actions.Has(coherence.ActAllocate):
-		victim, evicted := n.dir.FillAt(a, slot, uint8(e.Next))
+		victim, evicted := n.dir.FillIn(set, tag, slot, uint8(e.Next))
 		if evicted {
 			n.cEvictions.Inc()
 			if coherence.State(victim.State).IsDirty() {

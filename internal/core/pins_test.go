@@ -66,7 +66,9 @@ type pinBoard struct {
 
 // pinBoards are the boards TestBoardDigestPins holds: between them every
 // protocol as requester and snooper, every replacement policy, ECC with
-// scrub repairs, and the non-power-of-two bank path with injected stalls.
+// scrub repairs, the non-power-of-two bank path with injected stalls, four
+// independent groups of four set shapes, and one group of two set shapes,
+// each shared by two associativities.
 func pinBoards() map[string]pinBoard {
 	const n = 32_000
 	fourNode := func(step uint64) []bus.Transaction { return fourNodeStream(n, step) }
@@ -88,7 +90,33 @@ func pinBoards() map[string]pinBoard {
 			}
 			return cfg
 		}, stream: wr60},
-		"four-node":      {cfg: fourNodeConfig, stream: fourNode},
+		"four-node": {cfg: fourNodeConfig, stream: fourNode},
+		"multiconfig-4": {cfg: func() Config {
+			var cfg Config
+			for i, size := range []int64{1, 2, 4, 8} {
+				cfg.Nodes = append(cfg.Nodes, NodeConfig{
+					CPUs:     CPURange(8),
+					Geometry: addr.MustGeometry(size*addr.MB, 128, 4),
+					Policy:   cache.LRU,
+					Protocol: protocols.MustLoad("mesi"),
+					Group:    i,
+				})
+			}
+			return cfg
+		}, stream: wr60},
+		"two-shapes-one-group": {cfg: func() Config {
+			cfg := mixedProtocolConfig()
+			for i, g := range []addr.Geometry{
+				addr.MustGeometry(2*addr.MB, 128, 4),
+				addr.MustGeometry(4*addr.MB, 128, 8),
+				addr.MustGeometry(4*addr.MB, 128, 4),
+				addr.MustGeometry(8*addr.MB, 128, 8),
+			} {
+				cfg.Nodes[i].Geometry = g
+				cfg.Nodes[i].Protocol = protocols.MustLoad("moesi")
+			}
+			return cfg
+		}, stream: wr60},
 		"mixed-protocol": {cfg: mixedProtocolConfig, stream: wr60},
 		"single-plru":    {cfg: single(cache.PLRU), stream: fourNode},
 		"single-fifo":    {cfg: single(cache.FIFO), stream: fourNode},
@@ -143,29 +171,35 @@ func runPinBoard(t testing.TB, pb pinBoard, step uint64) *Board {
 // wrong fast path that Snoop and SnoopBatch share; these pins can.
 func TestBoardDigestPins(t *testing.T) {
 	want := map[string]string{
-		"ecc-scrub/step1":           "e5c4f3f582e12c1c557b5677b0219f69a3433cc58afd62a9091d1c00cc790d7e",
-		"ecc-scrub/step48":          "a279ab159b4023262f1a0c7a1584c37393a5930d43a13a9dce9f8c7359add200",
-		"four-node/step1":           "2da5b2b450ea50173eeef7de0a3bb4d9b8664cec6b5c4304d1b4f54e24cb9c37",
-		"four-node/step48":          "508a4458aebed02998f7282d803b1d3189b7815fc1548d81ea9441f755cf8604",
-		"mixed-protocol/step1":      "b7ed6c9cab8839e7de94225654edb88fd124b05416eebd6ee9d884dab58e7d7f",
-		"mixed-protocol/step48":     "07398590467619e3440c16a5afd14d8d4b6b4b3229d6b8b97eaf08d396e5bacd",
-		"moesi-4node-wr60/step1":    "320ff347893d9cdc7a246afbf7e9e755f80cbc9c74db73ee3ecfcd5d591925cd",
-		"moesi-4node-wr60/step48":   "7bf6d408864874a6c0f9da9f6c4369190934a46e72df9651ac6d77bb78091546",
-		"sdram-12bank-stall/step1":  "da13dcda50583b40151c634946df47dfc1047e6a63b1a4f1b99c01f7c58b6dbd",
-		"sdram-12bank-stall/step48": "dbac6c13bf4ba46ca99e8878adc7930a85aa7d86fc587fe9db6a7148a3b001ab",
-		"single-fifo/step1":         "7b4317fb54af7477091a77c071367432b2d28a880b922a2d58563f295e4dc8dd",
-		"single-fifo/step48":        "79e34b3f9ddf5fe87a32d3d9ebae2abdcfb313cda5671ad9edeee027fa7919b6",
-		"single-plru/step1":         "776c77bbd78b1347d5110bce274d3968afc772193fb356bc839cabb26d3f4f29",
-		"single-plru/step48":        "e66466316e6137d62ebbd7ed758a8c147370d6fd4eadb0cbe0076641b68773e1",
-		"single-random/step1":       "e6953448c3ae768f84217d617aeebf8c0be6bdd32580b42ac2bef479b639deec",
-		"single-random/step48":      "d6744238dc4eecdb0cde0268345dc7cacc2461e06f833fa3e8af3b4563b0bdad",
+		"ecc-scrub/step1":             "e5c4f3f582e12c1c557b5677b0219f69a3433cc58afd62a9091d1c00cc790d7e",
+		"ecc-scrub/step48":            "a279ab159b4023262f1a0c7a1584c37393a5930d43a13a9dce9f8c7359add200",
+		"four-node/step1":             "2da5b2b450ea50173eeef7de0a3bb4d9b8664cec6b5c4304d1b4f54e24cb9c37",
+		"four-node/step48":            "508a4458aebed02998f7282d803b1d3189b7815fc1548d81ea9441f755cf8604",
+		"multiconfig-4/step1":         "5f146d0c99d78c28662d89a11f7d48008d320804a4267b74c3133b2137bea569",
+		"multiconfig-4/step48":        "8b3f05bbf8076ba733978704076d34845fa96bb6b2d2a9279b4f53174597ab7e",
+		"two-shapes-one-group/step1":  "0824657d8a3f9153365bd5609e794810234640f942a81003077a1cdd00bcd97b",
+		"two-shapes-one-group/step48": "9d3639257a690dd810e97eb6804f9e4f5b6c72474445a53c60759345488505b8",
+		"mixed-protocol/step1":        "b7ed6c9cab8839e7de94225654edb88fd124b05416eebd6ee9d884dab58e7d7f",
+		"mixed-protocol/step48":       "07398590467619e3440c16a5afd14d8d4b6b4b3229d6b8b97eaf08d396e5bacd",
+		"moesi-4node-wr60/step1":      "320ff347893d9cdc7a246afbf7e9e755f80cbc9c74db73ee3ecfcd5d591925cd",
+		"moesi-4node-wr60/step48":     "7bf6d408864874a6c0f9da9f6c4369190934a46e72df9651ac6d77bb78091546",
+		"sdram-12bank-stall/step1":    "da13dcda50583b40151c634946df47dfc1047e6a63b1a4f1b99c01f7c58b6dbd",
+		"sdram-12bank-stall/step48":   "dbac6c13bf4ba46ca99e8878adc7930a85aa7d86fc587fe9db6a7148a3b001ab",
+		"single-fifo/step1":           "7b4317fb54af7477091a77c071367432b2d28a880b922a2d58563f295e4dc8dd",
+		"single-fifo/step48":          "79e34b3f9ddf5fe87a32d3d9ebae2abdcfb313cda5671ad9edeee027fa7919b6",
+		"single-plru/step1":           "776c77bbd78b1347d5110bce274d3968afc772193fb356bc839cabb26d3f4f29",
+		"single-plru/step48":          "e66466316e6137d62ebbd7ed758a8c147370d6fd4eadb0cbe0076641b68773e1",
+		"single-random/step1":         "e6953448c3ae768f84217d617aeebf8c0be6bdd32580b42ac2bef479b639deec",
+		"single-random/step48":        "d6744238dc4eecdb0cde0268345dc7cacc2461e06f833fa3e8af3b4563b0bdad",
 	}
 	// What each board must have exercised for its pin to mean anything.
 	exercised := map[string]string{
-		"moesi-4node-wr60": "nodea.snoop.invalidated",
-		"mixed-protocol":   "noded.intervention.supplied.mod",
-		"single-plru":      "nodea.evictions",
-		"ecc-scrub":        "nodea.ecc.corrected",
+		"moesi-4node-wr60":     "nodea.snoop.invalidated",
+		"mixed-protocol":       "noded.intervention.supplied.mod",
+		"single-plru":          "nodea.evictions",
+		"ecc-scrub":            "nodea.ecc.corrected",
+		"multiconfig-4":        "nodea.evictions",
+		"two-shapes-one-group": "nodeb.snoop.invalidated",
 	}
 	for name, pb := range pinBoards() {
 		for _, step := range []uint64{48, 1} {

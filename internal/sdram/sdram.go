@@ -18,6 +18,8 @@
 // happening in months of lab use at 2-20% utilization).
 package sdram
 
+import "slices"
+
 // Config sets the tag-store timing, all in bus cycles.
 type Config struct {
 	// Banks is the number of independent SDRAM banks; the tag table is
@@ -62,7 +64,7 @@ type TagStore struct {
 	bankMask    int64    // Banks-1 when Banks is a power of two, else -1
 	channelFree uint64   // earliest cycle the channel can start a new op
 	bankFree    []uint64 // earliest cycle each bank can start a new op
-	stats       Stats // BusyCycles unused: Stats derives it
+	stats       Stats    // BusyCycles unused: Stats derives it
 }
 
 // New creates a tag store with the given timing. Banks must be positive
@@ -103,6 +105,13 @@ func (t *TagStore) Stall(now, cycles uint64) {
 	}
 	t.channelFree += cycles
 	t.stats.InjectedStallCycles += cycles
+}
+
+// Equal reports whether u has t's timing and t's state: fed the same
+// operations from here on, the two stay equal, so one can stand for both.
+func (t *TagStore) Equal(u *TagStore) bool {
+	return t.gap == u.gap && t.busy == u.busy && t.bankMask == u.bankMask &&
+		t.channelFree == u.channelFree && t.stats == u.stats && slices.Equal(t.bankFree, u.bankFree)
 }
 
 // Schedule issues a directory operation for the given set at cycle now and

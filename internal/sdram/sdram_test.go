@@ -136,3 +136,42 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 		}()
 	}
 }
+
+// TestEqual: two models are equal when timing and state are, stay equal
+// under the same operations, and differ after any operation or stall only
+// one of them sees, or when built with other timing.
+func TestEqual(t *testing.T) {
+	a, b := New(DefaultConfig()), New(DefaultConfig())
+	if !a.Equal(b) {
+		t.Fatal("fresh models with one config differ")
+	}
+	for i := uint64(0); i < 100; i++ {
+		a.Schedule(i*7, int64(i*13))
+		b.Schedule(i*7, int64(i*13))
+	}
+	if !a.Equal(b) {
+		t.Fatal("models fed the same operations differ")
+	}
+	a.Schedule(1000, 3)
+	if a.Equal(b) {
+		t.Fatal("an operation only one model saw left them equal")
+	}
+	b.Schedule(1000, 4)
+	if a.Equal(b) {
+		t.Fatal("operations on different banks left the models equal")
+	}
+	c, d := New(DefaultConfig()), New(DefaultConfig())
+	c.Stall(0, 5)
+	if c.Equal(d) {
+		t.Fatal("a stall only one model saw left them equal")
+	}
+	for _, cfg := range []Config{
+		{Banks: 12, ChannelGap: 23, BankBusy: 46},
+		{Banks: 16, ChannelGap: 24, BankBusy: 46},
+		{Banks: 16, ChannelGap: 23, BankBusy: 47},
+	} {
+		if New(cfg).Equal(d) {
+			t.Errorf("%+v equals the default config", cfg)
+		}
+	}
+}
