@@ -1,8 +1,9 @@
 GO ?= go
 
 # Default developer loop: the quick checks. `make ci` is the pre-merge
-# set (race, fuzz seeds, coverage ratchet); the workflow adds the faults
-# sweep, bench-selfcheck, crash-resume and loadtest as their own jobs.
+# set (race, plain experiment goldens, fuzz seeds, coverage ratchet); the
+# workflow adds the faults sweep, bench-selfcheck, crash-resume and
+# loadtest as their own jobs.
 .PHONY: all
 all: vet build test
 
@@ -40,6 +41,13 @@ race:
 .PHONY: race-ingest
 race-ingest:
 	$(GO) test -race -count=10 -run 'TestConcurrentClients|TestConcurrentDistinctBodies' ./internal/service
+
+# The experiment goldens, the fig8 snapshot determinism check and the
+# parallel-equivalence check skip under the race detector, so they get
+# their own plain run (~40 s on 2 vCPUs).
+.PHONY: experiments
+experiments:
+	$(GO) test -count=1 ./internal/experiments
 
 # Run every fuzz target over its seed corpus only (no time-boxed
 # exploration) — this is what CI executes. Use `make fuzz-long` locally
@@ -138,4 +146,4 @@ inline:
 	sh ci/check-inline.sh
 
 .PHONY: ci
-ci: fmt vet build reachable inline race race-ingest fuzz-seeds cover-check
+ci: fmt vet build reachable inline race race-ingest experiments fuzz-seeds cover-check

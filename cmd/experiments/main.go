@@ -4,7 +4,7 @@
 //	experiments -run fig9       # one experiment (comma-separate for more)
 //	experiments -scale ci       # the fast preset the test suite uses
 //	experiments -scale paper    # the paper's own parameters (very long)
-//	experiments -parallel 4     # up to 4 concurrent experiments / sweep points
+//	experiments -parallel 4     # up to 4 concurrent experiments / host runs
 //	experiments -parallel 1     # fully serial: the deterministic golden run
 //	experiments -list           # show available experiment IDs
 //	experiments -csv            # emit CSV instead of aligned tables
@@ -173,9 +173,9 @@ func run() int {
 		scaleID  = flag.String("scale", "default", "scale preset: ci, default, paper")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text tables")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker bound, both across experiments and across sweep points within one; 1 is the serial golden run (bit-identical results at any setting)")
+		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker bound, both across experiments and across the host runs (one per reference stream) within one; 1 is the serial golden run (bit-identical results at any setting)")
 		bigmem   = flag.Bool("bigmem", false, "run the fully allocated big-memory corners (table2's 8 GB directory: ~512 MB RAM, tens of seconds)")
-		cpus     = flag.Int("cpus", 0, "emulated CPU count override for host-driven experiments (default: each preset's geometry; hostscale sweeps this single size)")
+		cpus     = flag.Int("cpus", 0, "emulated CPU count override for fig8, fig9, fig10, faults and protocolcompare (default: each preset's geometry; hostscale sweeps this single size; fig11, fig12, table5 and table6 keep 8)")
 		unfaith  = flag.Bool("unfaithful", false, "silence the warning when -cpus exceeds the paper's 12-way S7A host")
 		obsAddr  = flag.String("obs", "", "serve live metrics on this address (e.g. :9090) while experiments run")
 		obsIv    = flag.Duration("obs-interval", time.Second, "sampler interval for -obs/-obs-jsonl")
@@ -307,8 +307,8 @@ func run() int {
 
 	// Run experiments concurrently (each independent, internally
 	// parallel up to the same bound), bounded by a semaphore; report in
-	// stable order. Every sweep point builds its own board, host, and
-	// seeded generator, so the output is identical at any -parallel.
+	// stable order. Every host run builds its own host and seeded
+	// generator, so the output is identical at any -parallel.
 	results := make([]outcome, len(ids))
 	sem := make(chan struct{}, *parallel)
 	var wg sync.WaitGroup

@@ -55,10 +55,11 @@ func ParseScale(s string) (Scale, error) {
 type Preset struct {
 	Scale Scale
 
-	// Parallel bounds how many independent sweep points (board runs) an
-	// experiment executes concurrently. Every sweep point builds its own
-	// board, host, and seeded generator, so results are bit-identical at
-	// any setting; 1 is the serial golden run. Set via RunWith.
+	// Parallel bounds how many independent host runs — distinct
+	// reference streams, each carrying every board that observes it — an
+	// experiment executes concurrently. Every run builds its own host and
+	// seeded generator, so results are bit-identical at any setting; 1 is
+	// the serial golden run. Set via RunWith.
 	Parallel int
 
 	// Database workloads (Figures 8-10).
@@ -108,10 +109,12 @@ type Preset struct {
 	HostScaleActive int    // busy streams per sweep point; the rest idle
 	HostScaleCycles uint64 // bus cycles emulated per sweep point
 
-	// NumCPUs, when positive, overrides host.Config.NumCPUs wherever an
-	// experiment builds a host, and narrows the hostscale sweep to that
-	// single machine size. Set via Options.NumCPUs / cmd/experiments
-	// -cpus; 0 keeps each experiment's own default.
+	// NumCPUs, when positive, overrides host.Config.NumCPUs in the
+	// experiments built on dbHostConfig (fig8, fig9, fig10, faults,
+	// protocolcompare), and narrows the hostscale sweep to that single
+	// machine size. fig11, fig12, table5 and table6 keep the default
+	// host. Set via Options.NumCPUs / cmd/experiments -cpus; 0 keeps each
+	// experiment's own default.
 	NumCPUs int
 
 	// BigMem gates the fully allocated big-memory corners (the 8 GB
@@ -292,8 +295,9 @@ func Title(id string) string { return registry[id].title }
 // Options adjusts how an experiment runs without changing what it
 // computes.
 type Options struct {
-	// Parallel bounds the number of sweep points run concurrently inside
-	// the experiment. 0 means GOMAXPROCS; 1 is the serial golden run.
+	// Parallel bounds the number of host runs (distinct reference
+	// streams) executed concurrently inside the experiment. 0 means
+	// GOMAXPROCS; 1 is the serial golden run.
 	Parallel int
 	// BigMem enables the fully allocated big-memory corners (table2's
 	// 8 GB directory run: ~512 MB RAM and tens of seconds).

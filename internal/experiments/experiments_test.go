@@ -63,16 +63,18 @@ func TestStaticExhibits(t *testing.T) {
 
 // TestAllExperimentsReproduceShapes is the repository's headline test: at
 // CI scale, every table and figure regenerates and satisfies the paper's
-// qualitative claims. Skipped under -short (it simulates tens of millions
-// of references).
+// qualitative claims (RunWith returns the shape error). Its runs are
+// memoized (ciResult), so TestExperimentsGolden compares the same runs
+// and each experiment runs once. Skipped under -short (it simulates tens
+// of millions of references).
 func TestAllExperimentsReproduceShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment reproduction skipped in -short mode")
 	}
 	for _, id := range IDs() {
-		id := id
 		t.Run(id, func(t *testing.T) {
-			res, err := RunWith(id, ScaleCI, Options{Parallel: 1})
+			t.Parallel()
+			res, err := ciResult(id)
 			if err != nil {
 				t.Fatalf("shape violation or failure: %v", err)
 			}

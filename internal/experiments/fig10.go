@@ -26,30 +26,23 @@ func runFig10(p Preset) (*Result, error) {
 	}
 	bcfg := core.Config{Nodes: nodes, ProfileBucketCycles: p.Fig10BucketCyc}
 
-	run := func(buggy bool) (*core.Board, error) {
+	// Two streams: with the journaling bug (the disturbance), then fixed.
+	var boards [2]*core.Board
+	for i, label := range []string{"buggy", "fixed"} {
 		newGen := func() workload.Generator {
 			g := workload.Generator(workload.NewTPCC(workload.ScaledTPCCConfig(p.TPCCFactor)))
-			if buggy {
+			if i == 0 {
 				g = workload.WithDisturbance(g, disturb)
 			}
 			return g
 		}
-		label := "fixed"
-		if buggy {
-			label = "buggy"
+		b, err := streamRun(p, []string{label}, hcfg, newGen, []core.Config{bcfg}, p.Fig10Refs)
+		if err != nil {
+			return nil, err
 		}
-		b, _, err := boardRun(p, label, hcfg, newGen, bcfg, p.Fig10Refs)
-		return b, err
+		boards[i] = b[0]
 	}
-
-	buggy, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	fixed, err := run(false)
-	if err != nil {
-		return nil, err
-	}
+	buggy, fixed := boards[0], boards[1]
 
 	res := &Result{}
 	const spikeFactor = 1.3

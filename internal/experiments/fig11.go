@@ -34,12 +34,12 @@ func runFig11(p Preset) (*Result, error) {
 
 	res := &Result{}
 	names := splash.Names()
-	// One independent sweep per application, run concurrently; rows are
-	// added afterwards in the registry's order.
+	// One stream per application, run concurrently; rows are added
+	// afterwards in the registry's order.
 	perApp, err := parallel.Map(p.Parallel, len(names), func(ai int) ([]float64, error) {
 		name := names[ai]
 		newGen := func() workload.Generator { return splash.New(name, p.Fig11Size, hcfg.NumCPUs, p.SplashSeed) }
-		views, err := cacheSweep(p, name, hcfg, newGen, sizes, 128, 4, p.Fig11Refs, p.Parallel)
+		views, err := cacheSweep(p, name, hcfg, newGen, sizes, 128, 4, p.Fig11Refs)
 		if err != nil {
 			return nil, err
 		}

@@ -19,6 +19,29 @@ type fig12Breakdown struct {
 
 func (b fig12Breakdown) interventions() float64 { return b.ModInt + b.ShrInt }
 
+// fig12Classify sums where a board's nodes satisfied their L2 misses.
+func fig12Classify(b *core.Board) (fig12Breakdown, error) {
+	var l3, mod, shr, mem uint64
+	for i := 0; i < b.NumNodes(); i++ {
+		v := b.Node(i)
+		l3 += v.SatL3
+		mod += v.SatModInt
+		shr += v.SatShrInt
+		mem += v.SatMemory
+	}
+	tot := l3 + mod + shr + mem
+	if tot == 0 {
+		return fig12Breakdown{}, fmt.Errorf("no L2 misses observed")
+	}
+	f := float64(tot)
+	return fig12Breakdown{
+		L3:     float64(l3) / f,
+		ModInt: float64(mod) / f,
+		ShrInt: float64(shr) / f,
+		Memory: float64(mem) / f,
+	}, nil
+}
+
 // runFig12 reproduces Figure 12: for FFT, Ocean, and FMM in two NUMA-ish
 // configurations (2 nodes x 4 processors and 4 nodes x 2 processors),
 // where is an L2 miss satisfied — the local L3, another node's modified
@@ -28,56 +51,33 @@ func runFig12(p Preset) (*Result, error) {
 	apps := []string{splash.NameFFT, splash.NameOcean, splash.NameFMM}
 	shapes := [][2]int{{2, 4}, {4, 2}} // nodes x procs-per-node
 
-	measure := func(name string, nodesN, procs int) (fig12Breakdown, error) {
-		var nodes []core.NodeConfig
-		for n := 0; n < nodesN; n++ {
-			cpus := make([]int, procs)
-			for j := range cpus {
-				cpus[j] = n*procs + j
-			}
-			nodes = append(nodes, stdNode(p, fmt.Sprintf("n%d", n), cpus,
-				p.Fig12CacheMB*addr.MB, p.Fig12LineB, 4, 0))
-		}
-		newGen := func() workload.Generator { return splash.New(name, p.Fig12Size, hcfg.NumCPUs, p.SplashSeed) }
-		b, _, err := boardRun(p, fmt.Sprintf("%s.%dx%d", name, nodesN, procs), hcfg, newGen, core.Config{Nodes: nodes}, p.Fig12Refs)
-		if err != nil {
-			return fig12Breakdown{}, err
-		}
-		var l3, mod, shr, mem uint64
-		for i := range nodes {
-			v := b.Node(i)
-			l3 += v.SatL3
-			mod += v.SatModInt
-			shr += v.SatShrInt
-			mem += v.SatMemory
-		}
-		tot := l3 + mod + shr + mem
-		if tot == 0 {
-			return fig12Breakdown{}, fmt.Errorf("fig12 %s: no L2 misses observed", name)
-		}
-		f := float64(tot)
-		return fig12Breakdown{
-			L3:     float64(l3) / f,
-			ModInt: float64(mod) / f,
-			ShrInt: float64(shr) / f,
-			Memory: float64(mem) / f,
-		}, nil
-	}
-
 	t := stats.NewTable(
 		fmt.Sprintf("FIGURE 12. Where an L2 Miss is Satisfied (%s per-node L3, %dB L3 lines)",
 			addr.FormatSize(p.Fig12CacheMB*addr.MB), p.Fig12LineB),
 		"Application", "Config", "L3", "mod-int", "shr-int", "memory")
 
+	// One stream per application, with one board per node shape on its
+	// bus.
 	results := map[string]map[string]fig12Breakdown{}
 	for _, name := range apps {
-		results[name] = map[string]fig12Breakdown{}
+		var labels []string
+		var bcfgs []core.Config
 		for _, sh := range shapes {
-			label := fmt.Sprintf("%dx%d", sh[0], sh[1])
-			bd, err := measure(name, sh[0], sh[1])
+			labels = append(labels, fmt.Sprintf("%s.%dx%d", name, sh[0], sh[1]))
+			bcfgs = append(bcfgs, core.Config{Nodes: splitNodes(p, sh[0], sh[1], p.Fig12CacheMB*addr.MB, p.Fig12LineB, 4)})
+		}
+		newGen := func() workload.Generator { return splash.New(name, p.Fig12Size, hcfg.NumCPUs, p.SplashSeed) }
+		boards, err := streamRun(p, labels, hcfg, newGen, bcfgs, p.Fig12Refs)
+		if err != nil {
+			return nil, err
+		}
+		results[name] = map[string]fig12Breakdown{}
+		for si, sh := range shapes {
+			bd, err := fig12Classify(boards[si])
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("fig12 %s: %w", name, err)
 			}
+			label := fmt.Sprintf("%dx%d", sh[0], sh[1])
 			results[name][label] = bd
 			t.AddRow(name, label, bd.L3, bd.ModInt, bd.ShrInt, bd.Memory)
 		}

@@ -27,9 +27,9 @@ func runFig8(p Preset) (*Result, error) {
 		refs     uint64
 		miss     []float64
 	}
-	// The four workload x trace-length series are independent sweeps; the
-	// rig runs them (and their internal batches) concurrently up to
-	// p.Parallel, with results landing in fixed index order.
+	// The four workload x trace-length series are four independent
+	// streams; the rig runs them concurrently up to p.Parallel, with
+	// results landing in fixed index order.
 	combos := []series{
 		{workload: "tpcc", label: "long", refs: p.Fig8Long},
 		{workload: "tpcc", label: "short", refs: p.Fig8Short},
@@ -42,7 +42,7 @@ func runFig8(p Preset) (*Result, error) {
 		if s.workload == "tpch" {
 			newGen = func() workload.Generator { return workload.NewTPCH(workload.ScaledTPCHConfig(p.TPCHFactor)) }
 		}
-		views, err := cacheSweep(p, s.workload+"."+s.label, hcfg, newGen, sizes, 128, 8, s.refs, p.Parallel)
+		views, err := cacheSweep(p, s.workload+"."+s.label, hcfg, newGen, sizes, 128, 8, s.refs)
 		if err != nil {
 			return series{}, err
 		}

@@ -24,24 +24,19 @@ func runFig9(p Preset) (*Result, error) {
 	procCounts := []int{1, 2, 4, 8}
 	cacheBytes := p.Fig9CacheMB * addr.MB
 
-	// 2*len(procCounts) independent sweeps: even tasks are the long
-	// trace, odd tasks the short one, for procCounts[i/2] per node.
-	flat, err := parallel.Map(p.Parallel, 2*len(procCounts), func(i int) (float64, error) {
+	// Two streams, long and short, each carrying every processors-per-L3
+	// configuration at once.
+	traces, err := parallel.Map(p.Parallel, 2, func(i int) ([]float64, error) {
 		refs, trace := p.Fig9Long, "long"
-		if i%2 == 1 {
+		if i == 1 {
 			refs, trace = p.Fig9Short, "short"
 		}
-		scope := fmt.Sprintf("procs%d.%s", procCounts[i/2], trace)
-		return procSweep(p, scope, hcfg, newGen, cacheBytes, 128, 8, refs, procCounts[i/2], p.Parallel)
+		return procSweep(p, trace, hcfg, newGen, cacheBytes, 128, 8, refs, procCounts)
 	})
 	if err != nil {
 		return nil, err
 	}
-	long := make([]float64, len(procCounts))
-	short := make([]float64, len(procCounts))
-	for i := range procCounts {
-		long[i], short[i] = flat[2*i], flat[2*i+1]
-	}
+	long, short := traces[0], traces[1]
 
 	t := stats.NewTable(
 		fmt.Sprintf("FIGURE 9. L3 Miss Ratio vs. Processors per %s L3", addr.FormatSize(cacheBytes)),
@@ -53,7 +48,7 @@ func runFig9(p Preset) (*Result, error) {
 		Tables: []*stats.Table{t},
 		Notes: []string{
 			fmt.Sprintf("TPC-C, 8 processors total; long %d refs, short %d refs", p.Fig9Long, p.Fig9Short),
-			"configurations with more than four L3s run as multiple board passes (the board has four node controllers)",
+			"configurations with more than four L3s run as several boards on one bus (the board has four node controllers)",
 		},
 	}
 

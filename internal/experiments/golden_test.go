@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"memories/internal/stats"
@@ -37,9 +38,36 @@ func normalizeResult(res *Result) *Result {
 	return out
 }
 
+// goldenIDs are the experiments whose CI-scale output is locked in
+// testdata/golden/<id>.txt.
+var goldenIDs = []string{"fig8", "fig9", "fig11", "hostscale", "protocolcompare", "table3"}
+
+// ciRuns memoizes RunWith(id, ScaleCI, Options{Parallel: 1}) across the
+// tests of one binary, so the shape test and the golden test share one
+// run of each experiment.
+var ciRuns sync.Map // id → *ciRun
+
+type ciRun struct {
+	once sync.Once
+	res  *Result
+	err  error
+}
+
+// ciResult returns the experiment's CI-scale -parallel 1 result, running
+// it on first use only. Concurrent callers for one id wait for the one
+// run.
+func ciResult(id string) (*Result, error) {
+	v, _ := ciRuns.LoadOrStore(id, &ciRun{})
+	r := v.(*ciRun)
+	r.once.Do(func() { r.res, r.err = RunWith(id, ScaleCI, Options{Parallel: 1}) })
+	return r.res, r.err
+}
+
 // TestExperimentsGolden locks the rendered output of the paper's key
-// figures at CI scale against checked-in golden files. Run with -update
-// to rewrite them after an intentional change:
+// figures at CI scale against checked-in golden files. It reads the run
+// TestAllExperimentsReproduceShapes already made (ciResult), so each
+// experiment runs once. Run with -update to rewrite them after an
+// intentional change:
 //
 //	go test ./internal/experiments/ -run TestExperimentsGolden -update
 func TestExperimentsGolden(t *testing.T) {
@@ -47,35 +75,38 @@ func TestExperimentsGolden(t *testing.T) {
 		t.Skip("golden regeneration skipped in -short mode")
 	}
 	if raceDetectorEnabled {
-		t.Skip("golden regeneration skipped under the race detector (covered by the plain CI job)")
+		t.Skip("golden regeneration skipped under the race detector; `make experiments` runs it without")
 	}
-	for _, id := range []string{"fig8", "fig9", "fig11", "hostscale", "protocolcompare", "table3"} {
-		id := id
+	for _, id := range goldenIDs {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			res, err := RunWith(id, ScaleCI, Options{Parallel: 1})
+			res, err := ciResult(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := normalizeResult(res).String()
-			path := filepath.Join("testdata", "golden", id+".txt")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("%s output drifted from %s (re-run with -update if intentional)\n--- got ---\n%s--- want ---\n%s",
-					id, path, got, want)
-			}
+			checkGolden(t, res)
 		})
+	}
+}
+
+// checkGolden compares the rendered, normalized output of res with its
+// golden file, and with -update rewrites the file instead.
+func checkGolden(t *testing.T, res *Result) {
+	t.Helper()
+	got := normalizeResult(res).String()
+	path := filepath.Join("testdata", "golden", res.ID+".txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s output drifted from %s (re-run with -update if intentional)\n--- got ---\n%s--- want ---\n%s",
+			res.ID, path, got, want)
 	}
 }

@@ -1,63 +1,77 @@
 package experiments
 
 import (
+	"maps"
+	"reflect"
+	"strings"
 	"testing"
 
 	"memories/internal/addr"
+	"memories/internal/core"
 	"memories/internal/host"
+	"memories/internal/parallel"
 	"memories/internal/workload"
+	"memories/protocols"
 )
 
-// TestSweepParallelEquivalence: the rig's sweep primitives produce
-// bit-identical per-node views (hits, misses, interventions, castouts —
-// every field) at every parallelism level, because each sweep point owns
-// a fresh board, host, and seeded generator.
-func TestSweepParallelEquivalence(t *testing.T) {
+// TestSharedStreamMatchesSeparateRuns: boards riding one bus in one
+// streamRun end with exactly the counter banks — every counter, not only
+// the node views — that each board reaches alone on a fresh host. This
+// is what lets every sweep run its reference stream once. The boards
+// are a cacheSweep board of four snoop groups, a two-node MOESI group
+// whose interventions cross nodes, and a two-node MSI group.
+func TestSharedStreamMatchesSeparateRuns(t *testing.T) {
 	hcfg := host.DefaultConfig()
 	newGen := func() workload.Generator {
 		return workload.NewZipfian(workload.ZipfConfig{
 			NumCPUs: hcfg.NumCPUs, FootprintByte: 32 * addr.MB, WriteFraction: 0.25, Seed: 9,
 		})
 	}
-	// Six sizes = two board batches, so batch-level parallelism is real.
-	sizes := []int64{addr.MB, 2 * addr.MB, 4 * addr.MB, 8 * addr.MB, 16 * addr.MB, 32 * addr.MB}
 	refs := uint64(120_000)
-	pars := []int{4, 8}
 	if raceDetectorEnabled {
 		refs = 20_000
-		pars = []int{4}
+	}
+	all := core.CPURange(hcfg.NumCPUs)
+	moesi := Preset{Protocol: protocols.MustLoad("moesi")}
+	msi := Preset{Protocol: protocols.MustLoad("msi")}
+	labels := []string{"groups", "moesi", "msi"}
+	cfgs := []core.Config{
+		{Nodes: []core.NodeConfig{
+			stdNode(Preset{}, "s0", all, addr.MB, 128, 4, 0),
+			stdNode(Preset{}, "s1", all, 2*addr.MB, 128, 4, 1),
+			stdNode(Preset{}, "s2", all, 4*addr.MB, 128, 4, 2),
+			stdNode(Preset{}, "s3", all, 4*addr.MB, 128, 8, 3),
+		}},
+		{Nodes: splitNodes(moesi, 2, hcfg.NumCPUs/2, 2*addr.MB, 128, 8)},
+		{Nodes: splitNodes(msi, 2, hcfg.NumCPUs/2, addr.MB, 128, 4)},
+	}
+	shared, err := streamRun(Preset{}, labels, hcfg, newGen, cfgs, refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The separate runs go concurrently, so under -race they also check
+	// that streams running side by side share no mutable state.
+	alone, err := parallel.Map(len(cfgs), len(cfgs), func(i int) ([]*core.Board, error) {
+		return streamRun(Preset{}, labels[i:i+1], hcfg, newGen, cfgs[i:i+1], refs)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, label := range labels {
+		got, want := shared[i].Counters().Snapshot(), alone[i][0].Counters().Snapshot()
+		if want["filter.accepted"] == 0 {
+			t.Fatalf("%s: board accepted no transactions", label)
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("%s: counter bank differs between the shared and the separate run:\nshared %v\nalone  %v", label, got, want)
+		}
 	}
 
-	serialViews, err := cacheSweep(Preset{}, "serial", hcfg, newGen, sizes, 128, 4, refs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range pars {
-		views, err := cacheSweep(Preset{}, "par", hcfg, newGen, sizes, 128, 4, refs, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(views) != len(serialViews) {
-			t.Fatalf("par %d: %d views, serial %d", par, len(views), len(serialViews))
-		}
-		for i := range views {
-			if views[i] != serialViews[i] {
-				t.Fatalf("par %d: size %s view %+v, serial %+v",
-					par, addr.FormatSize(sizes[i]), views[i], serialViews[i])
-			}
-		}
-	}
-
-	serialMiss, err := procSweep(Preset{}, "serial", hcfg, newGen, 2*addr.MB, 128, 4, refs, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parMiss, err := procSweep(Preset{}, "par", hcfg, newGen, 2*addr.MB, 128, 4, refs, 1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parMiss != serialMiss {
-		t.Fatalf("procSweep par 8 miss ratio %v, serial %v", parMiss, serialMiss)
+	// A board that may post Retry would change the stream of every other
+	// board on its bus, so streamRun refuses it and names its label.
+	cfgs[1].RetryOnOverflow = true
+	if _, err := streamRun(Preset{}, labels, hcfg, newGen, cfgs, refs); err == nil || !strings.Contains(err.Error(), `"moesi"`) {
+		t.Fatalf("streamRun with a RetryOnOverflow board: err = %v, want one naming \"moesi\"", err)
 	}
 }
 
@@ -69,7 +83,7 @@ func deterministicCells(res *Result) [][]string {
 	for _, tb := range res.Tables {
 		for _, row := range tb.Rows {
 			switch tb.Title {
-			case "TABLE 3. Execution Times of C Simulator vs. MemorIES":
+			case table3Title:
 				out = append(out, []string{row[0], row[2]})
 			default:
 				out = append(out, row)
@@ -79,9 +93,19 @@ func deterministicCells(res *Result) [][]string {
 	return out
 }
 
-// TestRunWithParallelEquivalence is the ISSUE's acceptance check: the
-// Table 3 and Fig 8 sweeps report identical miss ratios and counters
-// whether run with -parallel 1 or -parallel 8.
+// compareCells fails t if a -parallel 1 and a -parallel N result of the
+// same experiment differ in any deterministic cell.
+func compareCells(t *testing.T, serial, par *Result) {
+	t.Helper()
+	if sc, pc := deterministicCells(serial), deterministicCells(par); !reflect.DeepEqual(sc, pc) {
+		t.Errorf("cells differ between -parallel 1 and -parallel N:\nserial   %q\nparallel %q", sc, pc)
+	}
+}
+
+// TestRunWithParallelEquivalence: Table 3's simulator sweep and Figure
+// 8's board sweep report identical miss ratios and counters whether run
+// with -parallel 1 or -parallel 8. fig8's two runs are the ones
+// TestSnapshotDeterministic makes (obsRun is memoized).
 func TestRunWithParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-experiment equivalence skipped in -short mode")
@@ -89,34 +113,23 @@ func TestRunWithParallelEquivalence(t *testing.T) {
 	if raceDetectorEnabled {
 		// Determinism, not synchronization, is under test here; the
 		// race-enabled interleaving coverage for the rig comes from
-		// TestSweepParallelEquivalence and internal/parallel's tests.
-		t.Skip("full-experiment equivalence skipped under the race detector (package timeout)")
+		// TestSharedStreamMatchesSeparateRuns and internal/parallel's tests.
+		t.Skip("full-experiment equivalence skipped under the race detector; `make experiments` runs it without")
 	}
-	for _, id := range []string{"table3", "fig8"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			serial, err := RunWith(id, ScaleCI, Options{Parallel: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := RunWith(id, ScaleCI, Options{Parallel: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, pc := deterministicCells(serial), deterministicCells(par)
-			if len(sc) != len(pc) {
-				t.Fatalf("row count %d vs %d", len(pc), len(sc))
-			}
-			for i := range sc {
-				if len(sc[i]) != len(pc[i]) {
-					t.Fatalf("row %d width differs", i)
-				}
-				for j := range sc[i] {
-					if sc[i][j] != pc[i][j] {
-						t.Errorf("row %d col %d: parallel %q, serial %q", i, j, pc[i][j], sc[i][j])
-					}
-				}
-			}
-		})
-	}
+	t.Run("table3", func(t *testing.T) {
+		serial, err := RunWith("table3", ScaleCI, Options{Parallel: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := RunWith("table3", ScaleCI, Options{Parallel: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareCells(t, serial, par)
+	})
+	t.Run("fig8", func(t *testing.T) {
+		_, _, serial := obsRun(t, "fig8", 1)
+		_, _, par := obsRun(t, "fig8", 8)
+		compareCells(t, serial, par)
+	})
 }

@@ -5,7 +5,6 @@ import (
 
 	"memories/internal/addr"
 	"memories/internal/core"
-	"memories/internal/parallel"
 	"memories/internal/stats"
 	"memories/internal/workload"
 	"memories/protocols"
@@ -37,24 +36,29 @@ func runProtocolCompare(p Preset) (*Result, error) {
 		writebacks          uint64
 		satModInt, satShrIn uint64
 	}
-	rows, err := parallel.Map(p.Parallel, len(names), func(i int) (row, error) {
-		tab, err := protocols.Load(names[i])
+	// All four protocol boards ride one TPC-C stream. Two nodes per
+	// board share snoop group 0, so cross-node references to TPC-C's
+	// shared tables produce real snoop traffic.
+	bcfgs := make([]core.Config, len(names))
+	for i, name := range names {
+		tab, err := protocols.Load(name)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
 		pp := p
 		pp.Protocol = tab
-		// Two nodes share snoop group 0, so cross-node references to
-		// TPC-C's shared tables produce real snoop traffic.
-		nodes := []core.NodeConfig{
+		bcfgs[i] = core.Config{Nodes: []core.NodeConfig{
 			stdNode(pp, "a", cpusA, cacheBytes, 128, 8, 0),
 			stdNode(pp, "b", cpusB, cacheBytes, 128, 8, 0),
-		}
-		newGen := func() workload.Generator { return workload.NewTPCC(workload.ScaledTPCCConfig(p.TPCCFactor)) }
-		b, _, err := boardRun(pp, names[i], hcfg, newGen, core.Config{Nodes: nodes}, refs)
-		if err != nil {
-			return row{}, err
-		}
+		}}
+	}
+	newGen := func() workload.Generator { return workload.NewTPCC(workload.ScaledTPCCConfig(p.TPCCFactor)) }
+	boards, err := streamRun(p, names, hcfg, newGen, bcfgs, refs)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]row, len(boards))
+	for i, b := range boards {
 		r := row{name: names[i]}
 		for n := 0; n < b.NumNodes(); n++ {
 			v := b.Node(n)
@@ -69,10 +73,7 @@ func runProtocolCompare(p Preset) (*Result, error) {
 			r.satModInt += snap[node+"satisfied.mod-int"]
 			r.satShrIn += snap[node+"satisfied.shr-int"]
 		}
-		return r, nil
-	})
-	if err != nil {
-		return nil, err
+		rows[i] = r
 	}
 
 	t := stats.NewTable(

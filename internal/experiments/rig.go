@@ -7,7 +7,6 @@ import (
 	"memories/internal/cache"
 	"memories/internal/core"
 	"memories/internal/host"
-	"memories/internal/parallel"
 	"memories/internal/workload"
 )
 
@@ -36,130 +35,133 @@ func dbHostConfig(p Preset) host.Config {
 	return cfg
 }
 
-// boardRun wires a fresh host (from cfg and generator factory) to a fresh
-// board and runs refs references, flushing the board at the end. When the
-// preset carries a registry, the board's counters appear under
-// "<ObsScope>.<label>.*" for the duration of the run; label must be
-// unique within the experiment.
-func boardRun(p Preset, label string, hcfg host.Config, newGen func() workload.Generator, bcfg core.Config, refs uint64) (*core.Board, *host.Host, error) {
-	b, err := core.NewBoard(bcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if p.Obs != nil {
-		prefix := p.ObsScope
-		if prefix == "" {
-			prefix = "experiment"
-		}
-		if label != "" {
-			prefix += "." + label
-		}
-		if err := b.Observe(p.Obs, nil, prefix, 0); err != nil {
-			return nil, nil, err
+// streamRun runs one reference stream — a fresh host from hcfg driving
+// newGen's generator for refs references — with one board per config
+// attached to its bus, then flushes every board. A board without
+// RetryOnOverflow answers every transaction Null, so the host cannot
+// tell how many boards snoop it and each board sees exactly the stream
+// it would see alone (the paper's several configurations in one pass,
+// §2.2); a config that may post Retry is refused. When the preset
+// carries a registry, board i's counters appear under
+// "<ObsScope>.<labels[i]>.*"; labels must be unique within the
+// experiment.
+func streamRun(p Preset, labels []string, hcfg host.Config, newGen func() workload.Generator, bcfgs []core.Config, refs uint64) ([]*core.Board, error) {
+	for i, bcfg := range bcfgs {
+		if bcfg.RetryOnOverflow {
+			return nil, fmt.Errorf("experiments: board %q posts retries, which would change the stream of every board on its bus", labels[i])
 		}
 	}
 	h, err := host.New(hcfg, newGen())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	h.Bus().Attach(b)
+	boards := make([]*core.Board, len(bcfgs))
+	for i, bcfg := range bcfgs {
+		if boards[i], err = core.NewBoard(bcfg); err != nil {
+			return nil, err
+		}
+		if p.Obs != nil {
+			if err := boards[i].Observe(p.Obs, nil, p.ObsScope+"."+labels[i], 0); err != nil {
+				return nil, err
+			}
+		}
+		h.Bus().Attach(boards[i])
+	}
 	h.Run(refs)
-	b.Flush()
-	// Publish the exact post-flush counters so a sampler's final snapshot
-	// matches the end-of-run tables.
-	b.PublishObs()
-	return b, h, nil
+	for _, b := range boards {
+		b.Flush()
+		// Publish the exact post-flush counters so a sampler's final
+		// snapshot matches the end-of-run tables.
+		b.PublishObs()
+	}
+	return boards, nil
+}
+
+// splitNodes builds n standard nodes n0, n1, … in snoop group 0, node i
+// serving CPUs i*per … i*per+per-1.
+func splitNodes(p Preset, n, per int, cacheBytes, lineBytes int64, assoc int) []core.NodeConfig {
+	nodes := make([]core.NodeConfig, n)
+	for i := range nodes {
+		cpus := make([]int, per)
+		for j := range cpus {
+			cpus[j] = i*per + j
+		}
+		nodes[i] = stdNode(p, fmt.Sprintf("n%d", i), cpus, cacheBytes, lineBytes, assoc, 0)
+	}
+	return nodes
+}
+
+// boardsOf packs nodes, in order, onto boards of at most core.MaxNodes
+// node controllers (the paper's board has four) and labels board b
+// "<scope>.batch<b>".
+func boardsOf(scope string, nodes []core.NodeConfig) (labels []string, bcfgs []core.Config) {
+	for start := 0; start < len(nodes); start += core.MaxNodes {
+		labels = append(labels, fmt.Sprintf("%s.batch%d", scope, len(bcfgs)))
+		bcfgs = append(bcfgs, core.Config{Nodes: nodes[start:min(start+core.MaxNodes, len(nodes))]})
+	}
+	return labels, bcfgs
 }
 
 // cacheSweep measures one emulated-cache configuration per size, all
-// observing the same workload stream. Sizes run in batches of four —
-// one per node controller, each in its own snoop group (the board's
-// multiple-configuration mode, §2.2) — so every batch needs only one
-// host run, and the deterministic generators guarantee every batch sees
-// an identical stream. Batches are fully independent (fresh board, host,
-// and seeded generator each), so up to par of them run concurrently;
-// results are bit-identical at every par.
-func cacheSweep(p Preset, scope string, hcfg host.Config, newGen func() workload.Generator, sizes []int64, lineBytes int64, assoc int, refs uint64, par int) ([]core.NodeView, error) {
-	nBatches := (len(sizes) + core.MaxNodes - 1) / core.MaxNodes
-	batches, err := parallel.Map(par, nBatches, func(bi int) ([]core.NodeView, error) {
-		start := bi * core.MaxNodes
-		end := min(start+core.MaxNodes, len(sizes))
-		var nodes []core.NodeConfig
-		for i, size := range sizes[start:end] {
-			nodes = append(nodes, stdNode(p, fmt.Sprintf("s%d", start+i), core.CPURange(hcfg.NumCPUs), size, lineBytes, assoc, i))
-		}
-		b, _, err := boardRun(p, sweepLabel(scope, bi), hcfg, newGen, core.Config{Nodes: nodes}, refs)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]core.NodeView, len(nodes))
-		for i := range nodes {
-			out[i] = b.Node(i)
-		}
-		return out, nil
-	})
+// observing one run of the workload stream. Each size is a node over
+// every CPU in its own snoop group (the board's multiple-configuration
+// mode, §2.2), four to a board, and every board rides the same bus.
+func cacheSweep(p Preset, scope string, hcfg host.Config, newGen func() workload.Generator, sizes []int64, lineBytes int64, assoc int, refs uint64) ([]core.NodeView, error) {
+	nodes := make([]core.NodeConfig, len(sizes))
+	for i, size := range sizes {
+		nodes[i] = stdNode(p, fmt.Sprintf("s%d", i), core.CPURange(hcfg.NumCPUs), size, lineBytes, assoc, i%core.MaxNodes)
+	}
+	labels, bcfgs := boardsOf(scope, nodes)
+	boards, err := streamRun(p, labels, hcfg, newGen, bcfgs, refs)
 	if err != nil {
 		return nil, err
 	}
 	views := make([]core.NodeView, 0, len(sizes))
-	for _, b := range batches {
-		views = append(views, b...)
+	for _, b := range boards {
+		for i := 0; i < b.NumNodes(); i++ {
+			views = append(views, b.Node(i))
+		}
 	}
 	return views, nil
 }
 
-// procSweep measures the aggregate miss ratio when the host's CPUs are
-// split into nodes of `procs` processors, each with its own cache of
-// cacheBytes. More than four nodes take multiple board runs (the paper's
-// board has four controllers); results aggregate across runs.
-func procSweep(p Preset, scope string, hcfg host.Config, newGen func() workload.Generator, cacheBytes, lineBytes int64, assoc int, refs uint64, procs, par int) (float64, error) {
-	if hcfg.NumCPUs%procs != 0 {
-		return 0, fmt.Errorf("experiments: %d CPUs not divisible by %d per node", hcfg.NumCPUs, procs)
+// procSweep measures, for each entry of procs, the aggregate miss ratio
+// when the host's CPUs are split into nodes of that many processors,
+// each with its own cache of cacheBytes. Every board of every entry
+// rides one run of the stream.
+func procSweep(p Preset, scope string, hcfg host.Config, newGen func() workload.Generator, cacheBytes, lineBytes int64, assoc int, refs uint64, procs []int) ([]float64, error) {
+	var labels []string
+	var bcfgs []core.Config
+	var owner []int // owner[b]: the procs entry board b measures
+	for pi, per := range procs {
+		if hcfg.NumCPUs%per != 0 {
+			return nil, fmt.Errorf("experiments: %d CPUs not divisible by %d per node", hcfg.NumCPUs, per)
+		}
+		l, c := boardsOf(fmt.Sprintf("procs%d.%s", per, scope), splitNodes(p, hcfg.NumCPUs/per, per, cacheBytes, lineBytes, assoc))
+		labels, bcfgs = append(labels, l...), append(bcfgs, c...)
+		for range c {
+			owner = append(owner, pi)
+		}
 	}
-	nodesNeeded := hcfg.NumCPUs / procs
-	nBatches := (nodesNeeded + core.MaxNodes - 1) / core.MaxNodes
-	type tally struct{ miss, refs uint64 }
-	tallies, err := parallel.Map(par, nBatches, func(batch int) (tally, error) {
-		var nodes []core.NodeConfig
-		for n := batch * core.MaxNodes; n < nodesNeeded && n < (batch+1)*core.MaxNodes; n++ {
-			cpus := make([]int, procs)
-			for j := range cpus {
-				cpus[j] = n*procs + j
-			}
-			nodes = append(nodes, stdNode(p, fmt.Sprintf("n%d", n), cpus, cacheBytes, lineBytes, assoc, 0))
-		}
-		b, _, err := boardRun(p, sweepLabel(scope, batch), hcfg, newGen, core.Config{Nodes: nodes}, refs)
-		if err != nil {
-			return tally{}, err
-		}
-		var t tally
-		for i := range nodes {
-			v := b.Node(i)
-			t.miss += v.Misses()
-			t.refs += v.Refs()
-		}
-		return t, nil
-	})
+	boards, err := streamRun(p, labels, hcfg, newGen, bcfgs, refs)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	var missSum, refSum uint64
-	for _, t := range tallies {
-		missSum += t.miss
-		refSum += t.refs
+	miss, total := make([]uint64, len(procs)), make([]uint64, len(procs))
+	for bi, b := range boards {
+		for i := 0; i < b.NumNodes(); i++ {
+			miss[owner[bi]] += b.Node(i).Misses()
+			total[owner[bi]] += b.Node(i).Refs()
+		}
 	}
-	if refSum == 0 {
-		return 0, fmt.Errorf("experiments: proc sweep saw no references")
+	out := make([]float64, len(procs))
+	for i := range procs {
+		if total[i] == 0 {
+			return nil, fmt.Errorf("experiments: proc sweep saw no references")
+		}
+		out[i] = float64(miss[i]) / float64(total[i])
 	}
-	return float64(missSum) / float64(refSum), nil
-}
-
-// sweepLabel names one sweep batch's board in the metrics registry.
-func sweepLabel(scope string, batch int) string {
-	if scope == "" {
-		return fmt.Sprintf("batch%d", batch)
-	}
-	return fmt.Sprintf("%s.batch%d", scope, batch)
+	return out, nil
 }
 
 // monotoneNonincreasing checks a curve falls (within a relative
