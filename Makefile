@@ -2,8 +2,9 @@ GO ?= go
 
 # Default developer loop: the quick checks. `make ci` is the pre-merge
 # set (race, plain experiment goldens, fuzz seeds, coverage ratchet); the
-# workflow adds the faults sweep, bench-selfcheck, crash-resume and
-# loadtest as their own jobs.
+# workflow adds the faults sweep as a step of its test job, and
+# bench-selfcheck (the ledger job), crash-resume and loadtest as jobs of
+# their own.
 .PHONY: all
 all: vet build test
 

@@ -40,7 +40,7 @@ func normalizeResult(res *Result) *Result {
 
 // goldenIDs are the experiments whose CI-scale output is locked in
 // testdata/golden/<id>.txt.
-var goldenIDs = []string{"fig8", "fig9", "fig11", "hostscale", "protocolcompare", "table3"}
+var goldenIDs = []string{"faults", "fig8", "fig9", "fig11", "hostscale", "protocolcompare", "table3"}
 
 // ciRuns memoizes RunWith(id, ScaleCI, Options{Parallel: 1}) across the
 // tests of one binary, so the shape test and the golden test share one
