@@ -159,10 +159,9 @@ type Board struct {
 	nextScrub                                           uint64
 	onDrain                                             func(cycle uint64, cmd bus.Command, addr uint64, src int)
 
-	// batchByCmd and batchByCPU are SnoopBatch's per-command and per-bus-ID
-	// accumulators, kept on the board so the batch path allocates nothing.
-	// busIDs lists the assigned bus IDs, the only batchByCPU entries a
-	// batch can move.
+	// batchByCmd and batchByCPU are admit's per-command and per-bus-ID
+	// accumulators, which each door folds, kept on the board so neither
+	// door allocates; busIDs lists the batchByCPU entries that can move.
 	batchByCmd []uint64
 	batchByCPU [MaxBusID + 1]uint64
 	busIDs     []uint8
@@ -226,6 +225,7 @@ func NewBoard(cfg Config) (*Board, error) {
 		bank:     stats.NewBank(),
 		cpuOwner: make([][]*node, MaxBusID+1),
 		cPerCPU:  make([]*stats.Counter, MaxBusID+1),
+		queue:    make([]pending, 0, cfg.BufferDepth), // Snoop enqueues, then services: compact per depth, not per call
 	}
 	names := map[string]bool{}
 	for i := range cfg.Nodes {
@@ -378,19 +378,57 @@ func (b *Board) Trace() *tracefile.Capture { return b.capture }
 // LastCycle returns the bus cycle of the most recent observed transaction.
 func (b *Board) LastCycle() uint64 { return b.lastCycle }
 
-// Snoop implements bus.Snooper: the board's entire observation path.
+// Snoop implements bus.Snooper: it admits one transaction and answers it
+// at once. Host traffic and RetryOnOverflow boards come in through here.
 func (b *Board) Snoop(tx *bus.Transaction) bus.SnoopResponse {
-	b.justEnqueued = false
-	// Service a pending sampler request at this safe point: the previous
-	// transaction is fully accounted, this one not yet begun.
-	if m := b.mirror; m != nil && m.Requested() {
-		m.Publish()
+	queued, retry := b.admit(tx, b.tracer != nil && b.tracer.Enabled())
+	// Only this transaction's command and bus ID can have moved.
+	fold(b.batchByCmd, b.cByCmd, int(tx.Cmd))
+	fold(b.batchByCPU[:], b.cPerCPU, int(uint8(tx.SrcID)))
+	b.settle(tx.Cycle)
+	// The transaction stays buffered until its combined response is known
+	// (ObserveResponse); it is serviced at the next bus event or Flush.
+	b.justEnqueued = queued
+	if retry {
+		return bus.RespRetry
 	}
-	b.lastCycle = tx.Cycle
-	b.cCycles.Reset()
-	b.cCycles.Add(tx.Cycle)
-	if int(tx.Cmd) < len(b.cByCmd) {
-		b.cByCmd[tx.Cmd].Inc()
+	return bus.RespNull
+}
+
+// SnoopBatch observes a slice of transactions exactly as consecutive
+// Snoop calls would, but settles once per batch. It cannot post retries:
+// each transaction's combined-response window has closed by the time a
+// batch is handed over, so RetryOnOverflow boards must use Snoop.
+func (b *Board) SnoopBatch(txs []bus.Transaction) {
+	if b.cfg.RetryOnOverflow {
+		panic("core: SnoopBatch on a RetryOnOverflow board; responses are asynchronous")
+	}
+	if len(txs) == 0 {
+		return
+	}
+	b.justEnqueued = false
+	// Tracing state is sampled once per batch: a tracer enabled mid-batch
+	// starts capturing at the next batch boundary. This keeps the per-
+	// transaction cost of a disabled tracer at a register test.
+	traceOn := b.tracer != nil && b.tracer.Enabled()
+	for i := range txs {
+		b.admit(&txs[i], traceOn)
+	}
+	for cmd := range b.batchByCmd {
+		fold(b.batchByCmd, b.cByCmd, cmd)
+	}
+	for _, id := range b.busIDs {
+		fold(b.batchByCPU[:], b.cPerCPU, int(id))
+	}
+	b.settle(txs[len(txs)-1].Cycle)
+}
+
+// admit is both doors' one admission rule: address filter, global events,
+// transaction buffer (Figure 7). Per-command and per-bus-ID counts go to
+// accumulators that each door folds; every other counter moves here.
+func (b *Board) admit(tx *bus.Transaction, traceOn bool) (queued, retry bool) {
+	if int(tx.Cmd) < len(b.batchByCmd) {
+		b.batchByCmd[tx.Cmd]++
 	}
 
 	// Address filter: reject non-memory operations outright.
@@ -400,14 +438,14 @@ func (b *Board) Snoop(tx *bus.Transaction) bus.SnoopResponse {
 		} else {
 			b.cRejectedOther.Inc()
 		}
-		return bus.RespNull
+		return false, false
 	}
 	// Reject traffic from bus IDs not assigned to any emulated node.
 	if len(b.owners(tx.SrcID)) == 0 {
 		b.cUnassigned.Inc()
-		return bus.RespNull
+		return false, false
 	}
-	b.cPerCPU[tx.SrcID].Inc()
+	b.batchByCPU[uint8(tx.SrcID)]++
 
 	// Trace collection mode.
 	if b.capture != nil {
@@ -425,32 +463,30 @@ func (b *Board) Snoop(tx *bus.Transaction) bus.SnoopResponse {
 		b.nextScrub = tx.Cycle + iv
 	}
 
-	// Retire and service whatever the SDRAMs have finished by now, then
-	// admit the new transaction into the lock-step buffer.
+	// Retire whatever the SDRAMs have finished by now, then admit the new
+	// transaction into the lock-step buffer. drain runs before enqueue, so
+	// the new entry is unretired at the tail of the queue: ObserveResponse
+	// relies on that to pop it when another device retries it.
 	b.drain(tx.Cycle)
-	b.service()
 	if len(b.queue)-b.qhead >= b.cfg.BufferDepth {
 		b.cOverflow.Inc()
 		if b.cfg.RetryOnOverflow {
 			b.cRetryPosted.Inc()
-			return bus.RespRetry
+			return false, true
 		}
 		// Count-only mode still processes the transaction (the model
 		// equivalent of the buffer never actually losing work).
 	}
 	b.cAccepted.Inc()
-	if tr := b.tracer; tr != nil && tr.Enabled() {
-		tr.Record(tx.Cycle, tx.Addr, uint8(tx.Cmd), uint8(tx.SrcID))
+	if traceOn {
+		b.tracer.Record(tx.Cycle, tx.Addr, uint8(tx.Cmd), uint8(tx.SrcID))
 	}
 	b.enqueue(pending{cycle: tx.Cycle, addr: tx.Addr, cmd: tx.Cmd, src: uint8(tx.SrcID)})
-	b.justEnqueued = true
 	if hw := uint64(len(b.queue) - b.qhead); hw > b.cBufferHigh.Value() {
 		b.cBufferHigh.Reset()
 		b.cBufferHigh.Add(hw)
 	}
-	// The transaction stays buffered until its combined response is known
-	// (ObserveResponse); it is serviced at the next bus event or Flush.
-	return bus.RespNull
+	return true, false
 }
 
 // enqueue admits one pending transaction, recycling the serviced prefix
@@ -466,100 +502,25 @@ func (b *Board) enqueue(p pending) {
 	b.queue = append(b.queue, p)
 }
 
-// SnoopBatch observes a slice of transactions exactly as consecutive
-// Snoop calls would — same filter decisions, same drain timing, same
-// counter values — while amortizing the per-transaction bookkeeping:
-// the cycle gauge and buffer high-water are folded once per batch, and
-// per-command and per-bus-ID counts accumulate in scratch arrays before a
-// single saturating Add each. It is bit-identical to the serial path (proven
-// by TestSnoopBatchMatchesSerial) but cannot post overflow retries,
-// because the combined-response window for each transaction has closed
-// by the time a batch is handed over; boards configured with
-// RetryOnOverflow must use Snoop.
-func (b *Board) SnoopBatch(txs []bus.Transaction) {
-	if b.cfg.RetryOnOverflow {
-		panic("core: SnoopBatch on a RetryOnOverflow board; responses are asynchronous")
-	}
-	if len(txs) == 0 {
-		return
-	}
-	b.justEnqueued = false
-	byCmd, byCPU := b.batchByCmd, &b.batchByCPU
-	var accepted, overflow uint64
-	hw := b.cBufferHigh.Value()
-	scrubIv := b.cfg.ScrubIntervalCycles
-	// Tracing state is sampled once per batch: a tracer enabled mid-batch
-	// starts capturing at the next batch boundary. This keeps the per-
-	// transaction cost of a disabled tracer at a register test.
-	tr := b.tracer
-	traceOn := tr != nil && tr.Enabled()
-	for i := range txs {
-		tx := &txs[i]
-		if int(tx.Cmd) < len(byCmd) {
-			byCmd[tx.Cmd]++
-		}
-		if !tx.Cmd.IsMemoryOp() {
-			if tx.Cmd == bus.IORead || tx.Cmd == bus.IOWrite {
-				b.cRejectedIO.Inc()
-			} else {
-				b.cRejectedOther.Inc()
-			}
-			continue
-		}
-		if len(b.owners(tx.SrcID)) == 0 {
-			b.cUnassigned.Inc()
-			continue
-		}
-		byCPU[uint8(tx.SrcID)]++
-		if b.capture != nil {
-			if stored, err := b.capture.Add(tracefile.FromTransaction(tx)); err == nil && stored {
-				b.cTraceCaptured.Inc()
-			} else {
-				b.cTraceDropped.Inc()
-			}
-		}
-		if scrubIv > 0 && tx.Cycle >= b.nextScrub {
-			b.ScrubNow()
-			b.nextScrub = tx.Cycle + scrubIv
-		}
-		b.drain(tx.Cycle)
-		if len(b.queue)-b.qhead >= b.cfg.BufferDepth {
-			overflow++
-		}
-		accepted++
-		if traceOn {
-			tr.Record(tx.Cycle, tx.Addr, uint8(tx.Cmd), uint8(tx.SrcID))
-		}
-		b.enqueue(pending{cycle: tx.Cycle, addr: tx.Addr, cmd: tx.Cmd, src: uint8(tx.SrcID)})
-		if occ := uint64(len(b.queue) - b.qhead); occ > hw {
-			hw = occ
-		}
-	}
+// settle ends both doors, after each has folded its accumulators: it
+// services what drain retired (never the entry just admitted), sets the
+// cycle gauge and serves a pending sampler request at this safe point,
+// where every transaction handed over is fully accounted.
+func (b *Board) settle(last uint64) {
 	b.service()
-	b.lastCycle = txs[len(txs)-1].Cycle
+	b.lastCycle = last
 	b.cCycles.Reset()
-	b.cCycles.Add(b.lastCycle)
-	for cmd, n := range byCmd {
-		if n > 0 {
-			b.cByCmd[cmd].Add(n)
-			byCmd[cmd] = 0
-		}
-	}
-	for _, id := range b.busIDs {
-		if n := byCPU[id]; n > 0 {
-			b.cPerCPU[id].Add(n)
-			byCPU[id] = 0
-		}
-	}
-	b.cAccepted.Add(accepted)
-	b.cOverflow.Add(overflow)
-	if hw > b.cBufferHigh.Value() {
-		b.cBufferHigh.Reset()
-		b.cBufferHigh.Add(hw)
-	}
-	// One sampler probe per batch, at the batch-end safe point.
+	b.cCycles.Add(last)
 	if m := b.mirror; m != nil && m.Requested() {
 		m.Publish()
+	}
+}
+
+// fold moves accumulator acc[i], if any, into counter c[i].
+func fold(acc []uint64, c []*stats.Counter, i int) {
+	if i < len(acc) && acc[i] > 0 {
+		c[i].Add(acc[i])
+		acc[i] = 0
 	}
 }
 
@@ -602,14 +563,10 @@ func (b *Board) touchAhead(w []pending) {
 func (b *Board) ObserveResponse(tx *bus.Transaction, combined bus.SnoopResponse) {
 	if combined == bus.RespRetry && b.justEnqueued {
 		b.queue = b.queue[:len(b.queue)-1] // pop the entry Snoop just pushed
-		if b.qhead == len(b.queue) {
-			b.queue = b.queue[:0]
-			b.qhead, b.phead = 0, 0
-		}
+		// 40-bit counters cannot decrement: filter.accepted still counts
+		// this admission, and filter.rejected.retried counts the
+		// admissions a retry withdrew afterwards.
 		b.cRejectedRetried.Inc()
-		// The accepted counter tracked the enqueue; take it back.
-		// (40-bit counters cannot decrement; account the rejection
-		// separately and report accepted net of retried in dumps.)
 	}
 	b.justEnqueued = false
 }

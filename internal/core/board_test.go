@@ -264,10 +264,11 @@ func TestDirtyEvictionCountsWriteback(t *testing.T) {
 }
 
 func TestBufferOverflowCountsAndOptionallyRetries(t *testing.T) {
+	const depth, n = 4, 64
 	mk := func(retry bool) (*Board, int) {
 		b, err := NewBoard(Config{
 			Nodes:           []NodeConfig{nodeCfg("a", []int{0}, 64, 4, 0)},
-			BufferDepth:     4,
+			BufferDepth:     depth,
 			RetryOnOverflow: retry,
 		})
 		if err != nil {
@@ -276,13 +277,25 @@ func TestBufferOverflowCountsAndOptionallyRetries(t *testing.T) {
 		// Saturating burst: all transactions arrive in consecutive
 		// cycles, far faster than one directory op per ~23 cycles.
 		retries := 0
-		for i := 0; i < 64; i++ {
+		for i := 0; i < n; i++ {
 			tx := &bus.Transaction{Cmd: bus.Read, Addr: uint64(i) * 128, Size: 128, SrcID: 0, Cycle: uint64(i)}
 			if b.Snoop(tx) == bus.RespRetry {
 				retries++
 			}
+			// A posted retry keeps the transaction out of the buffer, so
+			// only count-only mode may run past its depth.
+			if retry && b.PendingDepth() > depth {
+				t.Fatalf("after transaction %d the buffer holds %d, depth %d", i, b.PendingDepth(), depth)
+			}
 		}
 		return b, retries
+	}
+	flushed := func(b *Board) {
+		t.Helper()
+		b.Flush()
+		if refs, acc := b.Node(0).Refs(), b.Counters().Value("filter.accepted"); refs != acc {
+			t.Fatalf("node serviced %d refs, filter accepted %d", refs, acc)
+		}
 	}
 	b, retries := mk(false)
 	if b.Counters().Value("buffer.overflow") == 0 {
@@ -291,15 +304,26 @@ func TestBufferOverflowCountsAndOptionallyRetries(t *testing.T) {
 	if retries != 0 {
 		t.Fatal("count-only mode posted retries")
 	}
-	b.Flush()
+	if acc := b.Counters().Value("filter.accepted"); acc != n {
+		t.Fatalf("count-only mode accepted %d of %d", acc, n)
+	}
+	flushed(b)
 
 	b2, retries2 := mk(true)
+	bank := b2.Counters()
 	if retries2 == 0 {
 		t.Fatal("retry mode posted no retries")
 	}
-	if b2.Counters().Value("buffer.retry-posted") != uint64(retries2) {
+	if bank.Value("buffer.retry-posted") != uint64(retries2) {
 		t.Fatal("retry counter mismatch")
 	}
+	if acc, posted := bank.Value("filter.accepted"), bank.Value("buffer.retry-posted"); acc+posted != n {
+		t.Fatalf("retry mode accepted %d and posted %d retries, want %d in all", acc, posted, n)
+	}
+	if hw := bank.Value("buffer.high-water"); hw > depth {
+		t.Fatalf("retry mode high-water %d, depth %d", hw, depth)
+	}
+	flushed(b2)
 }
 
 func TestLockStepPacingDefersProcessing(t *testing.T) {

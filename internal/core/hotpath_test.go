@@ -10,6 +10,7 @@ import (
 	"memories/internal/bus"
 	"memories/internal/cache"
 	"memories/internal/host"
+	"memories/internal/obs"
 	"memories/internal/workload"
 	"memories/protocols"
 )
@@ -210,11 +211,37 @@ func checkSameBoard(t testing.TB, label string, want, got *Board) {
 	}
 }
 
+// checkSameTrace requires two tracers to have captured and dropped the
+// same counts, one record per accepted transaction and none dropped, and
+// to hold the same events in the same order.
+func checkSameTrace(t testing.TB, label string, want, got *obs.Tracer, accepted uint64) {
+	t.Helper()
+	if got.Captured() != want.Captured() || got.Dropped() != want.Dropped() {
+		t.Fatalf("%s: tracer captured/dropped %d/%d, serial %d/%d",
+			label, got.Captured(), got.Dropped(), want.Captured(), want.Dropped())
+	}
+	if want.Captured() != accepted || want.Dropped() != 0 {
+		t.Fatalf("%s: tracer captured %d, dropped %d of %d accepted", label, want.Captured(), want.Dropped(), accepted)
+	}
+	var wantEvents, gotEvents []obs.Event
+	want.Drain(func(e obs.Event) { wantEvents = append(wantEvents, e) })
+	got.Drain(func(e obs.Event) { gotEvents = append(gotEvents, e) })
+	if len(gotEvents) != len(wantEvents) {
+		t.Fatalf("%s: drained %d tracer events, serial %d", label, len(gotEvents), len(wantEvents))
+	}
+	for i := range gotEvents {
+		if gotEvents[i] != wantEvents[i] {
+			t.Fatalf("%s: tracer event %d = %+v, serial %+v", label, i, gotEvents[i], wantEvents[i])
+		}
+	}
+}
+
 // TestSnoopBatchMatchesSerial proves the batched ingest is bit-identical
 // to per-transaction Snoop: the same counters (every one, including
 // buffer telemetry — a single board sees the same occupancy either way)
 // at every call boundary, the same drain log, the same trace capture, and
-// the same checkpoint bytes, for batch sizes on both sides of the
+// the same checkpoint bytes (and, with an enabled tracer, the same tracer
+// events in the same order), for batch sizes on both sides of the
 // look-ahead window and several feature configurations. The deep-buffer
 // configurations stamp transactions one cycle apart and flush every 8 Ki,
 // as a service session does, so most directory work is done inside Flush
@@ -226,6 +253,7 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 		cfg        func() Config
 		step       uint64 // bus cycles between transactions
 		flushEvery int    // transactions between Flushes (0: at the end only)
+		tracer     bool   // attach an enabled tracer deep enough for the stream
 	}
 	scrub := func(interval uint64) func() Config {
 		return func() Config {
@@ -242,7 +270,8 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 			cfg.TraceCapacity = 4096
 			return cfg
 		}, step: 48},
-		"scrub": {cfg: scrub(50_000), step: 48},
+		"scrub":  {cfg: scrub(50_000), step: 48},
+		"tracer": {cfg: fourNodeConfig, step: 48, tracer: true},
 		"tiny-buffer": {cfg: func() Config {
 			// Overflow (count-only) path exercised on every transaction
 			// burst the SDRAM pacing cannot keep up with.
@@ -272,6 +301,12 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 			for _, batchSize := range []int{1, 7, lookAhead - 1, lookAhead, lookAhead + 1, 128, 2*lookAhead + 3, n} {
 				label := fmt.Sprintf("batch=%d", batchSize)
 				serial, batched := MustNewBoard(su.cfg()), MustNewBoard(su.cfg())
+				if su.tracer {
+					for _, b := range []*Board{serial, batched} {
+						b.tracer = obs.NewTracer(n)
+						b.tracer.Enable(obs.Filter{})
+					}
+				}
 				var serialEvents, events []drainEvent
 				recordDrains(serial, &serialEvents)
 				recordDrains(batched, &events)
@@ -298,6 +333,9 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 							t.Fatalf("%s: capture record %d differs", label, i)
 						}
 					}
+				}
+				if su.tracer {
+					checkSameTrace(t, label, serial.tracer, batched.tracer, serial.Counters().Value("filter.accepted"))
 				}
 				checkSameBoard(t, label, serial, batched)
 				if su.step == 1 && batched.Counters().Value("buffer.high-water") <= DefaultBufferDepth {

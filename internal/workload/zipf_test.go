@@ -103,6 +103,7 @@ func TestZipfMatchesReference(t *testing.T) {
 	}
 	for _, s := range []float64{1.01, 1.1, 1.2, 1.6, 3} {
 		t.Run(fmt.Sprint(s), func(t *testing.T) {
+			t.Parallel() // each (s, n) seeds its own RNG and tally
 			for _, n := range []int64{1, 2, 100, 1 << 14, 1 << 16, 1 << 23, 1 << 27, 1 << 34} {
 				r := NewRNG(uint64(n) ^ math.Float64bits(s))
 				c := &zipfTally{z: NewZipf(r, s, n), ref: newReferenceZipf(s, n)}
