@@ -7,8 +7,10 @@
 # (*TagStore).Schedule sits exactly at the budget. The cache's address
 # calls (Find, Probe, AccessSlot, Access, FillAt) are one-line wrappers
 # over the set-and-tag calls; inlined, they keep the host's L1/L2 lookups
-# one call deep. Budgets belong to the toolchain, so run this with the
-# one the benchmark is measured with.
+# one call deep. The host's per-reference path — a merged-stream Step
+# and a per-CPU wake alike — crosses (*cpu).schedule, (*cpu).syncClock
+# and the carry-to-clock helper (*cpu).accrue. Budgets belong to the
+# toolchain, so run this with the one the benchmark is measured with.
 set -e
 cd "$(dirname "$0")/.."
 leaves='(*Cache).TouchSet
@@ -20,9 +22,12 @@ leaves='(*Cache).TouchSet
 (*Counter).Inc
 (*Board).enqueue
 (*Engine).Lookup
-(*TagStore).Schedule'
+(*TagStore).Schedule
+(*cpu).schedule
+(*cpu).syncClock
+(*cpu).accrue'
 
-inlinable="$(go build -gcflags=-m ./internal/core ./internal/cache ./internal/stats ./internal/coherence ./internal/sdram 2>&1 |
+inlinable="$(go build -gcflags=-m ./internal/core ./internal/cache ./internal/stats ./internal/coherence ./internal/sdram ./internal/host 2>&1 |
     sed -n 's/.*: can inline \([^ ]*\).*/\1/p' | sort -u)"
 missing="$(echo "$leaves" | grep -vxF "$inlinable" || true)"
 if [ -n "$missing" ]; then

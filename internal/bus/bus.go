@@ -315,9 +315,6 @@ func (b *Bus) AdvanceTo(c uint64) {
 	}
 }
 
-// Idle advances the bus clock by n idle cycles.
-func (b *Bus) Idle(n uint64) { b.cycle += n }
-
 // Stats returns a copy of the accumulated bus statistics.
 func (b *Bus) Stats() Stats { return b.stats }
 

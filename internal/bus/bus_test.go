@@ -200,7 +200,7 @@ func TestBusRetriedTransactionSkipsDataTenure(t *testing.T) {
 func TestBusUtilization(t *testing.T) {
 	b := New(Config{ClockMHz: 100, WidthBytes: 16})
 	b.Issue(&Transaction{Cmd: Read, Addr: 0, Size: 128, SrcID: 0}) // 9 busy
-	b.Idle(91)                                                     // total 100
+	b.AdvanceTo(b.Cycle() + 91)                                    // total 100
 	if got := b.Utilization(); got != 0.09 {
 		t.Fatalf("utilization = %v, want 0.09", got)
 	}
@@ -208,7 +208,7 @@ func TestBusUtilization(t *testing.T) {
 
 func TestBusAdvanceToNeverRewinds(t *testing.T) {
 	b := New(DefaultConfig())
-	b.Idle(50)
+	b.AdvanceTo(b.Cycle() + 50)
 	b.AdvanceTo(40)
 	if b.Cycle() != 50 {
 		t.Fatalf("AdvanceTo rewound clock to %d", b.Cycle())

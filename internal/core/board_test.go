@@ -639,7 +639,7 @@ func TestRetriedOperationsFilteredOut(t *testing.T) {
 
 	for i := 0; i < 10; i++ {
 		busLine.Issue(&bus.Transaction{Cmd: bus.Read, Addr: 0x4000, Size: 128, SrcID: 0})
-		busLine.Idle(100)
+		busLine.AdvanceTo(busLine.Cycle() + 100)
 	}
 	b.Flush()
 	v := b.Node(0)

@@ -29,11 +29,17 @@
 // re-probed every cache before. It relies on bus.Attach's contract that a
 // device's BusID never changes: CPU i is bus ID i for the host's life.
 //
-// Timing: each instruction advances the bus clock by
+// Timing: one private-cache path serves both host modes. A reference runs
+// through its CPU's filter and, when it needs the bus, commit, on that
+// CPU's clock. A per-CPU host (NewPerCPU, percpu.go) keeps one clock per
+// actor and lets its engine interleave them. A merged-stream host
+// (New) runs each reference at once, on a clock loaded from the bus and a
+// fractional carry shared by every CPU, then moves the bus to where the
+// reference left that clock. There each instruction advances the bus by
 // CPI * (busClock/cpuClock) / NumCPUs idle cycles, and each L2 miss stalls
-// its processor for a memory latency. Together these place bus utilization
-// in the paper's observed 2-20% band for ordinary workloads, which is what
-// keeps the board's SDRAM (42% throughput) comfortably ahead of the bus.
+// for a memory latency. Together these place bus utilization in the
+// paper's observed 2-20% band for ordinary workloads, which is what keeps
+// the board's SDRAM (42% throughput) comfortably ahead of the bus.
 package host
 
 import (
@@ -151,11 +157,15 @@ type Stats struct {
 // cpu is one processor with its private hierarchy. The coherence cache is
 // the L2 when enabled, otherwise the L1.
 //
-// In a per-CPU host (NewPerCPU) the processor is also a discrete-event
-// actor: it consumes its own reference stream, keeps a local clock in
-// bus cycles, and always has at most one scheduled event (pend) — the
-// next point it becomes bus-visible. The actor fields stay zero in a
-// merged-stream host.
+// Every reference runs on the processor's clock, in bus cycles, and a
+// reference that needs the bus records it as the pending event (pend)
+// that commit performs. In a per-CPU host (NewPerCPU) the processor is
+// also a discrete-event actor: it consumes its own reference stream,
+// keeps its clock between references, and always has at most one
+// scheduled event — the next point it becomes bus-visible. A
+// merged-stream host loads clock and carry from the bus and the host
+// before each reference and commits at once; the stream, I/O and
+// buffer fields stay zero there.
 type cpu struct {
 	id   int
 	bit  int // column in the bus's presence summary; -1 while off the bus
@@ -163,17 +173,18 @@ type cpu struct {
 	l1   *cache.Cache // nil when the L1 is the coherence cache
 	coh  *cache.Cache
 
+	clock     uint64   // local time, absolute bus cycles
+	carry     float64  // fractional local cycles pending
+	pend      pendKind // the one outstanding event
+	pendCycle uint64   // absolute cycle pend is due
+	pendLine  uint64   // line address of a pending miss/upgrade
+	pendWrite bool     // pending miss is a store
+	pendFill  bool     // commit must fill the L1 (L2-path refs)
+
 	// Discrete-event actor state (per-CPU mode only).
 	gen       workload.Generator // this CPU's private stream (nil = idle)
 	rng       *workload.RNG      // per-CPU I/O injection draws
-	clock     uint64             // local time, absolute bus cycles
-	carry     float64            // fractional local cycles pending
 	ioAddr    uint64             // per-CPU I/O register cursor
-	pend      pendKind           // the one outstanding scheduled event
-	pendCycle uint64             // absolute cycle pend is due
-	pendLine  uint64             // line address of a pending miss/upgrade
-	pendWrite bool               // pending miss is a store
-	pendFill  bool               // commit must fill the L1 (L2-path refs)
 	pendIOCmd bus.Command        // drawn command of a pending I/O event
 	buf       workload.Ref       // reference paused behind a pending I/O
 	hasBuf    bool
@@ -190,19 +201,21 @@ type Host struct {
 	rng   *workload.RNG
 	stats Stats
 
-	idleCarry    float64 // fractional idle bus cycles pending
-	cyclesPerRef float64 // idle cycles per instruction
-	ioAddr       uint64
-	err          error // terminal condition; see Err
+	// cyclesPerInstr is the compute time of one instruction in bus
+	// cycles: one CPU's in per-CPU mode, divided among NumCPUs in a
+	// merged-stream host, whose CPUs all run on the bus's clock.
+	cyclesPerInstr float64
+	idleCarry      float64 // merged mode: the CPUs' shared fractional carry
+	ioAddr         uint64  // merged mode: the shared I/O register cursor
+	err            error   // terminal condition; see Err
 
 	// Discrete-event state (per-CPU mode only; see percpu.go).
-	perCPU         bool
-	engine         Engine
-	wheel          *eventWheel // nil on EngineLockStep
-	events         uint64      // scheduler events dispatched
-	live           int         // actors with stream remaining
-	lockCursor     uint64      // lock-step engine's poll cycle
-	cyclesPerInstr float64     // per-CPU compute cycles per instruction
+	perCPU     bool
+	engine     Engine
+	wheel      *eventWheel // nil on EngineLockStep
+	events     uint64      // scheduler events dispatched
+	live       int         // actors with stream remaining
+	lockCursor uint64      // lock-step engine's poll cycle
 
 	// tx is the scratch transaction reused by every bus issue on the
 	// step hot path. Safe because no snooper retains the pointer past
@@ -218,6 +231,7 @@ func New(cfg Config, gen workload.Generator) (*Host, error) {
 	if err != nil {
 		return nil, err
 	}
+	h.cyclesPerInstr /= float64(cfg.NumCPUs)
 	h.attach(h.cpus)
 	return h, nil
 }
@@ -240,7 +254,7 @@ func build(cfg Config, gen workload.Generator) (*Host, error) {
 		gen: gen,
 		rng: workload.NewRNG(cfg.Seed),
 	}
-	h.cyclesPerRef = cfg.CPI * float64(cfg.Bus.ClockMHz) / float64(cfg.CPUClockMHz) / float64(cfg.NumCPUs)
+	h.cyclesPerInstr = cfg.CPI * float64(cfg.Bus.ClockMHz) / float64(cfg.CPUClockMHz)
 	for i := 0; i < cfg.NumCPUs; i++ {
 		c := &cpu{id: i, bit: -1, host: h}
 		l1geom, err := addr.NewGeometry(cfg.L1Bytes, cfg.LineSize, cfg.L1Assoc)
@@ -325,21 +339,25 @@ func (h *Host) Step() bool {
 	h.stats.Refs++
 	h.stats.Instructions += ref.Instrs
 
-	// Compute time: instructions advance the bus clock as idle cycles.
-	h.idleCarry += float64(ref.Instrs) * h.cyclesPerRef
-	if h.idleCarry >= 1 {
-		n := uint64(h.idleCarry)
-		h.bus.Idle(n)
-		h.idleCarry -= float64(n)
-	}
+	// The reference's CPU runs it on the bus's clock and the one carry
+	// every CPU shares; its compute time is idle bus time.
+	c := h.cpus[ref.CPU%len(h.cpus)]
+	c.clock, c.carry = h.bus.Cycle(), h.idleCarry
+	c.accrue(float64(ref.Instrs) * h.cyclesPerInstr)
 
 	// Occasional non-memory traffic for the address filter to reject.
 	if h.cfg.IOFraction > 0 && h.rng.Chance(h.cfg.IOFraction) {
-		h.injectIO(ref.CPU)
+		h.ioAddr += 8
+		c.issueIO(ioCommand(h.rng), h.ioAddr&0xffff)
 	}
 
-	c := h.cpus[ref.CPU%len(h.cpus)]
-	c.access(ref.Addr, ref.Write)
+	// Nothing runs between filter and commit here, so commit's re-probe
+	// finds the state filter left.
+	if c.filter(ref.Addr, ref.Write) {
+		c.commit(c.pend)
+	}
+	h.idleCarry = c.carry
+	h.bus.AdvanceTo(c.clock)
 	return true
 }
 
@@ -368,42 +386,38 @@ func (h *Host) Run(n uint64) uint64 {
 	return i
 }
 
-// injectIO issues one I/O-register, interrupt, or sync transaction.
-func (h *Host) injectIO(cpuID int) {
-	h.stats.IOOps++
-	h.ioAddr += 8
-	var cmd bus.Command
-	switch h.rng.Intn(4) {
-	case 0:
-		cmd = bus.IORead
-	case 1:
-		cmd = bus.IOWrite
-	case 2:
-		cmd = bus.Interrupt
-	default:
-		cmd = bus.Sync
-	}
-	h.tx = bus.Transaction{
-		Cmd:   cmd,
-		Addr:  (1 << 52) | (h.ioAddr & 0xffff), // I/O space, outside memory
-		Size:  8,
-		SrcID: cpuID,
-	}
-	h.bus.Issue(&h.tx)
+// ioCommand draws the command of an injected non-memory transaction.
+func ioCommand(rng *workload.RNG) bus.Command {
+	return [4]bus.Command{bus.IORead, bus.IOWrite, bus.Interrupt, bus.Sync}[rng.Intn(4)]
 }
 
-// access runs one reference through the private hierarchy.
-func (c *cpu) access(a uint64, write bool) {
+// issueIO puts an injected I/O, interrupt or sync transaction for I/O
+// register reg on the bus at the CPU's clock. Its address lies in I/O
+// space, outside memory.
+func (c *cpu) issueIO(cmd bus.Command, reg uint64) {
 	h := c.host
-	geom := c.coh.Geometry()
-	line := geom.LineAddr(a)
+	h.stats.IOOps++
+	h.tx = bus.Transaction{Cmd: cmd, Addr: 1<<52 | reg, Size: 8, SrcID: c.id}
+	h.bus.IssueAt(c.clock, &h.tx)
+	c.syncClock()
+}
+
+// filter runs one reference through the private hierarchy up to the
+// coherence point. Hits commit immediately and return false; a reference
+// that needs the bus records the pending tenure, schedules its issue at
+// the CPU's clock, and returns true. The coherence decision is re-derived
+// at issue time (commit), so peer invalidations that land in between are
+// honored exactly as on real hardware.
+func (c *cpu) filter(a uint64, write bool) bool {
+	h := c.host
+	line := c.coh.Geometry().LineAddr(a)
 
 	// L1 filter (valid-bit only; coherence state lives in the L2).
 	if c.l1 != nil {
 		if c.l1.Access(line) != stInvalid {
 			h.stats.L1Hits++
 			if !write {
-				return
+				return false
 			}
 			// Write hits still need ownership at the coherence point.
 			slot, st := c.coh.AccessSlot(line)
@@ -411,13 +425,15 @@ func (c *cpu) access(a uint64, write bool) {
 			case stExclusive:
 				c.coh.SetStateAt(slot, stModified)
 			case stShared:
-				c.upgrade(line, slot)
+				c.pendLine, c.pendWrite, c.pendFill = line, true, false
+				c.schedule(pendIssueUpgrade, c.clock)
+				return true
 			case stInvalid:
 				// L1 had the line but L2 lost it (inclusion violation
-				// would be a bug; the eviction path below prevents it).
+				// would be a bug; install's eviction path prevents it).
 				panic("host: L1 hit without L2 backing (inclusion broken)")
 			}
-			return
+			return false
 		}
 		h.stats.L1Misses++
 	}
@@ -425,10 +441,13 @@ func (c *cpu) access(a uint64, write bool) {
 	slot, st := c.coh.AccessSlot(line)
 	switch {
 	case st == stInvalid:
-		c.miss(line, write)
+		c.pendLine, c.pendWrite, c.pendFill = line, write, true
+		c.schedule(pendIssueMiss, c.clock)
+		return true
 	case write && st == stShared:
-		h.stats.L2Hits++
-		c.upgrade(line, slot)
+		c.pendLine, c.pendWrite, c.pendFill = line, true, true
+		c.schedule(pendIssueUpgrade, c.clock)
+		return true
 	case write && st == stExclusive:
 		h.stats.L2Hits++
 		c.coh.SetStateAt(slot, stModified)
@@ -437,6 +456,44 @@ func (c *cpu) access(a uint64, write bool) {
 	}
 	if c.l1 != nil {
 		c.l1.FillAt(line, cache.NoSlot, 1) // it just missed there
+	}
+	return false
+}
+
+// commit performs the bus-visible half of a pending reference at the
+// CPU's clock, re-probing the coherence state first: in a per-CPU host
+// other actors may have issued between filter and commit, and a planned
+// upgrade whose line was invalidated degrades to a full miss.
+func (c *cpu) commit(kind pendKind) {
+	h := c.host
+	line := c.pendLine
+	if kind == pendIssueUpgrade {
+		switch slot, st := c.coh.Find(line); st {
+		case stShared:
+			if c.pendFill {
+				h.stats.L2Hits++
+			}
+			h.stats.Upgrades++
+			c.issueAtWithRetry(c.request(bus.DClaim, line))
+			c.coh.SetStateAt(slot, stModified)
+		case stInvalid:
+			c.missAt(line, true)
+		default:
+			// Raced to E/M (defensive: no current snoop reaction raises
+			// a peer's state, so this is unreachable today).
+			if c.pendFill {
+				h.stats.L2Hits++
+			}
+			c.coh.SetStateAt(slot, stModified)
+		}
+	} else {
+		// A line Invalid at filter time stays Invalid: only this CPU
+		// fills its own cache.
+		c.missAt(line, c.pendWrite)
+	}
+	if c.pendFill && c.l1 != nil {
+		// Absent since filter missed it: peers' snoops only remove lines.
+		c.l1.FillAt(line, cache.NoSlot, 1)
 	}
 }
 
@@ -448,16 +505,19 @@ const (
 	retryLimit       = 1000
 )
 
-// issueWithRetry puts a transaction on the bus, honoring the 6xx retry
-// protocol: a combined Retry response means some device (in practice only
-// an overflowing MemorIES board) could not accept it, and the requester
-// must back off and re-issue. After retryLimit consecutive retries the
-// host gives up on the transaction — counting the event in
-// Stats.RetryExhausted — and treats it as complete, trading accuracy for
-// forward progress exactly once per pathological operation.
-func (h *Host) issueWithRetry(tx *bus.Transaction) bus.SnoopResponse {
+// issueAtWithRetry puts a transaction on the bus at the CPU's clock,
+// honoring the 6xx retry protocol: a combined Retry response means some
+// device (in practice only an overflowing MemorIES board) could not
+// accept it, and the requester must back off — on its own clock — and
+// re-issue. After retryLimit consecutive retries the host gives up on the
+// transaction — counting the event in Stats.RetryExhausted — and treats
+// it as complete, trading accuracy for forward progress exactly once per
+// pathological operation.
+func (c *cpu) issueAtWithRetry(tx *bus.Transaction) bus.SnoopResponse {
+	h := c.host
 	for attempt := 0; ; attempt++ {
-		resp := h.bus.Issue(tx)
+		resp := h.bus.IssueAt(c.clock, tx)
+		c.syncClock()
 		if resp != bus.RespRetry {
 			return resp
 		}
@@ -466,7 +526,28 @@ func (h *Host) issueWithRetry(tx *bus.Transaction) bus.SnoopResponse {
 			return resp
 		}
 		h.stats.Retried++
-		h.bus.Idle(retryDelayCycles)
+		c.clock += retryDelayCycles
+	}
+}
+
+// syncClock pulls the CPU's clock up to the bus: a CPU cannot run ahead
+// of its own just-completed tenure (bus contention shows up here — if
+// earlier-scheduled actors kept the bus busy past this CPU's timestamp,
+// the wait becomes local stall time).
+func (c *cpu) syncClock() {
+	if cyc := c.host.bus.Cycle(); cyc > c.clock {
+		c.clock = cyc
+	}
+}
+
+// accrue adds cycles of local time, carrying the fraction below a whole
+// cycle to the next call.
+func (c *cpu) accrue(cycles float64) {
+	c.carry += cycles
+	if c.carry >= 1 {
+		n := uint64(c.carry)
+		c.clock += n
+		c.carry -= float64(n)
 	}
 }
 
@@ -481,28 +562,12 @@ func (c *cpu) request(cmd bus.Command, line uint64) *bus.Transaction {
 	return &h.tx
 }
 
-// claim counts an ownership upgrade of a shared line and stages its
-// DClaim; the caller issues it and then owns the line Modified.
-func (c *cpu) claim(line uint64) *bus.Transaction {
-	c.host.stats.Upgrades++
-	return c.request(bus.DClaim, line)
-}
-
-// fetch counts an L2 miss and stages its Read or RWITM.
-func (c *cpu) fetch(line uint64, write bool) *bus.Transaction {
-	c.host.stats.L2Misses++
-	if write {
-		return c.request(bus.RWITM, line)
-	}
-	return c.request(bus.Read, line)
-}
-
-// install is what follows a miss's address tenure in either host mode:
-// fill the line — absent since the lookup that missed, because only this
-// CPU fills its own cache — in the state the combined response dictates,
-// name this CPU in the line's presence bucket and un-name it in the
-// victim's if that emptied, keep the L1 inclusive, and stage the castout
-// of a dirty victim for the caller to issue (nil when there is none).
+// install is what follows a miss's address tenure: fill the line —
+// absent since the lookup that missed, because only this CPU fills its
+// own cache — in the state the combined response dictates, name this CPU
+// in the line's presence bucket and un-name it in the victim's if that
+// emptied, keep the L1 inclusive, and stage the castout of a dirty
+// victim for the caller to issue (nil when there is none).
 func (c *cpu) install(line uint64, write bool, resp bus.SnoopResponse) *bus.Transaction {
 	h := c.host
 	fill := uint8(stExclusive)
@@ -537,28 +602,20 @@ func (c *cpu) left(line uint64) {
 	}
 }
 
-// upgrade claims exclusive ownership of the shared line in slot.
-func (c *cpu) upgrade(line uint64, slot int64) {
-	c.host.issueWithRetry(c.claim(line))
-	c.coh.SetStateAt(slot, stModified)
-}
-
-// miss fetches a line from the bus with the appropriate command, fills the
+// missAt fetches a line at the CPU's clock, accrues the un-overlapped
+// miss stall (only MissOverlap misses hide each other), fills the
 // hierarchy, and writes back any dirty victim.
-func (c *cpu) miss(line uint64, write bool) {
+func (c *cpu) missAt(line uint64, write bool) {
 	h := c.host
-	resp := h.issueWithRetry(c.fetch(line, write))
-
-	// Memory-latency stall; only MissOverlap misses hide each other.
-	h.idleCarry += h.cfg.MissStallBusCycles / h.cfg.MissOverlap
-	if h.idleCarry >= 1 {
-		n := uint64(h.idleCarry)
-		h.bus.Idle(n)
-		h.idleCarry -= float64(n)
+	h.stats.L2Misses++
+	cmd := bus.Read
+	if write {
+		cmd = bus.RWITM
 	}
-
+	resp := c.issueAtWithRetry(c.request(cmd, line))
+	c.accrue(h.cfg.MissStallBusCycles / h.cfg.MissOverlap)
 	if castout := c.install(line, write, resp); castout != nil {
-		h.issueWithRetry(castout)
+		c.issueAtWithRetry(castout)
 	}
 }
 

@@ -10,13 +10,17 @@ import (
 	"memories/internal/workload"
 )
 
-// This file retains a verbatim port of the pre-event-wheel host — the
-// lock-step loop that advanced global time as every reference was pulled
-// from the merged stream — as the equivalence oracle for the
-// discrete-event rewrite. TestHostMatchesLegacyPort sweeps
-// configs × workloads × seeds and requires the bus transaction stream and
-// final Stats to be bit-identical, the same discipline as the PR-4
-// cache legacy-port tests.
+// This file retains a verbatim port of the pre-event-wheel merged-stream
+// host — the loop that pulled one reference at a time from the merged
+// stream, walked its own copy of the MESI hierarchy, and advanced the
+// bus clock itself — as the equivalence oracle for New. The merged-stream
+// host no longer has a walk of its own: it runs each reference through
+// the per-CPU actor's filter and commit at once, on a clock loaded from
+// the bus. TestHostMatchesLegacyPort sweeps configs × workloads × seeds,
+// plus one input whose bus retries, and requires the bus transaction
+// stream and final Stats to be bit-identical, the same discipline as the
+// cache's legacy-port tests. (The two per-CPU engines are held to each
+// other by TestPerCPUWheelMatchesLockStep, not here.)
 //
 // Do not "modernize" this copy: its value is that it does not share code
 // with the host under test.
@@ -89,7 +93,7 @@ func (h *legacyHost) Step() bool {
 	h.idleCarry += float64(ref.Instrs) * h.cyclesPerRef
 	if h.idleCarry >= 1 {
 		n := uint64(h.idleCarry)
-		h.bus.Idle(n)
+		h.bus.AdvanceTo(h.bus.Cycle() + n)
 		h.idleCarry -= float64(n)
 	}
 
@@ -193,7 +197,7 @@ func (h *legacyHost) issueWithRetry(tx *bus.Transaction) bus.SnoopResponse {
 			return resp
 		}
 		h.stats.Retried++
-		h.bus.Idle(retryDelayCycles)
+		h.bus.AdvanceTo(h.bus.Cycle() + retryDelayCycles)
 	}
 }
 
@@ -227,7 +231,7 @@ func (c *legacyCPU) miss(line uint64, write bool) {
 	h.idleCarry += h.cfg.MissStallBusCycles / h.cfg.MissOverlap
 	if h.idleCarry >= 1 {
 		n := uint64(h.idleCarry)
-		h.bus.Idle(n)
+		h.bus.AdvanceTo(h.bus.Cycle() + n)
 		h.idleCarry -= float64(n)
 	}
 
@@ -318,11 +322,38 @@ func (s *streamSpy) Snoop(tx *bus.Transaction) bus.SnoopResponse {
 	return bus.RespNull
 }
 
-// equivalenceConfigs are the geometry/timing points the legacy sweep
+// nthRetrier answers Retry to every nth memory transaction it snoops — a
+// deterministic stand-in for a board whose buffer now and then overflows.
+type nthRetrier struct{ n, seen uint64 }
+
+func (r *nthRetrier) BusID() int { return -1 }
+
+func (r *nthRetrier) Snoop(tx *bus.Transaction) bus.SnoopResponse {
+	if !tx.Cmd.IsMemoryOp() {
+		return bus.RespNull
+	}
+	r.seen++
+	if r.seen%r.n == 0 {
+		return bus.RespRetry
+	}
+	return bus.RespNull
+}
+
+// equivalenceInput is one host configuration of the legacy sweep, and
+// how often a snooper on both buses retries a memory transaction (0:
+// never).
+type equivalenceInput struct {
+	cfg        Config
+	retryEvery uint64
+}
+
+// equivalenceInputs are the geometry/timing points the legacy sweep
 // covers: the paper 8-way default, a small skewed-associativity L2, an
 // L2-disabled host (L1 is the coherence point), and a 12-way S7A ceiling
-// with I/O injection exercised throughout.
-func equivalenceConfigs() []Config {
+// with I/O injection exercised throughout. The last repeats the default
+// with every 7th memory transaction retried, so the port's idle back-off
+// and the host's back-off on its clock are held to each other too.
+func equivalenceInputs() []equivalenceInput {
 	base := DefaultConfig()
 	base.L1Bytes = 8 * addr.KB
 	base.L2Bytes = 256 * addr.KB
@@ -341,7 +372,7 @@ func equivalenceConfigs() []Config {
 	wide.NumCPUs = 12
 	wide.IOFraction = 0.01
 
-	return []Config{base, small, noL2, wide}
+	return []equivalenceInput{{cfg: base}, {cfg: small}, {cfg: noL2}, {cfg: wide}, {cfg: base, retryEvery: 7}}
 }
 
 func equivalenceWorkloads(ncpu int, seed uint64) map[string]func() workload.Generator {
@@ -365,19 +396,19 @@ func equivalenceWorkloads(ncpu int, seed uint64) map[string]func() workload.Gene
 	}
 }
 
-// TestHostMatchesLegacyPort is the rewrite's equivalence oracle: for
-// every config × workload × seed, the event-driven host must produce a
+// TestHostMatchesLegacyPort is the merged-stream host's equivalence
+// oracle: for every input × workload × seed, New's host must produce a
 // bus transaction stream and final Stats bit-identical to the retained
-// lock-step port.
+// port of the merged-stream host it replaced.
 func TestHostMatchesLegacyPort(t *testing.T) {
 	const refs = 20000
 	seeds := []uint64{1, 97}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	for ci, cfg := range equivalenceConfigs() {
+	for ci, in := range equivalenceInputs() {
 		for _, seed := range seeds {
-			cfg := cfg
+			cfg := in.cfg
 			cfg.Seed = seed
 			for name, mk := range equivalenceWorkloads(cfg.NumCPUs, seed) {
 				t.Run(fmt.Sprintf("cfg%d/%s/seed%d", ci, name, seed), func(t *testing.T) {
@@ -388,12 +419,19 @@ func TestHostMatchesLegacyPort(t *testing.T) {
 					h := MustNew(cfg, mk())
 					spy := &streamSpy{}
 					h.Bus().Attach(spy)
+					if in.retryEvery > 0 {
+						legacy.bus.Attach(&nthRetrier{n: in.retryEvery})
+						h.Bus().Attach(&nthRetrier{n: in.retryEvery})
+					}
 
 					if got, want := h.Run(refs), legacy.Run(refs); got != want {
 						t.Fatalf("processed %d refs, legacy %d", got, want)
 					}
 					if got, want := h.Stats(), legacy.stats; got != want {
 						t.Fatalf("stats diverged:\n new   %+v\n legacy %+v", got, want)
+					}
+					if in.retryEvery > 0 && h.Stats().Retried == 0 {
+						t.Fatal("the retrying input retried nothing")
 					}
 					if got, want := h.Bus().Stats(), legacy.bus.Stats(); got != want {
 						t.Fatalf("bus stats diverged:\n new   %+v\n legacy %+v", got, want)

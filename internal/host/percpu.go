@@ -3,15 +3,16 @@ package host
 import (
 	"fmt"
 
-	"memories/internal/bus"
-	"memories/internal/cache"
 	"memories/internal/workload"
 )
 
 // This file is the discrete-event side of the host: per-CPU actors that
 // schedule their next bus-visible event (L2-miss issue, ownership
 // upgrade, I/O injection, wakeup after a stall) at an absolute bus-cycle
-// timestamp, and the two engines that order those events:
+// timestamp, and the two engines that order those events. An actor runs
+// each reference through the same filter and commit (host.go) that the
+// merged-stream host runs back to back; what is here is what only
+// actors need — their own streams and clocks, wake, and the engines:
 //
 //   - EngineWheel pops events from the hierarchical timing wheel in
 //     (cycle, cpuID) order. Idle CPUs schedule nothing and cost zero, so
@@ -83,7 +84,6 @@ func NewPerCPU(cfg Config, streams []workload.Generator, engine Engine) (*Host, 
 	}
 	h.perCPU = true
 	h.engine = engine
-	h.cyclesPerInstr = cfg.CPI * float64(cfg.Bus.ClockMHz) / float64(cfg.CPUClockMHz)
 	if engine == EngineWheel {
 		h.wheel = newEventWheel(0)
 	}
@@ -150,7 +150,10 @@ func (h *Host) dispatch(c *cpu) {
 	case pendWake:
 		c.wake()
 	case pendIO:
-		c.issueIO()
+		// The buffered reference resumes after the I/O.
+		c.ioAddr += 8
+		c.issueIO(c.pendIOCmd, uint64(c.id)<<20|c.ioAddr&0xffff)
+		c.schedule(pendWake, c.clock)
 	case pendIssueMiss, pendIssueUpgrade:
 		c.commit(kind)
 		c.schedule(pendWake, c.clock)
@@ -264,25 +267,11 @@ func (c *cpu) wake() {
 			h.stats.Instructions += ref.Instrs
 
 			// Compute time accrues on this CPU's own clock.
-			c.carry += float64(ref.Instrs) * h.cyclesPerInstr
-			if c.carry >= 1 {
-				n := uint64(c.carry)
-				c.clock += n
-				c.carry -= float64(n)
-			}
+			c.accrue(float64(ref.Instrs) * h.cyclesPerInstr)
 
 			if h.cfg.IOFraction > 0 && c.rng.Chance(h.cfg.IOFraction) {
 				c.buf, c.hasBuf = ref, true
-				switch c.rng.Intn(4) {
-				case 0:
-					c.pendIOCmd = bus.IORead
-				case 1:
-					c.pendIOCmd = bus.IOWrite
-				case 2:
-					c.pendIOCmd = bus.Interrupt
-				default:
-					c.pendIOCmd = bus.Sync
-				}
+				c.pendIOCmd = ioCommand(c.rng)
 				c.schedule(pendIO, c.clock)
 				return
 			}
@@ -297,160 +286,4 @@ func (c *cpu) wake() {
 		c.clock++
 	}
 	c.schedule(pendWake, c.clock)
-}
-
-// filter runs one reference through the private hierarchy up to the
-// coherence point. Hits commit immediately and return false; a reference
-// that needs the bus records the pending tenure, schedules its issue at
-// the actor's local clock, and returns true. The coherence decision is
-// re-derived at issue time (commit), so peer invalidations that land in
-// between are honored exactly as on real hardware.
-func (c *cpu) filter(a uint64, write bool) bool {
-	h := c.host
-	line := c.coh.Geometry().LineAddr(a)
-
-	if c.l1 != nil {
-		if c.l1.Access(line) != stInvalid {
-			h.stats.L1Hits++
-			if !write {
-				return false
-			}
-			slot, st := c.coh.AccessSlot(line)
-			switch st {
-			case stExclusive:
-				c.coh.SetStateAt(slot, stModified)
-			case stShared:
-				c.pendLine, c.pendWrite, c.pendFill = line, true, false
-				c.schedule(pendIssueUpgrade, c.clock)
-				return true
-			case stInvalid:
-				panic("host: L1 hit without L2 backing (inclusion broken)")
-			}
-			return false
-		}
-		h.stats.L1Misses++
-	}
-
-	slot, st := c.coh.AccessSlot(line)
-	switch {
-	case st == stInvalid:
-		c.pendLine, c.pendWrite, c.pendFill = line, write, true
-		c.schedule(pendIssueMiss, c.clock)
-		return true
-	case write && st == stShared:
-		c.pendLine, c.pendWrite, c.pendFill = line, true, true
-		c.schedule(pendIssueUpgrade, c.clock)
-		return true
-	case write && st == stExclusive:
-		h.stats.L2Hits++
-		c.coh.SetStateAt(slot, stModified)
-	default:
-		h.stats.L2Hits++
-	}
-	if c.l1 != nil {
-		c.l1.FillAt(line, cache.NoSlot, 1) // it just missed there
-	}
-	return false
-}
-
-// commit performs the bus-visible half of a pending reference at its
-// scheduled cycle, re-probing the coherence state first: between filter
-// and commit other actors may have issued, and a planned upgrade whose
-// line was invalidated degrades to a full miss.
-func (c *cpu) commit(kind pendKind) {
-	h := c.host
-	line := c.pendLine
-	if kind == pendIssueUpgrade {
-		switch slot, st := c.coh.Find(line); st {
-		case stShared:
-			if c.pendFill {
-				h.stats.L2Hits++
-			}
-			c.issueAtWithRetry(c.claim(line))
-			c.coh.SetStateAt(slot, stModified)
-		case stInvalid:
-			c.missAt(line, true)
-		default:
-			// Raced to E/M (defensive: no current snoop reaction raises
-			// a peer's state, so this is unreachable today).
-			if c.pendFill {
-				h.stats.L2Hits++
-			}
-			c.coh.SetStateAt(slot, stModified)
-		}
-	} else {
-		// A line Invalid at filter time stays Invalid: only this CPU
-		// fills its own cache.
-		c.missAt(line, c.pendWrite)
-	}
-	if c.pendFill && c.l1 != nil {
-		// Absent since filter missed it: peers' snoops only remove lines.
-		c.l1.FillAt(line, cache.NoSlot, 1)
-	}
-}
-
-// issueIO puts the drawn I/O/interrupt/sync transaction on the bus at
-// the actor's clock, then resumes the buffered reference.
-func (c *cpu) issueIO() {
-	h := c.host
-	h.stats.IOOps++
-	c.ioAddr += 8
-	h.tx = bus.Transaction{
-		Cmd:   c.pendIOCmd,
-		Addr:  (1 << 52) | uint64(c.id)<<20 | (c.ioAddr & 0xffff),
-		Size:  8,
-		SrcID: c.id,
-	}
-	h.bus.IssueAt(c.clock, &h.tx)
-	c.syncClock()
-	c.schedule(pendWake, c.clock)
-}
-
-// syncClock pulls the actor's clock up to the bus: an actor cannot run
-// ahead of its own just-completed tenure (bus contention shows up here —
-// if earlier-scheduled actors kept the bus busy past this actor's
-// timestamp, the wait becomes local stall time).
-func (c *cpu) syncClock() {
-	if cyc := c.host.bus.Cycle(); cyc > c.clock {
-		c.clock = cyc
-	}
-}
-
-// issueAtWithRetry is the per-CPU twin of issueWithRetry: the back-off
-// delay accrues on the actor's own clock rather than the global bus
-// idle counter.
-func (c *cpu) issueAtWithRetry(tx *bus.Transaction) bus.SnoopResponse {
-	h := c.host
-	for attempt := 0; ; attempt++ {
-		resp := h.bus.IssueAt(c.clock, tx)
-		c.syncClock()
-		if resp != bus.RespRetry {
-			return resp
-		}
-		if attempt >= retryLimit {
-			h.stats.RetryExhausted++
-			return resp
-		}
-		h.stats.Retried++
-		c.clock += retryDelayCycles
-	}
-}
-
-// missAt fetches a line at the actor's clock, accrues the un-overlapped
-// miss stall locally, fills the hierarchy, and writes back any dirty
-// victim.
-func (c *cpu) missAt(line uint64, write bool) {
-	h := c.host
-	resp := c.issueAtWithRetry(c.fetch(line, write))
-
-	c.carry += h.cfg.MissStallBusCycles / h.cfg.MissOverlap
-	if c.carry >= 1 {
-		n := uint64(c.carry)
-		c.clock += n
-		c.carry -= float64(n)
-	}
-
-	if castout := c.install(line, write, resp); castout != nil {
-		c.issueAtWithRetry(castout)
-	}
 }
