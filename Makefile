@@ -2,9 +2,8 @@ GO ?= go
 
 # Default developer loop: the quick checks. `make ci` is the pre-merge
 # set (race, plain experiment goldens, fuzz seeds, coverage ratchet); the
-# workflow adds the faults sweep as a step of its test job, and
-# bench-selfcheck (the ledger job), crash-resume and loadtest as jobs of
-# their own.
+# workflow runs bench-selfcheck (the ledger job), crash-resume and
+# loadtest as jobs of their own.
 .PHONY: all
 all: vet build test
 
@@ -76,12 +75,6 @@ fuzz-long:
 	$(GO) test ./internal/host/ -run FuzzPresence -fuzz FuzzPresence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload/ -run FuzzZipfExact -fuzz FuzzZipfExact -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service/ -run FuzzCreateSession -fuzz FuzzCreateSession -fuzztime $(FUZZTIME)
-
-# The fault-injection acceptance sweep at CI scale (~seconds), run
-# serially (-parallel 1) so the output is the deterministic golden run.
-.PHONY: faults
-faults:
-	$(GO) run ./cmd/experiments -run faults -scale ci -parallel 1
 
 # Coverage with a ratcheted floor (ci/coverage-floor.txt). Raise the
 # floor when coverage grows; CI fails if total coverage drops below it.

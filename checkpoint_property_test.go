@@ -220,18 +220,16 @@ func checkpointCases(t *testing.T) map[string]func(warm bool) ckptObject {
 		}
 		return walked(h.Checkpoint)
 	}
-	for name, engine := range map[string]host.Engine{"wheel": host.EngineWheel, "lockstep": host.EngineLockStep} {
-		cases["host/percpu-"+name] = func(warm bool) ckptObject {
-			streams := make([]workload.Generator, 4) // CPU 3 idle
-			for i := 0; i < 3; i++ {
-				streams[i] = workload.NewZipfian(workload.ZipfConfig{NumCPUs: 1, FootprintByte: addr.MB, WriteFraction: 0.3, Seed: 11 + uint64(i)})
-			}
-			h := host.MustNewPerCPU(ckptHost(), streams, engine)
-			if warm {
-				h.RunCycles(20_000)
-			}
-			return walked(h.Checkpoint)
+	cases["host/percpu-wheel"] = func(warm bool) ckptObject {
+		streams := make([]workload.Generator, 4) // CPU 3 idle
+		for i := 0; i < 3; i++ {
+			streams[i] = workload.NewZipfian(workload.ZipfConfig{NumCPUs: 1, FootprintByte: addr.MB, WriteFraction: 0.3, Seed: 11 + uint64(i)})
 		}
+		h := host.MustNewPerCPU(ckptHost(), streams, host.EngineWheel)
+		if warm {
+			h.RunCycles(20_000)
+		}
+		return walked(h.Checkpoint)
 	}
 
 	for _, ecc := range []bool{false, true} {

@@ -120,8 +120,10 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	if *ncpu < 1 {
-		return fail(fmt.Errorf("-cpus must be at least 1, got %d", *ncpu))
+	// One CPU per board bus ID (0..core.MaxBusID), checked before
+	// CPURange allocates that many.
+	if *ncpu < 1 || *ncpu > core.MaxBusID+1 {
+		return fail(fmt.Errorf("-cpus must be in 1..%d, got %d", core.MaxBusID+1, *ncpu))
 	}
 	cpus := core.CPURange(*ncpu)
 	// Resolve runs the full gauntlet: parse, compile, model check.

@@ -206,12 +206,12 @@ func TestRunUsageError(t *testing.T) {
 		t.Fatal("bad -l3 accepted")
 	}
 	trace := writeTestTrace(t, 100)
-	for _, cpus := range []string{"0", "-1"} {
+	for _, cpus := range []string{"0", "-1", "257"} {
 		for _, mode := range [][]string{{}, {"-board"}} {
 			args := append([]string{"-cpus", cpus}, mode...)
 			code, errs := runCLICapture(t, &os.Stderr, append(args, trace)...)
-			if code != 1 || !strings.Contains(errs, "-cpus must be at least 1") {
-				t.Errorf("%v: exit %d, stderr %q; want 1 naming -cpus", args, code, errs)
+			if code != 1 || !strings.Contains(errs, "-cpus must be in 1..256") {
+				t.Errorf("%v: exit %d, stderr %q; want 1 naming -cpus and its range", args, code, errs)
 			}
 		}
 	}

@@ -45,10 +45,6 @@ func hostScaleStreams(ncpu, active int, seed uint64) []workload.Generator {
 // against the per-cycle polls a lock-step loop would have evaluated
 // (cycles x CPUs). The wheel row stays flat as CPUs grow; the poll count
 // explodes - that ratio is the emulation-speed headroom.
-//
-// Every point also re-runs under the retained lock-step engine and
-// requires bit-identical statistics, event counts, and bus clocks: the
-// equivalence oracle at experiment scope.
 func runHostScale(p Preset) (*Result, error) {
 	sweep := p.HostScaleCPUs
 	if p.NumCPUs > 0 {
@@ -72,43 +68,21 @@ func runHostScale(p Preset) (*Result, error) {
 		if active > ncpu {
 			active = ncpu
 		}
-		run := func(engine host.Engine) (*host.Host, error) {
-			h, err := host.NewPerCPU(hostScaleConfig(ncpu), hostScaleStreams(ncpu, active, seed), engine)
-			if err != nil {
-				return nil, err
-			}
-			h.RunCycles(cycles)
-			return h, nil
-		}
-		wheel, err := run(host.EngineWheel)
+		h, err := host.NewPerCPU(hostScaleConfig(ncpu), hostScaleStreams(ncpu, active, seed), host.EngineWheel)
 		if err != nil {
 			return point{}, err
 		}
-		lock, err := run(host.EngineLockStep)
-		if err != nil {
-			return point{}, err
-		}
-		if wheel.Stats() != lock.Stats() {
-			return point{}, fmt.Errorf("hostscale: %d CPUs: wheel and lock-step stats diverge:\n %+v\n %+v",
-				ncpu, wheel.Stats(), lock.Stats())
-		}
-		if wheel.Events() != lock.Events() {
-			return point{}, fmt.Errorf("hostscale: %d CPUs: wheel dispatched %d events, lock-step %d",
-				ncpu, wheel.Events(), lock.Events())
-		}
-		if wheel.Bus().Stats() != lock.Bus().Stats() {
-			return point{}, fmt.Errorf("hostscale: %d CPUs: bus stats diverge between engines", ncpu)
-		}
-		bs := wheel.Bus().Stats()
-		probed, _ := wheel.SnoopFilter()
+		h.RunCycles(cycles)
+		bs := h.Bus().Stats()
+		probed, _ := h.SnoopFilter()
 		return point{
 			ncpu:   ncpu,
 			active: active,
-			events: wheel.Events(),
-			st:     wheel.Stats(),
+			events: h.Events(),
+			st:     h.Stats(),
 			bst:    busStatsLike{Transactions: bs.Transactions, BusyCycles: bs.BusyCycles},
-			busPct: 100 * float64(bs.BusyCycles) / float64(wheel.Bus().Cycle()),
-			probes: float64(probed) / float64(bs.Transactions-wheel.Stats().IOOps),
+			busPct: 100 * float64(bs.BusyCycles) / float64(h.Bus().Cycle()),
+			probes: float64(probed) / float64(bs.Transactions-h.Stats().IOOps),
 		}, nil
 	})
 	if err != nil {
@@ -128,7 +102,6 @@ func runHostScale(p Preset) (*Result, error) {
 		Tables: []*stats.Table{t},
 		Notes: []string{
 			fmt.Sprintf("%d conflicting Zipf streams (seed %d) inside machines of growing size; idle CPUs are never scheduled", pts[0].active, seed),
-			"every point re-ran under the lock-step engine with bit-identical stats, events, and bus clock",
 			fmt.Sprintf("probes/txn: peer caches the bus's snoop filter presented each memory transaction to, of the %d busy peers a bus without it snoops", pts[0].active-1),
 		},
 	}

@@ -94,9 +94,7 @@ func (h *Host) Checkpoint(k *checkpoint.Codec) error {
 
 // checkpointActors walks the per-CPU discrete-event state — each
 // actor's stream, RNG, local clock, and the one pending scheduled event —
-// and on load rebuilds the scheduler: the wheel is repopulated from each
-// actor's pending event; the lock-step cursor rewinds to the earliest
-// one.
+// and on load rebuilds the wheel from each actor's pending event.
 func (h *Host) checkpointActors(k *checkpoint.Codec) error {
 	k.U64(&h.events)
 	k.Len("actor count", len(h.cpus))
@@ -139,11 +137,7 @@ func (h *Host) checkpointActors(k *checkpoint.Codec) error {
 		return err
 	}
 	h.live = 0
-	if h.engine == EngineWheel {
-		h.wheel = newEventWheel(0)
-	}
-	h.lockCursor = 0
-	first := true
+	h.wheel = newEventWheel(0)
 	for _, c := range h.cpus {
 		if c.gen == nil || c.done {
 			continue
@@ -152,13 +146,7 @@ func (h *Host) checkpointActors(k *checkpoint.Codec) error {
 		if c.pend == pendNone {
 			return k.Failf("cpu %d live without a pending event", c.id)
 		}
-		if h.wheel != nil {
-			h.wheel.Schedule(c.pendCycle, int32(c.id))
-		}
-		if first || c.pendCycle < h.lockCursor {
-			h.lockCursor = c.pendCycle
-			first = false
-		}
+		h.wheel.Schedule(c.pendCycle, int32(c.id))
 	}
 	return nil
 }

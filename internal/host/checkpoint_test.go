@@ -48,32 +48,36 @@ func TestHostCheckpointContinuation(t *testing.T) {
 
 // Per-CPU resume equivalence: snapshot a discrete-event host mid-run —
 // with actors parked at different local clocks and pending events — and
-// the restored twin must replay the identical event order on both
-// engines. The uninterrupted run is the oracle.
+// the restored twin must replay the identical event order, on the wheel
+// and on the lock-step poller (lockstep_test.go), whose cursor must pick
+// up from the restored actors' pending events. The uninterrupted run is
+// the oracle.
 func TestHostCheckpointContinuationPerCPU(t *testing.T) {
-	for _, engine := range []Engine{EngineWheel, EngineLockStep} {
-		name := "wheel"
-		if engine == EngineLockStep {
-			name = "lockstep"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, leg := range []struct {
+		name string
+		run  func(*Host) func(uint64) uint64
+	}{
+		{"wheel", func(h *Host) func(uint64) uint64 { return h.RunCycles }},
+		{"lockstep", func(h *Host) func(uint64) uint64 { return pollWith(h).RunCycles }},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
 			cfg := perCPUTestConfig(16)
 			cfg.IOFraction = 0.01 // park some actors on pending I/O events
 			mk := func() *Host {
-				return MustNewPerCPU(cfg, perCPUStreams(16, 6, 11), engine)
+				return MustNewPerCPU(cfg, perCPUStreams(16, 6, 11), EngineWheel)
 			}
 			const half = 60_000
 			oracle := mk()
-			oracle.RunCycles(2 * half)
+			leg.run(oracle)(2 * half)
 
 			h := mk()
-			h.RunCycles(half)
+			leg.run(h)(half)
 			payload, err := checkpoint.Marshal(h.Checkpoint)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// The on-disk layout is pinned (digest computed with the
-			// Enc-based writer of b889b55; both engines write the same
+			// Enc-based writer of b889b55; both legs write the same
 			// bytes): host sections written before the two-way codec
 			// must still load.
 			const want = "4098464f3ab29e2c7f1a5ac655ccb92202ffe9a4e84ac0227f94b75567364521"
@@ -93,7 +97,7 @@ func TestHostCheckpointContinuationPerCPU(t *testing.T) {
 			if !bytes.Equal(h2.pres.rows, h.pres.rows) {
 				t.Fatal("snoop filter rebuilt on restore differs from the source host's")
 			}
-			h2.RunCycles(2 * half)
+			leg.run(h2)(2 * half)
 			if h2.Stats() != oracle.Stats() {
 				t.Fatalf("stats diverge from uninterrupted run:\n%+v\n%+v", h2.Stats(), oracle.Stats())
 			}
@@ -182,8 +186,8 @@ func TestHostSaveRejectsNonCheckpointableGenerator(t *testing.T) {
 
 // A pending-event kind or I/O bus command outside its enum restores an
 // actor that is live but that dispatch never reschedules: the wheel
-// engine stops early with live > 0 and the lock-step stepEvent spins.
-// Both bytes are checked on the way in.
+// stops early with live > 0 (and a poller would spin). Both bytes are
+// checked on the way in.
 func TestHostRestoreRejectsUnknownPendingEvent(t *testing.T) {
 	cfg := perCPUTestConfig(2)
 	mk := func() *Host { return MustNewPerCPU(cfg, perCPUStreams(2, 2, 5), EngineWheel) }

@@ -32,7 +32,7 @@
 // Timing: one private-cache path serves both host modes. A reference runs
 // through its CPU's filter and, when it needs the bus, commit, on that
 // CPU's clock. A per-CPU host (NewPerCPU, percpu.go) keeps one clock per
-// actor and lets its engine interleave them. A merged-stream host
+// actor and lets the event wheel interleave them. A merged-stream host
 // (New) runs each reference at once, on a clock loaded from the bus and a
 // fractional carry shared by every CPU, then moves the bus to where the
 // reference left that clock. There each instruction advances the bus by
@@ -210,12 +210,10 @@ type Host struct {
 	err            error   // terminal condition; see Err
 
 	// Discrete-event state (per-CPU mode only; see percpu.go).
-	perCPU     bool
-	engine     Engine
-	wheel      *eventWheel // nil on EngineLockStep
-	events     uint64      // scheduler events dispatched
-	live       int         // actors with stream remaining
-	lockCursor uint64      // lock-step engine's poll cycle
+	perCPU bool
+	wheel  *eventWheel // nil in merged mode
+	events uint64      // scheduler events dispatched
+	live   int         // actors with stream remaining
 
 	// tx is the scratch transaction reused by every bus issue on the
 	// step hot path. Safe because no snooper retains the pointer past

@@ -9,37 +9,27 @@ import (
 // This file is the discrete-event side of the host: per-CPU actors that
 // schedule their next bus-visible event (L2-miss issue, ownership
 // upgrade, I/O injection, wakeup after a stall) at an absolute bus-cycle
-// timestamp, and the two engines that order those events. An actor runs
-// each reference through the same filter and commit (host.go) that the
-// merged-stream host runs back to back; what is here is what only
-// actors need — their own streams and clocks, wake, and the engines:
+// timestamp, and the hierarchical timing wheel that orders those events.
+// An actor runs each reference through the same filter and commit
+// (host.go) that the merged-stream host runs back to back; what is here
+// is what only actors need — their own streams and clocks, wake, and the
+// scheduler loop.
 //
-//   - EngineWheel pops events from the hierarchical timing wheel in
-//     (cycle, cpuID) order. Idle CPUs schedule nothing and cost zero, so
-//     wall-clock scales with bus events, not machine size.
-//   - EngineLockStep polls every CPU each bus cycle in ID order — the
-//     pre-wheel host structure, retained as the baseline the wheel
-//     is held bit-identical to and hostscale counts polls against.
-//
-// Both engines drive the same actor handlers, and actors only ever
-// schedule their own next event at a cycle >= their current one. Under
-// that discipline the engines are interchangeable: the wheel pops
-// (cycle, cpuID)-ordered events; the poller visits cycles in ascending
-// order and, within a cycle, drains each CPU fully in ID order — which
-// is the same total order, since no actor can insert an event for
-// another actor or in the past. TestPerCPUWheelMatchesLockStep holds the
-// two engines to bit-identical bus streams and Stats.
+// The wheel pops events in (cycle, cpuID) order. Idle CPUs schedule
+// nothing and cost zero, so wall-clock scales with bus events, not
+// machine size. Actors only ever schedule their own next event at a
+// cycle >= their current one, so that order is also what a poller that
+// visits every CPU each bus cycle in ID order would produce. One engine,
+// one test reference: lockstep_test.go keeps that poller, and
+// TestPerCPUWheelMatchesLockStep holds the wheel to its bus stream,
+// Stats and event count bit for bit.
 
-// Engine selects how a per-CPU host orders its events.
+// Engine selects how a per-CPU host orders its events. The wheel is the
+// only one; the type remains so NewPerCPU's signature stays stable.
 type Engine int
 
-const (
-	// EngineWheel is the hierarchical timing wheel (the default).
-	EngineWheel Engine = iota
-	// EngineLockStep polls all CPUs every bus cycle; O(NumCPUs) per
-	// cycle regardless of activity. Baseline for scaling comparisons.
-	EngineLockStep
-)
+// EngineWheel is the hierarchical timing wheel.
+const EngineWheel Engine = 0
 
 // pendKind is the one outstanding scheduled event an actor keeps.
 type pendKind uint8
@@ -74,7 +64,9 @@ const wakeBurst = 1024
 // compute time by NumCPUs: each actor advances its own clock by
 // CPI·(busClock/cpuClock) per instruction plus its own un-overlapped
 // miss stalls, and the bus interleaves actors by timestamp.
-func NewPerCPU(cfg Config, streams []workload.Generator, engine Engine) (*Host, error) {
+//
+// The Engine argument is ignored: every per-CPU host runs on the wheel.
+func NewPerCPU(cfg Config, streams []workload.Generator, _ Engine) (*Host, error) {
 	if len(streams) != cfg.NumCPUs {
 		return nil, fmt.Errorf("host: %d streams for %d CPUs", len(streams), cfg.NumCPUs)
 	}
@@ -83,10 +75,7 @@ func NewPerCPU(cfg Config, streams []workload.Generator, engine Engine) (*Host, 
 		return nil, err
 	}
 	h.perCPU = true
-	h.engine = engine
-	if engine == EngineWheel {
-		h.wheel = newEventWheel(0)
-	}
+	h.wheel = newEventWheel(0)
 	var live []*cpu
 	for i, c := range h.cpus {
 		if streams[i] == nil {
@@ -121,18 +110,18 @@ func MustNewPerCPU(cfg Config, streams []workload.Generator, engine Engine) *Hos
 	return h
 }
 
-// Events returns how many scheduler events have been dispatched. For the
-// wheel engine this is the total work the scheduler did; comparing it
-// against NumCPUs × cycles (what the lock-step poller inspects) is the
-// algorithmic speedup of the rewrite.
+// Events returns how many scheduler events have been dispatched: the
+// total work the wheel did. Comparing it against NumCPUs × cycles (what
+// a poller visiting every CPU each cycle would inspect) is the
+// algorithmic speedup of the wheel.
 func (h *Host) Events() uint64 { return h.events }
 
 // Live returns how many actors still have stream left.
 func (h *Host) Live() int { return h.live }
 
-// schedule records the actor's next event and, on the wheel engine,
-// inserts it. The lock-step engine finds pending events by polling, so
-// recording the (kind, cycle) pair is all it needs.
+// schedule records the actor's next event and inserts it on the wheel.
+// A merged-stream host has no wheel: it commits a pending tenure at once,
+// so recording the (kind, cycle) pair is all it needs.
 func (c *cpu) schedule(kind pendKind, cycle uint64) {
 	c.pend = kind
 	c.pendCycle = cycle
@@ -168,41 +157,17 @@ func (h *Host) RunCycles(target uint64) uint64 {
 		panic("host: RunCycles requires a per-CPU host (NewPerCPU)")
 	}
 	start := h.events
-	if h.engine == EngineLockStep {
-		h.runCyclesLockStep(target)
-	} else {
-		h.runCyclesWheel(target)
-	}
-	h.bus.AdvanceTo(target)
-	return h.events - start
-}
-
-func (h *Host) runCyclesWheel(target uint64) {
 	for h.live > 0 {
 		cycle, _, ok := h.wheel.Peek()
 		if !ok || cycle >= target {
-			return
+			break
 		}
 		_, cpuID, _ := h.wheel.Pop()
 		h.dispatch(h.cpus[cpuID])
 	}
 	h.finish()
-}
-
-func (h *Host) runCyclesLockStep(target uint64) {
-	for cyc := h.lockCursor; cyc < target; cyc++ {
-		h.lockCursor = cyc
-		for _, c := range h.cpus {
-			for !c.done && c.pend != pendNone && c.pendCycle <= cyc {
-				h.dispatch(c)
-			}
-		}
-		if h.live == 0 {
-			h.finish()
-			break
-		}
-	}
-	h.lockCursor = target
+	h.bus.AdvanceTo(target)
+	return h.events - start
 }
 
 // stepEvent dispatches the single next due event, reporting false when
@@ -211,17 +176,6 @@ func (h *Host) stepEvent() bool {
 	if h.live == 0 {
 		h.finish()
 		return false
-	}
-	if h.engine == EngineLockStep {
-		for {
-			for _, c := range h.cpus {
-				if !c.done && c.pend != pendNone && c.pendCycle <= h.lockCursor {
-					h.dispatch(c)
-					return true
-				}
-			}
-			h.lockCursor++
-		}
 	}
 	_, cpuID, ok := h.wheel.Pop()
 	if !ok {

@@ -38,10 +38,11 @@ func perCPUStreams(ncpu, active int, seed uint64) []workload.Generator {
 	return streams
 }
 
-// TestPerCPUWheelMatchesLockStep is the per-CPU engines' equivalence
-// oracle: the hierarchical wheel and the lock-step poller must dispatch
-// the same events in the same order, producing bit-identical bus
-// transaction streams, Stats, and event counts.
+// TestPerCPUWheelMatchesLockStep is the wheel's equivalence oracle: the
+// hierarchical wheel and the lock-step poller of lockstep_test.go must
+// dispatch the same events in the same order, producing bit-identical
+// bus transaction streams, Stats, and event counts. The last row is the
+// hostscale experiment's largest machine.
 func TestPerCPUWheelMatchesLockStep(t *testing.T) {
 	const cycles = 120000
 	for _, tc := range []struct {
@@ -53,6 +54,7 @@ func TestPerCPUWheelMatchesLockStep(t *testing.T) {
 		{"8cpu-8active", 8, 8, 0},
 		{"16cpu-4active", 16, 4, 0},
 		{"12cpu-3active-io", 12, 3, 0.01},
+		{"256cpu-8active-io", 256, 8, 0.002},
 	} {
 		for _, seed := range []uint64{1, 41} {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
@@ -64,12 +66,12 @@ func TestPerCPUWheelMatchesLockStep(t *testing.T) {
 				wheelSpy := &streamSpy{}
 				wheelHost.Bus().Attach(wheelSpy)
 
-				lockHost := MustNewPerCPU(cfg, perCPUStreams(tc.ncpu, tc.active, seed), EngineLockStep)
+				lockHost := MustNewPerCPU(cfg, perCPUStreams(tc.ncpu, tc.active, seed), EngineWheel)
 				lockSpy := &streamSpy{}
 				lockHost.Bus().Attach(lockSpy)
 
 				wheelHost.RunCycles(cycles)
-				lockHost.RunCycles(cycles)
+				pollWith(lockHost).RunCycles(cycles)
 
 				if got, want := wheelHost.Events(), lockHost.Events(); got != want {
 					t.Fatalf("wheel dispatched %d events, lock-step %d", got, want)

@@ -75,7 +75,7 @@ func (a *presenceAuditor) audit(tx *bus.Transaction) {
 
 // auditPresence runs one randomly shaped host — merged or per-CPU, L2 on
 // or off, some actors idle — under thrashing traffic with the auditor on
-// the bus.
+// the bus. Odd seeds drive a per-CPU host with the lock-step poller.
 func auditPresence(t *testing.T, seed uint64, ncpu int, perCPU, l2 bool, idle uint64) {
 	cfg := presenceConfig(ncpu, l2, seed)
 	var h *Host
@@ -87,17 +87,17 @@ func auditPresence(t *testing.T, seed uint64, ncpu int, perCPU, l2 bool, idle ui
 			}
 			streams[i] = &thrashGen{rng: workload.NewRNG(seed + uint64(i)*977), cpus: 1}
 		}
-		engine := EngineWheel
-		if seed&1 == 1 {
-			engine = EngineLockStep
-		}
-		h = MustNewPerCPU(cfg, streams, engine)
+		h = MustNewPerCPU(cfg, streams, EngineWheel)
 	} else {
 		h = MustNew(cfg, &thrashGen{rng: workload.NewRNG(seed), cpus: int64(ncpu)})
 	}
+	run := h.Run
+	if perCPU && seed&1 == 1 {
+		run = pollWith(h).Run
+	}
 	a := &presenceAuditor{t: t, h: h}
 	h.Bus().Attach(a)
-	h.Run(4000)
+	run(4000)
 	a.audit(nil)
 	if a.audits < 1000 {
 		t.Fatalf("only %d audits: the traffic did not reach the bus", a.audits)

@@ -270,6 +270,7 @@ func TestCreateValidation(t *testing.T) {
 		{"bad geometry", CreateRequest{Cache: "100KB", LineBytes: 96}, http.StatusBadRequest},
 		{"over quota", CreateRequest{Cache: "1GB", LineBytes: 64}, http.StatusRequestEntityTooLarge},
 		{"warm start disabled", CreateRequest{Cache: "64KB", WarmStart: "x.ckpt"}, http.StatusBadRequest},
+		{"cpus past the last bus ID", CreateRequest{Cache: "64KB", CPUs: core.MaxBusID + 2}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, base+"/sessions", tc.req)
@@ -307,6 +308,13 @@ func TestCreateValidation(t *testing.T) {
 		}
 		drainBody(resp)
 	}
+
+	// One CPU per bus ID: every ID up to core.MaxBusID is a valid CPU.
+	resp := postJSON(t, base+"/sessions", CreateRequest{Cache: "64KB", LineBytes: 64, CPUs: core.MaxBusID + 1})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create with cpus %d: status %d, want 201 (%s)", core.MaxBusID+1, resp.StatusCode, drainBody(resp))
+	}
+	drainBody(resp)
 }
 
 func TestPoolFull(t *testing.T) {

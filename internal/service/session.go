@@ -306,8 +306,9 @@ func buildBoardConfig(req *CreateRequest) (core.Config, int64, error) {
 	if ncpu == 0 {
 		ncpu = 8
 	}
-	if ncpu < 1 || ncpu > core.MaxBusID {
-		return core.Config{}, 0, fmt.Errorf("service: cpus %d out of range [1,%d]", ncpu, core.MaxBusID)
+	// One CPU per board bus ID, 0..core.MaxBusID.
+	if ncpu < 1 || ncpu > core.MaxBusID+1 {
+		return core.Config{}, 0, fmt.Errorf("service: cpus %d out of range [1,%d]", ncpu, core.MaxBusID+1)
 	}
 	bcfg := core.Config{
 		Nodes: []core.NodeConfig{{
