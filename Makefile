@@ -69,7 +69,7 @@ fuzz-long:
 	$(GO) test ./internal/checkpoint/ -run FuzzSnapshotDecode -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzCheckpointRestore -fuzz FuzzCheckpointRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzSnoopBatchSplits -fuzz FuzzSnoopBatchSplits -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/tracefile/ -run FuzzV2MmapDecode -fuzz FuzzV2MmapDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tracefile/ -run FuzzV2Decode -fuzz FuzzV2Decode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tracefile/ -run FuzzConvertV1 -fuzz FuzzConvertV1 -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/host/ -run FuzzEventWheel -fuzz FuzzEventWheel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/host/ -run FuzzPresence -fuzz FuzzPresence -fuzztime $(FUZZTIME)

@@ -13,7 +13,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 
 	"memories"
 	"memories/internal/core"
@@ -22,115 +24,144 @@ import (
 	"memories/internal/workload/byname"
 )
 
-func main() {
-	if len(os.Args) > 1 && os.Args[1] == "convert" {
-		convert(os.Args[2:])
-		return
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its plumbing exposed, so tests drive tracegen
+// in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 && args[0] == "convert" {
+		return convert(args[1:], stdout, stderr)
 	}
 
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		wl       = flag.String("workload", "tpcc", "workload: tpcc, tpch, web, uniform, or a SPLASH2 kernel")
-		dbFactor = flag.Int64("db-factor", 2048, "database footprint divisor vs paper scale")
-		refs     = flag.Uint64("refs", 1_000_000, "workload references to run")
-		limit    = flag.Int("limit", 64<<20, "trace capture memory in records (board stock: 128Mi)")
-		out      = flag.String("o", "bus.trace", "output trace file")
-		seed     = flag.Uint64("seed", 1, "workload seed")
+		wl       = fs.String("workload", "tpcc", "workload: tpcc, tpch, web, uniform, or a SPLASH2 kernel")
+		dbFactor = fs.Int64("db-factor", 2048, "database footprint divisor vs paper scale")
+		refs     = fs.Uint64("refs", 1_000_000, "workload references to run")
+		limit    = fs.Int("limit", 64<<20, "trace capture memory in records (board stock: 128Mi)")
+		out      = fs.String("o", "bus.trace", "output trace file")
+		seed     = fs.Uint64("seed", 1, "workload seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *limit < 1 {
-		fmt.Fprintln(os.Stderr, "tracegen: -limit must be at least 1 record")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "tracegen: -limit must be at least 1 record")
+		return 2
 	}
 
 	gen, err := byname.New(*wl, *dbFactor, *seed, 8, "classic")
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 
 	bcfg := memories.SingleL3Board(64*memories.MB, 8, 128)
 	bcfg.TraceCapacity = *limit
 	b, err := core.NewBoard(bcfg)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 	h, err := host.New(host.DefaultConfig(), gen)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 	h.Bus().Attach(b)
 	h.Run(*refs)
 	b.Flush()
 
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
+	if err := writeFile(*out, b.Trace().Dump); err != nil {
+		return fail(stderr, err)
 	}
-	if err := b.Trace().Dump(f); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	// Sync before close: a full disk or write-back failure must fail the
-	// run, not leave a silently truncated trace behind a zero exit code.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("captured %d bus references (%d dropped) from %d workload refs -> %s (v2)\n",
+	fmt.Fprintf(stdout, "captured %d bus references (%d dropped) from %d workload refs -> %s (v2)\n",
 		b.Trace().Len(), b.Trace().Dropped(), *refs, *out)
+	return 0
 }
 
 // convert rewrites a v1 trace file as v2, streaming record by record so
 // arbitrarily large traces convert in constant memory.
-func convert(argv []string) {
-	fs := flag.NewFlagSet("convert", flag.ExitOnError)
+func convert(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: tracegen convert <in.trace> <out.trace>")
+		fmt.Fprintln(stderr, "usage: tracegen convert <in.trace> <out.trace>")
 	}
 	if err := fs.Parse(argv); err != nil {
-		os.Exit(2)
+		return 2
 	}
 	if fs.NArg() != 2 {
 		fs.Usage()
-		os.Exit(2)
+		return 2
 	}
+	inPath, outPath := fs.Arg(0), fs.Arg(1)
 
-	in, err := os.Open(fs.Arg(0))
+	in, err := os.Open(inPath)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 	defer in.Close()
+	inSt, err := in.Stat()
+	if err != nil {
+		return fail(stderr, err)
+	}
+	if outSt, err := os.Stat(outPath); err == nil && os.SameFile(inSt, outSt) {
+		fmt.Fprintf(stderr, "tracegen: convert: %s and %s are the same file\n", inPath, outPath)
+		return 2
+	}
 
-	outF, err := os.Create(fs.Arg(1))
+	var n uint64
+	err = writeFile(outPath, func(w io.Writer) error {
+		vw, err := tracefile.NewV2Writer(w)
+		if err != nil {
+			return err
+		}
+		if n, err = tracefile.ConvertV1(vw, in); err != nil {
+			return fmt.Errorf("after %d records: %v", n, err)
+		}
+		return vw.Flush()
+	})
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
-	w, err := tracefile.NewV2Writer(outF)
-	if err != nil {
-		fatal(err)
-	}
-
-	n, err := tracefile.ConvertV1(w, in)
-	if err != nil {
-		fatal(fmt.Errorf("after %d records: %v", n, err))
-	}
-	if err := w.Flush(); err != nil {
-		fatal(err)
-	}
-	// Same truncation discipline as the capture path: sync and close
-	// errors are real data loss and must be reported.
-	if err := outF.Sync(); err != nil {
-		fatal(err)
-	}
-	if err := outF.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("converted %d records: %s -> %s (v2)\n", n, fs.Arg(0), fs.Arg(1))
+	fmt.Fprintf(stdout, "converted %d records: %s -> %s (v2)\n", n, inPath, outPath)
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracegen:", err)
-	os.Exit(1)
+// writeFile writes path all or nothing: write fills a temporary file in
+// path's directory, which replaces path only once write, Sync and Close
+// have all succeeded. A failed run leaves an existing path as it was and
+// no partial trace behind. A symlinked path is written through to its
+// target.
+func writeFile(path string, write func(io.Writer) error) error {
+	if target, err := filepath.EvalSymlinks(path); err == nil {
+		path = target
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*")
+	if err != nil {
+		return err
+	}
+	err = write(tmp)
+	if err == nil { // 0644 is what os.Create gives under the usual umask
+		err = tmp.Chmod(0o644)
+	}
+	// Sync before close: a full disk or write-back failure must fail the
+	// run, not leave a silently truncated trace behind a zero exit code.
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
+
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "tracegen:", err)
+	return 1
 }

@@ -15,9 +15,8 @@
 //	tracesim -l3 8GB -resume warm.ckpt big.trace
 //	tracesim -board -l3 64MB tpcc.trace
 //
-// Regular files are ingested zero-copy via mmap
-// (tracefile.ForEachBatchFile); pipes and non-mmap platforms fall back
-// to the streaming reader transparently.
+// Every trace, regular file or pipe, is read through the one streaming
+// reader (tracefile.ForEachBatchFile).
 //
 // With -checkpoint, SIGINT/SIGTERM stops the replay at the next batch
 // boundary and writes a final checkpoint; -resume skips the already
@@ -257,7 +256,7 @@ func run() int {
 // sustained transaction rate. Every record feeds the board; nothing is
 // checkpointed or mirrored into a registry — this mode exists to
 // measure how fast the emulation core itself can drink a real trace,
-// end to end from the mmap'd file bytes.
+// end to end from the file bytes.
 func runBoard(path string, geom addr.Geometry, cpus []int, proto *coherence.Table, profFlags *prof.Config) int {
 	board, err := core.NewBoard(core.Config{Nodes: []core.NodeConfig{{
 		Name:     "l3",

@@ -44,6 +44,27 @@ func Open(r io.Reader) (*V2Reader, error) {
 	return &V2Reader{br: br}, nil
 }
 
+// appendBlock is the step of AppendRecords' walk: it checks and decodes
+// the block at the head of data (bytes past the magic, at a block
+// boundary) in place, its payload a slice of data rather than a copy,
+// appends the block's records to dst, and returns the bytes after the
+// block. On error dst comes back as it came in.
+func appendBlock(dst []Record, data []byte) ([]Record, []byte, error) {
+	if len(data) < blockHeaderSize {
+		return dst, data, errTornHeader
+	}
+	count, plen, crc, err := parseBlockHeader(data)
+	if err != nil {
+		return dst, data, err
+	}
+	data = data[blockHeaderSize:]
+	if len(data) < plen {
+		return dst, data, errTornPayload
+	}
+	dst, err = decodeChecked(data[:plen], count, crc, dst)
+	return dst, data[plen:], err
+}
+
 // AppendRecords decodes a whole in-memory v2 trace, magic included, and
 // appends its records to dst: Open's counterpart for bytes already in
 // memory, such as a request body. Blocks are walked in place
