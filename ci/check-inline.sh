@@ -9,7 +9,9 @@
 # over the set-and-tag calls; inlined, they keep the host's L1/L2 lookups
 # one call deep. The host's per-reference path — a merged-stream Step
 # and a per-CPU wake alike — crosses (*cpu).schedule, (*cpu).syncClock
-# and the carry-to-clock helper (*cpu).accrue. Budgets belong to the
+# and the carry-to-clock helper (*cpu).accrue. The event heap's sift
+# loops compare with wheelEvent.less, and the per-CPU RunCycles loop
+# calls (*eventWheel).Peek once per event. Budgets belong to the
 # toolchain, so run this with the one the benchmark is measured with.
 set -e
 cd "$(dirname "$0")/.."
@@ -25,7 +27,9 @@ leaves='(*Cache).TouchSet
 (*TagStore).Schedule
 (*cpu).schedule
 (*cpu).syncClock
-(*cpu).accrue'
+(*cpu).accrue
+wheelEvent.less
+(*eventWheel).Peek'
 
 inlinable="$(go build -gcflags=-m ./internal/core ./internal/cache ./internal/stats ./internal/coherence ./internal/sdram ./internal/host 2>&1 |
     sed -n 's/.*: can inline \([^ ]*\).*/\1/p' | sort -u)"

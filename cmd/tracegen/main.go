@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"memories"
 	"memories/internal/core"
@@ -70,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	h.Run(*refs)
 	b.Flush()
 
-	if err := writeFile(*out, b.Trace().Dump); err != nil {
+	if err := tracefile.WriteFile(*out, b.Trace().Dump); err != nil {
 		return fail(stderr, err)
 	}
 	fmt.Fprintf(stdout, "captured %d bus references (%d dropped) from %d workload refs -> %s (v2)\n",
@@ -110,7 +109,7 @@ func convert(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	var n uint64
-	err = writeFile(outPath, func(w io.Writer) error {
+	err = tracefile.WriteFile(outPath, func(w io.Writer) error {
 		vw, err := tracefile.NewV2Writer(w)
 		if err != nil {
 			return err
@@ -125,40 +124,6 @@ func convert(argv []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "converted %d records: %s -> %s (v2)\n", n, inPath, outPath)
 	return 0
-}
-
-// writeFile writes path all or nothing: write fills a temporary file in
-// path's directory, which replaces path only once write, Sync and Close
-// have all succeeded. A failed run leaves an existing path as it was and
-// no partial trace behind. A symlinked path is written through to its
-// target.
-func writeFile(path string, write func(io.Writer) error) error {
-	if target, err := filepath.EvalSymlinks(path); err == nil {
-		path = target
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*")
-	if err != nil {
-		return err
-	}
-	err = write(tmp)
-	if err == nil { // 0644 is what os.Create gives under the usual umask
-		err = tmp.Chmod(0o644)
-	}
-	// Sync before close: a full disk or write-back failure must fail the
-	// run, not leave a silently truncated trace behind a zero exit code.
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-	}
-	return err
 }
 
 func fail(stderr io.Writer, err error) int {

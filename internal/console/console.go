@@ -12,7 +12,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,6 +20,7 @@ import (
 	"memories/internal/cache"
 	"memories/internal/checkpoint"
 	"memories/internal/core"
+	"memories/internal/tracefile"
 	"memories/protocols"
 )
 
@@ -206,6 +206,9 @@ func (c *Console) help() {
   trace                         trace-capture status
   trace reset                   clear the trace memory
   trace dump <path>             write the captured trace to a file
+                                (reset and dump need a board built with
+                                TraceCapacity; cmd/tracegen captures a
+                                trace from the command line)
   trace on [addr=lo:hi] [cpus=a,b]  enable the snoop event tracer
   trace off                     disable the snoop event tracer
   trace status                  snoop tracer state and totals
@@ -419,8 +422,11 @@ func (c *Console) finishLoadMap() error {
 func (c *Console) trace(args []string) error {
 	capture := c.board.Trace()
 	if capture == nil {
-		fmt.Fprintln(c.out, "trace mode disabled")
-		return nil
+		if len(args) == 0 {
+			fmt.Fprintln(c.out, "trace mode disabled")
+			return nil
+		}
+		return fmt.Errorf("trace %s: trace mode disabled: the board has no TraceCapacity (cmd/tracegen captures a trace)", args[0])
 	}
 	if len(args) == 0 {
 		fmt.Fprintf(c.out, "trace: %d records captured, %d dropped, full=%v\n",
@@ -436,21 +442,7 @@ func (c *Console) trace(args []string) error {
 		if len(args) != 2 {
 			return fmt.Errorf("usage: trace dump <path>")
 		}
-		f, err := os.Create(args[1])
-		if err != nil {
-			return err
-		}
-		if err := capture.Dump(f); err != nil {
-			f.Close()
-			return err
-		}
-		// A close/sync failure here means a silently truncated trace
-		// file, so both must surface as command errors.
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := tracefile.WriteFile(args[1], capture.Dump); err != nil {
 			return err
 		}
 		fmt.Fprintf(c.out, "dumped %d records to %s\n", capture.Len(), args[1])

@@ -340,3 +340,69 @@ func run0(b *core.Board, cmd string) error {
 	var out bytes.Buffer
 	return New(b, &out).Execute(cmd)
 }
+
+// A board without capture memory refuses trace reset and trace dump with
+// an error, so a script cannot mistake them for success; the status
+// query still reports the mode, and help names what the commands need.
+func TestTraceCaptureCommandsNeedCapture(t *testing.T) {
+	b := core.MustNewBoard(core.Config{Nodes: []core.NodeConfig{{
+		Name:     "a",
+		CPUs:     []int{0},
+		Geometry: addr.MustGeometry(64*addr.KB, 128, 4),
+		Policy:   cache.LRU,
+		Protocol: protocols.MustLoad("mesi"),
+	}}})
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x.trace")
+	for _, cmd := range []string{"trace reset", "trace dump " + path} {
+		err := run0(b, cmd)
+		if err == nil || !strings.Contains(err.Error(), "trace mode disabled") {
+			t.Fatalf("%q on a board without capture memory: err = %v", cmd, err)
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("refused dump left %s behind (stat err %v)", path, err)
+	}
+	if err := run0(b, "trace"); err != nil {
+		t.Fatalf("trace status: %v", err)
+	}
+	help := run(t, b, "help")
+	if !strings.Contains(help, "TraceCapacity") || !strings.Contains(help, "cmd/tracegen") {
+		t.Fatalf("help does not say what trace reset/dump need:\n%s", help)
+	}
+}
+
+// trace dump over an existing file replaces it whole with the captured
+// trace and leaves no temporary file beside it.
+func TestTraceDumpReplacesExistingFile(t *testing.T) {
+	b := testBoard(t)
+	feed(b, 5)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "console.trace")
+	if err := os.WriteFile(path, bytes.Repeat([]byte("old trace "), 4096), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	run(t, b, "trace dump "+path)
+	var want bytes.Buffer
+	if err := b.Trace().Dump(&want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("dumped file is %d bytes, want the %d-byte capture", len(got), want.Len())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "console.trace" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v, want only console.trace", names)
+	}
+}

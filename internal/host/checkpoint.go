@@ -11,10 +11,10 @@ import (
 // hostSectionVersion is the host checkpoint format. Version 2 added the
 // discrete-event state: a mode flag and, for per-CPU hosts, every
 // actor's stream position, local clock, and pending scheduled event.
-// The wheel itself is not serialized — it is rebuilt on restore by
+// The wheel itself is not serialized — its heap is rebuilt on restore by
 // re-scheduling each actor's pending event, which reproduces the exact
-// pop order because each actor keeps at most one event and the order is
-// the total (cycle, cpuID).
+// pop order because each actor keeps at most one event and the heap pops
+// in (cycle, cpuID) order whatever order the events went in.
 //
 // Version-1 snapshots (which began with the generator-name string) fail
 // the version check up front with a decode error rather than
@@ -137,7 +137,7 @@ func (h *Host) checkpointActors(k *checkpoint.Codec) error {
 		return err
 	}
 	h.live = 0
-	h.wheel = newEventWheel(0)
+	h.wheel = newEventWheel()
 	for _, c := range h.cpus {
 		if c.gen == nil || c.done {
 			continue

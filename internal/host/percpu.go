@@ -9,26 +9,28 @@ import (
 // This file is the discrete-event side of the host: per-CPU actors that
 // schedule their next bus-visible event (L2-miss issue, ownership
 // upgrade, I/O injection, wakeup after a stall) at an absolute bus-cycle
-// timestamp, and the hierarchical timing wheel that orders those events.
+// timestamp, and the event wheel (wheel.go) that orders those events.
 // An actor runs each reference through the same filter and commit
 // (host.go) that the merged-stream host runs back to back; what is here
 // is what only actors need — their own streams and clocks, wake, and the
 // scheduler loop.
 //
-// The wheel pops events in (cycle, cpuID) order. Idle CPUs schedule
-// nothing and cost zero, so wall-clock scales with bus events, not
-// machine size. Actors only ever schedule their own next event at a
-// cycle >= their current one, so that order is also what a poller that
-// visits every CPU each bus cycle in ID order would produce. One engine,
-// one test reference: lockstep_test.go keeps that poller, and
-// TestPerCPUWheelMatchesLockStep holds the wheel to its bus stream,
-// Stats and event count bit for bit.
+// The wheel is a binary min-heap that pops events in (cycle, cpuID)
+// order. Each live actor keeps exactly one event on it, so it never
+// holds more than NumCPUs events. Idle CPUs schedule nothing and cost
+// zero, so wall-clock scales with bus events, not machine size. Actors
+// only ever schedule their own next event at a cycle >= their current
+// one, so that order is also what a poller that visits every CPU each
+// bus cycle in ID order would produce. One engine, one test reference:
+// lockstep_test.go keeps that poller, and TestPerCPUWheelMatchesLockStep
+// holds the wheel to its bus stream, Stats and event count bit for bit.
 
 // Engine selects how a per-CPU host orders its events. The wheel is the
 // only one; the type remains so NewPerCPU's signature stays stable.
 type Engine int
 
-// EngineWheel is the hierarchical timing wheel.
+// EngineWheel is the event wheel: a binary min-heap in (cycle, cpuID)
+// order, one entry per live actor.
 const EngineWheel Engine = 0
 
 // pendKind is the one outstanding scheduled event an actor keeps.
@@ -75,7 +77,7 @@ func NewPerCPU(cfg Config, streams []workload.Generator, _ Engine) (*Host, error
 		return nil, err
 	}
 	h.perCPU = true
-	h.wheel = newEventWheel(0)
+	h.wheel = newEventWheel()
 	var live []*cpu
 	for i, c := range h.cpus {
 		if streams[i] == nil {

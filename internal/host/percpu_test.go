@@ -39,10 +39,11 @@ func perCPUStreams(ncpu, active int, seed uint64) []workload.Generator {
 }
 
 // TestPerCPUWheelMatchesLockStep is the wheel's equivalence oracle: the
-// hierarchical wheel and the lock-step poller of lockstep_test.go must
-// dispatch the same events in the same order, producing bit-identical
-// bus transaction streams, Stats, and event counts. The last row is the
-// hostscale experiment's largest machine.
+// event heap and the lock-step poller of lockstep_test.go must dispatch
+// the same events in the same order, producing bit-identical bus
+// transaction streams, Stats, and event counts. The 256-CPU row is the
+// hostscale experiment's largest machine; the 64-CPU row is shaped like
+// the host_wheel_64 benchmark, a 64-deep heap with many same-cycle ties.
 func TestPerCPUWheelMatchesLockStep(t *testing.T) {
 	const cycles = 120000
 	for _, tc := range []struct {
@@ -55,6 +56,7 @@ func TestPerCPUWheelMatchesLockStep(t *testing.T) {
 		{"16cpu-4active", 16, 4, 0},
 		{"12cpu-3active-io", 12, 3, 0.01},
 		{"256cpu-8active-io", 256, 8, 0.002},
+		{"64cpu-64active-io", 64, 64, 0.002},
 	} {
 		for _, seed := range []uint64{1, 41} {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {

@@ -18,9 +18,9 @@ func drainWheel(w *eventWheel) []wheelEvent {
 }
 
 func TestWheelOrdersByCycleThenCPU(t *testing.T) {
-	w := newEventWheel(0)
-	// Deliberately scheduled out of order, spanning all three levels and
-	// the overflow list (cycle 1<<30 is beyond the 2^24 horizon).
+	w := newEventWheel()
+	// Deliberately scheduled out of order, with same-cycle ties and
+	// cycles from 0 to 1<<30.
 	ins := []wheelEvent{
 		{cycle: 1 << 30, cpu: 0},
 		{cycle: 3, cpu: 7},
@@ -60,7 +60,7 @@ func TestWheelOrdersByCycleThenCPU(t *testing.T) {
 }
 
 func TestWheelClampsPastSchedules(t *testing.T) {
-	w := newEventWheel(0)
+	w := newEventWheel()
 	w.Schedule(100, 1)
 	if cyc, cpu, _ := w.Pop(); cyc != 100 || cpu != 1 {
 		t.Fatalf("pop = (%d, %d), want (100, 1)", cyc, cpu)
@@ -80,9 +80,8 @@ func TestWheelClampsPastSchedules(t *testing.T) {
 
 func TestWheelInterleavedScheduleAndPop(t *testing.T) {
 	// Re-scheduling after each pop (the host's steady state: every actor
-	// keeps exactly one event outstanding) must keep global order even as
-	// blocks wrap and cascade.
-	w := newEventWheel(0)
+	// keeps exactly one event outstanding) must keep global order.
+	w := newEventWheel()
 	clocks := []uint64{0, 0, 0, 0}
 	for i := range clocks {
 		w.Schedule(clocks[i], int32(i))
@@ -100,7 +99,7 @@ func TestWheelInterleavedScheduleAndPop(t *testing.T) {
 			t.Fatalf("pop %d: cpu %d at cycle %d, want %d", n, cpu, cyc, clocks[cpu])
 		}
 		last = cyc
-		// Deterministic pseudo-random stride, crossing every level.
+		// Deterministic pseudo-random stride of 1 to 100000 cycles.
 		stride := uint64(1 + (n*2654435761)%100000)
 		clocks[cpu] += stride
 		w.Schedule(clocks[cpu], cpu)
@@ -108,7 +107,7 @@ func TestWheelInterleavedScheduleAndPop(t *testing.T) {
 }
 
 func TestWheelPeekMatchesPop(t *testing.T) {
-	w := newEventWheel(0)
+	w := newEventWheel()
 	for i := int32(0); i < 32; i++ {
 		w.Schedule(uint64(i)*977, i%8)
 	}
@@ -128,14 +127,15 @@ func TestWheelPeekMatchesPop(t *testing.T) {
 }
 
 // FuzzEventWheel drives random schedule/pop sequences against a sorted
-// reference model: every pop must come out in (cycle, cpuID, seq) total
-// order with past schedules clamped, and no event may be lost or
-// duplicated.
+// reference model: every pop must come out in (cycle, cpuID) order with
+// past schedules clamped, and no event may be lost or duplicated. The
+// model breaks equal-(cycle, cpuID) ties by schedule order; such events
+// are indistinguishable, so any tie order passes.
 func FuzzEventWheel(f *testing.F) {
 	f.Add([]byte{0x01, 0x10, 0x00, 0x03, 0x00})
 	f.Add([]byte{
 		0x01, 0xff, 0xff, 0x01, // schedule far
-		0x1f, 0x01, 0x00, 0x02, // schedule shifted into overflow
+		0x1f, 0x01, 0x00, 0x02, // schedule shifted far past it
 		0x00,                   // pop
 		0x01, 0x00, 0x00, 0x01, // schedule at now (clamped)
 		0x00, 0x00, 0x00, // pops
@@ -150,7 +150,7 @@ func FuzzEventWheel(f *testing.F) {
 			cycle, seq uint64
 			cpu        int32
 		}
-		w := newEventWheel(0)
+		w := newEventWheel()
 		var model []modelEvent
 		var modelNow, seq uint64
 
@@ -193,9 +193,8 @@ func FuzzEventWheel(f *testing.F) {
 			if len(data) < 3 {
 				break
 			}
-			// delta spans all wheel levels and the overflow epoch list:
-			// up to 16 bits shifted left by up to 15. op bit 5 schedules
-			// into the past to exercise the clamp.
+			// delta spans 31 bits: up to 16 bits shifted left by up to
+			// 15. op bit 5 schedules into the past to exercise the clamp.
 			shift := uint(op>>1) & 15
 			delta := uint64(data[0]) | uint64(data[1])<<8
 			cpu := int32(data[2])
