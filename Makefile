@@ -42,6 +42,13 @@ race:
 race-ingest:
 	$(GO) test -race -count=10 -run 'TestConcurrentClients|TestConcurrentDistinctBodies' ./internal/service
 
+# The bus tap that feeds boards beside the host, hammered: the tap's own
+# equivalence and lifetime tests, every Session test (the board on its
+# worker goroutine) and streamRun's, ten times over.
+.PHONY: race-tap
+race-tap:
+	$(GO) test -race -count=10 -run 'Tap|Session' ./internal/core . ./internal/experiments
+
 # The experiment goldens, the fig8 snapshot determinism check and the
 # parallel-equivalence check skip under the race detector, so they get
 # their own plain run (~40 s on 2 vCPUs).
@@ -140,4 +147,4 @@ inline:
 	sh ci/check-inline.sh
 
 .PHONY: ci
-ci: fmt vet build reachable inline race race-ingest experiments fuzz-seeds cover-check
+ci: fmt vet build reachable inline race race-ingest race-tap experiments fuzz-seeds cover-check

@@ -173,7 +173,7 @@ func run() int {
 		scaleID  = flag.String("scale", "default", "scale preset: ci, default, paper")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text tables")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker bound, both across experiments and across the host runs (one per reference stream) within one; 1 is the serial golden run (bit-identical results at any setting)")
+		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker bound, both across experiments and across the host runs (one per reference stream) within one; each host run also feeds each of its boards on one goroutine of its own; 1 is the serial golden run (bit-identical results at any setting)")
 		bigmem   = flag.Bool("bigmem", false, "run the fully allocated big-memory corners (table2's 8 GB directory: ~512 MB RAM, tens of seconds)")
 		cpus     = flag.Int("cpus", 0, "emulated CPU count override for fig8, fig9, fig10, faults and protocolcompare (default: each preset's geometry; hostscale sweeps this single size; fig11, fig12, table5 and table6 keep 8)")
 		unfaith  = flag.Bool("unfaithful", false, "silence the warning when -cpus exceeds the paper's 12-way S7A host")

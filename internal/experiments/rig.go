@@ -37,11 +37,13 @@ func dbHostConfig(p Preset) host.Config {
 
 // streamRun runs one reference stream — a fresh host from hcfg driving
 // newGen's generator for refs references — with one board per config
-// attached to its bus, then flushes every board. A board without
-// RetryOnOverflow answers every transaction Null, so the host cannot
-// tell how many boards snoop it and each board sees exactly the stream
-// it would see alone (the paper's several configurations in one pass,
-// §2.2); a config that may post Retry is refused. When the preset
+// on its bus behind one core.Tap, then flushes every board. A board
+// without RetryOnOverflow answers every transaction Null, so the host
+// cannot tell how many boards snoop it and each board sees exactly the
+// stream it would see alone (the paper's several configurations in one
+// pass, §2.2); a config that may post Retry is refused. The tap feeds
+// each board on a goroutine of its own beside the host, and every one of
+// them has exited before the boards are flushed. When the preset
 // carries a registry, board i's counters appear under
 // "<ObsScope>.<labels[i]>.*"; labels must be unique within the
 // experiment.
@@ -65,9 +67,13 @@ func streamRun(p Preset, labels []string, hcfg host.Config, newGen func() worklo
 				return nil, err
 			}
 		}
-		h.Bus().Attach(boards[i])
 	}
-	h.Run(refs)
+	tap, err := core.NewTap(boards...)
+	if err != nil {
+		return nil, err
+	}
+	h.Bus().Attach(tap)
+	tap.Run(func() { h.Run(refs) })
 	for _, b := range boards {
 		b.Flush()
 		// Publish the exact post-flush counters so a sampler's final

@@ -268,10 +268,14 @@ type Session struct {
 	Board *Board
 	obs   *ObsHandle
 	inj   *FaultInjector // set by NewFaultSession; checkpointed with the session
+	tap   *core.Tap      // nil when the board is attached directly
 }
 
-// NewSession builds the host and board and attaches the board to the
-// host's 6xx bus as a passive snooper.
+// NewSession builds the host and board and puts the board on the host's
+// 6xx bus as a passive snooper. A board that cannot post retries rides a
+// core.Tap, so that during Run it works beside the host on a goroutine
+// of its own; a RetryOnOverflow board is attached directly, since its
+// retries must reach the host in each transaction's snoop window.
 func NewSession(hcfg HostConfig, bcfg BoardConfig, gen Generator) (*Session, error) {
 	b, err := core.NewBoard(bcfg)
 	if err != nil {
@@ -281,14 +285,30 @@ func NewSession(hcfg HostConfig, bcfg BoardConfig, gen Generator) (*Session, err
 	if err != nil {
 		return nil, err
 	}
-	h.Bus().Attach(b)
-	return &Session{Host: h, Board: b}, nil
+	s := &Session{Host: h, Board: b}
+	if bcfg.RetryOnOverflow {
+		h.Bus().Attach(b)
+		return s, nil
+	}
+	if s.tap, err = core.NewTap(b); err != nil {
+		return nil, err
+	}
+	h.Bus().Attach(s.tap)
+	return s, nil
 }
 
 // Run processes up to n workload references and flushes the board's
-// transaction buffers, returning how many references ran.
+// transaction buffers, returning how many references ran. The board's
+// worker, if any, starts and ends within the call: when Run returns the
+// board is quiescent, and host steps taken outside Run reach the board
+// synchronously.
 func (s *Session) Run(n uint64) uint64 {
-	ran := s.Host.Run(n)
+	var ran uint64
+	if s.tap != nil {
+		s.tap.Run(func() { ran = s.Host.Run(n) })
+	} else {
+		ran = s.Host.Run(n)
+	}
 	s.Board.Flush()
 	s.Board.PublishObs()
 	return ran
