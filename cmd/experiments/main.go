@@ -20,7 +20,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -48,27 +47,24 @@ type outcome struct {
 }
 
 // journal is the crash-safe record of completed experiments: one
-// checkpoint section per result, rewritten atomically as the sweep
-// progresses. Killing the process at any point loses at most the
-// experiments that had not yet been journaled.
+// checkpoint section per result, rewritten atomically after every
+// completion. Killing the process at any point loses at most the
+// experiments still running.
 type journal struct {
 	mu    sync.Mutex
 	path  string
-	every int
 	scale string
 	csv   bool
 	cpus  int
 	proto string
 	done  map[string]outcome
-	dirty int // completions since the last save
 }
 
 func (j *journal) fingerprint() string {
 	return fmt.Sprintf("scale=%s csv=%v cpus=%d proto=%s", j.scale, j.csv, j.cpus, j.proto)
 }
 
-// record journals one completed experiment, saving every j.every
-// completions.
+// record journals one completed experiment and rewrites the file.
 func (j *journal) record(o outcome) error {
 	if j == nil || j.path == "" {
 		return nil
@@ -76,24 +72,14 @@ func (j *journal) record(o outcome) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.done[o.id] = o
-	j.dirty++
-	if j.dirty < j.every {
-		return nil
+	ids := make([]string, 0, len(j.done))
+	for id := range j.done {
+		ids = append(ids, id)
 	}
-	return j.saveLocked()
-}
-
-// flush forces a save if any completions are unjournaled.
-func (j *journal) flush() error {
-	if j == nil || j.path == "" {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.dirty == 0 {
-		return nil
-	}
-	return j.saveLocked()
+	sort.Strings(ids)
+	return checkpoint.WriteFileAtomic(j.path, func(cw *checkpoint.Writer) error {
+		return j.sections(checkpoint.SaveTo(cw), ids)
+	})
 }
 
 // sections walks the journal in either direction: the run-options
@@ -116,21 +102,6 @@ func (j *journal) sections(a *checkpoint.Archive, ids []string) error {
 		j.done[id] = o
 	}
 	return nil
-}
-
-func (j *journal) saveLocked() error {
-	ids := make([]string, 0, len(j.done))
-	for id := range j.done {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	err := checkpoint.WriteFileAtomic(j.path, func(cw *checkpoint.Writer) error {
-		return j.sections(checkpoint.SaveTo(cw), ids)
-	})
-	if err == nil {
-		j.dirty = 0
-	}
-	return err
 }
 
 // load restores completed results from a journal file.
@@ -176,23 +147,20 @@ func run() int {
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker bound, both across experiments and across the host runs (one per reference stream) within one; each host run also feeds each of its boards on one goroutine of its own; 1 is the serial golden run (bit-identical results at any setting)")
 		bigmem   = flag.Bool("bigmem", false, "run the fully allocated big-memory corners (table2's 8 GB directory: ~512 MB RAM, tens of seconds)")
 		cpus     = flag.Int("cpus", 0, "emulated CPU count override for fig8, fig9, fig10, faults and protocolcompare (default: each preset's geometry; hostscale sweeps this single size; fig11, fig12, table5 and table6 keep 8)")
-		unfaith  = flag.Bool("unfaithful", false, "silence the warning when -cpus exceeds the paper's 12-way S7A host")
 		obsAddr  = flag.String("obs", "", "serve live metrics on this address (e.g. :9090) while experiments run")
 		obsIv    = flag.Duration("obs-interval", time.Second, "sampler interval for -obs/-obs-jsonl")
-		obsJSONL = flag.String("obs-jsonl", "", "append JSON-lines metric snapshots to this file (requires -obs or standalone)")
+		obsJSONL = flag.String("obs-jsonl", "", "write JSON-lines metric snapshots to this file, replacing it (with or without -obs)")
 		ckptPath = flag.String("checkpoint", "", "journal completed experiments to this file (crash-safe atomic writes)")
-		ckptN    = flag.Int("checkpoint-every", 1, "journal after every N completed experiments")
 		resume   = flag.String("resume", "", "resume from a journal file written by -checkpoint")
 		protoID  = flag.String("protocol", "", "coherence protocol for the emulated caches: a shipped name (msi, mesi, moesi, write-once) or a path to a .map file (default mesi)")
 	)
 	profFlags := prof.Flags(flag.CommandLine)
-	flag.Parse()
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		return 2
+	}
 
 	set := map[string]bool{}
 	flag.CommandLine.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["checkpoint-every"] && *ckptPath == "" && *resume == "" {
-		return fail(errors.New("-checkpoint-every needs -checkpoint or -resume to name the journal it writes"))
-	}
 	if set["cpus"] {
 		if *cpus < 1 {
 			return fail(fmt.Errorf("-cpus %d: an emulated machine needs at least one CPU", *cpus))
@@ -200,8 +168,8 @@ func run() int {
 		// The S7A the paper validates against tops out at 12 processors;
 		// beyond that the emulation still runs (that is the point of the
 		// event wheel) but no longer models measured hardware.
-		if *cpus > 12 && !*unfaith {
-			fmt.Fprintf(os.Stderr, "experiments: warning: -cpus %d exceeds the 12-way S7A the paper validates against; results model a hypothetical machine (-unfaithful silences this)\n", *cpus)
+		if *cpus > 12 {
+			fmt.Fprintf(os.Stderr, "experiments: warning: -cpus %d exceeds the 12-way S7A the paper validates against; results model a hypothetical machine\n", *cpus)
 		}
 	}
 
@@ -228,9 +196,6 @@ func run() int {
 	if *parallel < 1 {
 		*parallel = 1
 	}
-	if *ckptN < 1 {
-		*ckptN = 1
-	}
 
 	ids := experiments.IDs()
 	if *runID != "" {
@@ -240,7 +205,7 @@ func run() int {
 		}
 	}
 
-	jl := &journal{path: *ckptPath, every: *ckptN, scale: *scaleID, csv: *csv, cpus: *cpus, proto: protoName, done: make(map[string]outcome)}
+	jl := &journal{path: *ckptPath, scale: *scaleID, csv: *csv, cpus: *cpus, proto: protoName, done: make(map[string]outcome)}
 	if *resume != "" {
 		if err := jl.load(*resume); err != nil {
 			return fail(err)
@@ -328,7 +293,9 @@ func run() int {
 				return
 			}
 			start := time.Now()
-			res, err := experiments.RunWith(id, scale, experiments.Options{Parallel: *parallel, BigMem: *bigmem, Obs: reg, NumCPUs: *cpus, Protocol: protoTab})
+			p := experiments.PresetFor(scale)
+			p.Parallel, p.BigMem, p.Obs, p.NumCPUs, p.Protocol = *parallel, *bigmem, reg, *cpus, protoTab
+			res, err := experiments.RunWith(id, p)
 			o := outcome{id: id, err: err, elapsed: time.Since(start)}
 			if err == nil {
 				o.text = render(res, *csv)
@@ -340,9 +307,6 @@ func run() int {
 		}(i, id)
 	}
 	wg.Wait()
-	if err := jl.flush(); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: checkpoint:", err)
-	}
 
 	failures, skips := 0, 0
 	for _, o := range results {

@@ -12,8 +12,8 @@ import (
 	"memories/internal/experiments"
 )
 
-func newTestJournal(path string, every int) *journal {
-	return &journal{path: path, every: every, scale: "ci", csv: false, done: map[string]outcome{}}
+func newTestJournal(path string) *journal {
+	return &journal{path: path, scale: "ci", csv: false, done: map[string]outcome{}}
 }
 
 // Record → save → load into a fresh journal: the replayed outcomes must
@@ -21,7 +21,7 @@ func newTestJournal(path string, every int) *journal {
 // what the uninterrupted one would have.
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	j := newTestJournal(path, 1)
+	j := newTestJournal(path)
 	a := outcome{id: "table3", text: "=== table3 ===\nrow\n", elapsed: 1500 * time.Millisecond}
 	b := outcome{id: "fig8", text: "=== fig8 ===\nrow\n", elapsed: 2 * time.Second}
 	if err := j.record(a); err != nil {
@@ -31,7 +31,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2 := newTestJournal(path, 1)
+	j2 := newTestJournal(path)
 	if err := j2.load(path); err != nil {
 		t.Fatal(err)
 	}
@@ -46,39 +46,16 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// -checkpoint-every batching: completions below the threshold stay
-// in memory until flush forces them out.
-func TestJournalBatchedSave(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	j := newTestJournal(path, 10)
-	if err := j.record(outcome{id: "fig9", text: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("journal saved before reaching the batch threshold (stat err: %v)", err)
-	}
-	if err := j.flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("flush did not write the journal: %v", err)
-	}
-	// A second flush with nothing dirty is a no-op.
-	if err := j.flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // A journal written under different run options (scale, csv) must not
 // replay into this run.
 func TestJournalFingerprintMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	j := newTestJournal(path, 1)
+	j := newTestJournal(path)
 	if err := j.record(outcome{id: "table5", text: "x"}); err != nil {
 		t.Fatal(err)
 	}
 
-	j2 := newTestJournal(path, 1)
+	j2 := newTestJournal(path)
 	j2.scale = "paper"
 	if err := j2.load(path); err == nil {
 		t.Fatal("journal from -scale ci loaded into a -scale paper run")
@@ -91,14 +68,8 @@ func TestJournalDisabled(t *testing.T) {
 	if err := j.record(outcome{id: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.flush(); err != nil {
-		t.Fatal(err)
-	}
 	j = &journal{done: map[string]outcome{}}
 	if err := j.record(outcome{id: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.flush(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -144,12 +115,19 @@ func runCLIStderr(t *testing.T, args ...string) (int, string) {
 	return code, string(data)
 }
 
-// -checkpoint-every with no journal to write is refused before any
-// experiment runs, not silently ignored.
-func TestRunCheckpointEveryNeedsJournal(t *testing.T) {
-	code, errs := runCLIStderr(t, "-run", "table1", "-scale", "ci", "-checkpoint-every", "2")
-	if code != 1 || !strings.Contains(errs, "-checkpoint-every needs -checkpoint or -resume") {
-		t.Fatalf("exit %d, stderr %q; want 1 naming -checkpoint and -resume", code, errs)
+// The journal is rewritten after every completed experiment and the
+// -cpus warning always prints, so the flags that batched the one and
+// silenced the other are gone: each is the flag package's usage error,
+// before any experiment runs.
+func TestRemovedFlagsRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-checkpoint-every", "2", "-checkpoint", filepath.Join(t.TempDir(), "j.ckpt")},
+		{"-unfaithful", "-cpus", "24"},
+	} {
+		code, errs := runCLIStderr(t, append(args, "-run", "table1", "-scale", "ci")...)
+		if code != 2 || !strings.Contains(errs, "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: exit %d, stderr %q; want 2 and the flag package's refusal", args, code, errs)
+		}
 	}
 }
 
@@ -214,13 +192,15 @@ func TestRunBadCPUs(t *testing.T) {
 }
 
 // -cpus narrows the hostscale sweep to one machine size and flows into
-// every host the experiment builds (end-to-end through Options.NumCPUs).
+// every host the experiment builds (end-to-end through Preset.NumCPUs).
+// Above the paper's 12-way host it still runs, with a warning.
 func TestRunCPUsOverride(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real experiment")
 	}
-	if code := runCLI(t, "-run", "hostscale", "-scale", "ci", "-parallel", "1", "-cpus", "24", "-unfaithful"); code != 0 {
-		t.Fatalf("hostscale with -cpus 24 exited %d", code)
+	code, errs := runCLIStderr(t, "-run", "hostscale", "-scale", "ci", "-parallel", "1", "-cpus", "24")
+	if code != 0 || !strings.Contains(errs, "warning: -cpus 24 exceeds the 12-way S7A") {
+		t.Fatalf("hostscale with -cpus 24: exit %d, stderr %q; want 0 and the 12-way warning", code, errs)
 	}
 }
 
@@ -248,12 +228,12 @@ func TestRunBadProtocol(t *testing.T) {
 
 func TestJournalProtocolMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	j := newTestJournal(path, 1)
+	j := newTestJournal(path)
 	j.proto = "mesi"
 	if err := j.record(outcome{id: "table5", text: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	j2 := newTestJournal(path, 1)
+	j2 := newTestJournal(path)
 	j2.proto = "moesi"
 	if err := j2.load(path); err == nil {
 		t.Fatal("journal from a mesi run loaded into a moesi run")

@@ -17,8 +17,6 @@ import (
 	"os"
 
 	"memories"
-	"memories/internal/core"
-	"memories/internal/host"
 	"memories/internal/tracefile"
 	"memories/internal/workload/byname"
 )
@@ -57,23 +55,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	bcfg := memories.SingleL3Board(64*memories.MB, 8, 128)
 	bcfg.TraceCapacity = *limit
-	b, err := core.NewBoard(bcfg)
+	s, err := memories.NewSession(memories.DefaultHostConfig(), bcfg, gen)
 	if err != nil {
 		return fail(stderr, err)
 	}
-	h, err := host.New(host.DefaultConfig(), gen)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	h.Bus().Attach(b)
-	h.Run(*refs)
-	b.Flush()
+	s.Run(*refs)
 
-	if err := tracefile.WriteFile(*out, b.Trace().Dump); err != nil {
+	capture := s.Board.Trace()
+	if err := tracefile.WriteFile(*out, capture.Dump); err != nil {
 		return fail(stderr, err)
 	}
 	fmt.Fprintf(stdout, "captured %d bus references (%d dropped) from %d workload refs -> %s (v2)\n",
-		b.Trace().Len(), b.Trace().Dropped(), *refs, *out)
+		capture.Len(), capture.Dropped(), *refs, *out)
 	return 0
 }
 

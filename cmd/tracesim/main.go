@@ -13,7 +13,6 @@
 //	tracesim -l3 64MB -assoc 8 tpcc.trace
 //	tracesim -l3 8GB -checkpoint warm.ckpt -checkpoint-every 50000000 big.trace
 //	tracesim -l3 8GB -resume warm.ckpt big.trace
-//	tracesim -board -l3 64MB tpcc.trace
 //
 // Every trace, regular file or pipe, is read through the one streaming
 // reader (tracefile.ForEachBatchFile).
@@ -23,11 +22,8 @@
 // simulated prefix of the trace and continues from the saved cache
 // state, producing the same final statistics as an uninterrupted run.
 //
-// With -board the trace replays through a core.Board (batched ingest,
-// SDRAM timing model, transaction buffer) instead of the serial
-// simulator and the output is the sustained replay rate. Board mode
-// measures throughput, so it cannot be combined with -checkpoint,
-// -resume, or -obs.
+// It is the one off-line replay engine: the board's rate on a trace is
+// what `go run ./bench -workload replay_l3_64m` reports.
 package main
 
 import (
@@ -40,11 +36,9 @@ import (
 
 	"memories"
 	"memories/internal/addr"
-	"memories/internal/bus"
 	"memories/internal/cache"
 	"memories/internal/checkpoint"
 	"memories/internal/cli"
-	"memories/internal/coherence"
 	"memories/internal/core"
 	"memories/internal/obs"
 	"memories/internal/prof"
@@ -91,16 +85,15 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		l3        = flag.String("l3", "64MB", "emulated cache size")
-		assoc     = flag.Int("assoc", 8, "associativity")
-		line      = flag.Int64("line", 128, "line size in bytes")
-		ncpu      = flag.Int("cpus", 8, "host CPUs covered by the trace")
-		obsAddr   = flag.String("obs", "", "serve live replay metrics on this address (e.g. :9090)")
-		ckptPath  = flag.String("checkpoint", "", "write crash-safe replay checkpoints to this file")
-		ckptN     = flag.Uint64("checkpoint-every", 0, "checkpoint every N trace records (0: only on shutdown signal)")
-		resume    = flag.String("resume", "", "resume from a checkpoint written by -checkpoint")
-		boardMode = flag.Bool("board", false, "replay through the emulated board and report sustained tx/s")
-		protoID   = flag.String("protocol", "mesi", "coherence protocol: a shipped name (msi, mesi, moesi, write-once) or a path to a .map file")
+		l3       = flag.String("l3", "64MB", "emulated cache size")
+		assoc    = flag.Int("assoc", 8, "associativity")
+		line     = flag.Int64("line", 128, "line size in bytes")
+		ncpu     = flag.Int("cpus", 8, "host CPUs covered by the trace")
+		obsAddr  = flag.String("obs", "", "serve live replay metrics on this address (e.g. :9090)")
+		ckptPath = flag.String("checkpoint", "", "write crash-safe replay checkpoints to this file")
+		ckptN    = flag.Uint64("checkpoint-every", 0, "checkpoint every N trace records (0: only on shutdown signal)")
+		resume   = flag.String("resume", "", "resume from a checkpoint written by -checkpoint")
+		protoID  = flag.String("protocol", "mesi", "coherence protocol: a shipped name (msi, mesi, moesi, write-once) or a path to a .map file")
 	)
 	profFlags := prof.Flags(flag.CommandLine)
 	flag.Parse()
@@ -129,12 +122,6 @@ func run() int {
 	proto, err := protocols.Resolve(*protoID)
 	if err != nil {
 		return fail(err)
-	}
-	if *boardMode {
-		if *ckptPath != "" || *resume != "" || *obsAddr != "" {
-			return fail(errors.New("-board measures throughput; it cannot be combined with -checkpoint, -resume, or -obs"))
-		}
-		return runBoard(flag.Arg(0), geom, cpus, proto, profFlags)
 	}
 	sim, err := simbase.NewTraceSim([]simbase.TraceNodeConfig{{
 		CPUs:     cpus,
@@ -249,62 +236,6 @@ func run() int {
 		float64(n)/elapsed.Seconds()/1e6)
 	board := core.PaperRealTimeModel().Duration(n)
 	fmt.Printf("MemorIES would have processed this trace in %v (real-time model, §4.1)\n", board)
-	return 0
-}
-
-// runBoard replays the trace flat-out through one board and reports the
-// sustained transaction rate. Every record feeds the board; nothing is
-// checkpointed or mirrored into a registry — this mode exists to
-// measure how fast the emulation core itself can drink a real trace,
-// end to end from the file bytes.
-func runBoard(path string, geom addr.Geometry, cpus []int, proto *coherence.Table, profFlags *prof.Config) int {
-	board, err := core.NewBoard(core.Config{Nodes: []core.NodeConfig{{
-		Name:     "l3",
-		CPUs:     cpus,
-		Geometry: geom,
-		Policy:   cache.LRU,
-		Protocol: proto,
-	}}})
-	if err != nil {
-		return fail(err)
-	}
-	stopProf, err := profFlags.Start()
-	if err != nil {
-		return fail(err)
-	}
-	defer stopProf()
-
-	lineSize := int(geom.LineSize)
-	var cycle uint64
-	var txs []bus.Transaction // one decoded block, reused
-	start := time.Now()
-	n, err := tracefile.ForEachBatchFile(path, 0, func(recs []tracefile.Record) error {
-		txs = txs[:0]
-		for i := range recs {
-			cycle += 48
-			txs = append(txs, bus.Transaction{
-				Cmd:   recs[i].Cmd,
-				Addr:  recs[i].Addr,
-				Size:  lineSize,
-				SrcID: int(recs[i].SrcID),
-				Cycle: cycle,
-			})
-		}
-		board.SnoopBatch(txs)
-		return nil
-	})
-	board.Flush()
-	elapsed := time.Since(start)
-	if err != nil {
-		return fail(err)
-	}
-
-	st := board.Node(0)
-	rate := float64(n) / elapsed.Seconds()
-	fmt.Printf("trace      %s: %d records\n", path, n)
-	fmt.Printf("board      %s\n", geom)
-	fmt.Printf("refs       %d, miss ratio %.4f\n", st.Refs(), st.MissRatio())
-	fmt.Printf("replay     %v sustained, %.2fM tx/s\n", elapsed.Round(time.Millisecond), rate/1e6)
 	return 0
 }
 

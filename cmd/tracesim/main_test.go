@@ -125,8 +125,8 @@ func writeFile(t *testing.T, data []byte) string {
 }
 
 // Nothing writes MIES0001 any more, and only `tracegen convert` reads
-// it: a hand-packed v1 file exits 1 in both modes, naming that command,
-// before anything is replayed.
+// it: a hand-packed v1 file exits 1, naming that command, before
+// anything is replayed.
 func TestV1TraceRefused(t *testing.T) {
 	v1 := []byte(tracefile.Magic)
 	for _, rec := range testTrace(10_000) {
@@ -136,13 +136,9 @@ func TestV1TraceRefused(t *testing.T) {
 		}
 		v1 = binary.LittleEndian.AppendUint64(v1, v)
 	}
-	v1path := writeFile(t, v1)
-	for _, mode := range [][]string{{}, {"-board"}} {
-		args := append([]string{"-l3", "256KB", "-cpus", "4"}, mode...)
-		code, errs := runCLICapture(t, &os.Stderr, append(args, v1path)...)
-		if code != 1 || !strings.Contains(errs, "go run ./cmd/tracegen convert OLD NEW") {
-			t.Errorf("%v: v1 replay exited %d, stderr %q; want 1 naming tracegen convert", mode, code, errs)
-		}
+	code, errs := runCLICapture(t, &os.Stderr, "-l3", "256KB", "-cpus", "4", writeFile(t, v1))
+	if code != 1 || !strings.Contains(errs, "go run ./cmd/tracegen convert OLD NEW") {
+		t.Errorf("v1 replay exited %d, stderr %q; want 1 naming tracegen convert", code, errs)
 	}
 }
 
@@ -207,35 +203,29 @@ func TestRunUsageError(t *testing.T) {
 	}
 	trace := writeTestTrace(t, 100)
 	for _, cpus := range []string{"0", "-1", "257"} {
-		for _, mode := range [][]string{{}, {"-board"}} {
-			args := append([]string{"-cpus", cpus}, mode...)
-			code, errs := runCLICapture(t, &os.Stderr, append(args, trace)...)
-			if code != 1 || !strings.Contains(errs, "-cpus must be in 1..256") {
-				t.Errorf("%v: exit %d, stderr %q; want 1 naming -cpus and its range", args, code, errs)
-			}
+		code, errs := runCLICapture(t, &os.Stderr, "-cpus", cpus, trace)
+		if code != 1 || !strings.Contains(errs, "-cpus must be in 1..256") {
+			t.Errorf("-cpus %s: exit %d, stderr %q; want 1 naming -cpus and its range", cpus, code, errs)
 		}
 	}
 	// -checkpoint-every with no file to write is refused, not ignored.
-	for _, mode := range [][]string{{}, {"-board"}} {
-		args := append([]string{"-checkpoint-every", "10"}, mode...)
-		code, errs := runCLICapture(t, &os.Stderr, append(args, trace)...)
-		if code != 1 || !strings.Contains(errs, "-checkpoint-every needs -checkpoint or -resume") {
-			t.Errorf("%v: exit %d, stderr %q; want 1 naming -checkpoint and -resume", args, code, errs)
-		}
+	code, errs := runCLICapture(t, &os.Stderr, "-checkpoint-every", "10", trace)
+	if code != 1 || !strings.Contains(errs, "-checkpoint-every needs -checkpoint or -resume") {
+		t.Errorf("-checkpoint-every alone: exit %d, stderr %q; want 1 naming -checkpoint and -resume", code, errs)
 	}
 }
 
-// -protocol swaps the coherence table for both the serial replay and
-// the -board replay, and rejects unknown names before touching the
-// trace. A checkpoint written under one protocol must not resume a
-// replay under another (the fingerprint carries the protocol name).
+// -protocol swaps the simulator's coherence table and rejects unknown
+// names before touching the trace. A checkpoint written under one
+// protocol must not resume a replay under another (the fingerprint
+// carries the protocol name).
 func TestRunProtocolFlag(t *testing.T) {
 	trace := writeTestTrace(t, 5_000)
 	if code := runCLI(t, "-l3", "256KB", "-cpus", "4", "-protocol", "moesi", trace); code != 0 {
 		t.Fatalf("replay with -protocol moesi exited %d", code)
 	}
-	if code := runCLI(t, "-l3", "256KB", "-cpus", "4", "-board", "-protocol", "msi", trace); code != 0 {
-		t.Fatalf("-board with -protocol msi exited %d", code)
+	if code := runCLI(t, "-l3", "256KB", "-cpus", "4", "-protocol", "msi", trace); code != 0 {
+		t.Fatalf("replay with -protocol msi exited %d", code)
 	}
 	if code := runCLI(t, "-l3", "256KB", "-cpus", "4", "-protocol", "nonsense", trace); code == 0 {
 		t.Fatal("unknown -protocol accepted")
@@ -288,31 +278,6 @@ func refsLine(t *testing.T, out string) string {
 	return ""
 }
 
-// -board replays through core.Board, the default through
-// simbase.TraceSim; on the same trace the two must print the same
-// `refs ... miss ratio ...` line, and -board adds the sustained
-// `replay ... M tx/s` rate line.
-func TestBoardMatchesTraceSim(t *testing.T) {
-	trace := writeTestTrace(t, 30_000)
-	for _, proto := range []string{"mesi", "msi"} {
-		args := []string{"-l3", "256KB", "-cpus", "4", "-protocol", proto}
-		code, simOut := runCLIOutput(t, append(args, trace)...)
-		if code != 0 {
-			t.Fatalf("%s: replay exited %d", proto, code)
-		}
-		code, boardOut := runCLIOutput(t, append(args, "-board", trace)...)
-		if code != 0 {
-			t.Fatalf("%s: -board replay exited %d", proto, code)
-		}
-		if sim, board := refsLine(t, simOut), refsLine(t, boardOut); sim != board {
-			t.Errorf("%s: -board printed %q, simulator %q", proto, board, sim)
-		}
-		if !strings.Contains(boardOut, "\nreplay     ") || !strings.HasSuffix(boardOut, "M tx/s\n") {
-			t.Errorf("%s: no replay rate line in -board output:\n%s", proto, boardOut)
-		}
-	}
-}
-
 // -obs mirrors replay progress into a served registry; it observes the
 // simulator and must not change what the replay reports.
 func TestObsDoesNotPerturbReplay(t *testing.T) {
@@ -328,20 +293,5 @@ func TestObsDoesNotPerturbReplay(t *testing.T) {
 	}
 	if a, b := refsLine(t, plain), refsLine(t, observed); a != b {
 		t.Errorf("-obs replay printed %q, plain %q", b, a)
-	}
-}
-
-// -board measures throughput only: it refuses the flags that would put
-// checkpoint writes or a metrics server inside the timed region.
-func TestBoardFlagRejections(t *testing.T) {
-	trace := writeTestTrace(t, 100)
-	for _, args := range [][]string{
-		{"-board", "-checkpoint", filepath.Join(t.TempDir(), "x.ckpt")},
-		{"-board", "-resume", filepath.Join(t.TempDir(), "x.ckpt")},
-		{"-board", "-obs", "127.0.0.1:0"},
-	} {
-		if code := runCLI(t, append(args, trace)...); code == 0 {
-			t.Errorf("%v accepted", args)
-		}
 	}
 }

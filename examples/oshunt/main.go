@@ -9,12 +9,10 @@ import (
 	"log"
 
 	"memories"
-	"memories/internal/core"
-	"memories/internal/host"
 	"memories/internal/workload"
 )
 
-func profile(buggy bool) *core.Board {
+func profile(buggy bool) *memories.Board {
 	gen := memories.Generator(workload.NewTPCC(workload.ScaledTPCCConfig(2048)))
 	if buggy {
 		gen = workload.WithDisturbance(gen, workload.DisturbanceConfig{
@@ -29,21 +27,15 @@ func profile(buggy bool) *core.Board {
 		8*memories.MB, 64*memories.MB)
 	bcfg.ProfileBucketCycles = 2_000_000
 
-	b, err := core.NewBoard(bcfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	hcfg := host.DefaultConfig()
+	hcfg := memories.DefaultHostConfig()
 	hcfg.L2Bytes = 1 * memories.MB
 	hcfg.L2Assoc = 1
-	h, err := host.New(hcfg, gen)
+	s, err := memories.NewSession(hcfg, bcfg, gen)
 	if err != nil {
 		log.Fatal(err)
 	}
-	h.Bus().Attach(b)
-	h.Run(4_000_000)
-	b.Flush()
-	return b
+	s.Run(4_000_000)
+	return s.Board
 }
 
 func main() {

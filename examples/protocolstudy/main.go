@@ -11,8 +11,6 @@ import (
 	"log"
 
 	"memories"
-	"memories/internal/core"
-	"memories/internal/host"
 )
 
 type result struct {
@@ -37,21 +35,15 @@ func study(tab *memories.ProtocolTable) result {
 			Policy:   memories.LRU, Protocol: tab,
 		},
 	}}
-	board, err := core.NewBoard(bcfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	hcfg := host.DefaultConfig()
+	hcfg := memories.DefaultHostConfig()
 	hcfg.L2Bytes = 256 * memories.KB // small L2: the board sees the sharing
-	h, err := host.New(hcfg, memories.NewSplash("fmm", "classic", 8, 3))
+	s, err := memories.NewSession(hcfg, bcfg, memories.NewSplash("fmm", "classic", 8, 3))
 	if err != nil {
 		log.Fatal(err)
 	}
-	h.Bus().Attach(board)
-	h.Run(2_000_000)
-	board.Flush()
+	s.Run(2_000_000)
 
-	bank := board.Counters()
+	bank := s.Board.Counters()
 	var r result
 	r.name = tab.Name
 	var miss, refs uint64

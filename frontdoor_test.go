@@ -267,8 +267,9 @@ func TestWorkloadNamesAtEveryCaller(t *testing.T) {
 // file converts to the bytes a v2 writer makes of the same records, and
 // tracesim prints the same statistics for both v2 files; tracesim itself
 // refuses the v1 file by naming the command. The knobs that selected the
-// deleted paths — a decode fan-out, a v1 writer — are refused by name, and
-// so is a capture memory that could hold no record.
+// deleted paths — a decode fan-out, a second replay engine, a v1 writer —
+// are refused by name, and so is a capture memory that could hold no
+// record.
 func TestTraceFormatsAtTheFrontDoor(t *testing.T) {
 	bins := buildCmds(t, "tracegen", "tracesim")
 	dir := t.TempDir()
@@ -323,32 +324,29 @@ func TestTraceFormatsAtTheFrontDoor(t *testing.T) {
 
 	// Everything tracesim reports about the cache, which is every line
 	// but the file name and the wall clock.
-	statLines := func(path string, mode ...string) string {
-		code, out, errs := runCmd(t, "", bins["tracesim"], append(append([]string{"-l3", "1MB", "-assoc", "4"}, mode...), path)...)
+	statLines := func(path string) string {
+		code, out, errs := runCmd(t, "", bins["tracesim"], "-l3", "1MB", "-assoc", "4", path)
 		if code != 0 {
-			t.Fatalf("tracesim %v %s: exit %d\n%s%s", mode, path, code, out, errs)
+			t.Fatalf("tracesim %s: exit %d\n%s%s", path, code, out, errs)
 		}
 		var keep []string
 		for _, line := range strings.Split(out, "\n") {
-			for _, prefix := range []string{"cache ", "board ", "refs ", "reads ", "castouts "} {
+			for _, prefix := range []string{"cache ", "refs ", "reads ", "castouts "} {
 				if strings.HasPrefix(line, prefix) {
 					keep = append(keep, line)
 				}
 			}
 		}
 		if len(keep) < 2 {
-			t.Fatalf("tracesim %v %s printed no statistics:\n%s", mode, path, out)
+			t.Fatalf("tracesim %s printed no statistics:\n%s", path, out)
 		}
 		return strings.Join(keep, "\n")
 	}
-	for _, mode := range [][]string{nil, {"-board"}} {
-		if conv, written := statLines(v2path, mode...), statLines(directPath, mode...); conv != written {
-			t.Errorf("tracesim %v: converted file\n%s\ndirectly written file\n%s", mode, conv, written)
-		}
-		code, _, errs := runCmd(t, "", bins["tracesim"], append(mode, v1path)...)
-		if code != 1 || !strings.Contains(errs, "go run ./cmd/tracegen convert OLD NEW") {
-			t.Errorf("tracesim %v on the v1 file: exit %d, stderr %q; want 1 naming tracegen convert", mode, code, errs)
-		}
+	if conv, written := statLines(v2path), statLines(directPath); conv != written {
+		t.Errorf("tracesim: converted file\n%s\ndirectly written file\n%s", conv, written)
+	}
+	if code, _, errs := runCmd(t, "", bins["tracesim"], v1path); code != 1 || !strings.Contains(errs, "go run ./cmd/tracegen convert OLD NEW") {
+		t.Errorf("tracesim on the v1 file: exit %d, stderr %q; want 1 naming tracegen convert", code, errs)
 	}
 
 	for _, limit := range []string{"0", "-1"} {
@@ -361,6 +359,7 @@ func TestTraceFormatsAtTheFrontDoor(t *testing.T) {
 
 	for _, gone := range [][]string{
 		{"tracesim", "-workers", "2", v2path},
+		{"tracesim", "-board", v2path},
 		{"tracegen", "-format", "v1", "-refs", "1000", "-o", filepath.Join(dir, "x.trace")},
 		{"tracegen", "convert", "-format", "v1", v2path, filepath.Join(dir, "y.trace")},
 	} {

@@ -23,41 +23,60 @@ import (
 // capture is dumped to the on-disk format, and replaying that file
 // through the trace-driven simulator with the same cache configuration
 // reproduces the board's own statistics exactly. This is the off-line
-// analysis workflow of §2.3 closing the loop with §4.1's validation.
+// analysis workflow of §2.3 closing the loop with §4.1's validation, and
+// the one check that the board and cmd/tracesim's simulator agree. Each
+// shipped protocol is loaded into both, on two nodes of four CPUs that
+// snoop each other, so the protocol decides the interventions counted.
 func TestIntegrationCaptureReplayMatchesBoard(t *testing.T) {
-	bcfg := SingleL3Board(4*MB, 4, 128)
-	bcfg.TraceCapacity = 1 << 20
-	gen := NewTPCC(ScaledTPCCConfig(4096))
-	s, err := NewSession(DefaultHostConfig(), bcfg, gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(150_000)
-	if s.Board.Trace().Dropped() != 0 {
-		t.Fatal("capture memory overflowed; grow TraceCapacity for this test")
-	}
+	for _, proto := range []string{"mesi", "msi", "moesi"} {
+		t.Run(proto, func(t *testing.T) {
+			tab := protocols.MustLoad(proto)
+			geom := addr.MustGeometry(4*addr.MB, 128, 4)
+			var bcfg BoardConfig
+			var scfg []simbase.TraceNodeConfig
+			for i, name := range []string{"x", "y"} {
+				cpus := []int{4 * i, 4*i + 1, 4*i + 2, 4*i + 3}
+				bcfg.Nodes = append(bcfg.Nodes, NodeConfig{Name: name, CPUs: cpus, Geometry: geom, Policy: cache.LRU, Protocol: tab})
+				scfg = append(scfg, simbase.TraceNodeConfig{CPUs: cpus, Geometry: geom, Policy: cache.LRU, Protocol: tab})
+			}
+			bcfg.TraceCapacity = 1 << 20
+			gen := NewTPCC(ScaledTPCCConfig(4096))
+			s, err := NewSession(DefaultHostConfig(), bcfg, gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Run(150_000)
+			if s.Board.Trace().Dropped() != 0 {
+				t.Fatal("capture memory overflowed; grow TraceCapacity for this test")
+			}
 
-	var buf bytes.Buffer
-	if err := s.Board.Trace().Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sim := simbase.MustNewTraceSim([]simbase.TraceNodeConfig{{
-		CPUs:     []int{0, 1, 2, 3, 4, 5, 6, 7},
-		Geometry: addr.MustGeometry(4*addr.MB, 128, 4),
-		Policy:   cache.LRU,
-		Protocol: protocols.MustLoad("mesi"),
-	}})
-	if _, err := tracefile.ForEachBatch(&buf, 1, func(recs []tracefile.Record) error {
-		sim.ProcessBatch(recs)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+			var buf bytes.Buffer
+			if err := s.Board.Trace().Dump(&buf); err != nil {
+				t.Fatal(err)
+			}
+			sim := simbase.MustNewTraceSim(scfg)
+			if _, err := tracefile.ForEachBatch(&buf, 1, func(recs []tracefile.Record) error {
+				sim.ProcessBatch(recs)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
 
-	bv, sv := s.Board.Node(0), sim.NodeStats(0)
-	if bv.ReadHit != sv.ReadHit || bv.ReadMiss != sv.ReadMiss ||
-		bv.WriteHit != sv.WriteHit || bv.WriteMiss != sv.WriteMiss {
-		t.Fatalf("replay diverged: board %+v vs replay %+v", bv, sv)
+			for i := range scfg {
+				bv, sv := s.Board.Node(i), sim.NodeStats(i)
+				if bv.Protocol != proto {
+					t.Fatalf("board node %d runs %q, want %q", i, bv.Protocol, proto)
+				}
+				got := simbase.TraceNodeStats{
+					ReadHit: bv.ReadHit, ReadMiss: bv.ReadMiss, WriteHit: bv.WriteHit, WriteMiss: bv.WriteMiss,
+					SatL3: bv.SatL3, SatModInt: bv.SatModInt, SatShrInt: bv.SatShrInt, SatMemory: bv.SatMemory,
+					Castouts: bv.Castouts, Evictions: bv.Evictions,
+				}
+				if got != sv {
+					t.Fatalf("node %d replay diverged: board %+v vs replay %+v", i, got, sv)
+				}
+			}
+		})
 	}
 }
 

@@ -44,7 +44,9 @@ func obsRun(t *testing.T, id string, parallel int) (string, *obs.Snapshot, *Resu
 		reg := obs.NewRegistry()
 		sampler := &obs.Sampler{Reg: reg, Interval: 10 * time.Millisecond, JSONL: io.Discard}
 		sampler.Start()
-		o.res, o.err = RunWith(id, ScaleCI, Options{Parallel: parallel, Obs: reg})
+		p := ciPreset(parallel)
+		p.Obs = reg
+		o.res, o.err = RunWith(id, p)
 		sampler.Stop()
 		if o.err != nil {
 			return
@@ -105,7 +107,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 // second board attaching under an already-used scope on the same
 // registry fails loudly instead of silently double-counting. This is
 // what a caller hits when re-running the same experiment ID against the
-// same Options.Obs registry.
+// same Preset.Obs registry.
 func TestObsRerunSameScopeFails(t *testing.T) {
 	hcfg := host.DefaultConfig()
 	newGen := func() workload.Generator {

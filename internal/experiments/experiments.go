@@ -59,7 +59,7 @@ type Preset struct {
 	// reference streams, each carrying every board that observes it — an
 	// experiment executes concurrently. Every run builds its own host and
 	// seeded generator, so results are bit-identical at any setting; 1 is
-	// the serial golden run. Set via RunWith.
+	// the serial golden run; RunWith sets 0 to GOMAXPROCS.
 	Parallel int
 
 	// Database workloads (Figures 8-10).
@@ -113,13 +113,13 @@ type Preset struct {
 	// experiments built on dbHostConfig (fig8, fig9, fig10, faults,
 	// protocolcompare), and narrows the hostscale sweep to that single
 	// machine size. fig11, fig12, table5 and table6 keep the default
-	// host. Set via Options.NumCPUs / cmd/experiments -cpus; 0 keeps each
-	// experiment's own default.
+	// host. Set by cmd/experiments -cpus; 0 keeps each experiment's own
+	// default.
 	NumCPUs int
 
 	// BigMem gates the fully allocated big-memory corners (the 8 GB
 	// Table 2 directory: 64M packed slots, 512 MB resident). Off by
-	// default; set via Options.BigMem / cmd/experiments -bigmem.
+	// default; set by cmd/experiments -bigmem.
 	BigMem bool
 
 	// Protocol, when non-nil, is the coherence protocol every emulated
@@ -132,8 +132,9 @@ type Preset struct {
 
 	// Obs, when non-nil, makes every board the experiment builds attach
 	// its counter bank to this registry under "<ObsScope>.<run label>.*"
-	// so a live sampler (cmd/experiments -obs) can watch the run. Set via
-	// Options.Obs; nil costs the boards nothing.
+	// so a live sampler (cmd/experiments -obs) can watch the run; nil costs
+	// the boards nothing. Re-running an ID against the same registry fails
+	// with a duplicate-prefix error.
 	Obs *obs.Registry
 	// ObsScope is the registry name root for this experiment's boards
 	// (normally the experiment ID). Set by RunWith.
@@ -292,47 +293,20 @@ func IDs() []string {
 // Title returns the registered title for an experiment ID.
 func Title(id string) string { return registry[id].title }
 
-// Options adjusts how an experiment runs without changing what it
-// computes.
-type Options struct {
-	// Parallel bounds the number of host runs (distinct reference
-	// streams) executed concurrently inside the experiment. 0 means
-	// GOMAXPROCS; 1 is the serial golden run.
-	Parallel int
-	// BigMem enables the fully allocated big-memory corners (table2's
-	// 8 GB directory run: ~512 MB RAM and tens of seconds).
-	BigMem bool
-	// Obs attaches every board the experiment builds to this metrics
-	// registry (see Preset.Obs). Each experiment run needs a fresh
-	// registry scope, so re-running the same ID against the same
-	// registry fails with a duplicate-prefix error.
-	Obs *obs.Registry
-	// NumCPUs, when positive, overrides the emulated machine size (see
-	// Preset.NumCPUs). 0 keeps the preset defaults.
-	NumCPUs int
-	// Protocol, when non-nil, replaces MESI as the coherence protocol
-	// on every emulated node (see Preset.Protocol).
-	Protocol *coherence.Table
-}
-
-// RunWith regenerates one experiment at the given scale with the given
-// options. The returned error is non-nil if the experiment could not run
-// or its result violates the paper's qualitative shape.
-func RunWith(id string, scale Scale, opts Options) (*Result, error) {
+// RunWith regenerates one experiment with the parameters in p, which
+// callers take from PresetFor and adjust. RunWith sets p.ObsScope to the
+// experiment ID and a non-positive p.Parallel to GOMAXPROCS. The
+// returned error is non-nil if the experiment could not run or its
+// result violates the paper's qualitative shape.
+func RunWith(id string, p Preset) (*Result, error) {
 	r, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
-	p := PresetFor(scale)
-	p.Parallel = opts.Parallel
 	if p.Parallel <= 0 {
 		p.Parallel = runtime.GOMAXPROCS(0)
 	}
-	p.BigMem = opts.BigMem
-	p.Obs = opts.Obs
 	p.ObsScope = id
-	p.NumCPUs = opts.NumCPUs
-	p.Protocol = opts.Protocol
 	res, err := r.run(p)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", id, err)

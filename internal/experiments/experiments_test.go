@@ -40,15 +40,23 @@ func TestIDsAndTitles(t *testing.T) {
 	}
 }
 
+// ciPreset is the CI-scale preset with Parallel set, as cmd/experiments
+// -scale ci -parallel n builds it.
+func ciPreset(parallel int) Preset {
+	p := PresetFor(ScaleCI)
+	p.Parallel = parallel
+	return p
+}
+
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := RunWith("fig99", ScaleCI, Options{Parallel: 1}); err == nil {
+	if _, err := RunWith("fig99", ciPreset(1)); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestStaticExhibits(t *testing.T) {
 	for _, id := range []string{"table1", "fig1"} {
-		res, err := RunWith(id, ScaleCI, Options{Parallel: 1})
+		res, err := RunWith(id, ciPreset(1))
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

@@ -42,7 +42,7 @@ func normalizeResult(res *Result) *Result {
 // testdata/golden/<id>.txt.
 var goldenIDs = []string{"faults", "fig8", "fig9", "fig11", "hostscale", "protocolcompare", "table3"}
 
-// ciRuns memoizes RunWith(id, ScaleCI, Options{Parallel: 1}) across the
+// ciRuns memoizes RunWith(id, ciPreset(1)) across the
 // tests of one binary, so the shape test and the golden test share one
 // run of each experiment.
 var ciRuns sync.Map // id → *ciRun
@@ -59,7 +59,7 @@ type ciRun struct {
 func ciResult(id string) (*Result, error) {
 	v, _ := ciRuns.LoadOrStore(id, &ciRun{})
 	r := v.(*ciRun)
-	r.once.Do(func() { r.res, r.err = RunWith(id, ScaleCI, Options{Parallel: 1}) })
+	r.once.Do(func() { r.res, r.err = RunWith(id, ciPreset(1)) })
 	return r.res, r.err
 }
 

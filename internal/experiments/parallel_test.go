@@ -117,11 +117,11 @@ func TestRunWithParallelEquivalence(t *testing.T) {
 		t.Skip("full-experiment equivalence skipped under the race detector; `make experiments` runs it without")
 	}
 	t.Run("table3", func(t *testing.T) {
-		serial, err := RunWith("table3", ScaleCI, Options{Parallel: 1})
+		serial, err := RunWith("table3", ciPreset(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := RunWith("table3", ScaleCI, Options{Parallel: 8})
+		par, err := RunWith("table3", ciPreset(8))
 		if err != nil {
 			t.Fatal(err)
 		}

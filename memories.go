@@ -30,6 +30,7 @@
 package memories
 
 import (
+	"errors"
 	"io"
 	"time"
 
@@ -336,32 +337,33 @@ type ObsHandle struct {
 }
 
 // Close stops the sampler (with a final trace drain and snapshot) and
-// the HTTP endpoint.
+// the HTTP endpoint. It returns the sampler's last JSONL write error,
+// joined with the endpoint's close error: a non-nil result means the
+// JSONL stream is missing at least one snapshot or the endpoint did not
+// shut down cleanly.
 func (h *ObsHandle) Close() error {
 	h.Sampler.Stop()
+	err := h.Sampler.Err()
 	if h.Server != nil {
-		return h.Server.Close()
+		err = errors.Join(err, h.Server.Close())
 	}
-	return nil
+	return err
 }
 
 // EnableObs attaches the session's board to a fresh metrics registry
 // under the "board" prefix and builds the sampler/trace plumbing around
 // it: httpAddr (e.g. ":9090") serves /metrics and /metrics.json (empty
 // disables HTTP), jsonl receives one JSON snapshot line per interval
-// (nil disables), and traceSink receives drained snoop-trace lines once
-// tracing is turned on (nil discards them). The sampler, which is also
-// the trace rings' one drainer, starts immediately; Close the handle
-// when done.
+// (nil disables; a non-positive interval is the sampler's one second),
+// and traceSink receives drained snoop-trace lines once tracing is
+// turned on (nil discards them). The sampler, which is also the trace
+// rings' one drainer, starts immediately; Close the handle when done.
 func (s *Session) EnableObs(httpAddr string, interval time.Duration, jsonl, traceSink io.Writer) (*ObsHandle, error) {
 	reg := obs.NewRegistry()
 	hub := obs.NewTraceHub(traceSink)
 	hub.CmdString = func(c uint8) string { return bus.Command(c).String() }
 	if err := s.Board.Observe(reg, hub, "board", 0); err != nil {
 		return nil, err
-	}
-	if interval <= 0 {
-		interval = time.Second
 	}
 	h := &ObsHandle{
 		Registry: reg,

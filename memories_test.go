@@ -102,6 +102,30 @@ func TestSessionConsole(t *testing.T) {
 	}
 }
 
+// failingWriter refuses every write, as a full disk does.
+type failingWriter struct{}
+
+var errDiskFull = errors.New("disk full")
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// A JSONL sink that fails loses snapshots; ObsHandle.Close must report
+// that, not return nil over a truncated stream.
+func TestObsCloseReportsJSONLWriteError(t *testing.T) {
+	s, err := NewSession(DefaultHostConfig(), SingleL3Board(1*MB, 4, 128), NewTPCC(ScaledTPCCConfig(8192)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.EnableObs("", time.Hour, failingWriter{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(1_000)
+	if err := h.Close(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Close() = %v, want the sampler's %v", err, errDiskFull)
+	}
+}
+
 // TestObsTraceSingleDrainer: the snoop-trace ring is single-consumer, so
 // a session's sampler must be its only drainer. With the producer running
 // flat out, tracing on and a 1 ms sampler, every captured record reaches
