@@ -1,11 +1,14 @@
 // Command tracegen runs a workload on the modeled host with the board in
-// trace-collection mode (§2.3) and dumps the captured bus trace to a
-// file, ready for cmd/tracesim.
+// trace-collection mode (§2.3) and streams the bus references the board
+// accepts to a file, ready for cmd/tracesim.
 //
 //	tracegen -workload tpcc -refs 2000000 -o tpcc.trace
 //
-// Traces are written in the delta-compressed v2 format, the only one any
-// other command reads. An old fixed-width v1 file is rewritten with:
+// The board's snoop tracer is drained into the file between runs of at
+// most chunkRefs references, so memory stays flat however long the
+// trace. Traces are written in the delta-compressed v2 format, the only
+// one any other command reads. An old fixed-width v1 file is rewritten
+// with:
 //
 //	tracegen convert old.trace new.trace
 package main
@@ -17,9 +20,23 @@ import (
 	"os"
 
 	"memories"
+	"memories/internal/bus"
+	"memories/internal/obs"
 	"memories/internal/tracefile"
 	"memories/internal/workload/byname"
 )
+
+// chunkRefs is how many workload references run between drains of the
+// tracer. One reference puts at most two memory transactions on the bus
+// (its miss and a dirty victim's castout), so a chunk cannot overfill a
+// ring of ringDepth records (2 MB). Each Run starts and joins the board's
+// worker and flushes its buffer, so chunks are long enough for that to
+// vanish in the run.
+const chunkRefs = 1 << 16
+
+// ringDepth is the tracer's depth in records. Tests lower it to force a
+// drop.
+var ringDepth = 2 * chunkRefs
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -36,15 +53,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		wl       = fs.String("workload", "tpcc", "workload: tpcc, tpch, web, uniform, or a SPLASH2 kernel")
 		dbFactor = fs.Int64("db-factor", 2048, "database footprint divisor vs paper scale")
 		refs     = fs.Uint64("refs", 1_000_000, "workload references to run")
-		limit    = fs.Int("limit", 64<<20, "trace capture memory in records (board stock: 128Mi)")
 		out      = fs.String("o", "bus.trace", "output trace file")
 		seed     = fs.Uint64("seed", 1, "workload seed")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *limit < 1 {
-		fmt.Fprintln(stderr, "tracegen: -limit must be at least 1 record")
 		return 2
 	}
 
@@ -52,22 +64,54 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-
-	bcfg := memories.SingleL3Board(64*memories.MB, 8, 128)
-	bcfg.TraceCapacity = *limit
-	s, err := memories.NewSession(memories.DefaultHostConfig(), bcfg, gen)
+	s, err := memories.NewSession(memories.DefaultHostConfig(), memories.SingleL3Board(64*memories.MB, 8, 128), gen)
 	if err != nil {
 		return fail(stderr, err)
 	}
-	s.Run(*refs)
-
-	capture := s.Board.Trace()
-	if err := tracefile.WriteFile(*out, capture.Dump); err != nil {
+	err = tracefile.WriteFile(*out, func(w io.Writer) error {
+		return record(s, *refs, w)
+	})
+	if err != nil {
 		return fail(stderr, err)
 	}
 	fmt.Fprintf(stdout, "captured %d bus references (%d dropped) from %d workload refs -> %s (v2)\n",
-		capture.Len(), capture.Dropped(), *refs, *out)
+		s.Board.Counters().Value("trace.captured"), s.Board.Counters().Value("trace.dropped"), *refs, *out)
 	return 0
+}
+
+// record runs refs workload references on s with the board's tracer on,
+// writing every accepted bus reference to w as a v2 trace. A record the
+// ring had no room for fails the capture.
+func record(s *memories.Session, refs uint64, w io.Writer) error {
+	vw, err := tracefile.NewV2Writer(w)
+	if err != nil {
+		return err
+	}
+	var werr error
+	hub := obs.NewTraceHub(func(_ string, ev obs.Event) {
+		if werr == nil {
+			werr = vw.Write(tracefile.Record{Addr: ev.Addr, Cmd: bus.Command(ev.Cmd), SrcID: ev.Src})
+		}
+	})
+	if err := s.Board.Observe(obs.NewRegistry(), hub, "board", ringDepth); err != nil {
+		return err
+	}
+	hub.Enable(obs.Filter{})
+	for done := uint64(0); done < refs; done += chunkRefs {
+		n := min(chunkRefs, refs-done)
+		ran := s.Run(n)
+		hub.DrainOnce()
+		if werr != nil {
+			return werr
+		}
+		if d := s.Board.Counters().Value("trace.dropped"); d > 0 {
+			return fmt.Errorf("the tracer dropped %d bus references: a run of %d references overfilled its %d-record ring", d, n, ringDepth)
+		}
+		if ran < n {
+			break // the workload ended
+		}
+	}
+	return vw.Flush()
 }
 
 // convert rewrites a v1 trace file as v2, streaming record by record so

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -89,6 +91,46 @@ func TestCaptureWritesReportedRecords(t *testing.T) {
 	n, err := tracefile.ForEachBatchFile(path, 0, func([]tracefile.Record) error { return nil })
 	if err != nil || n != want || n == 0 {
 		t.Fatalf("read %d records (%v); tracegen reported %d", n, err, want)
+	}
+	onlyFiles(t, dir, "t.trace")
+}
+
+// A capture's bytes are pinned: a change to the records the board
+// accepts, the tracer's drain order or the v2 encoding moves this hash.
+func TestCapturePinned(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.trace")
+	code, out, errs := runCLI("-workload", "tpcc", "-refs", "20000", "-seed", "3", "-o", path)
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, errs)
+	}
+	if !strings.HasPrefix(out, "captured 16847 bus references (0 dropped) from 20000 workload refs") {
+		t.Fatalf("stdout %q", out)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "e6a3cfba08973caeb7a39324eaae249cdb50005e37d19b744c9568416b103254"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Fatalf("trace SHA-256 %s, want %s", got, want)
+	}
+}
+
+// A ring too shallow for a chunk drops records, and a capture that lost
+// one fails and leaves an existing -o as it was.
+func TestDroppedRecordFailsCapture(t *testing.T) {
+	defer func(d int) { ringDepth = d }(ringDepth)
+	ringDepth = 64
+	dir := t.TempDir()
+	old := []byte("an existing trace, not to be lost")
+	path := writeTemp(t, dir, "t.trace", old)
+	code, out, errs := runCLI("-refs", "20000", "-o", path)
+	if code != 1 || out != "" || !strings.Contains(errs, "dropped") {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want 1 naming the drop", code, out, errs)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("-o is now %q (%v), want %q", got, err, old)
 	}
 	onlyFiles(t, dir, "t.trace")
 }

@@ -2,15 +2,20 @@ package memories
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"memories/internal/addr"
+	"memories/internal/bus"
 	"memories/internal/cache"
+	"memories/internal/checkpoint"
 	"memories/internal/core"
 	"memories/internal/faults"
 	"memories/internal/host"
 	"memories/internal/hotspot"
 	"memories/internal/numa"
+	"memories/internal/obs"
 	"memories/internal/simbase"
 	"memories/internal/tracefile"
 	"memories/internal/workload"
@@ -18,17 +23,149 @@ import (
 	"memories/protocols"
 )
 
+// recordTrace runs refs references on s in chunks of at most chunk — the
+// most a ring of 2*chunk records can take, one reference putting at most
+// two memory transactions on the bus — with the board's tracer on and
+// drained into a v2 trace after each chunk, as cmd/tracegen records. It
+// fails the test if the ring dropped a record.
+func recordTrace(t *testing.T, s *Session, refs, chunk uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := tracefile.NewV2Writer(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := obs.NewTraceHub(func(_ string, ev obs.Event) {
+		if err := w.Write(tracefile.Record{Addr: ev.Addr, Cmd: bus.Command(ev.Cmd), SrcID: ev.Src}); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := s.Board.Observe(obs.NewRegistry(), hub, "board", int(2*chunk)); err != nil {
+		t.Fatal(err)
+	}
+	hub.Enable(obs.Filter{})
+	for done := uint64(0); done < refs; done += chunk {
+		s.Run(min(chunk, refs-done))
+		hub.DrainOnce()
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if c := s.Board.Counters(); c.Value("trace.dropped") != 0 || c.Value("trace.captured") == 0 {
+		t.Fatalf("tracer captured %d and dropped %d", c.Value("trace.captured"), c.Value("trace.dropped"))
+	}
+	return buf.Bytes()
+}
+
+// loadDirs loads one fresh directory per node configuration from the
+// checkpoint walk image: what each node holds, line by line.
+func loadDirs(t *testing.T, cfg []simbase.TraceNodeConfig, image []byte, walk func(c *checkpoint.Codec, dirs []*cache.Cache) error) []map[uint64]uint8 {
+	t.Helper()
+	dirs := make([]*cache.Cache, len(cfg))
+	for i, nc := range cfg {
+		dirs[i] = cache.MustNew(cache.Config{Geometry: nc.Geometry, Policy: nc.Policy})
+	}
+	if err := checkpoint.Unmarshal(image, func(c *checkpoint.Codec) error { return walk(c, dirs) }); err != nil {
+		t.Fatal(err)
+	}
+	lines := make([]map[uint64]uint8, len(dirs))
+	for i, d := range dirs {
+		lines[i] = map[uint64]uint8{}
+		d.ForEachValid(func(a uint64, st uint8) { lines[i][a] = st })
+	}
+	return lines
+}
+
+// boardLines returns what each of the board's node directories holds,
+// read from its checkpoint sections.
+func boardLines(t *testing.T, b *Board, cfg []simbase.TraceNodeConfig) []map[uint64]uint8 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := b.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []map[uint64]uint8
+	for i := range cfg {
+		sec, err := snap.Section(fmt.Sprintf("board.node%d.dir", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, loadDirs(t, cfg[i:i+1], sec.Payload, func(c *checkpoint.Codec, dirs []*cache.Cache) error {
+			_, err := dirs[0].Checkpoint(c)
+			return err
+		})[0])
+	}
+	return lines
+}
+
+// simLines returns what each of the simulator's node directories holds,
+// read from its checkpoint walk (record counts, then per node the
+// directory image and ten result counters).
+func simLines(t *testing.T, sim *simbase.TraceSim, cfg []simbase.TraceNodeConfig) []map[uint64]uint8 {
+	t.Helper()
+	image, err := checkpoint.Marshal(sim.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loadDirs(t, cfg, image, func(c *checkpoint.Codec, dirs []*cache.Cache) error {
+		var skip uint64
+		c.U64(&skip)
+		c.U64(&skip)
+		c.Len("node count", len(dirs))
+		for _, d := range dirs {
+			if _, err := d.Checkpoint(c); err != nil {
+				return err
+			}
+			for range 10 {
+				c.U64(&skip)
+			}
+		}
+		return c.Err()
+	})
+}
+
 // TestIntegrationCaptureReplayMatchesBoard exercises the full trace
-// pipeline: the board captures the bus stream it is emulating, the
-// capture is dumped to the on-disk format, and replaying that file
-// through the trace-driven simulator with the same cache configuration
-// reproduces the board's own statistics exactly. This is the off-line
-// analysis workflow of §2.3 closing the loop with §4.1's validation, and
-// the one check that the board and cmd/tracesim's simulator agree. Each
-// shipped protocol is loaded into both, on two nodes of four CPUs that
-// snoop each other, so the protocol decides the interventions counted.
+// pipeline: the board records the bus stream it is emulating, the record
+// is written in the on-disk format, and replaying that file through the
+// trace-driven simulator with the same cache configuration reproduces the
+// board's own statistics, and its directories line for line and state
+// for state. This is the off-line analysis workflow of §2.3 closing the
+// loop with §4.1's validation, and the one check that the board and
+// cmd/tracesim's simulator agree. Each shipped protocol is loaded into
+// both, on two nodes of four CPUs that snoop each other, so the protocol
+// decides the interventions counted and the states held. Two streams run
+// on each: TPC-C, and uniform references with writes over a footprint
+// both nodes share, where one node reads lines the other writes.
+//
+// The msi, mesi and moesi legs must leave different results, or a
+// board-vs-simulator bug that only one of their tables shows could pass.
+// The counters alone do not separate msi from mesi: a line a node holds
+// Exclusive under MESI, it holds Shared with no sharer under MSI, and the
+// two count alike. The states held do. write-once differs from mesi only
+// in where a write miss fetches from when a peer holds the line Modified
+// (memory, not an intervention), and neither the board nor the simulator
+// models the fetch source, so its leg must leave exactly what mesi's does.
 func TestIntegrationCaptureReplayMatchesBoard(t *testing.T) {
-	for _, proto := range []string{"mesi", "msi", "moesi"} {
+	streams := []struct {
+		name string
+		host func() HostConfig
+		gen  func() Generator
+	}{
+		{"tpcc", DefaultHostConfig, func() Generator { return NewTPCC(ScaledTPCCConfig(4096)) }},
+		{"shared-rw", tapHost, func() Generator { return NewUniform(8, 2*MB, 0.3, 5) }},
+	}
+	// legs holds each protocol's results: per stream and node, the ten
+	// counters and the number of lines held in each state.
+	type result struct {
+		stats  simbase.TraceNodeStats
+		states map[uint8]int
+	}
+	legs := map[string][]result{}
+	for _, proto := range []string{"mesi", "msi", "moesi", "write-once"} {
 		t.Run(proto, func(t *testing.T) {
 			tab := protocols.MustLoad(proto)
 			geom := addr.MustGeometry(4*addr.MB, 128, 4)
@@ -39,44 +176,55 @@ func TestIntegrationCaptureReplayMatchesBoard(t *testing.T) {
 				bcfg.Nodes = append(bcfg.Nodes, NodeConfig{Name: name, CPUs: cpus, Geometry: geom, Policy: cache.LRU, Protocol: tab})
 				scfg = append(scfg, simbase.TraceNodeConfig{CPUs: cpus, Geometry: geom, Policy: cache.LRU, Protocol: tab})
 			}
-			bcfg.TraceCapacity = 1 << 20
-			gen := NewTPCC(ScaledTPCCConfig(4096))
-			s, err := NewSession(DefaultHostConfig(), bcfg, gen)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Run(150_000)
-			if s.Board.Trace().Dropped() != 0 {
-				t.Fatal("capture memory overflowed; grow TraceCapacity for this test")
-			}
-
-			var buf bytes.Buffer
-			if err := s.Board.Trace().Dump(&buf); err != nil {
-				t.Fatal(err)
-			}
-			sim := simbase.MustNewTraceSim(scfg)
-			if _, err := tracefile.ForEachBatch(&buf, 1, func(recs []tracefile.Record) error {
-				sim.ProcessBatch(recs)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-
-			for i := range scfg {
-				bv, sv := s.Board.Node(i), sim.NodeStats(i)
-				if bv.Protocol != proto {
-					t.Fatalf("board node %d runs %q, want %q", i, bv.Protocol, proto)
+			for _, st := range streams {
+				s, err := NewSession(st.host(), bcfg, st.gen())
+				if err != nil {
+					t.Fatal(err)
 				}
-				got := simbase.TraceNodeStats{
-					ReadHit: bv.ReadHit, ReadMiss: bv.ReadMiss, WriteHit: bv.WriteHit, WriteMiss: bv.WriteMiss,
-					SatL3: bv.SatL3, SatModInt: bv.SatModInt, SatShrInt: bv.SatShrInt, SatMemory: bv.SatMemory,
-					Castouts: bv.Castouts, Evictions: bv.Evictions,
+				trace := recordTrace(t, s, 150_000, 1<<16)
+				sim := simbase.MustNewTraceSim(scfg)
+				if _, err := tracefile.ForEachBatch(bytes.NewReader(trace), 1, func(recs []tracefile.Record) error {
+					sim.ProcessBatch(recs)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
 				}
-				if got != sv {
-					t.Fatalf("node %d replay diverged: board %+v vs replay %+v", i, got, sv)
+				bl, sl := boardLines(t, s.Board, scfg), simLines(t, sim, scfg)
+				for i := range scfg {
+					bv, sv := s.Board.Node(i), sim.NodeStats(i)
+					if bv.Protocol != proto {
+						t.Fatalf("board node %d runs %q, want %q", i, bv.Protocol, proto)
+					}
+					got := simbase.TraceNodeStats{
+						ReadHit: bv.ReadHit, ReadMiss: bv.ReadMiss, WriteHit: bv.WriteHit, WriteMiss: bv.WriteMiss,
+						SatL3: bv.SatL3, SatModInt: bv.SatModInt, SatShrInt: bv.SatShrInt, SatMemory: bv.SatMemory,
+						Castouts: bv.Castouts, Evictions: bv.Evictions,
+					}
+					if got != sv {
+						t.Fatalf("%s node %d replay diverged: board %+v vs replay %+v", st.name, i, got, sv)
+					}
+					if !reflect.DeepEqual(bl[i], sl[i]) {
+						t.Fatalf("%s node %d: the board's directory holds %d lines, the replay's %d, not in the same states", st.name, i, len(bl[i]), len(sl[i]))
+					}
+					states := map[uint8]int{}
+					for _, st := range bl[i] {
+						states[st]++
+					}
+					legs[proto] = append(legs[proto], result{got, states})
 				}
 			}
 		})
+	}
+	if t.Failed() {
+		return // a leg stopped early; its results are incomplete
+	}
+	for _, pair := range [][2]string{{"mesi", "msi"}, {"mesi", "moesi"}, {"msi", "moesi"}} {
+		if reflect.DeepEqual(legs[pair[0]], legs[pair[1]]) {
+			t.Errorf("the %s and %s legs leave identical results: a bug only one of their tables shows would pass", pair[0], pair[1])
+		}
+	}
+	if !reflect.DeepEqual(legs["write-once"], legs["mesi"]) {
+		t.Errorf("the write-once leg left %+v, mesi %+v: a fetch source changed a count or a state", legs["write-once"], legs["mesi"])
 	}
 }
 

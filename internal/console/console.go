@@ -20,7 +20,6 @@ import (
 	"memories/internal/cache"
 	"memories/internal/checkpoint"
 	"memories/internal/core"
-	"memories/internal/tracefile"
 	"memories/protocols"
 )
 
@@ -165,14 +164,6 @@ func (c *Console) Execute(line string) error {
 	case "watch":
 		return c.watch(fields[1:])
 	case "trace":
-		// "on"/"off"/"status" control the snoop event tracer; everything
-		// else is the bulk trace-capture memory.
-		if len(fields) > 1 {
-			switch fields[1] {
-			case "on", "off", "status":
-				return c.snoopTrace(fields[1:])
-			}
-		}
 		return c.trace(fields[1:])
 	case "version":
 		fmt.Fprintln(c.out, "MemorIES console, board revision 1 (software emulation)")
@@ -203,15 +194,10 @@ func (c *Console) help() {
   restore <path>                restore a snapshot written by checkpoint
   metrics [prefix]              dump the live metrics registry (needs -obs)
   watch <prefix> [n] [ms]       sample a metric prefix n times every ms
-  trace                         trace-capture status
-  trace reset                   clear the trace memory
-  trace dump <path>             write the captured trace to a file
-                                (reset and dump need a board built with
-                                TraceCapacity; cmd/tracegen captures a
-                                trace from the command line)
   trace on [addr=lo:hi] [cpus=a,b]  enable the snoop event tracer
   trace off                     disable the snoop event tracer
   trace status                  snoop tracer state and totals
+                                (cmd/tracegen writes a trace file)
   quit                          leave the console
 `)
 }
@@ -417,36 +403,4 @@ func (c *Console) finishLoadMap() error {
 	}
 	fmt.Fprintf(c.out, "node %d protocol loaded: %s\n", c.pendingNode, tab.Name)
 	return nil
-}
-
-func (c *Console) trace(args []string) error {
-	capture := c.board.Trace()
-	if capture == nil {
-		if len(args) == 0 {
-			fmt.Fprintln(c.out, "trace mode disabled")
-			return nil
-		}
-		return fmt.Errorf("trace %s: trace mode disabled: the board has no TraceCapacity (cmd/tracegen captures a trace)", args[0])
-	}
-	if len(args) == 0 {
-		fmt.Fprintf(c.out, "trace: %d records captured, %d dropped, full=%v\n",
-			capture.Len(), capture.Dropped(), capture.Full())
-		return nil
-	}
-	switch args[0] {
-	case "reset":
-		capture.Reset()
-		fmt.Fprintln(c.out, "trace memory cleared")
-		return nil
-	case "dump":
-		if len(args) != 2 {
-			return fmt.Errorf("usage: trace dump <path>")
-		}
-		if err := tracefile.WriteFile(args[1], capture.Dump); err != nil {
-			return err
-		}
-		fmt.Fprintf(c.out, "dumped %d records to %s\n", capture.Len(), args[1])
-		return nil
-	}
-	return fmt.Errorf("usage: trace [reset|dump <path>]")
 }

@@ -2,8 +2,6 @@ package console
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,7 +10,6 @@ import (
 	"memories/internal/cache"
 	"memories/internal/coherence"
 	"memories/internal/core"
-	"memories/internal/tracefile"
 	"memories/protocols"
 )
 
@@ -27,7 +24,6 @@ func testBoard(t *testing.T) *core.Board {
 			Protocol: protocols.MustLoad("mesi"),
 		}},
 		ProfileBucketCycles: 1000,
-		TraceCapacity:       16,
 	})
 }
 
@@ -178,7 +174,7 @@ func TestProfileDisabled(t *testing.T) {
 	if !strings.Contains(out, "error: profiling disabled") {
 		t.Fatalf("profile:\n%s", out)
 	}
-	if !strings.Contains(out, "trace mode disabled") {
+	if !strings.Contains(out, "error: snoop tracing not attached") {
 		t.Fatalf("trace:\n%s", out)
 	}
 }
@@ -237,49 +233,23 @@ func TestOccupancyAndProfile(t *testing.T) {
 	}
 }
 
+// TestTraceStatus: `trace status` reads the board's trace.captured and
+// trace.dropped counters, so a ring that fills shows what it lost; a bare
+// `trace` is a usage error.
 func TestTraceStatus(t *testing.T) {
-	b := testBoard(t)
-	feed(b, 5)
-	out := run(t, b, "trace")
-	if !strings.Contains(out, "5 records captured") {
-		t.Fatalf("trace:\n%s", out)
-	}
-}
-
-func TestTraceDumpAndReset(t *testing.T) {
-	b := testBoard(t)
-	feed(b, 5)
-	path := filepath.Join(t.TempDir(), "console.trace")
-	out := run(t, b, "trace dump "+path, "trace reset", "trace")
-	if !strings.Contains(out, "dumped 5 records") {
-		t.Fatalf("dump:\n%s", out)
-	}
-	if !strings.Contains(out, "0 records captured") {
-		t.Fatalf("reset:\n%s", out)
-	}
-	f, err := os.Open(path)
-	if err != nil {
+	b, out, c := obsConsole(t)
+	if err := c.Execute("trace on"); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	r, err := tracefile.Open(f)
-	if err != nil {
+	feed(b, 300) // into a 256-record ring nobody drains
+	if err := c.Execute("trace status"); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for {
-		if _, err := r.Next(); err != nil {
-			break
-		}
-		n++
+	if !strings.Contains(out.String(), "256 captured, 44 dropped, 0 drained") {
+		t.Fatalf("trace status:\n%s", out.String())
 	}
-	if n != 5 {
-		t.Fatalf("dumped file has %d records", n)
-	}
-	// Bad arguments error out.
-	out = run(t, b, "trace dump", "trace frobnicate")
-	if strings.Count(out, "error:") != 2 {
-		t.Fatalf("bad trace args:\n%s", out)
+	if err := c.Execute("trace"); err == nil || !strings.Contains(err.Error(), "usage: trace on") {
+		t.Fatalf("bare trace: err = %v, want the usage", err)
 	}
 }
 
@@ -339,70 +309,4 @@ func TestDirstat(t *testing.T) {
 func run0(b *core.Board, cmd string) error {
 	var out bytes.Buffer
 	return New(b, &out).Execute(cmd)
-}
-
-// A board without capture memory refuses trace reset and trace dump with
-// an error, so a script cannot mistake them for success; the status
-// query still reports the mode, and help names what the commands need.
-func TestTraceCaptureCommandsNeedCapture(t *testing.T) {
-	b := core.MustNewBoard(core.Config{Nodes: []core.NodeConfig{{
-		Name:     "a",
-		CPUs:     []int{0},
-		Geometry: addr.MustGeometry(64*addr.KB, 128, 4),
-		Policy:   cache.LRU,
-		Protocol: protocols.MustLoad("mesi"),
-	}}})
-	dir := t.TempDir()
-	path := filepath.Join(dir, "x.trace")
-	for _, cmd := range []string{"trace reset", "trace dump " + path} {
-		err := run0(b, cmd)
-		if err == nil || !strings.Contains(err.Error(), "trace mode disabled") {
-			t.Fatalf("%q on a board without capture memory: err = %v", cmd, err)
-		}
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("refused dump left %s behind (stat err %v)", path, err)
-	}
-	if err := run0(b, "trace"); err != nil {
-		t.Fatalf("trace status: %v", err)
-	}
-	help := run(t, b, "help")
-	if !strings.Contains(help, "TraceCapacity") || !strings.Contains(help, "cmd/tracegen") {
-		t.Fatalf("help does not say what trace reset/dump need:\n%s", help)
-	}
-}
-
-// trace dump over an existing file replaces it whole with the captured
-// trace and leaves no temporary file beside it.
-func TestTraceDumpReplacesExistingFile(t *testing.T) {
-	b := testBoard(t)
-	feed(b, 5)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "console.trace")
-	if err := os.WriteFile(path, bytes.Repeat([]byte("old trace "), 4096), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	run(t, b, "trace dump "+path)
-	var want bytes.Buffer
-	if err := b.Trace().Dump(&want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("dumped file is %d bytes, want the %d-byte capture", len(got), want.Len())
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "console.trace" {
-		var names []string
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		t.Fatalf("directory holds %v, want only console.trace", names)
-	}
 }

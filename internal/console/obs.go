@@ -117,31 +117,20 @@ func (c *Console) watch(args []string) error {
 	return nil
 }
 
-// snoopTrace handles `trace on|off|status`: control of the snoop event
-// tracer rings (distinct from the board's bulk trace-capture memory,
-// which keeps the bare `trace`, `trace reset`, and `trace dump` forms).
-func (c *Console) snoopTrace(args []string) error {
+// trace handles `trace on|off|status`: control of the snoop event tracer
+// rings, the board's one trace recorder. The captured and dropped totals
+// are every board's trace.captured and trace.dropped counters in a fresh
+// registry snapshot.
+func (c *Console) trace(args []string) error {
 	if c.obs == nil || c.obs.hub == nil {
 		return fmt.Errorf("snoop tracing not attached (start with -obs)")
 	}
 	hub := c.obs.hub
-	switch args[0] {
-	case "off":
-		hub.Disable()
-		captured, dropped := hub.Totals()
-		fmt.Fprintf(c.out, "snoop trace off: %d captured, %d dropped, %d drained\n",
-			captured, dropped, hub.Drained())
-		return nil
-	case "status":
-		on, f := hub.Enabled()
-		captured, dropped := hub.Totals()
-		state := "off"
-		if on {
-			state = "on (" + f.String() + ")"
-		}
-		fmt.Fprintf(c.out, "snoop trace %s: %d captured, %d dropped, %d drained\n",
-			state, captured, dropped, hub.Drained())
-		return nil
+	verb := ""
+	if len(args) > 0 {
+		verb = args[0]
+	}
+	switch verb {
 	case "on":
 		f, err := parseTraceFilter(args[1:])
 		if err != nil {
@@ -150,8 +139,34 @@ func (c *Console) snoopTrace(args []string) error {
 		hub.Enable(f)
 		fmt.Fprintf(c.out, "snoop trace on: %s\n", f.String())
 		return nil
+	case "off":
+		hub.Disable()
+		fallthrough
+	case "status":
+		snap, err := c.snapshotNow()
+		if err != nil {
+			return err
+		}
+		state := "off"
+		if on, f := hub.Enabled(); on {
+			state = "on (" + f.String() + ")"
+		}
+		fmt.Fprintf(c.out, "snoop trace %s: %d captured, %d dropped, %d drained\n",
+			state, sumSuffix(snap, ".trace.captured"), sumSuffix(snap, ".trace.dropped"), hub.Drained())
+		return nil
 	}
 	return fmt.Errorf("usage: trace on [addr=<lo>:<hi>] [cpus=<a,b,...>] | trace off | trace status")
+}
+
+// sumSuffix adds up the snapshot's counters whose names end in suffix.
+func sumSuffix(snap *obs.Snapshot, suffix string) uint64 {
+	var n uint64
+	for _, c := range snap.Counters {
+		if strings.HasSuffix(c.Name, suffix) {
+			n += c.Value
+		}
+	}
+	return n
 }
 
 // parseTraceFilter parses `addr=<lo>:<hi>` (sizes accepted: 64KB:1MB)

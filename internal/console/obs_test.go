@@ -21,7 +21,7 @@ func obsConsole(t *testing.T) (*core.Board, *bytes.Buffer, *Console) {
 	t.Helper()
 	b := testBoard(t)
 	reg := obs.NewRegistry()
-	hub := obs.NewTraceHub(io.Discard)
+	hub := obs.NewTraceHub(nil)
 	if err := b.Observe(reg, hub, "board", 256); err != nil {
 		t.Fatal(err)
 	}
@@ -97,20 +97,11 @@ func TestSnoopTraceCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed(b, 4)
-	if captured, _ := c.obs.hub.Totals(); captured != 8 {
+	if captured := b.Counters().Value("trace.captured"); captured != 8 {
 		t.Fatalf("trace off left the tracer recording: %d captured, want 8", captured)
 	}
-	if !strings.Contains(out.String(), "snoop trace off") {
+	if !strings.Contains(out.String(), "snoop trace off: 8 captured") {
 		t.Fatalf("off output:\n%s", out.String())
-	}
-
-	// The legacy capture-trace command is still reachable.
-	out.Reset()
-	if err := c.Execute("trace"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "records captured") {
-		t.Fatalf("legacy trace output:\n%s", out.String())
 	}
 
 	for _, bad := range []string{

@@ -53,7 +53,6 @@ import (
 	"memories/internal/obs"
 	"memories/internal/sdram"
 	"memories/internal/stats"
-	"memories/internal/tracefile"
 )
 
 // MaxNodes is the number of node-controller FPGAs on the board.
@@ -101,10 +100,6 @@ type Config struct {
 	// the given bucket width in bus cycles (0 disables). This is the
 	// Figure 10 profiling mechanism.
 	ProfileBucketCycles uint64
-	// TraceCapacity enables the trace-collection mode with an on-board
-	// memory of this many 8-byte records (0 disables). §2.3 puts the
-	// stock board at 128Mi records (1GB), 1Gi with 8GB DRAM.
-	TraceCapacity int
 	// ECC protects every node's tag-store entries with a SECDED check
 	// byte so that injected (or modeled) SDRAM soft errors can be
 	// detected and repaired. The hardware board had no such protection;
@@ -143,7 +138,6 @@ type Board struct {
 	queue    []pending
 	qhead    int // queue[:qhead] retired from the buffer; see drain
 	phead    int // queue[:phead] serviced, phead <= qhead; see service
-	capture  *tracefile.Capture
 
 	// cached global counters (hot path)
 	cAccepted, cRejectedIO, cRejectedOther, cUnassigned *stats.Counter
@@ -257,9 +251,6 @@ func NewBoard(cfg Config) (*Board, error) {
 			b.cpuOwner[id] = append(b.cpuOwner[id], n)
 		}
 	}
-	if cfg.TraceCapacity > 0 {
-		b.capture = tracefile.NewCapture(cfg.TraceCapacity)
-	}
 	b.initGlobalCounters()
 	return b, nil
 }
@@ -372,9 +363,6 @@ func (b *Board) Config() Config { return b.cfg }
 // NumNodes returns the number of configured node controllers.
 func (b *Board) NumNodes() int { return len(b.nodes) }
 
-// Trace returns the capture memory, or nil when trace mode is off.
-func (b *Board) Trace() *tracefile.Capture { return b.capture }
-
 // LastCycle returns the bus cycle of the most recent observed transaction.
 func (b *Board) LastCycle() uint64 { return b.lastCycle }
 
@@ -447,15 +435,6 @@ func (b *Board) admit(tx *bus.Transaction, traceOn bool) (queued, retry bool) {
 	}
 	b.batchByCPU[uint8(tx.SrcID)]++
 
-	// Trace collection mode.
-	if b.capture != nil {
-		if stored, err := b.capture.Add(tracefile.FromTransaction(tx)); err == nil && stored {
-			b.cTraceCaptured.Inc()
-		} else {
-			b.cTraceDropped.Inc()
-		}
-	}
-
 	// Background scrub: repair tag-store soft errors on a fixed cadence
 	// before they can steer directory transitions.
 	if iv := b.cfg.ScrubIntervalCycles; iv > 0 && tx.Cycle >= b.nextScrub {
@@ -479,7 +458,13 @@ func (b *Board) admit(tx *bus.Transaction, traceOn bool) (queued, retry bool) {
 	}
 	b.cAccepted.Inc()
 	if traceOn {
-		b.tracer.Record(tx.Cycle, tx.Addr, uint8(tx.Cmd), uint8(tx.SrcID))
+		// Trace collection mode (§2.3): the tracer keeps what its filter
+		// matches, and the bank counts what it stored and what it lost.
+		if matched, stored := b.tracer.Record(tx.Cycle, tx.Addr, uint8(tx.Cmd), uint8(tx.SrcID)); stored {
+			b.cTraceCaptured.Inc()
+		} else if matched {
+			b.cTraceDropped.Inc()
+		}
 	}
 	b.enqueue(pending{cycle: tx.Cycle, addr: tx.Addr, cmd: tx.Cmd, src: uint8(tx.SrcID)})
 	if hw := uint64(len(b.queue) - b.qhead); hw > b.cBufferHigh.Value() {

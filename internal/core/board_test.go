@@ -8,6 +8,7 @@ import (
 	"memories/internal/cache"
 	"memories/internal/coherence"
 	"memories/internal/host"
+	"memories/internal/obs"
 	"memories/internal/workload"
 	"memories/protocols"
 )
@@ -371,29 +372,42 @@ func TestBufferKeepsUpAtPaperUtilization(t *testing.T) {
 	}
 }
 
+// TestTraceCaptureMode: the tracer is the board's trace-collection mode
+// (§2.3). It records accepted memory transactions its filter matches, a
+// full ring drops the rest, and trace.captured and trace.dropped count
+// what it stored and lost.
 func TestTraceCaptureMode(t *testing.T) {
-	b, err := NewBoard(Config{
-		Nodes:         []NodeConfig{nodeCfg("a", []int{0}, 64, 4, 0)},
-		TraceCapacity: 8,
-	})
+	b, err := NewBoard(Config{Nodes: []NodeConfig{nodeCfg("a", []int{0}, 64, 4, 0)}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hub := obs.NewTraceHub(nil)
+	if err := b.Observe(obs.NewRegistry(), hub, "board", 8); err != nil {
+		t.Fatal(err)
+	}
+	hub.Enable(obs.Filter{})
 	f := &feeder{board: b}
 	for i := 0; i < 12; i++ {
 		f.issue(bus.Read, uint64(i)*128, 0)
 	}
 	f.issue(bus.IORead, 0, 0) // filtered, must not be traced
 	b.Flush()
-	if b.Trace().Len() != 8 {
-		t.Fatalf("captured %d, want 8", b.Trace().Len())
-	}
 	if b.Counters().Value("trace.captured") != 8 || b.Counters().Value("trace.dropped") != 4 {
 		t.Fatalf("capture counters: %s", b.Counters().Dump("trace"))
 	}
-	rec := b.Trace().Record(3)
-	if rec.Addr != 3*128 || rec.Cmd != bus.Read {
-		t.Fatalf("record 3 = %+v", rec)
+	var evs []obs.Event
+	b.tracer.Drain(func(ev obs.Event) { evs = append(evs, ev) })
+	if len(evs) != 8 || evs[3].Addr != 3*128 || bus.Command(evs[3].Cmd) != bus.Read {
+		t.Fatalf("drained %d records, record 3 = %+v", len(evs), evs)
+	}
+	// What the filter passes over is neither stored nor dropped.
+	hub.Enable(obs.Filter{AddrHi: 128})
+	for i := 0; i < 3; i++ {
+		f.issue(bus.Read, uint64(i)*128, 0)
+	}
+	b.Flush()
+	if b.Counters().Value("trace.captured") != 9 || b.Counters().Value("trace.dropped") != 4 {
+		t.Fatalf("capture counters after a filtered window: %s", b.Counters().Dump("trace"))
 	}
 }
 

@@ -42,8 +42,8 @@ func (b *Board) fingerprint() string {
 // bank, so cached counter pointers (the board's own, and any attached
 // obs mirror's) stay live. Directory words are ECC-verified as they
 // load; repairs are counted into the per-node ecc counters and
-// reported. Trace capture and miss-ratio profiles are not part of the
-// snapshot; capture memory is reset to empty.
+// reported. Miss-ratio profiles and the tracer's ring are not part of
+// the snapshot (the trace.captured and trace.dropped counters are).
 func (b *Board) Sections(a *checkpoint.Archive) (RestoreReport, error) {
 	var rep RestoreReport
 	if !a.Loading() && b.PendingDepth() != 0 {
@@ -64,9 +64,6 @@ func (b *Board) Sections(a *checkpoint.Archive) (RestoreReport, error) {
 		b.queue = b.queue[:0]
 		b.qhead, b.phead = 0, 0
 		b.justEnqueued = false
-		if b.capture != nil {
-			b.capture.Reset()
-		}
 		// Each node's tag-store section loads into a model of its own, so
 		// no section overwrites a model another node shares; the equal
 		// ones merge again afterwards, however the load ends.

@@ -211,23 +211,25 @@ func checkSameBoard(t testing.TB, label string, want, got *Board) {
 	}
 }
 
-// checkSameTrace requires two tracers to have captured and dropped the
-// same counts, one record per accepted transaction and none dropped, and
-// to hold the same events in the same order.
-func checkSameTrace(t testing.TB, label string, want, got *obs.Tracer, accepted uint64) {
+// checkSameTrace requires two boards' tracers to have stored and dropped
+// the same number of records, every accepted transaction to be one or the
+// other (the tracers match everything), and the rings to drain the same
+// events in the same order.
+func checkSameTrace(t testing.TB, label string, want, got *Board) {
 	t.Helper()
-	if got.Captured() != want.Captured() || got.Dropped() != want.Dropped() {
-		t.Fatalf("%s: tracer captured/dropped %d/%d, serial %d/%d",
-			label, got.Captured(), got.Dropped(), want.Captured(), want.Dropped())
+	wb, gb := want.Counters(), got.Counters()
+	captured, dropped := wb.Value("trace.captured"), wb.Value("trace.dropped")
+	if gc, gd := gb.Value("trace.captured"), gb.Value("trace.dropped"); gc != captured || gd != dropped {
+		t.Fatalf("%s: tracer captured/dropped %d/%d, serial %d/%d", label, gc, gd, captured, dropped)
 	}
-	if want.Captured() != accepted || want.Dropped() != 0 {
-		t.Fatalf("%s: tracer captured %d, dropped %d of %d accepted", label, want.Captured(), want.Dropped(), accepted)
+	if accepted := wb.Value("filter.accepted"); captured == 0 || captured+dropped != accepted {
+		t.Fatalf("%s: tracer captured %d, dropped %d of %d accepted", label, captured, dropped, accepted)
 	}
 	var wantEvents, gotEvents []obs.Event
-	want.Drain(func(e obs.Event) { wantEvents = append(wantEvents, e) })
-	got.Drain(func(e obs.Event) { gotEvents = append(gotEvents, e) })
-	if len(gotEvents) != len(wantEvents) {
-		t.Fatalf("%s: drained %d tracer events, serial %d", label, len(gotEvents), len(wantEvents))
+	want.tracer.Drain(func(e obs.Event) { wantEvents = append(wantEvents, e) })
+	got.tracer.Drain(func(e obs.Event) { gotEvents = append(gotEvents, e) })
+	if uint64(len(wantEvents)) != captured || len(gotEvents) != len(wantEvents) {
+		t.Fatalf("%s: drained %d tracer events, serial %d, captured %d", label, len(gotEvents), len(wantEvents), captured)
 	}
 	for i := range gotEvents {
 		if gotEvents[i] != wantEvents[i] {
@@ -239,9 +241,9 @@ func checkSameTrace(t testing.TB, label string, want, got *obs.Tracer, accepted 
 // TestSnoopBatchMatchesSerial proves the batched ingest is bit-identical
 // to per-transaction Snoop: the same counters (every one, including
 // buffer telemetry — a single board sees the same occupancy either way)
-// at every call boundary, the same drain log, the same trace capture, and
-// the same checkpoint bytes (and, with an enabled tracer, the same tracer
-// events in the same order), for batch sizes on both sides of the
+// at every call boundary, the same drain log and the same checkpoint
+// bytes (and, with an enabled tracer, the same tracer events in the same
+// order, whether or not its ring overflows), for batch sizes on both sides of the
 // look-ahead window and several feature configurations. The deep-buffer
 // configurations stamp transactions one cycle apart and flush every 8 Ki,
 // as a service session does, so most directory work is done inside Flush
@@ -253,7 +255,7 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 		cfg        func() Config
 		step       uint64 // bus cycles between transactions
 		flushEvery int    // transactions between Flushes (0: at the end only)
-		tracer     bool   // attach an enabled tracer deep enough for the stream
+		tracer     int    // depth of an enabled tracer on both boards (0: none)
 	}
 	scrub := func(interval uint64) func() Config {
 		return func() Config {
@@ -265,13 +267,10 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 	}
 	configs := map[string]setup{
 		"base": {cfg: fourNodeConfig, step: 48},
-		"trace": {cfg: func() Config {
-			cfg := fourNodeConfig()
-			cfg.TraceCapacity = 4096
-			return cfg
-		}, step: 48},
+		// A ring that fills and drops, and one deep enough for the stream.
+		"trace":  {cfg: fourNodeConfig, step: 48, tracer: 4096},
 		"scrub":  {cfg: scrub(50_000), step: 48},
-		"tracer": {cfg: fourNodeConfig, step: 48, tracer: true},
+		"tracer": {cfg: fourNodeConfig, step: 48, tracer: n},
 		"tiny-buffer": {cfg: func() Config {
 			// Overflow (count-only) path exercised on every transaction
 			// burst the SDRAM pacing cannot keep up with.
@@ -301,9 +300,9 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 			for _, batchSize := range []int{1, 7, lookAhead - 1, lookAhead, lookAhead + 1, 128, 2*lookAhead + 3, n} {
 				label := fmt.Sprintf("batch=%d", batchSize)
 				serial, batched := MustNewBoard(su.cfg()), MustNewBoard(su.cfg())
-				if su.tracer {
+				if su.tracer > 0 {
 					for _, b := range []*Board{serial, batched} {
-						b.tracer = obs.NewTracer(n)
+						b.tracer = obs.NewTracer(su.tracer)
 						b.tracer.Enable(obs.Filter{})
 					}
 				}
@@ -321,21 +320,8 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 						t.Fatalf("%s: event %d = %+v, serial %+v", label, i, events[i], serialEvents[i])
 					}
 				}
-				if sc, bc := serial.Trace(), batched.Trace(); (sc == nil) != (bc == nil) {
-					t.Fatalf("%s: capture presence differs", label)
-				} else if sc != nil {
-					if sc.Len() != bc.Len() || sc.Dropped() != bc.Dropped() {
-						t.Fatalf("%s: capture len/dropped %d/%d, serial %d/%d",
-							label, bc.Len(), bc.Dropped(), sc.Len(), sc.Dropped())
-					}
-					for i := 0; i < sc.Len(); i++ {
-						if sc.Record(i) != bc.Record(i) {
-							t.Fatalf("%s: capture record %d differs", label, i)
-						}
-					}
-				}
-				if su.tracer {
-					checkSameTrace(t, label, serial.tracer, batched.tracer, serial.Counters().Value("filter.accepted"))
+				if su.tracer > 0 {
+					checkSameTrace(t, label, serial, batched)
 				}
 				checkSameBoard(t, label, serial, batched)
 				if su.step == 1 && batched.Counters().Value("buffer.high-water") <= DefaultBufferDepth {

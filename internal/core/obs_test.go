@@ -22,7 +22,7 @@ import (
 // requesting mirror publishes.
 func TestBoardObsAllocFree(t *testing.T) {
 	reg := obs.NewRegistry()
-	hub := obs.NewTraceHub(io.Discard)
+	hub := obs.NewTraceHub(nil)
 	b := MustNewBoard(fourNodeConfig())
 	if err := b.Observe(reg, hub, "board", 4096); err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestBoardObsAllocFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10000, snoopOne); allocs != 0 {
 			t.Fatalf("Snoop with tracing enabled allocates %.2f/op, want 0", allocs)
 		}
-		if tr.Captured() == 0 {
+		if b.Counters().Value("trace.captured") == 0 {
 			t.Fatal("tracer captured nothing")
 		}
 	})
@@ -105,7 +105,10 @@ func TestBoardObsAllocFree(t *testing.T) {
 
 // TestObserveDoesNotPerturbCounters: the same stream with and without
 // an attached registry/tracer yields bit-identical counters — the
-// observability layer observes, it never steers.
+// observability layer observes, it never steers. The one difference is
+// the trace-collection mode's own count: trace.captured and trace.dropped
+// split the accepted transactions between the tracer's ring and its
+// overflow.
 func TestObserveDoesNotPerturbCounters(t *testing.T) {
 	txs := fourNodeStream(20_000, 48)
 
@@ -117,7 +120,7 @@ func TestObserveDoesNotPerturbCounters(t *testing.T) {
 	plain.Flush()
 
 	reg := obs.NewRegistry()
-	hub := obs.NewTraceHub(io.Discard)
+	hub := obs.NewTraceHub(nil)
 	observed := MustNewBoard(fourNodeConfig())
 	if err := observed.Observe(reg, hub, "board", 256); err != nil {
 		t.Fatal(err)
@@ -133,11 +136,19 @@ func TestObserveDoesNotPerturbCounters(t *testing.T) {
 	observed.Flush()
 	observed.PublishObs()
 
-	diffSnapshots(t, plain.Counters().Snapshot(), observed.Counters().Snapshot(), "observed")
+	got := observed.Counters().Snapshot()
+	captured, dropped := got["trace.captured"], got["trace.dropped"]
+	if captured != 256 || captured+dropped != got["filter.accepted"] {
+		t.Fatalf("tracer stored %d and dropped %d of %d accepted; want the ring's 256 stored, the rest dropped",
+			captured, dropped, got["filter.accepted"])
+	}
+	want := plain.Counters().Snapshot()
+	want["trace.captured"], want["trace.dropped"] = captured, dropped
+	diffSnapshots(t, want, got, "observed")
 
 	// The final registry snapshot equals the bank exactly.
 	snap := reg.Snapshot()
-	for name, want := range plain.Counters().Snapshot() {
+	for name, want := range got {
 		if got := snap.Value("board." + name); got != want {
 			t.Errorf("registry board.%s = %d, bank %d", name, got, want)
 		}
@@ -175,7 +186,7 @@ func TestObsConcurrentSamplerStress(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	hub := obs.NewTraceHub(io.Discard)
+	hub := obs.NewTraceHub(nil)
 	boards := make([]*Board, nBoards)
 	for i := range boards {
 		boards[i] = MustNewBoard(stressConfig())
@@ -240,7 +251,7 @@ func TestObsConcurrentSamplerStress(t *testing.T) {
 
 	// Quiesced: force-publish; every registry value must match its bank,
 	// and the registry must hold nothing the banks do not.
-	var accepted uint64
+	var accepted, captured, dropped uint64
 	want := make(map[string]uint64)
 	for i, b := range boards {
 		b.PublishObs()
@@ -248,6 +259,8 @@ func TestObsConcurrentSamplerStress(t *testing.T) {
 			want[fmt.Sprintf("board%d.%s", i, name)] = v
 		}
 		accepted += b.Counters().Value("filter.accepted")
+		captured += b.Counters().Value("trace.captured")
+		dropped += b.Counters().Value("trace.dropped")
 	}
 	got := make(map[string]uint64)
 	for _, c := range reg.Snapshot().Counters {
@@ -257,7 +270,6 @@ func TestObsConcurrentSamplerStress(t *testing.T) {
 
 	// Every accepted transaction was offered to exactly one board's
 	// tracer: captured + dropped must equal the accepted total.
-	captured, dropped := hub.Totals()
 	if captured+dropped != accepted {
 		t.Errorf("tracer saw %d (%d captured + %d dropped), accepted %d",
 			captured+dropped, captured, dropped, accepted)

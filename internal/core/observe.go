@@ -21,8 +21,10 @@ func (b *Board) PublishObs() {
 // Observe attaches the board to a registry (and optionally a trace hub)
 // under the given name prefix: the board's entire counter bank appears
 // as "<prefix>.<counter>", and a tracer of traceDepth records (0 =
-// obs.DefaultTraceDepth) is registered with the hub when hub != nil.
-// Must be called before the board observes traffic.
+// obs.DefaultTraceDepth) is registered with the hub when hub != nil. The
+// tracer is the board's trace-collection mode (§2.3); the bank's
+// trace.captured and trace.dropped count what it stores and loses. Must
+// be called before the board observes traffic.
 func (b *Board) Observe(reg *obs.Registry, hub *obs.TraceHub, prefix string, traceDepth int) error {
 	m := obs.NewMirror(b.bank)
 	if err := reg.AttachMirror(prefix, m); err != nil {

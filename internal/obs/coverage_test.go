@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"io"
-	"testing"
-)
+import "testing"
 
 func TestFilterString(t *testing.T) {
 	var zero Filter
@@ -38,8 +35,13 @@ func TestHistogramCountSum(t *testing.T) {
 	}
 }
 
+// TestTraceHubEnabledAndTotals: Enable reaches every tracer and reports
+// its filter, and DrainOnce hands the sink each stored record under its
+// tracer's name and totals them in Drained; what a full ring lost never
+// reaches the sink.
 func TestTraceHubEnabledAndTotals(t *testing.T) {
-	h := NewTraceHub(io.Discard)
+	perBoard := map[string]int{}
+	h := NewTraceHub(func(board string, _ Event) { perBoard[board]++ })
 	a, b := NewTracer(4), NewTracer(4)
 	h.Add("a", a)
 	h.Add("b", b)
@@ -54,18 +56,18 @@ func TestTraceHubEnabledAndTotals(t *testing.T) {
 	}
 	a.Record(1, 0, 0, 0)
 	a.Record(2, 64, 0, 0)
-	b.Record(3, 128, 0, 0)
-	// Overflow b's 4-slot ring so dropped counts too.
+	// Overflow b's 4-slot ring.
+	dropped := 0
 	for i := 0; i < 10; i++ {
-		b.Record(uint64(4+i), 0, 0, 0)
+		if _, stored := b.Record(uint64(3+i), 0, 0, 0); !stored {
+			dropped++
+		}
 	}
-	captured, dropped := h.Totals()
-	if captured != a.Captured()+b.Captured() || dropped != a.Dropped()+b.Dropped() {
-		t.Fatalf("Totals() = %d,%d want %d,%d",
-			captured, dropped, a.Captured()+b.Captured(), a.Dropped()+b.Dropped())
+	if n := h.DrainOnce(); n != 6 || h.Drained() != 6 {
+		t.Fatalf("DrainOnce() = %d, Drained() = %d; want 6", n, h.Drained())
 	}
-	if dropped == 0 {
-		t.Fatal("expected drops after overflowing the 4-slot ring")
+	if perBoard["a"] != 2 || perBoard["b"] != 4 || dropped != 6 {
+		t.Fatalf("sink saw %v with %d dropped; want a:2 b:4 and 6 dropped", perBoard, dropped)
 	}
 }
 

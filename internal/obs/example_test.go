@@ -44,16 +44,16 @@ func ExampleTracer() {
 	f.AddrLo, f.AddrHi = 0x1000, 0x2000
 	tr.Enable(f)
 
-	tr.Record(100, 0x1440, 2, 1) // inside the window: captured
-	tr.Record(148, 0x8000, 2, 1) // outside: filtered out
+	fmt.Println(tr.Record(100, 0x1440, 2, 1)) // inside the window: stored
+	fmt.Println(tr.Record(148, 0x8000, 2, 1)) // outside: filtered out
 
 	tr.Drain(func(ev obs.Event) {
 		fmt.Printf("cycle=%d addr=%#x cmd=%d src=%d\n", ev.Cycle, ev.Addr, ev.Cmd, ev.Src)
 	})
-	fmt.Println("captured:", tr.Captured())
 	// Output:
+	// true true
+	// false false
 	// cycle=100 addr=0x1440 cmd=2 src=1
-	// captured: 1
 }
 
 // ExampleWriteProm renders a snapshot in the Prometheus text format that

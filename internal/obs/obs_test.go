@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -142,10 +141,10 @@ func TestTracerRecordDrain(t *testing.T) {
 		t.Fatal("new tracer enabled")
 	}
 	tr.Enable(Filter{})
-	tr.Record(100, 0x1000, 2, 3)
-	tr.Record(148, 0x2000, 1, 7)
-	if tr.Captured() != 2 {
-		t.Fatalf("captured %d", tr.Captured())
+	for _, ev := range []Event{{Cycle: 100, Addr: 0x1000, Cmd: 2, Src: 3}, {Cycle: 148, Addr: 0x2000, Cmd: 1, Src: 7}} {
+		if matched, stored := tr.Record(ev.Cycle, ev.Addr, ev.Cmd, ev.Src); !matched || !stored {
+			t.Fatalf("Record(%+v) = %v, %v; want stored", ev, matched, stored)
+		}
 	}
 	var got []Event
 	n := tr.Drain(func(ev Event) { got = append(got, ev) })
@@ -165,19 +164,17 @@ func TestTracerDropsWhenFull(t *testing.T) {
 	tr := NewTracer(2) // 2 slots
 	tr.Enable(Filter{})
 	for i := 0; i < 5; i++ {
-		tr.Record(uint64(i), uint64(i)*64, 0, 0)
-	}
-	if tr.Captured() != 2 {
-		t.Fatalf("captured %d, want 2", tr.Captured())
-	}
-	if tr.Dropped() != 3 {
-		t.Fatalf("dropped %d, want 3", tr.Dropped())
+		matched, stored := tr.Record(uint64(i), uint64(i)*64, 0, 0)
+		if want := i < 2; !matched || stored != want {
+			t.Fatalf("Record #%d = %v, %v; want matched, stored %v", i, matched, stored, want)
+		}
 	}
 	// Draining frees slots for subsequent records.
-	tr.Drain(func(Event) {})
-	tr.Record(9, 9*64, 0, 0)
-	if tr.Captured() != 3 {
-		t.Fatalf("captured after drain %d, want 3", tr.Captured())
+	if n := tr.Drain(func(Event) {}); n != 2 {
+		t.Fatalf("drained %d, want the 2 stored", n)
+	}
+	if _, stored := tr.Record(9, 9*64, 0, 0); !stored {
+		t.Fatal("record after a drain was dropped")
 	}
 }
 
@@ -187,17 +184,26 @@ func TestTracerFilter(t *testing.T) {
 	f.AddrLo, f.AddrHi = 0x1000, 0x2000
 	f.CPUs.Set(3)
 	tr.Enable(f)
-	tr.Record(1, 0x1800, 0, 3) // match
-	tr.Record(2, 0x2800, 0, 3) // addr out of range
-	tr.Record(3, 0x1800, 0, 4) // cpu not selected
-	if tr.Captured() != 1 {
-		t.Fatalf("captured %d, want 1", tr.Captured())
+	for _, c := range []struct {
+		addr  uint64
+		src   uint8
+		match bool
+	}{
+		{0x1800, 3, true},
+		{0x2800, 3, false}, // addr out of range
+		{0x1800, 4, false}, // cpu not selected
+	} {
+		if matched, stored := tr.Record(1, c.addr, 0, c.src); matched != c.match || stored != c.match {
+			t.Fatalf("Record(%#x, src %d) = %v, %v; want %v", c.addr, c.src, matched, stored, c.match)
+		}
+	}
+	if n := tr.Drain(func(Event) {}); n != 1 {
+		t.Fatalf("drained %d, want 1", n)
 	}
 	// Zero mask matches all CPUs; AddrHi 0 disables the range.
 	tr2 := NewTracer(16)
 	tr2.Enable(Filter{})
-	tr2.Record(1, 0xdead_beef, 0, 200)
-	if tr2.Captured() != 1 {
+	if _, stored := tr2.Record(1, 0xdead_beef, 0, 200); !stored {
 		t.Fatal("zero filter rejected a record")
 	}
 }
@@ -224,9 +230,7 @@ func TestTracerSPSCConcurrent(t *testing.T) {
 	}()
 	sent := uint64(0)
 	for i := 0; sent < total; i++ {
-		before := tr.Captured()
-		tr.Record(uint64(i), uint64(i)*64, 0, 0)
-		if tr.Captured() > before {
+		if _, stored := tr.Record(uint64(i), uint64(i)*64, 0, 0); stored {
 			sent++
 		} else {
 			runtime.Gosched()
@@ -243,8 +247,9 @@ func TestTracerSPSCConcurrent(t *testing.T) {
 
 func TestTraceHubDrainFormat(t *testing.T) {
 	var buf bytes.Buffer
-	h := NewTraceHub(&buf)
-	h.CmdString = func(c uint8) string { return fmt.Sprintf("op%d", c) }
+	h := NewTraceHub(func(board string, ev Event) {
+		fmt.Fprintf(&buf, "%s %+v\n", board, ev)
+	})
 	tr := NewTracer(8)
 	h.Add("shard0", tr)
 	h.Enable(Filter{})
@@ -255,7 +260,7 @@ func TestTraceHubDrainFormat(t *testing.T) {
 	if n := h.DrainOnce(); n != 1 {
 		t.Fatalf("drained %d", n)
 	}
-	want := "trace shard0 cycle=10 cmd=op2 src=1 addr=0x40\n"
+	want := "shard0 {Cycle:10 Addr:64 Cmd:2 Src:1}\n"
 	if buf.String() != want {
 		t.Fatalf("line = %q, want %q", buf.String(), want)
 	}
@@ -307,21 +312,14 @@ func TestSamplerTickAndJSONL(t *testing.T) {
 func TestSamplerStartStop(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("n").Add(1)
-	var mu sync.Mutex
-	seen := 0
-	s := &Sampler{Reg: r, Interval: 5 * time.Millisecond, OnSnapshot: func(*Snapshot) {
-		mu.Lock()
-		seen++
-		mu.Unlock()
-	}}
+	var jsonl bytes.Buffer // written by the sampler goroutine only until Stop returns
+	s := &Sampler{Reg: r, Interval: 5 * time.Millisecond, JSONL: &jsonl}
 	s.Start()
 	s.Start() // idempotent
 	time.Sleep(30 * time.Millisecond)
 	s.Stop()
 	s.Stop() // idempotent
-	mu.Lock()
-	defer mu.Unlock()
-	if seen < 2 {
+	if seen := strings.Count(jsonl.String(), "\n"); seen < 2 {
 		t.Fatalf("sampler produced %d snapshots", seen)
 	}
 }
@@ -330,8 +328,8 @@ func TestSamplerStartStop(t *testing.T) {
 // in the ring reaches the sink while the sampler runs, and one recorded
 // just before Stop is flushed by Stop's final tick.
 func TestSamplerDrainsTraceHub(t *testing.T) {
-	var buf bytes.Buffer
-	h := NewTraceHub(&buf)
+	var addrs []uint64 // appended by the sampler goroutine only until Stop returns
+	h := NewTraceHub(func(_ string, ev Event) { addrs = append(addrs, ev.Addr) })
 	tr := NewTracer(64)
 	h.Add("s", tr)
 	h.Enable(Filter{})
@@ -350,8 +348,8 @@ func TestSamplerDrainsTraceHub(t *testing.T) {
 	if h.Drained() != 2 {
 		t.Fatalf("Drained() = %d after stop, want 2", h.Drained())
 	}
-	if !strings.Contains(buf.String(), "addr=0x80") {
-		t.Fatalf("final drain missing second record: %q", buf.String())
+	if len(addrs) != 2 || addrs[1] != 128 {
+		t.Fatalf("sink saw addresses %v, want the final drain's 128 second", addrs)
 	}
 }
 

@@ -20,9 +20,6 @@ type Sampler struct {
 	// Hub, when non-nil, is drained before each snapshot so trace
 	// output interleaves with metric samples in arrival order.
 	Hub *TraceHub
-	// OnSnapshot, when non-nil, is called with each snapshot after it
-	// is written (tests and the console `watch` command hook in here).
-	OnSnapshot func(*Snapshot)
 
 	mu   sync.Mutex
 	stop chan struct{}
@@ -55,9 +52,6 @@ func (s *Sampler) Tick() *Snapshot {
 			s.lastErr = err
 			s.errMu.Unlock()
 		}
-	}
-	if s.OnSnapshot != nil {
-		s.OnSnapshot(snap)
 	}
 	return snap
 }

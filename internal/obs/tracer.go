@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 )
@@ -80,7 +79,7 @@ func (f *Filter) String() string {
 
 // Tracer is a lock-free single-producer/single-consumer ring of packed
 // snoop records. The producer is the goroutine that owns one board; the
-// consumer is the one caller of TraceHub.DrainOnce (the Sampler). When
+// consumer is the one caller of TraceHub.DrainOnce at a time. When
 // disabled it costs the producer one inlinable atomic load; it never
 // allocates.
 //
@@ -95,9 +94,6 @@ type Tracer struct {
 	tail    atomic.Uint64 // next slot the producer will write
 	enabled atomic.Bool
 	filter  atomic.Pointer[Filter]
-
-	captured atomic.Uint64
-	dropped  atomic.Uint64
 }
 
 // DefaultTraceDepth is the per-board ring capacity in records.
@@ -131,29 +127,24 @@ func (t *Tracer) Enable(f Filter) {
 // Disable stops recording. Already-buffered records remain drainable.
 func (t *Tracer) Disable() { t.enabled.Store(false) }
 
-// Captured returns how many records were written to the ring.
-func (t *Tracer) Captured() uint64 { return t.captured.Load() }
-
-// Dropped returns how many matching records were lost to a full ring.
-func (t *Tracer) Dropped() uint64 { return t.dropped.Load() }
-
-// Record writes one transaction. Producer goroutine only; call only
-// when Enabled() is true. A full ring drops the record (tracing must
-// never stall the snoop path).
-func (t *Tracer) Record(cycle, a uint64, cmd, src uint8) {
+// Record writes one transaction that matches the filter, reporting
+// whether it matched and, if so, whether the ring had room for it: a full
+// ring drops the record, because tracing must never stall the snoop path.
+// The caller counts what was stored and what was lost. Producer goroutine
+// only; call only when Enabled() is true.
+func (t *Tracer) Record(cycle, a uint64, cmd, src uint8) (matched, stored bool) {
 	if !t.filter.Load().Match(a, int(src)) {
-		return
+		return false, false
 	}
 	tail := t.tail.Load()
 	if tail-t.head.Load() > t.mask {
-		t.dropped.Add(1)
-		return
+		return true, false
 	}
 	i := (tail & t.mask) * 2
 	t.buf[i] = a
 	t.buf[i+1] = cycle<<16 | uint64(cmd)<<8 | uint64(src)
 	t.tail.Store(tail + 1) // publishes the slot to the consumer
-	t.captured.Add(1)
+	return true, true
 }
 
 // Drain consumes every buffered record, calling fn for each in record
@@ -177,33 +168,30 @@ func (t *Tracer) Drain(fn func(Event)) int {
 	return n
 }
 
-// TraceHub aggregates the tracers of one or more boards and formats
-// drained events as text lines on a sink. All methods are safe for
-// concurrent use except DrainOnce, which has one caller at a time: the
-// tracer rings are single-consumer, and the Sampler's Tick is that
-// consumer.
+// TraceHub aggregates the tracers of one or more boards and hands
+// drained events to a record sink. All methods are safe for concurrent
+// use except DrainOnce, which has one caller at a time: the tracer rings
+// are single-consumer, and whoever drains them (the Sampler's Tick, or a
+// recorder between runs) is that consumer.
 type TraceHub struct {
 	mu      sync.Mutex
 	names   []string
 	tracers []*Tracer
-	sink    io.Writer
-	// CmdString renders a command byte; the default prints it numerically
-	// (obs does not depend on the bus package).
-	CmdString func(uint8) string
+	sink    func(board string, ev Event)
 
 	on      bool
 	filter  Filter
 	drained *Counter
 }
 
-// NewTraceHub returns a hub writing drained events to sink (nil
-// discards them but still counts).
-func NewTraceHub(sink io.Writer) *TraceHub {
+// NewTraceHub returns a hub passing drained events to sink, with the name
+// the event's board was added under (nil discards them but still counts).
+func NewTraceHub(sink func(board string, ev Event)) *TraceHub {
 	return &TraceHub{sink: sink, drained: &Counter{}}
 }
 
-// Add registers one tracer under a name used in drained output lines.
-// Tracers added while tracing is on inherit the active filter.
+// Add registers one tracer under a name passed to the sink with each of
+// its events. Tracers added while tracing is on inherit the active filter.
 func (h *TraceHub) Add(name string, t *Tracer) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -244,39 +232,20 @@ func (h *TraceHub) Enabled() (bool, Filter) {
 // Drained returns the total number of events drained to the sink.
 func (h *TraceHub) Drained() uint64 { return h.drained.Value() }
 
-// Totals sums captured/dropped across all registered tracers.
-func (h *TraceHub) Totals() (captured, dropped uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, t := range h.tracers {
-		captured += t.Captured()
-		dropped += t.Dropped()
-	}
-	return captured, dropped
-}
-
-// DrainOnce drains every tracer once, writing one text line per event:
-//
-//	trace <name> cycle=<n> cmd=<c> src=<id> addr=<hex>
-//
-// Returns the number of events drained.
+// DrainOnce drains every tracer once, passing each event to the sink in
+// record order, tracer by tracer. Returns the number of events drained.
 func (h *TraceHub) DrainOnce() int {
 	h.mu.Lock()
 	names := append([]string(nil), h.names...)
 	tracers := append([]*Tracer(nil), h.tracers...)
 	sink := h.sink
-	cmdStr := h.CmdString
 	h.mu.Unlock()
-	if cmdStr == nil {
-		cmdStr = func(c uint8) string { return fmt.Sprintf("cmd%d", c) }
-	}
 	n := 0
 	for i, t := range tracers {
 		name := names[i]
 		n += t.Drain(func(ev Event) {
 			if sink != nil {
-				fmt.Fprintf(sink, "trace %s cycle=%d cmd=%s src=%d addr=%#x\n",
-					name, ev.Cycle, cmdStr(ev.Cmd), ev.Src, ev.Addr)
+				sink(name, ev)
 			}
 		})
 	}

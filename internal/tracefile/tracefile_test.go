@@ -53,19 +53,6 @@ func TestPackRejectsHugeAddr(t *testing.T) {
 	}
 }
 
-func TestFromTransaction(t *testing.T) {
-	tx := &bus.Transaction{Cmd: bus.RWITM, Addr: 0x12345601, SrcID: 5}
-	r := FromTransaction(tx)
-	if r.Addr != 0x12345600 || r.Cmd != bus.RWITM || r.SrcID != 5 {
-		t.Fatalf("FromTransaction = %+v", r)
-	}
-	// Negative (passive observer) source IDs clamp to 0.
-	r = FromTransaction(&bus.Transaction{Cmd: bus.Read, Addr: 0x100, SrcID: -1})
-	if r.SrcID != 0 {
-		t.Fatalf("SrcID = %d, want 0", r.SrcID)
-	}
-}
-
 // packV1 hand-packs recs as a version-1 file: the magic, then each
 // record's 8 little-endian bytes. Nothing writes v1 any more, so the
 // tests of ConvertV1 and of every other reader's refusal build their
@@ -159,64 +146,4 @@ func TestReaderTornRecord(t *testing.T) {
 	if got, err := AppendRecords(nil, v2); err != nil || len(got) != 1 || got[0] != (Record{Addr: 8}) {
 		t.Fatalf("records written before the tear = %+v, %v", got, err)
 	}
-}
-
-func TestCaptureLimitAndDrop(t *testing.T) {
-	c := NewCapture(3)
-	for i := 0; i < 5; i++ {
-		stored, err := c.Add(Record{Addr: uint64(i) * 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := i < 3; stored != want {
-			t.Fatalf("Add #%d stored=%v, want %v", i, stored, want)
-		}
-	}
-	if c.Len() != 3 || c.Dropped() != 2 || !c.Full() {
-		t.Fatalf("capture state: len=%d dropped=%d full=%v", c.Len(), c.Dropped(), c.Full())
-	}
-	if got := c.Record(2).Addr; got != 16 {
-		t.Fatalf("Record(2).Addr = %d", got)
-	}
-	c.Reset()
-	if c.Len() != 0 || c.Dropped() != 0 || c.Full() {
-		t.Fatal("Reset incomplete")
-	}
-}
-
-// TestCaptureDumpRoundTrip: the console's dump step writes v2, and the
-// reader gets every captured record back.
-func TestCaptureDumpRoundTrip(t *testing.T) {
-	c := NewCapture(100)
-	for i := 0; i < 10; i++ {
-		if _, err := c.Add(Record{Addr: uint64(i) * 128, Cmd: bus.Read, SrcID: uint8(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := c.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := readAll(t, r)
-	if len(got) != 10 {
-		t.Fatalf("got %d records", len(got))
-	}
-	for i, rec := range got {
-		if rec.Addr != uint64(i)*128 || rec.SrcID != uint8(i) {
-			t.Fatalf("record %d = %+v", i, rec)
-		}
-	}
-}
-
-func TestCapturePanicsOnBadLimit(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewCapture(0) did not panic")
-		}
-	}()
-	NewCapture(0)
 }

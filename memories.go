@@ -31,6 +31,7 @@ package memories
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"time"
 
@@ -360,8 +361,14 @@ func (h *ObsHandle) Close() error {
 // rings' one drainer, starts immediately; Close the handle when done.
 func (s *Session) EnableObs(httpAddr string, interval time.Duration, jsonl, traceSink io.Writer) (*ObsHandle, error) {
 	reg := obs.NewRegistry()
-	hub := obs.NewTraceHub(traceSink)
-	hub.CmdString = func(c uint8) string { return bus.Command(c).String() }
+	var sink func(string, obs.Event)
+	if traceSink != nil {
+		sink = func(board string, ev obs.Event) {
+			fmt.Fprintf(traceSink, "trace %s cycle=%d cmd=%s src=%d addr=%#x\n",
+				board, ev.Cycle, bus.Command(ev.Cmd), ev.Src, ev.Addr)
+		}
+	}
+	hub := obs.NewTraceHub(sink)
 	if err := s.Board.Observe(reg, hub, "board", 0); err != nil {
 		return nil, err
 	}

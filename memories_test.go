@@ -149,7 +149,7 @@ func TestObsTraceSingleDrainer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	captured, dropped := h.Hub.Totals()
+	captured, dropped := s.Board.Counters().Value("trace.captured"), s.Board.Counters().Value("trace.dropped")
 	if captured == 0 {
 		t.Fatal("tracer captured nothing")
 	}

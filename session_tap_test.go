@@ -47,7 +47,8 @@ func directTwin(t *testing.T, hcfg HostConfig, bcfg BoardConfig, gen Generator) 
 // tapConfigs are the board configurations the tap must carry unchanged:
 // a four-node MOESI board whose interventions cross nodes, the
 // multiple-configuration mode's four groups, ECC with background scrub,
-// the miss-ratio profile, and trace capture.
+// the miss-ratio profile, and a board whose tracer ring overflows (every
+// board traces; see tapDepth).
 func tapConfigs() map[string]BoardConfig {
 	moesi := MOESI()
 	var four []NodeConfig
@@ -64,24 +65,32 @@ func tapConfigs() map[string]BoardConfig {
 	scrub.ScrubIntervalCycles = 20_000
 	profile := SingleL3Board(4*MB, 4, 128)
 	profile.ProfileBucketCycles = 100_000
-	capture := SingleL3Board(4*MB, 4, 128)
-	capture.TraceCapacity = 1 << 16
 	return map[string]BoardConfig{
 		"moesi-4node": {Nodes: four},
 		"multiconfig": MultiConfigBoard(core.CPURange(8), 128, 4, 1*MB, 2*MB, 4*MB, 8*MB),
 		"ecc-scrub":   scrub,
 		"profile":     profile,
-		"trace":       capture,
+		"trace":       SingleL3Board(4*MB, 4, 128),
 	}
 }
 
+// tapDepth is the tracer depth tapObs gives a configuration: deep enough
+// never to drop, but for "trace", whose ring overflows in the longest run.
+func tapDepth(name string) int {
+	if name == "trace" {
+		return 1 << 12
+	}
+	return 1 << 18
+}
+
 // tapObs attaches the session's board to its own registry and an enabled
-// tracer deep enough never to drop, draining into the returned buffer.
-func tapObs(t *testing.T, s *Session) (*obs.Registry, *obs.TraceHub, *bytes.Buffer) {
+// tracer of the given depth, draining one line per record into the
+// returned buffer.
+func tapObs(t *testing.T, s *Session, depth int) (*obs.Registry, *obs.TraceHub, *bytes.Buffer) {
 	t.Helper()
 	reg, sink := obs.NewRegistry(), &bytes.Buffer{}
-	hub := obs.NewTraceHub(sink)
-	if err := s.Board.Observe(reg, hub, "board", 1<<18); err != nil {
+	hub := obs.NewTraceHub(func(board string, ev obs.Event) { fmt.Fprintf(sink, "%s %+v\n", board, ev) })
+	if err := s.Board.Observe(reg, hub, "board", depth); err != nil {
 		t.Fatal(err)
 	}
 	hub.Enable(obs.Filter{})
@@ -121,10 +130,10 @@ func checkSameBank(t *testing.T, label string, want, got *Board) {
 // TestSessionTapMatchesDirectAttach: a session, whose board rides a tap
 // and works beside the host during Run, ends every Run exactly where a
 // twin whose board sits inside bus.Issue ends — the whole ordered
-// counter bank, the tracer's records in order and the registry's final
-// snapshot, and at the end the checkpoint bytes — for runs of 1, 4095,
-// 4096, 4097 and 100 000 references under every board feature the tap
-// carries.
+// counter bank (trace.captured and trace.dropped included), the tracer's
+// records in order and the registry's final snapshot, and at the end the
+// checkpoint bytes — for runs of 1, 4095, 4096, 4097 and 100 000
+// references under every board feature the tap carries.
 func TestSessionTapMatchesDirectAttach(t *testing.T) {
 	for name, bcfg := range tapConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -137,9 +146,9 @@ func TestSessionTapMatchesDirectAttach(t *testing.T) {
 				t.Fatal("NewSession attached the board directly")
 			}
 			twin := directTwin(t, tapHost(), bcfg, tapGen())
-			reg, hub, sink := tapObs(t, s)
-			twinReg, twinHub, twinSink := tapObs(t, twin)
-			traced := 0
+			reg, hub, sink := tapObs(t, s, tapDepth(name))
+			twinReg, twinHub, twinSink := tapObs(t, twin, tapDepth(name))
+			traced := uint64(0)
 			for _, n := range []uint64{1, 4095, 4096, 4097, 100_000} {
 				label := fmt.Sprintf("%s after Run(%d)", name, n)
 				if got, want := s.Run(n), twin.Run(n); got != want || got != n {
@@ -151,7 +160,7 @@ func TestSessionTapMatchesDirectAttach(t *testing.T) {
 				if !bytes.Equal(sink.Bytes(), twinSink.Bytes()) {
 					t.Fatalf("%s: tracer records differ (%d bytes, direct %d)", label, sink.Len(), twinSink.Len())
 				}
-				traced += sink.Len()
+				traced += uint64(bytes.Count(sink.Bytes(), []byte("\n")))
 				sink.Reset()
 				twinSink.Reset()
 				if got, want := reg.Snapshot(), twinReg.Snapshot(); !reflect.DeepEqual(got, want) {
@@ -161,8 +170,11 @@ func TestSessionTapMatchesDirectAttach(t *testing.T) {
 			if !bytes.Equal(checkpointBytes(t, s), checkpointBytes(t, twin)) {
 				t.Fatalf("%s: checkpoint bytes differ", name)
 			}
-			if s.Board.Counters().Value("filter.accepted") < 100_000 || traced == 0 {
-				t.Fatalf("%s: the board accepted %d transactions and traced %d bytes", name, s.Board.Counters().Value("filter.accepted"), traced)
+			c := s.Board.Counters()
+			if c.Value("filter.accepted") < 100_000 || traced != c.Value("trace.captured") ||
+				traced+c.Value("trace.dropped") != c.Value("filter.accepted") || (c.Value("trace.dropped") > 0) != (name == "trace") {
+				t.Fatalf("%s: the board accepted %d transactions, the tracer stored %d and dropped %d, and %d reached the sink",
+					name, c.Value("filter.accepted"), c.Value("trace.captured"), c.Value("trace.dropped"), traced)
 			}
 		})
 	}
