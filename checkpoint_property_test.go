@@ -16,7 +16,6 @@ import (
 	"memories/internal/checkpoint"
 	"memories/internal/core"
 	"memories/internal/host"
-	"memories/internal/obs"
 	"memories/internal/sdram"
 	"memories/internal/simbase"
 	"memories/internal/stats"
@@ -163,16 +162,7 @@ func checkpointCases(t *testing.T) map[string]func(warm bool) ckptObject {
 			snoops.Add(12345)
 			hits.Add(stats.CounterMax + 99) // saturates
 		}
-		return walked(b.Checkpoint)
-	}
-	cases["registry"] = func(warm bool) ckptObject {
-		r := obs.NewRegistry()
-		r.Counter("sampler.ticks")
-		if warm {
-			r.Counter("sampler.ticks").Add(42)
-			r.Counter("tracer.drops").Store(7) // loading creates it in the twin
-		}
-		return walked(r.Checkpoint)
+		return walked(func(c *checkpoint.Codec) error { return core.WalkBank(c, b) })
 	}
 	for pol := cache.LRU; pol <= cache.Random; pol++ {
 		for _, ecc := range []bool{false, true} {
@@ -264,9 +254,6 @@ func checkpointCases(t *testing.T) map[string]func(warm bool) ckptObject {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { h.Close() })
-				if warm {
-					h.Registry.Counter("replay.ticks").Add(42)
-				}
 			}
 			if warm {
 				s.Run(5_000)

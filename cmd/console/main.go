@@ -120,23 +120,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "obs: serving /metrics on %s\n", h.Server.Addr())
 	}
 	c := s.Console(stdout)
-	restore := func(path string) error {
-		rep, err := s.Restore(path)
-		if err != nil {
-			return err
-		}
-		if rep.ECCCorrected+rep.ECCInvalidated > 0 {
-			fmt.Fprintf(stdout, "restore: ECC repaired %d word(s), invalidated %d\n",
-				rep.ECCCorrected, rep.ECCInvalidated)
-		}
-		return nil
-	}
-	c.SetCheckpoint(s.Checkpoint, restore)
 	if *resume != "" {
-		if err := restore(*resume); err != nil {
+		if err := c.Restore(*resume); err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "session restored from %s\n", *resume)
 	}
 
 	// Graceful shutdown: the first SIGINT/SIGTERM makes a long "run"

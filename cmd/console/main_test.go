@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"memories"
+	"memories/internal/core"
+	"memories/internal/workload/byname"
 	"memories/protocols"
 )
 
@@ -102,5 +107,34 @@ func TestReport(t *testing.T) {
 	}
 	if _, _, errs = runCLI("", "-workload", "doom"); !strings.Contains(errs, "unknown workload") {
 		t.Errorf("-workload doom: stderr %q", errs)
+	}
+}
+
+// A snapshot taken at a library session's console is a session
+// snapshot: -resume loads it into the session the default flags build,
+// with the references already run.
+func TestResumeFromSessionConsole(t *testing.T) {
+	gen, err := byname.New("tpcc", 2048, 1, 8, "classic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcfg := memories.MultiConfigBoard(core.CPURange(8), 128, 8, memories.MB)
+	bcfg.ProfileBucketCycles = 2_000_000
+	s, err := memories.NewSession(memories.DefaultHostConfig(), bcfg, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Run(20_000); s.Board.Node(0).Refs() == 0 {
+		t.Fatal("the run reached no L3 reference: resuming it would prove nothing")
+	}
+	path := filepath.Join(t.TempDir(), "lib.ckpt")
+	if err := s.Console(io.Discard).Execute("checkpoint " + path); err != nil {
+		t.Fatal(err)
+	}
+
+	code, out, errs := runCLI("nodes\n", "-resume", path, "-l3", "1MB")
+	want := fmt.Sprintf("refs %d,", s.Board.Node(0).Refs())
+	if code != 0 || !strings.Contains(out, "state restored from "+path) || !strings.Contains(out, want) {
+		t.Fatalf("-resume: exit %d, want 0, the restore line and %q\nstdout:\n%s\nstderr:\n%s", code, want, out, errs)
 	}
 }

@@ -1,8 +1,8 @@
 // Command tracesim is the trace-driven software simulator — the "C
-// simulator" of Table 3. It replays a bus trace (from cmd/tracegen or the
-// board's capture mode) through an emulated-cache configuration and
-// reports the same statistics the board produces, plus its own measured
-// run time for the speed comparison.
+// simulator" of Table 3. It replays a bus trace (from cmd/tracegen, which
+// streams the board's snoop tracer to disk) through an emulated-cache
+// configuration and reports the same statistics the board produces, plus
+// its own measured run time for the speed comparison.
 //
 // The trace must be v2; a v1 file is refused with the `tracegen convert`
 // command that rewrites it. Decode runs on the replay goroutine, a block

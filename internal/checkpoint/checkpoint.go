@@ -184,12 +184,6 @@ func (s *Snapshot) Section(name string) (*Section, error) {
 	return nil, corruptf(name, -1, "section missing")
 }
 
-// Has reports whether the named section is present.
-func (s *Snapshot) Has(name string) bool {
-	_, ok := s.byName[name]
-	return ok
-}
-
 // Archive is the two-way view of a container, so an object lists its
 // sections once: over a Writer, Section frames what the walk appends;
 // over a Snapshot, it finds the section, runs the same walk in the
@@ -207,11 +201,6 @@ func LoadFrom(s *Snapshot) *Archive { return &Archive{snap: s} }
 
 // Loading reports the direction.
 func (a *Archive) Loading() bool { return a.snap != nil }
-
-// Has reports whether Section(name) has something to walk: always when
-// saving, and when the snapshot carries the section when loading. It
-// guards sections a restorer may do without.
-func (a *Archive) Has(name string) bool { return a.snap == nil || a.snap.Has(name) }
 
 // Section walks one named section. Every failure while loading — the
 // section missing, a field mismatch, unread bytes — is a *CorruptError

@@ -140,29 +140,3 @@ func TestCorruptErrorMessage(t *testing.T) {
 		t.Fatalf("fields not populated: %+v", err)
 	}
 }
-
-// Snapshot.Has distinguishes present sections from absent ones without
-// consuming them.
-func TestSnapshotHas(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Section("alpha", []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := Decode(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snap.Has("alpha") {
-		t.Fatal("Has(alpha) = false for a present section")
-	}
-	if snap.Has("omega") {
-		t.Fatal("Has(omega) = true for an absent section")
-	}
-}

@@ -10,6 +10,7 @@ package console
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -18,10 +19,13 @@ import (
 
 	"memories/internal/addr"
 	"memories/internal/cache"
-	"memories/internal/checkpoint"
 	"memories/internal/core"
 	"memories/protocols"
 )
+
+// errNoCheckpoint answers checkpoint/restore on a console nothing has
+// bound a snapshot format to (see SetCheckpoint).
+var errNoCheckpoint = errors.New("no session attached (checkpoint and restore snapshot a session)")
 
 // Console binds a command interpreter to a board.
 type Console struct {
@@ -33,45 +37,41 @@ type Console struct {
 	// obs binds the live-observability commands (metrics, watch,
 	// trace on/off); nil until SetObs.
 	obs *obsBinding
-	// saveCkpt/loadCkpt back the checkpoint/restore commands. They
-	// default to board-only snapshots; SetCheckpoint replaces them with
-	// richer hooks (e.g. full-session snapshots from cmd/console).
+	// saveCkpt/loadCkpt back the checkpoint/restore commands; nil until
+	// SetCheckpoint binds them to whatever owns the snapshot format.
 	saveCkpt func(path string) error
-	loadCkpt func(path string) error
+	loadCkpt func(path string) (core.RestoreReport, error)
 }
 
 // New creates a console for the given board, writing replies to out.
 func New(b *core.Board, out io.Writer) *Console {
-	c := &Console{board: b, out: out}
-	c.saveCkpt = b.WriteCheckpointFile
-	c.loadCkpt = func(path string) error {
-		snap, err := checkpoint.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		rep, err := core.RestoreBoard(b, snap)
-		if err != nil {
-			return err
-		}
-		if rep.ECCCorrected+rep.ECCInvalidated > 0 {
-			fmt.Fprintf(c.out, "restore: ECC repaired %d word(s), invalidated %d\n",
-				rep.ECCCorrected, rep.ECCInvalidated)
-		}
-		return nil
-	}
-	return c
+	return &Console{board: b, out: out}
 }
 
-// SetCheckpoint replaces the board-only checkpoint/restore hooks, so an
-// embedding session can snapshot more than the board (host, workload,
-// injector state).
-func (c *Console) SetCheckpoint(save, load func(path string) error) {
-	if save != nil {
-		c.saveCkpt = save
+// SetCheckpoint binds the checkpoint/restore commands. A console has no
+// snapshot format of its own: the session that embeds it decides what a
+// snapshot holds (memories.Session.Console binds its Checkpoint and
+// Restore). Until then both commands answer with an error.
+func (c *Console) SetCheckpoint(save func(path string) error, load func(path string) (core.RestoreReport, error)) {
+	c.saveCkpt, c.loadCkpt = save, load
+}
+
+// Restore is the restore command: it loads the snapshot at path through
+// the bound session and reports any ECC repairs the load made.
+func (c *Console) Restore(path string) error {
+	if c.loadCkpt == nil {
+		return errNoCheckpoint
 	}
-	if load != nil {
-		c.loadCkpt = load
+	rep, err := c.loadCkpt(path)
+	if err != nil {
+		return err
 	}
+	if rep.ECCCorrected+rep.ECCInvalidated > 0 {
+		fmt.Fprintf(c.out, "restore: ECC repaired %d word(s), invalidated %d\n",
+			rep.ECCCorrected, rep.ECCInvalidated)
+	}
+	fmt.Fprintf(c.out, "state restored from %s\n", path)
+	return nil
 }
 
 // Run reads commands from r until EOF or the "quit" command.
@@ -145,6 +145,9 @@ func (c *Console) Execute(line string) error {
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: checkpoint <path>")
 		}
+		if c.saveCkpt == nil {
+			return errNoCheckpoint
+		}
 		if err := c.saveCkpt(fields[1]); err != nil {
 			return err
 		}
@@ -154,11 +157,7 @@ func (c *Console) Execute(line string) error {
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: restore <path>")
 		}
-		if err := c.loadCkpt(fields[1]); err != nil {
-			return err
-		}
-		fmt.Fprintf(c.out, "state restored from %s\n", fields[1])
-		return nil
+		return c.Restore(fields[1])
 	case "metrics":
 		return c.metrics(fields[1:])
 	case "watch":
@@ -190,8 +189,10 @@ func (c *Console) help() {
   loadmap <i>                   load a protocol map file; end with "end"
   reset-counters                clear the counter bank
   scrub                         run an ECC scrub pass over every directory
-  checkpoint <path>             write a crash-safe state snapshot
-  restore <path>                restore a snapshot written by checkpoint
+  checkpoint <path>             write a crash-safe session snapshot (workload,
+                                host, board, counters)
+  restore <path>                restore a session snapshot (from checkpoint,
+                                Session.Checkpoint or console -checkpoint)
   metrics [prefix]              dump the live metrics registry (needs -obs)
   watch <prefix> [n] [ms]       sample a metric prefix n times every ms
   trace on [addr=lo:hi] [cpus=a,b]  enable the snoop event tracer

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"memories/internal/checkpoint"
+	"memories/internal/stats"
 )
 
 // RestoreReport summarizes ECC repairs made while loading directory
@@ -55,7 +56,7 @@ func (b *Board) Sections(a *checkpoint.Archive) (RestoreReport, error) {
 	err := a.Section("board.state", func(c *checkpoint.Codec) error {
 		c.U64(&b.lastCycle)
 		c.U64(&b.nextScrub)
-		return b.bank.Checkpoint(c)
+		return WalkBank(c, b.bank)
 	})
 	if err != nil {
 		return rep, err
@@ -112,6 +113,40 @@ func (b *Board) WriteCheckpoint(w io.Writer) error {
 		return err
 	}
 	return cw.Close()
+}
+
+// WalkBank walks every counter of a bank (name, value, saturation flag)
+// in creation order; the board's bank travels this way in board.state.
+// Loading resets the bank and then lands the values in the existing
+// counters, so that cached *Counter pointers held by the board and the
+// obs mirror remain valid; a snapshot naming a counter this bank does
+// not have means the configurations differ, which is reported as
+// corruption.
+func WalkBank(c *checkpoint.Codec, bank *stats.Bank) error {
+	names, _ := bank.Ordered()
+	n := uint32(len(names))
+	c.U32(&n)
+	if c.Loading() {
+		bank.ResetAll()
+	}
+	for i := 0; i < int(n) && c.Err() == nil; i++ {
+		var name string
+		if !c.Loading() {
+			name = names[i]
+		}
+		c.Str(&name)
+		ctr := bank.Lookup(name)
+		if ctr == nil {
+			return c.Failf("snapshot counter %q not present in this bank", name)
+		}
+		v, sat := ctr.Value(), ctr.Saturated()
+		c.U64(&v)
+		c.Bool(&sat)
+		if c.Loading() {
+			ctr.Restore(v, sat)
+		}
+	}
+	return c.Err()
 }
 
 // WriteCheckpointFile writes a board checkpoint crash-safely: temp

@@ -210,7 +210,7 @@ func TestObsConcurrentSamplerStress(t *testing.T) {
 			default:
 			}
 			reg.Request()
-			if err := obs.WriteProm(io.Discard, reg.Snapshot()); err != nil {
+			if err := obs.WriteProm(io.Discard, reg.Snapshot(), nil); err != nil {
 				t.Errorf("WriteProm: %v", err)
 				return
 			}

@@ -53,7 +53,7 @@ func obsRun(t *testing.T, id string, parallel int) (string, *obs.Snapshot, *Resu
 		}
 		o.snap = reg.Snapshot()
 		var buf bytes.Buffer
-		o.err = obs.WriteProm(&buf, o.snap)
+		o.err = obs.WriteProm(&buf, o.snap, nil)
 		o.prom = buf.String()
 	})
 	if o.err != nil {

@@ -99,14 +99,10 @@ type Preset struct {
 	Fig11L2Bytes int64
 	Fig11Refs    uint64
 	Fig12Size    splash.Size
-	Fig12CacheMB int64
-	Fig12LineB   int64
 	Fig12Refs    uint64
-	SplashSeed   uint64
 
 	// Discrete-event host scaling (the hostscale experiment).
 	HostScaleCPUs   []int  // machine sizes swept by hostscale
-	HostScaleActive int    // busy streams per sweep point; the rest idle
 	HostScaleCycles uint64 // bus cycles emulated per sweep point
 
 	// NumCPUs, when positive, overrides host.Config.NumCPUs in the
@@ -148,6 +144,10 @@ type Preset struct {
 	FaultsBurstProb   float64   // burst probability for the overflow run
 }
 
+// splashSeed seeds every SPLASH2 kernel the experiments run (Tables
+// 4-6, Figures 11-12), at every scale.
+const splashSeed = 3
+
 // protocol returns the coherence protocol the experiment's emulated
 // nodes run under: Preset.Protocol when set, the MESI default
 // otherwise.
@@ -177,9 +177,8 @@ func PresetFor(s Scale) Preset {
 			Fig11Size:    splash.SizePaper,
 			Fig11SizesKB: []int64{32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024},
 			Fig11L1Bytes: 64 * addr.KB, Fig11L2Bytes: 8 * addr.MB, Fig11Refs: 50_000_000,
-			Fig12Size: splash.SizePaper, Fig12CacheMB: 64, Fig12LineB: 1024, Fig12Refs: 50_000_000,
-			SplashSeed:    3,
-			HostScaleCPUs: []int{8, 64, 256, 1024}, HostScaleActive: 8, HostScaleCycles: 20_000_000,
+			Fig12Size: splash.SizePaper, Fig12Refs: 50_000_000,
+			HostScaleCPUs: []int{8, 64, 256, 1024}, HostScaleCycles: 20_000_000,
 			FaultsRefs: 20_000_000, FaultsScrubCycles: 100_000,
 			FaultsRates:     []float64{1e-5, 1e-4, 1e-3, 1e-2},
 			FaultsBurstProb: 1e-4,
@@ -200,9 +199,8 @@ func PresetFor(s Scale) Preset {
 			Fig11Size:    splash.SizeClassic,
 			Fig11SizesKB: []int64{512, 1024, 2048, 4096},
 			Fig11L1Bytes: 16 * addr.KB, Fig11L2Bytes: 256 * addr.KB, Fig11Refs: 4_000_000,
-			Fig12Size: splash.SizeClassic, Fig12CacheMB: 64, Fig12LineB: 1024, Fig12Refs: 4_000_000,
-			SplashSeed:    3,
-			HostScaleCPUs: []int{8, 64, 256}, HostScaleActive: 8, HostScaleCycles: 2_000_000,
+			Fig12Size: splash.SizeClassic, Fig12Refs: 4_000_000,
+			HostScaleCPUs: []int{8, 64, 256}, HostScaleCycles: 2_000_000,
 			FaultsRefs: 1_500_000, FaultsScrubCycles: 50_000,
 			FaultsRates:     []float64{1e-4, 1e-3, 1e-2},
 			FaultsBurstProb: 1e-3,
@@ -223,9 +221,8 @@ func PresetFor(s Scale) Preset {
 			Fig11Size:    splash.SizeClassic,
 			Fig11SizesKB: []int64{512, 1024, 2048, 4096},
 			Fig11L1Bytes: 16 * addr.KB, Fig11L2Bytes: 256 * addr.KB, Fig11Refs: 2_000_000,
-			Fig12Size: splash.SizeClassic, Fig12CacheMB: 64, Fig12LineB: 1024, Fig12Refs: 2_000_000,
-			SplashSeed:    3,
-			HostScaleCPUs: []int{8, 64, 256}, HostScaleActive: 8, HostScaleCycles: 400_000,
+			Fig12Size: splash.SizeClassic, Fig12Refs: 2_000_000,
+			HostScaleCPUs: []int{8, 64, 256}, HostScaleCycles: 400_000,
 			FaultsRefs: 400_000, FaultsScrubCycles: 25_000,
 			FaultsRates:     []float64{1e-3, 1e-2},
 			FaultsBurstProb: 2e-3,

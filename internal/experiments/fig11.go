@@ -38,7 +38,7 @@ func runFig11(p Preset) (*Result, error) {
 	// afterwards in the registry's order.
 	perApp, err := parallel.Map(p.Parallel, len(names), func(ai int) ([]float64, error) {
 		name := names[ai]
-		newGen := func() workload.Generator { return splash.New(name, p.Fig11Size, hcfg.NumCPUs, p.SplashSeed) }
+		newGen := func() workload.Generator { return splash.New(name, p.Fig11Size, hcfg.NumCPUs, splashSeed) }
 		views, err := cacheSweep(p, name, hcfg, newGen, sizes, 128, 4, p.Fig11Refs)
 		if err != nil {
 			return nil, err

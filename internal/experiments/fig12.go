@@ -42,6 +42,12 @@ func fig12Classify(b *core.Board) (fig12Breakdown, error) {
 	}, nil
 }
 
+// Figure 12's per-node L3 at every scale: 64 MB with 1 KB lines.
+const (
+	fig12CacheMB = 64
+	fig12LineB   = 1024
+)
+
 // runFig12 reproduces Figure 12: for FFT, Ocean, and FMM in two NUMA-ish
 // configurations (2 nodes x 4 processors and 4 nodes x 2 processors),
 // where is an L2 miss satisfied — the local L3, another node's modified
@@ -53,7 +59,7 @@ func runFig12(p Preset) (*Result, error) {
 
 	t := stats.NewTable(
 		fmt.Sprintf("FIGURE 12. Where an L2 Miss is Satisfied (%s per-node L3, %dB L3 lines)",
-			addr.FormatSize(p.Fig12CacheMB*addr.MB), p.Fig12LineB),
+			addr.FormatSize(fig12CacheMB*addr.MB), fig12LineB),
 		"Application", "Config", "L3", "mod-int", "shr-int", "memory")
 
 	// One stream per application, with one board per node shape on its
@@ -64,9 +70,9 @@ func runFig12(p Preset) (*Result, error) {
 		var bcfgs []core.Config
 		for _, sh := range shapes {
 			labels = append(labels, fmt.Sprintf("%s.%dx%d", name, sh[0], sh[1]))
-			bcfgs = append(bcfgs, core.Config{Nodes: splitNodes(p, sh[0], sh[1], p.Fig12CacheMB*addr.MB, p.Fig12LineB, 4)})
+			bcfgs = append(bcfgs, core.Config{Nodes: splitNodes(p, sh[0], sh[1], fig12CacheMB*addr.MB, fig12LineB, 4)})
 		}
-		newGen := func() workload.Generator { return splash.New(name, p.Fig12Size, hcfg.NumCPUs, p.SplashSeed) }
+		newGen := func() workload.Generator { return splash.New(name, p.Fig12Size, hcfg.NumCPUs, splashSeed) }
 		boards, err := streamRun(p, labels, hcfg, newGen, bcfgs, p.Fig12Refs)
 		if err != nil {
 			return nil, err

@@ -12,15 +12,18 @@ import (
 
 // hostScaleConfig is the per-CPU host used by the scaling sweep: small
 // private caches so megabyte streams generate dense coherence traffic,
-// and a little I/O so DMA events ride the wheel too.
+// and the default's little I/O so DMA events ride the wheel too.
 func hostScaleConfig(ncpu int) host.Config {
 	cfg := host.DefaultConfig()
 	cfg.NumCPUs = ncpu
 	cfg.L1Bytes = 8 * addr.KB
 	cfg.L2Bytes = 64 * addr.KB
-	cfg.IOFraction = 0.002
 	return cfg
 }
+
+// hostScaleActive is the number of busy streams at every sweep point;
+// the rest of the machine's CPUs idle.
+const hostScaleActive = 8
 
 // hostScaleStreams builds `active` single-CPU Zipf streams over a shared
 // region (remaining CPUs idle), so the busy actors conflict and exercise
@@ -64,10 +67,7 @@ func runHostScale(p Preset) (*Result, error) {
 	}
 	pts, err := parallel.Map(p.Parallel, len(sweep), func(i int) (point, error) {
 		ncpu := sweep[i]
-		active := p.HostScaleActive
-		if active > ncpu {
-			active = ncpu
-		}
+		active := min(hostScaleActive, ncpu)
 		h, err := host.NewPerCPU(hostScaleConfig(ncpu), hostScaleStreams(ncpu, active, seed), host.EngineWheel)
 		if err != nil {
 			return point{}, err

@@ -26,7 +26,7 @@ func runTable4(p Preset) (*Result, error) {
 	augTimes := make([]time.Duration, len(p.Table4Ms))
 	memTimes := make([]time.Duration, len(p.Table4Ms))
 	for i, m := range p.Table4Ms {
-		fft := splash.NewFFT(splash.FFTConfig{NumCPUs: 8, M: m, Seed: p.SplashSeed})
+		fft := splash.NewFFT(splash.FFTConfig{NumCPUs: 8, M: m, Seed: splashSeed})
 		refs := fft.RefsPerTransform()
 		instrs := fft.InstrsPerTransform()
 

@@ -55,15 +55,15 @@ func runTable5(p Preset) (*Result, error) {
 
 	res := &Result{}
 	for _, name := range splash.Names() {
-		gen := splash.New(name, splash.SizePaper, 8, p.SplashSeed)
+		gen := splash.New(name, splash.SizePaper, 8, splashSeed)
 		gb := splash.FootprintGB(gen)
 		ref := paperTable5[name]
 
-		big, err := splashHostRun(name, splash.SizePaper, 8*addr.MB, 4, p.Table56Refs, p.SplashSeed)
+		big, err := splashHostRun(name, splash.SizePaper, 8*addr.MB, 4, p.Table56Refs, splashSeed)
 		if err != nil {
 			return nil, err
 		}
-		small, err := splashHostRun(name, splash.SizePaper, 1*addr.MB, 1, p.Table56Refs, p.SplashSeed)
+		small, err := splashHostRun(name, splash.SizePaper, 1*addr.MB, 1, p.Table56Refs, splashSeed)
 		if err != nil {
 			return nil, err
 		}
@@ -115,11 +115,11 @@ func runTable6(p Preset) (*Result, error) {
 
 	res := &Result{}
 	for _, name := range splash.Names() {
-		classicHost, err := splashHostRun(name, splash.SizeClassic, 1*addr.MB, 4, p.Table56Refs, p.SplashSeed)
+		classicHost, err := splashHostRun(name, splash.SizeClassic, 1*addr.MB, 4, p.Table56Refs, splashSeed)
 		if err != nil {
 			return nil, err
 		}
-		paperHost, err := splashHostRun(name, splash.SizePaper, 8*addr.MB, 2, p.Table56Refs, p.SplashSeed)
+		paperHost, err := splashHostRun(name, splash.SizePaper, 8*addr.MB, 2, p.Table56Refs, splashSeed)
 		if err != nil {
 			return nil, err
 		}

@@ -29,8 +29,8 @@ const hostSectionVersion = 2
 // configured host (same Config, same generator construction, same
 // mode); generator names are cross-checked so a snapshot from a
 // different workload is rejected rather than silently misapplied.
-// Generators must implement workload.Checkpointer (the splash kernels do
-// not — their state lives in goroutine stacks).
+// Generators must implement workload.Checkpointer (the splash kernels
+// do not).
 func (h *Host) Checkpoint(k *checkpoint.Codec) error {
 	k.FixedU8("host section version", hostSectionVersion)
 	k.FixedBool("per-CPU mode", h.perCPU)

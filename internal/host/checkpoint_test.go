@@ -165,8 +165,8 @@ func TestHostRestoreRejectsWrongGenerator(t *testing.T) {
 	}
 }
 
-// stackGen stands in for the splash kernels: a generator whose state
-// lives in goroutine stacks and therefore cannot be checkpointed.
+// stackGen stands in for the splash kernels: a generator that does not
+// implement workload.Checkpointer and therefore cannot be checkpointed.
 type stackGen struct{}
 
 func (stackGen) Name() string               { return "stack-resident" }

@@ -61,7 +61,7 @@ func ExampleTracer() {
 func ExampleWriteProm() {
 	reg := obs.NewRegistry()
 	reg.Counter("board.filter.accepted").Add(7)
-	if err := obs.WriteProm(os.Stdout, reg.Snapshot()); err != nil {
+	if err := obs.WriteProm(os.Stdout, reg.Snapshot(), nil); err != nil {
 		fmt.Println(err)
 	}
 	// Output:

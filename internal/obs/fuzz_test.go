@@ -32,7 +32,7 @@ func FuzzPromText(f *testing.F) {
 		snap := r.Snapshot()
 
 		var buf bytes.Buffer
-		if err := WriteProm(&buf, snap); err != nil {
+		if err := WriteProm(&buf, snap, nil); err != nil {
 			t.Fatalf("WriteProm: %v", err)
 		}
 		samples, err := ParseProm(bytes.NewReader(buf.Bytes()))
@@ -81,8 +81,8 @@ func FuzzPromText(f *testing.F) {
 		lh := lr.Histogram("session."+name+".wait", []uint64{16, 256})
 		lh.Observe(v2 % 4096)
 		var lb bytes.Buffer
-		if err := WritePromWith(&lb, lr.Snapshot(), SplitSessionLabel); err != nil {
-			t.Fatalf("WritePromWith: %v", err)
+		if err := WriteProm(&lb, lr.Snapshot(), SplitSessionLabel); err != nil {
+			t.Fatalf("WriteProm: %v", err)
 		}
 		lsamples, err := ParseProm(bytes.NewReader(lb.Bytes()))
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"net/http"
+	"strings"
 	"time"
 )
 
@@ -30,16 +31,9 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 		return nil, err
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		reg.Request()
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WriteProm(w, reg.Snapshot())
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		reg.Request()
-		w.Header().Set("Content-Type", "application/json")
-		_ = WriteJSON(w, reg.Snapshot())
-	})
+	metrics := MetricsHandler(reg, nil)
+	mux.Handle("/metrics", metrics)
+	mux.Handle("/metrics.json", metrics)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		_, _ = w.Write([]byte("ok\n"))
 	})
@@ -50,6 +44,23 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
+}
+
+// MetricsHandler serves reg's metrics: a path ending in ".json" gets one
+// JSON snapshot object, any other the Prometheus text exposition with
+// split (nil: none) turning name segments into labels. Every request
+// asks the mirrors' owners for a fresh publish before it snapshots.
+func MetricsHandler(reg *Registry, split func(string) (string, []Label)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		reg.Request()
+		if strings.HasSuffix(r.URL.Path, ".json") {
+			w.Header().Set("Content-Type", "application/json")
+			_ = WriteJSON(w, reg.Snapshot())
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = WriteProm(w, reg.Snapshot(), split)
+	})
 }
 
 // Addr returns the bound listen address (useful with ":0" in tests).

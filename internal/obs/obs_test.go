@@ -364,7 +364,7 @@ func TestWritePromAndParseRoundTrip(t *testing.T) {
 	snap := r.Snapshot()
 
 	var buf bytes.Buffer
-	if err := WriteProm(&buf, snap); err != nil {
+	if err := WriteProm(&buf, snap, nil); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
@@ -407,10 +407,10 @@ func TestPromDeterministic(t *testing.T) {
 		r.Counter(fmt.Sprintf("c%02d", i)).Add(uint64(i))
 	}
 	var a, b bytes.Buffer
-	if err := WriteProm(&a, r.Snapshot()); err != nil {
+	if err := WriteProm(&a, r.Snapshot(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteProm(&b, r.Snapshot()); err != nil {
+	if err := WriteProm(&b, r.Snapshot(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {

@@ -95,7 +95,7 @@ func formatLabels(ls []Label) string {
 	return sb.String()
 }
 
-// SplitSessionLabel is a WritePromWith splitter for the service layer's
+// SplitSessionLabel is a WriteProm splitter for the service layer's
 // per-session namespaces: a registry name "session.<id>.<rest>" renders
 // as the shared metric "session.<rest>" carrying a session="<id>" label,
 // so every session shares one time series family and Prometheus can
@@ -111,13 +111,6 @@ func SplitSessionLabel(name string) (string, []Label) {
 		return name, nil
 	}
 	return "session." + tail, []Label{{Key: "session", Value: id}}
-}
-
-// WriteProm renders the snapshot in the Prometheus text exposition
-// format (version 0.0.4). Output is deterministic for a given snapshot:
-// metrics appear sorted by registry name within each section.
-func WriteProm(w io.Writer, s *Snapshot) error {
-	return WritePromWith(w, s, nil)
 }
 
 // promSeries is one renderable sample family member after splitting.
@@ -151,12 +144,13 @@ func splitSeries(n int, name func(int) string, split func(string) (string, []Lab
 	return out
 }
 
-// WritePromWith renders the snapshot like WriteProm, but first passes
-// every registry name through split, which may rewrite the name and
-// attach labels (see SplitSessionLabel). Samples sharing a rewritten
-// metric name are grouped under a single HELP/TYPE block. A nil split
-// is exactly WriteProm.
-func WritePromWith(w io.Writer, s *Snapshot, split func(string) (string, []Label)) error {
+// WriteProm renders the snapshot in the Prometheus text exposition
+// format (version 0.0.4). Output is deterministic for a given snapshot:
+// metrics appear sorted by registry name within each section. A non-nil
+// split sees every registry name first and may rewrite it and attach
+// labels (see SplitSessionLabel); samples sharing a rewritten metric
+// name are grouped under a single HELP/TYPE block.
+func WriteProm(w io.Writer, s *Snapshot, split func(string) (string, []Label)) error {
 	bw := bufio.NewWriter(w)
 	series := func(n string, labels string) string {
 		if labels == "" {

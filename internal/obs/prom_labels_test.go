@@ -67,8 +67,8 @@ func TestSplitSessionLabel(t *testing.T) {
 	}
 }
 
-// TestWritePromWithGroupsFamilies proves the exposition invariant: when
-// two sessions share a metric family, HELP/TYPE appear exactly once and
+// TestWritePromWithGroupsFamilies proves the exposition invariant of
+// WriteProm with a splitter: when two sessions share a metric family, HELP/TYPE appear exactly once and
 // the labeled samples sit together under them.
 func TestWritePromWithGroupsFamilies(t *testing.T) {
 	r := NewRegistry()
@@ -81,7 +81,7 @@ func TestWritePromWithGroupsFamilies(t *testing.T) {
 	h2.Observe(100)
 
 	var buf bytes.Buffer
-	if err := WritePromWith(&buf, r.Snapshot(), SplitSessionLabel); err != nil {
+	if err := WriteProm(&buf, r.Snapshot(), SplitSessionLabel); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()

@@ -9,7 +9,7 @@ import (
 )
 
 // The Prometheus text-format parser below is the test suite's reference
-// reader for what WriteProm and WritePromWith emit; no binary links it.
+// reader for what WriteProm emits; no binary links it.
 
 // PromSample is one parsed sample line from the text format.
 type PromSample struct {
@@ -94,8 +94,8 @@ func parseLabelSet(labels string) ([]Label, error) {
 }
 
 // ParseProm parses Prometheus text-format output (the subset WriteProm
-// and WritePromWith emit: comments, bare samples, and samples with a
-// quoted-and-escaped label set) into samples in input order. Malformed
+// emits: comments, bare samples, and samples with a quoted-and-escaped
+// label set) into samples in input order. Malformed
 // sample lines return an error; the fuzz suite uses this to prove
 // render→parse round-trips, escapes included.
 func ParseProm(r io.Reader) ([]PromSample, error) {

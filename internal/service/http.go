@@ -134,8 +134,9 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /sessions/{id}/stats", s.handleStats)
 	s.mux.HandleFunc("DELETE /sessions/{id}", s.handleDelete)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
+	metrics := obs.MetricsHandler(s.reg, obs.SplitSessionLabel)
+	s.mux.Handle("GET /metrics", metrics)
+	s.mux.Handle("GET /metrics.json", metrics)
 	if s.cfg.EnablePprof {
 		prof.RegisterHTTP(s.mux)
 	}
@@ -414,16 +415,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	_, _ = w.Write([]byte("ok\n"))
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.reg.Request()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = obs.WritePromWith(w, s.reg.Snapshot(), obs.SplitSessionLabel)
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	s.reg.Request()
-	w.Header().Set("Content-Type", "application/json")
-	_ = obs.WriteJSON(w, s.reg.Snapshot())
 }

@@ -657,6 +657,34 @@ func TestMetricsLabels(t *testing.T) {
 	}
 }
 
+// /metrics.json is the same registry snapshot as one JSON object, with
+// the registry's own names: the session label split is /metrics' only.
+func TestMetricsJSON(t *testing.T) {
+	_, base := testServer(t, Config{})
+	resp := postJSON(t, base+"/sessions", CreateRequest{ID: "j-1", Cache: "64KB", LineBytes: 64})
+	drainBody(resp)
+	resp, err := http.Get(base + "/metrics.json")
+	if err != nil {
+		t.Fatalf("metrics.json: %v", err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q, want application/json", ct)
+	}
+	var snap struct {
+		Counters map[string]uint64 `json:"counters"`
+	}
+	if err := json.Unmarshal([]byte(drainBody(resp)), &snap); err != nil {
+		t.Fatal(err)
+	}
+	var session bool
+	for name := range snap.Counters {
+		session = session || strings.HasPrefix(name, "session.j-1.")
+	}
+	if !session || snap.Counters["service.sessions.created"] != 1 {
+		t.Fatalf("counters lack session.j-1.* or service.sessions.created = 1: %v", snap.Counters)
+	}
+}
+
 // TestConcurrentClients drives 8 parallel client goroutines through
 // full lifecycles against one server; run under -race this is the
 // stress check for the session map, queue, and counter paths.

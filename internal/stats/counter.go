@@ -41,8 +41,22 @@ func (c *Counter) Inc() { c.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
 
+// Saturated reports whether the counter has reached CounterMax.
+func (c *Counter) Saturated() bool { return c.saturated }
+
 // Reset clears the counter and its saturation flag.
 func (c *Counter) Reset() { c.v, c.saturated = 0, false }
+
+// Restore sets the counter to a checkpointed value, clamping to the
+// 40-bit hardware range (a corrupt snapshot must not produce a counter
+// the hardware could never hold).
+func (c *Counter) Restore(v uint64, saturated bool) {
+	if v > CounterMax {
+		v = CounterMax
+		saturated = true
+	}
+	c.v, c.saturated = v, saturated
+}
 
 // Bank is a collection of named counters, as presented by the board's
 // console interface. Counter names are hierarchical with '.' separators,

@@ -23,9 +23,10 @@ func (r *RNG) Checkpoint(c *checkpoint.Codec) {
 }
 
 // Checkpointer is implemented by generators whose position in the
-// reference stream can be saved and restored. The splash kernels do not
-// implement it (their state lives in goroutine stacks); Host.Checkpoint
-// surfaces that as an error rather than writing a partial snapshot.
+// reference stream can be saved and restored. The splash kernels (plain
+// per-CPU state machines, see splash/fft.go) do not implement it;
+// Host.Checkpoint surfaces that as an error rather than writing a
+// partial snapshot.
 type Checkpointer interface {
 	Checkpoint(c *checkpoint.Codec) error
 }

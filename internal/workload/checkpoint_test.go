@@ -71,8 +71,8 @@ func TestGeneratorCheckpointContinuation(t *testing.T) {
 }
 
 // TestLimitedRejectsNonCheckpointable: a wrapper over a generator whose
-// position cannot be serialized (the goroutine-backed kernels) must
-// report it, not silently snapshot its own half.
+// position cannot be serialized (a splash kernel, say) must report it,
+// not silently snapshot its own half.
 func TestLimitedRejectsNonCheckpointable(t *testing.T) {
 	g := Limit(&fake{}, 10)
 	if _, err := checkpoint.Marshal(g.(Checkpointer).Checkpoint); err == nil {

@@ -317,10 +317,13 @@ func (s *Session) Run(n uint64) uint64 {
 }
 
 // Console returns a console bound to the session's board, writing replies
-// to w — the software equivalent of the paper's PC console. If EnableObs
-// has run, the console's metrics/watch/trace-on commands are wired up.
+// to w — the software equivalent of the paper's PC console. Its
+// checkpoint and restore commands are Checkpoint and Restore, so a
+// snapshot taken at the console is the session's. If EnableObs has run,
+// the console's metrics/watch/trace-on commands are wired up.
 func (s *Session) Console(w io.Writer) *console.Console {
 	c := console.New(s.Board, w)
+	c.SetCheckpoint(s.Checkpoint, s.Restore)
 	if s.obs != nil {
 		c.SetObs(s.obs.Registry, s.obs.Hub, s.Board.PublishObs)
 	}

@@ -28,9 +28,13 @@ func (s *Session) sessionFingerprint() string {
 
 // sections walks the whole session in either direction: meta
 // fingerprint, host state (workload position, RNG, private caches, bus),
-// board sections, and — when present — fault-injector and obs-registry
-// state. A plain session loads a snapshot taken by an obs-enabled twin
-// by ignoring the obs section, and an obs-enabled one a plain snapshot.
+// board sections, and — when present — fault-injector state. This is the
+// one list of what a session snapshot holds; the console's checkpoint
+// command writes it too. Observability adds nothing: every counter a
+// registry shows is the board's, mirrored, and travels in the board's
+// sections. Loading asks only for these sections, so a snapshot that
+// carries others (the obs.counters section older snapshots have) still
+// restores.
 func (s *Session) sections(a *checkpoint.Archive) (RestoreReport, error) {
 	if err := a.FixedStr("session.meta", "session configuration", s.sessionFingerprint()); err != nil {
 		return RestoreReport{}, err
@@ -44,11 +48,6 @@ func (s *Session) sections(a *checkpoint.Archive) (RestoreReport, error) {
 	}
 	if s.inj != nil {
 		if err := a.Section("faults.state", s.inj.Checkpoint); err != nil {
-			return rep, err
-		}
-	}
-	if s.obs != nil && a.Has("obs.counters") {
-		if err := a.Section("obs.counters", s.obs.Registry.Checkpoint); err != nil {
 			return rep, err
 		}
 	}

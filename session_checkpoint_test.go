@@ -8,8 +8,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"memories/internal/checkpoint"
 )
 
 // requireFileDigest pins the bytes Session.Checkpoint leaves on disk.
@@ -145,12 +148,13 @@ func TestSessionRestoreRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestSessionCheckpointSplashRejected: goroutine-backed kernels cannot
-// be snapshotted and must say so.
+// TestSessionCheckpointSplashRejected: the splash kernels do not
+// implement workload.Checkpointer, so a session running one cannot be
+// snapshotted and must say so.
 func TestSessionCheckpointSplashRejected(t *testing.T) {
-	gen := NewSplash("lu", "test", 4, 1)
+	gen := NewSplash("fft", "test", 4, 1)
 	if gen == nil {
-		t.Skip("no splash kernel available")
+		t.Fatal("no fft kernel")
 	}
 	s, err := NewSession(DefaultHostConfig(), SingleL3Board(8*MB, 4, 128), gen)
 	if err != nil {
@@ -162,9 +166,98 @@ func TestSessionCheckpointSplashRejected(t *testing.T) {
 	}
 }
 
-// An obs-enabled session carries its registry counters through the
-// snapshot: the sampler's own counters and board mirrors resume instead
-// of restarting from zero.
+// fileBytes reads a snapshot back for byte comparisons.
+func fileBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// requireSameCounters fails unless got's board counters equal want's.
+func requireSameCounters(t *testing.T, got, want *Session) {
+	t.Helper()
+	g := got.Board.Counters().Snapshot()
+	for name, v := range want.Board.Counters().Snapshot() {
+		if g[name] != v {
+			t.Fatalf("board counter %s = %d, want %d", name, g[name], v)
+		}
+	}
+}
+
+// The console's checkpoint command is Session.Checkpoint: it writes the
+// same bytes, and Session.Restore (like the console's own restore)
+// loads them into a fresh twin.
+func TestSessionConsoleCheckpointIsTheSessions(t *testing.T) {
+	dir := t.TempDir()
+	viaConsole, viaSession := filepath.Join(dir, "console.ckpt"), filepath.Join(dir, "session.ckpt")
+
+	s := testSession(t)
+	s.Run(20_000)
+	var out bytes.Buffer
+	if err := s.Console(&out).Execute("checkpoint " + viaConsole); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(viaSession); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fileBytes(t, viaConsole), fileBytes(t, viaSession)) {
+		t.Fatal("the console's snapshot differs from the session's")
+	}
+
+	resumed := testSession(t)
+	if _, err := resumed.Restore(viaConsole); err != nil {
+		t.Fatal(err)
+	}
+	requireSameCounters(t, resumed, s)
+	if got, want := resumed.Host.Stats(), s.Host.Stats(); got != want {
+		t.Fatalf("host stats = %+v, want %+v", got, want)
+	}
+
+	again := testSession(t)
+	out.Reset()
+	if err := again.Console(&out).Execute("restore " + viaSession); err != nil {
+		t.Fatal(err)
+	}
+	if want := "state restored from " + viaSession + "\n"; out.String() != want {
+		t.Fatalf("console restore printed %q, want %q", out.String(), want)
+	}
+	requireSameCounters(t, again, s)
+}
+
+// Observability adds nothing to a snapshot: an obs-enabled session and
+// its plain twin write byte-identical checkpoints, and each restores the
+// other's.
+func TestSessionCheckpointObsAddsNothing(t *testing.T) {
+	dir := t.TempDir()
+	plainPath, obsPath := filepath.Join(dir, "plain.ckpt"), filepath.Join(dir, "obs.ckpt")
+
+	plain := testSession(t)
+	observed := testSession(t)
+	var jsonl bytes.Buffer
+	h, err := observed.EnableObs("", time.Hour, &jsonl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	plain.Run(20_000)
+	observed.Run(20_000)
+	if err := plain.Checkpoint(plainPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := observed.Checkpoint(obsPath); err != nil {
+		t.Fatal(err)
+	}
+	if p, o := fileBytes(t, plainPath), fileBytes(t, obsPath); !bytes.Equal(p, o) {
+		t.Fatalf("obs-enabled snapshot (%d B) differs from its plain twin's (%d B)", len(o), len(p))
+	}
+}
+
+// An obs-enabled session's snapshot carries every counter its registry
+// shows: they are the board's, mirrored, and travel in the board's
+// sections. A restored obs-enabled twin publishes the same values.
 func TestSessionCheckpointCarriesObsCounters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "session.ckpt")
 
@@ -176,7 +269,6 @@ func TestSessionCheckpointCarriesObsCounters(t *testing.T) {
 	}
 	defer h.Close()
 	s.Run(20_000)
-	h.Registry.Counter("replay.ticks").Add(42)
 	if err := s.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}
@@ -191,45 +283,91 @@ func TestSessionCheckpointCarriesObsCounters(t *testing.T) {
 	if _, err := s2.Restore(path); err != nil {
 		t.Fatal(err)
 	}
+	requireSameCounters(t, s2, s)
 
-	// Registry-owned counters travel in the obs.counters section; board
-	// mirrors are derived from the (also restored) bank.
-	if got := h2.Registry.Counter("replay.ticks").Value(); got != 42 {
-		t.Fatalf("registry counter = %d, want 42 after restore", got)
+	h.Registry.Request()
+	h2.Registry.Request()
+	s.Board.PublishObs()
+	s2.Board.PublishObs()
+	want, got := h.Registry.Snapshot().Counters, h2.Registry.Snapshot().Counters
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("registry shows %d counters after restore, want %d (> 0)", len(got), len(want))
 	}
-	got := s2.Board.Counters().Snapshot()
-	for name, v := range s.Board.Counters().Snapshot() {
-		if got[name] != v {
-			t.Fatalf("board counter %s = %d, want %d", name, got[name], v)
+	for i, c := range want {
+		if !strings.HasPrefix(c.Name, "board.") {
+			t.Fatalf("registry counter %s is not a board mirror", c.Name)
+		}
+		if got[i] != c {
+			t.Fatalf("registry counter %s = %d after restore, want %d", got[i].Name, got[i].Value, c.Value)
 		}
 	}
 }
 
-// A plain session restores a snapshot taken by an obs-enabled twin by
-// ignoring the obs section, and vice versa (Has() guards the optional
-// section).
+// Snapshots written before observability stopped adding to them carry
+// an obs.counters section (registry-owned counters: a count, then name
+// and value pairs). Plain and obs-enabled sessions restore them alike by
+// ignoring that section, and re-save without it.
 func TestSessionRestoreWithoutObsIgnoresObsSection(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "session.ckpt")
+	dir := t.TempDir()
+	plainPath, oldPath := filepath.Join(dir, "plain.ckpt"), filepath.Join(dir, "old.ckpt")
 
 	s := testSession(t)
-	h, err := s.EnableObs("", time.Hour, io.Discard, nil)
+	s.Run(10_000)
+	if err := s.Checkpoint(plainPath); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.ReadFile(plainPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
-	s.Run(10_000)
-	if err := s.Checkpoint(path); err != nil {
+	obsCounters, err := checkpoint.Marshal(func(c *checkpoint.Codec) error {
+		n, name, v := uint32(1), "replay.ticks", uint64(42)
+		c.U32(&n)
+		c.Str(&name)
+		c.U64(&v)
+		return c.Err()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = checkpoint.WriteFileAtomic(oldPath, func(w *checkpoint.Writer) error {
+		for _, sec := range snap.Sections() {
+			if err := w.Section(sec.Name, sec.Payload); err != nil {
+				return err
+			}
+		}
+		return w.Section("obs.counters", obsCounters)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	plain := testSession(t)
-	if _, err := plain.Restore(path); err != nil {
+	if _, err := plain.Restore(oldPath); err != nil {
 		t.Fatal(err)
 	}
-	got := plain.Board.Counters().Snapshot()
-	for name, v := range s.Board.Counters().Snapshot() {
-		if got[name] != v {
-			t.Fatalf("board counter %s = %d, want %d after obs-to-plain restore", name, got[name], v)
+	requireSameCounters(t, plain, s)
+
+	observed := testSession(t)
+	h, err := observed.EnableObs("", time.Hour, io.Discard, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if _, err := observed.Restore(oldPath); err != nil {
+		t.Fatal(err)
+	}
+	requireSameCounters(t, observed, s)
+	for _, c := range h.Registry.Snapshot().Counters {
+		if c.Name == "replay.ticks" {
+			t.Fatal("the old obs.counters section was applied")
 		}
+	}
+	resaved := filepath.Join(dir, "resaved.ckpt")
+	if err := observed.Checkpoint(resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fileBytes(t, resaved), fileBytes(t, plainPath)) {
+		t.Fatal("re-saving an old snapshot did not drop its obs.counters section")
 	}
 }
