@@ -11,8 +11,10 @@
 # and a per-CPU wake alike — crosses (*cpu).schedule, (*cpu).syncClock
 # and the carry-to-clock helper (*cpu).accrue. The event heap's sift
 # loops compare with wheelEvent.less, and the per-CPU RunCycles loop
-# calls (*eventWheel).Peek once per event. Budgets belong to the
-# toolchain, so run this with the one the benchmark is measured with.
+# calls (*eventWheel).Peek once per event. The board probes
+# (*Tracer).Enabled and (*Mirror).Requested once per Snoop and once per
+# SnoopBatch, so an idle tracer or mirror costs one atomic load. Budgets belong to the toolchain, so run
+# this with the one the benchmark is measured with.
 set -e
 cd "$(dirname "$0")/.."
 leaves='(*Cache).TouchSet
@@ -29,9 +31,11 @@ leaves='(*Cache).TouchSet
 (*cpu).syncClock
 (*cpu).accrue
 wheelEvent.less
-(*eventWheel).Peek'
+(*eventWheel).Peek
+(*Tracer).Enabled
+(*Mirror).Requested'
 
-inlinable="$(go build -gcflags=-m ./internal/core ./internal/cache ./internal/stats ./internal/coherence ./internal/sdram ./internal/host 2>&1 |
+inlinable="$(go build -gcflags=-m ./internal/core ./internal/cache ./internal/stats ./internal/coherence ./internal/sdram ./internal/host ./internal/obs 2>&1 |
     sed -n 's/.*: can inline \([^ ]*\).*/\1/p' | sort -u)"
 missing="$(echo "$leaves" | grep -vxF "$inlinable" || true)"
 if [ -n "$missing" ]; then

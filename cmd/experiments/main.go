@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -138,7 +139,7 @@ func render(res *experiments.Result, csv bool) string {
 
 func main() { os.Exit(run()) }
 
-func run() int {
+func run() (code int) {
 	var (
 		runID    = flag.String("run", "", "experiment ID(s) to run, comma separated (default: all)")
 		scaleID  = flag.String("scale", "default", "scale preset: ci, default, paper")
@@ -230,29 +231,25 @@ func run() int {
 	if *obsAddr != "" || *obsJSONL != "" {
 		reg = obs.NewRegistry()
 		sampler := &obs.Sampler{Reg: reg, Interval: *obsIv}
+		var jsonl *os.File
 		if *obsJSONL != "" {
-			jsonl, err := os.Create(*obsJSONL)
-			if err != nil {
+			if jsonl, err = os.Create(*obsJSONL); err != nil {
 				return fail(err)
 			}
 			sampler.JSONL = jsonl
-			// The sampler's final snapshot lands in Stop; a truncated
-			// JSONL tail must fail the run, not vanish into a deferred
-			// close with its error ignored.
-			defer func() {
-				if err := jsonl.Sync(); err != nil {
-					fmt.Fprintln(os.Stderr, "experiments: obs-jsonl sync:", err)
-				}
-				if err := jsonl.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "experiments: obs-jsonl close:", err)
-				}
-			}()
 		}
 		sampler.Start()
+		// The sampler's final snapshot lands in Stop; a truncated JSONL
+		// tail must fail the run, not vanish into a deferred close with
+		// its error ignored.
 		defer func() {
 			sampler.Stop()
-			if err := sampler.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: obs-jsonl write:", err)
+			if jsonl == nil {
+				return
+			}
+			if err := errors.Join(sampler.Err(), jsonl.Sync(), jsonl.Close()); err != nil {
+				fmt.Fprintln(os.Stderr, "experiments: obs-jsonl:", err)
+				code = max(code, 1)
 			}
 		}()
 		if *obsAddr != "" {

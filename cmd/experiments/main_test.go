@@ -239,3 +239,16 @@ func TestJournalProtocolMismatch(t *testing.T) {
 		t.Fatal("journal from a mesi run loaded into a moesi run")
 	}
 }
+
+// A JSONL stream that could not be written in full fails the run: the
+// write error the sampler latched and the file's sync error are printed,
+// and the exit status is 1, not the experiments' 0.
+func TestObsJSONLWriteFailureFailsRun(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail the writes:", err)
+	}
+	code, errs := runCLIStderr(t, "-obs-jsonl", "/dev/full", "-run", "table1", "-scale", "ci", "-parallel", "1")
+	if code != 1 || !strings.Contains(errs, "obs-jsonl") || !strings.Contains(errs, "no space left on device") {
+		t.Fatalf("exit %d, stderr %q; want 1 and the JSONL write error", code, errs)
+	}
+}

@@ -88,19 +88,20 @@ func record(s *memories.Session, refs uint64, w io.Writer) error {
 		return err
 	}
 	var werr error
-	hub := obs.NewTraceHub(func(_ string, ev obs.Event) {
+	sink := func(ev obs.Event) {
 		if werr == nil {
 			werr = vw.Write(tracefile.Record{Addr: ev.Addr, Cmd: bus.Command(ev.Cmd), SrcID: ev.Src})
 		}
-	})
-	if err := s.Board.Observe(obs.NewRegistry(), hub, "board", ringDepth); err != nil {
+	}
+	if err := s.Board.Observe(obs.NewRegistry(), sink, "board", ringDepth); err != nil {
 		return err
 	}
-	hub.Enable(obs.Filter{})
+	tr := s.Board.Tracer()
+	tr.Enable(obs.Filter{})
 	for done := uint64(0); done < refs; done += chunkRefs {
 		n := min(chunkRefs, refs-done)
 		ran := s.Run(n)
-		hub.DrainOnce()
+		tr.Drain()
 		if werr != nil {
 			return werr
 		}

@@ -35,18 +35,19 @@ func recordTrace(t *testing.T, s *Session, refs, chunk uint64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := obs.NewTraceHub(func(_ string, ev obs.Event) {
+	sink := func(ev obs.Event) {
 		if err := w.Write(tracefile.Record{Addr: ev.Addr, Cmd: bus.Command(ev.Cmd), SrcID: ev.Src}); err != nil {
 			t.Error(err)
 		}
-	})
-	if err := s.Board.Observe(obs.NewRegistry(), hub, "board", int(2*chunk)); err != nil {
+	}
+	if err := s.Board.Observe(obs.NewRegistry(), sink, "board", int(2*chunk)); err != nil {
 		t.Fatal(err)
 	}
-	hub.Enable(obs.Filter{})
+	tr := s.Board.Tracer()
+	tr.Enable(obs.Filter{})
 	for done := uint64(0); done < refs; done += chunk {
 		s.Run(min(chunk, refs-done))
-		hub.DrainOnce()
+		tr.Drain()
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)

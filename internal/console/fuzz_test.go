@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzConsoleCommand throws arbitrary command lines at a fully wired
-// console (board + registry + trace hub): any input must either execute
+// console (board + registry + tracer): any input must either execute
 // or return an error — never panic, never corrupt the board.
 //
 // Some commands are skipped, not because they crash but because they are
@@ -58,12 +58,11 @@ func FuzzConsoleCommand(f *testing.F) {
 		}
 		b := testBoard(t)
 		reg := obs.NewRegistry()
-		hub := obs.NewTraceHub(nil)
-		if err := b.Observe(reg, hub, "board", 64); err != nil {
+		if err := b.Observe(reg, func(obs.Event) {}, "board", 64); err != nil {
 			t.Fatal(err)
 		}
 		c := New(b, io.Discard)
-		c.SetObs(reg, hub, b.PublishObs)
+		c.SetObs(reg, b.PublishObs)
 		_ = c.Execute(line) // errors are fine; panics are not
 		// The board must still work after whatever just happened.
 		feed(b, 4)

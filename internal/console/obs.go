@@ -12,15 +12,15 @@ import (
 
 // This file implements the console's live-observability commands:
 // `metrics`, `watch`, and the `trace on/off/status` controls for the
-// snoop event tracer. They bind to an obs.Registry/TraceHub via SetObs;
-// without it the commands report that observability is not attached
-// (the classic board's console could always read counters because it
-// WAS the sampler; here sampling is opt-in).
+// snoop event tracer. metrics and watch bind to an obs.Registry via
+// SetObs, and trace drives the board's own tracer (core.Board.Observe
+// builds it); without them the commands report that observability is not
+// attached (the classic board's console could always read counters
+// because it WAS the sampler; here sampling is opt-in).
 
 // obsBinding carries the console's view of the observability layer.
 type obsBinding struct {
 	reg *obs.Registry
-	hub *obs.TraceHub
 	// publish forces a fresh mirror publish at a quiesce point before a
 	// synchronous read, so `metrics` shows exact current values when the
 	// board is idle. May be nil when only live sampling is wanted.
@@ -31,8 +31,8 @@ type obsBinding struct {
 // non-nil, is invoked before each synchronous snapshot to force-refresh
 // mirror values (safe only when the board is quiescent, which holds for
 // the interactive console between `run` steps).
-func (c *Console) SetObs(reg *obs.Registry, hub *obs.TraceHub, publish func()) {
-	c.obs = &obsBinding{reg: reg, hub: hub, publish: publish}
+func (c *Console) SetObs(reg *obs.Registry, publish func()) {
+	c.obs = &obsBinding{reg: reg, publish: publish}
 }
 
 func (c *Console) snapshotNow() (*obs.Snapshot, error) {
@@ -117,15 +117,14 @@ func (c *Console) watch(args []string) error {
 	return nil
 }
 
-// trace handles `trace on|off|status`: control of the snoop event tracer
-// rings, the board's one trace recorder. The captured and dropped totals
-// are every board's trace.captured and trace.dropped counters in a fresh
-// registry snapshot.
+// trace handles `trace on|off|status`: control of the board's snoop
+// event tracer, its one trace recorder. The captured and dropped totals
+// are the board's trace.captured and trace.dropped counters.
 func (c *Console) trace(args []string) error {
-	if c.obs == nil || c.obs.hub == nil {
+	tr := c.board.Tracer()
+	if tr == nil {
 		return fmt.Errorf("snoop tracing not attached (start with -obs)")
 	}
-	hub := c.obs.hub
 	verb := ""
 	if len(args) > 0 {
 		verb = args[0]
@@ -136,37 +135,24 @@ func (c *Console) trace(args []string) error {
 		if err != nil {
 			return err
 		}
-		hub.Enable(f)
+		tr.Enable(f)
 		fmt.Fprintf(c.out, "snoop trace on: %s\n", f.String())
 		return nil
 	case "off":
-		hub.Disable()
+		tr.Disable()
 		fallthrough
 	case "status":
-		snap, err := c.snapshotNow()
-		if err != nil {
-			return err
-		}
 		state := "off"
-		if on, f := hub.Enabled(); on {
+		if tr.Enabled() {
+			f := tr.Filter()
 			state = "on (" + f.String() + ")"
 		}
+		bank := c.board.Counters()
 		fmt.Fprintf(c.out, "snoop trace %s: %d captured, %d dropped, %d drained\n",
-			state, sumSuffix(snap, ".trace.captured"), sumSuffix(snap, ".trace.dropped"), hub.Drained())
+			state, bank.Value("trace.captured"), bank.Value("trace.dropped"), tr.Drained())
 		return nil
 	}
 	return fmt.Errorf("usage: trace on [addr=<lo>:<hi>] [cpus=<a,b,...>] | trace off | trace status")
-}
-
-// sumSuffix adds up the snapshot's counters whose names end in suffix.
-func sumSuffix(snap *obs.Snapshot, suffix string) uint64 {
-	var n uint64
-	for _, c := range snap.Counters {
-		if strings.HasSuffix(c.Name, suffix) {
-			n += c.Value
-		}
-	}
-	return n
 }
 
 // parseTraceFilter parses `addr=<lo>:<hi>` (sizes accepted: 64KB:1MB)

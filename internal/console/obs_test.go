@@ -15,19 +15,18 @@ import (
 )
 
 // obsConsole builds a console whose board is attached to a fresh
-// registry + trace hub, with quiesce-point publishing — the same wiring
-// Session.Console uses when -obs is on.
+// registry and has a tracer, with quiesce-point publishing — the same
+// wiring Session.Console uses when -obs is on.
 func obsConsole(t *testing.T) (*core.Board, *bytes.Buffer, *Console) {
 	t.Helper()
 	b := testBoard(t)
 	reg := obs.NewRegistry()
-	hub := obs.NewTraceHub(nil)
-	if err := b.Observe(reg, hub, "board", 256); err != nil {
+	if err := b.Observe(reg, func(obs.Event) {}, "board", 256); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
 	c := New(b, &out)
-	c.SetObs(reg, hub, b.PublishObs)
+	c.SetObs(reg, b.PublishObs)
 	return b, &out, c
 }
 
@@ -153,7 +152,7 @@ func TestConsoleObsConcurrentReader(t *testing.T) {
 		}
 	}
 	c := New(testBoard(t), io.Discard)
-	c.SetObs(reg, nil, nil)
+	c.SetObs(reg, nil)
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup

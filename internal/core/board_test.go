@@ -381,11 +381,11 @@ func TestTraceCaptureMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := obs.NewTraceHub(nil)
-	if err := b.Observe(obs.NewRegistry(), hub, "board", 8); err != nil {
+	var evs []obs.Event
+	if err := b.Observe(obs.NewRegistry(), func(ev obs.Event) { evs = append(evs, ev) }, "board", 8); err != nil {
 		t.Fatal(err)
 	}
-	hub.Enable(obs.Filter{})
+	b.Tracer().Enable(obs.Filter{})
 	f := &feeder{board: b}
 	for i := 0; i < 12; i++ {
 		f.issue(bus.Read, uint64(i)*128, 0)
@@ -395,13 +395,12 @@ func TestTraceCaptureMode(t *testing.T) {
 	if b.Counters().Value("trace.captured") != 8 || b.Counters().Value("trace.dropped") != 4 {
 		t.Fatalf("capture counters: %s", b.Counters().Dump("trace"))
 	}
-	var evs []obs.Event
-	b.tracer.Drain(func(ev obs.Event) { evs = append(evs, ev) })
+	b.Tracer().Drain()
 	if len(evs) != 8 || evs[3].Addr != 3*128 || bus.Command(evs[3].Cmd) != bus.Read {
 		t.Fatalf("drained %d records, record 3 = %+v", len(evs), evs)
 	}
 	// What the filter passes over is neither stored nor dropped.
-	hub.Enable(obs.Filter{AddrHi: 128})
+	b.Tracer().Enable(obs.Filter{AddrHi: 128})
 	for i := 0; i < 3; i++ {
 		f.issue(bus.Read, uint64(i)*128, 0)
 	}

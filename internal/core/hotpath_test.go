@@ -211,11 +211,20 @@ func checkSameBoard(t testing.TB, label string, want, got *Board) {
 	}
 }
 
-// checkSameTrace requires two boards' tracers to have stored and dropped
-// the same number of records, every accepted transaction to be one or the
-// other (the tracers match everything), and the rings to drain the same
-// events in the same order.
-func checkSameTrace(t testing.TB, label string, want, got *Board) {
+// traceAll gives b an enabled tracer of depth records that matches every
+// transaction and drains into the returned slice.
+func traceAll(b *Board, depth int) *[]obs.Event {
+	evs := new([]obs.Event)
+	b.tracer = obs.NewTracer(depth, func(e obs.Event) { *evs = append(*evs, e) })
+	b.tracer.Enable(obs.Filter{})
+	return evs
+}
+
+// checkSameTrace requires two boards' tracers, built by traceAll, to have
+// stored and dropped the same number of records, every accepted
+// transaction to be one or the other, and the rings to drain the same
+// events in the same order into wantEvents and gotEvents.
+func checkSameTrace(t testing.TB, label string, want, got *Board, wantEvents, gotEvents *[]obs.Event) {
 	t.Helper()
 	wb, gb := want.Counters(), got.Counters()
 	captured, dropped := wb.Value("trace.captured"), wb.Value("trace.dropped")
@@ -225,15 +234,15 @@ func checkSameTrace(t testing.TB, label string, want, got *Board) {
 	if accepted := wb.Value("filter.accepted"); captured == 0 || captured+dropped != accepted {
 		t.Fatalf("%s: tracer captured %d, dropped %d of %d accepted", label, captured, dropped, accepted)
 	}
-	var wantEvents, gotEvents []obs.Event
-	want.tracer.Drain(func(e obs.Event) { wantEvents = append(wantEvents, e) })
-	got.tracer.Drain(func(e obs.Event) { gotEvents = append(gotEvents, e) })
-	if uint64(len(wantEvents)) != captured || len(gotEvents) != len(wantEvents) {
-		t.Fatalf("%s: drained %d tracer events, serial %d, captured %d", label, len(gotEvents), len(wantEvents), captured)
+	want.tracer.Drain()
+	got.tracer.Drain()
+	w, g := *wantEvents, *gotEvents
+	if uint64(len(w)) != captured || len(g) != len(w) {
+		t.Fatalf("%s: drained %d tracer events, serial %d, captured %d", label, len(g), len(w), captured)
 	}
-	for i := range gotEvents {
-		if gotEvents[i] != wantEvents[i] {
-			t.Fatalf("%s: tracer event %d = %+v, serial %+v", label, i, gotEvents[i], wantEvents[i])
+	for i := range g {
+		if g[i] != w[i] {
+			t.Fatalf("%s: tracer event %d = %+v, serial %+v", label, i, g[i], w[i])
 		}
 	}
 }
@@ -300,11 +309,9 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 			for _, batchSize := range []int{1, 7, lookAhead - 1, lookAhead, lookAhead + 1, 128, 2*lookAhead + 3, n} {
 				label := fmt.Sprintf("batch=%d", batchSize)
 				serial, batched := MustNewBoard(su.cfg()), MustNewBoard(su.cfg())
+				var serialTrace, batchedTrace *[]obs.Event
 				if su.tracer > 0 {
-					for _, b := range []*Board{serial, batched} {
-						b.tracer = obs.NewTracer(su.tracer)
-						b.tracer.Enable(obs.Filter{})
-					}
+					serialTrace, batchedTrace = traceAll(serial, su.tracer), traceAll(batched, su.tracer)
 				}
 				var serialEvents, events []drainEvent
 				recordDrains(serial, &serialEvents)
@@ -321,7 +328,7 @@ func TestSnoopBatchMatchesSerial(t *testing.T) {
 					}
 				}
 				if su.tracer > 0 {
-					checkSameTrace(t, label, serial, batched)
+					checkSameTrace(t, label, serial, batched, serialTrace, batchedTrace)
 				}
 				checkSameBoard(t, label, serial, batched)
 				if su.step == 1 && batched.Counters().Value("buffer.high-water") <= DefaultBufferDepth {

@@ -18,23 +18,24 @@ func (b *Board) PublishObs() {
 	}
 }
 
-// Observe attaches the board to a registry (and optionally a trace hub)
-// under the given name prefix: the board's entire counter bank appears
-// as "<prefix>.<counter>", and a tracer of traceDepth records (0 =
-// obs.DefaultTraceDepth) is registered with the hub when hub != nil. The
-// tracer is the board's trace-collection mode (§2.3); the bank's
-// trace.captured and trace.dropped count what it stores and loses. Must
-// be called before the board observes traffic.
-func (b *Board) Observe(reg *obs.Registry, hub *obs.TraceHub, prefix string, traceDepth int) error {
+// Observe attaches the board to a registry under the given name prefix:
+// the board's entire counter bank appears as "<prefix>.<counter>". When
+// sink != nil it also builds the board's tracer, a ring of traceDepth
+// records (0 = obs.DefaultTraceDepth) that drains into sink; Tracer
+// returns it. The tracer is the board's trace-collection mode (§2.3); the
+// bank's trace.captured and trace.dropped count what it stores and loses.
+// Must be called before the board observes traffic.
+func (b *Board) Observe(reg *obs.Registry, sink func(obs.Event), prefix string, traceDepth int) error {
 	m := obs.NewMirror(b.bank)
 	if err := reg.AttachMirror(prefix, m); err != nil {
 		return err
 	}
 	b.mirror = m
-	if hub != nil {
-		t := obs.NewTracer(traceDepth)
-		b.tracer = t
-		hub.Add(prefix, t)
+	if sink != nil {
+		b.tracer = obs.NewTracer(traceDepth, sink)
 	}
 	return nil
 }
+
+// Tracer returns the board's snoop tracer, or nil when Observe built none.
+func (b *Board) Tracer() *obs.Tracer { return b.tracer }

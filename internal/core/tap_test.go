@@ -55,6 +55,7 @@ func TestTapMatchesDirectAttach(t *testing.T) {
 			direct, tapped := bus.New(bus.DefaultConfig()), bus.New(bus.DefaultConfig())
 			var names []string
 			var want, got []*Board
+			var wantTrace, gotTrace []*[]obs.Event
 			for name, cfg := range cfgs {
 				names = append(names, name)
 				w, g := MustNewBoard(cfg()), MustNewBoard(cfg())
@@ -62,10 +63,7 @@ func TestTapMatchesDirectAttach(t *testing.T) {
 				if name == "shallow-tracer" {
 					depth = 1 << 12
 				}
-				for _, b := range []*Board{w, g} {
-					b.tracer = obs.NewTracer(depth)
-					b.tracer.Enable(obs.Filter{})
-				}
+				wantTrace, gotTrace = append(wantTrace, traceAll(w, depth)), append(gotTrace, traceAll(g, depth))
 				direct.Attach(w)
 				want, got = append(want, w), append(got, g)
 			}
@@ -106,7 +104,7 @@ func TestTapMatchesDirectAttach(t *testing.T) {
 				if retryEvery > 0 && want[i].Counters().Value("filter.rejected.retried") == 0 {
 					t.Fatalf("%s: the retrier withdrew nothing", name)
 				}
-				checkSameTrace(t, name, want[i], got[i])
+				checkSameTrace(t, name, want[i], got[i], wantTrace[i], gotTrace[i])
 			}
 		})
 	}

@@ -17,10 +17,14 @@ func TestFilterString(t *testing.T) {
 }
 
 func TestTracerFilterAccessor(t *testing.T) {
-	tr := NewTracer(8)
+	tr := NewTracer(8, func(Event) {})
+	if got := tr.Filter(); got != (Filter{}) {
+		t.Fatalf("filter before Enable = %+v, want the zero filter", got)
+	}
 	f := Filter{AddrLo: 64, AddrHi: 128}
 	tr.Enable(f)
-	if got := *tr.filter.Load(); got != f {
+	tr.Disable()
+	if got := tr.Filter(); got != f {
 		t.Fatalf("filter = %+v, want %+v", got, f)
 	}
 }
@@ -32,42 +36,6 @@ func TestHistogramCountSum(t *testing.T) {
 	h.Observe(500)
 	if v := h.view("h"); v.Count != 3 || v.Sum != 555 {
 		t.Fatalf("view = %+v, want count 3, sum 555", v)
-	}
-}
-
-// TestTraceHubEnabledAndTotals: Enable reaches every tracer and reports
-// its filter, and DrainOnce hands the sink each stored record under its
-// tracer's name and totals them in Drained; what a full ring lost never
-// reaches the sink.
-func TestTraceHubEnabledAndTotals(t *testing.T) {
-	perBoard := map[string]int{}
-	h := NewTraceHub(func(board string, _ Event) { perBoard[board]++ })
-	a, b := NewTracer(4), NewTracer(4)
-	h.Add("a", a)
-	h.Add("b", b)
-	if on, _ := h.Enabled(); on {
-		t.Fatal("hub enabled before Enable")
-	}
-	f := Filter{AddrHi: 1 << 20}
-	h.Enable(f)
-	on, got := h.Enabled()
-	if !on || got != f {
-		t.Fatalf("Enabled() = %v, %+v", on, got)
-	}
-	a.Record(1, 0, 0, 0)
-	a.Record(2, 64, 0, 0)
-	// Overflow b's 4-slot ring.
-	dropped := 0
-	for i := 0; i < 10; i++ {
-		if _, stored := b.Record(uint64(3+i), 0, 0, 0); !stored {
-			dropped++
-		}
-	}
-	if n := h.DrainOnce(); n != 6 || h.Drained() != 6 {
-		t.Fatalf("DrainOnce() = %d, Drained() = %d; want 6", n, h.Drained())
-	}
-	if perBoard["a"] != 2 || perBoard["b"] != 4 || dropped != 6 {
-		t.Fatalf("sink saw %v with %d dropped; want a:2 b:4 and 6 dropped", perBoard, dropped)
 	}
 }
 

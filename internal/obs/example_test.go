@@ -37,9 +37,11 @@ func ExampleRegistry() {
 }
 
 // ExampleTracer records two bus transactions through an address-range
-// filter and drains them as decoded events.
+// filter and drains them into its sink as decoded events.
 func ExampleTracer() {
-	tr := obs.NewTracer(16)
+	tr := obs.NewTracer(16, func(ev obs.Event) {
+		fmt.Printf("cycle=%d addr=%#x cmd=%d src=%d\n", ev.Cycle, ev.Addr, ev.Cmd, ev.Src)
+	})
 	var f obs.Filter
 	f.AddrLo, f.AddrHi = 0x1000, 0x2000
 	tr.Enable(f)
@@ -47,9 +49,7 @@ func ExampleTracer() {
 	fmt.Println(tr.Record(100, 0x1440, 2, 1)) // inside the window: stored
 	fmt.Println(tr.Record(148, 0x8000, 2, 1)) // outside: filtered out
 
-	tr.Drain(func(ev obs.Event) {
-		fmt.Printf("cycle=%d addr=%#x cmd=%d src=%d\n", ev.Cycle, ev.Addr, ev.Cmd, ev.Src)
-	})
+	tr.Drain()
 	// Output:
 	// true true
 	// false false

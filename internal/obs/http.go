@@ -17,7 +17,6 @@ import (
 // Every scrape requests fresh mirror publishes first, then snapshots,
 // so values are at most one owner safe-point old.
 type Server struct {
-	reg *Registry
 	ln  net.Listener
 	srv *http.Server
 }
@@ -38,7 +37,6 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 		_, _ = w.Write([]byte("ok\n"))
 	})
 	s := &Server{
-		reg: reg,
 		ln:  ln,
 		srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
 	}

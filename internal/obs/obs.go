@@ -10,9 +10,9 @@
 //     nodes0.read.miss", "board0.filter.accepted") alongside typed
 //     gauges, counters, and histograms, with deterministic snapshots
 //     rendered as JSON lines and Prometheus text;
-//   - a lock-free snoop event Tracer (per-board single-producer rings of
-//     packed transaction records, drained asynchronously by a TraceHub),
-//     enabled per address range or CPU mask;
+//   - a lock-free snoop event Tracer (one single-producer ring of packed
+//     transaction records per board, drained asynchronously into the sink
+//     it was built with), enabled per address range or CPU mask;
 //   - a Sampler goroutine producing periodic snapshots, plus an opt-in
 //     HTTP endpoint (Serve) exposing /metrics and /metrics.json.
 //

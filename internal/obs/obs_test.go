@@ -136,7 +136,8 @@ func TestSnapshotDumpSortedAndFiltered(t *testing.T) {
 }
 
 func TestTracerRecordDrain(t *testing.T) {
-	tr := NewTracer(8)
+	var got []Event
+	tr := NewTracer(8, func(ev Event) { got = append(got, ev) })
 	if tr.Enabled() {
 		t.Fatal("new tracer enabled")
 	}
@@ -146,9 +147,8 @@ func TestTracerRecordDrain(t *testing.T) {
 			t.Fatalf("Record(%+v) = %v, %v; want stored", ev, matched, stored)
 		}
 	}
-	var got []Event
-	n := tr.Drain(func(ev Event) { got = append(got, ev) })
-	if n != 2 || len(got) != 2 {
+	n := tr.Drain()
+	if n != 2 || len(got) != 2 || tr.Drained() != 2 {
 		t.Fatalf("drained %d", n)
 	}
 	want0 := Event{Cycle: 100, Addr: 0x1000, Cmd: 2, Src: 3}
@@ -161,7 +161,7 @@ func TestTracerRecordDrain(t *testing.T) {
 }
 
 func TestTracerDropsWhenFull(t *testing.T) {
-	tr := NewTracer(2) // 2 slots
+	tr := NewTracer(2, func(Event) {}) // 2 slots
 	tr.Enable(Filter{})
 	for i := 0; i < 5; i++ {
 		matched, stored := tr.Record(uint64(i), uint64(i)*64, 0, 0)
@@ -170,7 +170,7 @@ func TestTracerDropsWhenFull(t *testing.T) {
 		}
 	}
 	// Draining frees slots for subsequent records.
-	if n := tr.Drain(func(Event) {}); n != 2 {
+	if n := tr.Drain(); n != 2 {
 		t.Fatalf("drained %d, want the 2 stored", n)
 	}
 	if _, stored := tr.Record(9, 9*64, 0, 0); !stored {
@@ -179,7 +179,7 @@ func TestTracerDropsWhenFull(t *testing.T) {
 }
 
 func TestTracerFilter(t *testing.T) {
-	tr := NewTracer(16)
+	tr := NewTracer(16, func(Event) {})
 	var f Filter
 	f.AddrLo, f.AddrHi = 0x1000, 0x2000
 	f.CPUs.Set(3)
@@ -197,11 +197,11 @@ func TestTracerFilter(t *testing.T) {
 			t.Fatalf("Record(%#x, src %d) = %v, %v; want %v", c.addr, c.src, matched, stored, c.match)
 		}
 	}
-	if n := tr.Drain(func(Event) {}); n != 1 {
+	if n := tr.Drain(); n != 1 {
 		t.Fatalf("drained %d, want 1", n)
 	}
 	// Zero mask matches all CPUs; AddrHi 0 disables the range.
-	tr2 := NewTracer(16)
+	tr2 := NewTracer(16, func(Event) {})
 	tr2.Enable(Filter{})
 	if _, stored := tr2.Record(1, 0xdead_beef, 0, 200); !stored {
 		t.Fatal("zero filter rejected a record")
@@ -209,7 +209,11 @@ func TestTracerFilter(t *testing.T) {
 }
 
 func TestTracerSPSCConcurrent(t *testing.T) {
-	tr := NewTracer(64)
+	tr := NewTracer(64, func(ev Event) {
+		if ev.Addr != ev.Cycle*64 {
+			t.Errorf("torn record: %+v", ev)
+		}
+	})
 	tr.Enable(Filter{})
 	const total = 20_000
 	var drained int
@@ -217,11 +221,7 @@ func TestTracerSPSCConcurrent(t *testing.T) {
 	go func() {
 		defer close(done)
 		for drained < total {
-			n := tr.Drain(func(ev Event) {
-				if ev.Addr != ev.Cycle*64 {
-					t.Errorf("torn record: %+v", ev)
-				}
-			})
+			n := tr.Drain()
 			drained += n
 			if n == 0 {
 				runtime.Gosched()
@@ -245,38 +245,23 @@ func TestTracerSPSCConcurrent(t *testing.T) {
 	}
 }
 
-func TestTraceHubDrainFormat(t *testing.T) {
+// TestTracerDrainFormat: Drain hands the sink each record as an Event and
+// counts it in Drained; Disable stops the recording, not the draining.
+func TestTracerDrainFormat(t *testing.T) {
 	var buf bytes.Buffer
-	h := NewTraceHub(func(board string, ev Event) {
-		fmt.Fprintf(&buf, "%s %+v\n", board, ev)
-	})
-	tr := NewTracer(8)
-	h.Add("shard0", tr)
-	h.Enable(Filter{})
-	if !tr.Enabled() {
-		t.Fatal("hub enable did not reach the tracer")
-	}
+	tr := NewTracer(8, func(ev Event) { fmt.Fprintf(&buf, "%+v\n", ev) })
+	tr.Enable(Filter{})
 	tr.Record(10, 0x40, 2, 1)
-	if n := h.DrainOnce(); n != 1 {
+	tr.Disable()
+	if n := tr.Drain(); n != 1 {
 		t.Fatalf("drained %d", n)
 	}
-	want := "shard0 {Cycle:10 Addr:64 Cmd:2 Src:1}\n"
+	want := "{Cycle:10 Addr:64 Cmd:2 Src:1}\n"
 	if buf.String() != want {
 		t.Fatalf("line = %q, want %q", buf.String(), want)
 	}
-	if h.Drained() != 1 {
-		t.Fatalf("hub drained counter %d", h.Drained())
-	}
-	h.Disable()
-	if tr.Enabled() {
-		t.Fatal("hub disable did not reach the tracer")
-	}
-	// A tracer added while tracing is on inherits the filter.
-	h.Enable(Filter{})
-	late := NewTracer(8)
-	h.Add("late", late)
-	if !late.Enabled() {
-		t.Fatal("late tracer not enabled")
+	if tr.Drained() != 1 {
+		t.Fatalf("drained counter %d", tr.Drained())
 	}
 }
 
@@ -324,20 +309,18 @@ func TestSamplerStartStop(t *testing.T) {
 	}
 }
 
-// TestSamplerDrainsTraceHub: the sampler is the hub's drainer. A record
+// TestSamplerDrainsTracer: the sampler is the tracer's drainer. A record
 // in the ring reaches the sink while the sampler runs, and one recorded
 // just before Stop is flushed by Stop's final tick.
-func TestSamplerDrainsTraceHub(t *testing.T) {
+func TestSamplerDrainsTracer(t *testing.T) {
 	var addrs []uint64 // appended by the sampler goroutine only until Stop returns
-	h := NewTraceHub(func(_ string, ev Event) { addrs = append(addrs, ev.Addr) })
-	tr := NewTracer(64)
-	h.Add("s", tr)
-	h.Enable(Filter{})
+	tr := NewTracer(64, func(ev Event) { addrs = append(addrs, ev.Addr) })
+	tr.Enable(Filter{})
 	tr.Record(1, 64, 0, 0)
-	s := &Sampler{Reg: NewRegistry(), Interval: time.Millisecond, Hub: h}
+	s := &Sampler{Reg: NewRegistry(), Interval: time.Millisecond, Trace: tr}
 	s.Start()
 	deadline := time.Now().Add(5 * time.Second)
-	for h.Drained() == 0 {
+	for tr.Drained() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("sampler never drained the record")
 		}
@@ -345,8 +328,8 @@ func TestSamplerDrainsTraceHub(t *testing.T) {
 	}
 	tr.Record(2, 128, 0, 0)
 	s.Stop()
-	if h.Drained() != 2 {
-		t.Fatalf("Drained() = %d after stop, want 2", h.Drained())
+	if tr.Drained() != 2 {
+		t.Fatalf("Drained() = %d after stop, want 2", tr.Drained())
 	}
 	if len(addrs) != 2 || addrs[1] != 128 {
 		t.Fatalf("sink saw addresses %v, want the final drain's 128 second", addrs)

@@ -17,9 +17,9 @@ type Sampler struct {
 	Interval time.Duration
 	// JSONL, when non-nil, receives one JSON object per snapshot.
 	JSONL io.Writer
-	// Hub, when non-nil, is drained before each snapshot so trace
+	// Trace, when non-nil, is drained before each snapshot so trace
 	// output interleaves with metric samples in arrival order.
-	Hub *TraceHub
+	Trace *Tracer
 
 	mu   sync.Mutex
 	stop chan struct{}
@@ -30,7 +30,7 @@ type Sampler struct {
 }
 
 // Tick performs one sampling step synchronously: request publishes,
-// give owners a moment to service them by draining the hub, snapshot,
+// give owners a moment to service them by draining the tracer, snapshot,
 // and emit. Returns the snapshot.
 //
 // Note the request→snapshot ordering: a Tick observes values from each
@@ -39,8 +39,8 @@ type Sampler struct {
 // hardware console did.
 func (s *Sampler) Tick() *Snapshot {
 	s.Reg.Request()
-	if s.Hub != nil {
-		s.Hub.DrainOnce()
+	if s.Trace != nil {
+		s.Trace.Drain()
 	}
 	snap := s.Reg.Snapshot()
 	if s.JSONL != nil {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -78,8 +77,10 @@ func (f *Filter) String() string {
 }
 
 // Tracer is a lock-free single-producer/single-consumer ring of packed
-// snoop records. The producer is the goroutine that owns one board; the
-// consumer is the one caller of TraceHub.DrainOnce at a time. When
+// snoop records, and the one trace state of the board it is attached to:
+// whether it records, through which filter, and where its records go. The
+// producer is the goroutine that owns the board; the consumer is the one
+// caller of Drain at a time, which hands each record to the sink. When
 // disabled it costs the producer one inlinable atomic load; it never
 // allocates.
 //
@@ -89,19 +90,22 @@ func (f *Filter) String() string {
 type Tracer struct {
 	buf  []uint64 // 2 words per slot
 	mask uint64   // slots-1 (slots is a power of two)
+	sink func(Event)
 
 	head    atomic.Uint64 // next slot the consumer will read
 	tail    atomic.Uint64 // next slot the producer will write
 	enabled atomic.Bool
 	filter  atomic.Pointer[Filter]
+	drained atomic.Uint64
 }
 
 // DefaultTraceDepth is the per-board ring capacity in records.
 const DefaultTraceDepth = 1 << 14
 
 // NewTracer builds a tracer with capacity rounded up to a power of two
-// (minimum 2; 0 selects DefaultTraceDepth). It starts disabled.
-func NewTracer(capacity int) *Tracer {
+// (minimum 2; 0 selects DefaultTraceDepth) that drains into sink, which
+// must be non-nil. It starts disabled.
+func NewTracer(capacity int, sink func(Event)) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceDepth
 	}
@@ -109,7 +113,7 @@ func NewTracer(capacity int) *Tracer {
 	for slots < capacity {
 		slots <<= 1
 	}
-	t := &Tracer{buf: make([]uint64, 2*slots), mask: uint64(slots - 1)}
+	t := &Tracer{buf: make([]uint64, 2*slots), mask: uint64(slots - 1), sink: sink}
 	t.filter.Store(&Filter{})
 	return t
 }
@@ -126,6 +130,9 @@ func (t *Tracer) Enable(f Filter) {
 
 // Disable stops recording. Already-buffered records remain drainable.
 func (t *Tracer) Disable() { t.enabled.Store(false) }
+
+// Filter returns the filter Enable last set (the zero Filter before).
+func (t *Tracer) Filter() Filter { return *t.filter.Load() }
 
 // Record writes one transaction that matches the filter, reporting
 // whether it matched and, if so, whether the ring had room for it: a full
@@ -147,16 +154,16 @@ func (t *Tracer) Record(cycle, a uint64, cmd, src uint8) (matched, stored bool) 
 	return true, true
 }
 
-// Drain consumes every buffered record, calling fn for each in record
-// order. Consumer goroutine only. Returns the number drained.
-func (t *Tracer) Drain(fn func(Event)) int {
+// Drain hands every buffered record to the sink in record order.
+// Consumer goroutine only. Returns the number drained.
+func (t *Tracer) Drain() int {
 	head := t.head.Load()
 	tail := t.tail.Load() // acquire: slots [head,tail) are fully written
 	n := 0
 	for ; head != tail; head++ {
 		i := (head & t.mask) * 2
 		w1 := t.buf[i+1]
-		fn(Event{
+		t.sink(Event{
 			Addr:  t.buf[i],
 			Cycle: w1 >> 16,
 			Cmd:   uint8(w1 >> 8),
@@ -165,90 +172,9 @@ func (t *Tracer) Drain(fn func(Event)) int {
 		n++
 		t.head.Store(head + 1) // frees the slot for the producer
 	}
+	t.drained.Add(uint64(n))
 	return n
 }
 
-// TraceHub aggregates the tracers of one or more boards and hands
-// drained events to a record sink. All methods are safe for concurrent
-// use except DrainOnce, which has one caller at a time: the tracer rings
-// are single-consumer, and whoever drains them (the Sampler's Tick, or a
-// recorder between runs) is that consumer.
-type TraceHub struct {
-	mu      sync.Mutex
-	names   []string
-	tracers []*Tracer
-	sink    func(board string, ev Event)
-
-	on      bool
-	filter  Filter
-	drained *Counter
-}
-
-// NewTraceHub returns a hub passing drained events to sink, with the name
-// the event's board was added under (nil discards them but still counts).
-func NewTraceHub(sink func(board string, ev Event)) *TraceHub {
-	return &TraceHub{sink: sink, drained: &Counter{}}
-}
-
-// Add registers one tracer under a name passed to the sink with each of
-// its events. Tracers added while tracing is on inherit the active filter.
-func (h *TraceHub) Add(name string, t *Tracer) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.names = append(h.names, name)
-	h.tracers = append(h.tracers, t)
-	if h.on {
-		t.Enable(h.filter)
-	}
-}
-
-// Enable turns tracing on for every registered tracer.
-func (h *TraceHub) Enable(f Filter) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.on, h.filter = true, f
-	for _, t := range h.tracers {
-		t.Enable(f)
-	}
-}
-
-// Disable turns tracing off; buffered records remain drainable.
-func (h *TraceHub) Disable() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.on = false
-	for _, t := range h.tracers {
-		t.Disable()
-	}
-}
-
-// Enabled reports whether tracing is on, with the active filter.
-func (h *TraceHub) Enabled() (bool, Filter) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.on, h.filter
-}
-
-// Drained returns the total number of events drained to the sink.
-func (h *TraceHub) Drained() uint64 { return h.drained.Value() }
-
-// DrainOnce drains every tracer once, passing each event to the sink in
-// record order, tracer by tracer. Returns the number of events drained.
-func (h *TraceHub) DrainOnce() int {
-	h.mu.Lock()
-	names := append([]string(nil), h.names...)
-	tracers := append([]*Tracer(nil), h.tracers...)
-	sink := h.sink
-	h.mu.Unlock()
-	n := 0
-	for i, t := range tracers {
-		name := names[i]
-		n += t.Drain(func(ev Event) {
-			if sink != nil {
-				sink(name, ev)
-			}
-		})
-	}
-	h.drained.Add(uint64(n))
-	return n
-}
+// Drained returns the total number of records handed to the sink.
+func (t *Tracer) Drained() uint64 { return t.drained.Load() }

@@ -325,17 +325,17 @@ func (s *Session) Console(w io.Writer) *console.Console {
 	c := console.New(s.Board, w)
 	c.SetCheckpoint(s.Checkpoint, s.Restore)
 	if s.obs != nil {
-		c.SetObs(s.obs.Registry, s.obs.Hub, s.Board.PublishObs)
+		c.SetObs(s.obs.Registry, s.Board.PublishObs)
 	}
 	return c
 }
 
 // ObsHandle bundles a session's live-observability plumbing: the metrics
-// registry the board's counters are mirrored into, the snoop-trace hub,
-// the periodic sampler, and the optional HTTP export endpoint.
+// registry the board's counters are mirrored into, the periodic sampler
+// (which drains the board's snoop tracer, Session.Board.Tracer()), and the
+// optional HTTP export endpoint.
 type ObsHandle struct {
 	Registry *obs.Registry
-	Hub      *obs.TraceHub
 	Sampler  *obs.Sampler
 	Server   *obs.Server
 }
@@ -364,21 +364,19 @@ func (h *ObsHandle) Close() error {
 // rings' one drainer, starts immediately; Close the handle when done.
 func (s *Session) EnableObs(httpAddr string, interval time.Duration, jsonl, traceSink io.Writer) (*ObsHandle, error) {
 	reg := obs.NewRegistry()
-	var sink func(string, obs.Event)
+	sink := func(obs.Event) {}
 	if traceSink != nil {
-		sink = func(board string, ev obs.Event) {
-			fmt.Fprintf(traceSink, "trace %s cycle=%d cmd=%s src=%d addr=%#x\n",
-				board, ev.Cycle, bus.Command(ev.Cmd), ev.Src, ev.Addr)
+		sink = func(ev obs.Event) {
+			fmt.Fprintf(traceSink, "trace board cycle=%d cmd=%s src=%d addr=%#x\n",
+				ev.Cycle, bus.Command(ev.Cmd), ev.Src, ev.Addr)
 		}
 	}
-	hub := obs.NewTraceHub(sink)
-	if err := s.Board.Observe(reg, hub, "board", 0); err != nil {
+	if err := s.Board.Observe(reg, sink, "board", 0); err != nil {
 		return nil, err
 	}
 	h := &ObsHandle{
 		Registry: reg,
-		Hub:      hub,
-		Sampler:  &obs.Sampler{Reg: reg, Interval: interval, JSONL: jsonl, Hub: hub},
+		Sampler:  &obs.Sampler{Reg: reg, Interval: interval, JSONL: jsonl, Trace: s.Board.Tracer()},
 	}
 	if httpAddr != "" {
 		srv, err := obs.Serve(httpAddr, reg)

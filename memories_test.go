@@ -142,7 +142,7 @@ func TestObsTraceSingleDrainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Hub.Enable(obs.Filter{})
+	s.Board.Tracer().Enable(obs.Filter{})
 	s.Run(150_000)
 	s.Board.Flush()
 	if err := h.Close(); err != nil {

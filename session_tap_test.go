@@ -86,15 +86,14 @@ func tapDepth(name string) int {
 // tapObs attaches the session's board to its own registry and an enabled
 // tracer of the given depth, draining one line per record into the
 // returned buffer.
-func tapObs(t *testing.T, s *Session, depth int) (*obs.Registry, *obs.TraceHub, *bytes.Buffer) {
+func tapObs(t *testing.T, s *Session, depth int) (*obs.Registry, *bytes.Buffer) {
 	t.Helper()
 	reg, sink := obs.NewRegistry(), &bytes.Buffer{}
-	hub := obs.NewTraceHub(func(board string, ev obs.Event) { fmt.Fprintf(sink, "%s %+v\n", board, ev) })
-	if err := s.Board.Observe(reg, hub, "board", depth); err != nil {
+	if err := s.Board.Observe(reg, func(ev obs.Event) { fmt.Fprintf(sink, "%+v\n", ev) }, "board", depth); err != nil {
 		t.Fatal(err)
 	}
-	hub.Enable(obs.Filter{})
-	return reg, hub, sink
+	s.Board.Tracer().Enable(obs.Filter{})
+	return reg, sink
 }
 
 // checkpointBytes writes the session's checkpoint and returns its bytes.
@@ -146,8 +145,8 @@ func TestSessionTapMatchesDirectAttach(t *testing.T) {
 				t.Fatal("NewSession attached the board directly")
 			}
 			twin := directTwin(t, tapHost(), bcfg, tapGen())
-			reg, hub, sink := tapObs(t, s, tapDepth(name))
-			twinReg, twinHub, twinSink := tapObs(t, twin, tapDepth(name))
+			reg, sink := tapObs(t, s, tapDepth(name))
+			twinReg, twinSink := tapObs(t, twin, tapDepth(name))
 			traced := uint64(0)
 			for _, n := range []uint64{1, 4095, 4096, 4097, 100_000} {
 				label := fmt.Sprintf("%s after Run(%d)", name, n)
@@ -155,8 +154,8 @@ func TestSessionTapMatchesDirectAttach(t *testing.T) {
 					t.Fatalf("%s: ran %d, direct %d", label, got, want)
 				}
 				checkSameBank(t, label, twin.Board, s.Board)
-				hub.DrainOnce()
-				twinHub.DrainOnce()
+				s.Board.Tracer().Drain()
+				twin.Board.Tracer().Drain()
 				if !bytes.Equal(sink.Bytes(), twinSink.Bytes()) {
 					t.Fatalf("%s: tracer records differ (%d bytes, direct %d)", label, sink.Len(), twinSink.Len())
 				}
