@@ -146,5 +146,14 @@ reachable:
 inline:
 	sh ci/check-inline.sh
 
+# The prefetch hint (internal/prefetch) is assembly on amd64 and arm64
+# and a pure-Go no-op elsewhere: build the fallback for a GOARCH without
+# assembly, and vet the arm64 file's frame declarations (asmdecl) from
+# any machine. The macOS CI legs run the arm64 assembly under test.
+.PHONY: cross
+cross:
+	GOARCH=386 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/prefetch
+
 .PHONY: ci
-ci: fmt vet build reachable inline race race-ingest race-tap experiments fuzz-seeds cover-check
+ci: fmt vet build cross reachable inline race race-ingest race-tap experiments fuzz-seeds cover-check

@@ -13,11 +13,17 @@
 # loops compare with wheelEvent.less, and the per-CPU RunCycles loop
 # calls (*eventWheel).Peek once per event. The board probes
 # (*Tracer).Enabled and (*Mirror).Requested once per Snoop and once per
-# SnoopBatch, so an idle tracer or mirror costs one atomic load. Budgets belong to the toolchain, so run
-# this with the one the benchmark is measured with.
+# SnoopBatch, so an idle tracer or mirror costs one atomic load. The
+# merged-stream host's look-ahead hints each reference's coherence-cache
+# set and presence rows through (*Cache).Hint and (*presence).hint; each
+# must stay a single call of internal/prefetch's assembly. Budgets belong
+# to the toolchain, so run this with the one the benchmark is measured
+# with.
 set -e
 cd "$(dirname "$0")/.."
 leaves='(*Cache).TouchSet
+(*Cache).Hint
+(*presence).hint
 (*Cache).Find
 (*Cache).Probe
 (*Cache).AccessSlot

@@ -3,8 +3,10 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"memories/internal/addr"
+	"memories/internal/prefetch"
 	"memories/internal/sdram"
 )
 
@@ -270,6 +272,13 @@ func (c *Cache) FindIn(set int64, tag uint64) (slot int64, state uint8) {
 func (c *Cache) TouchSet(set int64) uint64 {
 	base := set * int64(c.geom.Assoc)
 	return uint64(c.words[base]) ^ uint64(c.words[base+int64(c.geom.Assoc)-1])
+}
+
+// Hint issues a prefetch hint for the first word of the set that holds
+// a's line: a look-ahead that, unlike TouchSet's loads, retires at once
+// and so never stalls the caller behind its own miss. It changes nothing.
+func (c *Cache) Hint(a uint64) {
+	prefetch.Line(unsafe.Pointer(&c.words[int64(a>>c.offBits&c.setMask)*int64(c.geom.Assoc)]))
 }
 
 // Probe looks a line up without modifying replacement state. It returns

@@ -205,9 +205,10 @@ type Host struct {
 	// cycles: one CPU's in per-CPU mode, divided among NumCPUs in a
 	// merged-stream host, whose CPUs all run on the bus's clock.
 	cyclesPerInstr float64
-	idleCarry      float64 // merged mode: the CPUs' shared fractional carry
-	ioAddr         uint64  // merged mode: the shared I/O register cursor
-	err            error   // terminal condition; see Err
+	idleCarry      float64        // merged mode: the CPUs' shared fractional carry
+	ioAddr         uint64         // merged mode: the shared I/O register cursor
+	ahead          []workload.Ref // merged mode: Run's window of drawn references
+	err            error          // terminal condition; see Err
 
 	// Discrete-event state (per-CPU mode only; see percpu.go).
 	perCPU bool
@@ -230,6 +231,7 @@ func New(cfg Config, gen workload.Generator) (*Host, error) {
 		return nil, err
 	}
 	h.cyclesPerInstr /= float64(cfg.NumCPUs)
+	h.ahead = make([]workload.Ref, 0, aheadWindow)
 	h.attach(h.cpus)
 	return h, nil
 }
@@ -325,15 +327,29 @@ func (h *Host) Step() bool {
 	}
 	ref, ok := h.gen.Next()
 	if !ok {
-		if h.err == nil {
-			if er, ok := h.gen.(workload.ErrReporter); ok && er.Err() != nil {
-				h.err = fmt.Errorf("host: workload %q: %w", h.gen.Name(), er.Err())
-			} else {
-				h.err = ErrExhausted
-			}
-		}
+		h.ended()
 		return false
 	}
+	h.exec(ref)
+	return true
+}
+
+// ended records why the merged stream stopped, once: the generator's
+// error when it reports one, ErrExhausted otherwise.
+func (h *Host) ended() {
+	if h.err != nil {
+		return
+	}
+	if er, ok := h.gen.(workload.ErrReporter); ok && er.Err() != nil {
+		h.err = fmt.Errorf("host: workload %q: %w", h.gen.Name(), er.Err())
+	} else {
+		h.err = ErrExhausted
+	}
+}
+
+// exec runs one merged-stream reference: the per-reference body of Step
+// and of Run.
+func (h *Host) exec(ref workload.Ref) {
 	h.stats.Refs++
 	h.stats.Instructions += ref.Instrs
 
@@ -356,14 +372,32 @@ func (h *Host) Step() bool {
 	}
 	h.idleCarry = c.carry
 	h.bus.AdvanceTo(c.clock)
-	return true
 }
+
+// The merged-stream Run's look-ahead (DESIGN.md §4e, "Look-ahead with a
+// prefetch hint"): it draws up to aheadWindow references at a time and,
+// hintAhead references before each runs, hints the two lines that
+// reference reads first and that are least likely to be cached — its
+// coherence-cache set and its presence rows. On a 2-vCPU x86-64 box the
+// 8-way TPC-C host ran 1.32× as fast (median of ten alternating pairs,
+// ten of ten won) as running each reference as it is drawn; 4 and 32
+// ahead were slower than 12.
+const (
+	hintAhead   = 12
+	aheadWindow = 4 << 10 // 128 KiB of workload.Ref
+)
 
 // Run processes up to n references, returning how many were processed.
 // A short count means the stream ended; Err tells exhaustion from
 // failure. A per-CPU host advances in whole scheduler events, and one
 // wakeup may filter several references, so the count can overshoot n by
 // a fraction of an event.
+//
+// A merged-stream host draws up to one window of references from its
+// generator before it runs them, so it can hint their cache lines ahead,
+// but never draws past the n-th: after Run(n) the generator, the host
+// and every statistic and checkpoint byte are what n Steps leave. The
+// generator must therefore not observe the host (workload.Generator).
 func (h *Host) Run(n uint64) uint64 {
 	if h.perCPU {
 		start := h.stats.Refs
@@ -375,13 +409,40 @@ func (h *Host) Run(n uint64) uint64 {
 		}
 		return h.stats.Refs - start
 	}
-	var i uint64
-	for ; i < n; i++ {
-		if !h.Step() {
+	var ran uint64
+	for ran < n {
+		want := min(n-ran, aheadWindow)
+		refs := h.ahead[:0]
+		for uint64(len(refs)) < want {
+			ref, ok := h.gen.Next()
+			if !ok {
+				break
+			}
+			refs = append(refs, ref)
+		}
+		for _, ref := range refs[:min(hintAhead, len(refs))] {
+			h.hint(ref)
+		}
+		for i, ref := range refs {
+			if j := i + hintAhead; j < len(refs) {
+				h.hint(refs[j])
+			}
+			h.exec(ref)
+		}
+		ran += uint64(len(refs))
+		if uint64(len(refs)) < want {
+			h.ended()
 			break
 		}
 	}
-	return i
+	return ran
+}
+
+// hint issues prefetch hints for the lines ref will read first: its
+// set in its CPU's coherence cache and its presence rows.
+func (h *Host) hint(ref workload.Ref) {
+	h.cpus[ref.CPU%len(h.cpus)].coh.Hint(ref.Addr)
+	h.pres.hint(ref.Addr)
 }
 
 // ioCommand draws the command of an injected non-memory transaction.

@@ -1,9 +1,12 @@
 package host
 
 import (
+	"unsafe"
+
 	"memories/internal/addr"
 	"memories/internal/bus"
 	"memories/internal/cache"
+	"memories/internal/prefetch"
 )
 
 // presence is the host bus's snoop filter (bus.Presence): one bit per
@@ -21,10 +24,17 @@ import (
 // checkpointed, rebuilt on restore. See DESIGN.md §4e.
 type presence struct {
 	geom   addr.Geometry
-	stride int64  // bytes per row: one bit per attached CPU, rounded up
-	rows   []byte // cache.Buckets(geom) rows
-	cpus   []*cpu // every CPU by bus ID; bit < 0 marks one left off the bus
-	live   int    // CPUs on the bus
+	stride int64 // bytes per row: one bit per attached CPU, rounded up
+
+	// hint's split of an address: a set's buckets are adjacent, so its
+	// rows are the setBytes bytes from (a>>offBits&setMask)*setBytes on.
+	offBits  uint
+	setMask  uint64
+	setBytes int64
+
+	rows []byte // cache.Buckets(geom) rows
+	cpus []*cpu // every CPU by bus ID; bit < 0 marks one left off the bus
+	live int    // CPUs on the bus
 
 	// Gauges behind Host.SnoopFilter; not simulation state.
 	probed     uint64 // snoops made
@@ -35,17 +45,29 @@ func newPresence(cpus []*cpu, live int) *presence {
 	g := cpus[0].coh.Geometry()
 	stride := int64(live+7) / 8
 	return &presence{
-		geom:   g,
-		stride: stride,
-		rows:   make([]byte, cache.Buckets(g)*stride),
-		cpus:   cpus,
-		live:   live,
+		geom:     g,
+		stride:   stride,
+		offBits:  addr.Log2(g.LineSize),
+		setMask:  uint64(g.Sets - 1),
+		setBytes: int64(g.Assoc) * cache.BucketsPerWay * stride,
+		rows:     make([]byte, cache.Buckets(g)*stride),
+		cpus:     cpus,
+		live:     live,
 	}
 }
 
 func (p *presence) row(a uint64) []byte {
 	i := cache.Bucket(p.geom, a) * p.stride
 	return p.rows[i : i+p.stride]
+}
+
+// hint issues a prefetch hint for the first line of the rows of a's set,
+// ahead of the reference that will read a's row (Host.Run). A set's rows
+// are contiguous, and on the paper's host — 8 CPUs, 4-way L2s, 64
+// one-byte rows a set — they are one line, so the hint covers a's row;
+// hashing a's tag to the exact row would not fit the inlining budget.
+func (p *presence) hint(a uint64) {
+	prefetch.Line(unsafe.Pointer(&p.rows[int64(a>>p.offBits&p.setMask)*p.setBytes]))
 }
 
 func (p *presence) add(bit int, line uint64)  { p.row(line)[bit>>3] |= 1 << (bit & 7) }

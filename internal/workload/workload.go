@@ -40,6 +40,12 @@ type Ref struct {
 
 // Generator produces a reference stream. Implementations are not safe for
 // concurrent use.
+//
+// A stream is drawn ahead of the machine that runs it: a merged-stream
+// host draws up to one window of references before it executes them
+// (host.Run; never past Run's n), so Next must not observe the host —
+// its caches, its bus, its clock or its statistics. Every generator in
+// this module is a pure function of its seed and its own state.
 type Generator interface {
 	// Name identifies the workload in reports.
 	Name() string
