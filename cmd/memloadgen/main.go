@@ -1,23 +1,20 @@
 // Command memloadgen is the lifecycle stress test for memoriesd: it
 // drives many concurrent emulation sessions through the full HTTP
 // lifecycle (create → ingest trace blocks → poll stats → delete) and
-// exits non-zero if any lifecycle fails. Latency percentiles and the
-// request rate are printed per run and written to the -json artifact
-// for reading, not gating; performance is gated by `go run ./bench`
-// (workload service_ingest).
+// exits 0 when every lifecycle completes, 1 when any fails and 2 on bad
+// flags. It is pass/fail only and measures nothing; the service's speed
+// is read from `go run ./bench` (workload service_ingest).
 //
-//	memloadgen -sessions 1000 -blocks 3 -records 256 -json LOADTEST.json
+//	memloadgen [-addr host:port] [-sessions 1000]
 //
 // With -addr empty (the default) it self-hosts an in-process
 // service.Server on a loopback listener — requests still cross real
-// HTTP over TCP, so the measurement covers the whole service stack.
-// Point -addr at a running memoriesd to load-test a remote deployment.
+// HTTP over TCP, so the test covers the whole service stack. Point
+// -addr at a running memoriesd to stress a remote deployment.
 //
-// A 429 reply is the service's bus-retry flow control; the generator
+// A 429 or 503 reply is the service's flow control; the generator
 // honors Retry-After with capped backoff and re-issues, counting the
-// retries separately. Only accepted ingest requests contribute
-// latency samples, and a sample's clock runs across its retries — the
-// latency a well-behaved client experiences.
+// retries.
 package main
 
 import (
@@ -29,80 +26,55 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"memories/internal/addr"
 	"memories/internal/bus"
 	"memories/internal/service"
 	"memories/internal/tracefile"
 )
 
-// result aggregates one full run's measurements.
-type result struct {
-	Sessions     int     `json:"sessions"`
-	Blocks       int     `json:"blocks_per_session"`
-	Records      int     `json:"records_per_block"`
-	IngestOK     int     `json:"ingest_accepted"`
-	Retries      int64   `json:"ingest_retries"`
-	Failures     int     `json:"failures"`
-	P50IngestNs  int64   `json:"p50_ingest_ns"`
-	P99IngestNs  int64   `json:"p99_ingest_ns"`
-	P50CreateNs  int64   `json:"p50_create_ns"`
-	P99CreateNs  int64   `json:"p99_create_ns"`
-	ElapsedMs    int64   `json:"elapsed_ms"`
-	IngestPerSec float64 `json:"ingest_requests_per_sec"`
-}
+// Every lifecycle is the same: blocks ingest requests of records trace
+// records each into a 64 KB, 2-way emulated cache with 64 B lines, at
+// most concurrency lifecycles in flight.
+const (
+	blocks      = 3
+	records     = 256
+	concurrency = 128
+	cacheSize   = "64KB"
+	cacheBytes  = 64 << 10
+	lineBytes   = 64
+	assoc       = 2
+
+	// The run's deadline gives each lifecycle budgetPerSession and is
+	// never shorter than minBudget.
+	budgetPerSession = 120 * time.Millisecond
+	minBudget        = 120 * time.Second
+)
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("memloadgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		addrFlag    = fs.String("addr", "", "target memoriesd address; empty self-hosts an in-process server")
-		sessions    = fs.Int("sessions", 1000, "concurrent sessions to drive")
-		blocks      = fs.Int("blocks", 3, "ingest requests per session")
-		records     = fs.Int("records", 256, "trace records per ingest request")
-		concurrency = fs.Int("concurrency", 128, "maximum in-flight session lifecycles")
-		count       = fs.Int("count", 1, "repeat the whole run N times")
-		cacheSize   = fs.String("cache", "64KB", "per-session emulated cache size")
-		lineBytes   = fs.Int64("line", 64, "emulated line size")
-		assocFlag   = fs.Int("assoc", 2, "emulated associativity")
-		jsonPath    = fs.String("json", "", "write the JSON artifact here")
-		timeout     = fs.Duration("timeout", 120*time.Second, "per-run wall-clock budget")
-	)
+	addrFlag := fs.String("addr", "", "target memoriesd address; empty self-hosts an in-process server")
+	sessions := fs.Int("sessions", 1000, "session lifecycles to drive")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{
-		{"sessions", int64(*sessions)}, {"blocks", int64(*blocks)}, {"records", int64(*records)},
-		{"concurrency", int64(*concurrency)}, {"count", int64(*count)},
-		{"line", *lineBytes}, {"assoc", int64(*assocFlag)},
-	} {
-		if f.v <= 0 {
-			fmt.Fprintf(stderr, "memloadgen: -%s must be positive, got %d\n", f.name, f.v)
-			return 2
-		}
+	if *sessions <= 0 {
+		fmt.Fprintf(stderr, "memloadgen: -sessions must be positive, got %d\n", *sessions)
+		return 2
 	}
 
 	base := *addrFlag
 	if base == "" {
-		size, err := addr.ParseSize(*cacheSize)
-		if err != nil {
-			fmt.Fprintf(stderr, "memloadgen: %v\n", err)
-			return 2
-		}
 		srv := service.New(service.Config{
 			MaxSessions: *sessions + 16,
-			// Quota sized to the requested geometry (8 B per line slot).
-			MaxDirectoryBytes: (size / *lineBytes) * 8,
+			// Quota sized to the lifecycle's geometry (8 B per line slot).
+			MaxDirectoryBytes: cacheBytes / lineBytes * 8,
 			RetryAfter:        time.Second,
 		})
 		if err := srv.Start("127.0.0.1:0"); err != nil {
@@ -113,46 +85,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		base = srv.Addr()
 		fmt.Fprintf(stderr, "memloadgen: self-hosting service on %s\n", base)
 	}
-	baseURL := "http://" + base
 
-	payload, err := tracePayload(*records, *lineBytes)
+	payload, err := tracePayload()
 	if err != nil {
 		fmt.Fprintf(stderr, "memloadgen: %v\n", err)
 		return 1
 	}
-
-	var results []result
-	for runIdx := 0; runIdx < *count; runIdx++ {
-		res, err := drive(driveConfig{
-			baseURL:     baseURL,
-			sessions:    *sessions,
-			blocks:      *blocks,
-			concurrency: *concurrency,
-			payload:     payload,
-			cacheSize:   *cacheSize,
-			line:        *lineBytes,
-			assoc:       *assocFlag,
-			timeout:     *timeout,
-			runTag:      runIdx,
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "memloadgen: run %d: %v\n", runIdx+1, err)
-			return 1
-		}
-		res.Records = *records
-		results = append(results, res)
-		fmt.Fprintf(stdout, "memloadgen: run %d/%d: %d sessions, %d ingests ok, %d retries, p99 ingest %s, %.0f req/s\n",
-			runIdx+1, *count, res.Sessions, res.IngestOK, res.Retries,
-			time.Duration(res.P99IngestNs), res.IngestPerSec)
+	ingests, retries, err := drive("http://"+base, *sessions, payload)
+	if err != nil {
+		fmt.Fprintf(stderr, "memloadgen: %v\n", err)
+		return 1
 	}
-
-	if *jsonPath != "" {
-		b, _ := json.MarshalIndent(results, "", "  ")
-		if err := os.WriteFile(*jsonPath, append(b, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "memloadgen: %v\n", err)
-			return 1
-		}
-	}
+	fmt.Fprintf(stdout, "memloadgen: %d sessions, %d ingests accepted, %d retries\n",
+		*sessions, ingests, retries)
 	return 0
 }
 
@@ -161,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // the stress test exercises the decode path the service is measured on:
 // a deterministic read/write mix over a bounded footprint, enough to
 // make the emulated cache do real work.
-func tracePayload(records int, line int64) ([]byte, error) {
+func tracePayload() ([]byte, error) {
 	var buf bytes.Buffer
 	w, err := tracefile.NewV2Writer(&buf)
 	if err != nil {
@@ -169,7 +114,7 @@ func tracePayload(records int, line int64) ([]byte, error) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < records; i++ {
-		a := (uint64(rng.Intn(1<<20)) * uint64(line)) &^ 7
+		a := (uint64(rng.Intn(1<<20)) * lineBytes) &^ 7
 		cmd := bus.Read
 		if rng.Intn(4) == 0 {
 			cmd = bus.RWITM
@@ -184,60 +129,40 @@ func tracePayload(records int, line int64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-type driveConfig struct {
-	baseURL     string
-	sessions    int
-	blocks      int
-	concurrency int
-	payload     []byte
-	cacheSize   string
-	line        int64
-	assoc       int
-	timeout     time.Duration
-	runTag      int
-}
-
-// drive runs one full load test: session lifecycles fan out over a
-// bounded worker pool and every accepted request's latency is
-// recorded.
-func drive(cfg driveConfig) (result, error) {
+// drive runs every session lifecycle over a bounded worker pool and
+// returns how many ingest requests were accepted and how many 429/503
+// replies were retried, or an error naming the first failed lifecycle.
+func drive(baseURL string, sessions int, payload []byte) (ingests, retries int64, err error) {
 	// The default transport keeps only 2 idle connections per host, so
-	// at concurrency 128 the retry loop re-dials almost every request —
-	// handshake latency lands in the p99. Size the idle pool to the
-	// worker pool and the whole run reuses one keep-alive connection per
-	// in-flight lifecycle.
+	// with 128 lifecycles in flight almost every request would dial a
+	// fresh connection, and a large run would stress the client's
+	// ephemeral ports instead of the service. Size the idle pool to the
+	// worker pool and each in-flight lifecycle reuses one keep-alive
+	// connection.
 	client := &http.Client{
 		Timeout: 30 * time.Second,
 		Transport: &http.Transport{
-			MaxIdleConns:        cfg.concurrency,
-			MaxIdleConnsPerHost: cfg.concurrency,
+			MaxIdleConns:        concurrency,
+			MaxIdleConnsPerHost: concurrency,
 			IdleConnTimeout:     90 * time.Second,
 		},
 	}
 	defer client.CloseIdleConnections()
 	var (
-		mu       sync.Mutex
-		ingestNs []int64
-		createNs []int64
-		failures int
-		firstErr error
-		retries  atomic.Int64
+		accepted, retried, failures atomic.Int64
+		firstErr                    error
 	)
+	// Only the first failure writes firstErr; it is read after wg.Wait.
 	fail := func(err error) {
-		mu.Lock()
-		failures++
-		if firstErr == nil {
+		if failures.Add(1) == 1 {
 			firstErr = err
 		}
-		mu.Unlock()
 	}
-
-	start := time.Now()
-	deadline := start.Add(cfg.timeout)
+	deadline := time.Now().Add(max(minBudget, time.Duration(sessions)*budgetPerSession))
 
 	// postUntilAccepted re-issues on the service's flow-control
 	// responses (429 queue full, 503 pool full/draining), honoring
-	// Retry-After but capping the sleep so a load test fails fast
+	// Retry-After but capping the sleep so a stress test fails fast
 	// rather than hanging. Any other unexpected status is an error.
 	postUntilAccepted := func(url, contentType string, body []byte, want int) error {
 		for {
@@ -254,11 +179,8 @@ func drive(cfg driveConfig) (result, error) {
 			case want:
 				return nil
 			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-				retries.Add(1)
-				wait := parseRetryAfter(resp.Header.Get("Retry-After"))
-				if wait > 250*time.Millisecond {
-					wait = 250 * time.Millisecond
-				}
+				retried.Add(1)
+				wait := min(parseRetryAfter(resp.Header.Get("Retry-After")), 250*time.Millisecond)
 				if time.Now().Add(wait).After(deadline) {
 					return fmt.Errorf("deadline exceeded while backing off from %d", resp.StatusCode)
 				}
@@ -269,48 +191,38 @@ func drive(cfg driveConfig) (result, error) {
 		}
 	}
 
-	sem := make(chan struct{}, cfg.concurrency)
+	sem := make(chan struct{}, concurrency)
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.sessions; i++ {
+	for i := 0; i < sessions; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			id := fmt.Sprintf("load-%d-%06d", cfg.runTag, i)
-			createBody, _ := json.Marshal(map[string]any{
-				"id": id, "cache": cfg.cacheSize, "line_bytes": cfg.line,
-				"assoc": cfg.assoc, "cpus": 8,
+			id := fmt.Sprintf("load-%06d", i)
+			createBody, _ := json.Marshal(service.CreateRequest{
+				ID: id, Cache: cacheSize, LineBytes: lineBytes, Assoc: assoc, CPUs: 8,
 			})
-
-			t0 := time.Now()
-			if err := postUntilAccepted(cfg.baseURL+"/sessions", "application/json",
+			if err := postUntilAccepted(baseURL+"/sessions", "application/json",
 				createBody, http.StatusCreated); err != nil {
 				fail(fmt.Errorf("create %s: %w", id, err))
 				return
 			}
-			mu.Lock()
-			createNs = append(createNs, time.Since(t0).Nanoseconds())
-			mu.Unlock()
-
-			for b := 0; b < cfg.blocks; b++ {
-				t0 := time.Now()
-				if err := postUntilAccepted(cfg.baseURL+"/sessions/"+id+"/trace",
-					"application/octet-stream", cfg.payload, http.StatusAccepted); err != nil {
+			for b := 0; b < blocks; b++ {
+				if err := postUntilAccepted(baseURL+"/sessions/"+id+"/trace",
+					"application/octet-stream", payload, http.StatusAccepted); err != nil {
 					fail(fmt.Errorf("ingest %s: %w", id, err))
 					return
 				}
-				mu.Lock()
-				ingestNs = append(ingestNs, time.Since(t0).Nanoseconds())
-				mu.Unlock()
+				accepted.Add(1)
 			}
 
-			if err := pollDrained(client, cfg.baseURL+"/sessions/"+id+"/stats", deadline); err != nil {
+			if err := pollDrained(client, baseURL+"/sessions/"+id+"/stats", deadline); err != nil {
 				fail(fmt.Errorf("stats %s: %w", id, err))
 				return
 			}
 
-			req, _ := http.NewRequest(http.MethodDelete, cfg.baseURL+"/sessions/"+id, nil)
+			req, _ := http.NewRequest(http.MethodDelete, baseURL+"/sessions/"+id, nil)
 			resp, err := client.Do(req)
 			if err != nil {
 				fail(fmt.Errorf("delete %s: %w", id, err))
@@ -324,27 +236,11 @@ func drive(cfg driveConfig) (result, error) {
 		}(i)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
 
 	if firstErr != nil {
-		return result{}, fmt.Errorf("%d/%d lifecycles failed; first: %w", failures, cfg.sessions, firstErr)
+		return 0, 0, fmt.Errorf("%d/%d lifecycles failed; first: %w", failures.Load(), sessions, firstErr)
 	}
-	res := result{
-		Sessions:    cfg.sessions,
-		Blocks:      cfg.blocks,
-		IngestOK:    len(ingestNs),
-		Retries:     retries.Load(),
-		Failures:    failures,
-		P50IngestNs: percentile(ingestNs, 50),
-		P99IngestNs: percentile(ingestNs, 99),
-		P50CreateNs: percentile(createNs, 50),
-		P99CreateNs: percentile(createNs, 99),
-		ElapsedMs:   elapsed.Milliseconds(),
-	}
-	if elapsed > 0 {
-		res.IngestPerSec = float64(len(ingestNs)) / elapsed.Seconds()
-	}
-	return res, nil
+	return accepted.Load(), retried.Load(), nil
 }
 
 // pollDrained polls stats until every accepted record has been applied
@@ -383,19 +279,6 @@ func pollDrained(client *http.Client, url string, deadline time.Time) error {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-func percentile(ns []int64, p int) int64 {
-	if len(ns) == 0 {
-		return 0
-	}
-	sorted := append([]int64(nil), ns...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := len(sorted) * p / 100
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 func parseRetryAfter(h string) time.Duration {

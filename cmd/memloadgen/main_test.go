@@ -1,76 +1,66 @@
 package main
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
 
 // TestRunSmall exercises the whole harness against a self-hosted
-// service: lifecycles complete, one summary line per run comes out, and
-// the JSON artifact round-trips.
+// service: every lifecycle completes and one summary line comes out.
 func TestRunSmall(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "load.json")
 	var stdout, stderr strings.Builder
-	code := run([]string{
-		"-sessions", "20", "-blocks", "2", "-records", "64",
-		"-concurrency", "8", "-count", "2",
-		"-json", jsonPath,
-	}, &stdout, &stderr)
-	if code != 0 {
+	if code := run([]string{"-sessions", "20"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
-	if n := strings.Count(stdout.String(), "40 ingests ok"); n != 2 {
-		t.Fatalf("want 2 run summaries (-count 2), got %d:\n%s", n, stdout.String())
+	out := stdout.String()
+	if strings.Count(out, "\n") != 1 || !strings.Contains(out, "20 sessions, 60 ingests accepted") {
+		t.Fatalf("want one summary line with 20 sessions and 60 ingests, got:\n%s", out)
 	}
+}
 
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var results []result
-	if err := json.Unmarshal(raw, &results); err != nil {
-		t.Fatalf("artifact: %v", err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("artifact has %d runs, want 2", len(results))
-	}
-	for _, res := range results {
-		if res.Sessions != 20 || res.IngestOK != 40 || res.Failures != 0 {
-			t.Fatalf("bad run result: %+v", res)
+// TestRunFailedLifecycle is the stress test's verdict: a service that
+// refuses every create fails the run, and stderr names the lifecycle.
+func TestRunFailedLifecycle(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/sessions" {
+			http.Error(w, "board pool broken", http.StatusInternalServerError)
+			return
 		}
-		if res.P99IngestNs <= 0 || res.P99CreateNs <= 0 {
-			t.Fatalf("missing percentiles: %+v", res)
+		http.NotFound(w, r)
+	}))
+	defer srv.Close()
+	var stdout, stderr strings.Builder
+	code := run([]string{"-addr", strings.TrimPrefix(srv.URL, "http://"), "-sessions", "3"}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\nstderr:\n%s", code, stderr.String())
+	}
+	msg := stderr.String()
+	for _, want := range []string{"3/3 lifecycles failed", "create load-", "status 500", "board pool broken"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("stderr %q does not contain %q", msg, want)
 		}
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("a failed run printed a summary: %q", stdout.String())
 	}
 }
 
 func TestRunBadFlags(t *testing.T) {
 	var out, errw strings.Builder
-	if code := run([]string{"-cache", "bogus"}, &out, &errw); code != 2 {
-		t.Fatalf("bad cache size: exit %d, want 2", code)
-	}
 	if code := run([]string{"-nosuch"}, &out, &errw); code != 2 {
 		t.Fatalf("unknown flag: exit %d, want 2", code)
 	}
-	// Non-positive counts and geometry used to divide by zero (-line 0),
-	// block on a zero-capacity semaphore (-concurrency 0) or panic in
-	// make(chan) (-concurrency -1); all must be refused up front.
-	for _, args := range [][]string{
-		{"-sessions", "0"}, {"-blocks", "0"}, {"-records", "-3"},
-		{"-concurrency", "0"}, {"-concurrency", "-1"}, {"-count", "0"},
-		{"-line", "0"}, {"-assoc", "0"},
-	} {
+	// A non-positive session count must be refused before a listener
+	// opens.
+	for _, args := range [][]string{{"-sessions", "0"}, {"-sessions", "-3"}} {
 		errw.Reset()
 		if code := run(args, &out, &errw); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
 		}
-		if msg := errw.String(); strings.Count(msg, "\n") != 1 || !strings.Contains(msg, args[0]+" must be positive") {
+		if msg := errw.String(); strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "-sessions must be positive") {
 			t.Errorf("%v: stderr %q, want one line naming the flag", args, msg)
 		}
 		if strings.Contains(errw.String(), "self-hosting") {
@@ -90,18 +80,5 @@ func TestPollDrainedErrorStatus(t *testing.T) {
 	err := pollDrained(srv.Client(), srv.URL, time.Now().Add(time.Second))
 	if err == nil || !strings.Contains(err.Error(), "404") || !strings.Contains(err.Error(), "no such session") {
 		t.Fatalf("404 stats reply: err = %v, want status and body", err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	ns := []int64{5, 1, 4, 2, 3}
-	if got := percentile(ns, 50); got != 3 {
-		t.Fatalf("p50 = %d, want 3", got)
-	}
-	if got := percentile(ns, 99); got != 5 {
-		t.Fatalf("p99 = %d, want 5", got)
-	}
-	if got := percentile(nil, 99); got != 0 {
-		t.Fatalf("empty p99 = %d, want 0", got)
 	}
 }

@@ -340,11 +340,20 @@ func (h *Host) ended() {
 	if h.err != nil {
 		return
 	}
-	if er, ok := h.gen.(workload.ErrReporter); ok && er.Err() != nil {
-		h.err = fmt.Errorf("host: workload %q: %w", h.gen.Name(), er.Err())
-	} else {
+	if h.err = streamFailure(h.gen, fmt.Sprintf("workload %q", h.gen.Name())); h.err == nil {
 		h.err = ErrExhausted
 	}
+}
+
+// streamFailure is the end-of-stream rule both host modes share: an
+// ended stream that reports an error (workload.ErrReporter) failed, and
+// its error comes back wrapped under what, the stream's name in that
+// mode; any other ended stream completed, and streamFailure returns nil.
+func streamFailure(g workload.Generator, what string) error {
+	if er, ok := g.(workload.ErrReporter); ok && er.Err() != nil {
+		return fmt.Errorf("host: %s: %w", what, er.Err())
+	}
+	return nil
 }
 
 // exec runs one merged-stream reference: the per-reference body of Step

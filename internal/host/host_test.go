@@ -2,6 +2,7 @@ package host
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"memories/internal/addr"
@@ -373,6 +374,40 @@ func TestRunSurfacesExhaustionVsError(t *testing.T) {
 	live := MustNew(testConfig(), &failGen{left: 100})
 	if n := live.Run(10); n != 10 || live.Err() != nil {
 		t.Fatalf("Run = %d, Err = %v mid-stream, want 10, nil", n, live.Err())
+	}
+}
+
+// TestWrappedStreamFailureSurfaces: Limit and WithDisturbance forward
+// the wrapped stream's failure (workload.ErrReporter), so a host over a
+// wrapper reports the generator's error, not ErrExhausted, under each
+// mode's prefix.
+func TestWrappedStreamFailureSurfaces(t *testing.T) {
+	wrappers := []struct {
+		name string
+		wrap func(workload.Generator) workload.Generator
+	}{
+		{"limit", func(g workload.Generator) workload.Generator { return workload.Limit(g, 100) }},
+		{"disturbance", func(g workload.Generator) workload.Generator {
+			return workload.WithDisturbance(g, workload.DisturbanceConfig{PeriodRefs: 3, BurstRefs: 2, JournalBytes: addr.MB})
+		}},
+	}
+	check := func(t *testing.T, h *Host, prefix string) {
+		t.Helper()
+		h.Run(1000)
+		err := h.Err()
+		if !errors.Is(err, errTruncated) || errors.Is(err, ErrExhausted) || !strings.HasPrefix(err.Error(), prefix) {
+			t.Fatalf("Err = %v, want errTruncated wrapped under %q", err, prefix)
+		}
+	}
+	for _, w := range wrappers {
+		t.Run(w.name+"/merged", func(t *testing.T) {
+			check(t, MustNew(testConfig(), w.wrap(&failGen{left: 5})), `host: workload "failing`)
+		})
+		t.Run(w.name+"/per-cpu", func(t *testing.T) {
+			streams := make([]workload.Generator, 2)
+			streams[1] = w.wrap(&failGen{left: 5})
+			check(t, MustNewPerCPU(perCPUTestConfig(2), streams, EngineWheel), "host: cpu 1 stream: ")
+		})
 	}
 }
 

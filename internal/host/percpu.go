@@ -212,9 +212,7 @@ func (c *cpu) wake() {
 				c.done = true
 				h.live--
 				if h.err == nil {
-					if er, ok := c.gen.(workload.ErrReporter); ok && er.Err() != nil {
-						h.err = fmt.Errorf("host: cpu %d stream: %w", c.id, er.Err())
-					}
+					h.err = streamFailure(c.gen, fmt.Sprintf("cpu %d stream", c.id))
 				}
 				return // never rescheduled: a drained actor costs zero
 			}

@@ -59,3 +59,6 @@ func (d *disturbed) Next() (Ref, bool) {
 	}
 	return d.g.Next()
 }
+
+// Err forwards the wrapped stream's failure (ErrReporter).
+func (d *disturbed) Err() error { return streamErr(d.g) }

@@ -60,7 +60,8 @@ type Generator interface {
 // end abnormally (trace readers hitting a truncated file, network
 // feeds). After Next returns ok=false, a non-nil Err means the stream
 // failed rather than completed; the host surfaces it through Host.Err
-// instead of ErrExhausted.
+// instead of ErrExhausted. Limit and WithDisturbance forward the Err of
+// the stream they wrap.
 type ErrReporter interface {
 	Err() error
 }
@@ -164,4 +165,17 @@ func (l *limited) Next() (Ref, bool) {
 	}
 	l.left--
 	return l.g.Next()
+}
+
+// Err forwards the wrapped stream's failure (ErrReporter).
+func (l *limited) Err() error { return streamErr(l.g) }
+
+// streamErr is the error g reports when it is an ErrReporter, and nil
+// otherwise: a wrapper's Err, so a failure inside it is not read as
+// the stream's normal end.
+func streamErr(g Generator) error {
+	if er, ok := g.(ErrReporter); ok {
+		return er.Err()
+	}
+	return nil
 }

@@ -184,7 +184,9 @@ func NewSplash(name, size string, ncpu int, seed uint64) Generator {
 	return splash.New(name, sz, ncpu, seed)
 }
 
-// Limit bounds a generator to n references.
+// Limit bounds a generator to n references. A failure g reports
+// through an `Err() error` method still surfaces through the host's
+// Err, not as the end of the stream.
 func Limit(g Generator, n uint64) Generator { return workload.Limit(g, n) }
 
 // NewUniform builds a uniformly random reference generator over the given
